@@ -98,11 +98,13 @@ check: build vet race chaos-smoke busoff-smoke admission-smoke control-smoke fuz
 bench:
 	$(GO) test -bench . -benchmem ./internal/can ./internal/sim
 
-# bench-record re-records the committed baseline (full calibrated suite;
-# takes a few minutes). Commit the refreshed BENCH_seed.json alongside
-# any intentional performance change.
+# bench-record records a trajectory point (full calibrated suite; takes a
+# few minutes) as BENCH_$(LABEL).json. Every PR commits its own point
+# (make bench-record LABEL=pr13) and shows canecbench -compare against
+# the previous one clean.
+LABEL ?= seed
 bench-record:
-	$(GO) run ./cmd/canecbench -json seed -bench-dir .
+	$(GO) run ./cmd/canecbench -json $(LABEL) -bench-dir .
 
 # bench-check records a fresh trajectory point and gates it against the
 # committed baseline with the default thresholds.

@@ -121,15 +121,21 @@ type Bus struct {
 	arbPending bool
 	stats      Stats
 
-	// current transmission; curTied holds same-ID collision partners.
+	// current transmission; curTied holds same-ID collision partners and
+	// curDur is the frame's wire time.
 	cur        *txReq
 	curSender  int
 	curTied    []*txReq
 	curTiedIdx []int
+	curDur     sim.Duration
 	// curCrashed is set when the sender of the in-flight frame detached
 	// (crashed) mid-transmission: the truncated frame ends in an error
 	// frame at every receiver, exactly as on a real bus.
 	curCrashed bool
+
+	// The kernel callbacks, bound once: scheduling a round, a completion
+	// or the end of an error frame allocates no method value per frame.
+	arbitrateFn, completeFn, idleFn func()
 }
 
 // NewBus creates a bus on the given kernel. bitRate <= 0 selects the
@@ -138,7 +144,9 @@ func NewBus(k *sim.Kernel, bitRate int) *Bus {
 	if bitRate <= 0 {
 		bitRate = DefaultBitRate
 	}
-	return &Bus{K: k, BitRate: bitRate, Injector: NoFaults{}}
+	b := &Bus{K: k, BitRate: bitRate, Injector: NoFaults{}}
+	b.arbitrateFn, b.completeFn, b.idleFn = b.arbitrate, b.complete, b.idle
+	return b
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -174,7 +182,7 @@ func (b *Bus) kick() {
 		return
 	}
 	b.arbPending = true
-	b.K.After(0, b.arbitrate)
+	b.K.After(0, b.arbitrateFn)
 }
 
 // arbitrate picks the smallest-ID pending frame across all controllers and
@@ -257,8 +265,8 @@ func (b *Bus) arbitrate() {
 	} else {
 		bits = WireBits(win.frame)
 	}
-	dur := b.BitDuration(bits)
-	b.K.After(dur, func() { b.complete(dur) })
+	b.curDur = b.BitDuration(bits)
+	b.K.After(b.curDur, b.completeFn)
 }
 
 // guardedBest returns the controller's best pending frame after the bus
@@ -296,7 +304,7 @@ func (b *Bus) guardedBest(c *Controller, idx int) *txReq {
 
 // complete finishes the in-flight transmission, consulting the fault
 // injector for its outcome.
-func (b *Bus) complete(dur sim.Duration) {
+func (b *Bus) complete() {
 	req := b.cur
 	sender := b.curSender
 	tied, tiedIdx := b.curTied, b.curTiedIdx
@@ -305,7 +313,7 @@ func (b *Bus) complete(dur sim.Duration) {
 	for _, r := range tied {
 		r.inFlight = false
 	}
-	b.stats.BusyTime += dur
+	b.stats.BusyTime += b.curDur
 
 	fault := b.Injector.Judge(req.frame, sender, req.attempt, b.K.Now(), b.K.RNG())
 	if len(tied) > 0 {
@@ -354,10 +362,7 @@ func (b *Bus) complete(dur sim.Duration) {
 		for i, r := range tied {
 			abortIfSingleShot(r, tiedIdx[i])
 		}
-		b.K.After(errDur, func() {
-			b.busy = false
-			b.kick()
-		})
+		b.K.After(errDur, b.idleFn)
 		return
 
 	case FaultOmission:
@@ -379,6 +384,12 @@ func (b *Bus) complete(dur sim.Duration) {
 	if req.done != nil {
 		req.done(true, b.K.Now())
 	}
+	b.idle()
+}
+
+// idle returns the bus to idle — after a frame or at the end of an error
+// frame — and starts the next arbitration if anything is pending.
+func (b *Bus) idle() {
 	b.busy = false
 	b.kick()
 }

@@ -88,16 +88,11 @@ const (
 // by transports that carry encoded frames (internal/relay).
 const MaxStuffedBits = maxStuffedBits
 
-// unstuffedBits builds the exact pre-stuffing bit sequence of the frame's
-// stuffed region (SOF through CRC sequence). It is exported through
-// WireBits and StuffBits so that tests can cross-check against the
-// worst-case formulas.
-func unstuffedBits(f Frame) []byte {
-	return appendUnstuffedBits(make([]byte, 0, extStuffedOverheadBits+8*len(f.Data)), f)
-}
-
-// appendUnstuffedBits appends the pre-stuffing bit sequence to dst,
-// reusing its capacity (the allocation-free form for hot paths).
+// appendUnstuffedBits appends the exact pre-stuffing bit sequence of the
+// frame's stuffed region (SOF through CRC sequence) to dst, reusing its
+// capacity; callers on hot paths pass a stack array. It is exported
+// through WireBits and StuffBits so that tests can cross-check against
+// the worst-case formulas.
 func appendUnstuffedBits(dst []byte, f Frame) []byte {
 	bits := dst
 	base := len(dst)
@@ -126,7 +121,8 @@ func appendUnstuffedBits(dst []byte, f Frame) []byte {
 // in the stuffed region, a complementary bit is inserted (and itself
 // participates in subsequent runs).
 func StuffBits(f Frame) int {
-	bits := unstuffedBits(f)
+	var scratch [maxUnstuffedBits]byte
+	bits := appendUnstuffedBits(scratch[:0], f)
 	stuffed := 0
 	run := 1
 	prev := bits[0]

@@ -127,7 +127,7 @@ func TestStuffedStreamHasNoLongRuns(t *testing.T) {
 		if len(data) > MaxPayload {
 			data = data[:MaxPayload]
 		}
-		bits := unstuffedBits(Frame{ID: id, Data: data})
+		bits := appendUnstuffedBits(nil, Frame{ID: id, Data: data})
 		// Re-apply stuffing, building the stuffed stream.
 		var out []byte
 		run := 0

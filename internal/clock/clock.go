@@ -23,10 +23,17 @@ type Clock struct {
 	lastAdj   sim.Time
 	lastLocal float64
 
-	// watchers are notified after every state correction so that pending
-	// local-time timers can re-arm; see ScheduleLocal.
-	watchers map[int]func()
-	nextW    int
+	// timers holds the armed local timers in arming order, so a state
+	// correction re-evaluates them — and hands out their kernel tie-break
+	// sequence numbers — in an order that never depends on map iteration.
+	// A timer that fired or was stopped leaves a nil hole; holes are
+	// squeezed out once they outnumber the live entries, never during a
+	// notification pass (indices must hold while it walks the slice).
+	timers    []*LocalTimer
+	holes     int
+	notifying int
+	// waiters run once after the next correction, in registration order.
+	waiters []*adjustWaiter
 }
 
 // New returns a clock with the given drift (fractional, e.g. 100e-6 =
@@ -65,17 +72,8 @@ func (c *Clock) SetTo(now sim.Time, value sim.Time) {
 	c.notify()
 }
 
-// watch registers fn to run after every adjustment; the returned function
-// unregisters it.
-func (c *Clock) watch(fn func()) (cancel func()) {
-	if c.watchers == nil {
-		c.watchers = make(map[int]func())
-	}
-	id := c.nextW
-	c.nextW++
-	c.watchers[id] = fn
-	return func() { delete(c.watchers, id) }
-}
+// adjustWaiter is one pending AfterNextAdjustment registration.
+type adjustWaiter struct{ fn func() }
 
 // AfterNextAdjustment runs fn once, right after the next state correction
 // applied to this clock. A rebooted node uses it to wait until the
@@ -83,27 +81,62 @@ func (c *Clock) watch(fn func()) (cancel func()) {
 // global time base before re-entering the calendar. The returned function
 // cancels the wait.
 func (c *Clock) AfterNextAdjustment(fn func()) (cancel func()) {
-	var unwatch func()
-	unwatch = c.watch(func() {
-		unwatch()
-		fn()
-	})
-	return unwatch
+	w := &adjustWaiter{fn: fn}
+	c.waiters = append(c.waiters, w)
+	return func() { w.fn = nil }
 }
 
-// notify runs the watchers registered at notification time; watchers
-// added or removed by a callback take effect on the next adjustment.
+// notify re-evaluates the local timers armed at notification time, then
+// runs the one-shot waiters; timers armed and waiters registered by a
+// callback already saw the corrected clock and wait for the next
+// adjustment.
 func (c *Clock) notify() {
-	if len(c.watchers) == 0 {
+	if n := len(c.timers); n > 0 {
+		c.notifying++
+		for i := 0; i < n; i++ {
+			if lt := c.timers[i]; lt != nil {
+				lt.k.Cancel(lt.wake)
+				lt.check()
+			}
+		}
+		c.notifying--
+		c.squeeze()
+	}
+	ws := c.waiters
+	c.waiters = nil
+	for _, w := range ws {
+		if w.fn != nil { // not cancelled, also not by an earlier waiter of this pass
+			w.fn()
+		}
+	}
+}
+
+// squeeze drops trailing holes and, once holes outnumber live timers,
+// compacts the slice in place (amortised O(1) per stopped timer).
+func (c *Clock) squeeze() {
+	if c.notifying > 0 {
 		return
 	}
-	fns := make([]func(), 0, len(c.watchers))
-	for _, fn := range c.watchers {
-		fns = append(fns, fn)
+	n := len(c.timers)
+	for n > 0 && c.timers[n-1] == nil {
+		n--
+		c.holes--
 	}
-	for _, fn := range fns {
-		fn()
+	c.timers = c.timers[:n]
+	if c.holes <= n/2 {
+		return
 	}
+	live := c.timers[:0]
+	for _, lt := range c.timers {
+		if lt != nil {
+			lt.idx = len(live)
+			live = append(live, lt)
+		}
+	}
+	for i := len(live); i < n; i++ {
+		c.timers[i] = nil
+	}
+	c.timers, c.holes = live, 0
 }
 
 // WhenLocal returns the true time at which the local clock will read
@@ -144,34 +177,76 @@ func MaxSkew(now sim.Time, clocks []*Clock) sim.Duration {
 	return hi - lo
 }
 
-// ScheduleLocal arms fn to run when clk reads local. Synchronization can
-// adjust the clock between arming and firing in either direction: a
-// backward correction makes the kernel timer fire early (it re-arms), and
-// a forward correction would make it fire late, so the timer also watches
-// the clock and re-arms immediately on every adjustment. The residual
-// firing error is therefore bounded by the quantization of the clock, not
-// by the correction step.
-func ScheduleLocal(k *sim.Kernel, clk *Clock, local sim.Time, fn func()) {
-	var timer sim.Timer
-	var unwatch func()
-	var arm func()
-	fire := func() {
-		if unwatch != nil {
-			unwatch()
-		}
-		fn()
+// LocalTimer runs a callback when a node's local clock reaches a target
+// reading. It is meant to be embedded where the state it drives already
+// lives and re-armed for every use: after Init, arming, firing, stopping
+// and re-arming allocate nothing.
+//
+// Synchronization can adjust the clock between arming and firing in either
+// direction: a backward correction makes the kernel timer fire early (the
+// wake-up re-checks and re-arms), and a forward correction would make it
+// fire late, so the clock also re-evaluates every armed timer immediately
+// on each adjustment. The residual firing error is therefore bounded by
+// the quantization of the clock, not by the correction step.
+type LocalTimer struct {
+	k      *sim.Kernel
+	clk    *Clock
+	fn     func()
+	onWake func() // lt.check, bound once so arming allocates no method value
+	target sim.Time
+	wake   sim.Timer
+	idx    int // position in clk.timers while armed
+	armed  bool
+}
+
+// Init binds the timer to a kernel, a clock and its callback. It must be
+// called once, before the first Arm, and the timer must not be copied
+// afterwards.
+func (lt *LocalTimer) Init(k *sim.Kernel, clk *Clock, fn func()) {
+	lt.k, lt.clk, lt.fn = k, clk, fn
+	lt.onWake = lt.check
+}
+
+// Armed reports whether the timer is waiting for its target.
+func (lt *LocalTimer) Armed() bool { return lt.armed }
+
+// Arm sets the timer to fire when the clock reads local, replacing any
+// earlier target. If the clock already reads local or later, the callback
+// runs synchronously, before Arm returns.
+func (lt *LocalTimer) Arm(local sim.Time) {
+	lt.Stop()
+	lt.target = local
+	lt.armed = true
+	lt.idx = len(lt.clk.timers)
+	lt.clk.timers = append(lt.clk.timers, lt)
+	lt.check()
+}
+
+// Stop disarms the timer; the callback will not run until the next Arm.
+func (lt *LocalTimer) Stop() {
+	if !lt.armed {
+		return
 	}
-	arm = func() {
-		if clk.Read(k.Now()) >= local {
-			fire()
-			return
-		}
-		timer = k.At(clk.WhenLocal(k.Now(), local), arm)
+	lt.k.Cancel(lt.wake)
+	lt.disarm()
+}
+
+func (lt *LocalTimer) disarm() {
+	lt.armed = false
+	lt.clk.timers[lt.idx] = nil
+	lt.clk.holes++
+	lt.clk.squeeze()
+}
+
+// check fires the timer if the clock reached the target and otherwise
+// (re)schedules the kernel wake-up for when it will, under the clock's
+// current correction state.
+func (lt *LocalTimer) check() {
+	now := lt.k.Now()
+	if lt.clk.Read(now) >= lt.target {
+		lt.disarm()
+		lt.fn()
+		return
 	}
-	unwatch = clk.watch(func() {
-		// Re-evaluate the wake-up time under the corrected clock.
-		k.Cancel(timer)
-		arm()
-	})
-	arm()
+	lt.wake = lt.k.At(lt.clk.WhenLocal(now, lt.target), lt.onWake)
 }

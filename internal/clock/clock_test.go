@@ -81,7 +81,7 @@ func TestScheduleLocalFiresAtLocalTime(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(200, 0) // fast clock: local 10ms arrives before true 10ms
 	var fired sim.Time
-	ScheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
+	scheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
 	k.RunUntilIdle()
 	if fired == 0 {
 		t.Fatal("never fired")
@@ -98,7 +98,7 @@ func TestScheduleLocalSurvivesAdjustment(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(0, 5*sim.Millisecond) // local ahead: naive target would fire early
 	var fired sim.Time
-	ScheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
+	scheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
 	// At true 2ms, sync pulls the clock back to true time.
 	k.At(2*sim.Millisecond, func() { c.AdjustBy(k.Now(), -c.OffsetAt(k.Now())) })
 	k.RunUntilIdle()

@@ -10,7 +10,7 @@ func TestScheduleLocalUnregistersAfterFiring(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(0, 0)
 	fired := 0
-	ScheduleLocal(k, c, 10*sim.Millisecond, func() { fired++ })
+	scheduleLocal(k, c, 10*sim.Millisecond, func() { fired++ })
 	k.RunUntilIdle()
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
@@ -21,8 +21,8 @@ func TestScheduleLocalUnregistersAfterFiring(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired again after unregistration: %d", fired)
 	}
-	if len(c.watchers) != 0 {
-		t.Fatalf("watchers leaked: %d", len(c.watchers))
+	if live := liveTimers(c); live != 0 {
+		t.Fatalf("timers leaked: %d", live)
 	}
 }
 
@@ -30,7 +30,7 @@ func TestScheduleLocalForwardJumpFiresPromptly(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(0, 0)
 	var fired sim.Time
-	ScheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
+	scheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
 	// At 2 ms true time the clock jumps forward past the target.
 	k.At(2*sim.Millisecond, func() { c.AdjustBy(k.Now(), 20*sim.Millisecond) })
 	k.RunUntilIdle()
@@ -45,7 +45,7 @@ func TestScheduleLocalManyTimersOneAdjustment(t *testing.T) {
 	fired := make([]sim.Time, 0, 10)
 	for i := 1; i <= 10; i++ {
 		target := sim.Time(i) * 10 * sim.Millisecond
-		ScheduleLocal(k, c, target, func() { fired = append(fired, k.Now()) })
+		scheduleLocal(k, c, target, func() { fired = append(fired, k.Now()) })
 	}
 	// A backward adjustment at 35 ms delays everything by 5 ms of local
 	// time; all pending timers must re-arm and still fire in order, at or
@@ -64,8 +64,8 @@ func TestScheduleLocalManyTimersOneAdjustment(t *testing.T) {
 	if fired[9] != 105*sim.Millisecond {
 		t.Fatalf("last timer at %v, want 105ms", fired[9])
 	}
-	if len(c.watchers) != 0 {
-		t.Fatalf("watchers leaked: %d", len(c.watchers))
+	if live := liveTimers(c); live != 0 {
+		t.Fatalf("timers leaked: %d", live)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestSetToNotifiesWatchers(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(0, 0)
 	var fired sim.Time
-	ScheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
+	scheduleLocal(k, c, 10*sim.Millisecond, func() { fired = k.Now() })
 	k.At(sim.Millisecond, func() { c.SetTo(k.Now(), 9500*sim.Microsecond) })
 	k.RunUntilIdle()
 	// After SetTo, local lags true by 8.5ms... local(1ms)=9.5ms, target
@@ -89,9 +89,9 @@ func TestWatcherAddDuringNotify(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(0, 0)
 	fired := 0
-	ScheduleLocal(k, c, 5*sim.Millisecond, func() {
+	scheduleLocal(k, c, 5*sim.Millisecond, func() {
 		fired++
-		ScheduleLocal(k, c, 15*sim.Millisecond, func() { fired++ })
+		scheduleLocal(k, c, 15*sim.Millisecond, func() { fired++ })
 	})
 	k.At(sim.Millisecond, func() { c.AdjustBy(k.Now(), 10*sim.Millisecond) })
 	k.RunUntilIdle()

@@ -102,13 +102,7 @@ func (mw *Middleware) applyAdmissionShed(s prob.Shed) {
 		}
 		switch ch.class {
 		case SRT:
-			for e := range ch.srtActive {
-				if !e.done {
-					mw.node.Ctrl.Abort(e.handle)
-					e.done = true
-				}
-			}
-			ch.srtActive = make(map[*srtEntry]bool)
+			ch.abortSRT()
 		case NRT:
 			ch.nrtQueue = nil
 		default:

@@ -70,7 +70,9 @@ func (c *HRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	}
 	ch.announced = true
 	for _, s := range slots {
-		c.runSlot(s, s.NextActive(mw.startRound(s.Ready)))
+		r := &hrtPubSlot{ch: ch, slot: s}
+		r.timer.Init(mw.K, mw.node.Clock, r.fire)
+		r.arm(s.NextActive(mw.startRound(s.Ready)))
 	}
 	return nil
 }
@@ -149,29 +151,38 @@ func (c *HRTEC) publish(ev Event) error {
 	return nil
 }
 
-// runSlot drives the publisher side of one reserved slot, round after
-// round: at the slot's latest-ready instant (local clock) the queued
-// event — if any — is handed to the controller with the reserved top
-// priority. An empty queue simply leaves the slot unused; CAN arbitration
-// hands the reserved bandwidth to lower-priority traffic automatically,
-// which is the paper's headline efficiency argument.
-func (c *HRTEC) runSlot(slot calendar.Slot, round int64) {
-	ch := c.ch
-	mw := ch.mw
-	target := mw.Epoch + sim.Time(round)*mw.Cal.Round + slot.Ready
-	clock.ScheduleLocal(mw.K, mw.node.Clock, target, func() {
-		if mw.stopped || !ch.announced {
-			return
-		}
-		c.fireSlot(slot)
-		c.runSlot(slot, slot.NextActive(round+1))
-	})
+// hrtPubSlot drives the publisher side of one reserved slot, round after
+// round, on one timer re-armed in place: at the slot's latest-ready
+// instant (local clock) the queued event — if any — is handed to the
+// controller with the reserved top priority. An empty queue simply leaves
+// the slot unused; CAN arbitration hands the reserved bandwidth to
+// lower-priority traffic automatically, which is the paper's headline
+// efficiency argument.
+type hrtPubSlot struct {
+	ch    *channelState
+	slot  calendar.Slot
+	round int64 // the occurrence the timer is armed for
+	timer clock.LocalTimer
+}
+
+func (r *hrtPubSlot) arm(round int64) {
+	mw := r.ch.mw
+	r.round = round
+	r.timer.Arm(mw.Epoch + sim.Time(round)*mw.Cal.Round + r.slot.Ready)
+}
+
+func (r *hrtPubSlot) fire() {
+	ch := r.ch
+	if ch.mw.stopped || !ch.announced {
+		return
+	}
+	ch.fireSlot()
+	r.arm(r.slot.NextActive(r.round + 1))
 }
 
 // fireSlot transmits the head of the publish queue in the current slot,
 // with time redundancy against omissions.
-func (c *HRTEC) fireSlot(slot calendar.Slot) {
-	ch := c.ch
+func (ch *channelState) fireSlot() {
 	mw := ch.mw
 	if len(ch.hrtQueue) == 0 {
 		mw.counters.SlotsUnused++
@@ -235,6 +246,36 @@ func (ch *channelState) hrtSeqOf(ev Event) uint8 {
 	return (ch.hrtSeq - uint8(len(ch.hrtQueue))) & 0x0f
 }
 
+// hrtPubState is the subscriber side's view of one publisher of an HRT
+// channel: copy deduplication, the arrival stash, the last delivered round
+// (for missing-message detection) and the publisher's calendar slot,
+// resolved once.
+type hrtPubState struct {
+	seen      bool
+	lastSeq   uint8
+	stash     *hrtArrival
+	delivered int64
+	slot      calendar.Slot
+	hasSlot   bool
+}
+
+// hrtPub returns the channel's state for a publisher, creating it on
+// first use.
+func (ch *channelState) hrtPub(pub can.TxNode) *hrtPubState {
+	ps := ch.hrtPubs[pub]
+	if ps == nil {
+		ps = &hrtPubState{}
+		if own := ownedSlots(ch.mw.Cal, ch.subject, pub); len(own) > 0 {
+			ps.slot, ps.hasSlot = own[0], true
+		}
+		if ch.hrtPubs == nil {
+			ch.hrtPubs = make(map[can.TxNode]*hrtPubState)
+		}
+		ch.hrtPubs[pub] = ps
+	}
+	return ps
+}
+
 // hrtArrival stashes a received HRT event until its delivery deadline.
 type hrtArrival struct {
 	ev        Event
@@ -274,7 +315,11 @@ func (c *HRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify Notific
 	ch.subscribed = true
 	mw.node.Ctrl.AddFilter(ch.etag)
 	for _, s := range slots {
-		c.runDeliver(s, s.NextActive(mw.startRound(s.Deadline(mw.Cal.Cfg))))
+		r := &hrtSubSlot{ch: ch, slot: s, pub: ch.hrtPub(s.Publisher)}
+		r.timer.Init(mw.K, mw.node.Clock, r.fire)
+		r.miss.r = r
+		r.miss.timer.Init(mw.K, mw.node.Clock, r.miss.fire)
+		r.arm(s.NextActive(mw.startRound(s.Deadline(mw.Cal.Cfg))))
 	}
 	return nil
 }
@@ -305,29 +350,28 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	if !ch.subAttrs.accepts(pub, ev) {
 		return
 	}
-	if ch.hrtSeen[pub] && ch.hrtLastSeq[pub] == seq {
+	ps := ch.hrtPub(pub)
+	if ps.seen && ps.lastSeq == seq {
 		// Redundant copy of an already-seen event.
 		ch.mw.counters.DuplicatesDropped++
-		if st := ch.hrtStash[pub]; st != nil && st.seq == seq {
+		if st := ps.stash; st != nil && st.seq == seq {
 			st.copies++
 		}
 		return
 	}
-	ch.hrtSeen[pub] = true
-	ch.hrtLastSeq[pub] = seq
-
-	slot, ok := ch.slotOf(pub)
-	if !ok {
+	ps.seen = true
+	ps.lastSeq = seq
+	if !ps.hasSlot {
 		return
 	}
 	mw := ch.mw
 	local := mw.LocalTime()
-	round, deadline := ch.occurrenceOf(slot, local)
+	round, deadline := ch.occurrenceOf(ps.slot, local)
 	st := &hrtArrival{ev: ev, seq: seq, arrivedAt: at, copies: 1, round: round}
 	if mw.DeliverOnArrival {
 		// De-jitter ablation: hand the event over immediately, exposing
 		// the full network-level jitter to the application.
-		ch.hrtDeliver(pub, st, false)
+		ch.hrtDeliver(pub, ps, st, false)
 		return
 	}
 	if local > deadline {
@@ -336,20 +380,10 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 		// than hold it a full round. Within the sync precision this still
 		// counts as on-time.
 		late := local > deadline+mw.hrtSlack()
-		ch.hrtDeliver(pub, st, late)
+		ch.hrtDeliver(pub, ps, st, late)
 		return
 	}
-	ch.hrtStash[pub] = st
-}
-
-// slotOf finds the calendar slot of this channel owned by a publisher.
-func (ch *channelState) slotOf(pub can.TxNode) (calendar.Slot, bool) {
-	for _, s := range ch.mw.Cal.SlotsForSubject(uint64(ch.subject)) {
-		if s.Publisher == pub {
-			return s, true
-		}
-	}
-	return calendar.Slot{}, false
+	ps.stash = st
 }
 
 // occurrenceOf maps a local time to the slot occurrence (active round)
@@ -383,10 +417,10 @@ func maxInt(a, b int) int {
 }
 
 // hrtDeliver notifies the application and records delivery bookkeeping.
-func (ch *channelState) hrtDeliver(pub can.TxNode, st *hrtArrival, late bool) {
+func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, st *hrtArrival, late bool) {
 	mw := ch.mw
-	delete(ch.hrtStash, pub)
-	ch.hrtDelivered[pub] = st.round
+	ps.stash = nil
+	ps.delivered = st.round
 	if mw.watchdog != nil {
 		mw.watchdog.noteAlive(pub)
 	}
@@ -419,44 +453,84 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, st *hrtArrival, late bool) {
 // ok is false before the first delivery.
 func (c *HRTEC) GetEvent() (ev Event, di DeliveryInfo, ok bool) { return c.ch.getEvent() }
 
-// runDeliver drives the subscriber side of one slot: deliver the stashed
-// event exactly at the delivery deadline (cancelling network jitter), and
-// for periodic slots verify — one precision bound later — that something
-// was delivered, raising SlotMissed otherwise.
-func (c *HRTEC) runDeliver(slot calendar.Slot, round int64) {
-	ch := c.ch
+// hrtSubSlot drives the subscriber side of one slot, round after round,
+// on one timer re-armed in place: deliver the stashed event exactly at the
+// delivery deadline (cancelling network jitter), and for periodic slots
+// verify — one precision bound later — that something was delivered,
+// raising SlotMissed otherwise.
+type hrtSubSlot struct {
+	ch    *channelState
+	slot  calendar.Slot
+	pub   *hrtPubState
+	round int64 // the occurrence the timer is armed for
+	timer clock.LocalTimer
+	miss  hrtMissCheck
+}
+
+// hrtMissCheck is the pending verification of one slot occurrence.
+type hrtMissCheck struct {
+	r     *hrtSubSlot
+	round int64
+	timer clock.LocalTimer
+}
+
+// deadline is the delivery deadline (local clock) of the armed occurrence.
+func (r *hrtSubSlot) deadline() sim.Time {
+	mw := r.ch.mw
+	return mw.Epoch + sim.Time(r.round)*mw.Cal.Round + r.slot.Deadline(mw.Cal.Cfg)
+}
+
+func (r *hrtSubSlot) arm(round int64) {
+	r.round = round
+	r.timer.Arm(r.deadline())
+}
+
+func (r *hrtSubSlot) fire() {
+	ch := r.ch
 	mw := ch.mw
-	cfg := mw.Cal.Cfg
-	deadline := mw.Epoch + sim.Time(round)*mw.Cal.Round + slot.Deadline(cfg)
-	clock.ScheduleLocal(mw.K, mw.node.Clock, deadline, func() {
-		if mw.stopped || !ch.subscribed {
-			return
+	if mw.stopped || !ch.subscribed {
+		return
+	}
+	if st := r.pub.stash; st != nil {
+		ch.hrtDeliver(r.slot.Publisher, r.pub, st, false)
+	} else if r.slot.Periodic {
+		// Allow the clock precision before declaring a miss: the
+		// publisher's clock may run up to π behind ours — more during
+		// holdover, when the slack is widened to the uncertainty bound.
+		// Once it widens past a round, the previous occurrence's check is
+		// still pending here and this one gets a check of its own.
+		mc := &r.miss
+		if mc.timer.Armed() {
+			mc = &hrtMissCheck{r: r}
+			mc.timer.Init(mw.K, mw.node.Clock, mc.fire)
 		}
-		if st := ch.hrtStash[slot.Publisher]; st != nil {
-			ch.hrtDeliver(slot.Publisher, st, false)
-		} else if slot.Periodic {
-			// Allow the clock precision before declaring a miss: the
-			// publisher's clock may run up to π behind ours — more during
-			// holdover, when the slack is widened to the uncertainty bound.
-			clock.ScheduleLocal(mw.K, mw.node.Clock, deadline+mw.hrtSlack(), func() {
-				if mw.stopped || !ch.subscribed {
-					return
-				}
-				if ch.hrtDelivered[slot.Publisher] >= round && ch.hrtSeen[slot.Publisher] {
-					return // arrived within the grace window
-				}
-				if mw.watchdog != nil {
-					mw.watchdog.noteMiss(slot.Publisher)
-				}
-				ch.raiseSub(Exception{
-					Kind: ExcSlotMissed, Subject: ch.subject, At: mw.K.Now(),
-					Detail: fmt.Sprintf("no event from node %d in round %d", slot.Publisher, round),
-				})
-				mw.Obs.Emit(0, obs.StageMissed, HRT.String(), mw.node.Index,
-					uint64(ch.subject), mw.K.Now(),
-					fmt.Sprintf("publisher %d round %d", slot.Publisher, round))
-			})
-		}
-		c.runDeliver(slot, slot.NextActive(round+1))
+		mc.round = r.round
+		mc.timer.Arm(r.deadline() + mw.hrtSlack())
+	}
+	r.arm(r.slot.NextActive(r.round + 1))
+}
+
+func (mc *hrtMissCheck) fire() {
+	r := mc.r
+	ch := r.ch
+	mw := ch.mw
+	if mw.stopped || !ch.subscribed {
+		return
+	}
+	if r.pub.delivered >= mc.round && r.pub.seen {
+		return // arrived within the grace window
+	}
+	pub := r.slot.Publisher
+	if mw.watchdog != nil {
+		mw.watchdog.noteMiss(pub)
+	}
+	ch.raiseSub(Exception{
+		Kind: ExcSlotMissed, Subject: ch.subject, At: mw.K.Now(),
+		Detail: fmt.Sprintf("no event from node %d in round %d", pub, mc.round),
 	})
+	if mw.Obs.Enabled() {
+		mw.Obs.Emit(0, obs.StageMissed, HRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(),
+			fmt.Sprintf("publisher %d round %d", pub, mc.round))
+	}
 }

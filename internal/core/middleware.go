@@ -256,20 +256,18 @@ type channelState struct {
 	hrtQueue    []Event
 	hrtQueueCap int
 	hrtSeq      uint8
-	// HRT subscriber: per-publisher dedup, arrival stash and last
-	// delivered round (for missing-message detection).
-	hrtLastSeq   map[can.TxNode]uint8
-	hrtSeen      map[can.TxNode]bool
-	hrtStash     map[can.TxNode]*hrtArrival
-	hrtDelivered map[can.TxNode]int64
+	// HRT subscriber: per-publisher dedup, arrival stash, last delivered
+	// round and calendar slot (made on first use, see hrtPub).
+	hrtPubs map[can.TxNode]*hrtPubState
 
-	// SRT publisher bookkeeping (promotion, expiration).
+	// SRT publisher bookkeeping (promotion, expiration); made on the
+	// first publish.
 	srtActive map[*srtEntry]bool
 
 	// NRT publisher: send queue of fragment chains.
 	nrtBusy  bool
 	nrtQueue [][]can.Frame
-	// NRT subscriber: per-publisher reassembly.
+	// NRT subscriber: per-publisher reassembly (made on first reception).
 	reasm map[can.TxNode]*reasmState
 
 	// Mailbox: the most recently delivered event (§2.2.1: the middleware
@@ -350,18 +348,14 @@ func (mw *Middleware) channel(subject binding.Subject, class Class) (*channelSta
 		}
 		return ch, nil
 	}
+	// The per-class maps are made by the code that first fills them: a
+	// channel pays only for the class it is and the side it plays.
 	ch := &channelState{
-		mw:           mw,
-		subject:      subject,
-		etag:         etag,
-		class:        class,
-		hrtQueueCap:  8,
-		hrtLastSeq:   make(map[can.TxNode]uint8),
-		hrtSeen:      make(map[can.TxNode]bool),
-		hrtStash:     make(map[can.TxNode]*hrtArrival),
-		hrtDelivered: make(map[can.TxNode]int64),
-		srtActive:    make(map[*srtEntry]bool),
-		reasm:        make(map[can.TxNode]*reasmState),
+		mw:          mw,
+		subject:     subject,
+		etag:        etag,
+		class:       class,
+		hrtQueueCap: 8,
 	}
 	mw.channels[etag] = ch
 	return ch, nil

@@ -117,8 +117,10 @@ func (c *NRTEC) publish(ev Event) error {
 	}
 	c.enqueueChain(c.toFrames(payloads, ev.traceID))
 	mw.counters.PublishedNRT++
-	mw.Obs.Emit(ev.traceID, obs.StageEnqueued, NRT.String(), mw.node.Index,
-		uint64(ch.subject), mw.K.Now(), fmt.Sprintf("%d fragment(s)", len(payloads)))
+	if mw.Obs.Enabled() {
+		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, NRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("%d fragment(s)", len(payloads)))
+	}
 	return nil
 }
 
@@ -232,7 +234,7 @@ func (c *NRTEC) CancelSubscription() {
 	ch := c.ch
 	ch.subscribed = false
 	ch.notify = nil
-	ch.reasm = make(map[can.TxNode]*reasmState)
+	ch.reasm = nil
 	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
 }
 
@@ -243,6 +245,9 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 	rs, ok := ch.reasm[pub]
 	if !ok {
 		rs = &reasmState{r: frag.Reassembler{Timeout: 5 * sim.Second}, start: at}
+		if ch.reasm == nil {
+			ch.reasm = make(map[can.TxNode]*reasmState)
+		}
 		ch.reasm[pub] = rs
 	}
 	if !rs.r.Active() {

@@ -29,7 +29,9 @@ func (mw *Middleware) SRTEC(subject binding.Subject) (*SRTEC, error) {
 }
 
 // srtEntry tracks one queued SRT event through promotion, expiration and
-// completion.
+// completion. It owns the two local-clock timers that drive it, so every
+// promotion step re-arms in place and a completed entry leaves no timer
+// behind to fire dead.
 type srtEntry struct {
 	ev         Event
 	ch         *channelState
@@ -37,7 +39,20 @@ type srtEntry struct {
 	deadline   sim.Time // local clock
 	expiration sim.Time // local clock, 0 = none
 	seq        uint64   // node-wide enqueue order, for deterministic shedding
+	prio       can.Prio // priority the queued frame's identifier encodes now
 	done       bool
+
+	promo  clock.LocalTimer
+	expiry clock.LocalTimer
+}
+
+// finish marks the entry complete (sent, aborted, expired or shed) and
+// releases its bookkeeping and timers.
+func (e *srtEntry) finish() {
+	e.done = true
+	delete(e.ch.srtActive, e)
+	e.promo.Stop()
+	e.expiry.Stop()
 }
 
 // valueAt returns the entry's residual value at local time now under its
@@ -79,15 +94,18 @@ func (c *SRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 // events (without exceptions: the application asked for it).
 func (c *SRTEC) CancelPublication() {
 	ch := c.ch
-	for e := range ch.srtActive {
-		if !e.done {
-			ch.mw.node.Ctrl.Abort(e.handle)
-			e.done = true
-		}
-	}
-	ch.srtActive = make(map[*srtEntry]bool)
+	ch.abortSRT()
 	ch.announced = false
 	ch.mw.admissionRelease(ch)
+}
+
+// abortSRT withdraws every queued SRT event of the channel. A frame on the
+// wire right now cannot be aborted; its Done callback still runs.
+func (ch *channelState) abortSRT() {
+	for e := range ch.srtActive {
+		ch.mw.node.Ctrl.Abort(e.handle)
+		e.finish()
+	}
 }
 
 // Publish hands an event to the EDF transmission scheduler. The event's
@@ -141,114 +159,112 @@ func (c *SRTEC) publish(ev Event) error {
 	} else {
 		mw.Obs.Adopt(ev.traceID, SRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
+	prio := mw.bands.SRT.PrioFor(now, ev.Attrs.Deadline)
 	e := &srtEntry{ev: ev, ch: ch, deadline: ev.Attrs.Deadline,
-		expiration: ev.Attrs.Expiration, seq: mw.srtSeq}
-	prio := mw.bands.SRT.PrioFor(now, e.deadline)
+		expiration: ev.Attrs.Expiration, seq: mw.srtSeq, prio: prio}
 	frame := can.Frame{
 		ID:   can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
 		Data: append([]byte(nil), ev.Payload...),
 		Tag:  ev.traceID,
 	}
-	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: func(ok bool, at sim.Time) {
-		e.done = true
-		delete(ch.srtActive, e)
-		if !ok {
-			ch.raisePub(Exception{
-				Kind: ExcTxFailure, Subject: ch.subject, Event: &e.ev,
-				At: at, Detail: "SRT transmission abandoned",
-			})
-			mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
-				uint64(ch.subject), at, "tx_abandoned")
-			return
-		}
-		if mw.node.Clock.Read(at) > e.deadline {
-			// Transmitted, but after the transmission deadline: transient
-			// overload or a non-preemptable lower-priority frame got in
-			// the way. The application is notified for awareness (§2.2.2).
-			ch.raisePub(Exception{
-				Kind: ExcDeadlineMissed, Subject: ch.subject, Event: &e.ev,
-				At: at, Detail: fmt.Sprintf("transmitted %v after deadline",
-					mw.node.Clock.Read(at)-e.deadline),
-			})
-		}
-	}})
+	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.sent})
+	if ch.srtActive == nil {
+		ch.srtActive = make(map[*srtEntry]bool)
+	}
 	ch.srtActive[e] = true
 	mw.counters.PublishedSRT++
-	mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.String(), mw.node.Index,
-		uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d", prio))
-	c.armPromotion(e, prio)
-	c.armExpiration(e)
+	if mw.Obs.Enabled() {
+		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d", prio))
+	}
+	e.promo.Init(mw.K, mw.node.Clock, e.promote)
+	e.armPromotion()
+	if e.expiration != 0 {
+		e.expiry.Init(mw.K, mw.node.Clock, e.expire)
+		e.expiry.Arm(e.expiration)
+	}
 	return nil
+}
+
+// sent is the controller's completion callback for the entry's frame.
+func (e *srtEntry) sent(ok bool, at sim.Time) {
+	ch := e.ch
+	mw := ch.mw
+	e.finish()
+	if !ok {
+		ch.raisePub(Exception{
+			Kind: ExcTxFailure, Subject: ch.subject, Event: &e.ev,
+			At: at, Detail: "SRT transmission abandoned",
+		})
+		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
+			uint64(ch.subject), at, "tx_abandoned")
+		return
+	}
+	if mw.node.Clock.Read(at) > e.deadline {
+		// Transmitted, but after the transmission deadline: transient
+		// overload or a non-preemptable lower-priority frame got in
+		// the way. The application is notified for awareness (§2.2.2).
+		ch.raisePub(Exception{
+			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: &e.ev,
+			At: at, Detail: fmt.Sprintf("transmitted %v after deadline",
+				mw.node.Clock.Read(at)-e.deadline),
+		})
+	}
 }
 
 // armPromotion schedules the next identifier rewrite for a queued entry:
 // the dynamic priority increase with granularity Δt_p of §3.4. Each
 // rewrite is counted by the controller (promotion overhead, experiment E7).
-func (c *SRTEC) armPromotion(e *srtEntry, cur can.Prio) {
-	ch := c.ch
-	mw := ch.mw
-	if mw.DisablePromotion || cur <= mw.bands.SRT.Min {
+func (e *srtEntry) armPromotion() {
+	mw := e.ch.mw
+	if mw.DisablePromotion || e.prio <= mw.bands.SRT.Min {
 		return
 	}
-	next := mw.bands.SRT.NextChange(mw.LocalTime(), e.deadline)
-	if next == 0 {
-		return
+	if next := mw.bands.SRT.NextChange(mw.LocalTime(), e.deadline); next != 0 {
+		e.promo.Arm(next)
 	}
-	scheduleLocalGuarded(mw, next, func() {
-		if e.done || mw.stopped {
-			return
-		}
-		now := mw.LocalTime()
-		p := mw.bands.SRT.PrioFor(now, e.deadline)
-		if p < cur {
-			if mw.node.Ctrl.Update(e.handle, can.MakeID(p, mw.node.Ctrl.Node(), ch.etag)) {
-				mw.counters.PromotionsApplied++
-				mw.Obs.Emit(e.ev.traceID, obs.StagePromoted, SRT.String(), mw.node.Index,
-					uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d->%d", cur, p))
-			}
-		}
-		c.armPromotion(e, p)
-	})
 }
 
-// armExpiration schedules removal of the event at the end of its temporal
-// validity: "the event is completely removed from the local send queue"
-// and the application is notified (§2.2.2).
-func (c *SRTEC) armExpiration(e *srtEntry) {
-	ch := c.ch
+// promote is one promotion step: rewrite the queued frame's identifier to
+// the priority its remaining laxity maps to, then arm the next step.
+func (e *srtEntry) promote() {
+	ch := e.ch
 	mw := ch.mw
-	if e.expiration == 0 {
+	if e.done || mw.stopped {
 		return
 	}
-	scheduleLocalGuarded(mw, e.expiration, func() {
-		if e.done || mw.stopped {
-			return
+	p := mw.bands.SRT.PrioFor(mw.LocalTime(), e.deadline)
+	if p < e.prio && mw.node.Ctrl.Update(e.handle, can.MakeID(p, mw.node.Ctrl.Node(), ch.etag)) {
+		mw.counters.PromotionsApplied++
+		if mw.Obs.Enabled() {
+			mw.Obs.Emit(e.ev.traceID, obs.StagePromoted, SRT.String(), mw.node.Index,
+				uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d->%d", e.prio, p))
 		}
-		if mw.node.Ctrl.Abort(e.handle) {
-			e.done = true
-			delete(ch.srtActive, e)
-			ch.raisePub(Exception{
-				Kind: ExcValidityExpired, Subject: ch.subject, Event: &e.ev,
-				At: mw.K.Now(), Detail: "validity expired in send queue",
-			})
-			mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), "")
-		}
-		// Abort failing means the frame is on the wire right now; it will
-		// complete and the Done callback handles the bookkeeping.
-	})
+	}
+	e.prio = p
+	e.armPromotion()
 }
 
-// scheduleLocalGuarded arms fn at a local-clock instant, re-arming across
-// clock adjustments (see clock.ScheduleLocal) and suppressing the firing
-// after the middleware stopped.
-func scheduleLocalGuarded(mw *Middleware, local sim.Time, fn func()) {
-	clock.ScheduleLocal(mw.K, mw.node.Clock, local, func() {
-		if mw.stopped {
-			return
-		}
-		fn()
-	})
+// expire removes the event at the end of its temporal validity: "the
+// event is completely removed from the local send queue" and the
+// application is notified (§2.2.2).
+func (e *srtEntry) expire() {
+	ch := e.ch
+	mw := ch.mw
+	if e.done || mw.stopped {
+		return
+	}
+	if mw.node.Ctrl.Abort(e.handle) {
+		e.finish()
+		ch.raisePub(Exception{
+			Kind: ExcValidityExpired, Subject: ch.subject, Event: &e.ev,
+			At: mw.K.Now(), Detail: "validity expired in send queue",
+		})
+		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), "")
+	}
+	// Abort failing means the frame is on the wire right now; it will
+	// complete and the Done callback handles the bookkeeping.
 }
 
 // Pending reports how many events of this channel are still queued.
@@ -307,15 +323,16 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 			excluded[victim] = true
 			continue
 		}
-		victim.done = true
-		delete(victim.ch.srtActive, victim)
+		victim.finish()
 		victim.ch.raisePub(Exception{
 			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: &victim.ev,
 			At: mw.K.Now(), Detail: fmt.Sprintf("shed with residual value %.2f", worst),
 		})
-		mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
-			uint64(victim.ch.subject), mw.K.Now(),
-			fmt.Sprintf("residual value %.2f", worst))
+		if mw.Obs.Enabled() {
+			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
+				uint64(victim.ch.subject), mw.K.Now(),
+				fmt.Sprintf("residual value %.2f", worst))
+		}
 		return true
 	}
 }

@@ -293,9 +293,11 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 		return
 	}
 	b.forwarded++
-	b.observer().RelayFrame(re.TraceID, obs.StageRelayTx, class.String(),
-		b.M.Node().Index, uint64(subject), now,
-		fmt.Sprintf("hop %d budget %v", re.Hops, re.Budget))
+	if o := b.observer(); o.Enabled() {
+		o.RelayFrame(re.TraceID, obs.StageRelayTx, class.String(),
+			b.M.Node().Index, uint64(subject), now,
+			fmt.Sprintf("hop %d budget %v", re.Hops, re.Budget))
+	}
 }
 
 // receive handles one event arriving from the peer (kernel context). It
@@ -321,9 +323,11 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 		return
 	}
 	re.Hops++
-	b.observer().RelayFrame(re.TraceID, obs.StageRelayRx, re.Class.String(),
-		b.M.Node().Index, uint64(re.Subject), now,
-		fmt.Sprintf("from %s hop %d budget %v", re.OriginSeg, re.Hops, re.Budget))
+	if o := b.observer(); o.Enabled() {
+		o.RelayFrame(re.TraceID, obs.StageRelayRx, re.Class.String(),
+			b.M.Node().Index, uint64(re.Subject), now,
+			fmt.Sprintf("from %s hop %d budget %v", re.OriginSeg, re.Hops, re.Budget))
+	}
 	b.rememberTransit(re, now)
 
 	var err error

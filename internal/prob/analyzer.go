@@ -247,6 +247,7 @@ func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 			transmissions++
 		}
 	}
+	d.spare = nil // the result retains the distribution only
 
 	res := Result{
 		Msg:           m,

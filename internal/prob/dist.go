@@ -30,6 +30,10 @@ type Dist struct {
 	tick sim.Duration
 	p    []float64
 	over float64
+	// spare is the buffer the previous convolution read from; the next
+	// one writes into it, so a chain of convolutions allocates two
+	// buffers, not one per step.
+	spare []float64
 }
 
 // atom is one point of a sparse component distribution: probability pr
@@ -64,7 +68,14 @@ func (d *Dist) convolveAtoms(atoms []atom) {
 	for _, a := range atoms {
 		mass += a.pr
 	}
-	next := make([]float64, len(d.p))
+	next := d.spare
+	if len(next) != len(d.p) {
+		next = make([]float64, len(d.p))
+	} else {
+		for i := range next {
+			next[i] = 0
+		}
+	}
 	var over float64
 	for i, pi := range d.p {
 		if pi == 0 {
@@ -82,7 +93,7 @@ func (d *Dist) convolveAtoms(atoms []atom) {
 		// probability (1 - mass) of exceeding its own truncation bound.
 		over += pi * (1 - mass)
 	}
-	d.p = next
+	d.p, d.spare = next, d.p
 	d.over += over
 }
 

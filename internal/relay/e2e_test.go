@@ -313,7 +313,11 @@ func TestE2EBudgetExhaustedShedsSRT(t *testing.T) {
 	}
 	// A budget far below one CAN frame time (125 µs at 1 Mbit/s): the
 	// event cannot survive a hop's residence, let alone the queue wait.
-	bA.Budget = 10 * sim.Microsecond
+	// The egress deadline is a wall-clock instant, so the budget must also
+	// be below anything a running writer goroutine can meet: at 1 ns the
+	// deadline has passed by the time the enqueue that wakes the writer
+	// returns (10 µs was met about one run in three).
+	bA.Budget = sim.Nanosecond
 	if err := srv.Subscribe(subj, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -48,55 +47,49 @@ func (t Time) String() string {
 func (t Time) Micros() int64 { return int64(t) / int64(Microsecond) }
 
 // Timer identifies a scheduled event so it can be cancelled. The zero Timer
-// is invalid.
+// is invalid. A handle names the slab slot holding the event and the
+// event's scheduling sequence number, which doubles as the slot's
+// generation: once the event fired or was cancelled the slot is recycled
+// under a new sequence number and the stale handle no longer matches.
 type Timer struct {
-	seq uint64
+	slot int32
+	gen  uint64
 }
 
-// event is a pending callback in the kernel's queue.
-type event struct {
-	at    Time
-	seq   uint64 // global scheduling order; breaks ties at equal times
-	fn    func()
-	index int // heap index, -1 once popped or cancelled
+// entry is one pending event in the heap. The ordering key lives in the
+// entry itself so sifting never leaves the heap's backing array.
+type entry struct {
+	at   Time
+	seq  uint64 // global scheduling order; breaks ties at equal times
+	slot int32
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e entry) before(o entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// slot holds a pending event's callback and its current heap position, so
+// Cancel finds the entry without searching. A free slot has pos -1.
+type slot struct {
+	fn  func()
+	pos int32
 }
 
 // Kernel is a deterministic discrete-event scheduler with a virtual clock.
 // The zero value is not usable; create kernels with NewKernel.
+//
+// Pending events live in a binary heap of values ordered by (at, seq) over
+// a slab of slots with a free list: scheduling, firing and cancelling
+// reuse slots and allocate nothing once the slab has grown to the
+// simulation's high-water mark.
 type Kernel struct {
 	now     Time
-	queue   eventHeap
-	byseq   map[uint64]*event
+	queue   []entry
+	slots   []slot
+	free    []int32 // recycled slot indices, reused last-in first-out
 	nextSeq uint64
 	rng     *RNG
 	steps   uint64
@@ -114,10 +107,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and the given RNG seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{
-		byseq: make(map[uint64]*event),
-		rng:   NewRNG(seed),
-	}
+	return &Kernel{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
@@ -142,19 +132,38 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 		panic("sim: nil event function")
 	}
 	k.nextSeq++
-	e := &event{at: t, seq: k.nextSeq, fn: fn}
-	if k.probe != nil {
-		t0 := ProbeNow()
-		heap.Push(&k.queue, e)
-		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
+	var si int32
+	if n := len(k.free); n > 0 {
+		si = k.free[n-1]
+		k.free = k.free[:n-1]
 	} else {
-		heap.Push(&k.queue, e)
+		si = int32(len(k.slots))
+		k.slots = append(k.slots, slot{})
 	}
+	k.slots[si].fn = fn
+	t0 := k.probeStart()
+	k.queue = append(k.queue, entry{at: t, seq: k.nextSeq, slot: si})
+	k.up(len(k.queue) - 1)
+	k.probeHeap(t0)
 	if len(k.queue) > k.heapHigh {
 		k.heapHigh = len(k.queue)
 	}
-	k.byseq[e.seq] = e
-	return Timer{seq: e.seq}
+	return Timer{slot: si, gen: k.nextSeq}
+}
+
+// probeStart and probeHeap bracket one event-heap operation for the stage
+// probe; with no probe attached they cost a nil check each.
+func (k *Kernel) probeStart() int64 {
+	if k.probe == nil {
+		return 0
+	}
+	return ProbeNow()
+}
+
+func (k *Kernel) probeHeap(t0 int64) {
+	if k.probe != nil {
+		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
+	}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -165,19 +174,79 @@ func (k *Kernel) After(d Duration, fn func()) Timer {
 // Cancel removes a previously scheduled event. It reports whether the event
 // was still pending (false if already fired or cancelled).
 func (k *Kernel) Cancel(t Timer) bool {
-	e, ok := k.byseq[t.seq]
-	if !ok || e.index < 0 {
+	if int(t.slot) >= len(k.slots) {
 		return false
 	}
-	if k.probe != nil {
-		t0 := ProbeNow()
-		heap.Remove(&k.queue, e.index)
-		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
-	} else {
-		heap.Remove(&k.queue, e.index)
+	pos := k.slots[t.slot].pos
+	if pos < 0 || k.queue[pos].seq != t.gen {
+		return false
 	}
-	delete(k.byseq, t.seq)
+	t0 := k.probeStart()
+	k.remove(int(pos))
+	k.probeHeap(t0)
 	return true
+}
+
+// remove takes the entry at heap position i out of the queue, recycles its
+// slot and returns the callback it held.
+func (k *Kernel) remove(i int) func() {
+	si := k.queue[i].slot
+	fn := k.slots[si].fn
+	k.slots[si] = slot{pos: -1}
+	k.free = append(k.free, si)
+	n := len(k.queue) - 1
+	last := k.queue[n]
+	k.queue = k.queue[:n]
+	if i < n {
+		k.queue[i] = last
+		if !k.down(i) {
+			k.up(i)
+		}
+	}
+	return fn
+}
+
+// up sifts the entry at position i toward the root.
+func (k *Kernel) up(i int) {
+	q := k.queue
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		k.slots[q[i].slot].pos = int32(i)
+		i = p
+	}
+	q[i] = e
+	k.slots[e.slot].pos = int32(i)
+}
+
+// down sifts the entry at position i toward the leaves and reports whether
+// it moved.
+func (k *Kernel) down(i int) bool {
+	q := k.queue
+	e := q[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		k.slots[q[i].slot].pos = int32(i)
+		i = c
+	}
+	q[i] = e
+	k.slots[e.slot].pos = int32(i)
+	return i > i0
 }
 
 // Pending reports the number of events waiting in the queue.
@@ -214,21 +283,16 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	var e *event
-	if k.probe != nil {
-		t0 := ProbeNow()
-		e = heap.Pop(&k.queue).(*event)
-		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
-	} else {
-		e = heap.Pop(&k.queue).(*event)
+	at := k.queue[0].at
+	t0 := k.probeStart()
+	fn := k.remove(0)
+	k.probeHeap(t0)
+	if at > k.now {
+		k.idleVirtual += at - k.now
 	}
-	delete(k.byseq, e.seq)
-	if e.at > k.now {
-		k.idleVirtual += e.at - k.now
-	}
-	k.now = e.at
+	k.now = at
 	k.steps++
-	e.fn()
+	fn()
 	return true
 }
 

@@ -119,7 +119,7 @@ func TestProbeNowMonotonic(t *testing.T) {
 
 // TestNilProbeZeroAllocs pins the zero-cost-when-nil discipline for the
 // kernel's probe hooks: with no probe attached, scheduling and stepping
-// must not allocate beyond the event record itself (1 alloc per At).
+// must not allocate at all (the event lives in a recycled slab slot).
 func TestNilProbeZeroAllocs(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}
@@ -127,7 +127,7 @@ func TestNilProbeZeroAllocs(t *testing.T) {
 		k.At(k.Now()+1, fn)
 		k.Step()
 	})
-	if per > 1 {
-		t.Fatalf("schedule+step with nil probe: %.2f allocs, want <= 1 (the event record)", per)
+	if per != 0 {
+		t.Fatalf("schedule+step with nil probe: %.2f allocs, want 0", per)
 	}
 }
