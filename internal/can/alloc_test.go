@@ -6,8 +6,8 @@ import (
 	"canec/internal/sim"
 )
 
-// WireBits runs once per transmission attempt; its bit scratch lives on
-// the stack.
+// WireBits runs once per transmission attempt; its raw-form scratch lives
+// on the stack.
 func TestWireBitsZeroAllocs(t *testing.T) {
 	f := Frame{ID: MakeID(7, 3, 0x123), Data: []byte{0, 0, 0xff, 0xff, 0x55, 0xaa, 0, 1}}
 	want := WireBits(f)
@@ -17,6 +17,27 @@ func TestWireBitsZeroAllocs(t *testing.T) {
 		}
 	}); per != 0 {
 		t.Fatalf("WireBits: %.2f allocs, want 0", per)
+	}
+}
+
+// The relay encodes and decodes every forwarded chunk: neither direction
+// allocates when the caller brings the output buffer.
+func TestCodecZeroAllocs(t *testing.T) {
+	f := Frame{ID: MakeID(7, 3, 0x123), Data: []byte{0, 0, 0xff, 0xff, 0x55, 0xaa, 0, 1}}
+	var c Codec
+	buf := make([]byte, 0, MaxStuffedBytes)
+	var nbits int
+	if per := testing.AllocsPerRun(200, func() {
+		buf, nbits = c.Encode(buf[:0], f)
+	}); per != 0 {
+		t.Fatalf("Codec.Encode: %.2f allocs, want 0", per)
+	}
+	if per := testing.AllocsPerRun(200, func() {
+		if _, err := c.Decode(buf, nbits); err != nil {
+			t.Fatal(err)
+		}
+	}); per != 0 {
+		t.Fatalf("Codec.Decode: %.2f allocs, want 0", per)
 	}
 }
 

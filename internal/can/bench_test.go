@@ -39,52 +39,23 @@ func BenchmarkEncodeDecodeBits(b *testing.B) {
 	})
 }
 
-// BenchmarkEncodeBits measures the relay hot-path codec forms: the
-// allocating EncodeBits/DecodeBits baseline against the buffer-reusing
-// AppendEncodeBits/Codec pair the relay egress/ingress loops use.
-func BenchmarkEncodeBits(b *testing.B) {
+// BenchmarkCodec measures the relay hot-path codec: packed encode and
+// decode into reused buffers.
+func BenchmarkCodec(b *testing.B) {
 	f := Frame{ID: MakeID(42, 17, 9999), Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	bits := EncodeBits(f)
-	b.Run("alloc", func(b *testing.B) {
+	var c Codec
+	packed, nbits := c.Encode(nil, f)
+	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
+		buf := make([]byte, 0, MaxStuffedBytes)
 		for i := 0; i < b.N; i++ {
-			_ = EncodeBits(f)
+			buf, _ = c.Encode(buf[:0], f)
 		}
 	})
-	b.Run("append", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, maxStuffedBits)
-		for i := 0; i < b.N; i++ {
-			buf = AppendEncodeBits(buf[:0], f)
-		}
-	})
-	b.Run("decode-alloc", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBits(bits); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-codec", func(b *testing.B) {
-		b.ReportAllocs()
-		var c Codec
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Decode(bits); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pack-roundtrip", func(b *testing.B) {
-		b.ReportAllocs()
-		packed := PackBits(nil, bits)
-		unpacked := make([]byte, 0, maxStuffedBits)
-		pbuf := make([]byte, 0, len(packed))
-		for i := 0; i < b.N; i++ {
-			pbuf = PackBits(pbuf[:0], bits)
-			var err error
-			unpacked, err = UnpackBits(unpacked[:0], packed, len(bits))
-			if err != nil {
+			if _, err := c.Decode(packed, nbits); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -257,13 +257,12 @@ func (b *Bus) arbitrate() {
 		}
 		b.Trace(TraceEvent{Kind: TraceTxStart, At: b.K.Now(), Frame: win.frame, Sender: winIdx, Attempt: win.attempt})
 	}
-	var bits int
 	if prof != nil {
 		pt0 = sim.ProbeNow()
-		bits = WireBits(win.frame)
+	}
+	bits := WireBits(win.frame)
+	if prof != nil {
 		prof.StageNs(sim.ProbeCodec, sim.ProbeClassNone, sim.ProbeNow()-pt0)
-	} else {
-		bits = WireBits(win.frame)
 	}
 	b.curDur = b.BitDuration(bits)
 	b.K.After(b.curDur, b.completeFn)

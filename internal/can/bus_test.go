@@ -200,6 +200,65 @@ func TestAcceptanceFilter(t *testing.T) {
 	}
 }
 
+// The acceptance filter is a bitset over the etag space: no filter set
+// accepts everything, the first AddFilter switches to selective
+// reception, removing the last filter accepts nothing, and OpenFilter and
+// Detach return to the power-up default.
+func TestAcceptanceFilterTable(t *testing.T) {
+	_, b := rig(1, 1)
+	c := b.Controller(0)
+	probes := []Etag{0, 1, 63, 64, 65, 7777, MaxEtag - 1, MaxEtag}
+	all := func(Etag) bool { return true }
+	only := func(want ...Etag) func(Etag) bool {
+		return func(e Etag) bool {
+			for _, w := range want {
+				if w == e {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	check := func(step string, accept func(Etag) bool) {
+		t.Helper()
+		for _, e := range probes {
+			// The etag alone decides; priority and node must not.
+			for _, id := range []ID{MakeID(0, 0, e), MakeID(MaxPrio, MaxTxNode, e)} {
+				if got := c.accepts(id); got != accept(e) {
+					t.Fatalf("%s: accepts(%v) = %v, want %v", step, id, got, accept(e))
+				}
+			}
+		}
+	}
+	check("open", all)
+	c.AddFilter(64)
+	check("add 64", only(64))
+	c.AddFilter(0)
+	c.AddFilter(MaxEtag)
+	c.AddFilter(63)
+	check("add 0 max 63", only(0, 63, 64, MaxEtag))
+	c.AddFilter(63) // idempotent
+	c.RemoveFilter(64)
+	c.RemoveFilter(7777) // never added
+	check("remove 64", only(0, 63, MaxEtag))
+	c.RemoveFilter(0)
+	c.RemoveFilter(63)
+	c.RemoveFilter(MaxEtag)
+	check("remove last", only()) // selective with nothing admitted
+	c.OpenFilter()
+	check("open filter", all)
+	c.RemoveFilter(1) // no filter set: stays open
+	check("remove while open", all)
+	c.AddFilter(MaxEtag + 1) // matches no identifier, but switches to selective
+	check("add out of range", only())
+	c.AddFilter(1)
+	c.Detach()
+	check("detach", all)
+	c.Reattach()
+	c.AddFilter(65)
+	check("add 65 after reattach", only(65))
+}
+
 func TestUpdatePromotion(t *testing.T) {
 	k, b := rig(2, 1)
 	var order []Prio

@@ -45,13 +45,16 @@ type Controller struct {
 	// filter. The callback runs in kernel context; it must not block.
 	OnReceive func(f Frame, at sim.Time)
 
-	// filters is the acceptance filter set: if empty, all frames are
-	// accepted; otherwise a frame is accepted when its etag is present.
-	// This models the paper's "dynamic binding" optimisation: subject
-	// filtering is done by the communication controller hardware, not the
-	// node CPU (§2.1).
-	filters map[Etag]bool
+	// filters is the acceptance filter set, one bit per etag: if nil, all
+	// frames are accepted; otherwise a frame is accepted when its etag's
+	// bit is set. This models the paper's "dynamic binding" optimisation:
+	// subject filtering is done by the communication controller hardware,
+	// not the node CPU (§2.1).
+	filters *etagSet
 }
+
+// etagSet is a bitset over the 14-bit etag space (2 KiB).
+type etagSet [(MaxEtag + 1) / 64]uint64
 
 // Index returns the controller's position on the bus.
 func (c *Controller) Index() int { return c.index }
@@ -116,15 +119,19 @@ func (c *Controller) OpenFilter() { c.filters = nil }
 // the controller from promiscuous to selective reception.
 func (c *Controller) AddFilter(e Etag) {
 	if c.filters == nil {
-		c.filters = make(map[Etag]bool)
+		c.filters = new(etagSet)
 	}
-	c.filters[e] = true
+	if e <= MaxEtag { // a wider value matches no identifier
+		c.filters[e/64] |= 1 << (e % 64)
+	}
 }
 
 // RemoveFilter stops admitting the etag. Removing the last filter leaves
 // the controller accepting nothing (use OpenFilter to reset).
 func (c *Controller) RemoveFilter(e Etag) {
-	delete(c.filters, e)
+	if c.filters != nil && e <= MaxEtag {
+		c.filters[e/64] &^= 1 << (e % 64)
+	}
 }
 
 // accepts applies the acceptance filter.
@@ -132,7 +139,8 @@ func (c *Controller) accepts(id ID) bool {
 	if c.filters == nil {
 		return true
 	}
-	return c.filters[id.Etag()]
+	e := id.Etag()
+	return c.filters[e/64]>>(e%64)&1 != 0
 }
 
 // SubmitOpts configures a transmission request.

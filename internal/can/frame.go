@@ -57,24 +57,6 @@ const (
 	frameTailBits          = 13
 )
 
-// crc15Poly is the CAN CRC-15 generator polynomial x^15+x^14+x^10+x^8+x^7+x^4+x^3+1.
-const crc15Poly = 0x4599
-
-// crc15 computes the CAN CRC over a bit sequence (one bit per byte element,
-// values 0 or 1), as specified in Bosch CAN 2.0 §3.1.1.
-func crc15(bits []byte) uint16 {
-	var crc uint16
-	for _, b := range bits {
-		bit14 := (crc >> 14) & 1
-		crc <<= 1
-		if b^byte(bit14) == 1 {
-			crc ^= crc15Poly
-		}
-		crc &= 0x7fff
-	}
-	return crc
-}
-
 // maxUnstuffedBits and maxStuffedBits bound the codec buffer sizes: a
 // full 8-byte payload yields 54+64 = 118 pre-stuffing bits, and stuffing
 // inserts at most one bit per four (⌊(118−1)/4⌋ = 29).
@@ -84,64 +66,21 @@ const (
 )
 
 // MaxStuffedBits is the worst-case stuffed bit count of one extended
-// data frame's stuffed region — the sizing bound for codec buffers held
-// by transports that carry encoded frames (internal/relay).
-const MaxStuffedBits = maxStuffedBits
-
-// appendUnstuffedBits appends the exact pre-stuffing bit sequence of the
-// frame's stuffed region (SOF through CRC sequence) to dst, reusing its
-// capacity; callers on hot paths pass a stack array. It is exported
-// through WireBits and StuffBits so that tests can cross-check against
-// the worst-case formulas.
-func appendUnstuffedBits(dst []byte, f Frame) []byte {
-	bits := dst
-	base := len(dst)
-	put := func(v uint32, n int) {
-		for i := n - 1; i >= 0; i-- {
-			bits = append(bits, byte((v>>uint(i))&1))
-		}
-	}
-	put(0, 1)                     // SOF (dominant)
-	put(uint32(f.ID)>>18, 11)     // ID-A: bits 28..18
-	put(1, 1)                     // SRR (recessive)
-	put(1, 1)                     // IDE (recessive: extended format)
-	put(uint32(f.ID)&0x3ffff, 18) // ID-B: bits 17..0
-	put(0, 1)                     // RTR (dominant: data frame)
-	put(0, 2)                     // r1, r0
-	put(uint32(len(f.Data)), 4)   // DLC
-	for _, b := range f.Data {
-		put(uint32(b), 8)
-	}
-	put(uint32(crc15(bits[base:])), 15) // CRC over the frame bits so far
-	return bits
-}
+// data frame's stuffed region, and MaxStuffedBytes the same stream packed
+// eight bits per byte — the sizing bounds for buffers held by transports
+// that carry encoded frames (internal/relay).
+const (
+	MaxStuffedBits  = maxStuffedBits
+	MaxStuffedBytes = (MaxStuffedBits + 7) / 8
+)
 
 // StuffBits returns the exact number of stuff bits the CAN bit-stuffing
 // rule inserts for this frame: after five consecutive bits of equal value
 // in the stuffed region, a complementary bit is inserted (and itself
 // participates in subsequent runs).
 func StuffBits(f Frame) int {
-	var scratch [maxUnstuffedBits]byte
-	bits := appendUnstuffedBits(scratch[:0], f)
-	stuffed := 0
-	run := 1
-	prev := bits[0]
-	for i := 1; i < len(bits); i++ {
-		b := bits[i]
-		if b == prev {
-			run++
-			if run == 5 {
-				stuffed++
-				// The inserted complement bit restarts the run.
-				prev = 1 - b
-				run = 1
-			}
-		} else {
-			prev = b
-			run = 1
-		}
-	}
-	return stuffed
+	var buf rawBuf
+	return countStuff(stuffStartExt, packExt(&buf, f))
 }
 
 // WireBits returns the exact on-wire length of the frame in bit times,

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzWireRoundTrip asserts the codec's two safety properties on
-// arbitrary inputs: (1) every valid frame survives EncodeBits→DecodeBits
-// bit-exactly (and the buffer-reusing Codec forms agree with the
-// allocating ones), and (2) decoding an arbitrary bit stream never
-// panics — it either returns a frame that re-encodes to the same stuffed
-// stream or a wrapped ErrWire.
+// FuzzWireRoundTrip asserts the codec's safety properties on arbitrary
+// inputs: (1) every valid frame survives encode→decode bit-exactly, in
+// the packed form and in its bit-per-byte view, and the packed stream and
+// the wire length are the bit-serial reference's; (2) decoding an
+// arbitrary bit stream never panics — it either returns a frame that
+// re-encodes to the same stuffed stream, and that the reference decodes
+// to the same frame, or a wrapped ErrWire.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint32(0), []byte{}, []byte{})
 	f.Add(uint32(0x1FFFFFFF), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 0, 1})
@@ -23,11 +24,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(fr.Data) > MaxPayload {
 			fr.Data = fr.Data[:MaxPayload]
 		}
+		ref := refEncodeBits(fr)
+		if w := WireBits(fr); w != len(ref)+frameTailBits {
+			t.Fatalf("WireBits(%v) = %d, reference stream has %d bits", fr, w, len(ref))
+		}
 		bits := EncodeBits(fr)
+		if !bytes.Equal(bits, ref) {
+			t.Fatalf("EncodeBits disagrees with the reference for %v", fr)
+		}
 		var c Codec
-		appended := c.Encode(nil, fr)
-		if !bytes.Equal(bits, appended) {
-			t.Fatalf("AppendEncodeBits disagrees with EncodeBits for %v", fr)
+		packed, nbits := c.Encode(nil, fr)
+		if nbits != len(ref) || !bytes.Equal(packed, PackBits(nil, ref)) {
+			t.Fatalf("Codec.Encode disagrees with the reference for %v", fr)
 		}
 		got, err := DecodeBits(bits)
 		if err != nil {
@@ -36,16 +44,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if got.ID != fr.ID || !bytes.Equal(got.Data, fr.Data) {
 			t.Fatalf("round trip %v -> %v", fr, got)
 		}
-		cg, err := c.Decode(bits)
+		cg, err := c.Decode(packed, nbits)
 		if err != nil {
 			t.Fatalf("Codec.Decode of own encoding failed: %v", err)
 		}
 		if cg.ID != fr.ID || !bytes.Equal(cg.Data, fr.Data) {
 			t.Fatalf("Codec round trip %v -> %v", fr, cg)
 		}
-		// The packed transport form must round-trip too.
-		packed := PackBits(nil, bits)
-		unpacked, err := UnpackBits(nil, packed, len(bits))
+		// The bit-per-byte view must round-trip through the packed form.
+		unpacked, err := UnpackBits(nil, packed, nbits)
 		if err != nil || !bytes.Equal(unpacked, bits) {
 			t.Fatalf("pack/unpack round trip failed: %v", err)
 		}
@@ -62,6 +69,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if !bytes.Equal(EncodeBits(dec), norm) {
 				t.Fatalf("accepted stream is not the canonical encoding of %v", dec)
 			}
+			checkDecodeAgainstReference(t, norm)
 		}
 		// The raw (unmasked) stream exercises the non-binary-symbol path.
 		if _, err := DecodeBits(stream); err == nil && len(stream) > 0 {

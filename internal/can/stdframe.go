@@ -29,47 +29,13 @@ func StdMinFrameBits(s int) int {
 }
 
 // StdWireBits returns the exact stuffed wire length of a standard data
-// frame with the given 11-bit identifier and payload.
+// frame with the given 11-bit identifier and payload. It shares the
+// extended codec's raw form (wire.go): five pad bits byte-align the 19
+// header bits.
 func StdWireBits(id uint16, data []byte) int {
-	bits := stdUnstuffedBits(id, data)
-	stuffed := 0
-	run := 1
-	prev := bits[0]
-	for i := 1; i < len(bits); i++ {
-		b := bits[i]
-		if b == prev {
-			run++
-			if run == 5 {
-				stuffed++
-				prev = 1 - b
-				run = 1
-			}
-		} else {
-			prev = b
-			run = 1
-		}
-	}
-	return len(bits) + stuffed + frameTailBits
-}
-
-// stdUnstuffedBits builds the pre-stuffing bit sequence of a standard
-// data frame (SOF through CRC).
-func stdUnstuffedBits(id uint16, data []byte) []byte {
-	bits := make([]byte, 0, stdStuffedOverheadBits+8*len(data))
-	put := func(v uint32, n int) {
-		for i := n - 1; i >= 0; i-- {
-			bits = append(bits, byte((v>>uint(i))&1))
-		}
-	}
-	put(0, 1)                    // SOF
-	put(uint32(id&MaxStdID), 11) // ID
-	put(0, 1)                    // RTR (data frame)
-	put(0, 1)                    // IDE (standard format)
-	put(0, 1)                    // r0
-	put(uint32(len(data)), 4)    // DLC
-	for _, b := range data {
-		put(uint32(b), 8)
-	}
-	put(uint32(crc15(bits)), 15)
-	return bits
+	// pad(5) SOF | ID(11) | RTR IDE r0 (dominant) | DLC(4)
+	h := uint64(id&MaxStdID)<<7 | uint64(len(data))
+	var buf rawBuf
+	raw := packRaw(&buf, h, stdHeaderBytes, data)
+	return stdStuffedOverheadBits + 8*len(data) + countStuff(stuffStartStd, raw) + frameTailBits
 }

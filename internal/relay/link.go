@@ -115,7 +115,8 @@ type conn struct {
 
 	lastRx atomic.Int64 // unix nanos of last inbound message
 
-	wmu sync.Mutex // serialises writes (writer loop + control messages)
+	wmu sync.Mutex    // serialises writes (writer loop + control messages)
+	bw  *bufio.Writer // over c, guarded by wmu
 
 	onFrame func(gateway.RemoteEvent)
 	onClose func(*conn, string)
@@ -130,6 +131,7 @@ func newConn(c net.Conn, cfg Config, q *egressQueue, cnt *Counters,
 	pc := &conn{
 		cfg:      cfg,
 		c:        c,
+		bw:       bufio.NewWriter(c),
 		q:        q,
 		cnt:      cnt,
 		trace:    cfg.Trace,
@@ -194,12 +196,28 @@ func (pc *conn) start(initialSubs []subscription) error {
 	return nil
 }
 
-// write frames and writes one message under the write lock.
+// write frames one message and sends it at once.
 func (pc *conn) write(b []byte) error {
+	if err := pc.buffer(b); err != nil {
+		return err
+	}
+	return pc.flush()
+}
+
+// buffer frames one message into the write buffer; it leaves with the
+// next flush, or earlier when the buffer fills.
+func (pc *conn) buffer(b []byte) error {
 	pc.wmu.Lock()
-	n, err := writeMsg(pc.c, b)
+	n, err := writeMsg(pc.bw, b)
 	pc.wmu.Unlock()
 	pc.cnt.bytesOut.Add(uint64(n))
+	return err
+}
+
+func (pc *conn) flush() error {
+	pc.wmu.Lock()
+	err := pc.bw.Flush()
+	pc.wmu.Unlock()
 	return err
 }
 
@@ -314,6 +332,9 @@ func (pc *conn) writeLoop() {
 				return
 			}
 		case <-pc.q.notify:
+			// The backlog goes out in one flush once the queue is empty: a
+			// write (and a wake-up of the peer's reader) per burst, not per
+			// frame, which is what bounds throughput on a busy link.
 			for {
 				now := time.Now()
 				it, ok, shed := pc.q.pop(now)
@@ -325,11 +346,15 @@ func (pc *conn) writeLoop() {
 					pc.cnt.late.Add(1)
 					pc.emit("late", "HRT past budget, forwarded", &it.re)
 				}
-				if err := pc.write(it.wire); err != nil {
+				if err := pc.buffer(it.wire); err != nil {
 					pc.close("write: " + err.Error())
 					return
 				}
 				pc.cnt.sent.Add(1)
+			}
+			if err := pc.flush(); err != nil {
+				pc.close("write: " + err.Error())
+				return
 			}
 		}
 	}

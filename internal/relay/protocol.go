@@ -202,11 +202,14 @@ func decodeUnsub(b []byte) (binding.Subject, error) {
 	return binding.Subject(subj), err
 }
 
+// maxPackedChunk bounds the packed byte form of one stuffed chunk.
+const maxPackedChunk = can.MaxStuffedBytes
+
 // encodeFrame serialises a RemoteEvent. The payload crosses the wire as
 // stuffed CAN 2.0B bit streams — one extended data frame per 8-byte
-// chunk, produced by the repository's wire codec and packed eight bits
-// per byte — so every relay hop carries (and CRC-checks) genuine CAN
-// frames rather than an ad-hoc byte blob.
+// chunk, produced by the repository's wire codec, eight bits per byte —
+// so every relay hop carries (and CRC-checks) genuine CAN frames rather
+// than an ad-hoc byte blob.
 //
 // Body layout after the type byte:
 //
@@ -214,7 +217,14 @@ func decodeUnsub(b []byte) (binding.Subject, error) {
 //	subject u64 | budget i64 | traceID u64 |
 //	nchunks u16 | { bitCount u16, packed ⌈bitCount/8⌉ bytes }*
 func encodeFrame(codec *can.Codec, re gateway.RemoteEvent) ([]byte, error) {
-	b := []byte{msgFrame, byte(re.Class), byte(re.Origin), byte(re.Hops)}
+	nchunks := (len(re.Payload) + can.MaxPayload - 1) / can.MaxPayload
+	if nchunks > 0xffff {
+		return nil, fmt.Errorf("relay: payload %d bytes exceeds chunk limit", len(re.Payload))
+	}
+	// Fixed fields, the origin segment and every chunk at its worst-case
+	// stuffed length: the message is built in one allocation.
+	b := make([]byte, 0, 4+1+len(re.OriginSeg)+3*8+2+nchunks*(2+maxPackedChunk))
+	b = append(b, msgFrame, byte(re.Class), byte(re.Origin), byte(re.Hops))
 	b, err := appendString(b, re.OriginSeg)
 	if err != nil {
 		return nil, err
@@ -222,15 +232,9 @@ func encodeFrame(codec *can.Codec, re gateway.RemoteEvent) ([]byte, error) {
 	b = appendU64(b, uint64(re.Subject))
 	b = appendU64(b, uint64(re.Budget))
 	b = appendU64(b, re.TraceID)
-
-	nchunks := (len(re.Payload) + can.MaxPayload - 1) / can.MaxPayload
-	if nchunks > 0xffff {
-		return nil, fmt.Errorf("relay: payload %d bytes exceeds chunk limit", len(re.Payload))
-	}
 	b = appendU16(b, uint16(nchunks))
 	prio := chunkPrio(re.Class)
 	etag := can.Etag(uint64(re.Subject) & uint64(can.MaxEtag))
-	var packed [maxPackedChunk]byte
 	for i := 0; i < nchunks; i++ {
 		lo := i * can.MaxPayload
 		hi := lo + can.MaxPayload
@@ -242,15 +246,14 @@ func encodeFrame(codec *can.Codec, re gateway.RemoteEvent) ([]byte, error) {
 			Data: re.Payload[lo:hi],
 			Tag:  re.TraceID,
 		}
-		bits := codec.Encode(nil, f)
-		b = appendU16(b, uint16(len(bits)))
-		b = append(b, can.PackBits(packed[:0], bits)...)
+		at := len(b)
+		b = appendU16(b, 0) // bit count, known once the chunk is encoded
+		var bitCount int
+		b, bitCount = codec.Encode(b, f)
+		binary.BigEndian.PutUint16(b[at:], uint16(bitCount))
 	}
 	return b, nil
 }
-
-// maxPackedChunk bounds the packed byte form of one stuffed chunk.
-const maxPackedChunk = 32
 
 // decodeFrame parses a Frame body (after the type byte), verifying each
 // chunk's CAN encoding (stuffing discipline and CRC-15).
@@ -286,7 +289,6 @@ func decodeFrame(codec *can.Codec, b []byte) (gateway.RemoteEvent, error) {
 	if err != nil {
 		return re, err
 	}
-	var bits [can.MaxStuffedBits]byte
 	for i := 0; i < int(nchunks); i++ {
 		var bitCount uint16
 		if bitCount, b, err = readU16(b); err != nil {
@@ -299,15 +301,11 @@ func decodeFrame(codec *can.Codec, b []byte) (gateway.RemoteEvent, error) {
 		if len(b) < packedLen {
 			return re, io.ErrUnexpectedEOF
 		}
-		chunkBits, err := can.UnpackBits(bits[:0], b[:packedLen], int(bitCount))
+		f, err := codec.Decode(b[:packedLen], int(bitCount))
 		if err != nil {
 			return re, fmt.Errorf("relay: chunk %d: %w", i, err)
 		}
 		b = b[packedLen:]
-		f, err := codec.Decode(chunkBits)
-		if err != nil {
-			return re, fmt.Errorf("relay: chunk %d: %w", i, err)
-		}
 		re.Payload = append(re.Payload, f.Data...)
 	}
 	return re, nil

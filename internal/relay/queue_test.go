@@ -1,9 +1,13 @@
 package relay
 
 import (
+	"bufio"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"canec/internal/can"
 	"canec/internal/core"
 	"canec/internal/gateway"
 )
@@ -105,5 +109,54 @@ func TestQueueHRTNeverDroppedOnlyLate(t *testing.T) {
 	}
 	if late != 100 {
 		t.Fatalf("late HRT count = %d, want 100 (delivered late, never dropped)", late)
+	}
+}
+
+// writeCounter counts the Write calls that reach the connection.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(b)
+}
+
+// A backlog leaves in bursts: the writer flushes when the queue runs
+// empty (or its buffer fills), not once per frame — a write per frame,
+// each waking the peer's reader, is what bounded loopback throughput.
+func TestWriterCoalescesBacklog(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	local := &writeCounter{Conn: a}
+	const frames = 200
+	var codec can.Codec
+	q := newEgressQueue(0, 0)
+	for i := 0; i < frames; i++ {
+		re := gateway.RemoteEvent{Class: core.HRT, Subject: 7, Payload: []byte{byte(i)}, OriginSeg: "x"}
+		wire, err := encodeFrame(&codec, re)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.push(qItem{re: re, wire: wire}, time.Now())
+	}
+	pc := newConn(local, Config{Segment: "a"}, q, &Counters{}, nil, nil)
+	defer pc.close("test done")
+	go pc.writeLoop()
+
+	r := bufio.NewReader(b)
+	for i := 0; i < frames; i++ {
+		msg, err := readMsg(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := decodeFrame(&codec, msg[1:])
+		if err != nil || len(re.Payload) != 1 || re.Payload[0] != byte(i) {
+			t.Fatalf("frame %d: %v %v", i, re.Payload, err)
+		}
+	}
+	if w := local.writes.Load(); w > frames/10 {
+		t.Fatalf("%d frames left in %d writes", frames, w)
 	}
 }

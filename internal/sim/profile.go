@@ -19,8 +19,9 @@ const (
 	// ProbeArbitration is one bus arbitration round: the controller scan
 	// and winner resolution.
 	ProbeArbitration
-	// ProbeCodec is frame wire-geometry work: CRC-15 and bit-stuffing
-	// over the real bit pattern (WireBits and the wire codec).
+	// ProbeCodec is frame wire-geometry work: the exact stuffed length
+	// of the frame that won arbitration (can.WireBits — table-driven
+	// CRC-15 and stuff-bit count over the packed frame).
 	ProbeCodec
 	// ProbeDispatch is the receive-side middleware dispatch: etag
 	// routing plus per-class receive processing (dedup, reassembly).

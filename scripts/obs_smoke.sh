@@ -8,9 +8,28 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
-trap 'kill "$bpid" "$apid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 bpid=""
 apid=""
+# However the script ends — success, a failed check, set -e, INT or TERM
+# (a timed-out `make check`) — both daemons are killed *and reaped*, and
+# the exit fails if either is still alive afterwards.
+cleanup() {
+    local st=$? p
+    trap - EXIT INT TERM
+    for p in $apid $bpid; do kill "$p" 2>/dev/null || true; done
+    for p in $apid $bpid; do wait "$p" 2>/dev/null || true; done
+    for p in $apid $bpid; do
+        if kill -0 "$p" 2>/dev/null; then
+            echo "obs-smoke: daemon $p is still running" >&2
+            st=1
+        fi
+    done
+    rm -rf "$workdir"
+    exit "$st"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 GO="${GO:-go}"
 "$GO" build -o "$workdir/canecd" ./cmd/canecd
@@ -18,7 +37,7 @@ GO="${GO:-go}"
 
 "$workdir/canecd" -segment b -trace-base 2 -listen 127.0.0.1:0 \
     -admin 127.0.0.1:0 -flight-dir "$workdir" \
-    -sub 0x42 -announce srt:0x42 -expect 0x42:5 -expect-origin 1 \
+    -sub 0x42 -announce srt:0x42 -expect 0x42:20 -expect-origin 1 \
     -dur 60s -hb 100ms > "$workdir/b.log" 2>&1 &
 bpid=$!
 
@@ -39,14 +58,17 @@ admin_b="$(wait_line "$workdir/b.log" 'admin on')" || {
 
 "$workdir/canecd" -segment a -trace-base 1 -uplink "$addr" \
     -admin 127.0.0.1:0 -flight-dir "$workdir" \
-    -forward srt:0x42 -publish srt:0x42:5:100ms -dur 60s -hb 100ms \
+    -forward srt:0x42 -publish srt:0x42:20:100ms -dur 60s -hb 100ms \
     > "$workdir/a.log" 2>&1 &
 apid=$!
 
 admin_a="$(wait_line "$workdir/a.log" 'admin on')" || {
     echo "obs-smoke: segment a admin never came up" >&2; cat "$workdir/a.log" >&2; exit 1; }
 
-# Raw endpoint checks on both daemons while they run.
+# Raw endpoint checks on both daemons while they run: segment b exits
+# with its twentieth delivery and a shortly after its last publish, so
+# the 20 × 100 ms stream is the window these checks have (five events
+# left ≈0.4 s, which a loaded machine missed about one run in ten).
 for admin in "$admin_a" "$admin_b"; do
     curl -fsS "http://$admin/healthz" > "$workdir/healthz.json"
     grep -q '"status": "ok"' "$workdir/healthz.json" || {

@@ -7,8 +7,28 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
-trap 'kill "$bpid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 bpid=""
+apid=""
+# However the script ends — success, a failed check, set -e, INT or TERM
+# (a timed-out `make check`) — both daemons are killed *and reaped*, and
+# the exit fails if either is still alive afterwards.
+cleanup() {
+    local st=$? p
+    trap - EXIT INT TERM
+    for p in $apid $bpid; do kill "$p" 2>/dev/null || true; done
+    for p in $apid $bpid; do wait "$p" 2>/dev/null || true; done
+    for p in $apid $bpid; do
+        if kill -0 "$p" 2>/dev/null; then
+            echo "relay-smoke: daemon $p is still running" >&2
+            st=1
+        fi
+    done
+    rm -rf "$workdir"
+    exit "$st"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 GO="${GO:-go}"
 "$GO" build -o "$workdir/canecd" ./cmd/canecd
@@ -33,8 +53,12 @@ fi
 
 "$workdir/canecd" -segment a -trace-base 1 -uplink "$addr" \
     -forward srt:0x42 -publish srt:0x42:3:20ms -dur 30s -hb 100ms \
-    > "$workdir/a.log" 2>&1
+    > "$workdir/a.log" 2>&1 &
+apid=$!
 
+# Both daemons run in the background so that a signal interrupts the wait
+# (bash defers traps while a foreground child runs).
+wait "$apid" || true
 if ! wait "$bpid"; then
     echo "relay-smoke: segment b failed" >&2
     cat "$workdir/a.log" "$workdir/b.log" >&2
