@@ -60,18 +60,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScript -fuzztime 5s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzControlLoops -fuzztime 5s ./internal/scenario/
 
-# relay-smoke is the multi-process federation gate: two canecd daemons on
-# localhost, three SRT events published on segment a, delivery and trace
-# continuity asserted on segment b.
+# relay-smoke and obs-smoke are the two-daemon federation gates, run as
+# Go tests that host both canecd segments inside the test process (so
+# tier-1 runs them too and nothing can outlive them): three SRT events
+# published on segment a are delivered on segment b with trace continuity;
+# with -admin on both, /healthz /slo /metrics answer live and every
+# exposition validates strictly.
 relay-smoke:
-	./scripts/relay_smoke.sh
+	$(GO) test -race -run TestRelaySmoke ./cmd/canecd
 
-# obs-smoke is the live-introspection gate: the two-daemon federation
-# with -admin enabled on both, /healthz /slo /metrics answered live,
-# the Prometheus exposition strictly validated, and a canecstat fleet
-# poll reporting both segments healthy.
 obs-smoke:
-	./scripts/obs_smoke.sh
+	$(GO) test -race -run TestObsSmoke ./cmd/canecd
 
 # why-smoke is the root-cause attribution gate: the E19 injected-fault
 # campaigns run under the race detector (known causes attributed, zero

@@ -16,12 +16,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"canec/internal/binding"
@@ -36,7 +41,12 @@ import (
 	"canec/internal/sim"
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
 // chanSpec is one parsed class:subject federation entry.
 type chanSpec struct {
@@ -95,42 +105,65 @@ func splitList(s string) []string {
 	return strings.Split(s, ",")
 }
 
-func die(format string, args ...any) int {
-	fmt.Fprintf(os.Stderr, "canecd: "+format+"\n", args...)
-	return 1
+// sleep waits for d or for ctx to end, whichever comes first, and reports
+// whether the full duration elapsed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
-func run() int {
+// run is the whole daemon: it parses args, hosts the segment until its
+// expectation is met, its -dur limit expires or ctx ends, and returns the
+// process exit code. It owns no package-level state, so tests run several
+// daemons as goroutines of one process.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	die := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "canecd: "+format+"\n", a...)
+		return 1
+	}
+	fs := flag.NewFlagSet("canecd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		segment   = flag.String("segment", "", "segment name, unique across the federation (required)")
-		nodes     = flag.Int("nodes", 4, "stations on this segment (node 0 publishes, node 1 subscribes, the top nodes host relay bridges)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		traceBase = flag.Uint64("trace-base", 0, "trace-ID base index; IDs are minted as base<<32|n, keep it disjoint per segment")
-		pace      = flag.Float64("pace", 1.0, "virtual nanoseconds per wall nanosecond")
-		listen    = flag.String("listen", "", "comma-separated addresses to accept relay peers on")
-		uplink    = flag.String("uplink", "", "comma-separated relay server addresses to dial")
-		forward   = flag.String("forward", "", "comma list class:subject shipped to peers (e.g. srt:0x42)")
-		announce  = flag.String("announce", "", "comma list class:subject expected in from peers")
-		subs      = flag.String("sub", "", "comma list of subjects requested from peers")
-		publish   = flag.String("publish", "", "class:subject:count:period — demo publisher on node 0")
-		expect    = flag.String("expect", "", "subject:count — exit 0 once node 1 delivered count events")
-		expOrigin = flag.Uint64("expect-origin", 0, "require delivered trace IDs to originate from this trace base (0 disables)")
-		dur       = flag.Duration("dur", 30*time.Second, "wall-clock run limit")
-		hb        = flag.Duration("hb", 500*time.Millisecond, "relay heartbeat period")
-		verbose   = flag.Bool("v", false, "log relay link events to stderr")
+		segment   = fs.String("segment", "", "segment name, unique across the federation (required)")
+		nodes     = fs.Int("nodes", 4, "stations on this segment (node 0 publishes, node 1 subscribes, the top nodes host relay bridges)")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		traceBase = fs.Uint64("trace-base", 0, "trace-ID base index; IDs are minted as base<<32|n, keep it disjoint per segment")
+		pace      = fs.Float64("pace", 1.0, "virtual nanoseconds per wall nanosecond")
+		listen    = fs.String("listen", "", "comma-separated addresses to accept relay peers on")
+		uplink    = fs.String("uplink", "", "comma-separated relay server addresses to dial")
+		forward   = fs.String("forward", "", "comma list class:subject shipped to peers (e.g. srt:0x42)")
+		announce  = fs.String("announce", "", "comma list class:subject expected in from peers")
+		subs      = fs.String("sub", "", "comma list of subjects requested from peers")
+		publish   = fs.String("publish", "", "class:subject:count:period — demo publisher on node 0")
+		expect    = fs.String("expect", "", "subject:count — exit 0 once node 1 delivered count events")
+		expOrigin = fs.Uint64("expect-origin", 0, "require delivered trace IDs to originate from this trace base (0 disables)")
+		dur       = fs.Duration("dur", 30*time.Second, "wall-clock run limit")
+		hb        = fs.Duration("hb", 500*time.Millisecond, "relay heartbeat period")
+		verbose   = fs.Bool("v", false, "log relay link events to stderr")
 
-		adminAddr = flag.String("admin", "", "serve the admin introspection plane (/metrics /healthz /channels /slo /relay /flight, pprof) on this address; empty disables")
-		flightN   = flag.Int("flight", 2048, "flight-recorder retention, trace records per node (0 disables)")
-		flightDir = flag.String("flight-dir", ".", "directory for flight-recorder post-mortem dumps")
-		slo       = flag.Bool("slo", true, "run the SLO engine (default objective set)")
-		whyOn     = flag.Bool("why", true, "run the causal why-late engine (/why on the admin plane, canec_why_* metrics, root causes on SLO breach post-mortems)")
-		whyLate   = flag.String("why-late-over", "", "comma list class=duration marking delivered chains late (e.g. srt=5ms); empty attributes drops only")
-		profile   = flag.Bool("profile", true, "attach the kernel profiler (publish→deliver stage timing, /profile on the admin plane)")
-		sloSRT    = flag.Float64("slo-srt-budget", 0.05, "SRT deadline-miss budget (fraction of published events)")
-		sloCtl    = flag.Float64("slo-control-budget", 0, "control-cost SLO budget: tolerated quadratic cost per long window (0 disables the objective)")
-		ctlDemo   = flag.Bool("control", false, "run a demo closed PID control loop (double integrator over SRT channels on stations 0/1) and serve its QoC at /control")
+		adminAddr = fs.String("admin", "", "serve the admin introspection plane (/metrics /healthz /channels /slo /relay /flight, pprof) on this address; empty disables")
+		flightN   = fs.Int("flight", 2048, "flight-recorder retention, trace records per node (0 disables)")
+		flightDir = fs.String("flight-dir", ".", "directory for flight-recorder post-mortem dumps")
+		slo       = fs.Bool("slo", true, "run the SLO engine (default objective set)")
+		whyOn     = fs.Bool("why", true, "run the causal why-late engine (/why on the admin plane, canec_why_* metrics, root causes on SLO breach post-mortems)")
+		whyLate   = fs.String("why-late-over", "", "comma list class=duration marking delivered chains late (e.g. srt=5ms); empty attributes drops only")
+		profile   = fs.Bool("profile", true, "attach the kernel profiler (publish→deliver stage timing, /profile on the admin plane)")
+		sloSRT    = fs.Float64("slo-srt-budget", 0.05, "SRT deadline-miss budget (fraction of published events)")
+		sloCtl    = fs.Float64("slo-control-budget", 0, "control-cost SLO budget: tolerated quadratic cost per long window (0 disables the objective)")
+		ctlDemo   = fs.Bool("control", false, "run a demo closed PID control loop (double integrator over SRT channels on stations 0/1) and serve its QoC at /control")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *segment == "" {
 		return die("-segment is required")
 	}
@@ -175,16 +208,14 @@ func run() int {
 	// Causal why-late engine: attributes every chain's publish→deliver
 	// latency to typed causes, feeds canec_why_* metrics, /why on the
 	// admin plane and the root-cause line on SLO breach post-mortems.
-	var why *causal.Analyzer
 	if *whyOn {
 		bounds, err := causal.ParseLateOver(*whyLate)
 		if err != nil {
 			return die("-why-late-over: %v", err)
 		}
-		why = causal.New(causal.Config{
+		sys.Obs.AttachCausal(causal.New(causal.Config{
 			Registry: sys.Obs.Registry(), LateOver: bounds, KeepRecent: 16,
-		})
-		sys.Obs.AttachCausal(why)
+		}))
 	}
 
 	// Kernel profiler: stage-level wall-clock attribution for the whole
@@ -231,7 +262,7 @@ func run() int {
 	var verboseTrace func(relay.Event)
 	if *verbose {
 		verboseTrace = func(e relay.Event) {
-			fmt.Fprintf(os.Stderr, "canecd[%s]: relay %s peer=%s %s\n", *segment, e.Kind, e.Peer, e.Detail)
+			fmt.Fprintf(stderr, "canecd[%s]: relay %s peer=%s %s\n", *segment, e.Kind, e.Peer, e.Detail)
 		}
 	}
 	// Each link's trace stream feeds the observability plane from its
@@ -250,7 +281,7 @@ func run() int {
 			return die("listen %s: %v", addr, err)
 		}
 		defer srv.Close()
-		fmt.Printf("canecd[%s]: listening on %s\n", *segment, srv.Addr())
+		fmt.Fprintf(stdout, "canecd[%s]: listening on %s\n", *segment, srv.Addr())
 		links = append(links, srv)
 		name := "listen " + srv.Addr().String()
 		relayRows = append(relayRows, func() admin.RelayRow {
@@ -261,7 +292,7 @@ func run() int {
 	for _, addr := range uplinks {
 		up := relay.Dial(addr, linkCfg(len(links)))
 		defer up.Close()
-		fmt.Printf("canecd[%s]: uplink to %s\n", *segment, addr)
+		fmt.Fprintf(stdout, "canecd[%s]: uplink to %s\n", *segment, addr)
 		links = append(links, up)
 		name := "uplink " + addr
 		relayRows = append(relayRows, func() admin.RelayRow {
@@ -312,36 +343,23 @@ func run() int {
 
 	// Admin introspection plane: kernel-owned state is snapshotted via
 	// paced.Call so HTTP handlers never race the simulation.
-	var ctlRows func() []admin.ControlRow
-	if len(loops) > 0 {
-		ctlRows = admin.LoopRows(loops)
-	}
 	if *adminAddr != "" {
-		adm, err := admin.Serve(*adminAddr, admin.Options{
-			Segment:    *segment,
-			Registry:   sys.Obs.Registry(),
-			Observer:   sys.Obs,
-			SLO:        sys.SLO,
-			Now:        k.Now,
-			Channels:   admin.SystemChannels(sys),
-			ErrorState: admin.SystemErrorState(sys),
-			Profiler:   prof,
-			Why:        admin.SystemWhy(why),
-			InKernel:   paced.Call,
-			Control:    ctlRows,
-			Relay: func() []admin.RelayRow {
-				rows := make([]admin.RelayRow, 0, len(relayRows))
-				for _, fn := range relayRows {
-					rows = append(rows, fn())
-				}
-				return rows
-			},
-		})
+		opts := admin.SystemOptions(*segment, sys, paced)
+		opts.Profiler = prof
+		opts.Control = admin.LoopRows(loops)
+		opts.Relay = func() []admin.RelayRow {
+			rows := make([]admin.RelayRow, 0, len(relayRows))
+			for _, fn := range relayRows {
+				rows = append(rows, fn())
+			}
+			return rows
+		}
+		adm, err := admin.Serve(*adminAddr, opts)
 		if err != nil {
 			return die("admin: %v", err)
 		}
 		defer adm.Close()
-		fmt.Printf("canecd[%s]: admin on %s\n", *segment, adm.Addr())
+		fmt.Fprintf(stdout, "canecd[%s]: admin on %s\n", *segment, adm.Addr())
 	}
 
 	// Demo expectation: node 1 subscribes and counts deliveries.
@@ -449,20 +467,20 @@ func run() int {
 	deadline := time.Now().Add(*dur)
 	// Publisher: wait for a link, then emit pubCount events.
 	if pubCh != nil {
-		for time.Now().Before(deadline) && !anyLinkUp(links) {
-			time.Sleep(5 * time.Millisecond)
+		for time.Now().Before(deadline) && !anyLinkUp(links) && sleep(ctx, 5*time.Millisecond) {
 		}
 		for i := uint64(0); i < pubCount; i++ {
 			paced.Call(func() { pubCh([]byte{byte(i), 0xEC}) })
-			time.Sleep(pubPeriod)
+			if !sleep(ctx, pubPeriod) {
+				return die("interrupted after publishing %d of %d events", i+1, pubCount)
+			}
 		}
-		fmt.Printf("canecd[%s]: published %d events\n", *segment, pubCount)
+		fmt.Fprintf(stdout, "canecd[%s]: published %d events\n", *segment, pubCount)
 	}
 
 	// Expectation: poll until met or the wall limit expires.
 	if expectCount > 0 {
-		for time.Now().Before(deadline) && delivered.Load() < expectCount {
-			time.Sleep(5 * time.Millisecond)
+		for time.Now().Before(deadline) && delivered.Load() < expectCount && sleep(ctx, 5*time.Millisecond) {
 		}
 		if got := delivered.Load(); got < expectCount {
 			return die("expected %d deliveries on %#x, got %d", expectCount, expectSubj, got)
@@ -473,17 +491,17 @@ func run() int {
 		if !traceContinuous(paced, sys, lastTraceID.Load()) {
 			return die("delivered trace %#x has no relay_rx record: trace not continuous", lastTraceID.Load())
 		}
-		fmt.Printf("canecd[%s]: expect met: %d deliveries on %#x, trace continuity ok (id=%#x)\n",
+		fmt.Fprintf(stdout, "canecd[%s]: expect met: %d deliveries on %#x, trace continuity ok (id=%#x)\n",
 			*segment, delivered.Load(), expectSubj, lastTraceID.Load())
 		return 0
 	}
 
 	// Pure relay / publisher process: idle until the wall limit.
 	if pubCh == nil {
-		time.Sleep(time.Until(deadline))
+		sleep(ctx, time.Until(deadline))
 	} else {
 		// Give the egress queue a moment to drain before exiting.
-		time.Sleep(200 * time.Millisecond)
+		sleep(ctx, 200*time.Millisecond)
 	}
 	return 0
 }

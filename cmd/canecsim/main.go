@@ -99,30 +99,14 @@ func (p obsPlane) serve(sys *canec.System, paced *sim.Paced, loops []*control.Lo
 	if p.adminAddr == "" {
 		return func() {}, nil
 	}
-	var ctl func() []admin.ControlRow
-	if len(loops) > 0 {
-		ctl = admin.LoopRows(loops)
-	}
 	// A paced run with an admin plane gets the why-late engine for free:
 	// /why and the canec_why_* families go live on the same registry.
-	why, _ := sys.Obs.Causal().(*causal.Analyzer)
-	if why == nil {
-		why = causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16})
-		sys.Obs.AttachCausal(why)
+	if sys.Obs.Causal() == nil {
+		sys.Obs.AttachCausal(causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16}))
 	}
-	adm, err := admin.Serve(p.adminAddr, admin.Options{
-		Segment:    "canecsim",
-		Registry:   sys.Obs.Registry(),
-		Observer:   sys.Obs,
-		SLO:        sys.SLO,
-		Now:        sys.K.Now,
-		Channels:   admin.SystemChannels(sys),
-		ErrorState: admin.SystemErrorState(sys),
-		Admission:  admin.SystemAdmission(sys),
-		Control:    ctl,
-		Why:        admin.SystemWhy(why),
-		InKernel:   paced.Call,
-	})
+	opts := admin.SystemOptions("canecsim", sys, paced)
+	opts.Control = admin.LoopRows(loops)
+	adm, err := admin.Serve(p.adminAddr, opts)
 	if err != nil {
 		return nil, err
 	}

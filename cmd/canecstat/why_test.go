@@ -38,13 +38,13 @@ canec_why_debit_microseconds_count{class="SRT",cause="error_retransmit"} 2
 `
 
 func TestValidateExpositionWhyFamilies(t *testing.T) {
-	if err := ValidateExposition(strings.NewReader(whyExpositionGolden)); err != nil {
+	if err := obs.ValidateExposition(strings.NewReader(whyExpositionGolden)); err != nil {
 		t.Fatalf("golden canec_why_* exposition rejected: %v", err)
 	}
 	// The histogram-suffix rule must not leak: a why series without its
 	// TYPE line stays illegal.
 	bad := `canec_why_late_total{class="SRT",cause="error_retransmit"} 2` + "\n"
-	if err := ValidateExposition(strings.NewReader(bad)); err == nil {
+	if err := obs.ValidateExposition(strings.NewReader(bad)); err == nil {
 		t.Fatal("orphan canec_why_late_total accepted")
 	}
 }

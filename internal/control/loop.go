@@ -348,7 +348,7 @@ func (l *Loop) substep(now sim.Time, dt sim.Duration) {
 	}
 	if now-l.heldSampleAt > sim.Time(l.cfg.StaleAfter) {
 		l.qoc.Stale++
-		l.o.ControlStale(l.cfg.Name, l.qoc.Class, l.cfg.Actuator, now)
+		l.o.Emit(0, obs.StageCtrlStale, l.qoc.Class, l.cfg.Actuator, 0, now, l.cfg.Name)
 	}
 }
 
@@ -365,7 +365,7 @@ func (l *Loop) sample(now sim.Time) {
 	putFix24(p[4:], l.x[1])
 	if l.pubSensor(p) == nil {
 		l.qoc.Samples++
-		l.o.ControlLoopStage(obs.StageCtrlSample, l.cfg.Name, l.qoc.Class, l.cfg.Sensor, now)
+		l.o.Emit(0, obs.StageCtrlSample, l.qoc.Class, l.cfg.Sensor, 0, now, l.cfg.Name)
 	}
 }
 
@@ -383,7 +383,7 @@ func (l *Loop) onSample(ev core.Event, _ core.DeliveryInfo) {
 	putFix24(p[1:], u)
 	if l.pubCommand(p) == nil {
 		l.qoc.Commands++
-		l.o.ControlLoopStage(obs.StageCtrlCommand, l.cfg.Name, l.qoc.Class, l.cfg.ControllerNode, l.k.Now())
+		l.o.Emit(0, obs.StageCtrlCommand, l.qoc.Class, l.cfg.ControllerNode, 0, l.k.Now(), l.cfg.Name)
 	}
 }
 
@@ -405,7 +405,7 @@ func (l *Loop) onCommand(ev core.Event, _ core.DeliveryInfo) {
 		l.o.ControlLatency(l.cfg.Name, us)
 		l.heldSampleAt = at
 	}
-	l.o.ControlLoopStage(obs.StageCtrlApply, l.cfg.Name, l.qoc.Class, l.cfg.Actuator, now)
+	l.o.Emit(0, obs.StageCtrlApply, l.qoc.Class, l.cfg.Actuator, 0, now, l.cfg.Name)
 	if l.pubAck != nil {
 		p := make([]byte, ackPayload)
 		p[0] = seq

@@ -167,7 +167,7 @@ func (lc *Lifecycle) installStandby(station int) {
 		lc.standby = nil
 		lc.standbyStation = -1
 		lc.AgentTakeovers++
-		sys.Obs.ControlPlane(obs.StageAgentTakeover, station, at, "binding agent")
+		sys.Obs.Emit(0, obs.StageAgentTakeover, "", station, 0, at, "binding agent")
 	}
 	sys.Nodes[station].MW.ConfigRx = sa.HandleFrame
 	lc.standby = sa
@@ -233,7 +233,7 @@ func (lc *Lifecycle) Crash(i int) error {
 	node.Ctrl.Detach()
 	lc.down[i] = rec
 	lc.CrashCount++
-	lc.sys.Obs.NodeLifecycle(obs.StageNodeDown, i, now, "")
+	lc.sys.Obs.Emit(0, obs.StageNodeDown, "", i, 0, now, "")
 	return nil
 }
 
@@ -250,7 +250,7 @@ func (lc *Lifecycle) Restart(i int) error {
 	sys := lc.sys
 	node := sys.Nodes[i]
 	now := sys.K.Now()
-	sys.Obs.NodeLifecycle(obs.StageNodeRestart, i, now, "")
+	sys.Obs.Emit(0, obs.StageNodeRestart, "", i, 0, now, "")
 
 	// Power-on: the controller re-attaches, a fresh middleware replaces
 	// the crashed one (NewMiddleware re-installs the receive path and the
@@ -371,7 +371,7 @@ func (lc *Lifecycle) resync(i int, node *Node, mw *Middleware, rec *crashRecord)
 		if lc.OnRestart != nil {
 			lc.OnRestart(i, mw)
 		}
-		lc.sys.Obs.NodeLifecycle(obs.StageNodeUp, i, lc.sys.K.Now(),
+		lc.sys.Obs.Emit(0, obs.StageNodeUp, "", i, 0, lc.sys.K.Now(),
 			fmt.Sprintf("outage %v", lc.sys.K.Now()-rec.at))
 	}
 	if lc.sys.Syncer == nil {

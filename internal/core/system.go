@@ -256,14 +256,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			sys.Syncer.SetBackups(cfg.SyncBackups)
 		}
 		sys.Syncer.OnTakeover = func(m int, at sim.Time) {
-			sys.Obs.ControlPlane(obs.StageMasterTakeover, m, at, "time master")
+			sys.Obs.Emit(0, obs.StageMasterTakeover, "", m, 0, at, "time master")
 		}
 		sys.Syncer.OnHoldover = func(n int, enter bool, at sim.Time) {
 			stage := obs.StageHoldoverExit
 			if enter {
 				stage = obs.StageHoldoverEnter
 			}
-			sys.Obs.ControlPlane(stage, n, at, "")
+			sys.Obs.Emit(0, stage, "", n, 0, at, "")
 		}
 		for _, n := range sys.Nodes {
 			n.MW.Syncer = sys.Syncer

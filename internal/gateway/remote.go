@@ -277,24 +277,24 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 		case core.HRT:
 			// HRT is never silently dropped: forward late, count it.
 			b.late++
-			b.observer().RelayFrame(re.TraceID, obs.StageRelayLate, class.String(),
+			b.observer().Emit(re.TraceID, obs.StageRelayLate, class.String(),
 				b.M.Node().Index, uint64(subject), now, "budget exhausted")
 		default:
 			b.dropped++
-			b.observer().RelayFrame(re.TraceID, obs.StageRelayDrop, class.String(),
+			b.observer().Emit(re.TraceID, obs.StageRelayDrop, class.String(),
 				b.M.Node().Index, uint64(subject), now, "budget exhausted")
 			return
 		}
 	}
 	if err := b.R.Send(re); err != nil {
 		b.dropped++
-		b.observer().RelayFrame(re.TraceID, obs.StageRelayDrop, class.String(),
+		b.observer().Emit(re.TraceID, obs.StageRelayDrop, class.String(),
 			b.M.Node().Index, uint64(subject), now, "send: "+err.Error())
 		return
 	}
 	b.forwarded++
 	if o := b.observer(); o.Enabled() {
-		o.RelayFrame(re.TraceID, obs.StageRelayTx, class.String(),
+		o.Emit(re.TraceID, obs.StageRelayTx, class.String(),
 			b.M.Node().Index, uint64(subject), now,
 			fmt.Sprintf("hop %d budget %v", re.Hops, re.Budget))
 	}
@@ -313,18 +313,18 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 	switch {
 	case re.OriginSeg == b.Segment:
 		b.dropped++
-		b.observer().RelayFrame(re.TraceID, obs.StageRelayDrop, re.Class.String(),
+		b.observer().Emit(re.TraceID, obs.StageRelayDrop, re.Class.String(),
 			b.M.Node().Index, uint64(re.Subject), now, "loop: returned to origin segment")
 		return
 	case re.Hops+1 >= maxHops:
 		b.dropped++
-		b.observer().RelayFrame(re.TraceID, obs.StageRelayDrop, re.Class.String(),
+		b.observer().Emit(re.TraceID, obs.StageRelayDrop, re.Class.String(),
 			b.M.Node().Index, uint64(re.Subject), now, "hop limit")
 		return
 	}
 	re.Hops++
 	if o := b.observer(); o.Enabled() {
-		o.RelayFrame(re.TraceID, obs.StageRelayRx, re.Class.String(),
+		o.Emit(re.TraceID, obs.StageRelayRx, re.Class.String(),
 			b.M.Node().Index, uint64(re.Subject), now,
 			fmt.Sprintf("from %s hop %d budget %v", re.OriginSeg, re.Hops, re.Budget))
 	}
@@ -371,7 +371,7 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 	}
 	if err != nil {
 		b.dropped++
-		b.observer().RelayFrame(re.TraceID, obs.StageRelayDrop, re.Class.String(),
+		b.observer().Emit(re.TraceID, obs.StageRelayDrop, re.Class.String(),
 			b.M.Node().Index, uint64(re.Subject), now, "republish: "+err.Error())
 		return
 	}

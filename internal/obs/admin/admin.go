@@ -275,12 +275,12 @@ func (s *Server) inKernel(fn func()) {
 	fn()
 }
 
-func (s *Server) vnow() sim.Time {
-	var now sim.Time
-	if s.opts.Now != nil {
-		s.inKernel(func() { now = s.opts.Now() })
+// vnow reads the virtual clock; kernel context.
+func (s *Server) vnow() int64 {
+	if s.opts.Now == nil {
+		return 0
 	}
-	return now
+	return int64(s.opts.Now())
 }
 
 func (s *Server) flight() *obs.FlightRecorder {
@@ -340,9 +340,7 @@ func (s *sbuf) Write(p []byte) (int, error) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := Health{Status: "ok", Segment: s.opts.Segment, Uptime: time.Since(s.start).Seconds()}
 	s.inKernel(func() {
-		if s.opts.Now != nil {
-			h.VirtualNow = int64(s.opts.Now())
-		}
+		h.VirtualNow = s.vnow()
 		if s.opts.Channels != nil {
 			h.Channels = len(s.opts.Channels())
 		}
@@ -350,6 +348,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			h.ErrorPassive, h.BusOff, h.BusOffTotal = s.opts.ErrorState()
 		}
 		h.Breached = s.opts.SLO.Breached()
+		// The flight recorder is kernel-owned like everything above.
+		if f := s.flight(); f != nil {
+			h.FlightLen = f.Len()
+			h.Dumps = len(f.Dumps())
+		}
 	})
 	h.TraceBase = s.opts.Observer.TraceBase()
 	if s.opts.Relay != nil {
@@ -361,18 +364,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
-	if f := s.flight(); f != nil {
-		h.FlightLen = f.Len()
-		h.Dumps = len(f.Dumps())
-	}
 	if h.Breached {
 		h.Status = "breached"
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(h) //nolint:errcheck
-		return
 	}
 	writeJSON(w, h)
 }
@@ -394,9 +389,7 @@ func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	view := SLOView{Segment: s.opts.Segment, Objectives: []obs.Objective{}}
 	s.inKernel(func() {
-		if s.opts.Now != nil {
-			view.VirtualNow = int64(s.opts.Now())
-		}
+		view.VirtualNow = s.vnow()
 		if snap := s.opts.SLO.Snapshot(); snap != nil {
 			view.Enabled = true
 			view.Objectives = snap
@@ -437,8 +430,8 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, paths)
 		return
 	}
-	view := flightView{Enabled: true, PerNode: f.PerNode(), Dumps: f.Dumps()}
-	s.inKernel(func() { view.Records = f.Len() })
+	view := flightView{Enabled: true, PerNode: f.PerNode()}
+	s.inKernel(func() { view.Records, view.Dumps = f.Len(), f.Dumps() })
 	if view.Dumps == nil {
 		view.Dumps = []string{}
 	}
@@ -460,9 +453,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
 	view := AdmissionView{Segment: s.opts.Segment}
 	s.inKernel(func() {
-		if s.opts.Now != nil {
-			view.VirtualNow = int64(s.opts.Now())
-		}
+		view.VirtualNow = s.vnow()
 		if s.opts.Admission != nil {
 			view.Snapshot = s.opts.Admission()
 		}
@@ -479,9 +470,7 @@ func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleControl(w http.ResponseWriter, _ *http.Request) {
 	view := ControlView{Segment: s.opts.Segment, Loops: []ControlRow{}}
 	s.inKernel(func() {
-		if s.opts.Now != nil {
-			view.VirtualNow = int64(s.opts.Now())
-		}
+		view.VirtualNow = s.vnow()
 		if s.opts.Control != nil {
 			view.Enabled = true
 			if rows := s.opts.Control(); rows != nil {
@@ -496,9 +485,7 @@ func (s *Server) handleControl(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleWhy(w http.ResponseWriter, _ *http.Request) {
 	view := WhyView{Segment: s.opts.Segment}
 	s.inKernel(func() {
-		if s.opts.Now != nil {
-			view.VirtualNow = int64(s.opts.Now())
-		}
+		view.VirtualNow = s.vnow()
 		if s.opts.Why != nil {
 			view.Enabled = true
 			view.Snapshot = s.opts.Why()
@@ -511,6 +498,31 @@ func (s *Server) handleWhy(w http.ResponseWriter, _ *http.Request) {
 		view.Recent = []causal.ChainSummary{}
 	}
 	writeJSON(w, view)
+}
+
+// SystemOptions is the one wiring point between a core.System and the
+// admin plane: it fills every Options field that is a view of the system
+// (registry, observer, SLO, clock, channels, error state, admission, the
+// why producer of the causal analyzer attached to sys.Obs, if any) and
+// routes kernel reads through paced (nil for a free-running embedder).
+// Relay, Control and Profiler are the caller's to add.
+func SystemOptions(segment string, sys *core.System, paced *sim.Paced) Options {
+	why, _ := sys.Obs.Causal().(*causal.Analyzer)
+	opts := Options{
+		Segment:    segment,
+		Registry:   sys.Obs.Registry(),
+		Observer:   sys.Obs,
+		SLO:        sys.SLO,
+		Now:        sys.K.Now,
+		Channels:   SystemChannels(sys),
+		ErrorState: SystemErrorState(sys),
+		Admission:  SystemAdmission(sys),
+		Why:        SystemWhy(why),
+	}
+	if paced != nil {
+		opts.InKernel = paced.Call
+	}
+	return opts
 }
 
 // SystemWhy adapts an attached causal analyzer into Options.Why; a nil
@@ -541,8 +553,11 @@ func QoCRow(q control.QoC) ControlRow {
 // LoopRows adapts a set of control loops into the /control row
 // producer. The returned closure must run in kernel context (the Server
 // routes it through Options.InKernel) because Report reads live loop
-// state.
+// state. Without loops it is nil: /control serves enabled:false.
 func LoopRows(loops []*control.Loop) func() []ControlRow {
+	if len(loops) == 0 {
+		return nil
+	}
 	return func() []ControlRow {
 		rows := make([]ControlRow, 0, len(loops))
 		for _, l := range loops {

@@ -14,8 +14,7 @@ func nilObserverFastPath() {
 	id := o.Begin("SRT", 0, 0x42, 100)
 	o.Emit(id, StageEnqueued, "SRT", 0, 0x42, 110, "")
 	o.Adopt(id, "SRT", 0, 0x42, 120)
-	o.RelayFrame(id, StageRelayTx, "SRT", 0, 0x42, 130, "")
-	o.RelayBytes("tx", 16)
+	o.Emit(id, StageRelayTx, "SRT", 0, 0x42, 130, "")
 	o.SlotOutcome(true)
 	o.Copies("sent", 1)
 	o.ExceptionRaised("DeadlineMissed")

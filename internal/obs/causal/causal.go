@@ -254,11 +254,11 @@ type Analyzer struct {
 	recent  []Chain // last KeepRecent late/dropped chains
 	all     []Chain // when KeepAll
 
-	reg        *obs.Registry
-	mChains    map[string]*obs.Counter   // class|outcome
-	mDebit     map[string]*obs.Counter   // class|cause, ns
-	mLate      map[string]*obs.Counter   // class|cause (top cause of late chains)
-	mDebitHist map[string]*obs.Histogram // class|cause, µs per chain
+	// The canec_why_* families, nil without a Config.Registry.
+	mChains    *obs.CounterVec   // class, outcome
+	mDebit     *obs.CounterVec   // class, cause; ns
+	mLate      *obs.CounterVec   // class, top cause of late chains
+	mDebitHist *obs.HistogramVec // class, cause; µs per chain
 }
 
 // New builds an analyzer.
@@ -272,15 +272,29 @@ func New(cfg Config) *Analyzer {
 	if cfg.KeepRecent <= 0 {
 		cfg.KeepRecent = 32
 	}
-	return &Analyzer{
+	a := &Analyzer{
 		cfg:      cfg,
 		open:     make(map[uint64]*chainState),
 		busoffAt: make(map[int]sim.Time),
 		holdAt:   make(map[int]sim.Time),
 		admShed:  make(map[uint64]sim.Time),
 		byClass:  make(map[string]*classAgg),
-		reg:      cfg.Registry,
 	}
+	if r := cfg.Registry; r != nil {
+		a.mChains = r.CounterVec("canec_why_chains_total",
+			"Cause-attributed event chains finished by the why-late engine, by class and outcome.",
+			"class", "outcome")
+		a.mDebit = r.CounterVec("canec_why_debit_ns_total",
+			"Latency attributed by the why-late engine, by class and cause, in virtual nanoseconds.",
+			"class", "cause")
+		a.mDebitHist = r.LogHistogramVec("canec_why_debit_microseconds",
+			"Per-chain attributed debit by class and cause, in virtual microseconds (log buckets).",
+			1, 1e6, 50, "class", "cause")
+		a.mLate = r.CounterVec("canec_why_late_total",
+			"Late or dropped chains by class and attributed top cause.",
+			"class", "cause")
+	}
+	return a
 }
 
 // Analyze replays a record slice (a tracer dump or a flight-recorder

@@ -37,7 +37,7 @@ func (a *Analyzer) aggregate(ch Chain) {
 	if incident {
 		agg.lateTop[ch.Top]++
 	}
-	if a.reg != nil {
+	if a.mChains != nil {
 		a.metricChain(ch, dropped, incident)
 	}
 	if incident {
@@ -53,27 +53,13 @@ func (a *Analyzer) aggregate(ch Chain) {
 
 // metricChain maintains the canec_why_* families for one chain.
 func (a *Analyzer) metricChain(ch Chain, dropped, incident bool) {
-	if a.mChains == nil {
-		a.mChains = make(map[string]*obs.Counter)
-		a.mDebit = make(map[string]*obs.Counter)
-		a.mLate = make(map[string]*obs.Counter)
-		a.mDebitHist = make(map[string]*obs.Histogram)
-	}
 	outcome := "delivered"
 	if dropped {
 		outcome = "dropped"
 	} else if ch.Late {
 		outcome = "late"
 	}
-	key := ch.Class + "|" + outcome
-	c, ok := a.mChains[key]
-	if !ok {
-		c = a.reg.Counter("canec_why_chains_total",
-			"Cause-attributed event chains finished by the why-late engine, by class and outcome.",
-			obs.Labels{"class": ch.Class, "outcome": outcome})
-		a.mChains[key] = c
-	}
-	c.Inc()
+	a.mChains.With(ch.Class, outcome).Inc()
 	seen := make(map[Cause]sim.Duration)
 	var order []Cause
 	for _, s := range ch.Segments {
@@ -83,34 +69,11 @@ func (a *Analyzer) metricChain(ch Chain, dropped, incident bool) {
 		seen[s.Cause] += s.Debit
 	}
 	for _, cause := range order {
-		key := ch.Class + "|" + string(cause)
-		d, ok := a.mDebit[key]
-		if !ok {
-			d = a.reg.Counter("canec_why_debit_ns_total",
-				"Latency attributed by the why-late engine, by class and cause, in virtual nanoseconds.",
-				obs.Labels{"class": ch.Class, "cause": string(cause)})
-			a.mDebit[key] = d
-		}
-		d.Add(float64(seen[cause]))
-		h, ok := a.mDebitHist[key]
-		if !ok {
-			h = a.reg.LogHistogram("canec_why_debit_microseconds",
-				"Per-chain attributed debit by class and cause, in virtual microseconds (log buckets).",
-				obs.Labels{"class": ch.Class, "cause": string(cause)}, 1, 1e6, 50)
-			a.mDebitHist[key] = h
-		}
-		h.Observe(float64(seen[cause]) / 1e3)
+		a.mDebit.With(ch.Class, string(cause)).Add(float64(seen[cause]))
+		a.mDebitHist.With(ch.Class, string(cause)).Observe(float64(seen[cause]) / 1e3)
 	}
 	if incident {
-		key := ch.Class + "|" + string(ch.Top)
-		c, ok := a.mLate[key]
-		if !ok {
-			c = a.reg.Counter("canec_why_late_total",
-				"Late or dropped chains by class and attributed top cause.",
-				obs.Labels{"class": ch.Class, "cause": string(ch.Top)})
-			a.mLate[key] = c
-		}
-		c.Inc()
+		a.mLate.With(ch.Class, string(ch.Top)).Inc()
 	}
 }
 

@@ -16,11 +16,11 @@ func TestControlObserverMetricsAndRecords(t *testing.T) {
 
 	dev := 0.25
 	o.RegisterControlLoop("cart", func() float64 { return dev })
-	o.ControlLoopStage(StageCtrlSample, "cart", "SRT", 1, 10)
-	o.ControlLoopStage(StageCtrlCommand, "cart", "SRT", 2, 20)
-	o.ControlLoopStage(StageCtrlApply, "cart", "SRT", 1, 30)
-	o.ControlLoopStage(StageCtrlApply, "cart", "SRT", 1, 40)
-	o.ControlStale("cart", "SRT", 1, 50)
+	o.Emit(0, StageCtrlSample, "SRT", 1, 0, 10, "cart")
+	o.Emit(0, StageCtrlCommand, "SRT", 2, 0, 20, "cart")
+	o.Emit(0, StageCtrlApply, "SRT", 1, 0, 30, "cart")
+	o.Emit(0, StageCtrlApply, "SRT", 1, 0, 40, "cart")
+	o.Emit(0, StageCtrlStale, "SRT", 1, 0, 50, "cart")
 	o.ControlCost("cart", 0.5)
 	o.ControlCost("cart", 0.25)
 	o.ControlLatency("cart", 1500)
@@ -59,8 +59,7 @@ func TestControlObserverMetricsAndRecords(t *testing.T) {
 
 	// The whole hook surface must be inert on a nil observer.
 	var nilObs *Observer
-	nilObs.ControlLoopStage(StageCtrlSample, "x", "SRT", 0, 0)
-	nilObs.ControlStale("x", "SRT", 0, 0)
+	nilObs.Emit(0, StageCtrlSample, "SRT", 0, 0, 0, "x")
 	nilObs.ControlCost("x", 1)
 	nilObs.ControlLatency("x", 1)
 	nilObs.RegisterControlLoop("x", func() float64 { return 0 })

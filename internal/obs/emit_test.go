@@ -1,0 +1,174 @@
+package obs
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
+	"testing"
+
+	"canec/internal/sim"
+)
+
+// stageSeries is the whole stage→counter table as seen from outside: the
+// one sample line Emit(7, stage, "SRT", 1, 0x42, 10, "why") must add to
+// the exposition, or "" for a record-only stage. Bus stages are
+// record-only here because busEvent counts them from can.TraceEvents.
+var stageSeries = map[Stage]string{
+	StagePublished:       `canec_events_published_total{class="SRT"} 1`,
+	StageEnqueued:        "",
+	StagePromoted:        `canec_srt_promotions_total 1`,
+	StageArbWon:          "",
+	StageArbLost:         "",
+	StageTxStart:         "",
+	StageTxOK:            "",
+	StageTxErr:           "",
+	StageTxAbort:         "",
+	StageRx:              "",
+	StageDelivered:       `canec_events_delivered_total{class="SRT"} 1`,
+	StageDropped:         `canec_events_dropped_total{reason="why"} 1`,
+	StageExpired:         `canec_events_dropped_total{reason="expired"} 1`,
+	StageShed:            `canec_events_dropped_total{reason="shed"} 1`,
+	StageMissed:          "",
+	StageGuardMuted:      "",
+	StageGuardIsolated:   "",
+	StageErrorPassive:    "",
+	StageErrorActive:     "",
+	StageBusOff:          "",
+	StageBusOffRecovered: "",
+	StageNodeDown:        `canec_node_lifecycle_total{event="node_down"} 1`,
+	StageNodeRestart:     `canec_node_lifecycle_total{event="node_restart"} 1`,
+	StageNodeUp:          `canec_node_lifecycle_total{event="node_up"} 1`,
+	StageAgentTakeover:   `canec_control_plane_total{event="agent_takeover"} 1`,
+	StageMasterTakeover:  `canec_control_plane_total{event="master_takeover"} 1`,
+	StageHoldoverEnter:   `canec_control_plane_total{event="holdover_enter"} 1`,
+	StageHoldoverExit:    `canec_control_plane_total{event="holdover_exit"} 1`,
+	StageRelayTx:         `canec_relay_forwarded_total{class="SRT"} 1`,
+	StageRelayRx:         "",
+	StageRelayDrop:       `canec_relay_dropped_total{class="SRT",reason="why"} 1`,
+	StageRelayLate:       `canec_relay_late_total{class="SRT",reason="why"} 1`,
+	StageRelayUp:         `canec_relay_link_total{event="relay_up"} 1`,
+	StageRelayDown:       `canec_relay_link_total{event="relay_down"} 1`,
+	StageRelayRedial:     `canec_relay_link_total{event="relay_redial"} 1`,
+	StageAdmitted:        "",
+	StageAdmitRejected:   "",
+	StageAdmitShed:       "",
+	StageSLOBreach:       "",
+	StageCtrlSample:      `canec_control_loop_stages_total{loop="why",stage="ctrl_sample"} 1`,
+	StageCtrlCommand:     `canec_control_loop_stages_total{loop="why",stage="ctrl_command"} 1`,
+	StageCtrlApply:       `canec_control_loop_stages_total{loop="why",stage="ctrl_apply"} 1`,
+	StageCtrlStale:       `canec_control_stale_ticks_total{loop="why"} 1`,
+}
+
+// declaredStages lists the Stage constants of tracer.go from its syntax,
+// so the table above cannot fall behind the declaration.
+func declaredStages(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "tracer.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		if id, ok := vs.Type.(*ast.Ident); ok && id.Name == "Stage" {
+			for _, name := range vs.Names {
+				names = append(names, name.Name)
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// TestEmitStageTable drives Emit with every Stage constant and pins the
+// exact family and label delta, including "no family" for record-only
+// stages: a stage added to tracer.go fails here until it is entered in
+// stageSeries, so it cannot be silently uncounted.
+func TestEmitStageTable(t *testing.T) {
+	if declared := declaredStages(t); len(declared) != len(stageSeries) {
+		t.Fatalf("tracer.go declares %d stages %v, stageSeries covers %d",
+			len(declared), declared, len(stageSeries))
+	}
+	now := func() sim.Time { return 10 }
+	baseline := expose(t, New(Config{Metrics: true}, now, testBandMap()).Registry())
+	for stage, want := range stageSeries {
+		o := New(Config{Trace: true, Metrics: true}, now, testBandMap())
+		o.Emit(7, stage, "SRT", 1, 0x42, 10, "why")
+
+		recs := o.Records()
+		if len(recs) != 1 || recs[0] != (Record{ID: 7, Stage: stage, At: 10, Node: 1,
+			Class: "SRT", Subject: 0x42, Prio: -1, Detail: "why"}) {
+			t.Errorf("%s: records = %+v", stage, recs)
+		}
+
+		var added []string
+		for _, line := range strings.Split(expose(t, o.Registry()), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") && !strings.Contains(baseline, line+"\n") {
+				added = append(added, line)
+			}
+		}
+		switch {
+		case want == "" && len(added) != 0:
+			t.Errorf("%s is record-only but added %q", stage, added)
+		case want != "" && (len(added) != 1 || added[0] != want):
+			t.Errorf("%s added %q, want exactly %q", stage, added, want)
+		}
+	}
+	// An empty drop detail is counted under the generic reason.
+	o := New(Config{Metrics: true}, now, testBandMap())
+	o.Emit(7, StageDropped, "SRT", 1, 0x42, 10, "")
+	if out := expose(t, o.Registry()); !strings.Contains(out, `canec_events_dropped_total{reason="dropped"} 1`) {
+		t.Errorf("empty drop reason not counted as \"dropped\":\n%s", out)
+	}
+}
+
+// TestPublishTimesStayBounded: a long-running observer retains at most
+// two generations of publish times however many events it has seen, and
+// an event older than that window reads as untraced — it yields no
+// latency sample rather than a wrong one.
+func TestPublishTimesStayBounded(t *testing.T) {
+	o := New(Config{Metrics: true}, func() sim.Time { return 0 }, testBandMap())
+	cycles := 1_000_000
+	if testing.Short() {
+		cycles = 3 * pubGeneration
+	}
+	first := o.Begin("SRT", 0, 0x42, 5)
+	for i := 1; i < cycles; i++ {
+		at := sim.Time(10 * i)
+		id := o.Begin("SRT", 0, 0x42, at)
+		if got, ok := o.PublishKernelTime(id); !ok || got != at {
+			t.Fatalf("cycle %d: PublishKernelTime = %v, %v", i, got, ok)
+		}
+		o.Delivered(id, "SRT", 1, 0x42, at+8000, "")
+		if n := len(o.pubAt.young) + len(o.pubAt.old); n > 2*pubGeneration {
+			t.Fatalf("cycle %d: %d publish times retained, bound is %d", i, n, 2*pubGeneration)
+		}
+	}
+	h := o.latencyHist.Find("0x42", "SRT").Snapshot()
+	if h.N() != uint64(cycles-1) || h.Sum() != 8*float64(cycles-1) {
+		t.Fatalf("latency samples: n=%d sum=%v, want %d × 8 µs", h.N(), h.Sum(), cycles-1)
+	}
+
+	// The very first event fell out of the window long ago.
+	if _, ok := o.PublishKernelTime(first); ok {
+		t.Fatal("an event older than two generations is still retained")
+	}
+	o.Delivered(first, "SRT", 1, 0x42, sim.Time(10*cycles), "")
+	if h.N() != uint64(cycles-1) {
+		t.Fatal("a forgotten event produced a latency sample")
+	}
+	if o.delivered.Sum("SRT") != float64(cycles) {
+		t.Fatalf("delivered = %v, want %d", o.delivered.Sum("SRT"), cycles)
+	}
+
+	// An adopted foreign ID lives in the same window.
+	o.Adopt(1<<40, "SRT", 2, 0x42, 99)
+	o.Adopt(1<<40, "SRT", 2, 0x42, 100) // re-adoption keeps the first time
+	if at, ok := o.PublishKernelTime(1 << 40); !ok || at != 99 {
+		t.Fatalf("adopted publish time = %v, %v", at, ok)
+	}
+}

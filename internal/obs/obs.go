@@ -83,7 +83,6 @@ var bandNames = []string{"hrt", "sync", "srt", "nrt", "other"}
 // conditionals.
 type Observer struct {
 	cfg    Config
-	now    func() sim.Time
 	bm     BandMap
 	tracer *Tracer
 	reg    *Registry
@@ -93,53 +92,47 @@ type Observer struct {
 	// nextID and pubAt live on the observer (not the tracer) because the
 	// e2e latency metric needs publish times even when tracing is off.
 	nextID uint64
-	pubAt  map[uint64]sim.Time
+	pubAt  pubTimes
 
 	// SubjectOf, if set, resolves wire etags back to subjects so
 	// bus-level stage records carry the channel subject (the system wires
 	// it to the shared binding table).
 	SubjectOf func(can.Etag) (uint64, bool)
 
-	published map[string]*Counter // by class
-	delivered map[string]*Counter
-	dropped   map[string]*Counter // by reason
-	latency   map[uint64]*Histogram
-	jitter    map[string]*Histogram // delivery jitter, by class
-	prevLat   map[uint64]float64    // last observed latency per subject, µs
-	sloBreach map[string]*Counter   // SLO breach transitions, by objective
+	// Metric families, all nil when metrics are off; declareFamilies names
+	// them and their labels. The first group is the stage→family table of
+	// middleware records (count), the second that of bus records
+	// (busEvent); the rest belong to one domain call each.
+	published, delivered, dropped, relayFwd, relayDrop, relayLate, relayLink,
+	lifecycle, ctrlplane, ctrlStages, ctrlStale *CounterVec
+	promotions *Counter
 
-	bandBusy    map[string]*Counter
-	retries     *Counter
-	arbLosses   *Counter
-	promotions  *Counter
-	slots       map[string]*Counter   // fired / unused
-	copies      map[string]*Counter   // redundant / suppressed
-	frames      map[string]*Counter   // ok / err / abort
-	exceptions  map[string]*Counter   // by exception kind
-	watchdog    map[string]*Counter   // by new state
-	guardian    map[string]*Counter   // by band
-	busoff      map[string]*Counter   // bus-off entries, by node
-	admission   map[string]*Counter   // admission decisions, by class/decision/reason
-	lifecycle   map[string]*Counter   // by lifecycle stage
-	ctrlplane   map[string]*Counter   // by control-plane stage
-	relayFwd    map[string]*Counter   // relay forwarded, by class
-	relayDrop   map[string]*Counter   // relay drops, by class:reason
-	relayLink   map[string]*Counter   // relay link transitions, by stage
-	relayBytes  map[string]*Counter   // relay bytes, by direction
-	ctrlStages  map[string]*Counter   // control-loop stages, by loop:stage
-	ctrlStale   map[string]*Counter   // stale plant ticks, by loop
-	ctrlCost    map[string]*Counter   // accrued quadratic control cost, by loop
-	ctrlLat     map[string]*Histogram // sample→actuate loop latency, by loop
-	txStartAt   sim.Time
-	txStartBand string
-	txOpen      bool
+	bandBusy, guardian, frames, busoff *CounterVec
+	retries, arbLosses                 *Counter
+
+	slots, copies, exceptions, watchdog, admission, ctrlCost, sloBreach *CounterVec
+
+	latencyHist, jitter, ctrlLat *HistogramVec
+	latency                      map[uint64]*subjectLatency // by subject
+
+	// Wire occupancy in progress: start time and the band counter it will
+	// be charged to (nil while the wire is idle).
+	txStartAt sim.Time
+	txBusy    *Counter
+}
+
+// subjectLatency is one channel's end-to-end latency state: its histogram
+// and the previous delivery's latency (µs, negative before the first),
+// from which delivery jitter is derived.
+type subjectLatency struct {
+	h    *Histogram
+	prev float64
 }
 
 // New builds an observer. now is the kernel clock (sim.Kernel.Now); bm is
 // the system's priority band layout.
 func New(cfg Config, now func() sim.Time, bm BandMap) *Observer {
-	o := &Observer{cfg: cfg, now: now, bm: bm, pubAt: make(map[uint64]sim.Time),
-		nextID: cfg.TraceIDBase}
+	o := &Observer{cfg: cfg, bm: bm, nextID: cfg.TraceIDBase}
 	if cfg.Trace {
 		o.tracer = newTracer(cfg.TraceCap)
 	}
@@ -148,55 +141,109 @@ func New(cfg Config, now func() sim.Time, bm BandMap) *Observer {
 	}
 	if cfg.Metrics {
 		o.reg = NewRegistry()
-		o.published = make(map[string]*Counter)
-		o.delivered = make(map[string]*Counter)
-		o.dropped = make(map[string]*Counter)
-		o.latency = make(map[uint64]*Histogram)
-		o.jitter = make(map[string]*Histogram)
-		o.prevLat = make(map[uint64]float64)
-		o.sloBreach = make(map[string]*Counter)
-		o.bandBusy = make(map[string]*Counter)
-		o.slots = make(map[string]*Counter)
-		o.copies = make(map[string]*Counter)
-		o.frames = make(map[string]*Counter)
-		o.exceptions = make(map[string]*Counter)
-		o.watchdog = make(map[string]*Counter)
-		o.guardian = make(map[string]*Counter)
-		o.busoff = make(map[string]*Counter)
-		o.admission = make(map[string]*Counter)
-		o.lifecycle = make(map[string]*Counter)
-		o.ctrlplane = make(map[string]*Counter)
-		o.relayFwd = make(map[string]*Counter)
-		o.relayDrop = make(map[string]*Counter)
-		o.relayLink = make(map[string]*Counter)
-		o.relayBytes = make(map[string]*Counter)
-		o.ctrlStages = make(map[string]*Counter)
-		o.ctrlStale = make(map[string]*Counter)
-		o.ctrlCost = make(map[string]*Counter)
-		o.ctrlLat = make(map[string]*Histogram)
-		o.retries = o.reg.Counter("canec_arb_retries_total",
-			"Transmission attempts beyond the first (retransmissions after error frames).", nil)
-		o.arbLosses = o.reg.Counter("canec_arb_losses_total",
-			"Arbitration rounds lost by a competing frame.", nil)
-		o.promotions = o.reg.Counter("canec_srt_promotions_total",
-			"SRT identifier rewrites to a higher priority (dynamic promotion).", nil)
+		o.declareFamilies(o.reg)
 		for _, band := range bandNames {
-			band := band
-			o.bandBusy[band] = o.reg.Counter("canec_band_busy_ns_total",
-				"Wire time consumed by frames of each priority band, in virtual nanoseconds.",
-				Labels{"band": band})
+			busy := o.bandBusy.With(band)
 			o.reg.GaugeFunc("canec_band_utilization",
 				"Fraction of elapsed virtual time the bus carried frames of each band.",
 				Labels{"band": band}, func() float64 {
 					if now() == 0 {
 						return 0
 					}
-					return o.bandBusy[band].Value() / float64(now())
+					return busy.Value() / float64(now())
 				})
 		}
 	}
 	return o
 }
+
+// declareFamilies names every metric family the observer maintains. Only
+// the three unlabelled counters register here; a labelled family enters
+// the registry with its first child, so exposition order is first-use
+// order.
+func (o *Observer) declareFamilies(r *Registry) {
+	o.retries = r.Counter("canec_arb_retries_total",
+		"Transmission attempts beyond the first (retransmissions after error frames).", nil)
+	o.arbLosses = r.Counter("canec_arb_losses_total",
+		"Arbitration rounds lost by a competing frame.", nil)
+	o.promotions = r.Counter("canec_srt_promotions_total",
+		"SRT identifier rewrites to a higher priority (dynamic promotion).", nil)
+	o.bandBusy = r.CounterVec("canec_band_busy_ns_total",
+		"Wire time consumed by frames of each priority band, in virtual nanoseconds.", "band")
+
+	o.published = r.CounterVec("canec_events_published_total",
+		"Events handed to Publish, by channel class.", "class")
+	o.delivered = r.CounterVec("canec_events_delivered_total",
+		"Events delivered to a subscriber's notification handler, by channel class.", "class")
+	o.dropped = r.CounterVec("canec_events_dropped_total",
+		"Events that ended without delivery, by reason.", "reason")
+	o.relayFwd = r.CounterVec("canec_relay_forwarded_total",
+		"Events handed to a relay link for forwarding, by channel class.", "class")
+	o.relayDrop = r.CounterVec("canec_relay_dropped_total",
+		"Events shed by relay backpressure or budget policy, by class and reason.", "class", "reason")
+	o.relayLate = r.CounterVec("canec_relay_late_total",
+		"Events forwarded after their relay-deadline budget expired, by class and reason.", "class", "reason")
+	o.relayLink = r.CounterVec("canec_relay_link_total",
+		"Relay link lifecycle transitions: relay_up, relay_down, relay_redial.", "event")
+	o.lifecycle = r.CounterVec("canec_node_lifecycle_total",
+		"Whole-node lifecycle transitions: node_down, node_restart, node_up.", "event")
+	o.ctrlplane = r.CounterVec("canec_control_plane_total",
+		"Control-plane failover transitions: agent_takeover, master_takeover, holdover_enter, holdover_exit.", "event")
+	o.ctrlStages = r.CounterVec("canec_control_loop_stages_total",
+		"Closed-loop control workload stages (ctrl_sample, ctrl_command, ctrl_apply), by loop.", "loop", "stage")
+	o.ctrlStale = r.CounterVec("canec_control_stale_ticks_total",
+		"Plant ticks executed under a stale held command (older than the loop's staleness bound), by loop.", "loop")
+
+	o.guardian = r.CounterVec("canec_guardian_mutes_total",
+		"Transmissions muted by the bus guardian, by priority band.", "band")
+	o.frames = r.CounterVec("canec_frames_total",
+		"Frame transmissions by outcome: ok, err (error frame), abort (single-shot).", "kind")
+	o.busoff = r.CounterVec("canec_can_busoff_total",
+		"Bus-off entries per node's CAN controller.", "node")
+
+	o.slots = r.CounterVec("canec_hrt_slots_total",
+		"Calendar slot occurrences by outcome: fired (occupied) or unused (reclaimed).", "outcome")
+	o.copies = r.CounterVec("canec_hrt_copies_total",
+		"Redundant HRT copy accounting: sent vs suppressed (reclaimed).", "kind")
+	o.exceptions = r.CounterVec("canec_exceptions_total",
+		"Middleware exceptions raised, by kind.", "kind")
+	o.watchdog = r.CounterVec("canec_watchdog_transitions_total",
+		"Publisher liveness transitions observed by watchdogs, by new state.", "state")
+	o.admission = r.CounterVec("canec_admission_total",
+		"Probabilistic admission-control decisions, by channel class, decision and typed reason.",
+		"class", "decision", "reason")
+	o.ctrlCost = r.CounterVec("canec_control_cost_total",
+		"Accrued quadratic control cost (state + input, time-integrated), by loop.", "loop")
+	o.sloBreach = r.CounterVec("canec_slo_breaches_total",
+		"SLO breach-enter transitions, by objective.", "objective")
+
+	horizon := o.cfg.LatencyHorizon
+	if horizon <= 0 {
+		horizon = 50 * sim.Millisecond
+	}
+	buckets := o.cfg.LatencyBuckets
+	if buckets <= 0 {
+		buckets = 50
+	}
+	o.latency = make(map[uint64]*subjectLatency)
+	o.latencyHist = r.LogHistogramVec("canec_e2e_latency_microseconds",
+		"Publish-to-delivery latency per channel, in virtual microseconds (log buckets).",
+		latencyHistMin, float64(horizon)/1e3, buckets, "subject", "class")
+	o.jitter = r.LogHistogramVec("canec_delivery_jitter_microseconds",
+		"Absolute latency delta between consecutive deliveries on a channel, by class (log buckets).",
+		jitterHistMin, float64(horizon)/1e3, buckets, "class")
+	o.ctrlLat = r.LogHistogramVec("canec_control_loop_latency_microseconds",
+		"Sensor-sample to actuator-apply latency of closed control loops, in microseconds.",
+		1, 1e6, 60, "loop")
+}
+
+// latencyHistMin is the lower edge (µs) of the log-bucketed latency
+// histograms; jitterHistMin the lower edge of the jitter ones (sub-µs,
+// because perfectly regular HRT delivery produces near-zero deltas).
+const (
+	latencyHistMin = 1.0
+	jitterHistMin  = 0.1
+)
 
 // Enabled reports whether the observer exists (convenience for callers
 // holding a possibly-nil pointer).
@@ -283,6 +330,56 @@ func (o *Observer) Causal() CausalSink {
 	return o.causal
 }
 
+// emit is the single path of a middleware-side stage record: the
+// stage→counter table first, then the record sinks. Callers hold a
+// non-nil observer.
+func (o *Observer) emit(r Record) {
+	if o.reg != nil {
+		o.count(r)
+	}
+	o.emitRecord(r)
+}
+
+// count is the whole stage→counter table. Stages without a case are
+// record-only. Records that belong to a loop or a link rather than an
+// event carry its name or the drop reason in Detail.
+func (o *Observer) count(r Record) {
+	switch r.Stage {
+	case StagePublished:
+		o.published.With(r.Class).Inc()
+	case StageDelivered:
+		o.delivered.With(r.Class).Inc()
+	case StagePromoted:
+		o.promotions.Inc()
+	case StageExpired:
+		o.dropped.With("expired").Inc()
+	case StageShed:
+		o.dropped.With("shed").Inc()
+	case StageDropped:
+		reason := r.Detail
+		if reason == "" {
+			reason = "dropped"
+		}
+		o.dropped.With(reason).Inc()
+	case StageRelayTx:
+		o.relayFwd.With(r.Class).Inc()
+	case StageRelayDrop:
+		o.relayDrop.With(r.Class, r.Detail).Inc()
+	case StageRelayLate:
+		o.relayLate.With(r.Class, r.Detail).Inc()
+	case StageRelayUp, StageRelayDown, StageRelayRedial:
+		o.relayLink.With(string(r.Stage)).Inc()
+	case StageNodeDown, StageNodeRestart, StageNodeUp:
+		o.lifecycle.With(string(r.Stage)).Inc()
+	case StageAgentTakeover, StageMasterTakeover, StageHoldoverEnter, StageHoldoverExit:
+		o.ctrlplane.With(string(r.Stage)).Inc()
+	case StageCtrlSample, StageCtrlCommand, StageCtrlApply:
+		o.ctrlStages.With(r.Detail, string(r.Stage)).Inc()
+	case StageCtrlStale:
+		o.ctrlStale.With(r.Detail).Inc()
+	}
+}
+
 // emitRecord fans one stage record out to the tracer (when tracing is
 // on), the flight recorder and the causal analyzer (when attached).
 // Callers already hold a non-nil observer; any sink may still be absent.
@@ -311,14 +408,10 @@ func (o *Observer) Begin(class string, node int, subject uint64, at sim.Time) ui
 	if o == nil {
 		return 0
 	}
-	if o.reg != nil {
-		o.classCounter(o.published, "canec_events_published_total",
-			"Events handed to Publish, by channel class.", class).Inc()
-	}
 	o.nextID++
 	id := o.nextID
-	o.pubAt[id] = at
-	o.emitRecord(Record{ID: id, Stage: StagePublished, At: at, Node: node,
+	o.pubAt.put(id, at)
+	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: node,
 		Class: class, Subject: subject, Prio: -1})
 	return id
 }
@@ -333,114 +426,23 @@ func (o *Observer) Adopt(id uint64, class string, node int, subject uint64, at s
 	if o == nil || id == 0 {
 		return
 	}
-	if o.reg != nil {
-		o.classCounter(o.published, "canec_events_published_total",
-			"Events handed to Publish, by channel class.", class).Inc()
+	if _, ok := o.pubAt.get(id); !ok {
+		o.pubAt.put(id, at)
 	}
-	if _, ok := o.pubAt[id]; !ok {
-		o.pubAt[id] = at
-	}
-	o.emitRecord(Record{ID: id, Stage: StagePublished, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: node,
 		Class: class, Subject: subject, Prio: -1, Detail: "relayed"})
 }
 
-// RelayFrame records a relay-hop stage of one event (relay_tx, relay_rx,
-// relay_drop, relay_late) and maintains the relay forwarding counters.
-// detail carries the drop reason or the peer/link annotation.
-func (o *Observer) RelayFrame(id uint64, stage Stage, class string, node int, subject uint64, at sim.Time, detail string) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		switch stage {
-		case StageRelayTx:
-			c, ok := o.relayFwd[class]
-			if !ok {
-				c = o.reg.Counter("canec_relay_forwarded_total",
-					"Events handed to a relay link for forwarding, by channel class.",
-					Labels{"class": class})
-				o.relayFwd[class] = c
-			}
-			c.Inc()
-		case StageRelayDrop, StageRelayLate:
-			key := string(stage) + ":" + class + ":" + detail
-			c, ok := o.relayDrop[key]
-			if !ok {
-				name := "canec_relay_dropped_total"
-				help := "Events shed by relay backpressure or budget policy, by class and reason."
-				if stage == StageRelayLate {
-					name = "canec_relay_late_total"
-					help = "Events forwarded after their relay-deadline budget expired, by class and reason."
-				}
-				c = o.reg.Counter(name, help, Labels{"class": class, "reason": detail})
-				o.relayDrop[key] = c
-			}
-			c.Inc()
-		}
-	}
-	o.emitRecord(Record{ID: id, Stage: stage, At: at, Node: node,
-		Class: class, Subject: subject, Prio: -1, Detail: detail})
-}
-
-// RelayLink records a relay link lifecycle transition (relay_up,
-// relay_down, relay_redial). Node is the local gateway station; the
-// records carry trace ID 0, and the chaos liveness checker reconstructs
-// flap windows and recovery from them.
-func (o *Observer) RelayLink(stage Stage, node int, at sim.Time, detail string) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		c, ok := o.relayLink[string(stage)]
-		if !ok {
-			c = o.reg.Counter("canec_relay_link_total",
-				"Relay link lifecycle transitions: relay_up, relay_down, relay_redial.",
-				Labels{"event": string(stage)})
-			o.relayLink[string(stage)] = c
-		}
-		c.Inc()
-	}
-	o.emitRecord(Record{Stage: stage, At: at, Node: node, Prio: -1, Detail: detail})
-}
-
-// RelayBytes accounts wire bytes crossing relay links, by direction
-// ("tx" or "rx").
-func (o *Observer) RelayBytes(dir string, n int) {
-	if o == nil || o.reg == nil || n <= 0 {
-		return
-	}
-	c, ok := o.relayBytes[dir]
-	if !ok {
-		c = o.reg.Counter("canec_relay_bytes_total",
-			"Bytes crossing relay links, by direction.", Labels{"dir": dir})
-		o.relayBytes[dir] = c
-	}
-	c.Add(float64(n))
-}
-
-// Emit records a middleware-side stage record and maintains the stage's
-// associated counters.
+// Emit records one middleware-side stage of an event, a loop, a link or a
+// station and maintains the stage's counters (see count). Records that do
+// not belong to one event — node lifecycle, control-plane failover, relay
+// link transitions, control-loop stages — carry trace ID 0 and subject 0;
+// detail is the drop reason, the peer/link annotation or the loop name.
 func (o *Observer) Emit(id uint64, stage Stage, class string, node int, subject uint64, at sim.Time, detail string) {
 	if o == nil {
 		return
 	}
-	if o.reg != nil {
-		switch stage {
-		case StagePromoted:
-			o.promotions.Inc()
-		case StageExpired:
-			o.reasonCounter("expired").Inc()
-		case StageShed:
-			o.reasonCounter("shed").Inc()
-		case StageDropped:
-			reason := detail
-			if reason == "" {
-				reason = "dropped"
-			}
-			o.reasonCounter(reason).Inc()
-		}
-	}
-	o.emitRecord(Record{ID: id, Stage: stage, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: stage, At: at, Node: node,
 		Class: class, Subject: subject, Prio: -1, Detail: detail})
 }
 
@@ -450,78 +452,45 @@ func (o *Observer) Delivered(id uint64, class string, node int, subject uint64, 
 	if o == nil {
 		return
 	}
-	if o.reg != nil {
-		o.classCounter(o.delivered, "canec_events_delivered_total",
-			"Events delivered to a subscriber's notification handler, by channel class.", class).Inc()
-	}
-	pub, havePub := o.pubAt[id]
-	o.emitRecord(Record{ID: id, Stage: StageDelivered, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: StageDelivered, At: at, Node: node,
 		Class: class, Subject: subject, Prio: -1, Detail: detail})
-	if o.reg != nil && havePub && at >= pub {
-		h, ok := o.latency[subject]
-		if !ok {
-			h = o.reg.LogHistogram("canec_e2e_latency_microseconds",
-				"Publish-to-delivery latency per channel, in virtual microseconds (log buckets).",
-				Labels{"subject": fmt.Sprintf("0x%x", subject), "class": class},
-				latencyHistMin, o.latencyHistMax(), o.latencyHistBuckets())
-			o.latency[subject] = h
+	if o.reg == nil {
+		return
+	}
+	pub, ok := o.pubAt.get(id)
+	if !ok || at < pub {
+		return
+	}
+	s, ok := o.latency[subject]
+	if !ok {
+		s = &subjectLatency{prev: -1,
+			h: o.latencyHist.With(fmt.Sprintf("0x%x", subject), class)}
+		o.latency[subject] = s
+	}
+	lat := float64(at-pub) / 1e3
+	s.h.Observe(lat)
+	// Delivery jitter: spread between consecutive deliveries' latency
+	// on the same channel, aggregated per class. For HRT this is the
+	// quantity the paper bounds by clock-sync precision.
+	if s.prev >= 0 {
+		d := lat - s.prev
+		if d < 0 {
+			d = -d
 		}
-		lat := float64(at-pub) / 1e3
-		h.Observe(lat)
-		// Delivery jitter: spread between consecutive deliveries' latency
-		// on the same channel, aggregated per class. For HRT this is the
-		// quantity the paper bounds by clock-sync precision.
-		if prev, ok := o.prevLat[subject]; ok {
-			d := lat - prev
-			if d < 0 {
-				d = -d
-			}
-			j, ok := o.jitter[class]
-			if !ok {
-				j = o.reg.LogHistogram("canec_delivery_jitter_microseconds",
-					"Absolute latency delta between consecutive deliveries on a channel, by class (log buckets).",
-					Labels{"class": class},
-					jitterHistMin, o.latencyHistMax(), o.latencyHistBuckets())
-				o.jitter[class] = j
-			}
-			j.Observe(d)
-		}
-		o.prevLat[subject] = lat
+		o.jitter.With(class).Observe(d)
 	}
-}
-
-// latencyHistMin is the lower edge (µs) of the log-bucketed latency
-// histograms; jitterHistMin the lower edge of the jitter ones (sub-µs,
-// because perfectly regular HRT delivery produces near-zero deltas).
-const (
-	latencyHistMin = 1.0
-	jitterHistMin  = 0.1
-)
-
-func (o *Observer) latencyHistMax() float64 {
-	horizon := o.cfg.LatencyHorizon
-	if horizon <= 0 {
-		horizon = 50 * sim.Millisecond
-	}
-	return float64(horizon) / 1e3
-}
-
-func (o *Observer) latencyHistBuckets() int {
-	if o.cfg.LatencyBuckets > 0 {
-		return o.cfg.LatencyBuckets
-	}
-	return 50
+	s.prev = lat
 }
 
 // JitterHist exposes the per-class delivery jitter histogram backend
 // (nil when metrics are off or no jitter sample was recorded yet). The
 // SLO engine evaluates windowed quantiles over its bucket deltas.
 func (o *Observer) JitterHist(class string) HistSource {
-	if o == nil || o.jitter == nil {
+	if o == nil || o.reg == nil {
 		return nil
 	}
-	h, ok := o.jitter[class]
-	if !ok {
+	h := o.jitter.Find(class)
+	if h == nil {
 		return nil
 	}
 	return h.Snapshot()
@@ -533,8 +502,7 @@ func (o *Observer) PublishKernelTime(id uint64) (sim.Time, bool) {
 	if o == nil || id == 0 {
 		return 0, false
 	}
-	at, ok := o.pubAt[id]
-	return at, ok
+	return o.pubAt.get(id)
 }
 
 // SlotOutcome counts a calendar slot occurrence: fired (an event rode it)
@@ -547,14 +515,7 @@ func (o *Observer) SlotOutcome(fired bool) {
 	if fired {
 		outcome = "fired"
 	}
-	c, ok := o.slots[outcome]
-	if !ok {
-		c = o.reg.Counter("canec_hrt_slots_total",
-			"Calendar slot occurrences by outcome: fired (occupied) or unused (reclaimed).",
-			Labels{"outcome": outcome})
-		o.slots[outcome] = c
-	}
-	c.Inc()
+	o.slots.With(outcome).Inc()
 }
 
 // Copies counts HRT redundancy bookkeeping: redundant copies actually
@@ -563,14 +524,7 @@ func (o *Observer) Copies(kind string, n uint64) {
 	if o == nil || o.reg == nil || n == 0 {
 		return
 	}
-	c, ok := o.copies[kind]
-	if !ok {
-		c = o.reg.Counter("canec_hrt_copies_total",
-			"Redundant HRT copy accounting: sent vs suppressed (reclaimed).",
-			Labels{"kind": kind})
-		o.copies[kind] = c
-	}
-	c.Add(float64(n))
+	o.copies.With(kind).Add(float64(n))
 }
 
 // ExceptionRaised counts a middleware exception by kind.
@@ -578,13 +532,7 @@ func (o *Observer) ExceptionRaised(kind string) {
 	if o == nil || o.reg == nil {
 		return
 	}
-	c, ok := o.exceptions[kind]
-	if !ok {
-		c = o.reg.Counter("canec_exceptions_total",
-			"Middleware exceptions raised, by kind.", Labels{"kind": kind})
-		o.exceptions[kind] = c
-	}
-	c.Inc()
+	o.exceptions.With(kind).Inc()
 }
 
 // AdmissionDecision counts one probabilistic admission-control decision:
@@ -594,15 +542,7 @@ func (o *Observer) AdmissionDecision(class, decision, reason string) {
 	if o == nil || o.reg == nil {
 		return
 	}
-	key := class + "|" + decision + "|" + reason
-	c, ok := o.admission[key]
-	if !ok {
-		c = o.reg.Counter("canec_admission_total",
-			"Probabilistic admission-control decisions, by channel class, decision and typed reason.",
-			Labels{"class": class, "decision": decision, "reason": reason})
-		o.admission[key] = c
-	}
-	c.Inc()
+	o.admission.With(class, decision, reason).Inc()
 }
 
 // WatchdogChange counts a liveness state transition observed by a node's
@@ -611,100 +551,7 @@ func (o *Observer) WatchdogChange(state string) {
 	if o == nil || o.reg == nil {
 		return
 	}
-	c, ok := o.watchdog[state]
-	if !ok {
-		c = o.reg.Counter("canec_watchdog_transitions_total",
-			"Publisher liveness transitions observed by watchdogs, by new state.",
-			Labels{"state": state})
-		o.watchdog[state] = c
-	}
-	c.Inc()
-}
-
-// NodeLifecycle records a whole-node lifecycle transition (StageNodeDown,
-// StageNodeRestart, StageNodeUp). The records carry trace ID 0: they belong
-// to a station, not an event, and chaos invariant checkers use them to
-// reconstruct crash windows from the trace alone.
-func (o *Observer) NodeLifecycle(stage Stage, node int, at sim.Time, detail string) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		c, ok := o.lifecycle[string(stage)]
-		if !ok {
-			c = o.reg.Counter("canec_node_lifecycle_total",
-				"Whole-node lifecycle transitions: node_down, node_restart, node_up.",
-				Labels{"event": string(stage)})
-			o.lifecycle[string(stage)] = c
-		}
-		c.Inc()
-	}
-	o.emitRecord(Record{Stage: stage, At: at, Node: node, Prio: -1, Detail: detail})
-}
-
-// ControlPlane records a control-plane failover transition
-// (StageAgentTakeover, StageMasterTakeover, StageHoldoverEnter,
-// StageHoldoverExit). Like node lifecycle records these carry trace ID 0:
-// they belong to a station role, not an event, and the chaos checkers read
-// takeover latencies and holdover windows from them.
-func (o *Observer) ControlPlane(stage Stage, node int, at sim.Time, detail string) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		c, ok := o.ctrlplane[string(stage)]
-		if !ok {
-			c = o.reg.Counter("canec_control_plane_total",
-				"Control-plane failover transitions: agent_takeover, master_takeover, holdover_enter, holdover_exit.",
-				Labels{"event": string(stage)})
-			o.ctrlplane[string(stage)] = c
-		}
-		c.Inc()
-	}
-	o.emitRecord(Record{Stage: stage, At: at, Node: node, Prio: -1, Detail: detail})
-}
-
-// ControlLoopStage counts one closed-loop workload stage (StageCtrlSample,
-// StageCtrlCommand, StageCtrlApply) for one named loop and, when tracing,
-// emits the stage record. The records carry trace ID 0: they belong to the
-// loop, not one bus event — the underlying sensor and command frames trace
-// normally under their own IDs.
-func (o *Observer) ControlLoopStage(stage Stage, loop, class string, node int, at sim.Time) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		key := loop + "|" + string(stage)
-		c, ok := o.ctrlStages[key]
-		if !ok {
-			c = o.reg.Counter("canec_control_loop_stages_total",
-				"Closed-loop control workload stages (ctrl_sample, ctrl_command, ctrl_apply), by loop.",
-				Labels{"loop": loop, "stage": string(stage)})
-			o.ctrlStages[key] = c
-		}
-		c.Inc()
-	}
-	o.emitRecord(Record{Stage: stage, At: at, Node: node, Class: class, Prio: -1, Detail: loop})
-}
-
-// ControlStale counts one plant tick driven by a held command older than
-// the loop's staleness bound, and emits StageCtrlStale when tracing — the
-// application-visible damage of late or lost frames.
-func (o *Observer) ControlStale(loop, class string, node int, at sim.Time) {
-	if o == nil {
-		return
-	}
-	if o.reg != nil {
-		c, ok := o.ctrlStale[loop]
-		if !ok {
-			c = o.reg.Counter("canec_control_stale_ticks_total",
-				"Plant ticks executed under a stale held command (older than the loop's staleness bound), by loop.",
-				Labels{"loop": loop})
-			o.ctrlStale[loop] = c
-		}
-		c.Inc()
-	}
-	o.emitRecord(Record{Stage: StageCtrlStale, At: at, Node: node, Class: class, Prio: -1, Detail: loop})
+	o.watchdog.With(state).Inc()
 }
 
 // ControlCost accrues quadratic control cost for one loop: delta is one
@@ -715,14 +562,7 @@ func (o *Observer) ControlCost(loop string, delta float64) {
 	if o == nil || o.reg == nil {
 		return
 	}
-	c, ok := o.ctrlCost[loop]
-	if !ok {
-		c = o.reg.Counter("canec_control_cost_total",
-			"Accrued quadratic control cost (state + input, time-integrated), by loop.",
-			Labels{"loop": loop})
-		o.ctrlCost[loop] = c
-	}
-	c.Add(delta)
+	o.ctrlCost.With(loop).Add(delta)
 }
 
 // ControlLatency records one measured sensor-sample → actuator-apply loop
@@ -731,14 +571,7 @@ func (o *Observer) ControlLatency(loop string, us float64) {
 	if o == nil || o.reg == nil {
 		return
 	}
-	h, ok := o.ctrlLat[loop]
-	if !ok {
-		h = o.reg.LogHistogram("canec_control_loop_latency_microseconds",
-			"Sensor-sample to actuator-apply latency of closed control loops, in microseconds.",
-			Labels{"loop": loop}, 1, 1e6, 60)
-		o.ctrlLat[loop] = h
-	}
-	h.Observe(us)
+	o.ctrlLat.With(loop).Observe(us)
 }
 
 // RegisterControlLoop installs a collection-time gauge exposing one loop's
@@ -784,27 +617,6 @@ func (o *Observer) RegisterErrorState(node int, tec, rec, state func() int) {
 		labels, func() float64 { return float64(state()) })
 }
 
-// classCounter memoises a per-class counter family.
-func (o *Observer) classCounter(m map[string]*Counter, name, help, class string) *Counter {
-	c, ok := m[class]
-	if !ok {
-		c = o.reg.Counter(name, help, Labels{"class": class})
-		m[class] = c
-	}
-	return c
-}
-
-// reasonCounter memoises the terminal-drop counter family.
-func (o *Observer) reasonCounter(reason string) *Counter {
-	c, ok := o.dropped[reason]
-	if !ok {
-		c = o.reg.Counter("canec_events_dropped_total",
-			"Events that ended without delivery, by reason.", Labels{"reason": reason})
-		o.dropped[reason] = c
-	}
-	return c
-}
-
 // InstallBus chains the observer into a bus's Trace hook (preserving any
 // existing hook) and enables arbitration tracing. Bus-level stages are
 // correlated to event traces through Frame.Tag.
@@ -822,124 +634,85 @@ func (o *Observer) InstallBus(b *can.Bus) {
 	}
 }
 
+// busStage maps each bus trace kind to its stage.
+var busStage = [...]Stage{
+	can.TraceTxStart:       StageTxStart,
+	can.TraceTxOK:          StageTxOK,
+	can.TraceTxError:       StageTxErr,
+	can.TraceTxAbort:       StageTxAbort,
+	can.TraceRx:            StageRx,
+	can.TraceArbWin:        StageArbWon,
+	can.TraceArbLoss:       StageArbLost,
+	can.TraceGuardMute:     StageGuardMuted,
+	can.TraceGuardIsolate:  StageGuardIsolated,
+	can.TraceErrorPassive:  StageErrorPassive,
+	can.TraceErrorActive:   StageErrorActive,
+	can.TraceBusOff:        StageBusOff,
+	can.TraceBusOffRecover: StageBusOffRecovered,
+}
+
 // busEvent translates one bus trace event into a stage record and metrics.
+// Bus records are most of the stream, so they keep their own short metric
+// switch instead of paying the middleware table in count.
 func (o *Observer) busEvent(e can.TraceEvent) {
+	if uint(e.Kind) >= uint(len(busStage)) {
+		return
+	}
 	prio := e.Frame.ID.Prio()
 	band := o.bm.Band(prio)
-	var stage Stage
-	node := e.Sender
-	switch e.Kind {
-	case can.TraceArbWin:
-		stage = StageArbWon
-	case can.TraceArbLoss:
-		stage = StageArbLost
-		if o.reg != nil {
+	if o.reg != nil {
+		switch e.Kind {
+		case can.TraceArbLoss:
 			o.arbLosses.Inc()
-		}
-	case can.TraceTxStart:
-		stage = StageTxStart
-		if o.reg != nil {
+		case can.TraceTxStart:
 			if e.Attempt > 1 {
 				o.retries.Inc()
 			}
-			o.txStartAt, o.txStartBand, o.txOpen = e.At, band, true
+			o.txStartAt, o.txBusy = e.At, o.bandBusy.With(band)
+		case can.TraceTxOK:
+			o.closeWire(e.At)
+			o.frames.With("ok").Inc()
+		case can.TraceTxError:
+			o.closeWire(e.At)
+			o.frames.With("err").Inc()
+		case can.TraceTxAbort:
+			o.frames.With("abort").Inc()
+		case can.TraceGuardMute:
+			o.guardian.With(band).Inc()
+		case can.TraceBusOff:
+			o.busoff.With(fmt.Sprintf("%d", e.Sender)).Inc()
 		}
-	case can.TraceTxOK:
-		stage = StageTxOK
-		o.closeWire(e.At)
-	case can.TraceTxError:
-		stage = StageTxErr
-		o.closeWire(e.At)
-		if o.reg != nil {
-			o.frameCounter("err").Inc()
-		}
-	case can.TraceTxAbort:
-		stage = StageTxAbort
-		if o.reg != nil {
-			o.frameCounter("abort").Inc()
-		}
-	case can.TraceRx:
-		stage = StageRx
-		node = e.Recv
-	case can.TraceGuardMute:
-		stage = StageGuardMuted
-		if o.reg != nil {
-			c, ok := o.guardian[band]
-			if !ok {
-				c = o.reg.Counter("canec_guardian_mutes_total",
-					"Transmissions muted by the bus guardian, by priority band.",
-					Labels{"band": band})
-				o.guardian[band] = c
-			}
-			c.Inc()
-		}
-	case can.TraceGuardIsolate:
-		stage = StageGuardIsolated
+	}
+	if !o.recording() {
+		return
+	}
+	switch e.Kind {
 	case can.TraceErrorPassive, can.TraceErrorActive, can.TraceBusOff, can.TraceBusOffRecover:
 		// Fault-confinement transitions carry a zero frame (they belong to
-		// the controller, not an event), so they bypass the frame-derived
-		// record below: Node is the controller, Detail snapshots TEC/REC.
-		switch e.Kind {
-		case can.TraceErrorPassive:
-			stage = StageErrorPassive
-		case can.TraceErrorActive:
-			stage = StageErrorActive
-		case can.TraceBusOff:
-			stage = StageBusOff
-			if o.reg != nil {
-				key := fmt.Sprintf("%d", e.Sender)
-				c, ok := o.busoff[key]
-				if !ok {
-					c = o.reg.Counter("canec_can_busoff_total",
-						"Bus-off entries per node's CAN controller.",
-						Labels{"node": key})
-					o.busoff[key] = c
-				}
-				c.Inc()
-			}
-		case can.TraceBusOffRecover:
-			stage = StageBusOffRecovered
-		}
-		if o.recording() {
-			o.emitRecord(Record{Stage: stage, At: e.At, Node: e.Sender, Prio: -1,
-				Detail: fmt.Sprintf("tec=%d rec=%d", e.TEC, e.REC)})
-		}
-		return
-	default:
+		// the controller, not an event): Node is the controller, Detail
+		// snapshots TEC/REC.
+		o.emitRecord(Record{Stage: busStage[e.Kind], At: e.At, Node: e.Sender, Prio: -1,
+			Detail: fmt.Sprintf("tec=%d rec=%d", e.TEC, e.REC)})
 		return
 	}
-	if e.Kind == can.TraceTxOK && o.reg != nil {
-		o.frameCounter("ok").Inc()
+	node := e.Sender
+	if e.Kind == can.TraceRx {
+		node = e.Recv
 	}
-	if o.recording() {
-		etag := e.Frame.ID.Etag()
-		var subject uint64
-		if o.SubjectOf != nil {
-			subject, _ = o.SubjectOf(etag)
-		}
-		o.emitRecord(Record{ID: e.Frame.Tag, Stage: stage, At: e.At, Node: node,
-			Subject: subject, Etag: uint16(etag), Prio: int(prio), Band: band,
-			Attempt: e.Attempt})
+	etag := e.Frame.ID.Etag()
+	var subject uint64
+	if o.SubjectOf != nil {
+		subject, _ = o.SubjectOf(etag)
 	}
+	o.emitRecord(Record{ID: e.Frame.Tag, Stage: busStage[e.Kind], At: e.At, Node: node,
+		Subject: subject, Etag: uint16(etag), Prio: int(prio), Band: band,
+		Attempt: e.Attempt})
 }
 
 // closeWire attributes the finished wire occupancy to its band.
 func (o *Observer) closeWire(at sim.Time) {
-	if o.reg == nil || !o.txOpen {
-		return
+	if o.txBusy != nil {
+		o.txBusy.Add(float64(at - o.txStartAt))
+		o.txBusy = nil
 	}
-	o.bandBusy[o.txStartBand].Add(float64(at - o.txStartAt))
-	o.txOpen = false
-}
-
-// frameCounter memoises the frame outcome counters.
-func (o *Observer) frameCounter(kind string) *Counter {
-	c, ok := o.frames[kind]
-	if !ok {
-		c = o.reg.Counter("canec_frames_total",
-			"Frame transmissions by outcome: ok, err (error frame), abort (single-shot).",
-			Labels{"kind": kind})
-		o.frames[kind] = c
-	}
-	return c
 }

@@ -46,6 +46,9 @@ func TestWriteTextGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := b.String()
+	if err := ValidateExposition(strings.NewReader(got)); err != nil {
+		t.Errorf("golden registry renders an invalid exposition: %v", err)
+	}
 	path := filepath.Join("testdata", "prom_golden.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

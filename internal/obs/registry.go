@@ -217,6 +217,97 @@ func (r *Registry) LogHistogram(name, help string, labels Labels, min, max float
 	return in.h
 }
 
+// maxVecLabels bounds the label names of one family; the child key is a
+// fixed-size array so a look-up allocates nothing and label values cannot
+// collide through a separator.
+const maxVecLabels = 3
+
+type vecKey [maxVecLabels]string
+
+// vec is the one look-up-or-register implementation behind the labelled
+// families: children are created through reg on first use, which is also
+// when the family itself enters the registry, so exposition order stays
+// first-use order and a family without children is absent from WriteText.
+type vec[T any] struct {
+	names []string
+	reg   func(Labels) *T
+	by    map[vecKey]*T
+	keys  []vecKey // first-use order, for a deterministic Sum
+}
+
+func newVec[T any](names []string, reg func(Labels) *T) vec[T] {
+	if len(names) == 0 || len(names) > maxVecLabels {
+		panic(fmt.Sprintf("obs: a labelled family takes 1..%d label names, got %d", maxVecLabels, len(names)))
+	}
+	return vec[T]{names: names, reg: reg, by: make(map[vecKey]*T)}
+}
+
+func (v *vec[T]) key(values []string) (k vecKey) {
+	if len(values) != len(v.names) {
+		panic(fmt.Sprintf("obs: family with labels %v got %d values", v.names, len(values)))
+	}
+	copy(k[:], values)
+	return k
+}
+
+// With returns (registering on first use) the child with these label
+// values, given in the order of the family's label names.
+func (v *vec[T]) With(values ...string) *T {
+	k := v.key(values)
+	c, ok := v.by[k]
+	if !ok {
+		labels := make(Labels, len(values))
+		for i, name := range v.names {
+			labels[name] = values[i]
+		}
+		c = v.reg(labels)
+		v.by[k] = c
+		v.keys = append(v.keys, k)
+	}
+	return c
+}
+
+// Find returns the child with these label values, or nil when it was
+// never used; unlike With it registers nothing.
+func (v *vec[T]) Find(values ...string) *T { return v.by[v.key(values)] }
+
+// CounterVec is a counter family with a fixed set of label names.
+type CounterVec struct{ vec[Counter] }
+
+// CounterVec declares a labelled counter family. Nothing is registered
+// until the first With.
+func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
+	return &CounterVec{newVec(labelNames, func(l Labels) *Counter { return r.Counter(name, help, l) })}
+}
+
+// Sum adds the children whose first label values equal leading: Sum() is
+// the family total, a full tuple one child's value. It registers nothing.
+func (v *CounterVec) Sum(leading ...string) float64 {
+	var sum float64
+next:
+	for _, k := range v.keys {
+		for i, want := range leading {
+			if k[i] != want {
+				continue next
+			}
+		}
+		sum += v.by[k].Value()
+	}
+	return sum
+}
+
+// HistogramVec is a log-bucketed histogram family with a fixed set of
+// label names.
+type HistogramVec struct{ vec[Histogram] }
+
+// LogHistogramVec declares a labelled family of LogHistograms sharing one
+// bucket layout. Nothing is registered until the first With.
+func (r *Registry) LogHistogramVec(name, help string, min, max float64, buckets int, labelNames ...string) *HistogramVec {
+	return &HistogramVec{newVec(labelNames, func(l Labels) *Histogram {
+		return r.LogHistogram(name, help, l, min, max, buckets)
+	})}
+}
+
 // render writes one sample line: name{labels} value.
 func renderLine(b *strings.Builder, name, labels, extra string, v float64) {
 	b.WriteString(name)

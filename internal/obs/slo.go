@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 
 	"canec/internal/sim"
 )
@@ -262,38 +261,19 @@ func (s *SLO) Breached() bool {
 	return false
 }
 
-// counterSum adds the values of every counter in m whose key starts
-// with prefix ("" sums all).
-func counterSum(m map[string]*Counter, prefix string) float64 {
-	var v float64
-	for k, c := range m {
-		if prefix == "" || strings.HasPrefix(k, prefix) {
-			v += c.Value()
-		}
-	}
-	return v
-}
-
-func counterVal(m map[string]*Counter, key string) float64 {
-	if c, ok := m[key]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
 func (s *SLO) snapshot(at sim.Time) sloSample {
 	o := s.o
 	sm := sloSample{
 		at:     at,
-		srtPub: counterVal(o.published, "SRT"),
-		srtMiss: counterVal(o.exceptions, "DeadlineMissed") +
-			counterVal(o.exceptions, "ValidityExpired") +
-			counterSum(o.relayDrop, string(StageRelayDrop)+":SRT:"),
-		nrtDeliv:  counterVal(o.delivered, "NRT"),
-		mutes:     counterSum(o.guardian, ""),
-		holdovers: counterVal(o.ctrlplane, string(StageHoldoverEnter)),
-		busoffs:   counterSum(o.busoff, ""),
-		ctrlCost:  counterSum(o.ctrlCost, ""),
+		srtPub: o.published.Sum("SRT"),
+		srtMiss: o.exceptions.Sum("DeadlineMissed") +
+			o.exceptions.Sum("ValidityExpired") +
+			o.relayDrop.Sum("SRT"),
+		nrtDeliv:  o.delivered.Sum("NRT"),
+		mutes:     o.guardian.Sum(),
+		holdovers: o.ctrlplane.Sum(string(StageHoldoverEnter)),
+		busoffs:   o.busoff.Sum(),
+		ctrlCost:  o.ctrlCost.Sum(),
 	}
 	if h := o.JitterHist("HRT"); h != nil {
 		sm.jit.ok = true
@@ -477,13 +457,7 @@ func (s *SLO) enterBreach(ob *Objective, now sim.Time) {
 	ob.BreachedAt = now
 	ob.Breaches++
 	o := s.o
-	c, ok := o.sloBreach[ob.Name]
-	if !ok {
-		c = o.reg.Counter("canec_slo_breaches_total",
-			"SLO breach-enter transitions, by objective.", Labels{"objective": ob.Name})
-		o.sloBreach[ob.Name] = c
-	}
-	c.Inc()
+	o.sloBreach.With(ob.Name).Inc()
 	detail := fmt.Sprintf("%s: %.4g %s over short %.2fx / long %.2fx of budget %.4g",
 		ob.Name, ob.Long, ob.Unit, ob.ShortBurn, ob.LongBurn, ob.Budget)
 	// With the causal engine attached, the breach record carries the

@@ -35,19 +35,19 @@ func ObserveTrace(p *sim.Paced, o *obs.Observer, node int, next func(Event)) fun
 			now := p.Kernel().Now()
 			switch kind {
 			case "up":
-				o.RelayLink(obs.StageRelayUp, node, now, "peer "+e.Peer)
+				o.Emit(0, obs.StageRelayUp, "", node, 0, now, "peer "+e.Peer)
 			case "down":
-				o.RelayLink(obs.StageRelayDown, node, now, "peer "+e.Peer+": "+detail)
+				o.Emit(0, obs.StageRelayDown, "", node, 0, now, "peer "+e.Peer+": "+detail)
 			case "redial":
-				o.RelayLink(obs.StageRelayRedial, node, now, detail)
+				o.Emit(0, obs.StageRelayRedial, "", node, 0, now, detail)
 			case "drop":
 				if fr != nil {
-					o.RelayFrame(fr.TraceID, obs.StageRelayDrop, fr.Class.String(),
+					o.Emit(fr.TraceID, obs.StageRelayDrop, fr.Class.String(),
 						node, uint64(fr.Subject), now, detail)
 				}
 			case "late":
 				if fr != nil {
-					o.RelayFrame(fr.TraceID, obs.StageRelayLate, fr.Class.String(),
+					o.Emit(fr.TraceID, obs.StageRelayLate, fr.Class.String(),
 						node, uint64(fr.Subject), now, detail)
 				}
 			}
