@@ -25,18 +25,22 @@ race:
 chaos-smoke:
 	$(GO) test -race -short -run 'TestChaosSmokeSeeds|TestCampaignDeterministicPerSeed|TestCampaignControlPlaneFailover|TestCampaignControlPlaneDeterministic|TestBusOffAttackRecoveryAndHRTSurvival' ./internal/chaos/
 
+# busoff-smoke, control-smoke, admission-smoke and why-smoke drive canecsim
+# in-process (run(args, stdout, stderr)) as Go tests, so tier-1 runs them
+# too.
+#
 # busoff-smoke replays the bus-off adversary campaign end to end through
 # canecsim: the scripted attack must drive the victim bus-off, the
 # supervisor must bring it back, the guardian must isolate the attacker,
 # and every trace invariant must hold — deterministically.
 busoff-smoke:
-	./scripts/busoff_smoke.sh
+	$(GO) test -race -run TestBusoffSmoke ./cmd/canecsim
 
 # control-smoke replays the closed-loop control demo clean and under a
 # scripted bus-off attack on the controller station: the quality-of-
 # control measure must show the outage and the supervised recovery.
 control-smoke:
-	./scripts/control_smoke.sh
+	$(GO) test -race -run TestControlSmoke ./cmd/canecsim
 
 # admission-smoke replays the probabilistic-admission gate through
 # canecsim: on the over-admission scenario the overcommitted channel must
@@ -44,7 +48,7 @@ control-smoke:
 # marginal channel while the surviving admitted SRT channels keep the
 # target miss probability and HRT stays unaffected — deterministically.
 admission-smoke:
-	./scripts/admission_smoke.sh
+	$(GO) test -race -run TestAdmissionSmoke ./cmd/canecsim
 
 # fuzz-smoke runs each native fuzz target briefly (~5 s): the wire-facing
 # frame handlers (agent, client, syncer) and the codec round-trips must
@@ -78,7 +82,8 @@ obs-smoke:
 # bit-error campaign drives an SLO breach whose post-mortem must carry
 # the correct top cause through canecwhy — bit-identically, twice.
 why-smoke:
-	./scripts/why_smoke.sh
+	$(GO) test -race -run TestE19Attribution ./internal/experiments/
+	$(GO) test -race -run TestWhySmoke ./cmd/canecsim ./cmd/canecwhy
 
 # bench-smoke is the performance-trajectory gate: the committed
 # BENCH_seed.json self-compares clean, an injected regression trips the

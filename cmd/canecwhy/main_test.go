@@ -1,13 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"canec/internal/chaos"
 	"canec/internal/obs"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 )
 
@@ -27,14 +30,21 @@ func TestParseLateOver(t *testing.T) {
 	}
 }
 
-// TestCanecwhyEndToEnd runs the built binary over a post-mortem style
-// dump with a known injected cause and checks the ranked output.
-func TestCanecwhyEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+// buildCanecwhy builds the binary under test into dir.
+func buildCanecwhy(t *testing.T, dir string) string {
+	t.Helper()
 	bin := filepath.Join(dir, "canecwhy")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestCanecwhyEndToEnd runs the built binary over a post-mortem style
+// dump with a known injected cause and checks the ranked output.
+func TestCanecwhyEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCanecwhy(t, dir)
 	dump := filepath.Join(dir, "postmortem.jsonl")
 	f, err := os.Create(dump)
 	if err != nil {
@@ -78,5 +88,53 @@ func TestCanecwhyEndToEnd(t *testing.T) {
 	// A missing file fails with a non-zero status.
 	if out, err := exec.Command(bin, filepath.Join(dir, "nope.jsonl")).CombinedOutput(); err == nil {
 		t.Fatalf("missing file accepted:\n%s", out)
+	}
+}
+
+// TestWhySmokeRanking is the canecwhy half of the root-cause gate: the
+// committed why-late demo under its bit-error campaign breaches the SRT
+// miss SLO, and canecwhy over the breach post-mortem must rank the
+// injected cause first — identically for two runs of the campaign.
+func TestWhySmokeRanking(t *testing.T) {
+	bin := buildCanecwhy(t, t.TempDir())
+	verdict := func() string {
+		f, err := os.Open("../../testdata/scenario-why.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc, err := scenario.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, err := os.ReadFile("../../testdata/chaos-why.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Chaos = new(chaos.Script)
+		if err := json.Unmarshal(script, sc.Chaos); err != nil {
+			t.Fatal(err)
+		}
+		sc.FlightDir = t.TempDir()
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+		dumps, _ := filepath.Glob(filepath.Join(sc.FlightDir, "postmortem-*-slo-srt-miss-rate.jsonl"))
+		if len(dumps) == 0 {
+			t.Fatal("SLO breach produced no post-mortem dump")
+		}
+		out, err := exec.Command(bin, "-late-over", "srt=700us", dumps[0]).CombinedOutput()
+		if err != nil {
+			t.Fatalf("canecwhy: %v\n%s", err, out)
+		}
+		// The first line names the dump; the rest is the verdict.
+		return strings.ReplaceAll(string(out), sc.FlightDir, "")
+	}
+	first := verdict()
+	if !strings.Contains(first, "top causes: error_retransmit") {
+		t.Fatalf("canecwhy ranked the wrong root cause:\n%s", first)
+	}
+	if second := verdict(); second != first {
+		t.Fatalf("verdict is not deterministic:\n%s\nvs\n%s", first, second)
 	}
 }

@@ -189,7 +189,7 @@ type Loop struct {
 	pubAck     func(p []byte) error
 
 	qoc     QoC
-	band    float64  // settling band around the setpoint
+	band    float64 // settling band around the setpoint
 	hold    sim.Duration
 	lastOut sim.Time // last substep the output was outside the band
 	e0      float64  // initial error (overshoot normalisation)
@@ -461,77 +461,46 @@ func (l *Loop) wireActuator(mw *core.Middleware) error {
 	return nil
 }
 
-// announce opens and announces one publishing leg, returning a
-// class-appropriate publish closure: SRT events carry the loop period as
-// deadline (and twice it as expiration — a command two periods old is
-// worthless, shed it on the wire), HRT rides its calendar slot, NRT runs
-// best-effort at the band's default priority.
+// announce opens and announces one publishing leg and returns its publish
+// closure. The class decides what the leg declares and stamps: SRT events
+// carry the loop period as deadline (and twice it as expiration — a command
+// two periods old is worthless, shed it on the wire), HRT rides its
+// calendar slot, NRT runs best-effort at the band's default priority.
 func (l *Loop) announce(mw *core.Middleware, subject uint64, class core.Class, payload int) (func(p []byte) error, error) {
 	subj := binding.Subject(subject)
-	switch class {
-	case core.HRT:
-		ch, err := mw.HRTEC(subj)
-		if err != nil {
-			return nil, err
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: payload, Periodic: true}, nil); err != nil {
-			return nil, err
-		}
-		return func(p []byte) error {
-			return ch.Publish(core.Event{Subject: subj, Payload: p})
-		}, nil
-	case core.SRT:
-		ch, err := mw.SRTEC(subj)
-		if err != nil {
-			return nil, err
-		}
-		attrs := core.ChannelAttrs{Payload: payload, Period: l.cfg.Period, RelDeadline: l.cfg.Period}
-		if err := ch.Announce(attrs, nil); err != nil {
-			return nil, err
-		}
-		period := l.cfg.Period
-		return func(p []byte) error {
-			now := mw.LocalTime()
-			return ch.Publish(core.Event{Subject: subj, Payload: p, Attrs: core.EventAttrs{
-				Deadline: now + period, Expiration: now + 2*period}})
-		}, nil
-	default:
-		ch, err := mw.NRTEC(subj)
-		if err != nil {
-			return nil, err
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: payload}, nil); err != nil {
-			return nil, err
-		}
-		return func(p []byte) error {
-			return ch.Publish(core.Event{Subject: subj, Payload: p})
-		}, nil
+	ch, err := mw.Channel(class, subj)
+	if err != nil {
+		return nil, err
 	}
+	period := l.cfg.Period
+	attrs := core.ChannelAttrs{Payload: payload, Periodic: class == core.HRT}
+	if class == core.SRT {
+		attrs.Period, attrs.RelDeadline = period, period
+	}
+	if err := ch.Announce(attrs, nil); err != nil {
+		return nil, err
+	}
+	return func(p []byte) error {
+		ev := core.Event{Subject: subj, Payload: p}
+		if class == core.SRT {
+			now := mw.LocalTime()
+			ev.Attrs = core.EventAttrs{Deadline: now + period, Expiration: now + 2*period}
+		}
+		return ch.Publish(ev)
+	}, nil
 }
 
 func (l *Loop) subscribe(mw *core.Middleware, subject uint64, class core.Class, payload int, notify core.NotificationHandler) error {
-	subj := binding.Subject(subject)
-	switch class {
-	case core.HRT:
-		ch, err := mw.HRTEC(subj)
-		if err != nil {
-			return err
-		}
-		return ch.Subscribe(core.ChannelAttrs{Payload: payload, Periodic: true},
-			core.SubscribeAttrs{}, notify, nil)
-	case core.SRT:
-		ch, err := mw.SRTEC(subj)
-		if err != nil {
-			return err
-		}
-		return ch.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{}, notify, nil)
-	default:
-		ch, err := mw.NRTEC(subj)
-		if err != nil {
-			return err
-		}
-		return ch.Subscribe(core.ChannelAttrs{Payload: payload}, core.SubscribeAttrs{}, notify, nil)
+	ch, err := mw.Channel(class, binding.Subject(subject))
+	if err != nil {
+		return err
 	}
+	// An SRT subscriber declares nothing: deadlines are the publisher's.
+	var attrs core.ChannelAttrs
+	if class != core.SRT {
+		attrs = core.ChannelAttrs{Payload: payload, Periodic: class == core.HRT}
+	}
+	return ch.Subscribe(attrs, core.SubscribeAttrs{}, notify, nil)
 }
 
 // Report returns the loop's QoC snapshot: final after the run, live when

@@ -99,91 +99,14 @@ func (g *Bridge) Dropped() uint64 { return g.dropped }
 // ForwardSRT establishes bidirectional (or one-way) forwarding of a soft
 // real-time subject.
 func (g *Bridge) ForwardSRT(subject binding.Subject, dir Direction) error {
-	if dir == AtoB || dir == Both {
-		if err := g.forwardSRTOne(g.A, g.B, subject); err != nil {
-			return err
-		}
-	}
-	if dir == BtoA || dir == Both {
-		if err := g.forwardSRTOne(g.B, g.A, subject); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (g *Bridge) forwardSRTOne(from, to *core.Middleware, subject binding.Subject) error {
-	out, err := to.SRTEC(subject)
-	if err != nil {
-		return err
-	}
-	if err := out.Announce(core.ChannelAttrs{}, nil); err != nil {
-		return err
-	}
-	in, err := from.SRTEC(subject)
-	if err != nil {
-		return err
-	}
-	return in.Subscribe(core.ChannelAttrs{},
-		core.SubscribeAttrs{
-			// Never re-forward what this bridge injected on `from`, nor
-			// what a sibling bridge relayed in (ring safety).
-			ExcludePublishers: g.ingressExcludes(from),
-		},
-		func(ev core.Event, _ core.DeliveryInfo) {
-			g.relay(to, func() error {
-				now := to.LocalTime()
-				return out.Publish(core.WithTraceID(core.Event{
-					Subject: subject,
-					Payload: ev.Payload,
-					Attrs: core.EventAttrs{
-						Deadline:   now + g.RelayDeadline,
-						Expiration: now + 2*g.RelayDeadline,
-					},
-				}, ev.TraceID()))
-			})
-		}, nil)
+	return g.forward(core.SRT, subject, core.ChannelAttrs{}, dir)
 }
 
 // ForwardNRT establishes forwarding of a non real-time subject
 // (fragmenting channels reassemble on the ingress segment and re-fragment
 // on the egress one).
 func (g *Bridge) ForwardNRT(subject binding.Subject, attrs core.ChannelAttrs, dir Direction) error {
-	if dir == AtoB || dir == Both {
-		if err := g.forwardNRTOne(g.A, g.B, subject, attrs); err != nil {
-			return err
-		}
-	}
-	if dir == BtoA || dir == Both {
-		if err := g.forwardNRTOne(g.B, g.A, subject, attrs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (g *Bridge) forwardNRTOne(from, to *core.Middleware, subject binding.Subject, attrs core.ChannelAttrs) error {
-	out, err := to.NRTEC(subject)
-	if err != nil {
-		return err
-	}
-	if err := out.Announce(attrs, nil); err != nil {
-		return err
-	}
-	in, err := from.NRTEC(subject)
-	if err != nil {
-		return err
-	}
-	return in.Subscribe(attrs,
-		core.SubscribeAttrs{
-			ExcludePublishers: g.ingressExcludes(from),
-		},
-		func(ev core.Event, _ core.DeliveryInfo) {
-			g.relay(to, func() error {
-				return out.Publish(core.WithTraceID(
-					core.Event{Subject: subject, Payload: ev.Payload}, ev.TraceID()))
-			})
-		}, nil)
+	return g.forward(core.NRT, subject, attrs, dir)
 }
 
 // ForwardHRT forwards a hard real-time subject from one segment into a
@@ -198,40 +121,59 @@ func (g *Bridge) ForwardHRT(subject binding.Subject, attrs core.ChannelAttrs, di
 	if dir == Both {
 		return errors.New("gateway: HRT forwarding is per-direction (each needs its own slot)")
 	}
-	from, to := g.A, g.B
-	if dir == BtoA {
-		from, to = g.B, g.A
+	return g.forward(core.HRT, subject, attrs, dir)
+}
+
+func (g *Bridge) forward(class core.Class, subject binding.Subject, attrs core.ChannelAttrs, dir Direction) error {
+	if dir == AtoB || dir == Both {
+		if err := g.forwardOne(class, g.A, g.B, subject, attrs); err != nil {
+			return err
+		}
 	}
-	out, err := to.HRTEC(subject)
+	if dir == BtoA || dir == Both {
+		if err := g.forwardOne(class, g.B, g.A, subject, attrs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forwardOne announces the subject on `to`, subscribes on `from` and
+// republishes every delivery after the store-and-forward delay, keeping
+// the origin trace. An SRT copy gets a fresh per-segment deadline budget.
+func (g *Bridge) forwardOne(class core.Class, from, to *core.Middleware, subject binding.Subject, attrs core.ChannelAttrs) error {
+	out, err := to.Channel(class, subject)
 	if err != nil {
 		return err
 	}
 	if err := out.Announce(attrs, nil); err != nil {
 		return err
 	}
-	in, err := from.HRTEC(subject)
+	in, err := from.Channel(class, subject)
 	if err != nil {
 		return err
 	}
 	return in.Subscribe(attrs,
 		core.SubscribeAttrs{
+			// Never re-forward what this bridge injected on `from`, nor
+			// what a sibling bridge relayed in (ring safety).
 			ExcludePublishers: g.ingressExcludes(from),
 		},
 		func(ev core.Event, _ core.DeliveryInfo) {
-			g.relay(to, func() error {
-				return out.Publish(core.WithTraceID(
-					core.Event{Subject: subject, Payload: ev.Payload}, ev.TraceID()))
+			to.K.After(g.Delay, func() {
+				cp := core.Event{Subject: subject, Payload: ev.Payload}
+				if class == core.SRT {
+					now := to.LocalTime()
+					cp.Attrs = core.EventAttrs{
+						Deadline:   now + g.RelayDeadline,
+						Expiration: now + 2*g.RelayDeadline,
+					}
+				}
+				if err := out.Publish(core.WithTraceID(cp, ev.TraceID())); err != nil {
+					g.dropped++
+					return
+				}
+				g.forwarded++
 			})
 		}, nil)
-}
-
-// relay schedules the republication after the store-and-forward delay.
-func (g *Bridge) relay(to *core.Middleware, publish func() error) {
-	to.K.After(g.Delay, func() {
-		if err := publish(); err != nil {
-			g.dropped++
-			return
-		}
-		g.forwarded++
-	})
 }

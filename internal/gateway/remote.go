@@ -94,13 +94,20 @@ type RemoteBridge struct {
 	transit      map[uint64]transitEntry
 	transitOrder []uint64
 
-	forwarded   uint64
-	received    uint64
-	dropped     uint64
-	late        uint64
-	subjects    map[binding.Subject]core.Class
-	subscribed  bool
+	forwarded uint64
+	received  uint64
+	dropped   uint64
+	late      uint64
+	subjects  map[binding.Subject]core.Class
+	// egress holds the channel handle Announce opened per subject, so
+	// receive republishes without a binding look-up per relayed frame.
+	egress      map[binding.Subject]egressChannel
 	siblingsFwd []*RemoteBridge
+}
+
+type egressChannel struct {
+	class core.Class
+	ch    core.Channel
 }
 
 type transitEntry struct {
@@ -132,6 +139,7 @@ func NewRemote(m *core.Middleware, r Remote, segment string) (*RemoteBridge, err
 		RelayDeadline: 10 * sim.Millisecond,
 		transit:       make(map[uint64]transitEntry),
 		subjects:      make(map[binding.Subject]core.Class),
+		egress:        make(map[binding.Subject]egressChannel),
 	}
 	r.SetReceiver(b.receive)
 	return b, nil
@@ -188,33 +196,16 @@ func (b *RemoteBridge) Forward(class core.Class, subject binding.Subject, attrs 
 	if _, dup := b.subjects[subject]; dup {
 		return fmt.Errorf("gateway: subject %d already forwarded", subject)
 	}
-	sub := core.SubscribeAttrs{
-		// Never echo back what this bridge itself republished.
-		ExcludePublishers: []can.TxNode{b.M.Node().Ctrl.Node()},
+	ch, err := b.M.Channel(class, subject)
+	if err != nil {
+		return err
 	}
-	handler := func(ev core.Event, di core.DeliveryInfo) {
-		b.ship(class, subject, ev, di)
-	}
-	var err error
-	switch class {
-	case core.SRT:
-		var ch *core.SRTEC
-		if ch, err = b.M.SRTEC(subject); err == nil {
-			err = ch.Subscribe(attrs, sub, handler, nil)
-		}
-	case core.NRT:
-		var ch *core.NRTEC
-		if ch, err = b.M.NRTEC(subject); err == nil {
-			err = ch.Subscribe(attrs, sub, handler, nil)
-		}
-	case core.HRT:
-		var ch *core.HRTEC
-		if ch, err = b.M.HRTEC(subject); err == nil {
-			err = ch.Subscribe(attrs, sub, handler, nil)
-		}
-	default:
-		err = fmt.Errorf("gateway: unknown class %v", class)
-	}
+	err = ch.Subscribe(attrs,
+		core.SubscribeAttrs{
+			// Never echo back what this bridge itself republished.
+			ExcludePublishers: []can.TxNode{b.M.Node().Ctrl.Node()},
+		},
+		func(ev core.Event, di core.DeliveryInfo) { b.ship(class, subject, ev, di) }, nil)
 	if err != nil {
 		return err
 	}
@@ -226,27 +217,15 @@ func (b *RemoteBridge) Forward(class core.Class, subject binding.Subject, attrs 
 // channel the bridge republishes incoming remote events on. Call it once
 // per subject expected FROM the peer (the mirror of the peer's Forward).
 func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs core.ChannelAttrs) error {
-	switch class {
-	case core.SRT:
-		ch, err := b.M.SRTEC(subject)
-		if err != nil {
-			return err
-		}
-		return ch.Announce(attrs, nil)
-	case core.NRT:
-		ch, err := b.M.NRTEC(subject)
-		if err != nil {
-			return err
-		}
-		return ch.Announce(attrs, nil)
-	case core.HRT:
-		ch, err := b.M.HRTEC(subject)
-		if err != nil {
-			return err
-		}
-		return ch.Announce(attrs, nil)
+	ch, err := b.M.Channel(class, subject)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("gateway: unknown class %v", class)
+	if err := ch.Announce(attrs, nil); err != nil {
+		return err
+	}
+	b.egress[subject] = egressChannel{class: class, ch: ch}
+	return nil
 }
 
 // ship sends one locally delivered event to the peer, minting fresh
@@ -330,44 +309,26 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 	}
 	b.rememberTransit(re, now)
 
+	ev := core.Event{Subject: re.Subject, Payload: re.Payload}
+	if re.Class == core.SRT {
+		local := b.M.LocalTime()
+		dl := b.RelayDeadline
+		if dl <= 0 {
+			dl = 10 * sim.Millisecond
+		}
+		if re.Budget > 0 && re.Budget < dl {
+			dl = re.Budget
+		}
+		ev.Attrs = core.EventAttrs{Deadline: local + dl, Expiration: local + 2*dl}
+	}
 	var err error
-	switch re.Class {
-	case core.SRT:
-		var ch *core.SRTEC
-		if ch, err = b.M.SRTEC(re.Subject); err == nil {
-			local := b.M.LocalTime()
-			dl := b.RelayDeadline
-			if dl <= 0 {
-				dl = 10 * sim.Millisecond
-			}
-			if re.Budget > 0 && re.Budget < dl {
-				dl = re.Budget
-			}
-			err = ch.Publish(core.WithTraceID(core.Event{
-				Subject: re.Subject,
-				Payload: re.Payload,
-				Attrs: core.EventAttrs{
-					Deadline:   local + dl,
-					Expiration: local + 2*dl,
-				},
-			}, re.TraceID))
-		}
-	case core.NRT:
-		var ch *core.NRTEC
-		if ch, err = b.M.NRTEC(re.Subject); err == nil {
-			err = ch.Publish(core.WithTraceID(core.Event{
-				Subject: re.Subject, Payload: re.Payload,
-			}, re.TraceID))
-		}
-	case core.HRT:
-		var ch *core.HRTEC
-		if ch, err = b.M.HRTEC(re.Subject); err == nil {
-			err = ch.Publish(core.WithTraceID(core.Event{
-				Subject: re.Subject, Payload: re.Payload,
-			}, re.TraceID))
-		}
+	switch out, ok := b.egress[re.Subject]; {
+	case !ok:
+		err = core.ErrNotAnnounced
+	case out.class != re.Class:
+		err = core.ErrClassMismatch
 	default:
-		err = fmt.Errorf("gateway: unknown class %v", re.Class)
+		err = out.ch.Publish(core.WithTraceID(ev, re.TraceID))
 	}
 	if err != nil {
 		b.dropped++

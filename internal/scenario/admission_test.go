@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -13,16 +12,7 @@ import (
 // admitted interference under the planned error model.
 func admissionScenario(t *testing.T) *Scenario {
 	t.Helper()
-	f, err := os.Open("../../testdata/scenario-admission.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return committedScenario(t, "../../testdata/scenario-admission.json", "")
 }
 
 // TestAdmissionScenarioCleanRun: on a clean bus the schedulable channels

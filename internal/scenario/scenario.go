@@ -94,28 +94,15 @@ type ControlLoop struct {
 	Horizon int `json:"horizon,omitempty"`
 }
 
-// parseClass maps the JSON class names onto core classes.
-func parseClass(s string) (core.Class, error) {
-	switch s {
-	case "hrt", "HRT":
-		return core.HRT, nil
-	case "srt", "SRT":
-		return core.SRT, nil
-	case "nrt", "NRT":
-		return core.NRT, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown channel class %q", s)
-}
-
 // loopConfig lowers the JSON spec into the control package's config.
 func (c ControlLoop) loopConfig() (control.LoopConfig, error) {
-	class, err := parseClass(c.Class)
+	class, err := core.ParseClass(c.Class)
 	if err != nil {
 		return control.LoopConfig{}, err
 	}
 	ackClass := class
 	if c.AckClass != "" {
-		if ackClass, err = parseClass(c.AckClass); err != nil {
+		if ackClass, err = core.ParseClass(c.AckClass); err != nil {
 			return control.LoopConfig{}, err
 		}
 	}
@@ -537,8 +524,82 @@ func (r *Report) String() string {
 	return out
 }
 
-// Run executes the scenario and returns the report.
+// Run executes the scenario free-running and returns the report.
 func (s *Scenario) Run() (*Report, error) {
+	in, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	in.Sys.Run(in.End)
+	return in.Finish(), nil
+}
+
+// Instance is a built scenario: the system with every stream, control
+// loop and fault campaign wired and scheduled, not yet advanced. The
+// caller drives Sys to End — Sys.Run(End), or a sim.Paced over Sys.K with
+// an admin plane beside it — and then calls Finish.
+type Instance struct {
+	Sys *core.System
+	// End is the kernel time the run stops at.
+	End sim.Time
+	// Loops are the installed control loops, in scenario order.
+	Loops []*control.Loop
+
+	rep  *Report
+	camp *chaos.Campaign
+	why  *causal.Analyzer
+	// The first HRT stream's delivery times and slot period: the report's
+	// period jitter.
+	firstHRT  []sim.Time
+	hrtPeriod sim.Duration
+}
+
+// stream is one publisher → subscriber relation of the scenario, whatever
+// its class: what Build wires at start-up and re-wires when a chaos
+// restart hands a station a fresh middleware (the old handles die with
+// the crash).
+type stream struct {
+	class     core.Class
+	subject   binding.Subject
+	pub, sub  int
+	announce  core.ChannelAttrs
+	subscribe core.ChannelAttrs
+	notify    core.NotificationHandler
+	// ch is the publisher's current handle, one per stream so that several
+	// publishers of one subject each send from their own station; nil
+	// until announced (an admission-rejected stream never is).
+	ch core.Channel
+	// restart, if set, re-anchors the publish loop after a re-announce.
+	restart func()
+}
+
+// wirePub announces the stream on its publisher's middleware and keeps
+// the handle.
+func (st *stream) wirePub(mw *core.Middleware) error {
+	ch, err := mw.Channel(st.class, st.subject)
+	if err != nil {
+		return err
+	}
+	if err := ch.Announce(st.announce, nil); err != nil {
+		return err
+	}
+	st.ch = ch
+	return nil
+}
+
+// wireSub subscribes the stream's handler on its subscriber's middleware.
+func (st *stream) wireSub(mw *core.Middleware) error {
+	ch, err := mw.Channel(st.class, st.subject)
+	if err != nil {
+		return err
+	}
+	return ch.Subscribe(st.subscribe, core.SubscribeAttrs{}, st.notify, nil)
+}
+
+// Build validates the scenario and turns it into a wired Instance: the
+// calendar planned from the HRT streams, the system, one publish loop per
+// stream, the control loops and the chaos campaign.
+func (s *Scenario) Build() (*Instance, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -636,10 +697,18 @@ func (s *Scenario) Run() (*Report, error) {
 	if s.FaultRate > 0 {
 		sys.Bus.Injector = can.RandomErrors{Rate: s.FaultRate}
 	}
-	var why *causal.Analyzer
+	dur := sim.Duration(s.DurationMs) * sim.Millisecond
+	end := sys.Cfg.Epoch + dur
+	rep := &Report{
+		Name:       s.Name,
+		HRTLatency: stats.NewSeries("hrt"),
+		SRTLatency: stats.NewSeries("srt"),
+		Elapsed:    dur,
+	}
+	in := &Instance{Sys: sys, End: end - 600*sim.Microsecond, rep: rep}
 	if s.Why != nil {
-		why = causal.New(s.Why.causalConfig(sys.Obs.Registry()))
-		sys.Obs.AttachCausal(why)
+		in.why = causal.New(s.Why.causalConfig(sys.Obs.Registry()))
+		sys.Obs.AttachCausal(in.why)
 	}
 	recoverOff := s.BusOffAutoRecover != nil && !*s.BusOffAutoRecover
 	if s.ConfineFaults && recoverOff {
@@ -648,10 +717,9 @@ func (s *Scenario) Run() (*Report, error) {
 		}
 	}
 	var lc *core.Lifecycle
-	var camp *chaos.Campaign
 	if s.Chaos != nil {
 		lc = core.NewLifecycle(sys)
-		camp, err = chaos.NewCampaign(sys, lc, *s.Chaos)
+		in.camp, err = chaos.NewCampaign(sys, lc, *s.Chaos)
 		if err != nil {
 			return nil, err
 		}
@@ -665,59 +733,36 @@ func (s *Scenario) Run() (*Report, error) {
 	// down gates application publishing: the application on a crashed
 	// station is dead with it.
 	down := func(n int) bool { return lc != nil && lc.Down(n) }
-	dur := sim.Duration(s.DurationMs) * sim.Millisecond
-	end := sys.Cfg.Epoch + dur
-	rep := &Report{
-		Name:       s.Name,
-		HRTLatency: stats.NewSeries("hrt"),
-		SRTLatency: stats.NewSeries("srt"),
-		Elapsed:    dur,
-	}
+	mw := func(n int) *core.Middleware { return sys.Node(n).MW }
 
-	// Publisher and subscriber handles live in maps keyed by subject so a
-	// chaos restart can swap in the recovered node's fresh channels (the old
-	// middleware dies with the crash).
-	var firstHRTTimes []sim.Time
-	hrtPub := make(map[uint64]*core.HRTEC)
-	announceHRT := func(h HRTStream, mw *core.Middleware) error {
-		ch, err := mw.HRTEC(binding.Subject(h.Subject))
-		if err != nil {
-			return err
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: h.Payload, Periodic: true}, nil); err != nil {
-			return err
-		}
-		hrtPub[h.Subject] = ch
-		return nil
-	}
-	subscribeHRT := func(i int, h HRTStream, mw *core.Middleware) error {
-		sub, err := mw.HRTEC(binding.Subject(h.Subject))
-		if err != nil {
-			return err
-		}
-		return sub.Subscribe(core.ChannelAttrs{Payload: h.Payload, Periodic: true}, core.SubscribeAttrs{},
-			func(ev core.Event, di core.DeliveryInfo) {
+	var streams []*stream
+	for i, h := range s.HRT {
+		i, h := i, h
+		st := &stream{
+			class: core.HRT, subject: binding.Subject(h.Subject), pub: h.Publisher, sub: h.Subscriber,
+			announce:  core.ChannelAttrs{Payload: h.Payload, Periodic: true},
+			subscribe: core.ChannelAttrs{Payload: h.Payload, Periodic: true},
+			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if h.Payload >= 7 {
 					rep.HRTLatency.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
 				}
 				if i == 0 {
-					firstHRTTimes = append(firstHRTTimes, di.DeliveredAt)
+					in.firstHRT = append(in.firstHRT, di.DeliveredAt)
 				}
-			}, nil)
-	}
-	startHRT := make([]func(), len(s.HRT))
-	for i, h := range s.HRT {
-		i := i
-		h := h
-		subj := binding.Subject(h.Subject)
+			},
+		}
+		streams = append(streams, st)
 		slot := cal.SlotsForSubject(h.Subject)[0]
-		if err := announceHRT(h, sys.Node(h.Publisher).MW); err != nil {
+		if i == 0 {
+			in.hrtPeriod = slot.Period(cal.Round)
+		}
+		if err := st.wirePub(mw(st.pub)); err != nil {
 			return nil, err
 		}
 		// The publish task is host software: it schedules each round through
 		// the publisher's local clock, so it must die with a crash (the clock
 		// is cold until re-sync — wakeups computed through it would pile up
-		// and flood the recovered slot queue) and be re-anchored by OnRestart
+		// and flood the recovered slot queue) and be re-anchored by restart
 		// at the first round still ahead of the corrected clock. The
 		// generation counter retires a loop that never observed the outage
 		// (crash and restart both inside one publish period), or a doubled
@@ -726,23 +771,23 @@ func (s *Scenario) Run() (*Report, error) {
 		var loop func(r int64, g int)
 		loop = func(r int64, g int) {
 			local := sys.Cfg.Epoch + sim.Time(r)*cal.Round + slot.Ready - 300*sim.Microsecond
-			at := sys.Clocks[h.Publisher].WhenLocal(sys.K.Now(), local)
+			at := sys.Clocks[st.pub].WhenLocal(sys.K.Now(), local)
 			if at >= end {
 				return
 			}
 			sys.K.At(at, func() {
-				if down(h.Publisher) || gen != g {
+				if down(st.pub) || gen != g {
 					return
 				}
 				p := make([]byte, h.Payload)
 				putTS56(p, sys.K.Now())
-				hrtPub[h.Subject].Publish(core.Event{Subject: subj, Payload: p})
+				st.ch.Publish(core.Event{Subject: st.subject, Payload: p})
 				loop(slot.NextActive(r+1), g)
 			})
 		}
-		startHRT[i] = func() {
+		st.restart = func() {
 			gen++
-			rel := sys.Clocks[h.Publisher].Read(sys.K.Now()) - sys.Cfg.Epoch
+			rel := sys.Clocks[st.pub].Read(sys.K.Now()) - sys.Cfg.Epoch
 			next := int64(1)
 			if rel > 0 {
 				next = int64(rel/cal.Round) + 1
@@ -750,47 +795,32 @@ func (s *Scenario) Run() (*Report, error) {
 			loop(slot.NextActive(next), gen)
 		}
 		loop(slot.NextActive(0), 0)
-		if err := subscribeHRT(i, h, sys.Node(h.Subscriber).MW); err != nil {
+		if err := st.wireSub(mw(st.sub)); err != nil {
 			return nil, err
 		}
 	}
 
-	srtPub := make(map[uint64]*core.SRTEC)
-	announceSRT := func(r SRTStream, mw *core.Middleware) error {
-		ch, err := mw.SRTEC(binding.Subject(r.Subject))
-		if err != nil {
-			return err
-		}
-		attrs := core.ChannelAttrs{}
-		if s.Admission != nil {
-			// Under admission control the channel must declare its law:
-			// the analyzer admits it against this period and deadline.
-			attrs.Payload = r.Payload
-			attrs.Period = sim.Duration(r.MeanPeriodUs) * sim.Microsecond
-			attrs.RelDeadline = sim.Duration(r.DeadlineUs) * sim.Microsecond
-		}
-		if err := ch.Announce(attrs, nil); err != nil {
-			return err
-		}
-		srtPub[r.Subject] = ch
-		return nil
-	}
-	subscribeSRT := func(r SRTStream, mw *core.Middleware) error {
-		sub, err := mw.SRTEC(binding.Subject(r.Subject))
-		if err != nil {
-			return err
-		}
-		return sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-			func(ev core.Event, di core.DeliveryInfo) {
+	for _, r := range s.SRT {
+		r := r
+		st := &stream{
+			class: core.SRT, subject: binding.Subject(r.Subject), pub: r.Publisher, sub: r.Subscriber,
+			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if len(ev.Payload) >= 7 {
 					rep.SRTLatency.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
 				}
-			}, nil)
-	}
-	for _, r := range s.SRT {
-		r := r
-		subj := binding.Subject(r.Subject)
-		if err := announceSRT(r, sys.Node(r.Publisher).MW); err != nil {
+			},
+		}
+		if s.Admission != nil {
+			// Under admission control the channel must declare its law:
+			// the analyzer admits it against this period and deadline.
+			st.announce = core.ChannelAttrs{
+				Payload:     r.Payload,
+				Period:      sim.Duration(r.MeanPeriodUs) * sim.Microsecond,
+				RelDeadline: sim.Duration(r.DeadlineUs) * sim.Microsecond,
+			}
+		}
+		streams = append(streams, st)
+		if err := st.wirePub(mw(st.pub)); err != nil {
 			// A typed admission rejection is an expected outcome of an
 			// over-admission scenario: report it and run the stream out of
 			// the mix instead of failing the whole scenario.
@@ -803,7 +833,7 @@ func (s *Scenario) Run() (*Report, error) {
 			}
 			return nil, err
 		}
-		if err := subscribeSRT(r, sys.Node(r.Subscriber).MW); err != nil {
+		if err := st.wireSub(mw(st.sub)); err != nil {
 			return nil, err
 		}
 		var loop func()
@@ -811,8 +841,8 @@ func (s *Scenario) Run() (*Report, error) {
 			if sys.K.Now() >= end {
 				return
 			}
-			if !down(r.Publisher) {
-				now := sys.Node(r.Publisher).MW.LocalTime()
+			if !down(st.pub) {
+				now := mw(st.pub).LocalTime()
 				p := make([]byte, r.Payload)
 				if r.Payload >= 7 {
 					putTS56(p, sys.K.Now())
@@ -821,7 +851,7 @@ func (s *Scenario) Run() (*Report, error) {
 				if r.ExpirationUs > 0 {
 					attrs.Expiration = now + sim.Duration(r.ExpirationUs)*sim.Microsecond
 				}
-				srtPub[r.Subject].Publish(core.Event{Subject: subj, Payload: p, Attrs: attrs})
+				st.ch.Publish(core.Event{Subject: st.subject, Payload: p, Attrs: attrs})
 			}
 			gap := sim.Duration(r.MeanPeriodUs) * sim.Microsecond
 			if r.Sporadic {
@@ -832,33 +862,19 @@ func (s *Scenario) Run() (*Report, error) {
 		sys.K.At(sys.Cfg.Epoch, loop)
 	}
 
-	nrtPub := make(map[uint64]*core.NRTEC)
-	announceNRT := func(b NRTBulk, mw *core.Middleware) error {
-		ch, err := mw.NRTEC(binding.Subject(b.Subject))
-		if err != nil {
-			return err
-		}
-		if err := ch.Announce(core.ChannelAttrs{Prio: can.Prio(b.Prio), Fragmentation: true}, nil); err != nil {
-			return err
-		}
-		nrtPub[b.Subject] = ch
-		return nil
-	}
-	subscribeNRT := func(b NRTBulk, mw *core.Middleware) error {
-		sub, err := mw.NRTEC(binding.Subject(b.Subject))
-		if err != nil {
-			return err
-		}
-		return sub.Subscribe(core.ChannelAttrs{Fragmentation: true}, core.SubscribeAttrs{},
-			func(ev core.Event, _ core.DeliveryInfo) { rep.NRTBytes += len(ev.Payload) }, nil)
-	}
 	for _, b := range s.NRT {
 		b := b
-		subj := binding.Subject(b.Subject)
-		if err := announceNRT(b, sys.Node(b.Publisher).MW); err != nil {
+		st := &stream{
+			class: core.NRT, subject: binding.Subject(b.Subject), pub: b.Publisher, sub: b.Subscriber,
+			announce:  core.ChannelAttrs{Prio: can.Prio(b.Prio), Fragmentation: true},
+			subscribe: core.ChannelAttrs{Fragmentation: true},
+			notify:    func(ev core.Event, _ core.DeliveryInfo) { rep.NRTBytes += len(ev.Payload) },
+		}
+		streams = append(streams, st)
+		if err := st.wirePub(mw(st.pub)); err != nil {
 			return nil, err
 		}
-		if err := subscribeNRT(b, sys.Node(b.Subscriber).MW); err != nil {
+		if err := st.wireSub(mw(st.sub)); err != nil {
 			return nil, err
 		}
 		var send func()
@@ -866,8 +882,8 @@ func (s *Scenario) Run() (*Report, error) {
 			if sys.K.Now() >= end {
 				return
 			}
-			if !down(b.Publisher) {
-				nrtPub[b.Subject].Publish(core.Event{Subject: subj, Payload: make([]byte, b.Bytes)})
+			if !down(st.pub) {
+				st.ch.Publish(core.Event{Subject: st.subject, Payload: make([]byte, b.Bytes)})
 			}
 			if b.RepeatMs > 0 {
 				sys.K.After(sim.Duration(b.RepeatMs)*sim.Millisecond, send)
@@ -880,14 +896,12 @@ func (s *Scenario) Run() (*Report, error) {
 	// whole run, while the sensor/controller/actuator software legs ride
 	// real channels and die/rewire with their stations like any other
 	// scenario application.
-	loops := make([]*control.Loop, 0, len(loopCfgs))
 	for _, lcfg := range loopCfgs {
 		lp, err := control.NewLoop(lcfg, sys.Obs)
 		if err != nil {
 			return nil, err
 		}
-		if err := lp.Install(sys.K, sys.Cfg.Epoch, end,
-			func(n int) *core.Middleware { return sys.Node(n).MW }, down); err != nil {
+		if err := lp.Install(sys.K, sys.Cfg.Epoch, end, mw, down); err != nil {
 			var admErr *core.AdmissionError
 			if errors.As(err, &admErr) {
 				rep.Rejected = append(rep.Rejected,
@@ -897,74 +911,59 @@ func (s *Scenario) Run() (*Report, error) {
 			}
 			return nil, err
 		}
-		loops = append(loops, lp)
+		in.Loops = append(in.Loops, lp)
 	}
 
 	if lc != nil {
-		lc.OnRestart = func(n int, mw *core.Middleware) {
-			for i, h := range s.HRT {
-				if h.Publisher == n {
-					if announceHRT(h, mw) == nil {
-						startHRT[i]()
-					}
+		lc.OnRestart = func(n int, fresh *core.Middleware) {
+			for _, st := range streams {
+				if st.pub == n && st.wirePub(fresh) == nil && st.restart != nil {
+					st.restart()
 				}
-				if h.Subscriber == n {
-					_ = subscribeHRT(i, h, mw)
+				if st.sub == n {
+					_ = st.wireSub(fresh)
 				}
 			}
-			for _, r := range s.SRT {
-				if r.Publisher == n {
-					_ = announceSRT(r, mw)
-				}
-				if r.Subscriber == n {
-					_ = subscribeSRT(r, mw)
-				}
-			}
-			for _, b := range s.NRT {
-				if b.Publisher == n {
-					_ = announceNRT(b, mw)
-				}
-				if b.Subscriber == n {
-					_ = subscribeNRT(b, mw)
-				}
-			}
-			for _, lp := range loops {
+			for _, lp := range in.Loops {
 				if lp.Hosts(n) {
-					lp.Rewire(n, mw)
+					lp.Rewire(n, fresh)
 				}
 			}
 		}
-		camp.Install()
+		in.camp.Install()
 	}
+	return in, nil
+}
 
-	sys.Run(end - 600*sim.Microsecond)
+// Finish collects the report once the caller has driven Sys to End.
+func (in *Instance) Finish() *Report {
+	sys, rep := in.Sys, in.rep
 	rep.Counters = sys.TotalCounters()
 	rep.Utilization = sys.Utilization()
 	rep.Obs = sys.Obs
-	if camp != nil {
-		cr := camp.Finish(0)
+	if in.camp != nil {
+		cr := in.camp.Finish(0)
 		rep.Chaos = &cr
 	}
 	if sys.Admission != nil {
 		snap := sys.Admission.Snapshot()
 		rep.Admission = &snap
 	}
-	for _, lp := range loops {
+	for _, lp := range in.Loops {
 		rep.Control = append(rep.Control, lp.Report())
 	}
 	if sys.SLO != nil {
 		rep.SLO = sys.SLO.Snapshot()
 	}
-	if why != nil {
-		snap := why.Snapshot()
+	if in.why != nil {
+		snap := in.why.Snapshot()
 		rep.Why = &snap
-		rep.WhyTop = why.TopCause("")
+		rep.WhyTop = in.why.TopCause("")
 	}
-	if cal != nil && len(firstHRTTimes) > 1 {
-		period := cal.SlotsForSubject(s.HRT[0].Subject)[0].Period(cal.Round)
-		rep.HRTJitter = stats.PeriodJitter(firstHRTTimes, period)
+	if len(in.firstHRT) > 1 {
+		rep.HRTJitter = stats.PeriodJitter(in.firstHRT, in.hrtPeriod)
 	}
-	return rep, nil
+	return rep
 }
 
 func putTS56(dst []byte, t sim.Time) {

@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"canec/internal/chaos"
+	"canec/internal/obs"
 )
 
 const sampleJSON = `{
@@ -238,5 +243,103 @@ func TestRunControlPlaneSample(t *testing.T) {
 	out := rep.String()
 	if !strings.Contains(out, "agent takeover") {
 		t.Fatalf("report missing control-plane summary:\n%s", out)
+	}
+}
+
+// TestTwoPublishersOfOneSubject: the model is many-to-many, so two streams
+// may share a subject. Each must publish from its own station (one handle
+// per stream, not per subject).
+func TestTwoPublishersOfOneSubject(t *testing.T) {
+	s := &Scenario{
+		Name: "dup-subject", Nodes: 4, Seed: 1, DurationMs: 1000,
+		SRT: []SRTStream{
+			{Subject: 800, Publisher: 0, Subscriber: 2, MeanPeriodUs: 10000, DeadlineUs: 5000, Payload: 8},
+			{Subject: 800, Publisher: 1, Subscriber: 3, MeanPeriodUs: 10000, DeadlineUs: 5000, Payload: 8},
+		},
+		Observe: obs.Default(),
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := make(map[int]int)
+	for _, r := range rep.Obs.Records() {
+		if r.Stage == obs.StagePublished {
+			published[r.Node]++
+		}
+	}
+	if published[0] != 100 || published[1] != 100 || len(published) != 2 {
+		t.Fatalf("published per node = %v, want 100 each from nodes 0 and 1", published)
+	}
+}
+
+// committedScenario loads a testdata scenario, optionally overlaid with a
+// testdata chaos script, with any flight dumps kept out of the source tree.
+func committedScenario(t *testing.T, path, chaosPath string) *Scenario {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chaosPath != "" {
+		data, err := os.ReadFile(chaosPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Chaos = new(chaos.Script)
+		if err := json.Unmarshal(data, s.Chaos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.FlightRecords > 0 {
+		s.FlightDir = t.TempDir()
+	}
+	return s
+}
+
+// TestBuildDriveFinishMatchesRun: Build, Sys.Run(End), Finish — the form a
+// paced host drives step by step — renders the report Run renders, for
+// every committed scenario, clean and under the chaos script written for it.
+func TestBuildDriveFinishMatchesRun(t *testing.T) {
+	chaosFor := map[string]string{
+		"scenario-admission.json": "chaos-admission-ramp.json",
+		"scenario-busoff.json":    "chaos-busoff-attack.json",
+		"scenario-control.json":   "chaos-control-attack.json",
+		"scenario-why.json":       "chaos-why.json",
+	}
+	files, err := filepath.Glob("../../testdata/scenario-*.json")
+	if err != nil || len(files) < 5 {
+		t.Fatalf("committed scenarios: %v, %v", files, err)
+	}
+	for _, path := range files {
+		overlays := []string{""}
+		if c := chaosFor[filepath.Base(path)]; c != "" {
+			overlays = append(overlays, "../../testdata/"+c)
+		}
+		for _, overlay := range overlays {
+			name := filepath.Base(path)
+			if overlay != "" {
+				name += "+" + filepath.Base(overlay)
+			}
+			t.Run(name, func(t *testing.T) {
+				rep, err := committedScenario(t, path, overlay).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				in, err := committedScenario(t, path, overlay).Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				in.Sys.Run(in.End)
+				if got, want := in.Finish().String(), rep.String(); got != want {
+					t.Fatalf("Build/drive/Finish:\n%s\nRun:\n%s", got, want)
+				}
+			})
+		}
 	}
 }
