@@ -52,7 +52,8 @@ admission-smoke:
 
 # fuzz-smoke runs each native fuzz target briefly (~5 s): the wire-facing
 # frame handlers (agent, client, syncer) and the codec round-trips must
-# never panic on arbitrary frames.
+# never panic on arbitrary frames, and the why-late engine must attribute
+# random record streams exactly as its oracle does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAgentHandleFrame -fuzztime 5s ./internal/binding/
 	$(GO) test -run '^$$' -fuzz FuzzClientHandleFrame -fuzztime 5s ./internal/binding/
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 5s ./internal/can/
 	$(GO) test -run '^$$' -fuzz FuzzScript -fuzztime 5s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzControlLoops -fuzztime 5s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzCausalOracle -fuzztime 5s ./internal/obs/causal/
 
 # relay-smoke and obs-smoke are the two-daemon federation gates, run as
 # Go tests that host both canecd segments inside the test process (so
@@ -100,7 +102,7 @@ bench-smoke:
 check: build vet race chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench-smoke
 
 bench:
-	$(GO) test -bench . -benchmem ./internal/can ./internal/sim
+	$(GO) test -bench . -benchmem ./internal/can ./internal/sim ./internal/obs/causal
 
 # bench-record records a trajectory point (full calibrated suite; takes a
 # few minutes) as BENCH_$(LABEL).json. Every PR commits its own point

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"canec/internal/can"
 	"canec/internal/obs"
 	"canec/internal/sim"
 )
@@ -215,5 +217,25 @@ func TestObserveDisabledCarriesNoObserver(t *testing.T) {
 	}
 	if sys.Bus.TraceArbitration {
 		t.Fatal("arbitration tracing enabled without observer")
+	}
+}
+
+// TestPrioDetailsMatchSprintf: the SRT record details that replaced
+// per-frame Sprintf calls render exactly what the Sprintf did, for every
+// priority and promotion pair.
+func TestPrioDetailsMatchSprintf(t *testing.T) {
+	mw := &Middleware{}
+	for from := 0; from < 256; from++ {
+		if got, want := prioDetail[from], fmt.Sprintf("prio %d", can.Prio(from)); got != want {
+			t.Fatalf("prioDetail[%d] = %q, want %q", from, got, want)
+		}
+		for to := 0; to < 256; to += 17 {
+			want := fmt.Sprintf("prio %d->%d", can.Prio(from), can.Prio(to))
+			for i := 0; i < 2; i++ { // rendered, then cached
+				if got := mw.promotionDetail(can.Prio(from), can.Prio(to)); got != want {
+					t.Fatalf("promotionDetail(%d, %d) = %q, want %q", from, to, got, want)
+				}
+			}
+		}
 	}
 }

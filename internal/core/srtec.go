@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"canec/internal/binding"
 	"canec/internal/can"
@@ -175,7 +176,7 @@ func (c *SRTEC) publish(ev Event) error {
 	mw.counters.PublishedSRT++
 	if mw.Obs.Enabled() {
 		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d", prio))
+			uint64(ch.subject), mw.K.Now(), prioDetail[prio])
 	}
 	e.promo.Init(mw.K, mw.node.Clock, e.promote)
 	e.armPromotion()
@@ -212,6 +213,29 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 	}
 }
 
+// prioDetail is the enqueued record's Detail for each priority.
+var prioDetail = func() (d [256]string) {
+	for p := range d {
+		d[p] = "prio " + strconv.Itoa(p)
+	}
+	return d
+}()
+
+// promotionDetail is the promoted record's Detail ("prio 9->7"), rendered
+// once per (from, to) pair. Kernel context, like every caller.
+func (mw *Middleware) promotionDetail(from, to can.Prio) string {
+	key := uint16(from)<<8 | uint16(to)
+	d, ok := mw.promoDetail[key]
+	if !ok {
+		if mw.promoDetail == nil {
+			mw.promoDetail = make(map[uint16]string)
+		}
+		d = prioDetail[from] + "->" + strconv.Itoa(int(to))
+		mw.promoDetail[key] = d
+	}
+	return d
+}
+
 // armPromotion schedules the next identifier rewrite for a queued entry:
 // the dynamic priority increase with granularity Δt_p of §3.4. Each
 // rewrite is counted by the controller (promotion overhead, experiment E7).
@@ -238,7 +262,7 @@ func (e *srtEntry) promote() {
 		mw.counters.PromotionsApplied++
 		if mw.Obs.Enabled() {
 			mw.Obs.Emit(e.ev.traceID, obs.StagePromoted, SRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), fmt.Sprintf("prio %d->%d", e.prio, p))
+				uint64(ch.subject), mw.K.Now(), mw.promotionDetail(e.prio, p))
 		}
 	}
 	e.prio = p

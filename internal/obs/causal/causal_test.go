@@ -331,6 +331,127 @@ func TestEvictionBound(t *testing.T) {
 	}
 }
 
+// pruneWatch feeds an analyzer and observes its prune passes from the
+// outside: a pass either drops spans or moves the trigger (one that trims
+// nothing doubles it), and after every Add the next trigger must still lie
+// ahead — a trigger left at or below the retained spans is the old
+// prune-on-every-Add behaviour.
+type pruneWatch struct {
+	a                *Analyzer
+	maxSpans, passes int
+}
+
+func (w *pruneWatch) add(t *testing.T, r obs.Record) {
+	n, at := len(w.a.spans), w.a.pruneAt
+	w.a.Add(r)
+	if len(w.a.spans) < n || w.a.pruneAt != at {
+		w.passes++
+	}
+	if len(w.a.spans) >= w.a.pruneAt {
+		t.Fatalf("%d spans retained with the next prune at %d", len(w.a.spans), w.a.pruneAt)
+	}
+	w.maxSpans = max(w.maxSpans, len(w.a.spans))
+}
+
+// TestPinnedChainBoundsSpans: a publish nobody subscribes to reaches
+// tx_ok but is never delivered, so it pins every wire span after its
+// publish. The retained spans must stay under spanCap (the stalled chain
+// is evicted, not kept forever), and prune passes must stay geometric —
+// the old trigger pruned on every Add once 8,192 spans were retained,
+// ~42,000 passes over this stream.
+func TestPinnedChainBoundsSpans(t *testing.T) {
+	w := &pruneWatch{a: New(Config{})}
+	for _, r := range []obs.Record{
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x500},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x500},
+		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x500, Attempt: 1},
+		{ID: 1, Stage: obs.StageTxOK, At: 110, Node: 0, Subject: 0x500, Attempt: 1},
+	} {
+		w.add(t, r)
+	}
+	const n = 50_000
+	for i := 0; i < n; i++ {
+		id, at := uint64(i+2), sim.Time(1000+i*200)
+		for _, r := range []obs.Record{
+			{ID: id, Stage: obs.StagePublished, At: at, Node: 1, Class: "SRT", Subject: 0x300},
+			{ID: id, Stage: obs.StageEnqueued, At: at, Node: 1, Class: "SRT", Subject: 0x300},
+			{ID: id, Stage: obs.StageTxStart, At: at + 10, Node: 1, Subject: 0x300, Attempt: 1},
+			{ID: id, Stage: obs.StageTxOK, At: at + 110, Node: 1, Subject: 0x300, Attempt: 1},
+			{ID: id, Stage: obs.StageRx, At: at + 110, Node: 2, Subject: 0x300},
+			{ID: id, Stage: obs.StageDelivered, At: at + 120, Node: 2, Class: "SRT", Subject: 0x300},
+		} {
+			w.add(t, r)
+		}
+	}
+	if w.maxSpans > spanCap {
+		t.Fatalf("retained spans peaked at %d, cap %d", w.maxSpans, spanCap)
+	}
+	s := w.a.Snapshot()
+	if s.Evicted != 1 || s.Open != 0 || s.Chains != n {
+		t.Fatalf("snapshot = %+v, want the pinned chain evicted and %d chains finished", s, n)
+	}
+	// Three doublings while pinned (8k, 16k, 32k), the evicting pass, then
+	// one pass per spanPruneLen new spans.
+	if limit := 4 + (n+1)/spanPruneLen; w.passes > limit {
+		t.Fatalf("%d prune passes over %d spans, want ≤ %d", w.passes, n+1, limit)
+	}
+}
+
+// TestProgressingChainKeepsSpans: a chain that keeps making progress —
+// an arb_lost every 1,000 interfering frames — while 40,000 spans go by
+// crosses spanCap. It must not be evicted with the stalled chain beside
+// it: it finishes with every interfering span charged to it, and the
+// prune passes it forces stay logarithmic in the spans it pins.
+func TestProgressingChainKeepsSpans(t *testing.T) {
+	w := &pruneWatch{a: New(Config{KeepAll: true})}
+	for _, r := range []obs.Record{
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "NRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "NRT", Subject: 0x700},
+		{ID: 2, Stage: obs.StagePublished, At: 50, Node: 1, Class: "SRT", Subject: 0x500},
+		{ID: 2, Stage: obs.StageEnqueued, At: 50, Node: 1, Class: "SRT", Subject: 0x500},
+	} {
+		w.add(t, r)
+	}
+	const n = 40_000
+	for i := 0; i < n; i++ {
+		at := sim.Time(1000 + i*200)
+		w.add(t, obs.Record{Stage: obs.StageTxStart, At: at, Node: 2, Subject: 0x100})
+		w.add(t, obs.Record{Stage: obs.StageTxOK, At: at + 100, Node: 2, Subject: 0x100})
+		if i%1000 == 999 {
+			w.add(t, obs.Record{ID: 1, Stage: obs.StageArbLost, At: at + 100, Node: 0, Subject: 0x700})
+		}
+	}
+	end := sim.Time(1000 + n*200)
+	for _, r := range []obs.Record{
+		{ID: 1, Stage: obs.StageTxStart, At: end, Node: 0, Subject: 0x700, Attempt: 1},
+		{ID: 1, Stage: obs.StageTxOK, At: end + 100, Node: 0, Subject: 0x700, Attempt: 1},
+		{ID: 1, Stage: obs.StageRx, At: end + 100, Node: 3, Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: end + 110, Node: 3, Class: "NRT", Subject: 0x700},
+	} {
+		w.add(t, r)
+	}
+	if s := w.a.Snapshot(); s.Evicted != 1 || s.Open != 0 || s.Chains != 1 {
+		t.Fatalf("snapshot = %+v, want the stalled chain evicted and the progressing one finished", s)
+	}
+	chains := w.a.Chains()
+	if len(chains) != 1 || chains[0].ID != 1 {
+		t.Fatalf("chains = %+v, want chain 1", chains)
+	}
+	ch := chains[0]
+	if ch.Residual() != 0 || ch.Debit(CauseArbInterference) != n*100 || ch.Latency != end+110 {
+		t.Fatalf("chain 1: latency %d, interference %d, residual %d; want %d, %d, 0",
+			ch.Latency, ch.Debit(CauseArbInterference), ch.Residual(), end+110, n*100)
+	}
+	if w.maxSpans < n {
+		t.Fatalf("retained spans peaked at %d, want all %d the chain overlaps", w.maxSpans, n)
+	}
+	// 8k, 16k, 32k, the cap pass that evicts only the stalled chain (the
+	// trigger then doubles to 64k).
+	if w.passes > 4 {
+		t.Fatalf("%d prune passes over %d pinned spans, want ≤ 4", w.passes, n)
+	}
+}
+
 func TestMetricsFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := Analyze([]obs.Record{

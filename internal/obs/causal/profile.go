@@ -9,71 +9,90 @@ import (
 	"canec/internal/sim"
 )
 
-// aggregate folds one finished chain into the per-class profile, the
-// canec_why_* metric families and the retained chain lists.
-func (a *Analyzer) aggregate(ch Chain) {
-	a.total++
-	agg, ok := a.byClass[ch.Class]
-	if !ok {
-		agg = &classAgg{
-			debit:   make(map[Cause]sim.Duration),
-			lateTop: make(map[Cause]uint64),
-		}
-		a.byClass[ch.Class] = agg
-		a.classes = append(a.classes, ch.Class)
-	}
-	agg.chains++
-	dropped := ch.Outcome != string(obs.StageDelivered)
-	if dropped {
-		agg.dropped++
-	}
-	if ch.Late {
-		agg.late++
-	}
-	for _, s := range ch.Segments {
-		agg.debit[s.Cause] += s.Debit
-	}
-	incident := ch.Late || dropped
-	if incident {
-		agg.lateTop[ch.Top]++
-	}
-	if a.mChains != nil {
-		a.metricChain(ch, dropped, incident)
-	}
-	if incident {
-		a.recent = append(a.recent, ch)
-		if len(a.recent) > a.cfg.KeepRecent {
-			a.recent = a.recent[len(a.recent)-a.cfg.KeepRecent:]
-		}
-	}
-	if a.cfg.KeepAll {
-		a.all = append(a.all, ch)
-	}
+// classAgg aggregates finished chains of one class, indexed by cause.
+type classAgg struct {
+	class                 string
+	chains, late, dropped uint64
+	debit                 [numCauses]sim.Duration
+	touched               uint32            // causes ever debited: the ones a profile lists
+	lateTop               [numCauses]uint64 // late+dropped chains by top cause
+
+	// The class's canec_why_* children, each taken with With on its
+	// first use so exposition order stays first-use order.
+	mChains    [numOutcomes]*obs.Counter
+	mDebit     [numCauses]*obs.Counter
+	mDebitHist [numCauses]*obs.Histogram
+	mLate      [numCauses]*obs.Counter
 }
 
-// metricChain maintains the canec_why_* families for one chain.
-func (a *Analyzer) metricChain(ch Chain, dropped, incident bool) {
-	outcome := "delivered"
-	if dropped {
-		outcome = "dropped"
-	} else if ch.Late {
-		outcome = "late"
-	}
-	a.mChains.With(ch.Class, outcome).Inc()
-	seen := make(map[Cause]sim.Duration)
-	var order []Cause
-	for _, s := range ch.Segments {
-		if _, ok := seen[s.Cause]; !ok {
-			order = append(order, s.Cause)
+// Chain outcomes of canec_why_chains_total.
+const (
+	outcomeDelivered = iota
+	outcomeDropped
+	outcomeLate
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"delivered", "dropped", "late"}
+
+// classAgg returns the aggregate of one class, creating it on first use.
+func (a *Analyzer) classAgg(class string) *classAgg {
+	for _, agg := range a.aggs {
+		if agg.class == class {
+			return agg
 		}
-		seen[s.Cause] += s.Debit
 	}
-	for _, cause := range order {
-		a.mDebit.With(ch.Class, string(cause)).Add(float64(seen[cause]))
-		a.mDebitHist.With(ch.Class, string(cause)).Observe(float64(seen[cause]) / 1e3)
+	agg := &classAgg{class: class}
+	a.aggs = append(a.aggs, agg)
+	return agg
+}
+
+// aggregate folds one attributed chain into its class profile and the
+// canec_why_* metric families.
+func (a *Analyzer) aggregate(agg *classAgg, t *causeTotals, delivered, late bool, top cause) {
+	a.total++
+	agg.chains++
+	if !delivered {
+		agg.dropped++
+	}
+	if late {
+		agg.late++
+	}
+	for _, c := range t.order[:t.n] {
+		agg.debit[c] += t.debit[c]
+		agg.touched |= 1 << c
+	}
+	incident := late || !delivered
+	if incident {
+		agg.lateTop[top]++
+	}
+	if a.mChains == nil {
+		return
+	}
+	outcome := outcomeDelivered
+	if !delivered {
+		outcome = outcomeDropped
+	} else if late {
+		outcome = outcomeLate
+	}
+	if agg.mChains[outcome] == nil {
+		agg.mChains[outcome] = a.mChains.With(agg.class, outcomeNames[outcome])
+	}
+	agg.mChains[outcome].Inc()
+	// One debit sample per cause, in the order the chain first touched it.
+	for _, c := range t.order[:t.n] {
+		if agg.mDebit[c] == nil {
+			agg.mDebit[c] = a.mDebit.With(agg.class, string(causeNames[c]))
+			agg.mDebitHist[c] = a.mDebitHist.With(agg.class, string(causeNames[c]))
+		}
+		agg.mDebit[c].Add(float64(t.debit[c]))
+		agg.mDebitHist[c].Observe(float64(t.debit[c]) / 1e3)
 	}
 	if incident {
-		a.mLate.With(ch.Class, string(ch.Top)).Inc()
+		if agg.mLate[top] == nil {
+			agg.mLate[top] = a.mLate.With(agg.class, string(causeNames[top]))
+		}
+		agg.mLate[top].Inc()
 	}
 }
 
@@ -137,8 +156,8 @@ func (a *Analyzer) Snapshot() Snapshot {
 		Chains: a.total, Open: len(a.open), Evicted: a.evicted,
 		BitTimeNS: a.cfg.BitTime,
 	}
-	for _, class := range a.classes {
-		s.Classes = append(s.Classes, a.classProfile(class))
+	for _, agg := range a.aggs {
+		s.Classes = append(s.Classes, agg.profile())
 	}
 	for _, ch := range a.recent {
 		s.Recent = append(s.Recent, summarize(ch))
@@ -185,28 +204,25 @@ func FormatDur(d sim.Duration) string {
 	}
 }
 
-func (a *Analyzer) classProfile(class string) ClassProfile {
-	agg := a.byClass[class]
-	p := ClassProfile{Class: class, Chains: agg.chains, Late: agg.late,
-		Dropped: agg.dropped, Top: a.topFor(agg)}
-	for _, cause := range Causes() {
-		d, ok := agg.debit[cause]
-		if !ok {
+func (agg *classAgg) profile() ClassProfile {
+	p := ClassProfile{Class: agg.class, Chains: agg.chains, Late: agg.late,
+		Dropped: agg.dropped, Top: causeNames[agg.top()]}
+	for c := cause(0); c < causeNone; c++ {
+		if agg.touched&(1<<c) == 0 {
 			continue
 		}
-		p.TotalNS += d
-		if cause.Abnormal() {
-			p.AbnormalNS += d
+		p.TotalNS += agg.debit[c]
+		if c.abnormal() {
+			p.AbnormalNS += agg.debit[c]
 		}
 	}
-	for _, cause := range Causes() {
-		d, ok := agg.debit[cause]
-		if !ok {
+	for c := cause(0); c < causeNone; c++ {
+		if agg.touched&(1<<c) == 0 {
 			continue
 		}
-		st := CauseStat{Cause: cause, DebitNS: d, Late: agg.lateTop[cause]}
+		st := CauseStat{Cause: causeNames[c], DebitNS: agg.debit[c], Late: agg.lateTop[c]}
 		if p.TotalNS > 0 {
-			st.Share = float64(d) / float64(p.TotalNS)
+			st.Share = float64(agg.debit[c]) / float64(p.TotalNS)
 		}
 		p.Causes = append(p.Causes, st)
 	}
@@ -216,44 +232,43 @@ func (a *Analyzer) classProfile(class string) ClassProfile {
 	return p
 }
 
-// topFor ranks one class's incident top causes: count desc, debit desc,
+// top ranks the class's incident top causes: count desc, debit desc,
 // name asc — fully deterministic.
-func (a *Analyzer) topFor(agg *classAgg) Cause {
-	best := CauseNone
+func (agg *classAgg) top() cause {
+	best := causeNone
 	var bestN uint64
-	for _, cause := range Causes() {
-		n := agg.lateTop[cause]
-		if n == 0 || !cause.Abnormal() {
+	for c := cause(0); c < causeNone; c++ {
+		n := agg.lateTop[c]
+		if n == 0 || !c.abnormal() {
 			continue
 		}
-		if n > bestN || (n == bestN && agg.debit[cause] > agg.debit[best]) {
-			best, bestN = cause, n
+		if n > bestN || (n == bestN && agg.debit[c] > agg.debit[best]) {
+			best, bestN = c, n
 		}
 	}
 	return best
 }
 
+// merged sums the aggregates of one class ("" = every class).
+func (a *Analyzer) merged(class string) classAgg {
+	var m classAgg
+	for _, agg := range a.aggs {
+		if class != "" && agg.class != class {
+			continue
+		}
+		for c := range m.debit {
+			m.debit[c] += agg.debit[c]
+			m.lateTop[c] += agg.lateTop[c]
+		}
+	}
+	return m
+}
+
 // TopCause returns the dominant incident cause for one class ("" = all
 // classes merged), CauseNone without incidents. Kernel context.
 func (a *Analyzer) TopCause(class string) Cause {
-	if class != "" {
-		agg, ok := a.byClass[class]
-		if !ok {
-			return CauseNone
-		}
-		return a.topFor(agg)
-	}
-	merged := &classAgg{debit: make(map[Cause]sim.Duration), lateTop: make(map[Cause]uint64)}
-	for _, c := range a.classes {
-		agg := a.byClass[c]
-		for k, v := range agg.debit {
-			merged.debit[k] += v
-		}
-		for k, v := range agg.lateTop {
-			merged.lateTop[k] += v
-		}
-	}
-	return a.topFor(merged)
+	m := a.merged(class)
+	return causeNames[m.top()]
 }
 
 // BreachSummary renders the top-n incident causes for one class ("" =
@@ -261,41 +276,18 @@ func (a *Analyzer) TopCause(class string) Cause {
 // Empty when no late or dropped chain was attributed yet. Implements
 // obs.CausalSink; kernel context.
 func (a *Analyzer) BreachSummary(class string, n int) string {
-	classes := a.classes
-	if class != "" {
-		classes = []string{class}
-	}
-	counts := make(map[Cause]uint64)
-	debits := make(map[Cause]sim.Duration)
-	for _, cl := range classes {
-		agg, ok := a.byClass[cl]
-		if !ok {
-			continue
-		}
-		for cause, c := range agg.lateTop {
-			if !cause.Abnormal() {
-				continue
-			}
-			counts[cause] += c
-		}
-		for cause, d := range agg.debit {
-			if !cause.Abnormal() {
-				continue
-			}
-			debits[cause] += d
-		}
-	}
+	m := a.merged(class)
 	type ranked struct {
 		cause Cause
 		n     uint64
 		d     sim.Duration
 	}
 	var rs []ranked
-	for _, cause := range Causes() {
-		if counts[cause] == 0 {
+	for c := cause(0); c < causeNone; c++ {
+		if m.lateTop[c] == 0 || !c.abnormal() {
 			continue
 		}
-		rs = append(rs, ranked{cause, counts[cause], debits[cause]})
+		rs = append(rs, ranked{causeNames[c], m.lateTop[c], m.debit[c]})
 	}
 	if len(rs) == 0 {
 		return ""
