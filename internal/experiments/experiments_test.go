@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"canec/internal/golden"
 )
 
 func TestRegistry(t *testing.T) {
@@ -189,7 +191,9 @@ func TestActualFrameTimeBetweenBounds(t *testing.T) {
 
 // TestAllExperimentsProduceTables runs the complete registry (each table
 // at its default parameters) and checks structural health: non-empty
-// tables with consistent row widths. Slow (~20 s); skipped with -short.
+// tables with consistent row widths. The rendered tables are pinned in
+// testdata/golden/experiments (regenerate with -update). Slow (~20 s);
+// skipped with -short.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -212,6 +216,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 			if len(res.Notes) == 0 {
 				t.Fatal("experiment without reading notes")
 			}
+			golden.Check(t, "../../testdata/golden/experiments/"+e.ID+".txt", res.String())
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"canec/internal/chaos"
+	"canec/internal/golden"
 	"canec/internal/obs"
 )
 
@@ -305,6 +306,8 @@ func committedScenario(t *testing.T, path, chaosPath string) *Scenario {
 // TestBuildDriveFinishMatchesRun: Build, Sys.Run(End), Finish — the form a
 // paced host drives step by step — renders the report Run renders, for
 // every committed scenario, clean and under the chaos script written for it.
+// The reports are pinned in testdata/golden/scenarios (regenerate with
+// -update).
 func TestBuildDriveFinishMatchesRun(t *testing.T) {
 	chaosFor := map[string]string{
 		"scenario-admission.json": "chaos-admission-ramp.json",
@@ -327,10 +330,17 @@ func TestBuildDriveFinishMatchesRun(t *testing.T) {
 				name += "+" + filepath.Base(overlay)
 			}
 			t.Run(name, func(t *testing.T) {
-				rep, err := committedScenario(t, path, overlay).Run()
+				sc := committedScenario(t, path, overlay)
+				rep, err := sc.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Post-mortem paths name a temporary directory: pin their base names.
+				out := rep.String()
+				if sc.FlightDir != "" {
+					out = strings.ReplaceAll(out, sc.FlightDir+string(filepath.Separator), "")
+				}
+				golden.Check(t, "../../testdata/golden/scenarios/"+strings.ReplaceAll(name, ".json", "")+".txt", out)
 				in, err := committedScenario(t, path, overlay).Build()
 				if err != nil {
 					t.Fatal(err)
