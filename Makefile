@@ -67,11 +67,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCausalOracle -fuzztime 5s ./internal/obs/causal/
 
 # relay-smoke and obs-smoke are the two-daemon federation gates, run as
-# Go tests that host both canecd segments inside the test process (so
-# tier-1 runs them too and nothing can outlive them): three SRT events
-# published on segment a are delivered on segment b with trace continuity;
-# with -admin on both, /healthz /slo /metrics answer live and every
-# exposition validates strictly.
+# Go tests that host both canecd segments (testdata/segment-{a,b}.json)
+# inside the test process (so tier-1 runs them too and nothing can outlive
+# them): three SRT events streamed by segment a's scenario are delivered on
+# segment b with trace continuity; with -admin on both, /healthz /slo
+# /profile /metrics answer live, every exposition validates strictly and
+# a's /control serves its scenario's control loop.
 relay-smoke:
 	$(GO) test -race -run TestRelaySmoke ./cmd/canecd
 
@@ -87,12 +88,13 @@ why-smoke:
 	$(GO) test -race -run TestE19Attribution ./internal/experiments/
 	$(GO) test -race -run TestWhySmoke ./cmd/canecsim ./cmd/canecwhy
 
-# bench-smoke is the performance-trajectory gate: the committed
-# BENCH_seed.json self-compares clean, an injected regression trips the
-# canecbench -compare gate, a short live recording round-trips the JSON
-# schema, and the kernel profiler reports every pipeline stage.
+# bench-smoke is the performance-trajectory gate, a Go test run
+# in-process (so tier-1 runs it too): the committed BENCH_seed.json
+# self-compares clean, an injected regression trips the compare gate, a
+# short live recording round-trips the JSON schema, and the kernel
+# profiler reports every pipeline stage.
 bench-smoke:
-	./scripts/bench_smoke.sh
+	$(GO) test -run TestBenchGate ./cmd/canecbench
 
 # check is the PR gate: compile everything, vet, run the full suite under
 # the race detector, replay the chaos smoke sweep, the bus-off adversary

@@ -7,16 +7,15 @@ package canec
 // b.ReportMetric so regressions in either performance or *result shape*
 // are visible from `go test -bench`.
 //
-// Micro-benchmarks for the hot substrate paths (event kernel, frame
-// encoding, arbitration) follow at the end.
+// The micro-benchmarks for the hot substrate paths (event kernel, frame
+// encoding, arbitration, end-to-end chains) live in internal/obs/perf/suite;
+// BenchmarkSuite at the end runs them.
 
 import (
-	"strconv"
 	"testing"
 
-	"canec/internal/can"
 	"canec/internal/experiments"
-	"canec/internal/sim"
+	"canec/internal/obs/perf/suite"
 )
 
 // benchExperiment runs one experiment table per iteration.
@@ -48,133 +47,19 @@ func BenchmarkA1PromotionAblation(b *testing.B)    { benchExperiment(b, "A1") }
 func BenchmarkA2DejitterAblation(b *testing.B)     { benchExperiment(b, "A2") }
 func BenchmarkA3ValueShedding(b *testing.B)        { benchExperiment(b, "A3") }
 
-// BenchmarkSimKernel measures raw event throughput of the discrete-event
-// kernel: the floor for every simulation above.
-func BenchmarkSimKernel(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(100, tick)
+// BenchmarkSuite runs the perf suite's micro-benchmarks — the kernel,
+// codec and bus floors, the full publish→deliver chains and relay
+// loopback throughput; every recordable case but the experiment tables
+// above — as sub-benchmarks, so `go test -bench` and canecbench -json
+// measure one copy of each workload.
+func BenchmarkSuite(b *testing.B) {
+	for _, c := range suite.Cases() {
+		if _, isTable := experiments.Find(c.Name); isTable {
+			continue
 		}
-	}
-	k.After(100, tick)
-	k.Run(sim.MaxTime)
-	if n < b.N {
-		b.Fatal("kernel stalled")
-	}
-}
-
-// BenchmarkFrameWireBits measures the exact stuffed wire-length
-// computation (CRC-15 + bit stuffing over the real bit pattern).
-func BenchmarkFrameWireBits(b *testing.B) {
-	b.ReportAllocs()
-	f := can.Frame{ID: can.MakeID(42, 17, 9999), Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += can.WireBits(f)
-	}
-	if total == 0 {
-		b.Fatal("no bits")
-	}
-}
-
-// BenchmarkBusSaturated measures simulated frames per second of wall time
-// on a saturated 8-node bus.
-func BenchmarkBusSaturated(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel(1)
-	bus := can.NewBus(k, can.DefaultBitRate)
-	const nodes = 8
-	for i := 0; i < nodes; i++ {
-		bus.Attach(can.TxNode(i))
-	}
-	sent := 0
-	var submit func(node int)
-	submit = func(node int) {
-		if sent >= b.N {
-			return
-		}
-		sent++
-		f := can.Frame{
-			ID:   can.MakeID(can.Prio(10+node), can.TxNode(node), can.Etag(sent&0x3fff)),
-			Data: []byte{byte(sent), 0, 0, 0, 0, 0, 0, 0},
-		}
-		bus.Controller(node).Submit(f, can.SubmitOpts{Done: func(bool, sim.Time) {
-			submit(node)
-		}})
-	}
-	b.ResetTimer()
-	for i := 0; i < nodes; i++ {
-		submit(i)
-	}
-	k.Run(sim.MaxTime)
-	if got := bus.Stats().FramesOK; got < uint64(b.N) {
-		b.Fatalf("only %d frames for N=%d", got, b.N)
-	}
-}
-
-// BenchmarkEndToEndHRT measures full-stack cost per delivered HRT event
-// (calendar scheduling, redundancy management, de-jittered delivery).
-func BenchmarkEndToEndHRT(b *testing.B) {
-	b.ReportAllocs()
-	cfg := DefaultCalendarConfig()
-	cal, err := PackCalendar(cfg, 10*Millisecond,
-		Slot{Subject: 0x31, Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(SystemConfig{Nodes: 2, Seed: 1, Calendar: cal, Epoch: Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub, _ := sys.Node(0).MW.HRTEC(0x31)
-	if err := pub.Announce(ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		b.Fatal(err)
-	}
-	got := 0
-	sub, _ := sys.Node(1).MW.HRTEC(0x31)
-	sub.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{},
-		func(Event, DeliveryInfo) { got++ }, nil)
-	for r := 0; r < b.N; r++ {
-		sys.K.At(sys.Cfg.Epoch+Time(r)*cal.Round-100*Microsecond, func() {
-			pub.Publish(Event{Subject: 0x31, Payload: []byte{1}})
+		b.Run(c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			c.Fn(b.N)
 		})
-	}
-	b.ResetTimer()
-	sys.Run(sys.Cfg.Epoch + Time(b.N)*cal.Round - 1)
-	if got != b.N {
-		b.Fatalf("delivered %d of %d", got, b.N)
-	}
-}
-
-// BenchmarkEndToEndSRT measures full-stack cost per delivered SRT event
-// including EDF mapping and promotion timers.
-func BenchmarkEndToEndSRT(b *testing.B) {
-	b.ReportAllocs()
-	sys, err := NewSystem(SystemConfig{Nodes: 2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub, _ := sys.Node(0).MW.SRTEC(0x41)
-	pub.Announce(ChannelAttrs{}, nil)
-	got := 0
-	sub, _ := sys.Node(1).MW.SRTEC(0x41)
-	sub.Subscribe(ChannelAttrs{}, SubscribeAttrs{}, func(Event, DeliveryInfo) { got++ }, nil)
-	for r := 0; r < b.N; r++ {
-		r := r
-		sys.K.At(Time(r)*200*Microsecond, func() {
-			now := sys.Node(0).MW.LocalTime()
-			pub.Publish(Event{Subject: 0x41, Payload: []byte(strconv.Itoa(r % 10)),
-				Attrs: EventAttrs{Deadline: now + 5*Millisecond}})
-		})
-	}
-	b.ResetTimer()
-	sys.Run(Time(b.N)*200*Microsecond + Second)
-	if got != b.N {
-		b.Fatalf("delivered %d of %d", got, b.N)
 	}
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -23,12 +26,19 @@ import (
 // reached on a healthy run.
 const waitFor = 60 * time.Second
 
+// Each segment's scenario file.
+const (
+	segmentA = "../../testdata/segment-a.json"
+	segmentB = "../../testdata/segment-b.json"
+)
+
 // daemon is one canecd run() on its own goroutine, with its output
 // captured line by line.
 type daemon struct {
 	name string
-	done chan struct{} // closed when run() has returned
-	code int           // run()'s return value, valid after done
+	stop context.CancelFunc // a clean shutdown, as on SIGTERM
+	done chan struct{}      // closed when run() has returned
+	code int                // run()'s return value, valid after done
 
 	mu    sync.Mutex
 	out   strings.Builder
@@ -54,9 +64,9 @@ func (d *daemon) output() (string, <-chan struct{}) {
 
 func startDaemon(t *testing.T, name string, args ...string) *daemon {
 	t.Helper()
-	d := &daemon{name: name, done: make(chan struct{}), grown: make(chan struct{})}
-	args = append([]string{"-segment", name, "-flight-dir", t.TempDir()}, args...)
 	ctx, cancel := context.WithCancel(context.Background())
+	d := &daemon{name: name, stop: cancel, done: make(chan struct{}), grown: make(chan struct{})}
+	args = append([]string{"-segment", name, "-flight-dir", t.TempDir()}, args...)
 	go func() {
 		defer close(d.done)
 		d.code = run(ctx, args, d, d)
@@ -111,17 +121,18 @@ func (d *daemon) wait(t *testing.T) int {
 }
 
 // TestRelaySmoke is the multi-process federation gate run in-process:
-// three SRT events published on segment a must be delivered on segment b
-// with the origin trace intact (trace IDs from a's base, a relay_rx
-// record on b) — run() itself verifies all three before it prints
-// "expect met" and returns 0.
+// segment a's scenario streams SRT events on 0x42, and three of them must
+// be delivered on segment b with the origin trace intact (trace IDs from
+// a's base, a relay_rx record on b) — run() itself verifies all three
+// before it prints "expect met" and returns 0. Segment a runs until it is
+// cancelled, which is a clean shutdown: exit 0 and its scenario report.
 func TestRelaySmoke(t *testing.T) {
-	b := startDaemon(t, "b", "-trace-base", "2", "-listen", "127.0.0.1:0",
+	b := startDaemon(t, "b", "-config", segmentB, "-trace-base", "2", "-listen", "127.0.0.1:0",
 		"-sub", "0x42", "-announce", "srt:0x42", "-expect", "0x42:3", "-expect-origin", "1",
-		"-dur", "30s", "-hb", "100ms")
+		"-dur", "30s", "-hb", "100ms", "-v")
 	addr := b.line(t, `listening on (\S+)`)
-	a := startDaemon(t, "a", "-trace-base", "1", "-uplink", addr,
-		"-forward", "srt:0x42", "-publish", "srt:0x42:3:20ms", "-dur", "30s", "-hb", "100ms")
+	a := startDaemon(t, "a", "-config", segmentA, "-trace-base", "1", "-uplink", addr,
+		"-forward", "srt:0x42", "-dur", "30s", "-hb", "100ms", "-v")
 
 	if code := b.wait(t); code != 0 {
 		out, _ := b.output()
@@ -132,10 +143,12 @@ func TestRelaySmoke(t *testing.T) {
 	if !strings.HasPrefix(met, "3 deliveries on 0x42, trace continuity ok (id=0x1") {
 		t.Fatalf("segment b's expectation report = %q", met)
 	}
+	a.stop()
 	if code := a.wait(t); code != 0 {
 		out, _ := a.output()
 		t.Fatalf("segment a exited %d:\n%s", code, out)
 	}
+	a.line(t, `scenario "segment-a"`)
 }
 
 func httpGet(t *testing.T, url string) string {
@@ -160,17 +173,18 @@ func httpGet(t *testing.T, url string) string {
 // federation with the admin plane on both segments. Segment a streams and
 // segment b counts until the test cancels them, so both stay up for as
 // long as the checks take: /healthz ok, /slo carrying the srt-miss-rate
-// objective and a strictly valid /metrics exposition on each, after b's
-// own metrics show the relayed events delivered.
+// objective, /profile enabled and a strictly valid /metrics exposition on
+// each, after b's own metrics show the relayed events delivered; a's
+// /control serves its scenario's control loop, issuing commands.
 func TestObsSmoke(t *testing.T) {
 	const deliveries = 20
-	b := startDaemon(t, "b", "-trace-base", "2", "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0",
-		"-sub", "0x42", "-announce", "srt:0x42", "-expect", "0x42:1000000",
+	b := startDaemon(t, "b", "-config", segmentB, "-trace-base", "2", "-listen", "127.0.0.1:0",
+		"-admin", "127.0.0.1:0", "-sub", "0x42", "-announce", "srt:0x42", "-expect", "0x42:1000000",
 		"-dur", "10m", "-hb", "100ms")
 	addr := b.line(t, `listening on (\S+)`)
 	adminB := b.line(t, `admin on (\S+)`)
-	a := startDaemon(t, "a", "-trace-base", "1", "-uplink", addr, "-admin", "127.0.0.1:0",
-		"-forward", "srt:0x42", "-publish", "srt:0x42:1000000:20ms", "-dur", "10m", "-hb", "100ms")
+	a := startDaemon(t, "a", "-config", segmentA, "-trace-base", "1", "-uplink", addr,
+		"-admin", "127.0.0.1:0", "-forward", "srt:0x42", "-dur", "10m", "-hb", "100ms")
 	adminA := a.line(t, `admin on (\S+)`)
 
 	delivered := regexp.MustCompile(`(?m)^canec_events_delivered_total\{class="SRT"\} (\d+)$`)
@@ -193,6 +207,10 @@ func TestObsSmoke(t *testing.T) {
 		if body := httpGet(t, "http://"+admin+"/slo"); !strings.Contains(body, `"srt-miss-rate"`) {
 			t.Errorf("%s /slo lacks the srt-miss-rate objective:\n%s", admin, body)
 		}
+		var prof struct{ Enabled bool }
+		if body := httpGet(t, "http://"+admin+"/profile"); json.Unmarshal([]byte(body), &prof) != nil || !prof.Enabled {
+			t.Errorf("%s /profile not enabled:\n%s", admin, body)
+		}
 		metrics := httpGet(t, "http://"+admin+"/metrics")
 		if !strings.Contains(metrics, "# TYPE canec_events_published_total counter") {
 			t.Errorf("%s /metrics lacks canec_events_published_total", admin)
@@ -201,10 +219,59 @@ func TestObsSmoke(t *testing.T) {
 			t.Errorf("%s /metrics is not a valid exposition: %v", admin, err)
 		}
 	}
+	var ctl struct {
+		Enabled bool
+		Loops   []struct{ Commands uint64 }
+	}
+	body := httpGet(t, "http://"+adminA+"/control")
+	if err := json.Unmarshal([]byte(body), &ctl); err != nil || !ctl.Enabled ||
+		len(ctl.Loops) != 1 || ctl.Loops[0].Commands == 0 {
+		t.Errorf("%s /control does not serve a commanding loop (%v):\n%s", adminA, err, body)
+	}
 	if t.Failed() {
 		for _, d := range []*daemon{a, b} {
 			out, _ := d.output()
 			t.Logf("segment %s:\n%s", d.name, out)
 		}
+	}
+}
+
+// TestConfigErrors: every way the segment's scenario can be unusable ends
+// the daemon before it binds anything, exit 1 with the problem on stderr.
+func TestConfigErrors(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	missing := filepath.Join(dir, "missing.json")
+	for _, tc := range []struct {
+		name   string
+		config string // "" omits -config
+		want   string
+	}{
+		{"no config", "", "-config is required"},
+		{"missing file", missing, missing},
+		{"unknown field", write("bogus.json", `{"nodes": 4, "durationMs": 100, "bogus": 1}`), `unknown field "bogus"`},
+		{"one node", write("one.json", `{"nodes": 1, "durationMs": 100}`), "nodes 1 out of range"},
+		{"too few nodes", write("two.json", `{"nodes": 2, "durationMs": 100}`), "2 nodes cannot host 1 relay bridges"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []string{"-segment", "x", "-uplink", "127.0.0.1:1"}
+			if tc.config != "" {
+				args = append(args, "-config", tc.config)
+			}
+			var stdout, stderr strings.Builder
+			code := run(context.Background(), args, &stdout, &stderr)
+			if code == 0 || !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("exit %d, stderr %q; want non-zero naming %q", code, stderr.String(), tc.want)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("started anyway:\n%s", stdout.String())
+			}
+		})
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"canec/internal/frag"
 	"canec/internal/obs"
 	"canec/internal/obs/admin"
-	"canec/internal/obs/causal"
 	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
@@ -76,13 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	sc := fromFlags(*nodes, *hrt, *srtLoad, *bulk, *faults, *omission, *nCtl, *dur, *seed, *drift)
 	if *config != "" {
-		f, err := os.Open(*config)
-		if err != nil {
-			return fail(err)
-		}
-		sc, err = scenario.Load(f)
-		f.Close()
-		if err != nil {
+		var err error
+		if sc, err = scenario.LoadFile(*config); err != nil {
 			return fail(err)
 		}
 	}
@@ -122,11 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		paced := sim.NewPaced(sys.K, *pace)
 		var adm *admin.Server
 		if *adminOpt != "" {
-			// The admin plane gets the why-late engine for free: /why and the
-			// canec_why_* families go live on the same registry.
-			if sys.Obs.Causal() == nil {
-				sys.Obs.AttachCausal(causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16}))
-			}
 			opts := admin.SystemOptions("canecsim", sys, paced)
 			opts.Control = admin.LoopRows(in.Loops)
 			if adm, err = admin.Serve(*adminOpt, opts); err != nil {

@@ -7,44 +7,31 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from the code under test")
 
-// Check compares got with the golden file at path, failing t with the
-// file's name and the first differing line. Under -update it writes got
-// to path instead.
+// Check compares got with the golden file at path and fails t naming the
+// file when they differ. Under -update it writes got to path instead.
 func Check(t testing.TB, path, got string) {
 	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
+		err := os.MkdirAll(filepath.Dir(path), 0o755)
+		if err == nil {
+			err = os.WriteFile(path, []byte(got), 0o644)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden %s: %v (regenerate with -update)", path, err)
 	}
-	if want := string(data); got != want {
-		w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-		i := 0
-		for i < len(w) && i < len(g) && w[i] == g[i] {
-			i++
-		}
-		t.Errorf("output differs from golden %s at line %d:\nwant: %q\n got: %q\n(regenerate with -update if the change is intended)",
-			path, i+1, line(w, i), line(g, i))
+	if got != string(want) {
+		t.Errorf("output differs from golden %s (regenerate with -update if the change is intended)\ngot:\n%s\nwant:\n%s",
+			path, got, want)
 	}
-}
-
-func line(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<end of output>"
 }

@@ -502,12 +502,19 @@ func (s *Server) handleWhy(w http.ResponseWriter, _ *http.Request) {
 
 // SystemOptions is the one wiring point between a core.System and the
 // admin plane: it fills every Options field that is a view of the system
-// (registry, observer, SLO, clock, channels, error state, admission, the
-// why producer of the causal analyzer attached to sys.Obs, if any) and
-// routes kernel reads through paced (nil for a free-running embedder).
-// Relay, Control and Profiler are the caller's to add.
+// and routes kernel reads through paced (nil for a free-running embedder).
+// It is also the one rule for what a live plane runs: the why-late engine
+// (attached to sys.Obs when the system has none) and a kernel profiler.
+// Call it before the kernel runs. Relay and Control are the caller's.
 func SystemOptions(segment string, sys *core.System, paced *sim.Paced) Options {
+	if sys.Obs.Causal() == nil {
+		sys.Obs.AttachCausal(causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16}))
+	}
 	why, _ := sys.Obs.Causal().(*causal.Analyzer)
+	prof := &perf.Profiler{}
+	prof.AttachKernel(sys.K)
+	prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
+	prof.Register(sys.Obs.Registry())
 	opts := Options{
 		Segment:    segment,
 		Registry:   sys.Obs.Registry(),
@@ -515,6 +522,7 @@ func SystemOptions(segment string, sys *core.System, paced *sim.Paced) Options {
 		SLO:        sys.SLO,
 		Now:        sys.K.Now,
 		Channels:   SystemChannels(sys),
+		Profiler:   prof,
 		ErrorState: SystemErrorState(sys),
 		Admission:  SystemAdmission(sys),
 		Why:        SystemWhy(why),

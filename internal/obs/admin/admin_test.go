@@ -303,6 +303,12 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvB.Close()
+	// The bridge installs srvB's frame callback, which a peer captures when
+	// it is accepted: wire it before anything can dial in.
+	bB, err := gateway.NewRemote(sysB.Node(3).MW, relay.NewPort(pacedB, srvB), "segB")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	proxy, err := chaos.NewLinkProxy(srvB.Addr().String(), chaos.LinkFaults{Seed: 3})
 	if err != nil {
@@ -324,10 +330,6 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	bA.Budget = 50 * sim.Millisecond
-	bB, err := gateway.NewRemote(sysB.Node(3).MW, relay.NewPort(pacedB, srvB), "segB")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := bA.Forward(core.SRT, subj, core.ChannelAttrs{}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -281,6 +282,16 @@ func Load(r io.Reader) (*Scenario, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// LoadFile parses a scenario from a JSON file.
+func LoadFile(path string) (*Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 // NodeRefError is the typed validation error for a spec entry that
