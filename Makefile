@@ -104,7 +104,7 @@ bench-smoke:
 check: build vet race chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench-smoke
 
 bench:
-	$(GO) test -bench . -benchmem ./internal/can ./internal/sim ./internal/obs/causal
+	$(GO) test -bench . -benchmem ./internal/can ./internal/sim ./internal/obs/causal ./internal/prob
 
 # bench-record records a trajectory point (full calibrated suite; takes a
 # few minutes) as BENCH_$(LABEL).json. Every PR commits its own point

@@ -197,17 +197,6 @@ func (c Chain) Debit(cause Cause) sim.Duration {
 	return d
 }
 
-// AbnormalDebit sums the chain's abnormal segment debits.
-func (c Chain) AbnormalDebit() sim.Duration {
-	var d sim.Duration
-	for _, s := range c.Segments {
-		if s.Cause.Abnormal() {
-			d += s.Debit
-		}
-	}
-	return d
-}
-
 // Config parameterises the analyzer. The zero value works.
 type Config struct {
 	// Registry, when set, backs the canec_why_* metric families.

@@ -118,8 +118,19 @@ type chromeTrace struct {
 // that station.
 const busPid = 0
 
-// bandTid maps band names to stable bus-thread IDs.
-var bandTid = map[string]int{"hrt": 1, "sync": 2, "srt": 3, "nrt": 4, "other": 5}
+// bands lists the priority bands in bus-thread order: band i is thread
+// i+1, and thread 0 takes records of an unknown band.
+var bands = [...]string{"hrt", "sync", "srt", "nrt", "other"}
+
+// bandTid returns the stable bus-thread ID of a band.
+func bandTid(band string) int {
+	for i, b := range bands {
+		if b == band {
+			return i + 1
+		}
+	}
+	return 0
+}
 
 // WriteChromeTrace renders stage records as Chrome trace_event JSON with
 // one track per node and one per priority band. nodes is the station
@@ -132,8 +143,8 @@ func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 		events = append(events, ev)
 	}
 	meta(busPid, 0, "process_name", "bus")
-	for band, tid := range bandTid {
-		meta(busPid, tid, "thread_name", "band "+band)
+	for i, band := range bands {
+		meta(busPid, i+1, "thread_name", "band "+band)
 	}
 	for i := 0; i < nodes; i++ {
 		meta(i+1, 0, "process_name", fmt.Sprintf("node %d", i))
@@ -157,7 +168,7 @@ func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 					Name: name, Cat: "wire", Ph: "X",
 					Ts:  float64(open.At) / 1e3,
 					Dur: float64(r.At-open.At) / 1e3,
-					Pid: busPid, Tid: bandTid[open.Band],
+					Pid: busPid, Tid: bandTid(open.Band),
 					Args: map[string]any{
 						"id": open.ID, "prio": open.Prio,
 						"attempt": open.Attempt, "result": string(r.Stage),

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -306,5 +308,46 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if instants != len(recs)-1 { // tx_start becomes part of the slice only
 		t.Errorf("got %d instants, want %d", instants, len(recs)-1)
+	}
+}
+
+// TestWriteChromeTraceDeterministic: repeated exports of the same
+// records are byte-identical, with the band threads named in tid order.
+func TestWriteChromeTraceDeterministic(t *testing.T) {
+	var recs []Record
+	for i, band := range []string{"nrt", "hrt", "other", "srt", "sync"} {
+		at := sim.Time(1000 * (i + 1))
+		recs = append(recs,
+			Record{ID: uint64(i), Stage: StageTxStart, At: at, Node: i % 3, Subject: 5, Band: band},
+			Record{ID: uint64(i), Stage: StageTxOK, At: at + 500, Node: i % 3, Subject: 5, Band: band})
+	}
+	export := func() []byte {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, recs, 3); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := export()
+	for i := 0; i < 25; i++ {
+		if again := export(); !bytes.Equal(again, first) {
+			t.Fatalf("export %d differs from the first:\n%s\n%s", i+1, again, first)
+		}
+	}
+	var tr struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first, &tr); err != nil {
+		t.Fatal(err)
+	}
+	var threads []string
+	for _, ev := range tr.TraceEvents {
+		if ev.Pid == busPid && ev.Name == "thread_name" {
+			threads = append(threads, fmt.Sprintf("%d:%v", ev.Tid, ev.Args["name"]))
+		}
+	}
+	want := []string{"1:band hrt", "2:band sync", "3:band srt", "4:band nrt", "5:band other"}
+	if !reflect.DeepEqual(threads, want) {
+		t.Fatalf("bus threads %v, want %v", threads, want)
 	}
 }

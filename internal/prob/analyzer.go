@@ -145,8 +145,21 @@ func (a Analyzer) extensionAtoms(payload int) []atom {
 // busy window is fixed by the zero-error Tindell recurrence (identical
 // to baseline.WCRT with worst-case frame bits), then every transmission
 // in the window contributes its error-extension distribution by
-// convolution.
+// convolution. The result owns a fresh distribution.
 func (a Analyzer) Response(set []Msg, target int) (Result, error) {
+	res, err := a.response(set, target, new(Dist), make([]int64, len(set)))
+	if err != nil {
+		return Result{}, err
+	}
+	res.Dist.spare = nil // the result retains the distribution only
+	return res, nil
+}
+
+// response is Response convolving in d's buffers, with counts (one
+// entry per message of set) as the busy window's per-interferer
+// transmission counts. The result's Dist is d, valid until d's next
+// use.
+func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Result, error) {
 	if target < 0 || target >= len(set) {
 		return Result{}, fmt.Errorf("prob: target %d out of set of %d", target, len(set))
 	}
@@ -187,7 +200,6 @@ func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 		horizon = sim.Duration(1) << 40
 	}
 	w := block
-	counts := make([]int64, len(set))
 	for iter := 0; ; iter++ {
 		if iter >= 1_000_000 {
 			return Result{}, ErrUnschedulable
@@ -231,7 +243,7 @@ func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 	// Base: point mass at the zero-error response (round partial ticks
 	// up — conservative).
 	r0Ticks := int((r0 + tau - 1) / tau)
-	d := pointMass(tau, r0Ticks, ticks)
+	d.reset(tau, r0Ticks, ticks)
 
 	// Convolve the error extension of every transmission in the busy
 	// window: the target's own frame plus each counted interferer.
@@ -247,7 +259,6 @@ func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 			transmissions++
 		}
 	}
-	d.spare = nil // the result retains the distribution only
 
 	res := Result{
 		Msg:           m,

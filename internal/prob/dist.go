@@ -32,7 +32,8 @@ type Dist struct {
 	over float64
 	// spare is the buffer the previous convolution read from; the next
 	// one writes into it, so a chain of convolutions allocates two
-	// buffers, not one per step.
+	// buffers, not one per step, and a Dist reused through reset
+	// allocates none once its buffers are large enough.
 	spare []float64
 }
 
@@ -43,19 +44,25 @@ type atom struct {
 	pr float64
 }
 
-// pointMass returns the distribution concentrated at the given tick.
-// Ticks at or beyond the horizon land in the overflow mass.
-func pointMass(tick sim.Duration, at, horizon int) *Dist {
-	d := &Dist{tick: tick, p: make([]float64, horizon)}
+// reset makes d the point mass at the given tick over horizon ticks,
+// reusing d's buffer when it is large enough. Ticks at or beyond the
+// horizon land in the overflow mass.
+func (d *Dist) reset(tick sim.Duration, at, horizon int) {
+	d.tick, d.over = tick, 0
+	if cap(d.p) >= horizon {
+		d.p = d.p[:horizon]
+		clear(d.p)
+	} else {
+		d.p = make([]float64, horizon)
+	}
 	if at < 0 {
 		at = 0
 	}
 	if at >= horizon {
 		d.over = 1
-		return d
+		return
 	}
 	d.p[at] = 1
-	return d
 }
 
 // convolveAtoms convolves d in place with a sparse component
@@ -69,12 +76,11 @@ func (d *Dist) convolveAtoms(atoms []atom) {
 		mass += a.pr
 	}
 	next := d.spare
-	if len(next) != len(d.p) {
-		next = make([]float64, len(d.p))
+	if cap(next) >= len(d.p) {
+		next = next[:len(d.p)]
+		clear(next)
 	} else {
-		for i := range next {
-			next[i] = 0
-		}
+		next = make([]float64, len(d.p))
 	}
 	var over float64
 	for i, pi := range d.p {

@@ -69,8 +69,7 @@ type Event struct {
 type Counters struct {
 	sent, received     atomic.Uint64
 	dropped, late      atomic.Uint64
-	redials, linkUps   atomic.Uint64
-	linkDowns          atomic.Uint64
+	redials, linkDowns atomic.Uint64
 	bytesIn, bytesOut  atomic.Uint64
 	decodeErrs, refuse atomic.Uint64
 }
@@ -90,13 +89,27 @@ func (c *Counters) Late() uint64 { return c.late.Load() }
 // Redials reports uplink re-dial attempts.
 func (c *Counters) Redials() uint64 { return c.redials.Load() }
 
-// LinkUps and LinkDowns report link state transitions.
-func (c *Counters) LinkUps() uint64   { return c.linkUps.Load() }
+// LinkDowns reports connections lost.
 func (c *Counters) LinkDowns() uint64 { return c.linkDowns.Load() }
 
 // BytesIn and BytesOut report wire traffic including framing.
 func (c *Counters) BytesIn() uint64  { return c.bytesIn.Load() }
 func (c *Counters) BytesOut() uint64 { return c.bytesOut.Load() }
+
+// frameHook is an endpoint's inbound-event callback. Connections read it
+// per frame, so one accepted or dialled before OnFrame still delivers
+// once the callback is installed.
+type frameHook struct {
+	fn atomic.Pointer[func(gateway.RemoteEvent)]
+}
+
+func (h *frameHook) set(fn func(gateway.RemoteEvent)) { h.fn.Store(&fn) }
+
+func (h *frameHook) deliver(re gateway.RemoteEvent) {
+	if fn := h.fn.Load(); fn != nil && *fn != nil {
+		(*fn)(re)
+	}
+}
 
 // conn wraps one established TCP connection with the relay protocol:
 // a reader goroutine decoding incoming messages, a writer goroutine
@@ -269,7 +282,6 @@ func (pc *conn) readLoop() {
 			first := pc.peerSeg.Load() == nil
 			pc.peerSeg.Store(seg)
 			if first {
-				pc.cnt.linkUps.Add(1)
 				pc.emit("up", "hello from "+seg, nil)
 			}
 		case msgSub:

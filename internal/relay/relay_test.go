@@ -99,6 +99,48 @@ func TestLoopbackBothDirections(t *testing.T) {
 	}
 }
 
+// TestOnFrameAfterConnect installs both endpoints' callbacks only after
+// the link is up and frames already cross it: the connections accepted
+// and dialled without a callback must deliver from then on, without a
+// reconnect.
+func TestOnFrameAfterConnect(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", fastCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Subscribe(0xA1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	up := Dial(srv.Addr().String(), fastCfg("leaf"))
+	defer up.Close()
+	if err := up.Subscribe(0xB2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "link up", func() bool { return up.Connected() && srv.Peers() == 1 })
+
+	toHub := gateway.RemoteEvent{Class: core.SRT, Subject: 0xA1, Payload: []byte{1}, OriginSeg: "leaf"}
+	toLeaf := gateway.RemoteEvent{Class: core.SRT, Subject: 0xB2, Payload: []byte{2}, OriginSeg: "hub"}
+	// Frames decoded with no callback installed yet.
+	waitFor(t, "frames before OnFrame", func() bool {
+		up.Send(toHub, time.Time{})
+		srv.Send(toLeaf, time.Time{})
+		return srv.Counters().Received() > 0 && up.Counters().Received() > 0
+	})
+
+	var atHub, atLeaf atomic.Uint64
+	srv.OnFrame(func(gateway.RemoteEvent) { atHub.Add(1) })
+	up.OnFrame(func(gateway.RemoteEvent) { atLeaf.Add(1) })
+	waitFor(t, "delivery after OnFrame", func() bool {
+		up.Send(toHub, time.Time{})
+		srv.Send(toLeaf, time.Time{})
+		return atHub.Load() > 0 && atLeaf.Load() > 0
+	})
+	if d := up.Counters().LinkDowns() + srv.Counters().LinkDowns(); d != 0 {
+		t.Fatalf("link went down %d times: delivery came from a new connection", d)
+	}
+}
+
 func TestOriginFilterAppliedRemotely(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", fastCfg("hub"))
 	if err != nil {

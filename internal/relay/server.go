@@ -42,11 +42,12 @@ type Server struct {
 	ln  net.Listener
 	cnt Counters
 
-	mu      sync.Mutex
-	conns   map[*conn]struct{}
-	subs    map[binding.Subject]subscription
-	onFrame func(gateway.RemoteEvent)
-	closed  bool
+	onFrame frameHook
+
+	mu     sync.Mutex
+	conns  map[*conn]struct{}
+	subs   map[binding.Subject]subscription
+	closed bool
 }
 
 var _ Link = (*Server)(nil)
@@ -87,18 +88,12 @@ func (s *Server) acceptLoop() {
 			c.Close()
 			return
 		}
-		onFrame := s.onFrame
 		initial := make([]subscription, 0, len(s.subs))
 		for _, sub := range s.subs {
 			initial = append(initial, sub)
 		}
 		q := newEgressQueue(s.cfg.SRTQueueCap, s.cfg.NRTQueueCap)
-		pc := newConn(c, s.cfg, q, &s.cnt,
-			func(re gateway.RemoteEvent) {
-				if onFrame != nil {
-					onFrame(re)
-				}
-			},
+		pc := newConn(c, s.cfg, q, &s.cnt, s.onFrame.deliver,
 			func(dead *conn, _ string) {
 				s.mu.Lock()
 				delete(s.conns, dead)
@@ -112,12 +107,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// OnFrame installs the inbound-event callback for all peers.
-func (s *Server) OnFrame(fn func(gateway.RemoteEvent)) {
-	s.mu.Lock()
-	s.onFrame = fn
-	s.mu.Unlock()
-}
+// OnFrame installs the inbound-event callback for all peers, including
+// those accepted before it: each frame reads the current callback.
+func (s *Server) OnFrame(fn func(gateway.RemoteEvent)) { s.onFrame.set(fn) }
 
 // Send fans the event out to every connected peer whose subscription
 // matches its subject and origin. With no matching peer the event is

@@ -25,10 +25,11 @@ type Uplink struct {
 	q    *egressQueue
 	cnt  Counters
 
-	mu      sync.Mutex
-	cur     *conn
-	subs    map[binding.Subject]subscription
-	onFrame func(gateway.RemoteEvent)
+	onFrame frameHook
+
+	mu   sync.Mutex
+	cur  *conn
+	subs map[binding.Subject]subscription
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -95,17 +96,11 @@ func (u *Uplink) dialLoop() {
 			continue
 		}
 		u.mu.Lock()
-		onFrame := u.onFrame
 		initial := make([]subscription, 0, len(u.subs))
 		for _, s := range u.subs {
 			initial = append(initial, s)
 		}
-		pc := newConn(c, u.cfg, u.q, &u.cnt,
-			func(re gateway.RemoteEvent) {
-				if onFrame != nil {
-					onFrame(re)
-				}
-			},
+		pc := newConn(c, u.cfg, u.q, &u.cnt, u.onFrame.deliver,
 			func(dead *conn, _ string) {
 				u.mu.Lock()
 				if u.cur == dead {
@@ -146,13 +141,9 @@ func (u *Uplink) emit(kind, detail string) {
 	}
 }
 
-// OnFrame installs the inbound-event callback. Install it before
-// traffic flows; a swap mid-session applies from the next dial.
-func (u *Uplink) OnFrame(fn func(gateway.RemoteEvent)) {
-	u.mu.Lock()
-	u.onFrame = fn
-	u.mu.Unlock()
-}
+// OnFrame installs the inbound-event callback. It applies from the
+// next frame, also on a connection dialled before it.
+func (u *Uplink) OnFrame(fn func(gateway.RemoteEvent)) { u.onFrame.set(fn) }
 
 // Send enqueues an event toward the peer. The peer's subscription
 // filter is applied remotely (the peer told *us* what it wants via Sub

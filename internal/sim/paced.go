@@ -55,13 +55,6 @@ func (p *Paced) Kernel() *Kernel { return p.k }
 // Ratio returns the virtual-per-wall speed factor.
 func (p *Paced) Ratio() float64 { return p.ratio }
 
-// VirtualPerWall converts a wall-clock duration into the virtual time it
-// spans at the configured ratio (used to price real network residence
-// against virtual relay-deadline budgets).
-func (p *Paced) VirtualPerWall(d time.Duration) Duration {
-	return Duration(float64(d.Nanoseconds()) * p.ratio)
-}
-
 // Inject schedules fn to run in kernel context at the current virtual
 // time. It is safe to call from any goroutine, before, during and after
 // Run; closures injected after Run returned are discarded with it.
