@@ -4,9 +4,18 @@
 // counts, latency and jitter statistics, exception counts, quality of
 // control, and bus utilization.
 //
+// Each -export FILE writes the run's observations in the format its
+// extension names:
+//
+//	.prom   Prometheus text exposition of the run's metrics registry
+//	.jsonl  one canec-trace stage record per line (published, enqueued, tx_start, ...)
+//	.json   Chrome trace_event JSON for chrome://tracing or Perfetto,
+//	        with one track per node and one per priority band
+//
 // Example:
 //
 //	canecsim -nodes 16 -hrt 4 -srt-load 0.6 -bulk 32768 -faults 0.01 -dur 2s
+//	canecsim -config testdata/scenario-trace.json -export run.jsonl -export run.json
 //	canecsim -config testdata/scenario-automotive.json -pace 1 -admin 127.0.0.1:8080
 package main
 
@@ -19,6 +28,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"canec/internal/can"
@@ -40,6 +51,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("canecsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var exp exports
+	fs.Var(&exp, "export", "write the run's metrics (.prom), stage trace (.jsonl) or Chrome trace (.json) to `file` (repeatable)")
 	var (
 		nodes    = fs.Int("nodes", 8, "number of stations (2..127)")
 		hrt      = fs.Int("hrt", 2, "number of periodic HRT channels (each gets a 10 ms slot)")
@@ -55,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		config   = fs.String("config", "", "run a JSON scenario file instead of the flag-driven mix")
 		chaosCfg = fs.String("chaos", "", "JSON chaos script (crash/restart/burst/omission/babble/bit_error/busoff_attack campaign) applied to the scenario")
 		hist     = fs.Bool("hist", false, "print the SRT latency distribution histogram")
-		prom     = fs.String("prom", "", "write the run's metrics registry to this file (Prometheus text format)")
 		adminOpt = fs.String("admin", "", "serve the admin introspection plane on this address during a -pace run")
 		pace     = fs.Float64("pace", 0, "throttle the run against the wall clock at this many virtual ns per wall ns (0 = free-running, deterministic)")
 	)
@@ -93,8 +105,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("chaos script %s: %w", *chaosCfg, err))
 		}
 	}
-	// -prom and -admin read the same registry: either turns metrics on.
-	if *prom != "" || *adminOpt != "" {
+	// Exports and -admin read the same registry: any of them turns metrics
+	// on, and a trace export turns the tracer on too.
+	switch {
+	case exp.traced():
+		sc.Observe = obs.Default()
+	case len(exp) > 0 || *adminOpt != "":
 		sc.Observe = &obs.Config{Metrics: true}
 	}
 	in, err := sc.Build()
@@ -157,24 +173,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rep.Chaos != nil && len(rep.Chaos.Violations) > 0 {
 		return fail(fmt.Errorf("%d trace invariants violated", len(rep.Chaos.Violations)))
 	}
-	if *prom != "" {
-		if err := writeProm(*prom, sys.Obs.Registry()); err != nil {
+	for _, path := range exp {
+		if err := export(path, sys.Obs, sc.Nodes); err != nil {
 			return fail(err)
 		}
 	}
 	return 0
 }
 
-func writeProm(path string, reg *obs.Registry) error {
+// exports collects the -export files; Set rejects an unknown extension at
+// parse time, before anything runs.
+type exports []string
+
+func (e *exports) String() string { return strings.Join(*e, ",") }
+
+func (e *exports) Set(path string) error {
+	switch filepath.Ext(path) {
+	case ".prom", ".jsonl", ".json":
+		*e = append(*e, path)
+		return nil
+	}
+	return fmt.Errorf("unknown export format %q (want .prom, .jsonl or .json)", path)
+}
+
+// traced reports whether an export needs the stage trace.
+func (e exports) traced() bool {
+	for _, path := range e {
+		if filepath.Ext(path) != ".prom" {
+			return true
+		}
+	}
+	return false
+}
+
+// export writes the run's observations to path in the format its
+// extension names.
+func export(path string, o *obs.Observer, nodes int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteText(f); err != nil {
-		f.Close()
-		return err
+	switch filepath.Ext(path) {
+	case ".prom":
+		err = o.Registry().WriteText(f)
+	case ".jsonl":
+		err = obs.WriteJSONL(f, o.Records())
+	default:
+		err = obs.WriteChromeTrace(f, o.Records(), nodes)
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // fromFlags lowers the flag-described mix onto a scenario: nHRT periodic

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -13,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"canec/internal/golden"
 )
 
 const testdata = "../../testdata/"
@@ -32,6 +36,11 @@ func report(t *testing.T, args ...string) string {
 		t.Fatalf("canecsim %v exited %d:\n%s%s", args, code, out, errs)
 	}
 	return out
+}
+
+// digest is the "sha256 length" line a golden pins a large output by.
+func digest(data []byte) string {
+	return fmt.Sprintf("%x %d\n", sha256.Sum256(data), len(data))
 }
 
 // mustMatch asserts each {pattern, what a miss means} pair: the pattern
@@ -126,8 +135,12 @@ func cartCost(t *testing.T, out string) float64 {
 // cart cost, stale ticks while the controller is bus-off) yet still
 // recover and settle before the horizon, leave the bystander loop
 // untouched and hold every chaos trace invariant — twice, bit-identically.
+//
+// The clean run's stdout, with its last 32 bus events, is pinned as a
+// golden.
 func TestControlSmoke(t *testing.T) {
-	clean := report(t, "-config", testdata+"scenario-control.json")
+	clean := report(t, "-config", testdata+"scenario-control.json", "-trace", "32")
+	golden.Check(t, testdata+"golden/canecsim/scenario-control.trace.txt", clean)
 	mustMatch(t, clean, [][2]string{
 		{`control cart\[SRT\]: .* settled at .* stale 0,`, "cart loop did not settle cleanly on an idle bus"},
 		{`control heat\[SRT\]: .* settled at .* stale 0,`, "heat loop did not settle cleanly on an idle bus"},
@@ -186,10 +199,12 @@ func whyRun(t *testing.T) (out string, postmortem []byte) {
 // TestWhySmoke is the root-cause attribution pipeline end to end: a
 // scripted bit-error campaign drives an SRT deadline-miss SLO breach, and
 // the breach post-mortem must carry the correct top cause on its
-// slo_breach record — twice, bit-identically. (canecwhy's ranking of the
-// same dump is asserted in cmd/canecwhy.)
+// slo_breach record — twice, bit-identically — and match the pinned
+// digest. (canecwhy's ranking of the same dump is asserted in
+// cmd/canecwhy.)
 func TestWhySmoke(t *testing.T) {
 	out, pm := whyRun(t)
+	golden.Check(t, testdata+"golden/canecsim/scenario-why+chaos-why.postmortem.txt", digest(pm))
 	mustMatch(t, out, [][2]string{
 		{`slo: srt-miss-rate breached`, "the campaign never breached the SRT miss SLO"},
 		{`why: SRT: [1-9][0-9]* late, .* top cause error_retransmit`, "report did not attribute the injected bit errors"},
@@ -245,11 +260,13 @@ func TestFromFlagsValidates(t *testing.T) {
 	}
 }
 
-// TestFlagMode: the default mix delivers its 2 × 200 HRT events on time,
-// the same seed reproduces the output byte for byte, and a one-station
-// segment is refused instead of run with publisher = subscriber.
+// TestFlagMode: the default mix delivers its 2 × 200 HRT events on time
+// and prints the pinned output, the same seed reproduces it byte for byte,
+// and a one-station segment is refused instead of run with publisher =
+// subscriber.
 func TestFlagMode(t *testing.T) {
 	out := report(t)
+	golden.Check(t, testdata+"golden/canecsim/flags-default.txt", out)
 	if !regexp.MustCompile(`(?m)^HRT: 400 delivered, .* late 0, missed 0$`).MatchString(out) {
 		t.Errorf("default flags:\n%s", out)
 	}
@@ -267,6 +284,39 @@ func TestFlagMode(t *testing.T) {
 	code, stdout, stderr := canecsim("-nodes", "1")
 	if code == 0 || stdout != "" || !strings.Contains(stderr, "nodes 1 out of range") {
 		t.Errorf("-nodes 1: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestExports: one run of the trace scenario writes its stage trace,
+// Chrome trace and metrics, each pinned as "sha256 length" in that order.
+// The golden holds the digests of the exports canecsim inherited from the
+// retired canectrace exporter: never regenerate it with -update. Exporting
+// leaves stdout as it is, and an unknown extension is refused before the
+// run, with nothing on stdout.
+func TestExports(t *testing.T) {
+	dir := t.TempDir()
+	config := testdata + "scenario-trace.json"
+	args := []string{"-config", config}
+	names := []string{"t.jsonl", "t.json", "t.prom"}
+	for _, name := range names {
+		args = append(args, "-export", filepath.Join(dir, name))
+	}
+	out := report(t, args...)
+	var sums strings.Builder
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums.WriteString(digest(data))
+	}
+	golden.Check(t, testdata+"golden/canecsim/scenario-trace.exports.txt", sums.String())
+	if plain := report(t, "-config", config); plain != out {
+		t.Errorf("-export changed stdout:\n%s\nvs\n%s", out, plain)
+	}
+	code, stdout, stderr := canecsim("-config", config, "-export", filepath.Join(dir, "t.txt"))
+	if code == 0 || stdout != "" || !strings.Contains(stderr, "unknown export format") {
+		t.Errorf("-export t.txt: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }
 

@@ -1,4 +1,4 @@
-// canecwhy ingests trace JSONL — a canectrace export or a
+// canecwhy ingests trace JSONL — a canecsim -export stage trace or a
 // flight-recorder post-mortem dump — and answers "why was it late":
 // it replays the stream through the causal lateness engine and prints
 // ranked root-cause tables with per-chain critical paths.

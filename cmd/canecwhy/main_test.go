@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"canec/internal/chaos"
+	"canec/internal/golden"
 	"canec/internal/obs"
 	"canec/internal/scenario"
 	"canec/internal/sim"
@@ -41,7 +42,8 @@ func buildCanecwhy(t *testing.T, dir string) string {
 }
 
 // TestCanecwhyEndToEnd runs the built binary over a post-mortem style
-// dump with a known injected cause and checks the ranked output.
+// dump with a known injected cause and checks the ranked output, and over
+// the committed pre-versioning dump, whose output is pinned as a golden.
 func TestCanecwhyEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildCanecwhy(t, dir)
@@ -85,6 +87,12 @@ func TestCanecwhyEndToEnd(t *testing.T) {
 		t.Fatalf("reruns differ: %v\n%s\nvs\n%s", err, text, out2)
 	}
 
+	compat, err := exec.Command(bin, "../../internal/obs/testdata/postmortem-compat.jsonl").CombinedOutput()
+	if err != nil {
+		t.Fatalf("canecwhy: %v\n%s", err, compat)
+	}
+	golden.Check(t, "../../testdata/golden/canecwhy/postmortem-compat.txt", string(compat))
+
 	// A missing file fails with a non-zero status.
 	if out, err := exec.Command(bin, filepath.Join(dir, "nope.jsonl")).CombinedOutput(); err == nil {
 		t.Fatalf("missing file accepted:\n%s", out)
@@ -94,7 +102,8 @@ func TestCanecwhyEndToEnd(t *testing.T) {
 // TestWhySmokeRanking is the canecwhy half of the root-cause gate: the
 // committed why-late demo under its bit-error campaign breaches the SRT
 // miss SLO, and canecwhy over the breach post-mortem must rank the
-// injected cause first — identically for two runs of the campaign.
+// injected cause first — identically for two runs of the campaign, and
+// as the pinned verdict.
 func TestWhySmokeRanking(t *testing.T) {
 	bin := buildCanecwhy(t, t.TempDir())
 	verdict := func() string {
@@ -131,6 +140,7 @@ func TestWhySmokeRanking(t *testing.T) {
 		return strings.ReplaceAll(string(out), sc.FlightDir, "")
 	}
 	first := verdict()
+	golden.Check(t, "../../testdata/golden/canecwhy/scenario-why+chaos-why.txt", first)
 	if !strings.Contains(first, "top causes: error_retransmit") {
 		t.Fatalf("canecwhy ranked the wrong root cause:\n%s", first)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,6 +34,25 @@ func TestRunSeedsParallelOrder(t *testing.T) {
 		if err != nil || got != want {
 			t.Fatalf("result %d carries %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestRunSeedsIndependentOfGOMAXPROCS: the full-stack integration
+// experiment yields the same per-seed results whether RunSeeds runs the
+// seeds one at a time or on parallel workers.
+func TestRunSeedsIndependentOfGOMAXPROCS(t *testing.T) {
+	e, ok := Find("E9")
+	if !ok {
+		t.Fatal("E9 not registered")
+	}
+	seeds := []uint64{1, 2, 3, 4}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	serial := RunSeeds(e, seeds)
+	runtime.GOMAXPROCS(max(prev, len(seeds)))
+	if parallel := RunSeeds(e, seeds); !reflect.DeepEqual(parallel, serial) {
+		t.Errorf("GOMAXPROCS(%d) results differ from GOMAXPROCS(1):\n%v\nvs\n%v",
+			runtime.GOMAXPROCS(0), parallel, serial)
 	}
 }
 

@@ -266,7 +266,7 @@ type Scenario struct {
 	FlightDir     string `json:"flightDir,omitempty"`
 
 	// Observe enables the observability layer for the run. It is set
-	// programmatically (canectrace, tests), not from the JSON file.
+	// programmatically (canecsim -export, tests), not from the JSON file.
 	Observe *obs.Config `json:"-"`
 }
 
