@@ -42,7 +42,7 @@ func TestCodecZeroAllocs(t *testing.T) {
 }
 
 // One frame through an otherwise idle bus costs the controller's request
-// record and its private payload copy — nothing for scheduling the
+// record, which holds the payload copy too — nothing for scheduling the
 // arbitration round or the completion.
 func TestBusFrameAllocsPinned(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -55,10 +55,36 @@ func TestBusFrameAllocsPinned(t *testing.T) {
 		k.RunUntilIdle()
 	}
 	cycle()
-	if per := testing.AllocsPerRun(200, cycle); per > 2 {
-		t.Fatalf("submit→arbitrate→complete: %.2f allocs, want <= 2", per)
+	if per := testing.AllocsPerRun(200, cycle); per > 1 {
+		t.Fatalf("submit→arbitrate→complete: %.2f allocs, want <= 1", per)
 	}
 	if got := b.Stats().FramesOK; got != 202 {
 		t.Fatalf("FramesOK = %d", got)
+	}
+}
+
+// Delivering one transmission to seven receivers hands them all the
+// request's frame: the cycle costs the request record and nothing per
+// receiver.
+func TestBusFanOutAllocsPinned(t *testing.T) {
+	const receivers = 7
+	k, b := rig(receivers+1, 1)
+	got := 0
+	for i := 1; i <= receivers; i++ {
+		b.Controller(i).OnReceive = func(Frame, sim.Time) { got++ }
+	}
+	sent := 0
+	opts := SubmitOpts{Done: func(bool, sim.Time) { sent++ }}
+	f := Frame{ID: MakeID(7, 0, 0x123), Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	cycle := func() {
+		b.Controller(0).Submit(f, opts)
+		k.RunUntilIdle()
+	}
+	cycle()
+	if per := testing.AllocsPerRun(200, cycle); per != 1 {
+		t.Fatalf("submit→deliver to %d receivers: %.2f allocs, want 1", receivers, per)
+	}
+	if sent != 202 || got != 202*receivers {
+		t.Fatalf("sent %d, delivered %d", sent, got)
 	}
 }

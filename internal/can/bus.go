@@ -33,7 +33,10 @@ const (
 
 // TraceEvent is emitted through Bus.Trace for observability and metrics.
 // Frame.Tag carries the submitter's correlation tag, so hooks can stitch
-// bus-level events into end-to-end event lifecycles.
+// bus-level events into end-to-end event lifecycles. Frame is the
+// transmission's shared frame, under the same contract as
+// Controller.OnReceive: Frame.Data is read-only, and a hook that keeps
+// the bytes copies them.
 type TraceEvent struct {
 	Kind    TraceKind
 	At      sim.Time
@@ -394,7 +397,9 @@ func (b *Bus) idle() {
 }
 
 // deliver hands the frame to every operational receiver except the sender
-// and any inconsistent-omission victims.
+// and any inconsistent-omission victims. All of them get the request's
+// one frame: CAN is a broadcast medium, every receiver observes the same
+// transmitted value.
 func (b *Bus) deliver(req *txReq, sender int, victims map[int]bool) {
 	now := b.K.Now()
 	for i, c := range b.ctrls {
@@ -412,7 +417,7 @@ func (b *Bus) deliver(req *txReq, sender int, victims map[int]bool) {
 			b.Trace(TraceEvent{Kind: TraceRx, At: now, Frame: req.frame, Sender: sender, Recv: i, Attempt: req.attempt})
 		}
 		if c.OnReceive != nil {
-			c.OnReceive(req.frame.Clone(), now)
+			c.OnReceive(req.frame, now)
 		}
 	}
 }

@@ -432,3 +432,48 @@ func TestTraceArbitration(t *testing.T) {
 		t.Fatalf("arbitration trace = %v, want %v", arb, wantArb)
 	}
 }
+
+// Submit copies the payload, and every receiver and the trace hook get
+// the one frame of the transmission: equal bytes, unaffected by the
+// submitter reusing its buffer or by later traffic.
+func TestFrameSharedAcrossReceivers(t *testing.T) {
+	k, b := rig(3, 1)
+	var rx [][]byte
+	for i := 1; i < 3; i++ {
+		b.Controller(i).OnReceive = func(f Frame, _ sim.Time) { rx = append(rx, f.Data) }
+	}
+	var traced [][]byte
+	b.Trace = func(ev TraceEvent) {
+		if ev.Kind == TraceRx {
+			traced = append(traced, ev.Frame.Data)
+		}
+	}
+	buf := []byte{1, 2, 3, 4}
+	b.Controller(0).Submit(Frame{ID: MakeID(5, 0, 0x10), Data: buf}, SubmitOpts{})
+	for i := range buf {
+		buf[i] = 0xee // the submitter reuses its buffer at once
+	}
+	k.RunUntilIdle()
+	if len(rx) != 2 || len(traced) != 2 {
+		t.Fatalf("%d receptions, %d traced", len(rx), len(traced))
+	}
+	want := []byte{1, 2, 3, 4}
+	for i, d := range append(rx, traced...) {
+		if string(d) != string(want) {
+			t.Fatalf("view %d = %v, want %v", i, d, want)
+		}
+	}
+	if &rx[0][0] != &rx[1][0] || &rx[0][0] != &traced[0][0] {
+		t.Fatal("receivers of one transmission got different frames")
+	}
+	for i := 0; i < 4; i++ {
+		b.Controller(0).Submit(Frame{ID: MakeID(5, 0, 0x10), Data: []byte{9, 9, 9, byte(i)}}, SubmitOpts{})
+		k.RunUntilIdle()
+	}
+	if string(rx[0]) != string(want) || string(rx[1]) != string(want) {
+		t.Fatalf("first frame's bytes changed by later traffic: %v %v", rx[0], rx[1])
+	}
+	if len(rx) != 10 || string(rx[9]) != string([]byte{9, 9, 9, 3}) {
+		t.Fatalf("later traffic: %d receptions, last %v", len(rx), rx[len(rx)-1])
+	}
+}

@@ -170,11 +170,11 @@ func TestConfinementOffHotPathAllocs(t *testing.T) {
 	if off != on {
 		t.Fatalf("healthy hot path: %.2f allocs/frame confinement-off vs %.2f on, want equal", off, on)
 	}
-	// The absolute pin: a full frame cycle on the off path measures 8
-	// (kernel events, request record, trace bookkeeping). If this grows,
+	// The absolute pin: a full frame cycle on the off path measures 1
+	// (the request record, which holds the payload copy). If this grows,
 	// BENCH_seed comparisons will catch it too — fail here first with a
 	// number attached.
-	if off > 8 {
-		t.Fatalf("confinement-off hot path allocates %.2f per frame, want <= 8", off)
+	if off > 1 {
+		t.Fatalf("confinement-off hot path allocates %.2f per frame, want <= 1", off)
 	}
 }

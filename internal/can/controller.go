@@ -7,8 +7,11 @@ import (
 )
 
 // txReq is a pending transmission request inside a controller.
+// frame.Data slices data, the submitted payload's private copy, which
+// nothing writes after Submit: every receiver can share the frame.
 type txReq struct {
 	frame      Frame
+	data       [MaxPayload]byte
 	attempt    int
 	inFlight   bool
 	singleShot bool
@@ -43,6 +46,9 @@ type Controller struct {
 
 	// OnReceive is invoked for every frame that passes the acceptance
 	// filter. The callback runs in kernel context; it must not block.
+	// f is the one frame of the transmission, shared with every other
+	// receiver and with Bus.Trace: f.Data must not be mutated, and a
+	// receiver that keeps the bytes past the callback copies them.
 	OnReceive func(f Frame, at sim.Time)
 
 	// filters is the acceptance filter set, one bit per etag: if nil, all
@@ -155,9 +161,10 @@ type SubmitOpts struct {
 }
 
 // Submit queues a frame for transmission and triggers arbitration if the
-// bus is idle. It panics on invalid frames: the middleware owns frame
-// construction, so an invalid frame is a programming error, not a runtime
-// condition.
+// bus is idle. It copies f.Data, so the caller may reuse its buffer as
+// soon as Submit returns. It panics on invalid frames: the middleware
+// owns frame construction, so an invalid frame is a programming error,
+// not a runtime condition.
 func (c *Controller) Submit(f Frame, opts SubmitOpts) TxHandle {
 	if err := f.Validate(); err != nil {
 		panic(err)
@@ -165,7 +172,8 @@ func (c *Controller) Submit(f Frame, opts SubmitOpts) TxHandle {
 	if f.ID.TxNode() != c.txnode {
 		panic(fmt.Sprintf("can: node %d submitting frame with TxNode %d", c.txnode, f.ID.TxNode()))
 	}
-	r := &txReq{frame: f.Clone(), singleShot: opts.SingleShot, done: opts.Done}
+	r := &txReq{frame: Frame{ID: f.ID, Tag: f.Tag}, singleShot: opts.SingleShot, done: opts.Done}
+	r.frame.Data = r.data[:copy(r.data[:], f.Data)]
 	c.pending = append(c.pending, r)
 	c.bus.kick()
 	return TxHandle{r: r}

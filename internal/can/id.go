@@ -12,6 +12,13 @@
 // "frame-granular arbitration, bit-accurate timing" compromise keeps the
 // simulation fast without changing any temporal property the paper's
 // protocol depends on.
+//
+// Frame ownership: Controller.Submit copies the payload, so the submitter
+// may reuse its buffer at once. One transmission then yields one frame,
+// shared by every receiver's Controller.OnReceive and by Bus.Trace, as
+// every node on a real bus observes the same transmitted bits. Its Data
+// is read-only; a receiver or trace hook that keeps the bytes past the
+// callback copies them.
 package can
 
 import "fmt"

@@ -203,7 +203,9 @@ type DeliveryInfo struct {
 
 // NotificationHandler is application code run when an event passes all
 // filters (§2.2.1). It executes in simulation-kernel context and must not
-// block.
+// block. The middleware copies the payload out of the received frame once
+// per delivery, so the handler owns Event.Payload: no other subscriber
+// sees it, and only the channel's GetEvent returns it again.
 type NotificationHandler func(Event, DeliveryInfo)
 
 // ExceptionKind enumerates the exceptional situations the middleware

@@ -128,11 +128,11 @@ func (c *HRTEC) publish(ev Event) error {
 		return fmt.Errorf("%w: %d > %d", ErrPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	if len(ch.hrtQueue) >= ch.hrtQueueCap {
-		ex := Exception{
-			Kind: ExcQueueOverflow, Subject: ch.subject, Event: &ev,
+		dropped := ev // the exception's own copy, so ev stays on the stack
+		ch.raisePub(Exception{
+			Kind: ExcQueueOverflow, Subject: ch.subject, Event: &dropped,
 			At: mw.K.Now(), Detail: "HRT publish queue full",
-		}
-		ch.raisePub(ex)
+		})
 		mw.Obs.Emit(0, obs.StageDropped, HRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "queue_overflow")
 		return fmt.Errorf("core: HRT queue overflow on subject %d", ch.subject)
@@ -189,61 +189,88 @@ func (ch *channelState) fireSlot() {
 		mw.Obs.SlotOutcome(false)
 		return
 	}
-	ev := ch.hrtQueue[0]
-	ch.hrtQueue = ch.hrtQueue[1:]
+	var tx *hrtTx
+	if n := len(ch.hrtTxFree); n > 0 {
+		tx, ch.hrtTxFree = ch.hrtTxFree[n-1], ch.hrtTxFree[:n-1]
+	} else {
+		tx = &hrtTx{ch: ch}
+		tx.done = tx.sent
+	}
+	tx.ev = ch.hrtQueue[0]
+	n := copy(ch.hrtQueue, ch.hrtQueue[1:])
+	ch.hrtQueue[n] = Event{}
+	ch.hrtQueue = ch.hrtQueue[:n]
 	mw.counters.SlotsFired++
 	mw.Obs.SlotOutcome(true)
 
-	seq := ch.hrtSeqOf(ev)
-	copies := mw.Cal.Cfg.OmissionDegree + 1
-	var sendCopy func(idx int)
-	sendCopy = func(idx int) {
-		payload := make([]byte, hrtHeaderLen+len(ev.Payload))
-		payload[0] = seq<<4 | uint8(idx)&0x0f
-		copy(payload[hrtHeaderLen:], ev.Payload)
-		frame := can.Frame{
-			ID:   can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag),
-			Data: payload,
-			Tag:  ev.traceID,
-		}
-		mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: func(ok bool, _ sim.Time) {
-			if !ok {
-				ch.raisePub(Exception{
-					Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
-					At: mw.K.Now(), Detail: "HRT transmission abandoned",
-				})
-				mw.Obs.Emit(ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
-					uint64(ch.subject), mw.K.Now(), "tx_abandoned")
-				return
-			}
-			if idx+1 >= copies {
-				return
-			}
-			if mw.SuppressRedundancy {
-				// The sender observed a consistently successful
-				// transmission: under the consistent-fault assumption all
-				// operational nodes have the message, so the remaining
-				// redundant copies are suppressed and their bandwidth is
-				// reclaimed by lower-priority traffic (§3.2).
-				mw.counters.CopiesSuppressed += uint64(copies - idx - 1)
-				mw.Obs.Copies("suppressed", uint64(copies-idx-1))
-				return
-			}
-			mw.counters.RedundantCopiesSent++
-			mw.Obs.Copies("sent", 1)
-			sendCopy(idx + 1)
-		}})
-	}
-	sendCopy(0)
+	// Sequence numbers advance with publishes and slots consume events
+	// FIFO, so the head's number is the current one less the events
+	// still queued behind it.
+	tx.seq = (ch.hrtSeq - uint8(n)) & 0x0f
+	tx.send(0)
 }
 
-// hrtSeqOf recovers the sequence number assigned at Publish for an event
-// at the queue head. Sequence numbers advance with publishes and slots
-// consume events FIFO, so the distance from the current head gives the
-// original number.
-func (ch *channelState) hrtSeqOf(ev Event) uint8 {
-	// Queue head was assigned (current seq − queue length remaining).
-	return (ch.hrtSeq - uint8(len(ch.hrtQueue))) & 0x0f
+// hrtTx is one slot transmission in progress: the event and the index of
+// the copy on the controller. Its done field, the controller's Done
+// callback, is the sent method bound once when the record is made.
+// Records return to the channel's free list when the transmission ends;
+// a slot that fires while the previous round's copy is still pending
+// (bus-off, a crash, faults beyond the omission degree) takes another.
+type hrtTx struct {
+	ch   *channelState
+	ev   Event
+	seq  uint8
+	idx  int
+	done func(ok bool, at sim.Time)
+}
+
+// send submits copy idx of the event. The frame is built on the stack:
+// Submit copies the payload.
+func (tx *hrtTx) send(idx int) {
+	ch := tx.ch
+	mw := ch.mw
+	tx.idx = idx
+	var payload [can.MaxPayload]byte
+	payload[0] = tx.seq<<4 | uint8(idx)&0x0f
+	n := hrtHeaderLen + copy(payload[hrtHeaderLen:], tx.ev.Payload)
+	mw.node.Ctrl.Submit(can.Frame{
+		ID:   can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag),
+		Data: payload[:n],
+		Tag:  tx.ev.traceID,
+	}, can.SubmitOpts{Done: tx.done})
+}
+
+// sent is the controller's completion callback for the copy in flight:
+// it sends the next redundant copy or ends the transmission.
+func (tx *hrtTx) sent(ok bool, _ sim.Time) {
+	ch := tx.ch
+	mw := ch.mw
+	left := mw.Cal.Cfg.OmissionDegree - tx.idx
+	if ok && left > 0 && !mw.SuppressRedundancy {
+		mw.counters.RedundantCopiesSent++
+		mw.Obs.Copies("sent", 1)
+		tx.send(tx.idx + 1)
+		return
+	}
+	if !ok {
+		ev := tx.ev // the exception's own copy: the record is reused
+		ch.raisePub(Exception{
+			Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
+			At: mw.K.Now(), Detail: "HRT transmission abandoned",
+		})
+		mw.Obs.Emit(ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
+	} else if left > 0 {
+		// The sender observed a consistently successful transmission:
+		// under the consistent-fault assumption all operational nodes
+		// have the message, so the remaining redundant copies are
+		// suppressed and their bandwidth is reclaimed by lower-priority
+		// traffic (§3.2).
+		mw.counters.CopiesSuppressed += uint64(left)
+		mw.Obs.Copies("suppressed", uint64(left))
+	}
+	tx.ev = Event{}
+	ch.hrtTxFree = append(ch.hrtTxFree, tx)
 }
 
 // hrtPubState is the subscriber side's view of one publisher of an HRT
@@ -253,7 +280,8 @@ func (ch *channelState) hrtSeqOf(ev Event) uint8 {
 type hrtPubState struct {
 	seen      bool
 	lastSeq   uint8
-	stash     *hrtArrival
+	stash     hrtArrival
+	stashed   bool
 	delivered int64
 	slot      calendar.Slot
 	hasSlot   bool
@@ -354,8 +382,8 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	if ps.seen && ps.lastSeq == seq {
 		// Redundant copy of an already-seen event.
 		ch.mw.counters.DuplicatesDropped++
-		if st := ps.stash; st != nil && st.seq == seq {
-			st.copies++
+		if ps.stashed && ps.stash.seq == seq {
+			ps.stash.copies++
 		}
 		return
 	}
@@ -367,11 +395,12 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	mw := ch.mw
 	local := mw.LocalTime()
 	round, deadline := ch.occurrenceOf(ps.slot, local)
-	st := &hrtArrival{ev: ev, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stash = hrtArrival{ev: ev, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stashed = true
 	if mw.DeliverOnArrival {
 		// De-jitter ablation: hand the event over immediately, exposing
 		// the full network-level jitter to the application.
-		ch.hrtDeliver(pub, ps, st, false)
+		ch.hrtDeliver(pub, ps, false)
 		return
 	}
 	if local > deadline {
@@ -380,10 +409,8 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 		// than hold it a full round. Within the sync precision this still
 		// counts as on-time.
 		late := local > deadline+mw.hrtSlack()
-		ch.hrtDeliver(pub, ps, st, late)
-		return
+		ch.hrtDeliver(pub, ps, late)
 	}
-	ps.stash = st
 }
 
 // occurrenceOf maps a local time to the slot occurrence (active round)
@@ -416,10 +443,12 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// hrtDeliver notifies the application and records delivery bookkeeping.
-func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, st *hrtArrival, late bool) {
+// hrtDeliver notifies the application of the publisher's stashed arrival
+// and records delivery bookkeeping.
+func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 	mw := ch.mw
-	ps.stash = nil
+	st := &ps.stash
+	ps.stashed = false
 	ps.delivered = st.round
 	if mw.watchdog != nil {
 		mw.watchdog.noteAlive(pub)
@@ -491,8 +520,8 @@ func (r *hrtSubSlot) fire() {
 	if mw.stopped || !ch.subscribed {
 		return
 	}
-	if st := r.pub.stash; st != nil {
-		ch.hrtDeliver(r.slot.Publisher, r.pub, st, false)
+	if r.pub.stashed {
+		ch.hrtDeliver(r.slot.Publisher, r.pub, false)
 	} else if r.slot.Periodic {
 		// Allow the clock precision before declaring a miss: the
 		// publisher's clock may run up to π behind ours — more during

@@ -254,10 +254,12 @@ type channelState struct {
 	notify     NotificationHandler
 	subExc     ExceptionHandler
 
-	// HRT publisher: pending events waiting for slots, per-slot sequence.
+	// HRT publisher: pending events waiting for slots, per-slot sequence,
+	// and the free list of slot transmission records (see hrtTx).
 	hrtQueue    []Event
 	hrtQueueCap int
 	hrtSeq      uint8
+	hrtTxFree   []*hrtTx
 	// HRT subscriber: per-publisher dedup, arrival stash, last delivered
 	// round and calendar slot (made on first use, see hrtPub).
 	hrtPubs map[can.TxNode]*hrtPubState
@@ -274,9 +276,11 @@ type channelState struct {
 
 	// Mailbox: the most recently delivered event (§2.2.1: the middleware
 	// stores the event in a predefined memory area; the notification
-	// handler retrieves it with getEvent()).
-	lastEvent *Event
+	// handler retrieves it with getEvent()). Held by value: storing a
+	// delivery moves nothing to the heap.
+	lastEvent Event
 	lastInfo  DeliveryInfo
+	hasEvent  bool
 
 	// missed counts this channel's timing failures (deadline misses,
 	// validity expiries, missed HRT slots) for the introspection plane.
@@ -285,16 +289,12 @@ type channelState struct {
 
 // getEvent returns the mailbox contents.
 func (ch *channelState) getEvent() (Event, DeliveryInfo, bool) {
-	if ch.lastEvent == nil {
-		return Event{}, DeliveryInfo{}, false
-	}
-	return *ch.lastEvent, ch.lastInfo, true
+	return ch.lastEvent, ch.lastInfo, ch.hasEvent
 }
 
 // store fills the mailbox prior to notification.
 func (ch *channelState) store(ev Event, di DeliveryInfo) {
-	ch.lastEvent = &ev
-	ch.lastInfo = di
+	ch.lastEvent, ch.lastInfo, ch.hasEvent = ev, di, true
 }
 
 // deliverNotify runs the subscriber's notification handler, attributing

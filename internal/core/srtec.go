@@ -144,9 +144,11 @@ func (c *SRTEC) publish(ev Event) error {
 	if mw.MaxQueuedSRT > 0 && mw.srtQueuedTotal() >= mw.MaxQueuedSRT {
 		if !mw.shedLowestValue(now) {
 			// Nothing sheddable (everything in flight): reject the new
-			// event as the implicit lowest-priority citizen.
+			// event as the implicit lowest-priority citizen. The
+			// exception gets its own copy, so ev stays on the stack.
+			rejected := ev
 			ch.raisePub(Exception{
-				Kind: ExcLoadShed, Subject: ch.subject, Event: &ev,
+				Kind: ExcLoadShed, Subject: ch.subject, Event: &rejected,
 				At: mw.K.Now(), Detail: "send queue full, no sheddable entry",
 			})
 			mw.Obs.Emit(0, obs.StageShed, SRT.String(), mw.node.Index,
@@ -165,7 +167,7 @@ func (c *SRTEC) publish(ev Event) error {
 		expiration: ev.Attrs.Expiration, seq: mw.srtSeq, prio: prio}
 	frame := can.Frame{
 		ID:   can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
-		Data: append([]byte(nil), ev.Payload...),
+		Data: ev.Payload, // Submit copies it
 		Tag:  ev.traceID,
 	}
 	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.sent})

@@ -9,9 +9,9 @@ import (
 )
 
 // goldenRecords is a representative chain exercising every Record field:
-// the byte-exact wire form of the canec-trace/1 schema. canecwhy and
-// canectrace ingest exactly these bytes; if this golden changes, the
-// schema tag in TraceSchema must be bumped.
+// the byte-exact wire form of the canec-trace/1 schema. canecsim's
+// -export writes and canecwhy ingests exactly these bytes; if this golden
+// changes, the schema tag in TraceSchema must be bumped.
 func goldenRecords() []Record {
 	return []Record{
 		{ID: 1, Stage: StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
@@ -33,8 +33,9 @@ func goldenRecords() []Record {
 
 // TestTraceJSONLGolden pins the versioned trace JSONL wire format
 // byte-for-byte, RFC-style: the serialised form is the contract that
-// canecwhy/canectrace ingest, so any drift must be a deliberate,
-// reviewed change (go test ./internal/obs -run Golden -update).
+// canecsim -export writes and canecwhy ingests, so any drift must be a
+// deliberate, reviewed change (go test ./internal/obs -run Golden
+// -update).
 func TestTraceJSONLGolden(t *testing.T) {
 	path := filepath.Join("testdata", "trace-v1.golden.jsonl")
 	var buf bytes.Buffer
