@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race check golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tidy
+.PHONY: all build fmt vet test race check golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tidy
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -96,11 +100,12 @@ why-smoke:
 bench-smoke:
 	$(GO) test -run TestBenchGate ./cmd/canecbench
 
-# check is the PR gate: compile everything, vet, run the full suite under
-# the race detector and smoke the fuzz targets. The suite already holds
-# every smoke gate above (chaos, bus-off, admission, control, relay, obs,
-# why, bench), so each runs once; their targets stay for single runs.
-check: build vet race fuzz-smoke
+# check is the PR gate: compile everything, check gofmt, vet, run the
+# full suite under the race detector and smoke the fuzz targets. The
+# suite already holds every smoke gate above (chaos, bus-off, admission,
+# control, relay, obs, why, bench), so each runs once; their targets stay
+# for single runs.
+check: build fmt vet race fuzz-smoke
 
 # golden rewrites every golden file under testdata/golden from the code
 # under test: run it only for an intended output change, and review the

@@ -40,7 +40,7 @@ func (m *Model) step(x *[2]float64, u float64) {
 }
 
 // DoubleIntegrator returns the exact ZOH discretisation of the
-// double-integrator cart x'' = u (position, velocity) for step dt:
+// double-integrator cart ẍ = u (position, velocity) for step dt:
 // position += v·dt + u·dt²/2, velocity += u·dt.
 func DoubleIntegrator(dt sim.Duration) Model {
 	h := secs(dt)

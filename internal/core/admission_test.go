@@ -69,6 +69,51 @@ func TestAdmissionAnnounceGate(t *testing.T) {
 	}
 }
 
+// TestAdmissionSurvivesRestart: a restarted station's fresh middleware
+// answers to the same admission controller, so a channel refused at
+// start-up is refused again when re-announced after the restart.
+func TestAdmissionSurvivesRestart(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Nodes: 3, Seed: 1,
+		Admission: admissionConfig(0.05, 0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLifecycle(sys)
+	tight := ChannelAttrs{Period: 5 * sim.Millisecond, RelDeadline: 100 * sim.Microsecond}
+	announce := func(mw *Middleware) error {
+		ch, err := mw.SRTEC(subjOther)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch.Announce(tight, nil)
+	}
+	var admErr *AdmissionError
+	if err := announce(sys.Node(1).MW); !errors.As(err, &admErr) {
+		t.Fatalf("tight channel at start-up: %v, want *AdmissionError", err)
+	}
+	restarted := false
+	lc.OnRestart = func(n int, mw *Middleware) {
+		restarted = true
+		if err := announce(mw); !errors.As(err, &admErr) {
+			t.Errorf("tight channel after restart: %v, want *AdmissionError", err)
+		}
+	}
+	sys.K.At(10*sim.Millisecond, func() {
+		if err := lc.Crash(1); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.K.At(20*sim.Millisecond, func() {
+		if err := lc.Restart(1); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.Run(200 * sim.Millisecond)
+	if !restarted {
+		t.Fatal("station 1 never completed its restart")
+	}
+}
+
 // TestAdmissionNRTUncontrolled: without an NRT target the class is
 // admitted unconditionally but still tracked as interference.
 func TestAdmissionNRTUncontrolled(t *testing.T) {

@@ -261,14 +261,8 @@ func (lc *Lifecycle) Restart(i int) error {
 		node.Ctrl.Recover()
 	}
 	node.Ctrl.Reattach()
-	mw := NewMiddleware(sys.K, node, sys.Cfg.Bands)
-	mw.Cal = sys.Cfg.Calendar
-	mw.Epoch = sys.Cfg.Epoch
-	mw.SuppressRedundancy = !sys.Cfg.NoSuppressRedundancy
-	mw.Obs = sys.Obs
+	mw := sys.newMiddleware(node)
 	if sys.Syncer != nil {
-		mw.Syncer = sys.Syncer
-		mw.Health = sys.Syncer
 		node.Clock.SetTo(now, 0) // cold RTC: re-sync will correct it
 	}
 	client := binding.NewClient(sys.K, node.Ctrl)

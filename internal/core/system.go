@@ -18,8 +18,6 @@ import (
 type SystemConfig struct {
 	// Nodes is the number of stations (TxNode i for station i).
 	Nodes int
-	// BitRate of the bus; 0 selects 1 Mbit/s.
-	BitRate int
 	// Seed drives all randomness (clock drifts, fault injection,
 	// workloads using the kernel RNG). Ignored when Kernel is supplied.
 	Seed uint64
@@ -65,8 +63,8 @@ type SystemConfig struct {
 	// set is re-evaluated when error-state transitions (error-passive,
 	// bus-off, guardian isolation) raise the measured error rate. HRT
 	// channels stay deterministic (calendar-dimensioned) and bypass it.
-	// The analyzer's bit rate and reserved HRT interference default from
-	// BitRate and Calendar when left zero.
+	// The analyzer's reserved HRT interference defaults from Calendar when
+	// left empty.
 	Admission *prob.AdmissionConfig
 	// Observe opts the system into the observability layer (life-cycle
 	// tracing and/or metrics); nil keeps every instrumentation point a
@@ -142,7 +140,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if k == nil {
 		k = sim.NewKernel(cfg.Seed)
 	}
-	bus := can.NewBus(k, cfg.BitRate)
+	bus := can.NewBus(k, can.DefaultBitRate)
 	bus.ConfineFaults = cfg.ConfineFaults
 	if cfg.Injector != nil {
 		bus.Injector = cfg.Injector
@@ -150,9 +148,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys := &System{K: k, Bus: bus, Cfg: cfg, Bindings: binding.NewTable()}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
-		if ac.Analyzer.BitRate == 0 {
-			ac.Analyzer.BitRate = cfg.BitRate
-		}
 		if err := ac.Analyzer.Model.Validate(); err != nil {
 			return nil, fmt.Errorf("core: admission error model: %w", err)
 		}
@@ -200,19 +195,34 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			off = k.RNG().Jitter(cfg.MaxInitialOffset)
 		}
 		clk := clock.New(drift, off)
-		ctrl := bus.Attach(can.TxNode(i))
-		node := &Node{Index: i, Ctrl: ctrl, Clock: clk}
-		mw := NewMiddleware(k, node, cfg.Bands)
-		mw.Bindings = sys.Bindings
-		mw.Cal = cfg.Calendar
-		mw.Epoch = cfg.Epoch
-		mw.SuppressRedundancy = !cfg.NoSuppressRedundancy
-		mw.Obs = sys.Obs
-		mw.Admission = sys.Admission
+		sys.Nodes = append(sys.Nodes, &Node{Index: i, Ctrl: bus.Attach(can.TxNode(i)), Clock: clk})
+		sys.Clocks = append(sys.Clocks, clk)
+	}
+
+	if cfg.Sync.Period > 0 {
+		sys.Syncer = clock.NewSyncer(k, bus, cfg.Sync, cfg.Master, sys.Clocks)
+		if len(cfg.SyncBackups) > 0 {
+			sys.Syncer.SetBackups(cfg.SyncBackups)
+		}
+		sys.Syncer.OnTakeover = func(m int, at sim.Time) {
+			sys.Obs.Emit(0, obs.StageMasterTakeover, "", m, 0, at, "time master")
+		}
+		sys.Syncer.OnHoldover = func(n int, enter bool, at sim.Time) {
+			stage := obs.StageHoldoverExit
+			if enter {
+				stage = obs.StageHoldoverEnter
+			}
+			sys.Obs.Emit(0, stage, "", n, 0, at, "")
+		}
+	}
+
+	for i, node := range sys.Nodes {
+		sys.newMiddleware(node).Bindings = sys.Bindings
 		if sys.Obs != nil {
 			// The gauges close over the node, not the middleware: a node
 			// restart installs a fresh middleware and the metrics must
 			// follow it.
+			ctrl := node.Ctrl
 			sys.Obs.RegisterQueueDepth(i, "hrt", func() int { return node.MW.hrtQueuedTotal() })
 			sys.Obs.RegisterQueueDepth(i, "srt", func() int { return node.MW.srtQueuedTotal() })
 			sys.Obs.RegisterQueueDepth(i, "nrt", func() int { return node.MW.nrtQueuedTotal() })
@@ -221,8 +231,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 				func() int { return ctrl.REC() },
 				func() int { return int(ctrl.State()) })
 		}
-		sys.Nodes = append(sys.Nodes, node)
-		sys.Clocks = append(sys.Clocks, clk)
 	}
 
 	if sys.Admission != nil {
@@ -250,28 +258,27 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 
-	if cfg.Sync.Period > 0 {
-		sys.Syncer = clock.NewSyncer(k, bus, cfg.Sync, cfg.Master, sys.Clocks)
-		if len(cfg.SyncBackups) > 0 {
-			sys.Syncer.SetBackups(cfg.SyncBackups)
-		}
-		sys.Syncer.OnTakeover = func(m int, at sim.Time) {
-			sys.Obs.Emit(0, obs.StageMasterTakeover, "", m, 0, at, "time master")
-		}
-		sys.Syncer.OnHoldover = func(n int, enter bool, at sim.Time) {
-			stage := obs.StageHoldoverExit
-			if enter {
-				stage = obs.StageHoldoverEnter
-			}
-			sys.Obs.Emit(0, stage, "", n, 0, at, "")
-		}
-		for _, n := range sys.Nodes {
-			n.MW.Syncer = sys.Syncer
-			n.MW.Health = sys.Syncer
-		}
+	if sys.Syncer != nil {
 		sys.Syncer.Start()
 	}
 	return sys, nil
+}
+
+// newMiddleware installs a fresh middleware on station node with the
+// settings every incarnation of it shares: NewSystem builds the first one,
+// Lifecycle.Restart the one after each crash.
+func (s *System) newMiddleware(node *Node) *Middleware {
+	mw := NewMiddleware(s.K, node, s.Cfg.Bands)
+	mw.Cal = s.Cfg.Calendar
+	mw.Epoch = s.Cfg.Epoch
+	mw.SuppressRedundancy = !s.Cfg.NoSuppressRedundancy
+	mw.Obs = s.Obs
+	mw.Admission = s.Admission
+	if s.Syncer != nil {
+		mw.Syncer = s.Syncer
+		mw.Health = s.Syncer
+	}
+	return mw
 }
 
 // Node returns station i.

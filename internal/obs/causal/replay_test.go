@@ -63,10 +63,11 @@ func recordScenario(tb testing.TB, path, overlay string) ([]obs.Record, map[stri
 // engine and the oracle.
 func TestEngineMatchesOracleCommittedScenarios(t *testing.T) {
 	chaosFor := map[string]string{
-		"scenario-admission.json": "chaos-admission-ramp.json",
-		"scenario-busoff.json":    "chaos-busoff-attack.json",
-		"scenario-control.json":   "chaos-control-attack.json",
-		"scenario-why.json":       "chaos-why.json",
+		"scenario-admission.json":      "chaos-admission-ramp.json",
+		"scenario-busoff.json":         "chaos-busoff-attack.json",
+		"scenario-control.json":        "chaos-control-attack.json",
+		"scenario-faulttolerance.json": "chaos-crash-babble.json",
+		"scenario-why.json":            "chaos-why.json",
 	}
 	files, err := filepath.Glob(testdata + "scenario-*.json")
 	if err != nil || len(files) < 5 {

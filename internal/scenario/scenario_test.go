@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"canec/internal/can"
 	"canec/internal/chaos"
 	"canec/internal/golden"
 	"canec/internal/obs"
@@ -303,18 +304,49 @@ func committedScenario(t *testing.T, path, chaosPath string) *Scenario {
 	return s
 }
 
+// chaosFor pairs each committed scenario with the chaos script written for
+// it; TestBuildDriveFinishMatchesRun runs every pair.
+var chaosFor = map[string]string{
+	"scenario-admission.json":      "chaos-admission-ramp.json",
+	"scenario-busoff.json":         "chaos-busoff-attack.json",
+	"scenario-control.json":        "chaos-control-attack.json",
+	"scenario-faulttolerance.json": "chaos-crash-babble.json",
+	"scenario-why.json":            "chaos-why.json",
+}
+
+// chaosOpenedElsewhere lists the committed chaos files a test other than
+// TestBuildDriveFinishMatchesRun opens by name.
+var chaosOpenedElsewhere = []string{
+	"chaos-agent-master.json", // TestRunControlPlaneSample
+}
+
+// TestNoOrphanedChaosScripts: every committed testdata/chaos-*.json is run
+// by some test, so none can rot unnoticed.
+func TestNoOrphanedChaosScripts(t *testing.T) {
+	used := make(map[string]bool)
+	for _, c := range chaosFor {
+		used[c] = true
+	}
+	for _, c := range chaosOpenedElsewhere {
+		used[c] = true
+	}
+	files, err := filepath.Glob("../../testdata/chaos-*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("committed chaos scripts: %v, %v", files, err)
+	}
+	for _, path := range files {
+		if !used[filepath.Base(path)] {
+			t.Errorf("testdata/%s: no test runs it; pair it with a scenario in chaosFor or delete it", filepath.Base(path))
+		}
+	}
+}
+
 // TestBuildDriveFinishMatchesRun: Build, Sys.Run(End), Finish — the form a
 // paced host drives step by step — renders the report Run renders, for
 // every committed scenario, clean and under the chaos script written for it.
 // The reports are pinned in testdata/golden/scenarios (regenerate with
 // -update).
 func TestBuildDriveFinishMatchesRun(t *testing.T) {
-	chaosFor := map[string]string{
-		"scenario-admission.json": "chaos-admission-ramp.json",
-		"scenario-busoff.json":    "chaos-busoff-attack.json",
-		"scenario-control.json":   "chaos-control-attack.json",
-		"scenario-why.json":       "chaos-why.json",
-	}
 	files, err := filepath.Glob("../../testdata/scenario-*.json")
 	if err != nil || len(files) < 5 {
 		t.Fatalf("committed scenarios: %v, %v", files, err)
@@ -352,4 +384,57 @@ func TestBuildDriveFinishMatchesRun(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDemoScenarioClaims: the demo scenarios show what they were written
+// to show. factory: thirty sporadic alarm streams overload the bus, so SRT
+// deadlines are missed and stale events expire out of the send queues.
+// faulttolerance: a k = 2 HRT stream absorbs random frame errors with no
+// late or missed delivery, and the unused redundant copies are suppressed;
+// under the crash/babble overlay no delivery is late, the outage shows as
+// missed slots, the guardian isolates the babbler and every trace
+// invariant holds.
+func TestDemoScenarioClaims(t *testing.T) {
+	run := func(t *testing.T, path, overlay string) (*Report, can.Stats) {
+		t.Helper()
+		if overlay != "" {
+			overlay = "../../testdata/" + overlay
+		}
+		in, err := committedScenario(t, "../../testdata/"+path, overlay).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Sys.Run(in.End)
+		return in.Finish(), in.Sys.Bus.Stats()
+	}
+	t.Run("factory", func(t *testing.T) {
+		rep, _ := run(t, "scenario-factory.json", "")
+		if c := rep.Counters; c.DeadlineMissed == 0 || c.Expired == 0 {
+			t.Fatalf("overload shows no SRT misses/expiries: %+v", c)
+		}
+	})
+	t.Run("faulttolerance", func(t *testing.T) {
+		rep, bus := run(t, "scenario-faulttolerance.json", "")
+		c := rep.Counters
+		if c.DeliveredHRT == 0 || c.LateHRTDeliveries != 0 || c.SlotMissed != 0 {
+			t.Fatalf("HRT under random errors: %+v", c)
+		}
+		if bus.FramesError == 0 || c.CopiesSuppressed == 0 || rep.NRTBytes == 0 {
+			t.Fatalf("error frames %d, copies suppressed %d, NRT bytes %d: want all > 0",
+				bus.FramesError, c.CopiesSuppressed, rep.NRTBytes)
+		}
+	})
+	t.Run("faulttolerance+chaos-crash-babble", func(t *testing.T) {
+		rep, _ := run(t, "scenario-faulttolerance.json", "chaos-crash-babble.json")
+		c, ch := rep.Counters, rep.Chaos
+		if c.LateHRTDeliveries != 0 || c.SlotMissed == 0 {
+			t.Fatalf("HRT under crash: late %d, missed %d, want 0, > 0", c.LateHRTDeliveries, c.SlotMissed)
+		}
+		if ch.Crashes != 1 || ch.Restarts != 1 || ch.GuardianIsolated == 0 || ch.BabbleSent != 0 {
+			t.Fatalf("campaign: %+v", ch)
+		}
+		if len(ch.Violations) != 0 {
+			t.Fatalf("invariants violated: %v", ch.Violations)
+		}
+	})
 }
