@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race check golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tidy
+.PHONY: all build fmt vet test race check portable golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tidy
 
 all: check
 
@@ -100,12 +100,18 @@ why-smoke:
 bench-smoke:
 	$(GO) test -run TestBenchGate ./cmd/canecbench
 
+# portable runs the golden and digest tests on a 32-bit target: the
+# experiment tables, scenario reports and CLI pins must come out
+# byte-identical under GOARCH=386 too.
+portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/experiments ./internal/scenario ./cmd/canecsim ./cmd/canecwhy
+
 # check is the PR gate: compile everything, check gofmt, vet, run the
-# full suite under the race detector and smoke the fuzz targets. The
-# suite already holds every smoke gate above (chaos, bus-off, admission,
-# control, relay, obs, why, bench), so each runs once; their targets stay
-# for single runs.
-check: build fmt vet race fuzz-smoke
+# full suite under the race detector, smoke the fuzz targets and rerun
+# the goldens on 386. The suite already holds every smoke gate above
+# (chaos, bus-off, admission, control, relay, obs, why, bench), so each
+# runs once; their targets stay for single runs.
+check: build fmt vet race fuzz-smoke portable
 
 # golden rewrites every golden file under testdata/golden from the code
 # under test: run it only for an intended output change, and review the

@@ -180,12 +180,11 @@ func TestTTCANExclusiveWindows(t *testing.T) {
 	net.SetExclusive(0, can.Frame{ID: can.MakeID(0, 0, 10), Data: []byte{1}})
 	net.SetExclusive(1, can.Frame{ID: can.MakeID(0, 1, 11), Data: []byte{2}})
 	k.Run(4*sim.Millisecond - 1) // two full cycles, excluding cycle 2's first window
-	st := net.Stats()
-	if st.ExclUsed != 2 {
-		t.Fatalf("ExclUsed = %d, want 2", st.ExclUsed)
+	if net.exclUsed != 2 {
+		t.Fatalf("exclUsed = %d, want 2", net.exclUsed)
 	}
-	if st.ExclIdle != 2 { // second cycle: both windows idle
-		t.Fatalf("ExclIdle = %d, want 2", st.ExclIdle)
+	if net.exclIdle != 2 { // second cycle: both windows idle
+		t.Fatalf("exclIdle = %d, want 2", net.exclIdle)
 	}
 	if len(rx) != 2 || rx[0] != 10 || rx[1] != 11 {
 		t.Fatalf("rx = %v", rx)
@@ -210,8 +209,8 @@ func TestTTCANSingleShotLoss(t *testing.T) {
 	if got != 0 {
 		t.Fatal("single-shot TTCAN delivered despite error")
 	}
-	if net.Stats().ExclMisses != 1 {
-		t.Fatalf("stats = %+v", net.Stats())
+	if net.misses != 1 {
+		t.Fatalf("exclusive misses = %d, want 1", net.misses)
 	}
 }
 
@@ -275,10 +274,7 @@ func TestOutcomeMetrics(t *testing.T) {
 	if r := o.MissRatio(); r != 0.75 {
 		t.Fatalf("MissRatio = %v", r)
 	}
-	if l := o.MeanLateness(); l != 55 {
-		t.Fatalf("MeanLateness = %v", l)
-	}
-	if (Outcome{}).MissRatio() != 0 || (Outcome{}).MeanLateness() != 0 {
+	if (Outcome{}).MissRatio() != 0 {
 		t.Fatal("empty outcome metrics")
 	}
 }

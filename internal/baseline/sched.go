@@ -39,23 +39,6 @@ func (o Outcome) MissRatio() float64 {
 	return float64(bad) / float64(len(o.Jobs))
 }
 
-// MeanLateness returns the average (completion − deadline) over jobs that
-// completed late, in nanoseconds.
-func (o Outcome) MeanLateness() float64 {
-	var sum float64
-	n := 0
-	for _, j := range o.Jobs {
-		if j.Missed && j.Completed > 0 {
-			sum += float64(j.Completed - j.Job.Deadline)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // jobTag encodes (stream, seq) into a frame payload prefix so receivers
 // can attribute completions. 2 bytes stream + 4 bytes seq.
 const jobTagLen = 6

@@ -28,12 +28,10 @@ type TTCAN struct {
 	// Windows, in start order, validated by Start.
 	Windows []TTWindow
 
-	arbQueue  []ttArb
-	sending   bool
-	misses    uint64
-	exclUsed  uint64
-	exclIdle  uint64
-	arbFrames uint64
+	arbQueue []ttArb
+	sending  bool
+	// Exclusive windows that carried, skipped or lost their message.
+	exclUsed, exclIdle, misses uint64
 
 	// pending exclusive messages: one slot per window index.
 	pending map[int]*can.Frame
@@ -53,16 +51,6 @@ type ttArb struct {
 	sender int
 	frame  can.Frame
 	done   func(ok bool, at sim.Time)
-}
-
-// TTStats reports cycle bookkeeping.
-type TTStats struct {
-	ExclUsed, ExclIdle, ArbFrames, ExclMisses uint64
-}
-
-// Stats returns the accumulated counters.
-func (n *TTCAN) Stats() TTStats {
-	return TTStats{ExclUsed: n.exclUsed, ExclIdle: n.exclIdle, ArbFrames: n.arbFrames, ExclMisses: n.misses}
 }
 
 // NewTTCAN builds the network on an existing kernel/bus.
@@ -165,7 +153,6 @@ func (n *TTCAN) fireArbitration(w TTWindow) {
 		n.sending = true
 		n.Bus.Controller(job.sender).Submit(job.frame, can.SubmitOpts{Done: func(ok bool, at sim.Time) {
 			n.sending = false
-			n.arbFrames++
 			if job.done != nil {
 				job.done(ok, at)
 			}

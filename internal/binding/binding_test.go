@@ -223,7 +223,7 @@ func TestBindTimeoutWithoutAgent(t *testing.T) {
 	done := false
 	cl.Bind(42, func(_ can.Etag, err error) { gotErr = err; done = true })
 	k.Run(1 * sim.Second)
-	if !done || gotErr != ErrTimeout {
+	if !done || gotErr != ErrAgentUnreachable {
 		t.Fatalf("done=%v err=%v", done, gotErr)
 	}
 }
@@ -254,8 +254,8 @@ func TestJoinProtocol(t *testing.T) {
 			t.Fatalf("controller %d not reconfigured", i)
 		}
 	}
-	if agent.Nodes() != 3 {
-		t.Fatalf("agent.Nodes = %d", agent.Nodes())
+	if len(agent.nodesByUID) != 3 {
+		t.Fatalf("agent.Nodes = %d", len(agent.nodesByUID))
 	}
 }
 

@@ -75,8 +75,8 @@ func TestJoinConvergesUnderErrors(t *testing.T) {
 	if joined != 4 {
 		t.Fatalf("%d/4 joins converged under 20%% error rate", joined)
 	}
-	if agent.Nodes() != 4 {
-		t.Fatalf("agent assigned %d nodes", agent.Nodes())
+	if len(agent.nodesByUID) != 4 {
+		t.Fatalf("agent assigned %d nodes", len(agent.nodesByUID))
 	}
 }
 

@@ -137,9 +137,6 @@ func (a *Agent) reply(payload []byte) {
 	}, can.SubmitOpts{})
 }
 
-// Nodes returns the number of assigned node numbers.
-func (a *Agent) Nodes() int { return len(a.nodesByUID) }
-
 // Preassign records a uid→node assignment made off-line (the statically
 // configured stations of a segment), so a station re-joining after a crash
 // gets its original node number back and fresh joins allocate beyond the
@@ -206,10 +203,6 @@ func (a *Agent) StartHeartbeat(cfg HeartbeatConfig) {
 	}
 	a.K.After(0, tick)
 }
-
-// StopHeartbeat halts the beacon (the old agent demotes itself when it
-// re-syncs as the new standby after a restart).
-func (a *Agent) StopHeartbeat() { a.hbOn = false }
 
 // beat emits one liveness frame with the allocation pointers, letting the
 // standby align its replica's next-etag/next-node counters even when no
@@ -287,10 +280,6 @@ const (
 // is down (or unreachable from this node). Callers that want to recover
 // should wait for agent liveness (Client.OnAgentAlive) and retry.
 var ErrAgentUnreachable = errors.New("binding: configuration agent unreachable")
-
-// ErrTimeout is the historical name of ErrAgentUnreachable, kept so
-// existing errors.Is / equality checks continue to hold.
-var ErrTimeout = ErrAgentUnreachable
 
 // ErrRejected is reported when the agent answered with a bind error
 // (etag space exhausted or invalid subject).

@@ -54,8 +54,7 @@ func TestJoinDetachedRejectsImmediately(t *testing.T) {
 }
 
 // TestJoinUnreachableIsTerminal: with no agent on the bus, Join exhausts
-// the retry schedule and fails exactly once with ErrAgentUnreachable —
-// the historical ErrTimeout is the same sentinel.
+// the retry schedule and fails exactly once with ErrAgentUnreachable.
 func TestJoinUnreachableIsTerminal(t *testing.T) {
 	k := sim.NewKernel(3)
 	bus := can.NewBus(k, can.DefaultBitRate)
@@ -70,9 +69,6 @@ func TestJoinUnreachableIsTerminal(t *testing.T) {
 	}
 	if !errors.Is(gotErr, ErrAgentUnreachable) {
 		t.Fatalf("err = %v, want ErrAgentUnreachable", gotErr)
-	}
-	if !errors.Is(ErrTimeout, ErrAgentUnreachable) {
-		t.Fatal("ErrTimeout is no longer an alias of ErrAgentUnreachable")
 	}
 }
 

@@ -28,7 +28,6 @@ type StandbyAgent struct {
 
 	inner    *Agent
 	active   bool
-	stopped  bool
 	lastSeen sim.Time
 
 	// Passive-snoop pairing state: outstanding bind requests by rid, and
@@ -63,7 +62,7 @@ func (s *StandbyAgent) Start() {
 	s.lastSeen = s.K.Now()
 	var tick func()
 	tick = func() {
-		if s.stopped || s.active {
+		if s.active {
 			return
 		}
 		if s.inner.Ctrl.Muted() {
@@ -80,9 +79,6 @@ func (s *StandbyAgent) Start() {
 	s.K.After(s.Cfg.Period, tick)
 }
 
-// Stop permanently disarms the standby (its station was decommissioned).
-func (s *StandbyAgent) Stop() { s.stopped = true }
-
 // takeover promotes the replica to acting agent: it starts serving
 // requests (via HandleFrame delegation) and beating, announcing the new
 // regime to every client and any future standby.
@@ -98,9 +94,6 @@ func (s *StandbyAgent) takeover() {
 // HandleFrame processes one configuration-channel frame. Passive mode
 // snoops; active mode serves through the replica.
 func (s *StandbyAgent) HandleFrame(f can.Frame, at sim.Time) {
-	if s.stopped {
-		return
-	}
 	if s.active {
 		s.inner.HandleFrame(f, at)
 		return

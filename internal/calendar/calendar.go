@@ -88,8 +88,6 @@ func (c Config) SlotSpan(s int) sim.Duration {
 type Slot struct {
 	// Subject identifies the event channel this slot carries.
 	Subject uint64
-	// Etag is the bound network tag for the subject.
-	Etag can.Etag
 	// Publisher is the only node allowed to transmit in this slot. If
 	// multiple publishers feed one channel, each needs its own slot
 	// (paper §3.1).
@@ -167,9 +165,6 @@ type Calendar struct {
 func New(round sim.Duration, cfg Config) *Calendar {
 	return &Calendar{Round: round, Cfg: cfg}
 }
-
-// Add appends a slot (unvalidated; call Admit before use).
-func (c *Calendar) Add(s Slot) { c.Slots = append(c.Slots, s) }
 
 // AdmissionError describes why a calendar was rejected.
 type AdmissionError struct {
@@ -264,17 +259,6 @@ func (c *Calendar) Utilization() float64 {
 		sum += float64(s.End(c.Cfg)-s.Ready) / float64(s.every())
 	}
 	return sum / float64(c.Round)
-}
-
-// SlotsFor returns the slots owned by the given publisher node.
-func (c *Calendar) SlotsFor(n can.TxNode) []Slot {
-	var out []Slot
-	for _, s := range c.Slots {
-		if s.Publisher == n {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // SlotsForSubject returns the slots carrying the given subject.

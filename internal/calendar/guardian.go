@@ -75,14 +75,6 @@ func (g *Guardian) slack() sim.Duration {
 	return g.Cal.Cfg.GapMin
 }
 
-// Violations returns how many frames the guardian has muted for the given
-// controller index.
-func (g *Guardian) Violations(sender int) int { return g.violations[sender] }
-
-// TargetedViolations returns how many of a controller's violations were
-// slot-timed (inside another station's calendar window).
-func (g *Guardian) TargetedViolations(sender int) int { return g.slotTargeted[sender] }
-
 // Judge implements can.Guardian.
 func (g *Guardian) Judge(f can.Frame, sender int, at sim.Time) can.GuardianVerdict {
 	if int(f.ID.Prio()) > g.MaxGuardedPrio {

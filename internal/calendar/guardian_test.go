@@ -11,7 +11,7 @@ func guardianFixture(t *testing.T, limit int) (*Guardian, Slot) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cal, err := PackSequential(cfg, sim.Millisecond,
-		Slot{Subject: 1, Etag: 10, Publisher: 2, Payload: 8, Periodic: true})
+		Slot{Subject: 1, Publisher: 2, Payload: 8, Periodic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestGuardianAllowsScheduledTraffic(t *testing.T) {
 	if v := g.Judge(srt, 5, g.Epoch+sim.Time(cal.Round)/2); v != can.GuardAllow {
 		t.Fatalf("SRT frame: verdict %v, want allow", v)
 	}
-	if g.Violations(2) != 0 || g.Violations(5) != 0 {
+	if g.violations[2] != 0 || g.violations[5] != 0 {
 		t.Fatal("legitimate traffic counted as violations")
 	}
 }
@@ -60,8 +60,8 @@ func TestGuardianMutesCalendarViolations(t *testing.T) {
 	if v := g.Judge(can.Frame{ID: can.MakeID(0, 3, 10)}, 3, inWindow); v != can.GuardMuteFrame {
 		t.Fatalf("slotless node: verdict %v, want mute", v)
 	}
-	if g.Violations(2) != 1 || g.Violations(3) != 1 {
-		t.Fatalf("violations = %d/%d, want 1/1", g.Violations(2), g.Violations(3))
+	if g.violations[2] != 1 || g.violations[3] != 1 {
+		t.Fatalf("violations = %d/%d, want 1/1", g.violations[2], g.violations[3])
 	}
 }
 
@@ -79,8 +79,8 @@ func TestGuardianEscalatesToIsolation(t *testing.T) {
 	if v := g.Judge(babble, 3, outside); v != can.GuardMuteNode {
 		t.Fatalf("violation 3: verdict %v, want node isolation", v)
 	}
-	if g.Violations(3) != 3 {
-		t.Fatalf("violations = %d, want 3", g.Violations(3))
+	if g.violations[3] != 3 {
+		t.Fatalf("violations = %d, want 3", g.violations[3])
 	}
 }
 
@@ -98,9 +98,9 @@ func TestGuardianSlotTargetedFastPath(t *testing.T) {
 	if v := g.Judge(attack, 8, inWindow); v != can.GuardMuteFrame {
 		t.Fatalf("targeted violation 1: verdict %v, want frame mute", v)
 	}
-	if g.TargetedViolations(8) != 1 || g.Violations(8) != 1 {
+	if g.slotTargeted[8] != 1 || g.violations[8] != 1 {
 		t.Fatalf("counts = %d targeted / %d total, want 1/1",
-			g.TargetedViolations(8), g.Violations(8))
+			g.slotTargeted[8], g.violations[8])
 	}
 	at2 := inWindow + sim.Time(cal.Round)
 	if v := g.Judge(attack, 8, at2); v != can.GuardMuteNode {
@@ -114,9 +114,9 @@ func TestGuardianSlotTargetedFastPath(t *testing.T) {
 			t.Fatalf("untargeted violation %d: verdict %v, want frame mute", i+1, v)
 		}
 	}
-	if g.TargetedViolations(3) != 0 || g.Violations(3) != 5 {
+	if g.slotTargeted[3] != 0 || g.violations[3] != 5 {
 		t.Fatalf("babbler counts = %d targeted / %d total, want 0/5",
-			g.TargetedViolations(3), g.Violations(3))
+			g.slotTargeted[3], g.violations[3])
 	}
 
 	// SlotTargetedLimit 0 disables the fast path: slot-timed hits still
@@ -128,15 +128,15 @@ func TestGuardianSlotTargetedFastPath(t *testing.T) {
 			t.Fatalf("fast path disabled, hit %d: verdict %v, want frame mute", i+1, v)
 		}
 	}
-	if g2.TargetedViolations(8) != 4 {
-		t.Fatalf("targeted count with fast path off = %d, want 4", g2.TargetedViolations(8))
+	if g2.slotTargeted[8] != 4 {
+		t.Fatalf("targeted count with fast path off = %d, want 4", g2.slotTargeted[8])
 	}
 }
 
 func TestGuardianRespectsMultiRatePhases(t *testing.T) {
 	cfg := DefaultConfig()
 	cal, err := PackSequential(cfg, sim.Millisecond,
-		Slot{Subject: 1, Etag: 10, Publisher: 2, Payload: 8, Every: 2, Phase: 1})
+		Slot{Subject: 1, Publisher: 2, Payload: 8, Every: 2, Phase: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

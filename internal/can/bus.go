@@ -161,9 +161,6 @@ func (b *Bus) Controllers() int { return len(b.ctrls) }
 // Controller returns the i-th attached controller.
 func (b *Bus) Controller(i int) *Controller { return b.ctrls[i] }
 
-// Busy reports whether a transmission is in progress.
-func (b *Bus) Busy() bool { return b.busy }
-
 // BitDuration returns the duration of n bit times on this bus.
 func (b *Bus) BitDuration(n int) sim.Duration { return BitTime(n, b.BitRate) }
 

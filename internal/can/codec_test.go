@@ -2,10 +2,59 @@ package can
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"canec/internal/sim"
 )
+
+// EncodeBits returns the frame's stuffed wire bits one bit per byte
+// (values 0/1) — Codec.Encode's stream unpacked, the form bit-level tests
+// work with.
+func EncodeBits(f Frame) []byte {
+	var c Codec
+	var buf [MaxStuffedBytes]byte
+	packed, n := c.Encode(buf[:0], f)
+	bits, _ := UnpackBits(make([]byte, 0, n), packed, n) // packed holds n bits
+	return bits
+}
+
+// DecodeBits parses a bit-per-byte stuffed stream (see EncodeBits) with
+// Codec.Decode. The returned frame owns its payload.
+func DecodeBits(bits []byte) (Frame, error) {
+	for i, b := range bits {
+		if b > 1 {
+			return Frame{}, fmt.Errorf("%w: non-binary symbol at %d", ErrWire, i)
+		}
+	}
+	c := new(Codec)
+	return c.Decode(PackBits(make([]byte, 0, MaxStuffedBytes), bits), len(bits))
+}
+
+// PackBits appends a bit-per-byte stream (EncodeBits output) to dst
+// packed 8 bits per byte, MSB first.
+func PackBits(dst, bits []byte) []byte {
+	for i := 0; i < len(bits); i += 8 {
+		var b byte
+		for j := 0; j < 8 && i+j < len(bits); j++ {
+			b |= (bits[i+j] & 1) << (7 - j)
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// UnpackBits appends n bits unpacked from the MSB-first packed stream to
+// dst (one bit per byte). It fails when packed holds fewer than n bits.
+func UnpackBits(dst, packed []byte, n int) ([]byte, error) {
+	if n < 0 || len(packed)*8 < n {
+		return nil, fmt.Errorf("%w: %d packed bytes hold fewer than %d bits", ErrWire, len(packed), n)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, packed[i/8]>>(7-i%8)&1)
+	}
+	return dst, nil
+}
 
 // bitsOf returns the low n bits of v, MSB first, one bit per byte.
 func bitsOf(v uint64, n int) []byte {
@@ -37,8 +86,6 @@ func TestStuffTableMatchesReference(t *testing.T) {
 		switch st {
 		case stuffStartExt:
 			width = 7
-		case stuffStartStd:
-			width = 3
 		default:
 			prefix = bytes.Repeat([]byte{byte(st >> 2)}, st&3+1)
 		}
@@ -130,26 +177,6 @@ func TestCodecMatchesReference(t *testing.T) {
 			t.Fatalf("%v % x: Decode = %v % x, %v", f, f.Data, dec, dec.Data, err)
 		}
 	})
-}
-
-func TestStdWireBitsMatchesReference(t *testing.T) {
-	rng := sim.NewRNG(15)
-	var data [MaxPayload]byte
-	for id := uint16(0); id <= MaxStdID; id++ {
-		for dlc := 0; dlc <= MaxPayload; dlc++ {
-			for _, fill := range []int{0x00, 0xff, 0x55, -1} {
-				for i := range data {
-					data[i] = byte(fill)
-					if fill < 0 {
-						data[i] = byte(rng.Uint64())
-					}
-				}
-				if got, want := StdWireBits(id, data[:dlc]), refStdWireBits(id, data[:dlc]); got != want {
-					t.Fatalf("id %#x data % x: StdWireBits = %d, reference %d", id, data[:dlc], got, want)
-				}
-			}
-		}
-	}
 }
 
 // The packed decoder accepts no stream the reference rejects, and decodes

@@ -62,9 +62,6 @@ type Controller struct {
 // etagSet is a bitset over the 14-bit etag space (2 KiB).
 type etagSet [(MaxEtag + 1) / 64]uint64
 
-// Index returns the controller's position on the bus.
-func (c *Controller) Index() int { return c.index }
-
 // Node returns the controller's 7-bit transmit node number.
 func (c *Controller) Node() TxNode { return c.txnode }
 
@@ -118,9 +115,6 @@ func (c *Controller) Reattach() {
 	c.bus.kick()
 }
 
-// OpenFilter accepts all frames (the power-up default of the model).
-func (c *Controller) OpenFilter() { c.filters = nil }
-
 // AddFilter admits frames carrying the given etag. The first call switches
 // the controller from promiscuous to selective reception.
 func (c *Controller) AddFilter(e Etag) {
@@ -133,7 +127,7 @@ func (c *Controller) AddFilter(e Etag) {
 }
 
 // RemoveFilter stops admitting the etag. Removing the last filter leaves
-// the controller accepting nothing (use OpenFilter to reset).
+// the controller accepting nothing (Detach resets it to open).
 func (c *Controller) RemoveFilter(e Etag) {
 	if c.filters != nil && e <= MaxEtag {
 		c.filters[e/64] &^= 1 << (e % 64)

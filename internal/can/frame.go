@@ -80,7 +80,7 @@ const (
 // participates in subsequent runs).
 func StuffBits(f Frame) int {
 	var buf rawBuf
-	return countStuff(stuffStartExt, packExt(&buf, f))
+	return countStuff(packExt(&buf, f))
 }
 
 // WireBits returns the exact on-wire length of the frame in bit times,

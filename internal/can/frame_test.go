@@ -49,14 +49,6 @@ func TestIDPriorityDominatesArbitration(t *testing.T) {
 	}
 }
 
-func TestIDWithPrio(t *testing.T) {
-	id := MakeID(200, 12, 7777)
-	p := id.WithPrio(3)
-	if p.Prio() != 3 || p.TxNode() != 12 || p.Etag() != 7777 {
-		t.Fatalf("WithPrio corrupted fields: %v", p)
-	}
-}
-
 func TestCRC15KnownVector(t *testing.T) {
 	// CRC of the empty sequence is 0; a single dominant bit yields the
 	// polynomial's low bits shifted through once.

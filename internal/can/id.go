@@ -71,13 +71,6 @@ func (id ID) TxNode() TxNode { return TxNode((id >> EtagBits) & MaxTxNode) }
 // Etag extracts the event tag field.
 func (id ID) Etag() Etag { return Etag(id & MaxEtag) }
 
-// WithPrio returns a copy of id with the priority field replaced. This is
-// the operation the middleware performs when promoting a queued soft
-// real-time message toward its deadline.
-func (id ID) WithPrio(p Prio) ID {
-	return MakeID(p, id.TxNode(), id.Etag())
-}
-
 // Valid reports whether id fits in 29 bits.
 func (id ID) Valid() bool { return id < 1<<IDBits }
 

@@ -22,7 +22,7 @@ func TestDetachFlushesAndCorruptsInFlight(t *testing.T) {
 
 	// Let arbitration start the first frame, then crash mid-transmission.
 	k.Run(10 * sim.Microsecond)
-	if !b.Busy() {
+	if !b.busy {
 		t.Fatal("first frame should be on the wire")
 	}
 	b.Controller(0).Detach()

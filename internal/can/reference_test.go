@@ -48,28 +48,6 @@ func appendUnstuffedBits(dst []byte, f Frame) []byte {
 	return bits
 }
 
-// refStdUnstuffedBits builds the pre-stuffing bit sequence of a standard
-// data frame (SOF through CRC).
-func refStdUnstuffedBits(id uint16, data []byte) []byte {
-	bits := make([]byte, 0, stdStuffedOverheadBits+8*len(data))
-	put := func(v uint32, n int) {
-		for i := n - 1; i >= 0; i-- {
-			bits = append(bits, byte((v>>uint(i))&1))
-		}
-	}
-	put(0, 1)                    // SOF
-	put(uint32(id&MaxStdID), 11) // ID
-	put(0, 1)                    // RTR (data frame)
-	put(0, 1)                    // IDE (standard format)
-	put(0, 1)                    // r0
-	put(uint32(len(data)), 4)    // DLC
-	for _, b := range data {
-		put(uint32(b), 8)
-	}
-	put(uint32(crc15(bits)), 15)
-	return bits
-}
-
 // refCountStuff returns the number of stuff bits the CAN bit-stuffing
 // rule inserts into an unstuffed sequence: after five consecutive bits of
 // equal value a complementary bit is inserted (and itself participates in
@@ -94,11 +72,6 @@ func refCountStuff(bits []byte) int {
 		}
 	}
 	return stuffed
-}
-
-func refStdWireBits(id uint16, data []byte) int {
-	bits := refStdUnstuffedBits(id, data)
-	return len(bits) + refCountStuff(bits) + frameTailBits
 }
 
 // refEncodeBits returns the frame's stuffed wire bits, SOF through the

@@ -25,8 +25,8 @@ import (
 //
 // The simulator's timing path needs only the stuffed *length* (WireBits);
 // the full codec closes the loop for conformance testing — a frame must
-// survive encode→decode bit-exactly — and gives transports and bus-monitor
-// tooling genuine CAN bit streams. The bit-serial formulation of the same
+// survive encode→decode bit-exactly — and gives the relay transport
+// genuine CAN bit streams. The bit-serial formulation of the same
 // rules, one bit per byte element as the CAN specification states them, is
 // the oracle in reference_test.go.
 
@@ -39,7 +39,6 @@ const crc15Poly = 0x4599
 // Raw-form geometry (see the file comment).
 const (
 	extHeaderBytes = 5 // pad(1) + SOF…DLC(39)
-	stdHeaderBytes = 3 // pad(5) + SOF…DLC(19)
 	crcBytes       = 2 // CRC(15) + pad(1)
 )
 
@@ -49,12 +48,11 @@ type rawBuf [16]byte
 // The stuffing automaton. A live state is (previous wire bit, length of
 // the run it ends, 1..4) numbered prev<<2 | (run-1); a run of five never
 // survives a step because the stuff bit that follows it starts a new run
-// of one. The two start states have no previous bit and skip the leading
-// pad bits of the first raw byte.
+// of one. The start state has no previous bit and skips the leading pad
+// bit of the first raw byte.
 const (
-	stuffStartExt = 8 // extended frame: 1 pad bit
-	stuffStartStd = 9 // standard frame: 5 pad bits
-	stuffStates   = 10
+	stuffStartExt = 8
+	stuffStates   = 9
 )
 
 // stuffEntry is one automaton transition over a raw byte:
@@ -100,11 +98,8 @@ func init() {
 // and that bit itself starts the next run.
 func stuffByte(st int, b byte) stuffEntry {
 	prev, run, skip := uint16(st>>2), st&3+1, 0
-	switch st {
-	case stuffStartExt:
+	if st == stuffStartExt {
 		run, skip = 0, 1
-	case stuffStartStd:
-		run, skip = 0, 5
 	}
 	var out, count uint16
 	for i := 7 - skip; i >= 0; i-- {
@@ -133,25 +128,20 @@ func rawCRC(raw []byte) uint16 {
 	return crc
 }
 
-// packExt lays the raw form of an extended data frame into buf and
-// returns the bytes used. Identifier bits above 29 are ignored.
+// packExt lays the raw form of an extended data frame into buf — the
+// padded header, the payload, the CRC sequence over both and the trailing
+// pad bit — and returns the bytes used. Identifier bits above 29 are
+// ignored; a payload over MaxPayload is a caller bug (Frame.Validate
+// reports it).
 func packExt(buf *rawBuf, f Frame) []byte {
+	if len(f.Data) > MaxPayload {
+		panic(fmt.Sprintf("can: payload %d bytes exceeds %d", len(f.Data), MaxPayload))
+	}
 	// pad SOF | ID-A(11) | SRR IDE (recessive) | ID-B(18) | RTR r1 r0 | DLC(4)
 	id := uint64(f.ID)
 	h := (id>>18&0x7ff)<<27 | 3<<25 | (id&0x3ffff)<<7 | uint64(len(f.Data))
-	return packRaw(buf, h, extHeaderBytes, f.Data)
-}
-
-// packRaw lays a raw form into buf — the padded header in headerBytes
-// bytes, the payload, the CRC sequence over both and the trailing pad bit
-// — and returns the bytes used. A payload over MaxPayload is a caller bug
-// (Frame.Validate reports it).
-func packRaw(buf *rawBuf, header uint64, headerBytes int, data []byte) []byte {
-	if len(data) > MaxPayload {
-		panic(fmt.Sprintf("can: payload %d bytes exceeds %d", len(data), MaxPayload))
-	}
-	binary.BigEndian.PutUint64(buf[:], header<<(64-8*headerBytes))
-	n := headerBytes + copy(buf[headerBytes:], data)
+	binary.BigEndian.PutUint64(buf[:], h<<(64-8*extHeaderBytes))
+	n := extHeaderBytes + copy(buf[extHeaderBytes:], f.Data)
 	crc := rawCRC(buf[:n])
 	binary.BigEndian.PutUint16(buf[n:], crc<<1|(^crc&1))
 	return buf[:n+crcBytes]
@@ -159,8 +149,8 @@ func packRaw(buf *rawBuf, header uint64, headerBytes int, data []byte) []byte {
 
 // countStuff walks the automaton over a raw form and returns the number
 // of stuff bits its wire form carries.
-func countStuff(start int, raw []byte) int {
-	st, n := start, 0
+func countStuff(raw []byte) int {
+	st, n := stuffStartExt, 0
 	for _, b := range raw {
 		e := stuffTab[st][b]
 		n += e.count()
@@ -290,52 +280,4 @@ func (c *Codec) Decode(packed []byte, nbits int) (Frame, error) {
 	}
 	copy(c.data[:], raw[extHeaderBytes:end])
 	return Frame{ID: ID((h>>27&0x7ff)<<18 | h>>7&0x3ffff), Data: c.data[:dlc]}, nil
-}
-
-// EncodeBits returns the frame's stuffed wire bits one bit per byte
-// (values 0/1) — Codec.Encode's stream unpacked, the form bus-monitor
-// tooling and bit-level tests work with.
-func EncodeBits(f Frame) []byte {
-	var c Codec
-	var buf [MaxStuffedBytes]byte
-	packed, n := c.Encode(buf[:0], f)
-	bits, _ := UnpackBits(make([]byte, 0, n), packed, n) // packed holds n bits
-	return bits
-}
-
-// DecodeBits parses a bit-per-byte stuffed stream (see EncodeBits) with
-// Codec.Decode. The returned frame owns its payload.
-func DecodeBits(bits []byte) (Frame, error) {
-	for i, b := range bits {
-		if b > 1 {
-			return Frame{}, fmt.Errorf("%w: non-binary symbol at %d", ErrWire, i)
-		}
-	}
-	c := new(Codec)
-	return c.Decode(PackBits(make([]byte, 0, MaxStuffedBytes), bits), len(bits))
-}
-
-// PackBits appends a bit-per-byte stream (EncodeBits output) to dst
-// packed 8 bits per byte, MSB first.
-func PackBits(dst, bits []byte) []byte {
-	for i := 0; i < len(bits); i += 8 {
-		var b byte
-		for j := 0; j < 8 && i+j < len(bits); j++ {
-			b |= (bits[i+j] & 1) << (7 - j)
-		}
-		dst = append(dst, b)
-	}
-	return dst
-}
-
-// UnpackBits appends n bits unpacked from the MSB-first packed stream to
-// dst (one bit per byte). It fails when packed holds fewer than n bits.
-func UnpackBits(dst, packed []byte, n int) ([]byte, error) {
-	if n < 0 || len(packed)*8 < n {
-		return nil, fmt.Errorf("%w: %d packed bytes hold fewer than %d bits", ErrWire, len(packed), n)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, packed[i/8]>>(7-i%8)&1)
-	}
-	return dst, nil
 }

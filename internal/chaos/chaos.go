@@ -424,11 +424,8 @@ func (b *Babbler) Start(until sim.Time) {
 	b.next()
 }
 
-// Stop ends the babble immediately.
-func (b *Babbler) Stop() { b.active = false }
-
 func (b *Babbler) next() {
-	if !b.active || b.K.Now() >= b.until || b.Ctrl.Muted() {
+	if b.K.Now() >= b.until || b.Ctrl.Muted() {
 		b.active = false
 		return
 	}
@@ -489,9 +486,6 @@ func (a *Attacker) Start(until sim.Time) {
 	a.schedule()
 }
 
-// Stop ends the attack immediately.
-func (a *Attacker) Stop() { a.active = false }
-
 // nextPulse picks the next instant inside a victim-owned slot window
 // strictly after now; with no calendar (or no victim slots) it falls back
 // to a periodic pulse.
@@ -531,7 +525,7 @@ func (a *Attacker) nextPulse() sim.Time {
 }
 
 func (a *Attacker) schedule() {
-	if !a.active || a.K.Now() >= a.until || a.Ctrl.Muted() {
+	if a.K.Now() >= a.until || a.Ctrl.Muted() {
 		a.active = false
 		return
 	}
@@ -544,7 +538,7 @@ func (a *Attacker) schedule() {
 }
 
 func (a *Attacker) fire() {
-	if !a.active || a.K.Now() >= a.until || a.Ctrl.Muted() {
+	if a.K.Now() >= a.until || a.Ctrl.Muted() {
 		a.active = false
 		return
 	}

@@ -45,9 +45,6 @@ func New(driftPPM float64, initialOffset sim.Duration) *Clock {
 	}
 }
 
-// DriftPPM returns the clock's rate error in parts per million.
-func (c *Clock) DriftPPM() float64 { return c.drift * 1e6 }
-
 // Read returns the local clock value at true (kernel) time now.
 func (c *Clock) Read(now sim.Time) sim.Time {
 	return sim.Time(math.Round(c.readf(now)))
@@ -149,12 +146,6 @@ func (c *Clock) WhenLocal(now sim.Time, local sim.Time) sim.Time {
 		return now
 	}
 	return tt
-}
-
-// OffsetAt returns local − true at the given true time: the clock's
-// instantaneous error against the reference time base.
-func (c *Clock) OffsetAt(now sim.Time) sim.Duration {
-	return c.Read(now) - now
 }
 
 // MaxSkew returns the worst pairwise difference between local readings of

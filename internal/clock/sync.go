@@ -307,9 +307,6 @@ func (s *Syncer) HandleFrame(node int, f can.Frame, at sim.Time) {
 	}
 }
 
-// InHoldover reports whether a follower is currently in holdover.
-func (s *Syncer) InHoldover(node int) bool { return s.inHoldover[node] }
-
 // Uncertainty returns the worst-case bound on how far node's clock may
 // currently be from any other synchronized clock: the steady-state
 // precision π while corrections are flowing, growing by twice the maximum

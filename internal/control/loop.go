@@ -246,9 +246,6 @@ func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
 	return l, nil
 }
 
-// Config returns the loop's effective (default-filled) configuration.
-func (l *Loop) Config() LoopConfig { return l.cfg }
-
 // Deviation returns the instantaneous absolute deviation of the plant
 // output from the setpoint (kernel context; wired as a metrics gauge).
 func (l *Loop) Deviation() float64 { return absf(l.cfg.Setpoint - l.x[0]) }

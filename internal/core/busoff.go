@@ -82,10 +82,6 @@ func (lc *Lifecycle) EnableBusOffRecovery(pol BusOffPolicy) {
 // BusOffRecoveryArmed reports whether the supervisor owns recovery.
 func (lc *Lifecycle) BusOffRecoveryArmed() bool { return lc.busOffArmed }
 
-// BusOffPolicyInEffect returns the armed policy (zero value when the
-// supervisor is off).
-func (lc *Lifecycle) BusOffPolicyInEffect() BusOffPolicy { return lc.busOffPol }
-
 // BusOffRecoveryBound is the declared worst-case outage of one bus-off
 // event under the armed policy: the recovery observation plus the capped
 // backoff with full jitter. The chaos bus-off checker asserts every

@@ -232,6 +232,34 @@ func TestHRTSporadicUnusedSlotsSilent(t *testing.T) {
 	}
 }
 
+// SlotMissed follows the calendar slot, not ChannelAttrs.Periodic: a
+// channel announced and subscribed as sporadic on a periodic slot still
+// reports every round it leaves empty.
+func TestHRTSlotMissedFollowsCalendarSlot(t *testing.T) {
+	cal := testCalendar(t, 1)
+	sys := idealSystem(t, 2, cal)
+	pub, _ := sys.Node(0).MW.HRTEC(subjTemp)
+	pub.Announce(ChannelAttrs{Payload: 7, Periodic: false}, nil)
+	sub, _ := sys.Node(1).MW.HRTEC(subjTemp)
+	var misses, got int
+	sub.Subscribe(ChannelAttrs{Payload: 7, Periodic: false}, SubscribeAttrs{},
+		func(Event, DeliveryInfo) { got++ },
+		func(e Exception) {
+			if e.Kind == ExcSlotMissed {
+				misses++
+			}
+		})
+	for _, r := range []int64{2, 5} {
+		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
+			pub.Publish(Event{Subject: subjTemp, Payload: []byte{9}})
+		})
+	}
+	sys.Run(sys.Cfg.Epoch + 10*cal.Round)
+	if got != 2 || misses != 8 {
+		t.Fatalf("deliveries %d, SlotMissed %d: want 2 and 8 (every empty round)", got, misses)
+	}
+}
+
 func TestHRTRedundancySuppression(t *testing.T) {
 	run := func(suppress bool) Counters {
 		cal := testCalendar(t, 2)
@@ -717,7 +745,7 @@ func TestSystemConfigErrors(t *testing.T) {
 	// Invalid calendar.
 	cfg := calendar.DefaultConfig()
 	cal := calendar.New(10*sim.Microsecond, cfg)
-	cal.Add(calendar.Slot{Subject: 1, Publisher: 0, Payload: 8})
+	cal.Slots = append(cal.Slots, calendar.Slot{Subject: 1, Publisher: 0, Payload: 8})
 	if _, err := NewSystem(SystemConfig{Nodes: 2, Calendar: cal}); err == nil {
 		t.Fatal("inadmissible calendar accepted")
 	}

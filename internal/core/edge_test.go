@@ -66,7 +66,11 @@ func TestStopHaltsEverything(t *testing.T) {
 			pub.Publish(Event{Subject: subjTemp, Payload: []byte{1}})
 		})
 	}
-	sys.K.At(sys.Cfg.Epoch+3*cal.Round, func() { sys.Stop() })
+	sys.K.At(sys.Cfg.Epoch+3*cal.Round, func() {
+		for _, n := range sys.Nodes {
+			n.MW.Stop()
+		}
+	})
 	sys.Run(sys.Cfg.Epoch + 10*cal.Round)
 	if got > 4 {
 		t.Fatalf("deliveries after Stop: %d", got)

@@ -96,9 +96,10 @@ type ChannelAttrs struct {
 	// must match their slot dimensioning (≤ 7: one byte is used by the
 	// middleware header); SRT/non-fragmenting NRT are limited to 8.
 	Payload int
-	// Periodic marks HRT channels fed strictly every round; for those the
-	// subscriber-side middleware detects missing messages and raises
-	// SlotMissed. Sporadic HRT channels may leave slots unused (their
+	// Periodic is descriptive only: the middleware does not read it.
+	// Whether the subscriber side detects missing messages and raises
+	// SlotMissed is decided by the calendar slot (calendar.Slot.Periodic),
+	// whatever this field says. Sporadic slots may be left unused (their
 	// bandwidth is reclaimed automatically by lower-priority traffic).
 	Periodic bool
 	// Prio is the fixed priority of an NRT channel. It must lie inside

@@ -113,10 +113,6 @@ func NewLifecycle(sys *System) *Lifecycle {
 	return lc
 }
 
-// Agent returns the acting binding agent (the standby's replica after a
-// takeover).
-func (lc *Lifecycle) Agent() *binding.Agent { return lc.agent }
-
 // AgentStation returns the station currently hosting the binding agent.
 func (lc *Lifecycle) AgentStation() int { return lc.agentStation }
 

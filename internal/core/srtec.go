@@ -293,9 +293,6 @@ func (e *srtEntry) expire() {
 	// complete and the Done callback handles the bookkeeping.
 }
 
-// Pending reports how many events of this channel are still queued.
-func (c *SRTEC) Pending() int { return len(c.ch.srtActive) }
-
 // srtQueuedTotal counts queued SRT events across the node's channels.
 func (mw *Middleware) srtQueuedTotal() int {
 	n := 0

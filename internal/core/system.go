@@ -287,13 +287,6 @@ func (s *System) Node(i int) *Node { return s.Nodes[i] }
 // Run advances the simulation to the given kernel time.
 func (s *System) Run(until sim.Time) { s.K.Run(until) }
 
-// Stop halts all middleware activity so the event queue can drain.
-func (s *System) Stop() {
-	for _, n := range s.Nodes {
-		n.MW.Stop()
-	}
-}
-
 // TotalCounters sums the per-node middleware counters.
 func (s *System) TotalCounters() Counters {
 	var t Counters

@@ -130,8 +130,8 @@ func TestSRTEntryStopsTimersWhenDone(t *testing.T) {
 		t.Fatalf("pending after publish: %d, want 3", sys.K.Pending())
 	}
 	sys.Run(sim.Millisecond) // the idle bus sends the frame at once
-	if srt.Pending() != 0 || sys.Bus.Stats().FramesOK != 1 {
-		t.Fatalf("not sent: queued %d, frames %d", srt.Pending(), sys.Bus.Stats().FramesOK)
+	if len(srt.ch.srtActive) != 0 || sys.Bus.Stats().FramesOK != 1 {
+		t.Fatalf("not sent: queued %d, frames %d", len(srt.ch.srtActive), sys.Bus.Stats().FramesOK)
 	}
 	if sys.K.Pending() != 0 {
 		t.Fatalf("%d kernel events left behind by a completed entry", sys.K.Pending())

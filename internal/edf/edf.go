@@ -112,27 +112,3 @@ func (b Band) Promotions(enqueue, deadline sim.Time) int {
 	}
 	return int(first)
 }
-
-// TieProbability estimates, for a uniform arrival of n ready messages
-// with deadlines spread uniformly over window w, the probability that at
-// least two map to the same priority slot (the "equal priorities" problem
-// of §3.4). It is the birthday-problem bound over the number of slots the
-// window spans; used by the E5 bench to position measurements against
-// theory.
-func (b Band) TieProbability(n int, w sim.Duration) float64 {
-	if n <= 1 {
-		return 0
-	}
-	slots := int64(w / b.SlotLen)
-	if slots <= 0 {
-		return 1
-	}
-	if int64(n) > slots {
-		return 1
-	}
-	p := 1.0
-	for i := 0; i < n; i++ {
-		p *= float64(slots-int64(i)) / float64(slots)
-	}
-	return 1 - p
-}

@@ -223,26 +223,3 @@ func TestHorizonFormula(t *testing.T) {
 		t.Fatalf("Horizon = %v", b.Horizon())
 	}
 }
-
-func TestTieProbability(t *testing.T) {
-	b := Band{Min: 1, Max: 250, SlotLen: 100 * sim.Microsecond}
-	if p := b.TieProbability(1, sim.Second); p != 0 {
-		t.Fatalf("single message tie prob = %v", p)
-	}
-	if p := b.TieProbability(10, 0); p != 1 {
-		t.Fatalf("zero window tie prob = %v", p)
-	}
-	// More messages in the same window → higher tie probability.
-	w := 100 * b.SlotLen
-	if !(b.TieProbability(3, w) < b.TieProbability(10, w)) {
-		t.Fatal("tie probability not monotone in n")
-	}
-	// Wider window → lower tie probability.
-	if !(b.TieProbability(10, 2*w) < b.TieProbability(10, w)) {
-		t.Fatal("tie probability not monotone in window")
-	}
-	// More messages than slots: certain collision.
-	if p := b.TieProbability(200, 100*b.SlotLen); p != 1 {
-		t.Fatalf("overfull window tie prob = %v", p)
-	}
-}

@@ -228,15 +228,6 @@ func (r *Reassembler) Push(data []byte, at sim.Time) ([]byte, error) {
 // Active reports whether a message is partially assembled.
 func (r *Reassembler) Active() bool { return r.active }
 
-// Progress returns received and expected byte counts of the in-flight
-// message (0,0 when idle).
-func (r *Reassembler) Progress() (got, want int) {
-	if !r.active {
-		return 0, 0
-	}
-	return len(r.buf), r.want
-}
-
 func (r *Reassembler) start(want int, head []byte) {
 	r.active = true
 	r.skipping = false

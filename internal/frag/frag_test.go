@@ -203,16 +203,17 @@ func TestReassemblyTimeout(t *testing.T) {
 	}
 }
 
+// TestProgress: the first fragment opens the message with its declared
+// length and keeps the head's payload bytes.
 func TestProgress(t *testing.T) {
 	frames, _ := Fragment(pattern(100))
 	var r Reassembler
-	if g, w := r.Progress(); g != 0 || w != 0 {
-		t.Fatal("idle progress not 0,0")
+	if r.Active() {
+		t.Fatal("idle reassembler active")
 	}
 	r.Push(frames[0], 0)
-	g, w := r.Progress()
-	if w != 100 || g != 6 {
-		t.Fatalf("progress after first frame = %d/%d", g, w)
+	if !r.Active() || r.want != 100 || len(r.buf) != 6 {
+		t.Fatalf("progress after first frame = %d/%d", len(r.buf), r.want)
 	}
 }
 

@@ -42,7 +42,7 @@ type Bridge struct {
 	// the other gateways' TxNodes on its segments, so only events that
 	// originate locally on a segment are ever forwarded off it — a copy
 	// arriving through one bridge can never be re-forwarded by another.
-	// Set them before any Forward* call; later changes have no effect on
+	// Set them before any ForwardSRT call; later changes have no effect on
 	// established forwarding.
 	ExcludeA, ExcludeB []can.TxNode
 
@@ -99,39 +99,13 @@ func (g *Bridge) Dropped() uint64 { return g.dropped }
 // ForwardSRT establishes bidirectional (or one-way) forwarding of a soft
 // real-time subject.
 func (g *Bridge) ForwardSRT(subject binding.Subject, dir Direction) error {
-	return g.forward(core.SRT, subject, core.ChannelAttrs{}, dir)
-}
-
-// ForwardNRT establishes forwarding of a non real-time subject
-// (fragmenting channels reassemble on the ingress segment and re-fragment
-// on the egress one).
-func (g *Bridge) ForwardNRT(subject binding.Subject, attrs core.ChannelAttrs, dir Direction) error {
-	return g.forward(core.NRT, subject, attrs, dir)
-}
-
-// ForwardHRT forwards a hard real-time subject from one segment into a
-// reserved slot on the other. Unlike SRT/NRT forwarding this needs
-// off-line configuration on the egress side: the destination calendar
-// must reserve a slot for (subject, gateway node). The relayed channel
-// keeps hard real-time semantics per segment — ingress delivery at the
-// ingress deadline, egress delivery at the egress slot deadline — so the
-// end-to-end latency is the sum of the two reserved bounds plus the relay
-// delay, each hop individually jitter-free. Only one direction per call.
-func (g *Bridge) ForwardHRT(subject binding.Subject, attrs core.ChannelAttrs, dir Direction) error {
-	if dir == Both {
-		return errors.New("gateway: HRT forwarding is per-direction (each needs its own slot)")
-	}
-	return g.forward(core.HRT, subject, attrs, dir)
-}
-
-func (g *Bridge) forward(class core.Class, subject binding.Subject, attrs core.ChannelAttrs, dir Direction) error {
 	if dir == AtoB || dir == Both {
-		if err := g.forwardOne(class, g.A, g.B, subject, attrs); err != nil {
+		if err := g.forwardOne(g.A, g.B, subject); err != nil {
 			return err
 		}
 	}
 	if dir == BtoA || dir == Both {
-		if err := g.forwardOne(class, g.B, g.A, subject, attrs); err != nil {
+		if err := g.forwardOne(g.B, g.A, subject); err != nil {
 			return err
 		}
 	}
@@ -140,20 +114,20 @@ func (g *Bridge) forward(class core.Class, subject binding.Subject, attrs core.C
 
 // forwardOne announces the subject on `to`, subscribes on `from` and
 // republishes every delivery after the store-and-forward delay, keeping
-// the origin trace. An SRT copy gets a fresh per-segment deadline budget.
-func (g *Bridge) forwardOne(class core.Class, from, to *core.Middleware, subject binding.Subject, attrs core.ChannelAttrs) error {
-	out, err := to.Channel(class, subject)
+// the origin trace. Each copy gets a fresh per-segment deadline budget.
+func (g *Bridge) forwardOne(from, to *core.Middleware, subject binding.Subject) error {
+	out, err := to.SRTEC(subject)
 	if err != nil {
 		return err
 	}
-	if err := out.Announce(attrs, nil); err != nil {
+	if err := out.Announce(core.ChannelAttrs{}, nil); err != nil {
 		return err
 	}
-	in, err := from.Channel(class, subject)
+	in, err := from.SRTEC(subject)
 	if err != nil {
 		return err
 	}
-	return in.Subscribe(attrs,
+	return in.Subscribe(core.ChannelAttrs{},
 		core.SubscribeAttrs{
 			// Never re-forward what this bridge injected on `from`, nor
 			// what a sibling bridge relayed in (ring safety).
@@ -161,14 +135,11 @@ func (g *Bridge) forwardOne(class core.Class, from, to *core.Middleware, subject
 		},
 		func(ev core.Event, _ core.DeliveryInfo) {
 			to.K.After(g.Delay, func() {
-				cp := core.Event{Subject: subject, Payload: ev.Payload}
-				if class == core.SRT {
-					now := to.LocalTime()
-					cp.Attrs = core.EventAttrs{
-						Deadline:   now + g.RelayDeadline,
-						Expiration: now + 2*g.RelayDeadline,
-					}
-				}
+				now := to.LocalTime()
+				cp := core.Event{Subject: subject, Payload: ev.Payload, Attrs: core.EventAttrs{
+					Deadline:   now + g.RelayDeadline,
+					Expiration: now + 2*g.RelayDeadline,
+				}}
 				if err := out.Publish(core.WithTraceID(cp, ev.TraceID())); err != nil {
 					g.dropped++
 					return

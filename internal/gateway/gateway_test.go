@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"canec/internal/binding"
-	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/core"
 	"canec/internal/sim"
@@ -137,33 +136,6 @@ func TestOriginFiltering(t *testing.T) {
 	}
 }
 
-func TestNRTBulkAcrossSegments(t *testing.T) {
-	k, segA, segB, g := rig(t, 4)
-	attrs := core.ChannelAttrs{Prio: 253, Fragmentation: true}
-	if err := g.ForwardNRT(0x78, attrs, AtoB); err != nil {
-		t.Fatal(err)
-	}
-	pub, _ := segA.Node(0).MW.NRTEC(0x78)
-	if err := pub.Announce(attrs, nil); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	sub, _ := segB.Node(1).MW.NRTEC(0x78)
-	sub.Subscribe(attrs, core.SubscribeAttrs{},
-		func(ev core.Event, _ core.DeliveryInfo) { got = ev.Payload }, nil)
-	img := make([]byte, 2000)
-	for i := range img {
-		img[i] = byte(i * 13)
-	}
-	k.At(sim.Millisecond, func() {
-		pub.Publish(core.Event{Subject: 0x78, Payload: img})
-	})
-	k.Run(2 * sim.Second)
-	if !bytes.Equal(got, img) {
-		t.Fatalf("bulk cross-segment transfer failed: %d bytes", len(got))
-	}
-}
-
 func TestSegmentIndependence(t *testing.T) {
 	// Traffic on segment A must not consume bandwidth on segment B: the
 	// two buses are independent media sharing only virtual time.
@@ -203,94 +175,12 @@ func TestMismatchedKernelsError(t *testing.T) {
 	}
 }
 
-func TestHRTForwardAcrossSegments(t *testing.T) {
-	k := sim.NewKernel(9)
-	calCfg := calendar.DefaultConfig()
-	// Segment A: sensor (node 0) owns the slot. Segment B: the gateway
-	// endpoint (node 2) owns the egress slot.
-	calA, err := calendar.PackSequential(calCfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(subjTemp), Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calB, err := calendar.PackSequential(calCfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(subjTemp), Publisher: 2, Payload: 8, Periodic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give segment B a half-round phase shift via the epoch so the egress
-	// slot trails the ingress delivery.
-	segA, err := core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k, Calendar: calA, Epoch: sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segB, err := core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k, Calendar: calB, Epoch: 6 * sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(segA.Node(2).MW, segB.Node(2).MW, 50*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ForwardHRT(subjTemp, core.ChannelAttrs{Payload: 7, Periodic: true}, AtoB); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.ForwardHRT(subjTemp, core.ChannelAttrs{Payload: 7}, Both); err == nil {
-		t.Fatal("bidirectional HRT forwarding accepted")
-	}
-
-	pub, _ := segA.Node(0).MW.HRTEC(subjTemp)
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var deliveredAt []sim.Time
-	late := 0
-	sub, _ := segB.Node(1).MW.HRTEC(subjTemp)
-	sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
-		func(_ core.Event, di core.DeliveryInfo) {
-			deliveredAt = append(deliveredAt, di.DeliveredAt)
-			if di.Late {
-				late++
-			}
-		}, nil)
-	const rounds = 20
-	for r := int64(0); r < rounds; r++ {
-		k.At(segA.Cfg.Epoch+sim.Time(r)*calA.Round-100*sim.Microsecond, func() {
-			pub.Publish(core.Event{Subject: subjTemp, Payload: []byte{1}})
-		})
-	}
-	k.Run(segB.Cfg.Epoch + rounds*calB.Round - 1)
-	if len(deliveredAt) < rounds-1 {
-		t.Fatalf("cross-segment HRT deliveries = %d", len(deliveredAt))
-	}
-	if late != 0 {
-		t.Fatalf("late deliveries = %d", late)
-	}
-	// Each hop is de-jittered, so end-to-end deliveries on B are exactly
-	// one round apart.
-	for i := 1; i < len(deliveredAt); i++ {
-		if d := deliveredAt[i] - deliveredAt[i-1]; d != calB.Round {
-			t.Fatalf("cross-segment period %v at %d, want %v", d, i, calB.Round)
-		}
-	}
-	if g.Forwarded() < uint64(rounds-1) {
-		t.Fatalf("forwarded = %d", g.Forwarded())
-	}
-}
-
 func TestForwardErrorsPropagate(t *testing.T) {
 	_, segA, segB, g := rig(t, 6)
-	// HRT forwarding without any calendar must surface ErrNoSlot.
-	if err := g.ForwardHRT(0x90, core.ChannelAttrs{Payload: 7}, AtoB); err == nil {
-		t.Fatal("HRT forward without calendar accepted")
-	}
-	// Stopped middleware rejects SRT/NRT forwarding setup.
+	// Stopped middleware rejects forwarding setup.
 	segB.Node(2).MW.Stop()
 	if err := g.ForwardSRT(0x91, AtoB); err == nil {
 		t.Fatal("forward into stopped middleware accepted")
-	}
-	if err := g.ForwardNRT(0x92, core.ChannelAttrs{Fragmentation: true}, AtoB); err == nil {
-		t.Fatal("NRT forward into stopped middleware accepted")
 	}
 	segA.Node(2).MW.Stop()
 	if err := g.ForwardSRT(0x93, BtoA); err == nil {

@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"canec/internal/binding"
 	"canec/internal/can"
@@ -158,23 +157,6 @@ func (b *RemoteBridge) Dropped() uint64 { return b.dropped }
 
 // Late reports HRT events forwarded after their budget was exhausted.
 func (b *RemoteBridge) Late() uint64 { return b.late }
-
-// BridgeSubject is one federated subject of a bridge, for introspection.
-type BridgeSubject struct {
-	Subject binding.Subject
-	Class   core.Class
-}
-
-// Subjects lists the subjects this bridge federates (Forward and
-// Announce registrations), in subject order. Kernel context.
-func (b *RemoteBridge) Subjects() []BridgeSubject {
-	out := make([]BridgeSubject, 0, len(b.subjects))
-	for s, c := range b.subjects {
-		out = append(out, BridgeSubject{Subject: s, Class: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Subject < out[j].Subject })
-	return out
-}
 
 // LinkSiblings connects transit bridges on one segment: an event this
 // bridge receives from its peer and republishes locally will, when a

@@ -93,18 +93,6 @@ const (
 	CauseNone Cause = "none"
 )
 
-// Abnormal reports whether the cause counts toward a chain's "why"
-// (baseline causes are inherent to any delivery and never make a top
-// cause).
-func (c Cause) Abnormal() bool {
-	switch c {
-	case CausePublish, CauseSlotWait, CauseWireTx, CauseDelivery,
-		CauseDejitterHold, CauseNone:
-		return false
-	}
-	return true
-}
-
 // cause is the engine's form of a Cause: its index in Causes() order,
 // with causeNone after the attributable ones.
 type cause uint8

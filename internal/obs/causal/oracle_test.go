@@ -9,6 +9,18 @@ import (
 	"canec/internal/sim"
 )
 
+// Abnormal reports whether the cause counts toward a chain's "why"
+// (baseline causes are inherent to any delivery and never make a top
+// cause).
+func (c Cause) Abnormal() bool {
+	switch c {
+	case CausePublish, CauseSlotWait, CauseWireTx, CauseDelivery,
+		CauseDejitterHold, CauseNone:
+		return false
+	}
+	return true
+}
+
 // The map-based why-late engine: every open chain kept as a slice of whole
 // obs.Record copies in a map, segments coalesced in a string-keyed map,
 // labels Sprintf'd on every carve, canec_why_* children looked up per

@@ -28,7 +28,7 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 const StageSchema Stage = "_schema"
 
 // TraceSchema tags the current trace JSONL schema. Bump the suffix when
-// Record grows fields old readers must not misinterpret; ReadJSONL
+// Record grows fields old readers must not misinterpret; ReadJSONLInfo
 // ignores unknown fields, so additive growth keeps old dumps readable.
 const TraceSchema = "canec-trace/1"
 
@@ -51,17 +51,12 @@ type JSONLInfo struct {
 	Records []Record
 }
 
-// ReadJSONL parses a trace JSONL stream (a tracer export or a
-// flight-recorder post-mortem) back into records, dropping schema/meta
-// lines (stages beginning with "_"). It is deliberately tolerant:
-// blank lines are skipped and unknown fields ignored, so dumps written
-// by newer builds with additive Record fields still load.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	info, err := ReadJSONLInfo(r)
-	return info.Records, err
-}
-
-// ReadJSONLInfo is ReadJSONL surfacing the schema header as well.
+// ReadJSONLInfo parses a trace JSONL stream (a tracer export or a
+// flight-recorder post-mortem) back into records and its schema header,
+// dropping schema/meta lines (stages beginning with "_"). It is
+// deliberately tolerant: blank lines are skipped and unknown fields
+// ignored, so dumps written by newer builds with additive Record fields
+// still load.
 func ReadJSONLInfo(r io.Reader) (JSONLInfo, error) {
 	var info JSONLInfo
 	sc := bufio.NewScanner(r)

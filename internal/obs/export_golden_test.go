@@ -2,11 +2,18 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// ReadJSONL is ReadJSONLInfo without the header.
+func ReadJSONL(r io.Reader) ([]Record, error) {
+	info, err := ReadJSONLInfo(r)
+	return info.Records, err
+}
 
 // goldenRecords is a representative chain exercising every Record field:
 // the byte-exact wire form of the canec-trace/1 schema. canecsim's

@@ -24,11 +24,6 @@ type Config struct {
 	TraceCap int
 	// Metrics maintains the metrics registry.
 	Metrics bool
-	// LatencyHorizon is the upper bound of the per-channel end-to-end
-	// latency histograms; zero selects 50 ms.
-	LatencyHorizon sim.Duration
-	// LatencyBuckets is the bucket count of those histograms (default 50).
-	LatencyBuckets int
 	// TraceIDBase offsets this observer's trace-ID sequence. Federated
 	// segments use disjoint bases (e.g. segment index << 32) so that an
 	// event relayed across segments can keep its origin trace ID without
@@ -217,32 +212,28 @@ func (o *Observer) declareFamilies(r *Registry) {
 	o.sloBreach = r.CounterVec("canec_slo_breaches_total",
 		"SLO breach-enter transitions, by objective.", "objective")
 
-	horizon := o.cfg.LatencyHorizon
-	if horizon <= 0 {
-		horizon = 50 * sim.Millisecond
-	}
-	buckets := o.cfg.LatencyBuckets
-	if buckets <= 0 {
-		buckets = 50
-	}
 	o.latency = make(map[uint64]*subjectLatency)
 	o.latencyHist = r.LogHistogramVec("canec_e2e_latency_microseconds",
 		"Publish-to-delivery latency per channel, in virtual microseconds (log buckets).",
-		latencyHistMin, float64(horizon)/1e3, buckets, "subject", "class")
+		latencyHistMin, latencyHistMax, latencyBuckets, "subject", "class")
 	o.jitter = r.LogHistogramVec("canec_delivery_jitter_microseconds",
 		"Absolute latency delta between consecutive deliveries on a channel, by class (log buckets).",
-		jitterHistMin, float64(horizon)/1e3, buckets, "class")
+		jitterHistMin, latencyHistMax, latencyBuckets, "class")
 	o.ctrlLat = r.LogHistogramVec("canec_control_loop_latency_microseconds",
 		"Sensor-sample to actuator-apply latency of closed control loops, in microseconds.",
 		1, 1e6, 60, "loop")
 }
 
-// latencyHistMin is the lower edge (µs) of the log-bucketed latency
-// histograms; jitterHistMin the lower edge of the jitter ones (sub-µs,
-// because perfectly regular HRT delivery produces near-zero deltas).
+// latencyHistMin and latencyHistMax (50 ms) are the edges (µs) of the
+// log-bucketed latency histograms, and latencyBuckets their bucket count;
+// the jitter histograms share the upper edge and the count, with
+// jitterHistMin as their lower edge (sub-µs, because perfectly regular HRT
+// delivery produces near-zero deltas).
 const (
 	latencyHistMin = 1.0
+	latencyHistMax = float64(50*sim.Millisecond) / 1e3
 	jitterHistMin  = 0.1
+	latencyBuckets = 50
 )
 
 // Enabled reports whether the observer exists (convenience for callers
@@ -279,15 +270,6 @@ func (o *Observer) Flight() *FlightRecorder {
 		return nil
 	}
 	return o.flight
-}
-
-// AttachFlight installs (or replaces) the flight recorder. It keeps
-// working when tracing is off: emitRecord feeds it independently.
-func (o *Observer) AttachFlight(f *FlightRecorder) {
-	if o == nil {
-		return
-	}
-	o.flight = f
 }
 
 // TraceBase returns the observer's trace-ID base (0 on a nil observer).

@@ -78,15 +78,6 @@ func (p *Profiler) AttachKernel(k *sim.Kernel) {
 	k.SetProbe(p)
 }
 
-// Detach removes the profiler from its kernel. Safe on nil.
-func (p *Profiler) Detach() {
-	if p == nil || p.k == nil {
-		return
-	}
-	p.k.SetProbe(nil)
-	p.k = nil
-}
-
 // SetBusySource supplies a function reporting cumulative bus-busy virtual
 // time, used to split virtual time into busy vs idle in Snapshot. The
 // can.Bus BusyTime method is the intended source.

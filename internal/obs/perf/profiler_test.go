@@ -113,26 +113,11 @@ func TestProfilerEndToEnd(t *testing.T) {
 	}
 }
 
-func TestProfilerDetach(t *testing.T) {
-	sys, pub, _ := newSRTSystem(t)
-	prof := &perf.Profiler{}
-	prof.AttachKernel(sys.K)
-	prof.Detach()
-	if sys.K.Probe() != nil {
-		t.Fatal("probe still installed after Detach")
-	}
-	runSRTTraffic(sys, pub, 5)
-	if len(prof.Snapshot().Stages) != 0 {
-		t.Fatal("detached profiler recorded stages")
-	}
-}
-
 func TestProfilerNilSafe(t *testing.T) {
 	var p *perf.Profiler
 	p.StageNs(sim.ProbeHeap, sim.ProbeClassNone, 1)
 	p.AttachKernel(sim.NewKernel(1))
 	p.SetBusySource(nil)
-	p.Detach()
 	p.Register(obs.NewRegistry())
 	if snap := p.Snapshot(); len(snap.Stages) != 0 || snap.Steps != 0 {
 		t.Fatal("nil profiler snapshot not zero")

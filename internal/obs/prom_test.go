@@ -7,9 +7,34 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"canec/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// Gauge returns (creating on first use) the gauge with this name and
+// label set.
+func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
+	in := r.fam(name, help, kindGauge).instance(labels)
+	if in.g == nil {
+		in.g = &Gauge{}
+	}
+	return in.g
+}
+
+// Set replaces the value (no-op on function gauges).
+func (g *Gauge) Set(v float64) { g.v = v }
+
+// Histogram returns (creating on first use) a fixed-bucket histogram over
+// [lo, hi) with the given bucket count.
+func (r *Registry) Histogram(name, help string, labels Labels, lo, hi float64, buckets int) *Histogram {
+	in := r.fam(name, help, kindHistogram).instance(labels)
+	if in.h == nil {
+		in.h = &Histogram{h: stats.NewHistogram(name, lo, hi, buckets)}
+	}
+	return in.h
+}
 
 // goldenRegistry builds a registry exercising every exposition edge
 // case: HELP text with backslashes and newlines, label values with

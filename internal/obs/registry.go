@@ -66,12 +66,6 @@ type Gauge struct {
 	fn func() float64
 }
 
-// Set replaces the value (no-op on function gauges).
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the value (no-op on function gauges).
-func (g *Gauge) Add(d float64) { g.v += d }
-
 // Value returns the current value, evaluating function gauges.
 func (g *Gauge) Value() float64 {
 	if g.fn != nil {
@@ -179,30 +173,10 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return in.c
 }
 
-// Gauge returns (creating on first use) the gauge with this name and
-// label set.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	in := r.fam(name, help, kindGauge).instance(labels)
-	if in.g == nil {
-		in.g = &Gauge{}
-	}
-	return in.g
-}
-
 // GaugeFunc registers a gauge whose value is computed at collection time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	in := r.fam(name, help, kindGauge).instance(labels)
 	in.g = &Gauge{fn: fn}
-}
-
-// Histogram returns (creating on first use) a fixed-bucket histogram over
-// [lo, hi) with the given bucket count.
-func (r *Registry) Histogram(name, help string, labels Labels, lo, hi float64, buckets int) *Histogram {
-	in := r.fam(name, help, kindHistogram).instance(labels)
-	if in.h == nil {
-		in.h = &Histogram{h: stats.NewHistogram(name, lo, hi, buckets)}
-	}
-	return in.h
 }
 
 // LogHistogram returns (creating on first use) a log-bucketed (HDR

@@ -156,7 +156,6 @@ type SLO struct {
 
 	samples    []sloSample
 	objectives []*Objective
-	stopped    bool
 
 	// OnBreach, when set, runs on every breach-enter transition (after
 	// the trace record and post-mortem dump). Kernel context.
@@ -217,22 +216,6 @@ func (o *Observer) StartSLO(k *sim.Kernel, cfg SLOConfig) *SLO {
 	s.samples = append(s.samples, s.snapshot(k.Now()))
 	k.After(cfg.Interval, s.tick)
 	return s
-}
-
-// Stop halts evaluation; the pending tick becomes a no-op and does not
-// rearm.
-func (s *SLO) Stop() {
-	if s != nil {
-		s.stopped = true
-	}
-}
-
-// Config returns the engine's effective (default-filled) configuration.
-func (s *SLO) Config() SLOConfig {
-	if s == nil {
-		return SLOConfig{}
-	}
-	return s.cfg
 }
 
 // Snapshot returns a copy of the current objective states for serving.
@@ -417,9 +400,6 @@ func (s *SLO) windowValue(ob *Objective, cur, base sloSample, w sim.Duration) (v
 }
 
 func (s *SLO) tick() {
-	if s.stopped {
-		return
-	}
 	now := s.k.Now()
 	cur := s.snapshot(now)
 	s.samples = append(s.samples, cur)

@@ -207,7 +207,6 @@ func TestSLONRTFloorAndWarmup(t *testing.T) {
 
 func TestSLONilSafety(t *testing.T) {
 	var s *SLO
-	s.Stop()
 	if s.Snapshot() != nil || s.Breached() {
 		t.Fatal("nil SLO must be inert")
 	}

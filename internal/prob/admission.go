@@ -495,9 +495,6 @@ func (c *Controller) SetMeasuredRate(rate float64) []Shed {
 	return shed
 }
 
-// MeasuredRate returns the last installed measured error rate.
-func (c *Controller) MeasuredRate() float64 { return c.measuredRate }
-
 // PredictedMiss returns the worst predicted deadline-miss probability
 // among admitted channels of the class (0 when none admitted) — the
 // calibration budget the SLO engine compares measured miss rates
@@ -510,11 +507,6 @@ func (c *Controller) PredictedMiss(class string) float64 {
 		}
 	}
 	return worst
-}
-
-// Counts returns the running admitted/rejected/shed totals.
-func (c *Controller) Counts() (admitted, rejected, shed uint64) {
-	return c.admittedTotal, c.rejectedTotal, c.shedTotal
 }
 
 // Snapshot renders the controller state for the admin plane. Kernel

@@ -6,6 +6,11 @@ import (
 	"canec/internal/sim"
 )
 
+// Counts returns the running admitted/rejected/shed totals.
+func (c *Controller) Counts() (admitted, rejected, shed uint64) {
+	return c.admittedTotal, c.rejectedTotal, c.shedTotal
+}
+
 func testController(targetSRT float64, rate float64) (*Controller, *sim.Time) {
 	now := new(sim.Time)
 	cfg := AdmissionConfig{

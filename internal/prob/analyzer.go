@@ -3,7 +3,6 @@ package prob
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"canec/internal/can"
 	"canec/internal/sim"
@@ -273,41 +272,4 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 		res.MissProb = d.TailAbove(m.Deadline)
 	}
 	return res, nil
-}
-
-// WCTT returns the analyzer's deterministic worst-case transmission
-// time for a payload under omission degree k — the point-mass special
-// case for an isolated slot, structurally identical to
-// calendar.Config.WCTT.
-func (a Analyzer) WCTT(payload, k int) sim.Duration {
-	frame := a.frameTime(payload)
-	errf := can.BitTime(can.ErrorOverheadBits, a.bitRate())
-	return sim.Duration(k+1)*frame + sim.Duration(k)*errf
-}
-
-// MissProbBound returns a quick standalone bound for an isolated
-// transmission (no interference): the probability that more than
-// maxTolerable errors hit one frame, i.e. p^(n+1) where n is the
-// largest error count whose response still meets the deadline.
-func (a Analyzer) MissProbBound(payload int, deadline sim.Duration) float64 {
-	if deadline <= 0 {
-		return 0
-	}
-	p := a.Model.RetransmitProb()
-	if a.Deterministic {
-		if a.WCTT(payload, a.OmissionDegree) > deadline {
-			return 1
-		}
-		return 0
-	}
-	if p <= 0 {
-		return 0
-	}
-	frame := a.frameTime(payload)
-	errf := can.BitTime(can.ErrorOverheadBits, a.bitRate())
-	if frame > deadline {
-		return 1
-	}
-	n := int64((deadline - frame) / (frame + errf))
-	return math.Pow(p, float64(n+1))
 }

@@ -103,22 +103,6 @@ func (d *Dist) convolveAtoms(atoms []atom) {
 	d.over += over
 }
 
-// Tick returns the duration of one distribution tick.
-func (d *Dist) Tick() sim.Duration { return d.tick }
-
-// Mass returns the total in-range probability mass (1 − overflow).
-func (d *Dist) Mass() float64 {
-	var m float64
-	for _, pi := range d.p {
-		m += pi
-	}
-	return m
-}
-
-// Overflow returns the probability mass beyond the analysis horizon.
-// It counts against every tail and miss-probability estimate.
-func (d *Dist) Overflow() float64 { return d.over }
-
 // TailAbove returns P[X > t], counting overflow mass as above any t.
 // Durations between ticks round down, so partial ticks count toward the
 // tail (conservative).
@@ -153,28 +137,6 @@ func (d *Dist) Quantile(q float64) (t sim.Duration, ok bool) {
 		}
 	}
 	return sim.Duration(len(d.p)) * d.tick, false
-}
-
-// Mean returns the expectation over the in-range mass, attributing
-// overflow mass to the horizon (a lower bound when mass overflowed).
-func (d *Dist) Mean() sim.Duration {
-	var s float64
-	for i, pi := range d.p {
-		s += float64(i) * pi
-	}
-	s += float64(len(d.p)) * d.over
-	return sim.Duration(s * float64(d.tick))
-}
-
-// MaxSupport returns the largest duration carrying in-range mass above
-// eps, or 0 for an (effectively) empty distribution.
-func (d *Dist) MaxSupport(eps float64) sim.Duration {
-	for i := len(d.p) - 1; i >= 0; i-- {
-		if d.p[i] > eps {
-			return sim.Duration(i) * d.tick
-		}
-	}
-	return 0
 }
 
 // String renders a compact summary for logs and the canecplan output.

@@ -52,43 +52,6 @@ func (m ErrorModel) Validate() error {
 	return nil
 }
 
-// Zero reports whether the model injects nothing.
-func (m ErrorModel) Zero() bool {
-	return m.ErrorRate == 0 && (m.OmissionRate == 0 || m.VictimProb == 0)
-}
-
-// Injector returns the fault injector that samples exactly this model:
-// the same parameters the analyzer convolves drive the chaos campaign.
-// It panics on an invalid model (call Validate first when parameters
-// come from configuration); a zero model yields can.NoFaults.
-func (m ErrorModel) Injector() can.Injector {
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
-	var ch can.Chain
-	if m.ErrorRate > 0 {
-		ch = append(ch, can.RandomErrors{Rate: m.ErrorRate})
-	}
-	if m.OmissionRate > 0 && m.VictimProb > 0 {
-		ch = append(ch, can.NewRandomOmissions(m.OmissionRate, m.VictimProb, m.Receivers))
-	}
-	if len(ch) == 0 {
-		return can.NoFaults{}
-	}
-	if len(ch) == 1 {
-		return ch[0]
-	}
-	return ch
-}
-
-// TargetedInjector returns the injector that applies the model's error
-// component to a single victim's transmissions only — the bit_error
-// chaos kind. Per-link analysis of that victim's channels uses the same
-// ErrorRate the injector samples.
-func (m ErrorModel) TargetedInjector(victim int) can.Injector {
-	return can.TargetedBitErrors{Victim: victim, Rate: m.ErrorRate, Prio: -1}
-}
-
 // RetransmitProb returns the per-attempt probability of a detected
 // error (the geometric retransmission parameter of the analysis).
 func (m ErrorModel) RetransmitProb() float64 { return m.ErrorRate }

@@ -8,6 +8,30 @@ import (
 	"canec/internal/sim"
 )
 
+// Injector returns the fault injector that samples exactly this model:
+// the same parameters the analyzer convolves drive the chaos campaign.
+// It panics on an invalid model (call Validate first when parameters
+// come from configuration); a zero model yields can.NoFaults.
+func (m ErrorModel) Injector() can.Injector {
+	if err := m.Validate(); err != nil {
+		panic(err)
+	}
+	var ch can.Chain
+	if m.ErrorRate > 0 {
+		ch = append(ch, can.RandomErrors{Rate: m.ErrorRate})
+	}
+	if m.OmissionRate > 0 && m.VictimProb > 0 {
+		ch = append(ch, can.NewRandomOmissions(m.OmissionRate, m.VictimProb, m.Receivers))
+	}
+	if len(ch) == 0 {
+		return can.NoFaults{}
+	}
+	if len(ch) == 1 {
+		return ch[0]
+	}
+	return ch
+}
+
 // TestInjectorRoundTrip: Injector() and FromInjector are inverses, so
 // the chaos harness and the analyzer provably share one distribution.
 func TestInjectorRoundTrip(t *testing.T) {

@@ -23,9 +23,9 @@ type Config struct {
 	// HeartbeatTimeout closes a link that stayed silent this long
 	// (default 3×HeartbeatEvery). An uplink then re-dials under Retry.
 	HeartbeatTimeout time.Duration
-	// SRTQueueCap and NRTQueueCap bound the per-peer egress queues of
-	// the respective classes (defaults 256 and 64; HRT is unbounded).
-	SRTQueueCap, NRTQueueCap int
+	// SRTQueueCap bounds the per-peer SRT egress queue (default 256;
+	// the NRT queue holds nrtQueueCap, HRT is unbounded).
+	SRTQueueCap int
 	// Retry is the uplink re-dial schedule; the zero value selects
 	// binding.DefaultRetryPolicy (capped exponential, seeded jitter).
 	Retry binding.RetryPolicy

@@ -35,10 +35,6 @@ func NewPort(p *sim.Paced, l Link) *Port {
 	return port
 }
 
-// Link exposes the underlying relay endpoint (for subscriptions and
-// counters).
-func (po *Port) Link() Link { return po.link }
-
 // Send implements gateway.Remote (kernel context): the event's virtual
 // relay budget becomes a wall-clock egress deadline at the configured
 // pacing ratio.

@@ -88,12 +88,12 @@ type egressQueue struct {
 	notify chan struct{}
 }
 
+// nrtQueueCap bounds every per-peer NRT egress queue.
+const nrtQueueCap = 64
+
 func newEgressQueue(capSRT, capNRT int) *egressQueue {
 	if capSRT <= 0 {
 		capSRT = 256
-	}
-	if capNRT <= 0 {
-		capNRT = 64
 	}
 	return &egressQueue{
 		capSRT: capSRT,

@@ -132,7 +132,7 @@ func TestWriterCoalescesBacklog(t *testing.T) {
 	local := &writeCounter{Conn: a}
 	const frames = 200
 	var codec can.Codec
-	q := newEgressQueue(0, 0)
+	q := newEgressQueue(0, nrtQueueCap)
 	for i := 0; i < frames; i++ {
 		re := gateway.RemoteEvent{Class: core.HRT, Subject: 7, Payload: []byte{byte(i)}, OriginSeg: "x"}
 		wire, err := encodeFrame(&codec, re)

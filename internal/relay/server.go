@@ -92,7 +92,7 @@ func (s *Server) acceptLoop() {
 		for _, sub := range s.subs {
 			initial = append(initial, sub)
 		}
-		q := newEgressQueue(s.cfg.SRTQueueCap, s.cfg.NRTQueueCap)
+		q := newEgressQueue(s.cfg.SRTQueueCap, nrtQueueCap)
 		pc := newConn(c, s.cfg, q, &s.cnt, s.onFrame.deliver,
 			func(dead *conn, _ string) {
 				s.mu.Lock()

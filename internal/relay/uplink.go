@@ -45,7 +45,7 @@ func Dial(addr string, cfg Config) *Uplink {
 	u := &Uplink{
 		cfg:       cfg,
 		addr:      addr,
-		q:         newEgressQueue(cfg.SRTQueueCap, cfg.NRTQueueCap),
+		q:         newEgressQueue(cfg.SRTQueueCap, nrtQueueCap),
 		subs:      make(map[binding.Subject]subscription),
 		closed:    make(chan struct{}),
 		redialNow: make(chan struct{}, 1),

@@ -248,18 +248,6 @@ func TestRNGJitterRange(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	tt := Time(1*Second + 250300*Microsecond)
 	if got := tt.String(); got != "1.250300s" {

@@ -94,9 +94,6 @@ func (p *Paced) Call(fn func()) {
 // Stop ends a running Run at the next scheduling point. Idempotent.
 func (p *Paced) Stop() { p.once.Do(func() { close(p.quit) }) }
 
-// Done reports a channel closed when Stop was called.
-func (p *Paced) Done() <-chan struct{} { return p.quit }
-
 // Run executes the kernel until virtual time reaches horizon (or Stop),
 // throttling against the wall clock: an event scheduled for virtual time
 // t fires no earlier than start + (t-now₀)/Ratio on the wall. While the

@@ -97,37 +97,10 @@ func (r *RNG) ExpDuration(mean Duration) Duration {
 	return d
 }
 
-// NormDuration returns a normally distributed duration (Box–Muller) with
-// the given mean and standard deviation, clamped at zero.
-func (r *RNG) NormDuration(mean, stddev Duration) Duration {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	d := Duration(float64(mean) + z*float64(stddev))
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // Jitter returns a uniform duration in [-spread, +spread].
 func (r *RNG) Jitter(spread Duration) Duration {
 	if spread <= 0 {
 		return 0
 	}
 	return Duration(r.Int63n(int64(2*spread+1))) - spread
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

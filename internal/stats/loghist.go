@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogHistogram aggregates samples into geometrically growing buckets
 // (HDR style). Every bucket spans the same multiplicative factor
@@ -11,12 +8,6 @@ import (
 // error of at most one growth factor regardless of where in the range
 // the mass lands — the right shape for latency and jitter, where a
 // 10 µs error matters at 50 µs but not at 50 ms.
-//
-// Two histograms built with the same (min, max, buckets) parameters
-// share identical bucket boundaries, so Merge is exact count addition
-// and merged quantiles equal the quantiles of the pooled samples'
-// shared binning — per-node histograms can be combined fleet-wide
-// without losing the rank-error bound.
 type LogHistogram struct {
 	name     string
 	min, max float64
@@ -106,14 +97,6 @@ func (h *LogHistogram) N() uint64 { return h.n }
 // Sum returns the sum of all observed samples (including out-of-range).
 func (h *LogHistogram) Sum() float64 { return h.sum }
 
-// Mean returns the sample mean.
-func (h *LogHistogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Buckets returns the number of geometric buckets.
 func (h *LogHistogram) Buckets() int { return len(h.counts) }
 
@@ -129,12 +112,6 @@ func (h *LogHistogram) OutOfRange() (under, over uint64) { return h.under, h.ove
 // Growth returns the per-bucket multiplicative factor — the worst-case
 // relative error of a Quantile estimate for in-range mass.
 func (h *LogHistogram) Growth() float64 { return h.growth }
-
-// Min returns the inclusive lower edge of the tracked range.
-func (h *LogHistogram) Min() float64 { return h.min }
-
-// Max returns the exclusive upper edge of the tracked range.
-func (h *LogHistogram) Max() float64 { return h.max }
 
 // Quantile estimates the q-quantile by geometric interpolation within
 // the containing bucket, matching the buckets' multiplicative spacing.
@@ -164,34 +141,6 @@ func (h *LogHistogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.max
-}
-
-// Compatible reports whether o shares h's bucket layout, i.e. whether
-// Merge would be exact.
-func (h *LogHistogram) Compatible(o *LogHistogram) bool {
-	return o != nil && h.min == o.min && h.max == o.max && len(h.counts) == len(o.counts)
-}
-
-// Merge adds o's counts into h. Both histograms must have been built
-// with identical (min, max, buckets) parameters; merging is then exact
-// (bucket-wise addition), so quantiles of the merged histogram equal
-// quantiles of a single histogram fed all samples.
-func (h *LogHistogram) Merge(o *LogHistogram) error {
-	if o == nil {
-		return nil
-	}
-	if !h.Compatible(o) {
-		return fmt.Errorf("stats: merge %q into %q: bucket layout mismatch ([%g,%g)x%d vs [%g,%g)x%d)",
-			o.name, h.name, o.min, o.max, len(o.counts), h.min, h.max, len(h.counts))
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.under += o.under
-	h.over += o.over
-	h.n += o.n
-	h.sum += o.sum
-	return nil
 }
 
 // Clone returns an independent copy of h.

@@ -26,9 +26,6 @@ type Series struct {
 // NewSeries returns an empty series with a display name.
 func NewSeries(name string) *Series { return &Series{name: name} }
 
-// Name returns the display name.
-func (s *Series) Name() string { return s.name }
-
 // Observe records one sample.
 func (s *Series) Observe(v float64) {
 	s.samples = append(s.samples, v)
@@ -41,9 +38,6 @@ func (s *Series) ObserveDuration(d sim.Duration) { s.Observe(float64(d)) }
 
 // N returns the sample count.
 func (s *Series) N() int { return len(s.samples) }
-
-// Sum returns the sum of samples.
-func (s *Series) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean (0 for an empty series).
 func (s *Series) Mean() float64 {

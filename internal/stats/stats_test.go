@@ -14,14 +14,11 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("lat")
-	if s.Name() != "lat" {
-		t.Fatal("name")
-	}
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		s.Observe(v)
 	}
-	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Fatalf("N/Sum/Mean = %d/%v/%v", s.N(), s.Sum(), s.Mean())
+	if s.N() != 5 || s.sum != 15 || s.Mean() != 3 {
+		t.Fatalf("N/sum/Mean = %d/%v/%v", s.N(), s.sum, s.Mean())
 	}
 	if s.Min() != 1 || s.Max() != 5 || s.Spread() != 4 {
 		t.Fatalf("Min/Max/Spread = %v/%v/%v", s.Min(), s.Max(), s.Spread())

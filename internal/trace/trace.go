@@ -15,11 +15,10 @@ import (
 
 // Ring is a bounded in-memory recorder of bus trace events.
 type Ring struct {
-	buf      []can.TraceEvent
-	next     int
-	full     bool
-	total    uint64
-	recorded uint64
+	buf   []can.TraceEvent
+	next  int
+	full  bool
+	total uint64
 	// Filter, if non-nil, selects which events are recorded.
 	Filter func(can.TraceEvent) bool
 }
@@ -33,14 +32,12 @@ func NewRing(n int) *Ring {
 }
 
 // Record stores one event (dropping the oldest when full). Every offer
-// counts toward Total; only events passing the filter count toward
-// Recorded and enter the buffer.
+// counts toward Total; only events passing the filter enter the buffer.
 func (r *Ring) Record(e can.TraceEvent) {
 	r.total++
 	if r.Filter != nil && !r.Filter(e) {
 		return
 	}
-	r.recorded++
 	r.buf[r.next] = e
 	r.next++
 	if r.next == len(r.buf) {
@@ -62,14 +59,8 @@ func (r *Ring) Hook(prev func(can.TraceEvent)) func(can.TraceEvent) {
 
 // Total reports how many events were offered to the ring, whether or not
 // they were kept: it counts filtered-out events and events that have since
-// been evicted by newer ones. Use Recorded for the count that passed the
-// filter.
+// been evicted by newer ones.
 func (r *Ring) Total() uint64 { return r.total }
-
-// Recorded reports how many events passed the filter and were stored,
-// including ones the ring has since evicted. Recorded − len(Entries()) is
-// therefore the number of evictions so far.
-func (r *Ring) Recorded() uint64 { return r.recorded }
 
 // Entries returns the recorded events in arrival order.
 func (r *Ring) Entries() []can.TraceEvent {

@@ -118,14 +118,3 @@ func ExpirationFor(f Function, deadline sim.Time, threshold float64, horizon sim
 	}
 	return deadline + hi
 }
-
-// Accrued sums the value obtained by a set of completions: the metric
-// value-based scheduling maximises. Lateness entries for dropped events
-// should be omitted (they contribute 0 by definition).
-func Accrued(f Function, lateness []sim.Duration) float64 {
-	var sum float64
-	for _, l := range lateness {
-		sum += f.At(l)
-	}
-	return sum
-}

@@ -124,15 +124,3 @@ func TestExpirationForConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAccrued(t *testing.T) {
-	f := Linear{Grace: 10 * sim.Millisecond}
-	lat := []sim.Duration{-sim.Millisecond, 0, 5 * sim.Millisecond, sim.Second}
-	got := Accrued(f, lat)
-	if math.Abs(got-2.5) > 1e-9 {
-		t.Fatalf("Accrued = %v, want 2.5", got)
-	}
-	if Accrued(f, nil) != 0 {
-		t.Fatal("empty accrual")
-	}
-}
