@@ -123,7 +123,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		dur       = fs.Duration("dur", 0, "wall-clock run limit (0: run to the scenario's end)")
 		hb        = fs.Duration("hb", 500*time.Millisecond, "relay heartbeat period")
 		verbose   = fs.Bool("v", false, "log relay link events to stderr")
-		adminAddr = fs.String("admin", "", "serve the admin introspection plane (/metrics /healthz /channels /slo /relay /flight /profile /control /why, pprof) on this address; empty disables")
+		adminAddr = fs.String("admin", "", "serve the admin introspection plane ("+strings.Join(admin.Endpoints(), " ")+") on this address; empty disables")
 		flightDir = fs.String("flight-dir", "", "directory for flight-recorder post-mortem dumps (overrides the scenario's flightDir)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -263,16 +263,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// paced.Call so HTTP handlers never race the simulation.
 	var adm *admin.Server
 	if *adminAddr != "" {
-		opts := admin.SystemOptions(*segment, sys, paced)
-		opts.Control = admin.LoopRows(in.Loops)
-		opts.Relay = func() []admin.RelayRow {
-			rows := make([]admin.RelayRow, 0, len(relayRows))
-			for _, fn := range relayRows {
-				rows = append(rows, fn())
-			}
-			return rows
-		}
-		if adm, err = admin.Serve(*adminAddr, opts); err != nil {
+		host := admin.Host{Segment: *segment, Sys: sys, Loops: in.Loops, InKernel: paced.Call,
+			Relay: func() []admin.RelayRow {
+				rows := make([]admin.RelayRow, 0, len(relayRows))
+				for _, fn := range relayRows {
+					rows = append(rows, fn())
+				}
+				return rows
+			}}
+		if adm, err = admin.Serve(*adminAddr, host); err != nil {
 			return die("admin: %v", err)
 		}
 		defer adm.Close()

@@ -132,9 +132,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		paced := sim.NewPaced(sys.K, *pace)
 		var adm *admin.Server
 		if *adminOpt != "" {
-			opts := admin.SystemOptions("canecsim", sys, paced)
-			opts.Control = admin.LoopRows(in.Loops)
-			if adm, err = admin.Serve(*adminOpt, opts); err != nil {
+			host := admin.Host{Segment: "canecsim", Sys: sys, Loops: in.Loops, InKernel: paced.Call}
+			if adm, err = admin.Serve(*adminOpt, host); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stdout, "canecsim: admin on %s\n", adm.Addr())

@@ -42,18 +42,7 @@ func admissionAdmin(t *testing.T) *admin.Server {
 	}
 	sys.Run(10 * sim.Millisecond)
 
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment:   "admit",
-		Registry:  sys.Obs.Registry(),
-		Observer:  sys.Obs,
-		Now:       sys.K.Now,
-		Admission: admin.SystemAdmission(sys),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return serve(t, "admit", sys)
 }
 
 // TestAdmissionColumnAndExposition is the golden path for the admission
@@ -121,11 +110,7 @@ func TestAdmissionColumnAndExposition(t *testing.T) {
 // TestAdmissionColumnQuiet: a daemon with no admission controller still
 // renders a full row with a dashed ADMIT column.
 func TestAdmissionColumnQuiet(t *testing.T) {
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{Segment: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, "plain", plainSystem(t))
 	client := &http.Client{Timeout: 2 * time.Second}
 	targets := poll(client, []string{srv.Addr()}, false)
 	if len(targets) != 1 || targets[0].err != nil {

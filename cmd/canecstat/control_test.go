@@ -44,18 +44,7 @@ func controlAdmin(t *testing.T) *admin.Server {
 	}
 	sys.Run(end)
 
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment:  "ctl",
-		Registry: sys.Obs.Registry(),
-		Observer: sys.Obs,
-		Now:      k.Now,
-		Control:  admin.LoopRows([]*control.Loop{l}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return serve(t, "ctl", sys, l)
 }
 
 // TestControlColumnAndExposition is the golden path for the closed-loop

@@ -44,18 +44,7 @@ func busOffAdmin(t *testing.T) *admin.Server {
 	if sys.Node(0).Ctrl.State() != can.BusOff {
 		t.Fatalf("victim state: %v, want bus-off", sys.Node(0).Ctrl.State())
 	}
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment:    "errst",
-		Registry:   sys.Obs.Registry(),
-		Observer:   sys.Obs,
-		Now:        sys.K.Now,
-		ErrorState: admin.SystemErrorState(sys),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return serve(t, "errst", sys)
 }
 
 // TestErrorStateColumnAndExposition is the golden path for the
@@ -121,14 +110,10 @@ func TestErrorStateColumnAndExposition(t *testing.T) {
 	}
 }
 
-// TestErrorStateColumnQuiet: a daemon with no ErrorState hook (or a clean
-// confinement plane) renders "ok" rather than inventing counts.
+// TestErrorStateColumnQuiet: a clean confinement plane renders "ok"
+// rather than inventing counts.
 func TestErrorStateColumnQuiet(t *testing.T) {
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{Segment: "quiet"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, "quiet", plainSystem(t))
 	client := &http.Client{Timeout: 2 * time.Second}
 	targets := poll(client, []string{srv.Addr()}, false)
 	if targets[0].err != nil {

@@ -1,8 +1,8 @@
 // canecstat polls the admin endpoints of every canecd in a federation
 // and renders one fleet table: per-segment health, SLO burn state,
-// relay queue depths, uplink liveness, trace-continuity status and —
-// for daemons running the kernel profiler — live performance counters
-// (events/s, event-heap high-water, allocations per delivered frame).
+// relay queue depths, uplink liveness, trace-continuity status and the
+// kernel profiler's live performance counters (events/s, event-heap
+// high-water, allocations per delivered frame).
 //
 //	canecstat -once 127.0.0.1:9441 127.0.0.1:9442
 //	canecstat -interval 2s host-a:9441 host-b:9441
@@ -99,40 +99,21 @@ func poll(client *http.Client, addrs []string, validate bool) []*target {
 		tg := &target{addr: addr}
 		out[i] = tg
 		base := "http://" + addr
-		if err := getJSON(client, base+"/healthz", &tg.health); err != nil {
-			tg.err = err
-			continue
+		// The plane and this poller ship together: any failed fetch
+		// marks the target unreachable.
+		for _, ep := range []struct {
+			path string
+			v    any
+		}{
+			{"/healthz", &tg.health}, {"/slo", &tg.slo}, {"/relay", &tg.relay},
+			{"/profile", &tg.profile}, {"/admission", &tg.admission},
+			{"/control", &tg.control}, {"/why", &tg.why},
+		} {
+			if tg.err = getJSON(client, base+ep.path, ep.v); tg.err != nil {
+				break
+			}
 		}
-		if err := getJSON(client, base+"/slo", &tg.slo); err != nil {
-			tg.err = err
-			continue
-		}
-		if err := getJSON(client, base+"/relay", &tg.relay); err != nil {
-			tg.err = err
-			continue
-		}
-		// /profile is newer than the rest of the plane: a daemon without
-		// it (404) or without a profiler (enabled:false) still renders a
-		// full row, just with dashed perf columns.
-		if err := getJSON(client, base+"/profile", &tg.profile); err != nil {
-			tg.profile = admin.ProfileView{}
-		}
-		// /admission is newer still: a 404 or a daemon without an
-		// admission controller (enabled:false) dashes the ADMIT column.
-		if err := getJSON(client, base+"/admission", &tg.admission); err != nil {
-			tg.admission = admin.AdmissionView{}
-		}
-		// /control likewise: a 404 or a daemon without closed-loop
-		// workloads (enabled:false) dashes the QOC column.
-		if err := getJSON(client, base+"/control", &tg.control); err != nil {
-			tg.control = admin.ControlView{}
-		}
-		// /why likewise: a 404 or a daemon without the why-late engine
-		// (enabled:false) dashes the TOPCAUSE column.
-		if err := getJSON(client, base+"/why", &tg.why); err != nil {
-			tg.why = admin.WhyView{}
-		}
-		if validate {
+		if tg.err == nil && validate {
 			tg.validated = true
 			tg.promErr = validateMetrics(client, base+"/metrics")
 		}
@@ -231,18 +212,10 @@ func render(w io.Writer, targets []*target) {
 			}
 			qocCol = fmt.Sprintf("%d/%d %.2f/s", settled, len(tg.control.Loops), rate)
 		}
-		// Dominant root cause of late/dropped chains for segments running
-		// the why-late engine ("none" when nothing was late yet).
-		whyCol := "-"
-		if tg.why.Enabled {
-			whyCol = topCauseCol(tg.why)
-		}
-		evCol, heapCol, allocCol := "-", "-", "-"
-		if tg.profile.Enabled {
-			evCol = fmt.Sprintf("%.0f", tg.profile.Profile.EventsPerSec)
-			heapCol = strconv.Itoa(tg.profile.Profile.HeapHighWater)
-			allocCol = fmt.Sprintf("%.1f", tg.profile.Profile.AllocsPerDelivered)
-		}
+		prof := tg.profile.Profile
+		evCol := fmt.Sprintf("%.0f", prof.EventsPerSec)
+		heapCol := strconv.Itoa(prof.HeapHighWater)
+		allocCol := fmt.Sprintf("%.1f", prof.AllocsPerDelivered)
 		metricsCol := "-"
 		if tg.validated {
 			metricsCol = "ok"
@@ -258,7 +231,7 @@ func render(w io.Writer, targets []*target) {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d/%d\t%d/%d/%d\t%d\t%s\t%s\t%s\t%s\t%s\n",
 			tg.health.Segment, tg.addr, strings.ToUpper(tg.health.Status), errstCol,
-			missCol, admitCol, qocCol, whyCol, breachCol, up, len(tg.relay), h, sq, n, drops,
+			missCol, admitCol, qocCol, topCauseCol(tg.why), breachCol, up, len(tg.relay), h, sq, n, drops,
 			evCol, heapCol, allocCol, traces[tg], metricsCol)
 	}
 	tw.Flush()

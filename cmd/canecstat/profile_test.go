@@ -9,7 +9,6 @@ import (
 	"canec/internal/core"
 	"canec/internal/obs"
 	"canec/internal/obs/admin"
-	"canec/internal/obs/perf"
 	"canec/internal/sim"
 )
 
@@ -23,10 +22,7 @@ func profiledAdmin(t *testing.T) *admin.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := &perf.Profiler{}
-	prof.AttachKernel(sys.K)
-	prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
-	prof.Register(sys.Obs.Registry())
+	srv := serve(t, "perf", sys) // attaches the profiler before the run
 
 	pub, _ := sys.Node(0).MW.SRTEC(0x41)
 	pub.Announce(core.ChannelAttrs{}, nil)
@@ -41,18 +37,6 @@ func profiledAdmin(t *testing.T) *admin.Server {
 		})
 	}
 	sys.Run(sim.Second)
-
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment:  "perf",
-		Registry: sys.Obs.Registry(),
-		Observer: sys.Obs,
-		Now:      sys.K.Now,
-		Profiler: prof,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
@@ -104,28 +88,5 @@ func TestFleetTableProfilerColumns(t *testing.T) {
 	// more.
 	if strings.Count(row, "-") >= 6 {
 		t.Fatalf("perf columns still dashed:\n%s", row)
-	}
-}
-
-// TestFleetTableWithoutProfiler: a daemon with no profiler still renders
-// a full row with dashed perf columns.
-func TestFleetTableWithoutProfiler(t *testing.T) {
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{Segment: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := &http.Client{Timeout: 2 * time.Second}
-	targets := poll(client, []string{srv.Addr()}, false)
-	if targets[0].err != nil {
-		t.Fatalf("poll: %v", targets[0].err)
-	}
-	if targets[0].profile.Enabled {
-		t.Fatal("phantom profiler")
-	}
-	var b strings.Builder
-	render(&b, targets)
-	if !strings.Contains(b.String(), "plain") {
-		t.Fatalf("row missing:\n%s", b.String())
 	}
 }

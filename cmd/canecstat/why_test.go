@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"canec/internal/obs"
-	"canec/internal/obs/admin"
 	"canec/internal/obs/causal"
 	"canec/internal/sim"
 )
@@ -53,9 +52,10 @@ func TestValidateExpositionWhyFamilies(t *testing.T) {
 // live /metrics exposition must validate strictly, and the fleet table
 // must carry the attributed top cause in the TOPCAUSE column.
 func TestFleetTableTopCause(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := causal.New(causal.Config{Registry: reg,
+	sys := plainSystem(t)
+	a := causal.New(causal.Config{Registry: sys.Obs.Registry(),
 		LateOver: map[string]sim.Duration{"SRT": 100_000}})
+	sys.Obs.AttachCausal(a)
 	for _, r := range []obs.Record{
 		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
 		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
@@ -68,15 +68,7 @@ func TestFleetTableTopCause(t *testing.T) {
 	} {
 		a.Add(r)
 	}
-	srv, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment:  "why",
-		Registry: reg,
-		Why:      admin.SystemWhy(a),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, "why", sys)
 
 	client := &http.Client{Timeout: 2 * time.Second}
 	targets := poll(client, []string{srv.Addr()}, true)

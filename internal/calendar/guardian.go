@@ -30,10 +30,6 @@ type Guardian struct {
 	Cal *Calendar
 	// Epoch is the global time of round 0's start (core.Middleware.Epoch).
 	Epoch sim.Time
-	// MaxGuardedPrio: frames with priority ≤ this value are vetted against
-	// the calendar. The HRT band is priority 0, so the zero value guards
-	// exactly the HRT band.
-	MaxGuardedPrio int
 	// Slack widens each slot window on both sides. Nodes schedule their
 	// slots on drifting local clocks, so a legitimate transmission can miss
 	// the global window by up to the sync precision π; zero selects the
@@ -77,7 +73,7 @@ func (g *Guardian) slack() sim.Duration {
 
 // Judge implements can.Guardian.
 func (g *Guardian) Judge(f can.Frame, sender int, at sim.Time) can.GuardianVerdict {
-	if int(f.ID.Prio()) > g.MaxGuardedPrio {
+	if f.ID.Prio() != 0 { // only the HRT band (priority 0) is guarded
 		return can.GuardAllow
 	}
 	if g.permitted(f, at) {

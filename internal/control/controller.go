@@ -61,7 +61,6 @@ func (c *pid) command(x [2]float64, setpoint float64) float64 {
 // factorised once at construction; each sample costs one forward/backward
 // substitution over preallocated buffers — no allocation, no iteration.
 type mpc struct {
-	m    Model
 	n    int        // horizon
 	q    [2]float64 // state cost diagonal
 	umax float64
@@ -77,7 +76,7 @@ func newMPC(m Model, horizon int, q [2]float64, r, umax float64) (*mpc, error) {
 	if horizon < 1 || horizon > 64 {
 		return nil, fmt.Errorf("control: mpc horizon %d out of [1,64]", horizon)
 	}
-	c := &mpc{m: m, n: horizon, q: q, umax: umax,
+	c := &mpc{n: horizon, q: q, umax: umax,
 		pow:  make([][2][2]float64, horizon),
 		gain: make([][][2]float64, horizon),
 		g:    make([]float64, horizon),

@@ -179,7 +179,6 @@ type Loop struct {
 	// latched command until a newer one arrives.
 	heldU        float64
 	heldSampleAt sim.Time
-	haveCmd      bool
 
 	seq      uint8
 	sampleAt [256]sim.Time // kernel publish time per sequence number
@@ -394,7 +393,6 @@ func (l *Loop) onCommand(ev core.Event, _ core.DeliveryInfo) {
 	now := l.k.Now()
 	seq := ev.Payload[0]
 	l.heldU = getFix24(ev.Payload[1:])
-	l.haveCmd = true
 	l.qoc.Applied++
 	if at := l.sampleAt[seq]; at > 0 && now >= at {
 		us := float64(now-at) / 1e3

@@ -95,7 +95,6 @@ func (lc *Lifecycle) BusOffRecoveryBound() sim.Duration {
 func (lc *Lifecycle) errorState(i int, old, new can.ErrorState, at sim.Time) {
 	switch {
 	case new == can.BusOff:
-		lc.BusOffCount++
 		streak := lc.busOffStreak[i]
 		if up, ok := lc.busOffUpAt[i]; ok && sim.Duration(at-up) > lc.busOffPol.StableAfter {
 			streak = 0 // stayed healthy long enough: ladder resets

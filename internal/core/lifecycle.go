@@ -55,13 +55,13 @@ type Lifecycle struct {
 	CrashCount, RestartCount, AgentTakeovers int
 
 	// Bus-off recovery supervisor state (EnableBusOffRecovery):
-	// BusOffCount / BusOffRecovered tally bus-off entries and completed
-	// supervised rejoins across all stations.
-	busOffPol                    BusOffPolicy
-	busOffArmed                  bool
-	busOffStreak                 map[int]int      // consecutive bus-offs per station
-	busOffUpAt                   map[int]sim.Time // last completed recovery per station
-	BusOffCount, BusOffRecovered int
+	// BusOffRecovered tallies completed supervised rejoins across all
+	// stations.
+	busOffPol       BusOffPolicy
+	busOffArmed     bool
+	busOffStreak    map[int]int      // consecutive bus-offs per station
+	busOffUpAt      map[int]sim.Time // last completed recovery per station
+	BusOffRecovered int
 }
 
 // crashRecord is what survives a crash outside the node: the subjects the

@@ -10,6 +10,7 @@ import (
 	"canec/internal/can"
 	"canec/internal/clock"
 	"canec/internal/edf"
+	"canec/internal/frag"
 	"canec/internal/obs"
 	"canec/internal/prob"
 	"canec/internal/sim"
@@ -272,7 +273,7 @@ type channelState struct {
 	nrtBusy  bool
 	nrtQueue [][]can.Frame
 	// NRT subscriber: per-publisher reassembly (made on first reception).
-	reasm map[can.TxNode]*reasmState
+	reasm map[can.TxNode]*frag.Reassembler
 
 	// Mailbox: the most recently delivered event (§2.2.1: the middleware
 	// stores the event in a predefined memory area; the notification

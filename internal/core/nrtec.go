@@ -29,12 +29,6 @@ func (mw *Middleware) NRTEC(subject binding.Subject) (*NRTEC, error) {
 	return &NRTEC{ch: ch}, nil
 }
 
-// reasmState holds per-publisher reassembly for a fragmented channel.
-type reasmState struct {
-	r     frag.Reassembler
-	start sim.Time
-}
-
 // Announce prepares the channel for publication. The priority is fixed at
 // announcement time and must lie inside the NRT band; fragmentation is an
 // inherent channel attribute declared here (§2.2.3).
@@ -244,16 +238,13 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 	pub := f.ID.TxNode()
 	rs, ok := ch.reasm[pub]
 	if !ok {
-		rs = &reasmState{r: frag.Reassembler{Timeout: 5 * sim.Second}, start: at}
+		rs = &frag.Reassembler{Timeout: 5 * sim.Second}
 		if ch.reasm == nil {
-			ch.reasm = make(map[can.TxNode]*reasmState)
+			ch.reasm = make(map[can.TxNode]*frag.Reassembler)
 		}
 		ch.reasm[pub] = rs
 	}
-	if !rs.r.Active() {
-		rs.start = at
-	}
-	msg, err := rs.r.Push(f.Data, at)
+	msg, err := rs.Push(f.Data, at)
 	if err != nil {
 		ch.raiseSub(Exception{
 			Kind: ExcFragError, Subject: ch.subject, At: at,

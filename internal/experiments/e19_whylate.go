@@ -70,14 +70,13 @@ type e19Campaign struct {
 
 // e19Outcome reduces one campaign's chains against the expectation.
 type e19Outcome struct {
-	chains, faulted  int
-	familyIncidents  int
-	familyDebit      sim.Duration
-	topCause         causal.Cause
-	control          int
-	controlIncidents int
-	misattributed    int
-	residualBad      int
+	chains, faulted int
+	familyIncidents int
+	familyDebit     sim.Duration
+	topCause        causal.Cause
+	control         int
+	misattributed   int
+	residualBad     int
 }
 
 func e19Family(family []causal.Cause) string {
@@ -224,9 +223,6 @@ func e19Exec(seed uint64, c e19Campaign) e19Outcome {
 			continue
 		}
 		out.control++
-		if ch.Top != causal.CauseNone {
-			out.controlIncidents++
-		}
 		if fam[ch.Top] {
 			out.misattributed++
 		}

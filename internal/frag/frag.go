@@ -225,9 +225,6 @@ func (r *Reassembler) Push(data []byte, at sim.Time) ([]byte, error) {
 	}
 }
 
-// Active reports whether a message is partially assembled.
-func (r *Reassembler) Active() bool { return r.active }
-
 func (r *Reassembler) start(want int, head []byte) {
 	r.active = true
 	r.skipping = false

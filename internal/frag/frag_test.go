@@ -9,6 +9,9 @@ import (
 	"canec/internal/sim"
 )
 
+// Active reports whether a message is partially assembled.
+func (r *Reassembler) Active() bool { return r.active }
+
 // roundtrip fragments msg and feeds every frame to a fresh reassembler.
 func roundtrip(t *testing.T, msg []byte) []byte {
 	t.Helper()

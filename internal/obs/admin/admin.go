@@ -6,13 +6,15 @@
 //
 // The kernel is single-toucher: every handler that reads kernel-owned
 // state (the metrics registry, middleware channel tables, SLO
-// objectives) routes the read through Options.InKernel. A paced daemon
+// objectives) routes the read through Host.InKernel. A paced daemon
 // passes sim.Paced.Call so the snapshot happens between kernel steps;
 // non-paced embedders may leave it nil and the read runs inline.
 package admin
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -98,8 +100,7 @@ type SLOView struct {
 }
 
 // ProfileView is the /profile payload: the kernel profiler's live
-// stage breakdown plus health counters, or enabled:false when no
-// profiler is attached.
+// stage breakdown plus health counters.
 type ProfileView struct {
 	Segment string        `json:"segment"`
 	Enabled bool          `json:"enabled"`
@@ -144,7 +145,7 @@ type ControlView struct {
 }
 
 // WhyView is the /why payload: the why-late engine's cause profiles and
-// recent incident chains, or enabled:false when no analyzer is attached.
+// recent incident chains.
 type WhyView struct {
 	Segment    string `json:"segment"`
 	VirtualNow int64  `json:"virtual_now_ns"`
@@ -160,88 +161,95 @@ type flightView struct {
 	Dumps   []string `json:"dumps"`
 }
 
-// Options configures a Server. Every field is optional; endpoints
-// backed by a nil field degrade gracefully (empty lists, enabled:false)
-// instead of erroring, so one canecstat loop can poll heterogeneous
-// daemons.
-type Options struct {
-	// Segment names this process in /healthz and /slo.
+// Host is what a process hands its admin plane: the one system it runs,
+// plus the parts of the process the system does not own.
+type Host struct {
+	// Segment names this process in /healthz and the other payloads.
 	Segment string
-	// Registry backs /metrics.
-	Registry *obs.Registry
-	// Observer supplies the trace base and the flight recorder (unless
-	// Flight overrides it).
-	Observer *obs.Observer
-	// SLO backs /slo and the breached bit in /healthz.
-	SLO *obs.SLO
-	// Flight backs /flight; defaults to Observer.Flight().
-	Flight *obs.FlightRecorder
-	// Now reads the virtual clock (kernel context).
-	Now func() sim.Time
-	// Channels produces the /channels rows (kernel context). See
-	// SystemChannels for the stock core.System adapter.
-	Channels func() []ChannelRow
+	// Sys backs every kernel-owned view: metrics, channels, SLO, error
+	// state, admission, flight recorder and the why-late engine. It must
+	// run with an observer (SystemConfig.Observe).
+	Sys *core.System
+	// Loops are the closed control loops served at /control.
+	Loops []*control.Loop
 	// Relay produces the /relay rows. Called WITHOUT kernel context —
 	// relay counters and depths are goroutine-safe by contract.
 	Relay func() []RelayRow
-	// Profiler backs /profile. Snapshot reads kernel-owned state, so
-	// the handler routes it through InKernel.
-	Profiler *perf.Profiler
-	// Admission produces the /admission snapshot (kernel context). See
-	// SystemAdmission for the stock core.System adapter; nil serves
-	// enabled:false.
-	Admission func() prob.Snapshot
-	// Control produces the /control rows (kernel context — loop state is
-	// kernel-owned). See LoopRows for the stock control.Loop adapter; nil
-	// serves enabled:false.
-	Control func() []ControlRow
-	// Why produces the /why snapshot (kernel context — the analyzer is
-	// kernel-owned). See SystemWhy for the stock adapter over an
-	// attached causal.Analyzer; nil serves enabled:false.
-	Why func() causal.Snapshot
-	// ErrorState summarizes the fault-confinement plane for /healthz:
-	// controllers currently error-passive, currently bus-off, and total
-	// bus-off entries. Reads kernel-owned controller state, so the
-	// handler routes it through InKernel. See SystemErrorState for the
-	// stock core.System adapter.
-	ErrorState func() (passive, busoff int, total uint64)
-	// InKernel runs fn in kernel context (e.g. sim.Paced.Call). Nil
-	// means call fn directly.
+	// InKernel runs fn in kernel context (sim.Paced.Call for a paced
+	// host). Nil calls fn directly.
 	InKernel func(func())
 }
 
+// endpoints is the plane's one list of paths: it builds the mux, the
+// index page and, through Endpoints, canecd's -admin usage text.
+var endpoints = []struct {
+	path   string
+	handle func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"/metrics", (*Server).handleMetrics},
+	{"/healthz", (*Server).handleHealthz},
+	{"/channels", (*Server).handleChannels},
+	{"/slo", (*Server).handleSLO},
+	{"/relay", (*Server).handleRelay},
+	{"/flight", (*Server).handleFlight},
+	{"/profile", (*Server).handleProfile},
+	{"/admission", (*Server).handleAdmission},
+	{"/control", (*Server).handleControl},
+	{"/why", (*Server).handleWhy},
+	{"/debug/pprof/", func(_ *Server, w http.ResponseWriter, r *http.Request) { pprof.Index(w, r) }},
+}
+
+// Endpoints lists the paths the plane serves, in index order.
+func Endpoints() []string {
+	paths := make([]string, len(endpoints))
+	for i, ep := range endpoints {
+		paths[i] = ep.path
+	}
+	return paths
+}
+
+// closeWait bounds how long Close waits for in-kernel reads to finish.
+const closeWait = 5 * time.Second
+
 // Server is a running admin endpoint bound to one TCP listener.
 type Server struct {
-	opts  Options
+	h     Host
+	why   *causal.Analyzer
+	prof  *perf.Profiler
 	ln    net.Listener
 	srv   *http.Server
 	start time.Time
 
 	mu     sync.Mutex
 	closed bool
+	reads  sync.WaitGroup // in-kernel reads in progress
 }
 
-// Serve binds addr (e.g. "127.0.0.1:0") and starts serving in the
-// background.
-func Serve(addr string, opts Options) (*Server, error) {
+// Serve binds addr (e.g. "127.0.0.1:0") and starts serving h in the
+// background. It attaches the why-late engine (when the system has none)
+// and a kernel profiler, so call it before the kernel runs.
+func Serve(addr string, h Host) (*Server, error) {
+	sys := h.Sys
+	if sys.Obs == nil {
+		return nil, errors.New("admin: system runs without an observer")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{opts: opts, ln: ln, start: time.Now()}
+	if sys.Obs.Causal() == nil {
+		sys.Obs.AttachCausal(causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16}))
+	}
+	s := &Server{h: h, prof: &perf.Profiler{}, ln: ln, start: time.Now()}
+	s.why, _ = sys.Obs.Causal().(*causal.Analyzer)
+	s.prof.AttachKernel(sys.K)
+	s.prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
+	s.prof.Register(sys.Obs.Registry())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/channels", s.handleChannels)
-	mux.HandleFunc("/slo", s.handleSLO)
-	mux.HandleFunc("/relay", s.handleRelay)
-	mux.HandleFunc("/flight", s.handleFlight)
-	mux.HandleFunc("/profile", s.handleProfile)
-	mux.HandleFunc("/admission", s.handleAdmission)
-	mux.HandleFunc("/control", s.handleControl)
-	mux.HandleFunc("/why", s.handleWhy)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	for _, ep := range endpoints {
+		mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { ep.handle(s, w, r) })
+	}
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
@@ -254,7 +262,10 @@ func Serve(addr string, opts Options) (*Server, error) {
 // Addr reports the bound address with the ephemeral port resolved.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the listener and in-flight handlers.
+// Close stops the listener and drops open connections, then returns once
+// no handler is inside InKernel (waiting at most closeWait), so the
+// caller owns the kernel again. Handlers that never enter the kernel,
+// such as a pprof profile, do not hold it up.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -263,32 +274,36 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	return s.srv.Close()
+	err := s.srv.Close()
+	done := make(chan struct{})
+	go func() { s.reads.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(closeWait):
+	}
+	return err
 }
 
-// inKernel routes fn through the configured kernel-context bridge.
+// inKernel runs fn in kernel context. Once Close has begun it skips fn:
+// Close dropped the handler's connection, so nobody reads the reply.
 func (s *Server) inKernel(fn func()) {
-	if s.opts.InKernel != nil {
-		s.opts.InKernel(fn)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
 	}
-	fn()
+	s.reads.Add(1)
+	s.mu.Unlock()
+	defer s.reads.Done()
+	if s.h.InKernel != nil {
+		s.h.InKernel(fn)
+	} else {
+		fn()
+	}
 }
 
 // vnow reads the virtual clock; kernel context.
-func (s *Server) vnow() int64 {
-	if s.opts.Now == nil {
-		return 0
-	}
-	return int64(s.opts.Now())
-}
-
-func (s *Server) flight() *obs.FlightRecorder {
-	if s.opts.Flight != nil {
-		return s.opts.Flight
-	}
-	return s.opts.Observer.Flight()
-}
+func (s *Server) vnow() int64 { return int64(s.h.Sys.K.Now()) }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -303,65 +318,52 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "canec admin plane (segment %q)\n\n", s.opts.Segment)
-	for _, ep := range []string{
-		"/metrics", "/healthz", "/channels", "/slo", "/relay", "/flight", "/profile", "/admission", "/control", "/why", "/debug/pprof/",
-	} {
-		fmt.Fprintln(w, ep)
+	fmt.Fprintf(w, "canec admin plane (segment %q)\n\n", s.h.Segment)
+	for _, ep := range endpoints {
+		fmt.Fprintln(w, ep.path)
 	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.Registry == nil {
+	reg := s.h.Sys.Obs.Registry()
+	if reg == nil {
 		http.Error(w, "no metrics registry", http.StatusNotFound)
 		return
 	}
 	// Render inside kernel context: counters and histograms are
 	// kernel-owned and WriteText reads them without locks.
-	var body []byte
-	s.inKernel(func() {
-		var b sbuf
-		s.opts.Registry.WriteText(&b)
-		body = b.b
-	})
+	var b bytes.Buffer
+	s.inKernel(func() { reg.WriteText(&b) })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(body) //nolint:errcheck
-}
-
-// sbuf is a minimal io.Writer so WriteText can render into a byte
-// slice captured across the kernel-context boundary.
-type sbuf struct{ b []byte }
-
-func (s *sbuf) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
+	w.Write(b.Bytes()) //nolint:errcheck
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := Health{Status: "ok", Segment: s.opts.Segment, Uptime: time.Since(s.start).Seconds()}
+	sys := s.h.Sys
+	h := Health{Status: "ok", Segment: s.h.Segment, Uptime: time.Since(s.start).Seconds()}
 	s.inKernel(func() {
 		h.VirtualNow = s.vnow()
-		if s.opts.Channels != nil {
-			h.Channels = len(s.opts.Channels())
+		h.Channels = len(s.channels())
+		for _, n := range sys.Nodes {
+			switch n.Ctrl.State() {
+			case can.ErrorPassive:
+				h.ErrorPassive++
+			case can.BusOff:
+				h.BusOff++
+			}
 		}
-		if s.opts.ErrorState != nil {
-			h.ErrorPassive, h.BusOff, h.BusOffTotal = s.opts.ErrorState()
-		}
-		h.Breached = s.opts.SLO.Breached()
-		// The flight recorder is kernel-owned like everything above.
-		if f := s.flight(); f != nil {
+		h.BusOffTotal = sys.Bus.Stats().BusOffEvents
+		h.Breached = sys.SLO.Breached()
+		if f := sys.Obs.Flight(); f != nil {
 			h.FlightLen = f.Len()
 			h.Dumps = len(f.Dumps())
 		}
 	})
-	h.TraceBase = s.opts.Observer.TraceBase()
-	if s.opts.Relay != nil {
-		rows := s.opts.Relay()
-		h.Links = len(rows)
-		for _, row := range rows {
-			if row.Connected {
-				h.LinksUp++
-			}
+	h.TraceBase = sys.Obs.TraceBase()
+	for _, row := range s.relay() {
+		h.Links++
+		if row.Connected {
+			h.LinksUp++
 		}
 	}
 	if h.Breached {
@@ -372,11 +374,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h)
 }
 
-func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
-	rows := []ChannelRow{}
-	if s.opts.Channels != nil {
-		s.inKernel(func() { rows = s.opts.Channels() })
+// channels lists every bound channel on every node; kernel context.
+func (s *Server) channels() []ChannelRow {
+	var rows []ChannelRow
+	for _, n := range s.h.Sys.Nodes {
+		for _, ci := range n.MW.Channels() {
+			tx := -1
+			if ci.Announced {
+				tx = n.Index
+			}
+			rows = append(rows, ChannelRow{
+				Node:       n.Index,
+				Subject:    fmt.Sprintf("0x%x", uint64(ci.Subject)),
+				Etag:       uint16(ci.Etag),
+				Class:      ci.Class.String(),
+				TxNode:     tx,
+				Announced:  ci.Announced,
+				Subscribed: ci.Subscribed,
+				Queued:     ci.Queued,
+				Missed:     ci.Missed,
+			})
+		}
 	}
+	return rows
+}
+
+func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
+	var rows []ChannelRow
+	s.inKernel(func() { rows = s.channels() })
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Node != rows[j].Node {
 			return rows[i].Node < rows[j].Node
@@ -387,32 +412,38 @@ func (s *Server) handleChannels(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	view := SLOView{Segment: s.opts.Segment, Objectives: []obs.Objective{}}
+	slo := s.h.Sys.SLO
+	view := SLOView{Segment: s.h.Segment, Objectives: []obs.Objective{}}
 	s.inKernel(func() {
 		view.VirtualNow = s.vnow()
-		if snap := s.opts.SLO.Snapshot(); snap != nil {
+		if snap := slo.Snapshot(); snap != nil {
 			view.Enabled = true
 			view.Objectives = snap
 		}
-		view.Breached = s.opts.SLO.Breached()
-		if s.opts.SLO != nil {
-			view.LastDump = s.opts.SLO.LastDump
+		view.Breached = slo.Breached()
+		if slo != nil {
+			view.LastDump = slo.LastDump
 		}
 	})
 	writeJSON(w, view)
 }
 
-func (s *Server) handleRelay(w http.ResponseWriter, _ *http.Request) {
-	rows := []RelayRow{}
-	if s.opts.Relay != nil {
-		rows = s.opts.Relay()
+// relay produces the /relay rows; any goroutine.
+func (s *Server) relay() []RelayRow {
+	if s.h.Relay == nil {
+		return []RelayRow{}
 	}
+	return s.h.Relay()
+}
+
+func (s *Server) handleRelay(w http.ResponseWriter, _ *http.Request) {
+	rows := s.relay()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	writeJSON(w, rows)
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	f := s.flight()
+	f := s.h.Sys.Obs.Flight()
 	if f == nil {
 		writeJSON(w, flightView{Dumps: []string{}})
 		return
@@ -439,11 +470,8 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	view := ProfileView{Segment: s.opts.Segment}
-	if s.opts.Profiler != nil {
-		view.Enabled = true
-		s.inKernel(func() { view.Profile = s.opts.Profiler.Snapshot() })
-	}
+	view := ProfileView{Segment: s.h.Segment, Enabled: true}
+	s.inKernel(func() { view.Profile = s.prof.Snapshot() })
 	if view.Profile.Stages == nil {
 		view.Profile.Stages = []perf.StageSnap{}
 	}
@@ -451,11 +479,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
-	view := AdmissionView{Segment: s.opts.Segment}
+	view := AdmissionView{Segment: s.h.Segment}
 	s.inKernel(func() {
 		view.VirtualNow = s.vnow()
-		if s.opts.Admission != nil {
-			view.Snapshot = s.opts.Admission()
+		if ac := s.h.Sys.Admission; ac != nil {
+			view.Snapshot = ac.Snapshot()
 		}
 	})
 	if view.Admitted == nil {
@@ -468,82 +496,19 @@ func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleControl(w http.ResponseWriter, _ *http.Request) {
-	view := ControlView{Segment: s.opts.Segment, Loops: []ControlRow{}}
+	view := ControlView{Segment: s.h.Segment, Enabled: len(s.h.Loops) > 0, Loops: []ControlRow{}}
 	s.inKernel(func() {
 		view.VirtualNow = s.vnow()
-		if s.opts.Control != nil {
-			view.Enabled = true
-			if rows := s.opts.Control(); rows != nil {
-				view.Loops = rows
-			}
+		for _, l := range s.h.Loops {
+			view.Loops = append(view.Loops, controlRow(l.Report()))
 		}
 	})
 	sort.Slice(view.Loops, func(i, j int) bool { return view.Loops[i].Loop < view.Loops[j].Loop })
 	writeJSON(w, view)
 }
 
-func (s *Server) handleWhy(w http.ResponseWriter, _ *http.Request) {
-	view := WhyView{Segment: s.opts.Segment}
-	s.inKernel(func() {
-		view.VirtualNow = s.vnow()
-		if s.opts.Why != nil {
-			view.Enabled = true
-			view.Snapshot = s.opts.Why()
-		}
-	})
-	if view.Classes == nil {
-		view.Classes = []causal.ClassProfile{}
-	}
-	if view.Recent == nil {
-		view.Recent = []causal.ChainSummary{}
-	}
-	writeJSON(w, view)
-}
-
-// SystemOptions is the one wiring point between a core.System and the
-// admin plane: it fills every Options field that is a view of the system
-// and routes kernel reads through paced (nil for a free-running embedder).
-// It is also the one rule for what a live plane runs: the why-late engine
-// (attached to sys.Obs when the system has none) and a kernel profiler.
-// Call it before the kernel runs. Relay and Control are the caller's.
-func SystemOptions(segment string, sys *core.System, paced *sim.Paced) Options {
-	if sys.Obs.Causal() == nil {
-		sys.Obs.AttachCausal(causal.New(causal.Config{Registry: sys.Obs.Registry(), KeepRecent: 16}))
-	}
-	why, _ := sys.Obs.Causal().(*causal.Analyzer)
-	prof := &perf.Profiler{}
-	prof.AttachKernel(sys.K)
-	prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
-	prof.Register(sys.Obs.Registry())
-	opts := Options{
-		Segment:    segment,
-		Registry:   sys.Obs.Registry(),
-		Observer:   sys.Obs,
-		SLO:        sys.SLO,
-		Now:        sys.K.Now,
-		Channels:   SystemChannels(sys),
-		Profiler:   prof,
-		ErrorState: SystemErrorState(sys),
-		Admission:  SystemAdmission(sys),
-		Why:        SystemWhy(why),
-	}
-	if paced != nil {
-		opts.InKernel = paced.Call
-	}
-	return opts
-}
-
-// SystemWhy adapts an attached causal analyzer into Options.Why; a nil
-// analyzer yields a nil producer (endpoint serves enabled:false).
-func SystemWhy(a *causal.Analyzer) func() causal.Snapshot {
-	if a == nil {
-		return nil
-	}
-	return a.Snapshot
-}
-
-// QoCRow projects one control.QoC report into its /control row.
-func QoCRow(q control.QoC) ControlRow {
+// controlRow projects one control.QoC report into its /control row.
+func controlRow(q control.QoC) ControlRow {
 	row := ControlRow{
 		Loop: q.Loop, Class: q.Class,
 		Cost: q.Cost, CostPerSec: q.CostPerSec,
@@ -558,81 +523,19 @@ func QoCRow(q control.QoC) ControlRow {
 	return row
 }
 
-// LoopRows adapts a set of control loops into the /control row
-// producer. The returned closure must run in kernel context (the Server
-// routes it through Options.InKernel) because Report reads live loop
-// state. Without loops it is nil: /control serves enabled:false.
-func LoopRows(loops []*control.Loop) func() []ControlRow {
-	if len(loops) == 0 {
-		return nil
+func (s *Server) handleWhy(w http.ResponseWriter, _ *http.Request) {
+	view := WhyView{Segment: s.h.Segment, Enabled: true}
+	s.inKernel(func() {
+		view.VirtualNow = s.vnow()
+		view.Snapshot = s.why.Snapshot()
+	})
+	if view.Classes == nil {
+		view.Classes = []causal.ClassProfile{}
 	}
-	return func() []ControlRow {
-		rows := make([]ControlRow, 0, len(loops))
-		for _, l := range loops {
-			rows = append(rows, QoCRow(l.Report()))
-		}
-		return rows
+	if view.Recent == nil {
+		view.Recent = []causal.ChainSummary{}
 	}
-}
-
-// SystemAdmission adapts a core.System into the /admission snapshot
-// producer. The returned closure must run in kernel context (the Server
-// routes it through Options.InKernel) and degrades to enabled:false
-// when the system runs without an admission controller.
-func SystemAdmission(sys *core.System) func() prob.Snapshot {
-	return func() prob.Snapshot {
-		if sys.Admission == nil {
-			return prob.Snapshot{}
-		}
-		return sys.Admission.Snapshot()
-	}
-}
-
-// SystemChannels adapts a core.System into the /channels row producer.
-// The returned closure must run in kernel context (the Server routes it
-// through Options.InKernel).
-func SystemChannels(sys *core.System) func() []ChannelRow {
-	return func() []ChannelRow {
-		var rows []ChannelRow
-		for _, n := range sys.Nodes {
-			for _, ci := range n.MW.Channels() {
-				tx := -1
-				if ci.Announced {
-					tx = n.Index
-				}
-				rows = append(rows, ChannelRow{
-					Node:       n.Index,
-					Subject:    fmt.Sprintf("0x%x", uint64(ci.Subject)),
-					Etag:       uint16(ci.Etag),
-					Class:      ci.Class.String(),
-					TxNode:     tx,
-					Announced:  ci.Announced,
-					Subscribed: ci.Subscribed,
-					Queued:     ci.Queued,
-					Missed:     ci.Missed,
-				})
-			}
-		}
-		return rows
-	}
-}
-
-// SystemErrorState adapts a core.System into the /healthz
-// fault-confinement summary. The returned closure must run in kernel
-// context (the Server routes it through Options.InKernel).
-func SystemErrorState(sys *core.System) func() (passive, busoff int, total uint64) {
-	return func() (int, int, uint64) {
-		var passive, busoff int
-		for _, n := range sys.Nodes {
-			switch n.Ctrl.State() {
-			case can.ErrorPassive:
-				passive++
-			case can.BusOff:
-				busoff++
-			}
-		}
-		return passive, busoff, sys.Bus.Stats().BusOffEvents
-	}
+	writeJSON(w, view)
 }
 
 // LinkRow adapts one relay endpoint into a RelayRow. connected covers

@@ -43,11 +43,15 @@ func getJSON(t *testing.T, url string, v any) int {
 	return code
 }
 
-// TestAdminBareOptions: every endpoint must answer gracefully when the
-// server is wired to nothing — a canecstat loop polls heterogeneous
-// daemons and must not be derailed by a minimal one.
-func TestAdminBareOptions(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", Options{Segment: "bare"})
+// TestAdminBareHost: every endpoint must answer gracefully for a system
+// with nothing optional on (no registry, SLO, flight recorder, relay or
+// loops): the views degrade to empty lists and enabled:false.
+func TestAdminBareHost(t *testing.T) {
+	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1, Observe: &obs.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Serve("127.0.0.1:0", Host{Segment: "bare", Sys: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +135,9 @@ func TestAdminSystemEndpoints(t *testing.T) {
 
 	var mu sync.Mutex
 	inKernelCalls := 0
-	s, err := Serve("127.0.0.1:0", Options{
-		Segment:  "sys",
-		Registry: sys.Obs.Registry(),
-		Observer: sys.Obs,
-		Now:      k.Now,
-		Channels: SystemChannels(sys),
+	s, err := Serve("127.0.0.1:0", Host{
+		Segment: "sys",
+		Sys:     sys,
 		InKernel: func(fn func()) {
 			mu.Lock()
 			inKernelCalls++
@@ -222,9 +223,8 @@ func TestAdminControlEndpoint(t *testing.T) {
 	sys.Run(end)
 
 	inKernel := 0
-	s, err := Serve("127.0.0.1:0", Options{
-		Segment: "ctl", Now: k.Now,
-		Control:  LoopRows([]*control.Loop{l}),
+	s, err := Serve("127.0.0.1:0", Host{
+		Segment: "ctl", Sys: sys, Loops: []*control.Loop{l},
 		InKernel: func(fn func()) { inKernel++; fn() },
 	})
 	if err != nil {
@@ -360,6 +360,34 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 			mu.Unlock()
 		}, nil)
 
+	// Admin planes on both segments (the two-daemon requirement), served
+	// before the kernels run: Serve attaches the profiler and why-late engine.
+	admA, err := Serve("127.0.0.1:0", Host{
+		Segment: "segA", Sys: sysA, InKernel: pacedA.Call,
+		Relay: func() []RelayRow {
+			row := LinkRow("uplink "+proxy.Addr(), "uplink", upA.Connected(), 0,
+				upA.Counters(), upA.Depths)
+			return []RelayRow{row}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admA.Close()
+	admB, err := Serve("127.0.0.1:0", Host{
+		Segment: "segB", Sys: sysB, InKernel: pacedB.Call,
+		Relay: func() []RelayRow {
+			return []RelayRow{LinkRow("listen "+srvB.Addr().String(), "listen",
+				srvB.Peers() > 0, srvB.Peers(), srvB.Counters(), srvB.Depths)}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admB.Close()
+	baseA := "http://" + admA.Addr()
+	baseB := "http://" + admB.Addr()
+
 	// Settle bindings deterministically before pacing starts.
 	kA.Run(50 * sim.Millisecond)
 	kB.Run(50 * sim.Millisecond)
@@ -380,36 +408,6 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 		}
 	}
 	defer stopAll()
-
-	// Admin planes on both segments (the two-daemon requirement).
-	admA, err := Serve("127.0.0.1:0", Options{
-		Segment: "segA", Registry: sysA.Obs.Registry(), Observer: sysA.Obs,
-		SLO: sysA.SLO, Now: kA.Now, Channels: SystemChannels(sysA),
-		InKernel: pacedA.Call,
-		Relay: func() []RelayRow {
-			row := LinkRow("uplink "+proxy.Addr(), "uplink", upA.Connected(), 0,
-				upA.Counters(), upA.Depths)
-			return []RelayRow{row}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admA.Close()
-	admB, err := Serve("127.0.0.1:0", Options{
-		Segment: "segB", Registry: sysB.Obs.Registry(), Observer: sysB.Obs,
-		Now: kB.Now, Channels: SystemChannels(sysB), InKernel: pacedB.Call,
-		Relay: func() []RelayRow {
-			return []RelayRow{LinkRow("listen "+srvB.Addr().String(), "listen",
-				srvB.Peers() > 0, srvB.Peers(), srvB.Counters(), srvB.Depths)}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admB.Close()
-	baseA := "http://" + admA.Addr()
-	baseB := "http://" + admB.Addr()
 
 	waitFor := func(what string, timeout time.Duration, cond func() bool) {
 		t.Helper()

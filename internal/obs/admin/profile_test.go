@@ -5,21 +5,28 @@ import (
 	"testing"
 
 	"canec/internal/core"
-	"canec/internal/obs/perf"
+	"canec/internal/obs"
 	"canec/internal/sim"
 )
 
-// TestAdminProfileEndpoint drives traffic through a profiled system and
-// checks that /profile serves the live stage breakdown, routing the
-// snapshot through InKernel.
+// TestAdminProfileEndpoint drives traffic through a served system and
+// checks that /profile serves the live stage breakdown of the profiler
+// Serve attached, routing the snapshot through InKernel.
 func TestAdminProfileEndpoint(t *testing.T) {
-	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1})
+	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1, Observe: &obs.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := &perf.Profiler{}
-	prof.AttachKernel(sys.K)
-	prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
+	inKernelCalls := 0
+	s, err := Serve("127.0.0.1:0", Host{
+		Segment:  "profiled",
+		Sys:      sys,
+		InKernel: func(fn func()) { inKernelCalls++; fn() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 
 	pub, _ := sys.Node(0).MW.SRTEC(0x41)
 	pub.Announce(core.ChannelAttrs{}, nil)
@@ -35,18 +42,6 @@ func TestAdminProfileEndpoint(t *testing.T) {
 		})
 	}
 	sys.Run(sim.Second)
-
-	inKernelCalls := 0
-	s, err := Serve("127.0.0.1:0", Options{
-		Segment:  "profiled",
-		Profiler: prof,
-		Now:      sys.K.Now,
-		InKernel: func(fn func()) { inKernelCalls++; fn() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	base := "http://" + s.Addr()
 
 	var view ProfileView
@@ -67,26 +62,5 @@ func TestAdminProfileEndpoint(t *testing.T) {
 	}
 	if inKernelCalls == 0 {
 		t.Fatal("snapshot did not go through InKernel")
-	}
-}
-
-// TestAdminProfileDisabled: a daemon without a profiler answers
-// enabled:false with an empty stage list, not an error.
-func TestAdminProfileDisabled(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", Options{Segment: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var view ProfileView
-	if code := getJSON(t, "http://"+s.Addr()+"/profile", &view); code != http.StatusOK {
-		t.Fatalf("/profile code %d", code)
-	}
-	if view.Enabled {
-		t.Fatalf("view = %+v", view)
-	}
-	if view.Profile.Stages == nil {
-		t.Fatal("stages should serialize as [], not null")
 	}
 }

@@ -4,27 +4,15 @@ import (
 	"net/http"
 	"testing"
 
+	"canec/internal/core"
 	"canec/internal/obs"
 	"canec/internal/obs/causal"
 	"canec/internal/sim"
 )
 
-// TestAdminWhyEndpoint covers /why both bare (enabled:false) and wired
-// to an analyzer that has attributed a late chain.
+// TestAdminWhyEndpoint serves a system whose attached why-late engine
+// has attributed a late chain.
 func TestAdminWhyEndpoint(t *testing.T) {
-	bare, err := Serve("127.0.0.1:0", Options{Segment: "bare"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	var off WhyView
-	if code := getJSON(t, "http://"+bare.Addr()+"/why", &off); code != http.StatusOK {
-		t.Fatalf("/why code %d", code)
-	}
-	if off.Enabled || len(off.Classes) != 0 {
-		t.Fatalf("bare /why = %+v, want enabled:false", off)
-	}
-
 	a := causal.Analyze([]obs.Record{
 		{ID: 9, Stage: obs.StageTxStart, At: 0, Node: 5, Subject: 0x42, Attempt: 1},
 		{ID: 1, Stage: obs.StagePublished, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
@@ -36,11 +24,17 @@ func TestAdminWhyEndpoint(t *testing.T) {
 		{ID: 1, Stage: obs.StageDelivered, At: 300_000, Node: 1, Class: "SRT", Subject: 0x300},
 	}, causal.Config{LateOver: map[string]sim.Duration{"SRT": 100_000}})
 
+	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1, Observe: &obs.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.K.Run(300_000)
+	sys.Obs.AttachCausal(a)
+
 	kernelCalls := 0
-	s, err := Serve("127.0.0.1:0", Options{
+	s, err := Serve("127.0.0.1:0", Host{
 		Segment: "why",
-		Why:     SystemWhy(a),
-		Now:     func() sim.Time { return 300_000 },
+		Sys:     sys,
 		InKernel: func(fn func()) {
 			kernelCalls++
 			fn()
@@ -69,8 +63,5 @@ func TestAdminWhyEndpoint(t *testing.T) {
 	}
 	if len(view.Recent) != 1 || view.Recent[0].Top != causal.CauseArbInterference {
 		t.Fatalf("recent = %+v", view.Recent)
-	}
-	if SystemWhy(nil) != nil {
-		t.Fatal("SystemWhy(nil) must yield a nil producer")
 	}
 }

@@ -362,3 +362,10 @@ func FuzzCausalOracle(f *testing.F) {
 		checkOracle(t, recs, cfg)
 	})
 }
+
+// TopCause returns the dominant incident cause for one class ("" = all
+// classes merged), CauseNone without incidents. Kernel context.
+func (a *Analyzer) TopCause(class string) Cause {
+	m := a.merged(class)
+	return causeNames[m.top()]
+}

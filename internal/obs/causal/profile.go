@@ -264,13 +264,6 @@ func (a *Analyzer) merged(class string) classAgg {
 	return m
 }
 
-// TopCause returns the dominant incident cause for one class ("" = all
-// classes merged), CauseNone without incidents. Kernel context.
-func (a *Analyzer) TopCause(class string) Cause {
-	m := a.merged(class)
-	return causeNames[m.top()]
-}
-
 // BreachSummary renders the top-n incident causes for one class ("" =
 // every class) — attached by the SLO engine to breach post-mortems.
 // Empty when no late or dropped chain was attributed yet. Implements

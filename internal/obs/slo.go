@@ -157,9 +157,6 @@ type SLO struct {
 	samples    []sloSample
 	objectives []*Objective
 
-	// OnBreach, when set, runs on every breach-enter transition (after
-	// the trace record and post-mortem dump). Kernel context.
-	OnBreach func(Objective)
 	// LastDump holds the paths of the most recent breach post-mortem.
 	LastDump []string
 }
@@ -454,8 +451,5 @@ func (s *SLO) enterBreach(ob *Objective, now sim.Time) {
 		if paths, err := o.flight.Dump("slo-" + ob.Name); err == nil {
 			s.LastDump = paths
 		}
-	}
-	if s.OnBreach != nil {
-		s.OnBreach(*ob)
 	}
 }

@@ -426,6 +426,11 @@ func BenchmarkRelayThroughputObserved(b *testing.B) {
 		b.Fatal(err)
 	}
 	paced := sim.NewPaced(k, 1.0)
+	adm, err := admin.Serve("127.0.0.1:0", admin.Host{Segment: "bench", Sys: sys, InKernel: paced.Call})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer adm.Close()
 	go paced.Run(sim.Time(time.Hour))
 	defer paced.Stop()
 
@@ -446,14 +451,6 @@ func BenchmarkRelayThroughputObserved(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 
-	adm, err := admin.Serve("127.0.0.1:0", admin.Options{
-		Segment: "bench", Registry: sys.Obs.Registry(), Observer: sys.Obs,
-		Now: k.Now, InKernel: paced.Call,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer adm.Close()
 	stopScrape := make(chan struct{})
 	defer close(stopScrape)
 	go func() { // a live Prometheus scraper, as a deployment would have

@@ -450,9 +450,8 @@ type Report struct {
 	// SLO holds the final objective states (nil unless Scenario.SLO ran).
 	SLO []obs.Objective
 	// Why is the causal lateness engine's final snapshot (nil unless
-	// Scenario.Why ran); WhyTop its merged dominant incident cause.
-	Why    *causal.Snapshot
-	WhyTop causal.Cause
+	// Scenario.Why ran).
+	Why *causal.Snapshot
 }
 
 // String renders the report for terminals.
@@ -969,7 +968,6 @@ func (in *Instance) Finish() *Report {
 	if in.why != nil {
 		snap := in.why.Snapshot()
 		rep.Why = &snap
-		rep.WhyTop = in.why.TopCause("")
 	}
 	if len(in.firstHRT) > 1 {
 		rep.HRTJitter = stats.PeriodJitter(in.firstHRT, in.hrtPeriod)

@@ -27,6 +27,9 @@ type Paced struct {
 	k     *Kernel
 	ratio float64
 
+	// own is held by Run while it drives the kernel and by Call while it
+	// runs a closure inline after Stop, so the kernel has one toucher.
+	own  sync.Mutex
 	mu   sync.Mutex
 	inj  []func()
 	wake chan struct{}
@@ -80,9 +83,10 @@ func (p *Paced) Call(fn func()) {
 	select {
 	case <-done:
 	case <-p.quit:
-		// Run ended before draining the injection: execute inline —
-		// Run's goroutine no longer touches the kernel after quit, so
-		// the single-toucher invariant holds.
+		// Run ended before draining the injection: execute inline, once
+		// Run has returned and one caller at a time.
+		p.own.Lock()
+		defer p.own.Unlock()
 		select {
 		case <-done:
 		default:
@@ -101,6 +105,8 @@ func (p *Paced) Stop() { p.once.Do(func() { close(p.quit) }) }
 // injected work (frames arriving from a relay peer) is stamped with the
 // "current" virtual time rather than the time of the last local event.
 func (p *Paced) Run(horizon Time) {
+	p.own.Lock()
+	defer p.own.Unlock()
 	wall0 := time.Now()
 	v0 := p.k.Now()
 	// vnow returns the wall-implied virtual time, capped at the horizon.

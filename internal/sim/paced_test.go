@@ -93,6 +93,33 @@ func TestPacedStop(t *testing.T) {
 	}
 }
 
+// After Stop, Call runs closures inline on its callers' goroutines; they
+// must still run one at a time (the counter below races under -race
+// otherwise), and each exactly once.
+func TestPacedCallAfterStopSerialises(t *testing.T) {
+	p := NewPaced(NewKernel(1), 1)
+	done := make(chan struct{})
+	go func() {
+		p.Run(MaxTime)
+		close(done)
+	}()
+	p.Stop()
+	<-done
+	n := 0
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Call(func() { n++ })
+		}()
+	}
+	wg.Wait()
+	if n != 8 {
+		t.Fatalf("%d closures ran, want 8", n)
+	}
+}
+
 // AdvanceTo must refuse to jump over pending work and ignore moves into
 // the past.
 func TestAdvanceToGuards(t *testing.T) {
