@@ -94,7 +94,7 @@ func main() {
 				}
 				n++
 			},
-			func(e canec.Exception) { fmt.Println("exception:", e.Kind, e.Detail) })
+			func(e canec.Exception) { fmt.Println("exception:", e.Kind, e.Detail()) })
 		if err != nil {
 			panic(err)
 		}

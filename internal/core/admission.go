@@ -104,7 +104,7 @@ func (mw *Middleware) applyAdmissionShed(s prob.Shed) {
 		case SRT:
 			ch.abortSRT()
 		case NRT:
-			ch.nrtQueue = nil
+			ch.dropNRT()
 		default:
 			continue // HRT channels are never admission-managed
 		}
@@ -115,7 +115,7 @@ func (mw *Middleware) applyAdmissionShed(s prob.Shed) {
 			uint64(ch.subject), now,
 			fmt.Sprintf("%s miss %.3g target %.3g", s.Reason, s.MissProb, s.Target))
 		ch.raisePub(Exception{Kind: ExcAdmissionShed, Subject: ch.subject, At: now,
-			Detail: fmt.Sprintf("predicted miss %.3g above target %.3g under measured error rate",
+			note: fmt.Sprintf("predicted miss %.3g above target %.3g under measured error rate",
 				s.MissProb, s.Target)})
 	}
 }

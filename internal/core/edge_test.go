@@ -204,7 +204,7 @@ func TestExceptionCarriesContext(t *testing.T) {
 	if exc.Subject != subjDiag || exc.Event == nil || exc.Event.Payload[0] != 0xEE {
 		t.Fatalf("exception lost context: %+v", exc)
 	}
-	if exc.At == 0 || exc.Detail == "" {
+	if exc.At == 0 || exc.Detail() == "" {
 		t.Fatalf("exception missing metadata: %+v", exc)
 	}
 }

@@ -12,6 +12,8 @@
 package core
 
 import (
+	"fmt"
+
 	"canec/internal/binding"
 	"canec/internal/can"
 	"canec/internal/sim"
@@ -276,14 +278,40 @@ type Exception struct {
 	Kind    ExceptionKind
 	Subject binding.Subject
 	// Event is the affected event, when identifiable (nil for SlotMissed).
+	// It is the exception's own copy: the handler may keep it.
 	Event *Event
 	// At is the kernel time the condition was detected.
 	At sim.Time
-	// Detail is a short human-readable explanation.
-	Detail string
+
+	// What Detail renders: a fixed note, or else the kind's typed values,
+	// so raising an exception formats nothing.
+	note  string
+	late  sim.Duration // DeadlineMissed: local time past the deadline
+	value float64      // LoadShed: residual value when shed
+	pub   can.TxNode   // SlotMissed: the slot's publisher
+	round int64        // SlotMissed: the empty round
+}
+
+// Detail returns a short human-readable explanation.
+func (e Exception) Detail() string {
+	if e.note != "" {
+		return e.note
+	}
+	switch e.Kind {
+	case ExcDeadlineMissed:
+		return fmt.Sprintf("transmitted %v after deadline", e.late)
+	case ExcLoadShed:
+		return fmt.Sprintf("shed with residual value %.2f", e.value)
+	case ExcSlotMissed:
+		return fmt.Sprintf("no event from node %d in round %d", e.pub, e.round)
+	}
+	return ""
 }
 
 // ExceptionHandler is application code invoked on exceptional conditions.
+// It executes in simulation-kernel context and must not block. The
+// Exception's Event is the exception's own copy, never the middleware's
+// storage, so the handler may retain it past its return.
 type ExceptionHandler func(Exception)
 
 // Counters aggregates per-node middleware statistics.

@@ -131,7 +131,7 @@ func (c *HRTEC) publish(ev Event) error {
 		dropped := ev // the exception's own copy, so ev stays on the stack
 		ch.raisePub(Exception{
 			Kind: ExcQueueOverflow, Subject: ch.subject, Event: &dropped,
-			At: mw.K.Now(), Detail: "HRT publish queue full",
+			At: mw.K.Now(), note: "HRT publish queue full",
 		})
 		mw.Obs.Emit(0, obs.StageDropped, HRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "queue_overflow")
@@ -256,7 +256,7 @@ func (tx *hrtTx) sent(ok bool, _ sim.Time) {
 		ev := tx.ev // the exception's own copy: the record is reused
 		ch.raisePub(Exception{
 			Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
-			At: mw.K.Now(), Detail: "HRT transmission abandoned",
+			At: mw.K.Now(), note: "HRT transmission abandoned",
 		})
 		mw.Obs.Emit(ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
@@ -555,7 +555,7 @@ func (mc *hrtMissCheck) fire() {
 	}
 	ch.raiseSub(Exception{
 		Kind: ExcSlotMissed, Subject: ch.subject, At: mw.K.Now(),
-		Detail: fmt.Sprintf("no event from node %d in round %d", pub, mc.round),
+		pub: pub, round: mc.round,
 	})
 	if mw.Obs.Enabled() {
 		mw.Obs.Emit(0, obs.StageMissed, HRT.String(), mw.node.Index,

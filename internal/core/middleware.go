@@ -243,17 +243,21 @@ type channelState struct {
 	mw      *Middleware
 	subject binding.Subject
 	etag    can.Etag
-	class   Class
-	attrs   ChannelAttrs
+	// The flags share the etag's word, which keeps the struct in the
+	// 448-byte allocation class: every node builds one per channel it
+	// uses, so set-up time follows its size.
+	announced  bool // publisher side set up
+	subscribed bool // subscriber side set up
+	hasEvent   bool // the mailbox holds a delivery
+	class      Class
+	attrs      ChannelAttrs
 
 	// publisher side
-	announced bool
-	pubExc    ExceptionHandler
+	pubExc ExceptionHandler
 	// subscriber side
-	subscribed bool
-	subAttrs   SubscribeAttrs
-	notify     NotificationHandler
-	subExc     ExceptionHandler
+	subAttrs SubscribeAttrs
+	notify   NotificationHandler
+	subExc   ExceptionHandler
 
 	// HRT publisher: pending events waiting for slots, per-slot sequence,
 	// and the free list of slot transmission records (see hrtTx).
@@ -265,13 +269,20 @@ type channelState struct {
 	// round and calendar slot (made on first use, see hrtPub).
 	hrtPubs map[can.TxNode]*hrtPubState
 
-	// SRT publisher bookkeeping (promotion, expiration); made on the
-	// first publish.
-	srtActive map[*srtEntry]bool
+	// SRT publisher: the queued entries (promotion, expiration), each
+	// knowing its index, and the free list of entry records, linked
+	// through srtEntry.next.
+	srtActive []*srtEntry
+	srtFree   *srtEntry
 
-	// NRT publisher: send queue of fragment chains.
-	nrtBusy  bool
-	nrtQueue [][]can.Frame
+	// NRT publisher: send queue of messages, the fragment the controller
+	// holds while nrtBusy, and its Done (nrtSent, bound at the first
+	// Announce).
+	nrtQueue  []nrtMsg
+	nrtBusy   bool
+	nrtOrphan bool // the held fragment's message was dropped from the queue
+	nrtTx     can.TxHandle
+	nrtDone   func(ok bool, at sim.Time)
 	// NRT subscriber: per-publisher reassembly (made on first reception).
 	reasm map[can.TxNode]*frag.Reassembler
 
@@ -281,7 +292,6 @@ type channelState struct {
 	// delivery moves nothing to the heap.
 	lastEvent Event
 	lastInfo  DeliveryInfo
-	hasEvent  bool
 
 	// missed counts this channel's timing failures (deadline misses,
 	// validity expiries, missed HRT slots) for the introspection plane.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"canec/internal/binding"
@@ -58,13 +59,16 @@ func (c *NRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	ch.attrs = attrs
 	ch.pubExc = exc
 	ch.announced = true
+	if ch.nrtDone == nil {
+		ch.nrtDone = ch.nrtSent
+	}
 	return nil
 }
 
 // CancelPublication withdraws the announcement; queued fragment chains
 // are dropped.
 func (c *NRTEC) CancelPublication() {
-	c.ch.nrtQueue = nil
+	c.ch.dropNRT()
 	c.ch.announced = false
 	c.ch.mw.admissionRelease(c.ch)
 }
@@ -99,8 +103,9 @@ func (c *NRTEC) publish(ev Event) error {
 			ErrPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	// Unfragmented NRT payloads still travel as single-frame transport
-	// messages so the receiver can tell them from fragment chains.
-	payloads, err := frag.Fragment(ev.Payload)
+	// messages so the receiver can tell them from fragment chains. The
+	// chain runs over a private copy: the caller may reuse its buffer.
+	chain, err := frag.NewChain(bytes.Clone(ev.Payload))
 	if err != nil {
 		return err
 	}
@@ -109,44 +114,37 @@ func (c *NRTEC) publish(ev Event) error {
 	} else {
 		mw.Obs.Adopt(ev.traceID, NRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
-	c.enqueueChain(c.toFrames(payloads, ev.traceID))
+	// Chains are sent strictly one frame at a time — each fragment is
+	// submitted when its predecessor completes — so a bulk transfer never
+	// floods the controller and interleaves fairly with other traffic at
+	// every arbitration point.
+	ch.nrtQueue = append(ch.nrtQueue, nrtMsg{
+		chain: chain,
+		id:    can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag),
+		tag:   ev.traceID,
+	})
+	if !ch.nrtBusy {
+		ch.sendNext()
+	}
 	mw.counters.PublishedNRT++
 	if mw.Obs.Enabled() {
 		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, NRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("%d fragment(s)", len(payloads)))
+			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("%d fragment(s)", frag.FrameCount(len(ev.Payload))))
 	}
 	return nil
 }
 
-// toFrames wraps fragment payloads into CAN frames at the channel's
-// fixed priority, tagging the whole chain with the event's trace ID.
-func (c *NRTEC) toFrames(payloads [][]byte, tag uint64) []can.Frame {
-	ch := c.ch
-	mw := ch.mw
-	id := can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag)
-	frames := make([]can.Frame, len(payloads))
-	for i, p := range payloads {
-		frames[i] = can.Frame{ID: id, Data: p, Tag: tag}
-	}
-	return frames
+// nrtMsg is one queued NRT message: the cursor over its fragments (which
+// holds the message's private copy), its identifier at the channel's
+// fixed priority and its trace ID.
+type nrtMsg struct {
+	chain frag.Chain
+	id    can.ID
+	tag   uint64
 }
 
-// enqueueChain appends a fragment chain to the send queue and starts the
-// sender if idle. Chains are sent strictly one frame at a time — each
-// fragment is submitted when its predecessor completes — so a bulk
-// transfer never floods the controller and interleaves fairly with other
-// traffic at every arbitration point.
-func (c *NRTEC) enqueueChain(frames []can.Frame) {
-	ch := c.ch
-	ch.nrtQueue = append(ch.nrtQueue, frames)
-	if !ch.nrtBusy {
-		c.sendNext()
-	}
-}
-
-// sendNext transmits the head fragment of the head chain.
-func (c *NRTEC) sendNext() {
-	ch := c.ch
+// sendNext submits the next fragment of the head message.
+func (ch *channelState) sendNext() {
 	mw := ch.mw
 	if mw.stopped || len(ch.nrtQueue) == 0 {
 		ch.nrtBusy = false
@@ -159,42 +157,74 @@ func (c *NRTEC) sendNext() {
 	// budget to the HRT calendar and SRT band. With fault confinement off
 	// the state is always error-active and this is a single comparison.
 	if mw.node.Ctrl.State() == can.ErrorPassive {
-		for _, chain := range ch.nrtQueue {
+		shed := ch.nrtQueue
+		ch.nrtQueue = nil
+		ch.nrtBusy = false
+		for _, m := range shed {
 			mw.counters.Shed++
 			ch.raisePub(Exception{
 				Kind: ExcLoadShed, Subject: ch.subject,
-				At: mw.K.Now(), Detail: "error-passive: NRT shed to protect RT bands",
+				At: mw.K.Now(), note: "error-passive: NRT shed to protect RT bands",
 			})
-			mw.Obs.Emit(chain[0].Tag, obs.StageShed, NRT.String(), mw.node.Index,
+			mw.Obs.Emit(m.tag, obs.StageShed, NRT.String(), mw.node.Index,
 				uint64(ch.subject), mw.K.Now(), "error_passive")
 		}
-		ch.nrtQueue = nil
-		ch.nrtBusy = false
 		return
 	}
+	m := &ch.nrtQueue[0]
+	var buf [8]byte // Submit copies the fragment
 	ch.nrtBusy = true
-	chain := ch.nrtQueue[0]
-	frame := chain[0]
-	mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: func(ok bool, _ sim.Time) {
-		if !ok {
-			ch.raisePub(Exception{
-				Kind: ExcTxFailure, Subject: ch.subject,
-				At: mw.K.Now(), Detail: "NRT fragment abandoned",
-			})
-			mw.Obs.Emit(frame.Tag, obs.StageDropped, NRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), "tx_abandoned")
-			// Drop the rest of the chain: the receiver cannot complete it.
-			ch.nrtQueue = ch.nrtQueue[1:]
-			c.sendNext()
-			return
-		}
-		if len(chain) > 1 {
-			ch.nrtQueue[0] = chain[1:]
+	ch.nrtTx = mw.node.Ctrl.Submit(can.Frame{ID: m.id, Data: m.chain.Next(&buf), Tag: m.tag},
+		can.SubmitOpts{Done: ch.nrtDone})
+}
+
+// nrtSent is the controller's completion callback for the fragment it
+// held. The queue is settled before any handler runs, and the next
+// fragment goes out unless a handler's own publish already started one.
+func (ch *channelState) nrtSent(ok bool, _ sim.Time) {
+	mw := ch.mw
+	ch.nrtBusy = false
+	switch {
+	case ch.nrtOrphan:
+		ch.nrtOrphan = false // its message was dropped while on the wire
+	case !ok:
+		// Drop the rest of the chain: the receiver cannot complete it.
+		tag := ch.nrtQueue[0].tag
+		ch.popNRT()
+		ch.raisePub(Exception{
+			Kind: ExcTxFailure, Subject: ch.subject,
+			At: mw.K.Now(), note: "NRT fragment abandoned",
+		})
+		mw.Obs.Emit(tag, obs.StageDropped, NRT.String(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
+	case ch.nrtQueue[0].chain.Done():
+		ch.popNRT()
+	}
+	if !ch.nrtBusy {
+		ch.sendNext()
+	}
+}
+
+// popNRT removes the head message from the send queue.
+func (ch *channelState) popNRT() {
+	n := copy(ch.nrtQueue, ch.nrtQueue[1:])
+	ch.nrtQueue[n] = nrtMsg{}
+	ch.nrtQueue = ch.nrtQueue[:n]
+}
+
+// dropNRT empties the send queue. The fragment the controller holds is
+// aborted; one on the wire cannot be, so it completes as an orphan that
+// touches no message queued after the drop.
+func (ch *channelState) dropNRT() {
+	if ch.nrtBusy {
+		if ch.mw.node.Ctrl.Abort(ch.nrtTx) {
+			ch.nrtBusy = false
 		} else {
-			ch.nrtQueue = ch.nrtQueue[1:]
+			ch.nrtOrphan = true
 		}
-		c.sendNext()
-	}})
+	}
+	clear(ch.nrtQueue)
+	ch.nrtQueue = ch.nrtQueue[:0]
 }
 
 // QueuedChains reports how many messages (fragment chains) await
@@ -248,7 +278,7 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 	if err != nil {
 		ch.raiseSub(Exception{
 			Kind: ExcFragError, Subject: ch.subject, At: at,
-			Detail: err.Error(),
+			note: err.Error(),
 		})
 		return
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"canec/internal/binding"
@@ -33,27 +34,65 @@ func (mw *Middleware) SRTEC(subject binding.Subject) (*SRTEC, error) {
 // completion. It owns the two local-clock timers that drive it, so every
 // promotion step re-arms in place and a completed entry leaves no timer
 // behind to fire dead.
+//
+// Entries are pooled per channel, like hrtTx: the controller's Done
+// callback and both timers are bound once, when the record is made. A
+// record goes back to the free list only once the controller has let go
+// of its request — after its Done ran, or after Abort removed it — so a
+// frame still on the wire never completes into a reused entry.
 type srtEntry struct {
 	ev         Event
 	ch         *channelState
 	handle     can.TxHandle
-	deadline   sim.Time // local clock
-	expiration sim.Time // local clock, 0 = none
-	seq        uint64   // node-wide enqueue order, for deterministic shedding
-	prio       can.Prio // priority the queued frame's identifier encodes now
-	done       bool
+	deadline   sim.Time  // local clock
+	expiration sim.Time  // local clock, 0 = none
+	seq        uint64    // node-wide enqueue order, for deterministic shedding
+	prio       can.Prio  // priority the queued frame's identifier encodes now
+	idx        int       // position in ch.srtActive while queued, -1 once finished
+	next       *srtEntry // next record on the channel's free list
 
+	done   func(ok bool, at sim.Time) // sent, bound once
 	promo  clock.LocalTimer
 	expiry clock.LocalTimer
 }
 
-// finish marks the entry complete (sent, aborted, expired or shed) and
-// releases its bookkeeping and timers.
+// newSRTEntry takes a record from the channel's free list or makes one.
+func (ch *channelState) newSRTEntry() *srtEntry {
+	if e := ch.srtFree; e != nil {
+		ch.srtFree, e.next = e.next, nil
+		return e
+	}
+	mw := ch.mw
+	e := &srtEntry{ch: ch, idx: -1}
+	e.done = e.sent
+	e.promo.Init(mw.K, mw.node.Clock, e.promote)
+	e.expiry.Init(mw.K, mw.node.Clock, e.expire)
+	return e
+}
+
+// finish marks the entry complete (sent, aborted, expired or shed): it
+// leaves the channel's queue and stops its timers.
 func (e *srtEntry) finish() {
-	e.done = true
-	delete(e.ch.srtActive, e)
+	if e.idx < 0 {
+		return
+	}
+	active := e.ch.srtActive
+	last := len(active) - 1
+	active[e.idx] = active[last]
+	active[e.idx].idx = e.idx
+	active[last] = nil
+	e.ch.srtActive = active[:last]
+	e.idx = -1
 	e.promo.Stop()
 	e.expiry.Stop()
+}
+
+// release returns a finished entry, whose request the controller no
+// longer holds, to the channel's free list.
+func (e *srtEntry) release() {
+	e.ev = Event{}
+	e.handle = can.TxHandle{}
+	e.next, e.ch.srtFree = e.ch.srtFree, e
 }
 
 // valueAt returns the entry's residual value at local time now under its
@@ -101,11 +140,16 @@ func (c *SRTEC) CancelPublication() {
 }
 
 // abortSRT withdraws every queued SRT event of the channel. A frame on the
-// wire right now cannot be aborted; its Done callback still runs.
+// wire right now cannot be aborted; its Done callback still runs and
+// returns the entry to the free list then.
 func (ch *channelState) abortSRT() {
-	for e := range ch.srtActive {
-		ch.mw.node.Ctrl.Abort(e.handle)
+	for n := len(ch.srtActive); n > 0; n = len(ch.srtActive) {
+		e := ch.srtActive[n-1]
+		aborted := ch.mw.node.Ctrl.Abort(e.handle)
 		e.finish()
+		if aborted {
+			e.release()
+		}
 	}
 }
 
@@ -149,7 +193,7 @@ func (c *SRTEC) publish(ev Event) error {
 			rejected := ev
 			ch.raisePub(Exception{
 				Kind: ExcLoadShed, Subject: ch.subject, Event: &rejected,
-				At: mw.K.Now(), Detail: "send queue full, no sheddable entry",
+				At: mw.K.Now(), note: "send queue full, no sheddable entry",
 			})
 			mw.Obs.Emit(0, obs.StageShed, SRT.String(), mw.node.Index,
 				uint64(ch.subject), mw.K.Now(), "rejected at publish")
@@ -163,56 +207,55 @@ func (c *SRTEC) publish(ev Event) error {
 		mw.Obs.Adopt(ev.traceID, SRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
 	prio := mw.bands.SRT.PrioFor(now, ev.Attrs.Deadline)
-	e := &srtEntry{ev: ev, ch: ch, deadline: ev.Attrs.Deadline,
-		expiration: ev.Attrs.Expiration, seq: mw.srtSeq, prio: prio}
+	e := ch.newSRTEntry()
+	e.ev, e.deadline, e.expiration = ev, ev.Attrs.Deadline, ev.Attrs.Expiration
+	e.seq, e.prio = mw.srtSeq, prio
 	frame := can.Frame{
 		ID:   can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
 		Data: ev.Payload, // Submit copies it
 		Tag:  ev.traceID,
 	}
-	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.sent})
-	if ch.srtActive == nil {
-		ch.srtActive = make(map[*srtEntry]bool)
-	}
-	ch.srtActive[e] = true
+	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.done})
+	e.idx = len(ch.srtActive)
+	ch.srtActive = append(ch.srtActive, e)
 	mw.counters.PublishedSRT++
 	if mw.Obs.Enabled() {
 		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), prioDetail[prio])
 	}
-	e.promo.Init(mw.K, mw.node.Clock, e.promote)
 	e.armPromotion()
 	if e.expiration != 0 {
-		e.expiry.Init(mw.K, mw.node.Clock, e.expire)
 		e.expiry.Arm(e.expiration)
 	}
 	return nil
 }
 
 // sent is the controller's completion callback for the entry's frame.
+// The controller is done with the request, so the entry goes back to the
+// free list.
 func (e *srtEntry) sent(ok bool, at sim.Time) {
 	ch := e.ch
 	mw := ch.mw
 	e.finish()
 	if !ok {
+		ev := e.ev // the exception's own copy: the entry is reused
 		ch.raisePub(Exception{
-			Kind: ExcTxFailure, Subject: ch.subject, Event: &e.ev,
-			At: at, Detail: "SRT transmission abandoned",
+			Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
+			At: at, note: "SRT transmission abandoned",
 		})
-		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
+		mw.Obs.Emit(ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
 			uint64(ch.subject), at, "tx_abandoned")
-		return
-	}
-	if mw.node.Clock.Read(at) > e.deadline {
+	} else if late := mw.node.Clock.Read(at) - e.deadline; late > 0 {
 		// Transmitted, but after the transmission deadline: transient
 		// overload or a non-preemptable lower-priority frame got in
 		// the way. The application is notified for awareness (§2.2.2).
+		ev := e.ev
 		ch.raisePub(Exception{
-			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: &e.ev,
-			At: at, Detail: fmt.Sprintf("transmitted %v after deadline",
-				mw.node.Clock.Read(at)-e.deadline),
+			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: &ev,
+			At: at, late: late,
 		})
 	}
+	e.release()
 }
 
 // prioDetail is the enqueued record's Detail for each priority.
@@ -256,7 +299,7 @@ func (e *srtEntry) armPromotion() {
 func (e *srtEntry) promote() {
 	ch := e.ch
 	mw := ch.mw
-	if e.done || mw.stopped {
+	if e.idx < 0 || mw.stopped {
 		return
 	}
 	p := mw.bands.SRT.PrioFor(mw.LocalTime(), e.deadline)
@@ -277,17 +320,19 @@ func (e *srtEntry) promote() {
 func (e *srtEntry) expire() {
 	ch := e.ch
 	mw := ch.mw
-	if e.done || mw.stopped {
+	if e.idx < 0 || mw.stopped {
 		return
 	}
 	if mw.node.Ctrl.Abort(e.handle) {
 		e.finish()
+		ev := e.ev // the exception's own copy: the entry is reused
 		ch.raisePub(Exception{
-			Kind: ExcValidityExpired, Subject: ch.subject, Event: &e.ev,
-			At: mw.K.Now(), Detail: "validity expired in send queue",
+			Kind: ExcValidityExpired, Subject: ch.subject, Event: &ev,
+			At: mw.K.Now(), note: "validity expired in send queue",
 		})
-		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
+		mw.Obs.Emit(ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "")
+		e.release()
 	}
 	// Abort failing means the frame is on the wire right now; it will
 	// complete and the Done callback handles the bookkeeping.
@@ -311,7 +356,7 @@ func (mw *Middleware) srtQueuedTotal() int {
 // (map iteration order never decides). It reports whether an entry was
 // shed.
 func (mw *Middleware) shedLowestValue(now sim.Time) bool {
-	excluded := make(map[*srtEntry]bool)
+	var onWire []*srtEntry
 	for {
 		var victim *srtEntry
 		worst := 0.0
@@ -328,8 +373,8 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 			if ch.class != SRT {
 				continue
 			}
-			for e := range ch.srtActive {
-				if excluded[e] {
+			for _, e := range ch.srtActive {
+				if slices.Contains(onWire, e) {
 					continue
 				}
 				if v := e.valueAt(now); better(e, v) {
@@ -343,19 +388,21 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 		if !mw.node.Ctrl.Abort(victim.handle) {
 			// On the wire right now: it will complete anyway; fall back to
 			// the next-least-valuable entry.
-			excluded[victim] = true
+			onWire = append(onWire, victim)
 			continue
 		}
 		victim.finish()
+		ev := victim.ev // the exception's own copy: the entry is reused
 		victim.ch.raisePub(Exception{
-			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: &victim.ev,
-			At: mw.K.Now(), Detail: fmt.Sprintf("shed with residual value %.2f", worst),
+			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: &ev,
+			At: mw.K.Now(), value: worst,
 		})
 		if mw.Obs.Enabled() {
-			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
+			mw.Obs.Emit(ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
 				uint64(victim.ch.subject), mw.K.Now(),
 				fmt.Sprintf("residual value %.2f", worst))
 		}
+		victim.release()
 		return true
 	}
 }

@@ -30,7 +30,7 @@ func TestHRTMissCheckOverlapUnderWidenedSlack(t *testing.T) {
 	err = sub.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{}, nil,
 		func(e Exception) {
 			if e.Kind == ExcSlotMissed {
-				got = append(got, miss{e.At, e.Detail})
+				got = append(got, miss{e.At, e.Detail()})
 			}
 		})
 	if err != nil {
@@ -105,6 +105,54 @@ func TestSRTPromotionStepZeroAllocs(t *testing.T) {
 	}
 	if rewrites := sys.Bus.Stats().IDRewrites; rewrites != mw.Counters().PromotionsApplied {
 		t.Fatalf("IDRewrites %d != PromotionsApplied %d", rewrites, mw.Counters().PromotionsApplied)
+	}
+}
+
+// A recycled SRT entry keeps the timers bound when its record was made:
+// taking it from the free list, arming promotion and expiration, and
+// handing it back allocates nothing.
+func TestSRTRecycledEntryTimersZeroAllocs(t *testing.T) {
+	sys := idealSystem(t, 2, nil)
+	mw := sys.Node(0).MW
+	srt, err := mw.SRTEC(subjDiag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srt.Announce(ChannelAttrs{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Node(0).Ctrl.Mute(true)
+	now := mw.LocalTime()
+	err = srt.Publish(Event{Subject: subjDiag, Payload: []byte{1},
+		Attrs: EventAttrs{Deadline: now + 60*sim.Millisecond, Expiration: now + 80*sim.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := srt.ch
+	srt.CancelPublication() // aborted in the controller: straight back to the free list
+	free := freeSRT(ch)
+	if len(free) != 1 {
+		t.Fatalf("%d free entries after cancel, want 1", len(free))
+	}
+	rec := free[0]
+	per := testing.AllocsPerRun(100, func() {
+		e := ch.newSRTEntry()
+		e.deadline, e.expiration, e.prio = now+60*sim.Millisecond, now+80*sim.Millisecond, mw.bands.SRT.Max
+		e.idx = len(ch.srtActive)
+		ch.srtActive = append(ch.srtActive, e)
+		e.armPromotion()
+		e.expiry.Arm(e.expiration)
+		if !e.promo.Armed() || !e.expiry.Armed() {
+			t.Fatal("timers not armed")
+		}
+		e.finish()
+		e.release()
+	})
+	if per != 0 {
+		t.Errorf("re-arming a recycled entry: %.2f allocs, want 0", per)
+	}
+	if free := freeSRT(ch); len(free) != 1 || free[0] != rec || rec.promo.Armed() || rec.expiry.Armed() {
+		t.Fatal("want the one record back on the free list with both timers stopped")
 	}
 }
 

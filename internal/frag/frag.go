@@ -38,7 +38,10 @@ var ErrTooLarge = errors.New("frag: message exceeds maximum size")
 // carries at least a content byte, so this is a caller bug.
 var ErrEmpty = errors.New("frag: empty message")
 
-// Fragment splits msg into CAN payloads.
+// Chain is a cursor over the fragments of one message: each Next writes
+// the following fragment into a caller-owned 8-byte buffer, so a sender
+// holds the message and the cursor, never a slice per frame. The message
+// must not change while the chain is being sent.
 //
 // Layouts:
 //
@@ -46,56 +49,74 @@ var ErrEmpty = errors.New("frag: empty message")
 //	first       [0x1h  ll  d0..d5]                        12-bit length hl·256+ll
 //	first-ext   [0x10  00  L3 L2 L1 L0  d0 d1]            32-bit length, len > 0xfff
 //	consecutive [0x2s  d0..d6]                            s = seq mod 16, starts at 1
-func Fragment(msg []byte) ([][]byte, error) {
+type Chain struct {
+	msg []byte
+	off int  // bytes of msg already written into fragments
+	seq byte // sequence number of the next consecutive frame
+}
+
+// NewChain returns the cursor over msg's fragments. It keeps msg, not a
+// copy.
+func NewChain(msg []byte) (Chain, error) {
 	if len(msg) == 0 {
-		return nil, ErrEmpty
+		return Chain{}, ErrEmpty
 	}
 	if len(msg) > MaxMessage {
-		return nil, ErrTooLarge
+		return Chain{}, ErrTooLarge
 	}
-	if len(msg) <= 7 {
-		out := make([]byte, 1+len(msg))
-		out[0] = pciSingle<<4 | byte(len(msg))
-		copy(out[1:], msg)
-		return [][]byte{out}, nil
+	return Chain{msg: msg}, nil
+}
+
+// Done reports whether every fragment has been written.
+func (c *Chain) Done() bool { return c.off == len(c.msg) }
+
+// Next writes the next fragment into buf and returns it (a slice of buf).
+// It must not be called once Done.
+func (c *Chain) Next(buf *[8]byte) []byte {
+	msg := c.msg
+	if c.off > 0 {
+		buf[0] = pciCons<<4 | c.seq&0x0f
+		n := copy(buf[1:], msg[c.off:])
+		c.off += n
+		c.seq++
+		return buf[:1+n]
 	}
-	var frames [][]byte
-	var rest []byte
-	if len(msg) <= maxShortLen {
-		first := make([]byte, 8)
-		first[0] = pciFirst<<4 | byte(len(msg)>>8)
-		first[1] = byte(len(msg))
-		copy(first[2:], msg[:6])
-		rest = msg[6:]
-		frames = append(frames, first)
-	} else {
-		first := make([]byte, 8)
-		first[0] = pciFirst << 4
-		first[1] = 0
-		binary.BigEndian.PutUint32(first[2:], uint32(len(msg)))
-		copy(first[6:], msg[:2])
-		rest = msg[2:]
-		frames = append(frames, first)
+	switch {
+	case len(msg) <= 7:
+		buf[0] = pciSingle<<4 | byte(len(msg))
+		c.off = copy(buf[1:], msg)
+		return buf[:1+c.off]
+	case len(msg) <= maxShortLen:
+		buf[0] = pciFirst<<4 | byte(len(msg)>>8)
+		buf[1] = byte(len(msg))
+		c.off = copy(buf[2:], msg)
+	default:
+		buf[0] = pciFirst << 4
+		buf[1] = 0
+		binary.BigEndian.PutUint32(buf[2:6], uint32(len(msg)))
+		c.off = copy(buf[6:], msg)
 	}
-	seq := byte(1)
-	for len(rest) > 0 {
-		n := len(rest)
-		if n > 7 {
-			n = 7
-		}
-		fr := make([]byte, 1+n)
-		fr[0] = pciCons<<4 | seq&0x0f
-		copy(fr[1:], rest[:n])
-		rest = rest[n:]
-		frames = append(frames, fr)
-		seq++
+	c.seq = 1
+	return buf[:]
+}
+
+// Fragment splits msg into CAN payloads, one slice per frame: the
+// Chain's fragments, collected.
+func Fragment(msg []byte) ([][]byte, error) {
+	c, err := NewChain(msg)
+	if err != nil {
+		return nil, err
+	}
+	frames := make([][]byte, 0, FrameCount(len(msg)))
+	var buf [8]byte
+	for !c.Done() {
+		frames = append(frames, append([]byte(nil), c.Next(&buf)...))
 	}
 	return frames, nil
 }
 
-// FrameCount returns how many CAN frames Fragment will produce for a
-// payload of n bytes, without allocating them. Used by admission and
-// bench arithmetic.
+// FrameCount returns how many CAN frames a payload of n bytes takes,
+// without building them. Used by admission and bench arithmetic.
 func FrameCount(n int) int {
 	switch {
 	case n <= 0:
