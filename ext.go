@@ -68,6 +68,8 @@ func ExpirationFor(f ValueFunc, deadline Time, threshold float64, horizon Durati
 type (
 	// TraceRing records the most recent bus events for candump-style
 	// inspection; install with sys.Bus.Trace = ring.Hook(sys.Bus.Trace).
+	// It copies each kept event's payload, which the bus reuses once the
+	// transmission has ended.
 	TraceRing = trace.Ring
 )
 

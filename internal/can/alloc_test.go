@@ -41,9 +41,9 @@ func TestCodecZeroAllocs(t *testing.T) {
 	}
 }
 
-// One frame through an otherwise idle bus costs the controller's request
-// record, which holds the payload copy too — nothing for scheduling the
-// arbitration round or the completion.
+// One frame through an otherwise idle bus allocates nothing: the request
+// record, which holds the payload copy, comes back from the bus's free
+// list, and the arbitration round and the completion are bound callbacks.
 func TestBusFrameAllocsPinned(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewBus(k, 0)
@@ -55,8 +55,8 @@ func TestBusFrameAllocsPinned(t *testing.T) {
 		k.RunUntilIdle()
 	}
 	cycle()
-	if per := testing.AllocsPerRun(200, cycle); per > 1 {
-		t.Fatalf("submit→arbitrate→complete: %.2f allocs, want <= 1", per)
+	if per := testing.AllocsPerRun(200, cycle); per != 0 {
+		t.Fatalf("submit→arbitrate→complete: %.2f allocs, want 0", per)
 	}
 	if got := b.Stats().FramesOK; got != 202 {
 		t.Fatalf("FramesOK = %d", got)
@@ -64,8 +64,8 @@ func TestBusFrameAllocsPinned(t *testing.T) {
 }
 
 // Delivering one transmission to seven receivers hands them all the
-// request's frame: the cycle costs the request record and nothing per
-// receiver.
+// request's frame: the cycle reuses the request record and costs nothing
+// per receiver.
 func TestBusFanOutAllocsPinned(t *testing.T) {
 	const receivers = 7
 	k, b := rig(receivers+1, 1)
@@ -81,8 +81,8 @@ func TestBusFanOutAllocsPinned(t *testing.T) {
 		k.RunUntilIdle()
 	}
 	cycle()
-	if per := testing.AllocsPerRun(200, cycle); per != 1 {
-		t.Fatalf("submit→deliver to %d receivers: %.2f allocs, want 1", receivers, per)
+	if per := testing.AllocsPerRun(200, cycle); per != 0 {
+		t.Fatalf("submit→deliver to %d receivers: %.2f allocs, want 0", receivers, per)
 	}
 	if sent != 202 || got != 202*receivers {
 		t.Fatalf("sent %d, delivered %d", sent, got)

@@ -35,8 +35,9 @@ const (
 // Frame.Tag carries the submitter's correlation tag, so hooks can stitch
 // bus-level events into end-to-end event lifecycles. Frame is the
 // transmission's shared frame, under the same contract as
-// Controller.OnReceive: Frame.Data is read-only, and a hook that keeps
-// the bytes copies them.
+// Controller.OnReceive: Frame.Data is read-only and valid during the
+// hook only, since the bus reuses the request record that holds it, so a
+// hook that keeps the bytes copies them (trace.Ring does).
 type TraceEvent struct {
 	Kind    TraceKind
 	At      sim.Time
@@ -139,6 +140,11 @@ type Bus struct {
 	// The kernel callbacks, bound once: scheduling a round, a completion
 	// or the end of an error frame allocates no method value per frame.
 	arbitrateFn, completeFn, idleFn func()
+
+	// free lists the request records no controller holds (txReq.next
+	// links them); reqs counts the records ever made.
+	free *txReq
+	reqs int
 }
 
 // NewBus creates a bus on the given kernel. bitRate <= 0 selects the
@@ -170,6 +176,30 @@ func (b *Bus) Attach(txnode TxNode) *Controller {
 	c := &Controller{bus: b, index: len(b.ctrls), txnode: txnode, autoRecover: true}
 	b.ctrls = append(b.ctrls, c)
 	return c
+}
+
+// newReq takes a request record from the free list, or makes one.
+func (b *Bus) newReq() *txReq {
+	r := b.free
+	if r == nil {
+		b.reqs++
+		return &txReq{}
+	}
+	b.free = r.next
+	*r = txReq{gen: r.gen}
+	return r
+}
+
+// release puts a request that left its controller back on the free list,
+// after its Done returned. The records of the current transmission wait
+// for the end of complete, which still reads them.
+func (b *Bus) release(r *txReq) {
+	if r.held {
+		return
+	}
+	r.gen++
+	r.done = nil
+	b.free, r.next = r, b.free
 }
 
 // kick requests an arbitration round at the current instant if the bus is
@@ -234,10 +264,10 @@ func (b *Bus) arbitrate() {
 	b.curSender = winIdx
 	b.curTied = tied
 	b.curTiedIdx = tiedIdx
-	win.inFlight = true
+	win.inFlight, win.held = true, true
 	win.attempt++
 	for _, r := range tied {
-		r.inFlight = true
+		r.inFlight, r.held = true, true
 		r.attempt++
 	}
 	if b.Trace != nil {
@@ -296,13 +326,16 @@ func (b *Bus) guardedBest(c *Controller, idx int) *txReq {
 			if b.Trace != nil {
 				b.Trace(TraceEvent{Kind: TraceGuardIsolate, At: b.K.Now(), Frame: r.frame, Sender: idx, Attempt: r.attempt})
 			}
+			b.release(r)
 			return nil
 		}
+		b.release(r)
 	}
 }
 
 // complete finishes the in-flight transmission, consulting the fault
-// injector for its outcome.
+// injector for its outcome. The transmission's records are released at
+// its end, whichever callbacks removed them on the way.
 func (b *Bus) complete() {
 	req := b.cur
 	sender := b.curSender
@@ -361,6 +394,7 @@ func (b *Bus) complete() {
 		for i, r := range tied {
 			abortIfSingleShot(r, tiedIdx[i])
 		}
+		b.unhold(req, tied)
 		b.K.After(errDur, b.idleFn)
 		return
 
@@ -383,7 +417,23 @@ func (b *Bus) complete() {
 	if req.done != nil {
 		req.done(true, b.K.Now())
 	}
+	b.unhold(req, nil)
 	b.idle()
+}
+
+// unhold ends the current transmission's claim on its records and
+// releases those that left their controller meanwhile.
+func (b *Bus) unhold(req *txReq, tied []*txReq) {
+	req.held = false
+	if req.removed {
+		b.release(req)
+	}
+	for _, r := range tied {
+		r.held = false
+		if r.removed {
+			b.release(r)
+		}
+	}
 }
 
 // idle returns the bus to idle — after a frame or at the end of an error

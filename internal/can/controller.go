@@ -8,21 +8,46 @@ import (
 
 // txReq is a pending transmission request inside a controller.
 // frame.Data slices data, the submitted payload's private copy, which
-// nothing writes after Submit: every receiver can share the frame.
+// nothing writes while the request is out: every receiver can share the
+// frame.
+//
+// Records are recycled through the bus's free list (Bus.release): one
+// goes back at exactly one point, once it has left its controller and
+// its Done, if any, has returned. gen counts the reuses, so a TxHandle
+// taken before the record went back no longer matches it.
 type txReq struct {
 	frame      Frame
 	data       [MaxPayload]byte
 	attempt    int
+	gen        uint64
 	inFlight   bool
 	singleShot bool
-	done       func(ok bool, at sim.Time)
 	removed    bool
+	// held marks the records of the bus's current transmission, from
+	// arbitration to the end of Bus.complete: complete reads them after
+	// callbacks that may remove them, so their release waits for it.
+	held bool
+	done func(ok bool, at sim.Time)
+	next *txReq // next record on the bus's free list
 }
 
 // TxHandle identifies a pending transmission so the middleware can rewrite
 // its identifier (soft real-time priority promotion) or abort it
-// (validity expiration).
-type TxHandle struct{ r *txReq }
+// (validity expiration). A handle outlives its request harmlessly: once
+// the request has left the controller, Update and Abort on it return
+// false, even after its record carries another frame.
+type TxHandle struct {
+	r   *txReq
+	gen uint64
+}
+
+// live returns the handle's request while it still names it.
+func (h TxHandle) live() *txReq {
+	if h.r == nil || h.r.gen != h.gen {
+		return nil
+	}
+	return h.r
+}
 
 // Controller models a full-CAN controller with message filtering and a
 // transmit buffer that supports identifier rewrite. The abstraction
@@ -47,8 +72,10 @@ type Controller struct {
 	// OnReceive is invoked for every frame that passes the acceptance
 	// filter. The callback runs in kernel context; it must not block.
 	// f is the one frame of the transmission, shared with every other
-	// receiver and with Bus.Trace: f.Data must not be mutated, and a
-	// receiver that keeps the bytes past the callback copies them.
+	// receiver and with Bus.Trace: f.Data must not be mutated. It lives
+	// in the sender's request record, which the bus reuses for a later
+	// frame once the transmission has ended, so a receiver that keeps
+	// the bytes past the callback copies them.
 	OnReceive func(f Frame, at sim.Time)
 
 	// filters is the acceptance filter set, one bit per etag: if nil, all
@@ -101,6 +128,7 @@ func (c *Controller) Detach() {
 	}
 	for _, r := range c.pending {
 		r.removed = true
+		c.bus.release(r)
 	}
 	c.pending = nil
 	c.filters = nil
@@ -155,10 +183,11 @@ type SubmitOpts struct {
 }
 
 // Submit queues a frame for transmission and triggers arbitration if the
-// bus is idle. It copies f.Data, so the caller may reuse its buffer as
-// soon as Submit returns. It panics on invalid frames: the middleware
-// owns frame construction, so an invalid frame is a programming error,
-// not a runtime condition.
+// bus is idle. It copies f.Data into a request record taken from the
+// bus's free list, so the caller may reuse its buffer as soon as Submit
+// returns. It panics on invalid frames: the middleware owns frame
+// construction, so an invalid frame is a programming error, not a
+// runtime condition.
 func (c *Controller) Submit(f Frame, opts SubmitOpts) TxHandle {
 	if err := f.Validate(); err != nil {
 		panic(err)
@@ -166,18 +195,19 @@ func (c *Controller) Submit(f Frame, opts SubmitOpts) TxHandle {
 	if f.ID.TxNode() != c.txnode {
 		panic(fmt.Sprintf("can: node %d submitting frame with TxNode %d", c.txnode, f.ID.TxNode()))
 	}
-	r := &txReq{frame: Frame{ID: f.ID, Tag: f.Tag}, singleShot: opts.SingleShot, done: opts.Done}
-	r.frame.Data = r.data[:copy(r.data[:], f.Data)]
+	r := c.bus.newReq()
+	r.frame = Frame{ID: f.ID, Data: r.data[:copy(r.data[:], f.Data)], Tag: f.Tag}
+	r.singleShot, r.done = opts.SingleShot, opts.Done
 	c.pending = append(c.pending, r)
 	c.bus.kick()
-	return TxHandle{r: r}
+	return TxHandle{r: r, gen: r.gen}
 }
 
 // Update rewrites the identifier of a pending request (priority
 // promotion). It fails while the frame is on the wire or after it left the
 // controller. Each successful rewrite increments Bus.Stats().IDRewrites.
 func (c *Controller) Update(h TxHandle, id ID) bool {
-	r := h.r
+	r := h.live()
 	if r == nil || r.removed || r.inFlight {
 		return false
 	}
@@ -193,13 +223,14 @@ func (c *Controller) Update(h TxHandle, id ID) bool {
 }
 
 // Abort removes a pending request (e.g. validity expired). It fails while
-// the frame is on the wire.
+// the frame is on the wire or after it left the controller.
 func (c *Controller) Abort(h TxHandle) bool {
-	r := h.r
+	r := h.live()
 	if r == nil || r.removed || r.inFlight {
 		return false
 	}
 	c.remove(r)
+	c.bus.release(r)
 	return true
 }
 

@@ -111,7 +111,9 @@ func (c *Controller) onRxError() {
 }
 
 // enterBusOff detaches the controller: pending requests are abandoned
-// with done(false), and recovery is scheduled if enabled.
+// with done(false), and recovery is scheduled if enabled. All of them
+// leave the controller before the first Done runs, so a Done that aborts
+// a sibling finds it gone instead of freeing it under the flush.
 func (c *Controller) enterBusOff() {
 	c.busOff = true
 	c.muted = true
@@ -119,10 +121,13 @@ func (c *Controller) enterBusOff() {
 	c.pending = nil
 	for _, r := range pending {
 		r.removed = true
+	}
+	for _, r := range pending {
 		c.bus.stats.FramesAborted++
 		if r.done != nil {
 			r.done(false, c.bus.K.Now())
 		}
+		c.bus.release(r)
 	}
 	c.bus.stats.BusOffEvents++
 	if c.autoRecover {

@@ -13,12 +13,16 @@
 // simulation fast without changing any temporal property the paper's
 // protocol depends on.
 //
-// Frame ownership: Controller.Submit copies the payload, so the submitter
-// may reuse its buffer at once. One transmission then yields one frame,
-// shared by every receiver's Controller.OnReceive and by Bus.Trace, as
-// every node on a real bus observes the same transmitted bits. Its Data
-// is read-only; a receiver or trace hook that keeps the bytes past the
-// callback copies them.
+// Frame ownership: Controller.Submit copies the payload into a request
+// record from the bus's free list, so the submitter may reuse its buffer
+// at once. One transmission then yields one frame, shared by every
+// receiver's Controller.OnReceive and by Bus.Trace, as every node on a
+// real bus observes the same transmitted bits. Its Data is read-only and
+// valid for the callback only: once the request has left its controller
+// and its Done has returned, the record goes back to the free list and
+// carries a later frame. A receiver or trace hook that keeps the bytes
+// copies them, and a TxHandle kept past that point no longer names the
+// request (Update and Abort on it return false).
 package can
 
 import "fmt"

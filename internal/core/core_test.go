@@ -68,7 +68,8 @@ func TestHRTDeliveryAtExactDeadline(t *testing.T) {
 	err = subC.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{},
 		func(ev Event, di DeliveryInfo) {
 			deliveries = append(deliveries, di)
-			payloads = append(payloads, ev.Payload)
+			// The payload is the mailbox's until the next delivery: keep a copy.
+			payloads = append(payloads, bytes.Clone(ev.Payload))
 		}, nil)
 	if err != nil {
 		t.Fatal(err)

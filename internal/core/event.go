@@ -76,6 +76,19 @@ type Event struct {
 	traceID uint64
 }
 
+// ownEvent returns an exception's own copy of ev, payload included, in
+// one allocation: the handler may keep it whatever later happens to the
+// publisher's buffer or to the middleware record the event came from.
+// Exceptions carry HRT and SRT events, whose payloads fit one frame.
+func ownEvent(ev Event) *Event {
+	o := &struct {
+		ev  Event
+		buf [can.MaxPayload]byte
+	}{ev: ev}
+	o.ev.Payload = o.buf[:copy(o.buf[:], ev.Payload)]
+	return &o.ev
+}
+
 // TraceID returns the event's observability trace identifier (0 when
 // untraced). Gateways read it to carry the trace across segments.
 func (e Event) TraceID() uint64 { return e.traceID }
@@ -154,7 +167,7 @@ type SubscribeAttrs struct {
 	// injections.
 	ExcludePublishers []can.TxNode
 	// Filter, if non-nil, is a content predicate evaluated before
-	// notification.
+	// notification. Its Event's payload is valid during the call only.
 	Filter func(Event) bool
 }
 
@@ -206,9 +219,11 @@ type DeliveryInfo struct {
 
 // NotificationHandler is application code run when an event passes all
 // filters (§2.2.1). It executes in simulation-kernel context and must not
-// block. The middleware copies the payload out of the received frame once
-// per delivery, so the handler owns Event.Payload: no other subscriber
-// sees it, and only the channel's GetEvent returns it again.
+// block. Event.Payload is borrowed: it points into the channel's mailbox,
+// the predefined memory area GetEvent reads, and stays valid until the
+// channel's next delivery. Each node's channel has its own mailbox, so no
+// other subscriber sees it; a handler that keeps the bytes past that
+// copies them, as a Controller.OnReceive callback does with its frame.
 type NotificationHandler func(Event, DeliveryInfo)
 
 // ExceptionKind enumerates the exceptional situations the middleware

@@ -12,10 +12,12 @@ func roundStart(sys *System, r int64) sim.Time {
 	return sys.Cfg.Epoch + sim.Time(r)*sys.Cfg.Calendar.Round
 }
 
-// Every subscriber of one transmission gets an Event.Payload of its own:
-// a handler that scribbles over its payload changes neither the other
-// subscriber's payload nor what the other's GetEvent returns, and the
-// mailbox keeps the last delivery while earlier ones keep their bytes.
+// Every subscriber's node delivers into its own channel mailbox: a
+// handler that scribbles over its payload changes neither the other
+// subscriber's payload nor what the other's GetEvent returns. Within one
+// channel the mailbox is reused: a payload slice kept past the handler
+// shows the next delivery's bytes, so a handler that keeps the bytes
+// copies them.
 func TestSubscriberPayloadsIndependent(t *testing.T) {
 	const rounds = 5
 	cal := testCalendar(t, 1)
@@ -28,16 +30,19 @@ func TestSubscriberPayloadsIndependent(t *testing.T) {
 	if err := srtPub.Announce(ChannelAttrs{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	type got struct {
+		copies, kept [][]byte
+	}
 	type sub struct {
-		hrt, srt *[][]byte
-		hrtCh    Channel
-		srtCh    Channel
+		hrt, srt     *got
+		hrtCh, srtCh Channel
 	}
 	subscribe := func(node int, scribble bool) sub {
-		var hrtGot, srtGot [][]byte
-		record := func(got *[][]byte) NotificationHandler {
+		hrtGot, srtGot := &got{}, &got{}
+		record := func(g *got) NotificationHandler {
 			return func(ev Event, _ DeliveryInfo) {
-				*got = append(*got, ev.Payload)
+				g.copies = append(g.copies, append([]byte(nil), ev.Payload...))
+				g.kept = append(g.kept, ev.Payload)
 				if scribble {
 					for i := range ev.Payload {
 						ev.Payload[i] = 0xee
@@ -46,14 +51,14 @@ func TestSubscriberPayloadsIndependent(t *testing.T) {
 			}
 		}
 		h, _ := sys.Node(node).MW.HRTEC(subjTemp)
-		if err := h.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{}, record(&hrtGot), nil); err != nil {
+		if err := h.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{}, record(hrtGot), nil); err != nil {
 			t.Fatal(err)
 		}
 		s, _ := sys.Node(node).MW.SRTEC(subjDiag)
-		if err := s.Subscribe(ChannelAttrs{}, SubscribeAttrs{}, record(&srtGot), nil); err != nil {
+		if err := s.Subscribe(ChannelAttrs{}, SubscribeAttrs{}, record(srtGot), nil); err != nil {
 			t.Fatal(err)
 		}
-		return sub{hrt: &hrtGot, srt: &srtGot, hrtCh: h, srtCh: s}
+		return sub{hrt: hrtGot, srt: srtGot, hrtCh: h, srtCh: s}
 	}
 	a := subscribe(1, true)
 	b := subscribe(2, false)
@@ -77,7 +82,7 @@ func TestSubscriberPayloadsIndependent(t *testing.T) {
 
 	for _, c := range []struct {
 		name     string
-		got      *[][]byte
+		got      *got
 		tail     [2]byte
 		scribble bool
 		ch       Channel
@@ -87,28 +92,33 @@ func TestSubscriberPayloadsIndependent(t *testing.T) {
 		{"HRT b", b.hrt, [2]byte{1, 2}, false, b.hrtCh},
 		{"SRT b", b.srt, [2]byte{3, 4}, false, b.srtCh},
 	} {
-		if len(*c.got) != rounds {
-			t.Fatalf("%s: %d deliveries, want %d", c.name, len(*c.got), rounds)
+		if len(c.got.copies) != rounds {
+			t.Fatalf("%s: %d deliveries, want %d", c.name, len(c.got.copies), rounds)
 		}
-		for r, p := range *c.got {
-			want := []byte{byte(r), c.tail[0], c.tail[1]}
-			if c.scribble {
-				want = []byte{0xee, 0xee, 0xee}
-			}
-			if string(p) != string(want) {
+		// What each handler copied is what was published, whatever the
+		// other node's handler did to its own mailbox.
+		for r, p := range c.got.copies {
+			if want := []byte{byte(r), c.tail[0], c.tail[1]}; string(p) != string(want) {
 				t.Fatalf("%s round %d: payload %v, want %v", c.name, r, p, want)
 			}
 		}
+		// Every delivery lands in the one mailbox, which holds the last.
+		last := []byte{rounds - 1, c.tail[0], c.tail[1]}
+		if c.scribble {
+			last = []byte{0xee, 0xee, 0xee}
+		}
+		for r, p := range c.got.kept {
+			if &p[0] != &c.got.kept[0][0] || string(p) != string(last) {
+				t.Fatalf("%s round %d: kept slice %v, want the mailbox's %v", c.name, r, p, last)
+			}
+		}
 		ev, _, ok := c.ch.GetEvent()
-		if !ok || len(ev.Payload) != 3 || &ev.Payload[0] != &(*c.got)[rounds-1][0] {
-			t.Fatalf("%s: GetEvent %v %v is not the last delivery", c.name, ev.Payload, ok)
+		if !ok || &ev.Payload[0] != &c.got.kept[0][0] || string(ev.Payload) != string(last) {
+			t.Fatalf("%s: GetEvent %v %v is not the mailbox", c.name, ev.Payload, ok)
 		}
 	}
-	if ev, _, _ := b.hrtCh.GetEvent(); string(ev.Payload) != string([]byte{rounds - 1, 1, 2}) {
-		t.Fatalf("HRT b: GetEvent payload %v after a's handler scribbled", ev.Payload)
-	}
-	if ev, _, _ := b.srtCh.GetEvent(); string(ev.Payload) != string([]byte{rounds - 1, 3, 4}) {
-		t.Fatalf("SRT b: GetEvent payload %v after a's handler scribbled", ev.Payload)
+	if &a.hrt.kept[0][0] == &b.hrt.kept[0][0] || &a.srt.kept[0][0] == &b.srt.kept[0][0] {
+		t.Fatal("two nodes' subscribers share a mailbox")
 	}
 }
 
@@ -194,8 +204,8 @@ func TestHRTOverlappingTransmissionsFail(t *testing.T) {
 }
 
 // A steady-state HRT round with S subscribers — publish, slot, transmit,
-// stash, deliver at the deadline — costs the controller's request record
-// plus one payload per delivery.
+// stash, deliver at the deadline — allocates nothing: the request record
+// is recycled, and each delivery lands in its channel's mailbox.
 func TestHRTRoundAllocsPinned(t *testing.T) {
 	const subs = 5
 	cal := testCalendar(t, 1)
@@ -223,8 +233,8 @@ func TestHRTRoundAllocsPinned(t *testing.T) {
 		round()
 	}
 	const runs = 100
-	if per := testing.AllocsPerRun(runs, round); per > subs+1 {
-		t.Fatalf("HRT round with %d subscribers: %.2f allocs, want <= %d", subs, per, subs+1)
+	if per := testing.AllocsPerRun(runs, round); per != 0 {
+		t.Fatalf("HRT round with %d subscribers: %.2f allocs, want 0", subs, per)
 	}
 	if want := subs * int(r-1); delivered != want {
 		t.Fatalf("delivered %d, want %d", delivered, want)

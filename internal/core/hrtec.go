@@ -103,7 +103,9 @@ func ownedSlots(cal *calendar.Calendar, subj binding.Subject, n can.TxNode) []ca
 
 // Publish queues an event for transmission in the channel's next reserved
 // slot. Events must be published before the slot's latest-ready instant
-// to ride that slot; later publications ride the following round.
+// to ride that slot; later publications ride the following round. The
+// queue keeps its own copy of the payload, so the caller may reuse its
+// buffer at once.
 func (c *HRTEC) Publish(ev Event) error {
 	prof := c.ch.mw.K.Probe()
 	if prof == nil {
@@ -128,9 +130,8 @@ func (c *HRTEC) publish(ev Event) error {
 		return fmt.Errorf("%w: %d > %d", ErrPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	if len(ch.hrtQueue) >= ch.hrtQueueCap {
-		dropped := ev // the exception's own copy, so ev stays on the stack
 		ch.raisePub(Exception{
-			Kind: ExcQueueOverflow, Subject: ch.subject, Event: &dropped,
+			Kind: ExcQueueOverflow, Subject: ch.subject, Event: ownEvent(ev),
 			At: mw.K.Now(), note: "HRT publish queue full",
 		})
 		mw.Obs.Emit(0, obs.StageDropped, HRT.String(), mw.node.Index,
@@ -143,12 +144,23 @@ func (c *HRTEC) publish(ev Event) error {
 	} else {
 		mw.Obs.Adopt(ev.traceID, HRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
-	ch.hrtQueue = append(ch.hrtQueue, ev)
+	ch.hrtQueue = append(ch.hrtQueue, hrtQueued{ev: ev})
+	q := &ch.hrtQueue[len(ch.hrtQueue)-1]
+	q.ev.Payload, q.n = nil, uint8(copy(q.data[:], ev.Payload))
 	ch.hrtSeq = (ch.hrtSeq + 1) & 0x0f
 	mw.counters.PublishedHRT++
 	mw.Obs.Emit(ev.traceID, obs.StageEnqueued, HRT.String(), mw.node.Index,
 		uint64(ch.subject), mw.K.Now(), "slot queue")
 	return nil
+}
+
+// hrtQueued is one event waiting for its slot. Its payload bytes are
+// inline, data[:n], and ev.Payload is nil: an entry moves as the queue
+// shifts, so it holds no slice of itself.
+type hrtQueued struct {
+	ev   Event
+	data [can.MaxPayload]byte
+	n    uint8
 }
 
 // hrtPubSlot drives the publisher side of one reserved slot, round after
@@ -196,9 +208,11 @@ func (ch *channelState) fireSlot() {
 		tx = &hrtTx{ch: ch}
 		tx.done = tx.sent
 	}
-	tx.ev = ch.hrtQueue[0]
+	head := &ch.hrtQueue[0]
+	tx.ev, tx.data = head.ev, head.data
+	tx.ev.Payload = tx.data[:head.n]
 	n := copy(ch.hrtQueue, ch.hrtQueue[1:])
-	ch.hrtQueue[n] = Event{}
+	ch.hrtQueue[n] = hrtQueued{}
 	ch.hrtQueue = ch.hrtQueue[:n]
 	mw.counters.SlotsFired++
 	mw.Obs.SlotOutcome(true)
@@ -210,8 +224,9 @@ func (ch *channelState) fireSlot() {
 	tx.send(0)
 }
 
-// hrtTx is one slot transmission in progress: the event and the index of
-// the copy on the controller. Its done field, the controller's Done
+// hrtTx is one slot transmission in progress: the event, its payload
+// bytes (ev.Payload slices data) and the index of the copy on the
+// controller. Its done field, the controller's Done
 // callback, is the sent method bound once when the record is made.
 // Records return to the channel's free list when the transmission ends;
 // a slot that fires while the previous round's copy is still pending
@@ -219,6 +234,7 @@ func (ch *channelState) fireSlot() {
 type hrtTx struct {
 	ch   *channelState
 	ev   Event
+	data [can.MaxPayload]byte
 	seq  uint8
 	idx  int
 	done func(ok bool, at sim.Time)
@@ -253,12 +269,12 @@ func (tx *hrtTx) sent(ok bool, _ sim.Time) {
 		return
 	}
 	if !ok {
-		ev := tx.ev // the exception's own copy: the record is reused
+		// The exception's own copy: the record is reused.
 		ch.raisePub(Exception{
-			Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
+			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(tx.ev),
 			At: mw.K.Now(), note: "HRT transmission abandoned",
 		})
-		mw.Obs.Emit(ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
+		mw.Obs.Emit(tx.ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
 	} else if left > 0 {
 		// The sender observed a consistently successful transmission:
@@ -304,9 +320,12 @@ func (ch *channelState) hrtPub(pub can.TxNode) *hrtPubState {
 	return ps
 }
 
-// hrtArrival stashes a received HRT event until its delivery deadline.
+// hrtArrival stashes a received HRT event until its delivery deadline:
+// its payload bytes, data[:n], and trace ID.
 type hrtArrival struct {
-	ev        Event
+	data      [can.MaxPayload]byte
+	n         uint8
+	traceID   uint64
 	seq       uint8
 	arrivedAt sim.Time
 	copies    int
@@ -370,9 +389,10 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	}
 	pub := f.ID.TxNode()
 	seq := f.Data[0] >> 4
+	// The filters read the shared frame; the stash copies what it keeps.
 	ev := Event{
 		Subject: ch.subject,
-		Payload: append([]byte(nil), f.Data[hrtHeaderLen:]...),
+		Payload: f.Data[hrtHeaderLen:],
 		traceID: f.Tag,
 	}
 	if !ch.subAttrs.accepts(pub, ev) {
@@ -395,7 +415,8 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	mw := ch.mw
 	local := mw.LocalTime()
 	round, deadline := ch.occurrenceOf(ps.slot, local)
-	ps.stash = hrtArrival{ev: ev, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stash = hrtArrival{traceID: f.Tag, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stash.n = uint8(copy(ps.stash.data[:], ev.Payload))
 	ps.stashed = true
 	if mw.DeliverOnArrival {
 		// De-jitter ablation: hand the event over immediately, exposing
@@ -464,22 +485,23 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 		Late:        late,
 		Copies:      st.copies,
 	}
-	if at, ok := mw.Obs.PublishKernelTime(st.ev.traceID); ok {
+	if at, ok := mw.Obs.PublishKernelTime(st.traceID); ok {
 		di.PublishedAt = at
 	}
-	ch.store(st.ev, di)
+	ev := ch.store(Event{Subject: ch.subject, Payload: st.data[:st.n], traceID: st.traceID}, di)
 	detail := ""
 	if late {
 		detail = "late"
 	}
-	mw.Obs.Delivered(st.ev.traceID, HRT.String(), mw.node.Index,
+	mw.Obs.Delivered(st.traceID, HRT.String(), mw.node.Index,
 		uint64(ch.subject), mw.K.Now(), detail)
-	ch.deliverNotify(st.ev, di)
+	ch.deliverNotify(ev, di)
 }
 
 // GetEvent retrieves the most recently delivered event from the
 // middleware's memory area — the paper's getEvent() primitive (§2.2.1).
-// ok is false before the first delivery.
+// ok is false before the first delivery. The payload is the mailbox's,
+// valid until the channel's next delivery, as in a NotificationHandler.
 func (c *HRTEC) GetEvent() (ev Event, di DeliveryInfo, ok bool) { return c.ch.getEvent() }
 
 // hrtSubSlot drives the subscriber side of one slot, round after round,

@@ -218,8 +218,8 @@ func (lc *Lifecycle) Crash(i int) error {
 	// Close the traces of events that die in the crashed node's queues:
 	// the host memory holding them is gone.
 	for _, ch := range node.MW.channels {
-		for _, ev := range ch.hrtQueue {
-			node.MW.Obs.Emit(ev.traceID, obs.StageDropped, HRT.String(), i,
+		for _, q := range ch.hrtQueue {
+			node.MW.Obs.Emit(q.ev.traceID, obs.StageDropped, HRT.String(), i,
 				uint64(ch.subject), now, "node_crash")
 		}
 		ch.hrtQueue = nil

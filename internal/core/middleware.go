@@ -261,7 +261,7 @@ type channelState struct {
 
 	// HRT publisher: pending events waiting for slots, per-slot sequence,
 	// and the free list of slot transmission records (see hrtTx).
-	hrtQueue    []Event
+	hrtQueue    []hrtQueued
 	hrtQueueCap int
 	hrtSeq      uint8
 	hrtTxFree   []*hrtTx
@@ -288,10 +288,15 @@ type channelState struct {
 
 	// Mailbox: the most recently delivered event (§2.2.1: the middleware
 	// stores the event in a predefined memory area; the notification
-	// handler retrieves it with getEvent()). Held by value: storing a
-	// delivery moves nothing to the heap.
-	lastEvent Event
-	lastInfo  DeliveryInfo
+	// handler retrieves it with getEvent()). The event is kept by its
+	// parts, since its subject is the channel's and a delivery carries
+	// no attributes. lastPayload is what the handler and getEvent see:
+	// mbox for an HRT or SRT frame's bytes, the reassembled message for
+	// NRT. Storing a delivery moves nothing to the heap.
+	lastPayload []byte
+	lastTrace   uint64
+	mbox        [can.MaxPayload]byte
+	lastInfo    DeliveryInfo
 
 	// missed counts this channel's timing failures (deadline misses,
 	// validity expiries, missed HRT slots) for the introspection plane.
@@ -300,12 +305,22 @@ type channelState struct {
 
 // getEvent returns the mailbox contents.
 func (ch *channelState) getEvent() (Event, DeliveryInfo, bool) {
-	return ch.lastEvent, ch.lastInfo, ch.hasEvent
+	if !ch.hasEvent {
+		return Event{}, DeliveryInfo{}, false
+	}
+	return Event{Subject: ch.subject, Payload: ch.lastPayload, traceID: ch.lastTrace}, ch.lastInfo, true
 }
 
-// store fills the mailbox prior to notification.
-func (ch *channelState) store(ev Event, di DeliveryInfo) {
-	ch.lastEvent, ch.lastInfo, ch.hasEvent = ev, di, true
+// store fills the mailbox prior to notification and returns the event to
+// notify, whose payload is the mailbox's. An HRT or SRT payload, one
+// frame's bytes at most, is copied into the mailbox buffer; an NRT
+// message is the reassembler's fresh allocation and is kept as is.
+func (ch *channelState) store(ev Event, di DeliveryInfo) Event {
+	if ch.class != NRT {
+		ev.Payload = ch.mbox[:copy(ch.mbox[:], ev.Payload)]
+	}
+	ch.lastPayload, ch.lastTrace, ch.lastInfo, ch.hasEvent = ev.Payload, ev.traceID, di, true
+	return ev
 }
 
 // deliverNotify runs the subscriber's notification handler, attributing

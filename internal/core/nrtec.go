@@ -303,4 +303,7 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 
 // GetEvent retrieves the most recently delivered event from the
 // middleware's memory area — the paper's getEvent() primitive (§2.2.1).
+// The payload is the reassembled message, which the middleware does not
+// reuse; the contract is still the mailbox's: valid until the channel's
+// next delivery.
 func (c *NRTEC) GetEvent() (ev Event, di DeliveryInfo, ok bool) { return c.ch.getEvent() }

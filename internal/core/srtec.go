@@ -39,9 +39,12 @@ func (mw *Middleware) SRTEC(subject binding.Subject) (*SRTEC, error) {
 // callback and both timers are bound once, when the record is made. A
 // record goes back to the free list only once the controller has let go
 // of its request — after its Done ran, or after Abort removed it — so a
-// frame still on the wire never completes into a reused entry.
+// frame still on the wire never completes into a reused entry. The
+// event's payload bytes live in the entry (ev.Payload slices data), so
+// the publisher may reuse its buffer at once.
 type srtEntry struct {
 	ev         Event
+	data       [can.MaxPayload]byte
 	ch         *channelState
 	handle     can.TxHandle
 	deadline   sim.Time  // local clock
@@ -188,11 +191,9 @@ func (c *SRTEC) publish(ev Event) error {
 	if mw.MaxQueuedSRT > 0 && mw.srtQueuedTotal() >= mw.MaxQueuedSRT {
 		if !mw.shedLowestValue(now) {
 			// Nothing sheddable (everything in flight): reject the new
-			// event as the implicit lowest-priority citizen. The
-			// exception gets its own copy, so ev stays on the stack.
-			rejected := ev
+			// event as the implicit lowest-priority citizen.
 			ch.raisePub(Exception{
-				Kind: ExcLoadShed, Subject: ch.subject, Event: &rejected,
+				Kind: ExcLoadShed, Subject: ch.subject, Event: ownEvent(ev),
 				At: mw.K.Now(), note: "send queue full, no sheddable entry",
 			})
 			mw.Obs.Emit(0, obs.StageShed, SRT.String(), mw.node.Index,
@@ -209,10 +210,11 @@ func (c *SRTEC) publish(ev Event) error {
 	prio := mw.bands.SRT.PrioFor(now, ev.Attrs.Deadline)
 	e := ch.newSRTEntry()
 	e.ev, e.deadline, e.expiration = ev, ev.Attrs.Deadline, ev.Attrs.Expiration
+	e.ev.Payload = e.data[:copy(e.data[:], ev.Payload)]
 	e.seq, e.prio = mw.srtSeq, prio
 	frame := can.Frame{
 		ID:   can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
-		Data: ev.Payload, // Submit copies it
+		Data: e.ev.Payload, // Submit copies it
 		Tag:  ev.traceID,
 	}
 	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.done})
@@ -238,20 +240,19 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 	mw := ch.mw
 	e.finish()
 	if !ok {
-		ev := e.ev // the exception's own copy: the entry is reused
+		// The exception's own copy: the entry is reused.
 		ch.raisePub(Exception{
-			Kind: ExcTxFailure, Subject: ch.subject, Event: &ev,
+			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(e.ev),
 			At: at, note: "SRT transmission abandoned",
 		})
-		mw.Obs.Emit(ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
+		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
 			uint64(ch.subject), at, "tx_abandoned")
 	} else if late := mw.node.Clock.Read(at) - e.deadline; late > 0 {
 		// Transmitted, but after the transmission deadline: transient
 		// overload or a non-preemptable lower-priority frame got in
 		// the way. The application is notified for awareness (§2.2.2).
-		ev := e.ev
 		ch.raisePub(Exception{
-			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: &ev,
+			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: ownEvent(e.ev),
 			At: at, late: late,
 		})
 	}
@@ -325,12 +326,12 @@ func (e *srtEntry) expire() {
 	}
 	if mw.node.Ctrl.Abort(e.handle) {
 		e.finish()
-		ev := e.ev // the exception's own copy: the entry is reused
+		// The exception's own copy: the entry is reused.
 		ch.raisePub(Exception{
-			Kind: ExcValidityExpired, Subject: ch.subject, Event: &ev,
+			Kind: ExcValidityExpired, Subject: ch.subject, Event: ownEvent(e.ev),
 			At: mw.K.Now(), note: "validity expired in send queue",
 		})
-		mw.Obs.Emit(ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
+		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), "")
 		e.release()
 	}
@@ -392,13 +393,13 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 			continue
 		}
 		victim.finish()
-		ev := victim.ev // the exception's own copy: the entry is reused
+		// The exception's own copy: the entry is reused.
 		victim.ch.raisePub(Exception{
-			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: &ev,
+			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: ownEvent(victim.ev),
 			At: mw.K.Now(), value: worst,
 		})
 		if mw.Obs.Enabled() {
-			mw.Obs.Emit(ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
+			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
 				uint64(victim.ch.subject), mw.K.Now(),
 				fmt.Sprintf("residual value %.2f", worst))
 		}
@@ -436,12 +437,13 @@ func (c *SRTEC) CancelSubscription() {
 	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
 }
 
-// srtReceive delivers an arriving SRT event.
+// srtReceive delivers an arriving SRT event. The filters read the shared
+// frame; the mailbox copies its bytes for the handler.
 func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 	pub := f.ID.TxNode()
 	ev := Event{
 		Subject: ch.subject,
-		Payload: append([]byte(nil), f.Data...),
+		Payload: f.Data,
 		traceID: f.Tag,
 	}
 	if !ch.subAttrs.accepts(pub, ev) {
@@ -453,7 +455,7 @@ func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 	if pubAt, ok := mw.Obs.PublishKernelTime(ev.traceID); ok {
 		di.PublishedAt = pubAt
 	}
-	ch.store(ev, di)
+	ev = ch.store(ev, di)
 	mw.Obs.Delivered(ev.traceID, SRT.String(), mw.node.Index,
 		uint64(ch.subject), at, "")
 	ch.deliverNotify(ev, di)
@@ -461,4 +463,5 @@ func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 
 // GetEvent retrieves the most recently delivered event from the
 // middleware's memory area — the paper's getEvent() primitive (§2.2.1).
+// The payload is the mailbox's, valid until the channel's next delivery.
 func (c *SRTEC) GetEvent() (ev Event, di DeliveryInfo, ok bool) { return c.ch.getEvent() }

@@ -7,6 +7,7 @@
 package gateway
 
 import (
+	"bytes"
 	"errors"
 
 	"canec/internal/binding"
@@ -115,6 +116,8 @@ func (g *Bridge) ForwardSRT(subject binding.Subject, dir Direction) error {
 // forwardOne announces the subject on `to`, subscribes on `from` and
 // republishes every delivery after the store-and-forward delay, keeping
 // the origin trace. Each copy gets a fresh per-segment deadline budget.
+// The delayed republish keeps its own copy of the payload: the delivered
+// one is the channel mailbox's, overwritten by the next delivery.
 func (g *Bridge) forwardOne(from, to *core.Middleware, subject binding.Subject) error {
 	out, err := to.SRTEC(subject)
 	if err != nil {
@@ -134,9 +137,10 @@ func (g *Bridge) forwardOne(from, to *core.Middleware, subject binding.Subject) 
 			ExcludePublishers: g.ingressExcludes(from),
 		},
 		func(ev core.Event, _ core.DeliveryInfo) {
+			payload := bytes.Clone(ev.Payload)
 			to.K.After(g.Delay, func() {
 				now := to.LocalTime()
-				cp := core.Event{Subject: subject, Payload: ev.Payload, Attrs: core.EventAttrs{
+				cp := core.Event{Subject: subject, Payload: payload, Attrs: core.EventAttrs{
 					Deadline:   now + g.RelayDeadline,
 					Expiration: now + 2*g.RelayDeadline,
 				}}

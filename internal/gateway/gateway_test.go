@@ -187,3 +187,91 @@ func TestForwardErrorsPropagate(t *testing.T) {
 		t.Fatal("forward from stopped middleware accepted")
 	}
 }
+
+// A delivered payload is the channel mailbox's, overwritten by the next
+// delivery. Both gateways keep a delivery past the handler — the bridge
+// across its store-and-forward delay, the remote bridge in a transport
+// that queues — so each keeps its own copy: a burst that arrives inside
+// one delay crosses intact.
+func TestGatewaysCopyQueuedPayloads(t *testing.T) {
+	burst := func(k *sim.Kernel, seg *core.System) {
+		pub, _ := seg.Node(0).MW.SRTEC(subjTemp)
+		pub.Announce(core.ChannelAttrs{}, nil)
+		k.At(sim.Millisecond, func() {
+			now := seg.Node(0).MW.LocalTime()
+			for b := byte(0xa0); b < 0xa4; b++ {
+				pub.Publish(core.Event{Subject: subjTemp, Payload: []byte{b, b},
+					Attrs: core.EventAttrs{Deadline: now + 5*sim.Millisecond}})
+			}
+		})
+	}
+	collect := func(seg *core.System) *[]byte {
+		got := new([]byte)
+		sub, _ := seg.Node(1).MW.SRTEC(subjTemp)
+		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+			func(ev core.Event, _ core.DeliveryInfo) { *got = append(*got, ev.Payload...) }, nil)
+		return got
+	}
+	const want = "\xa0\xa0\xa1\xa1\xa2\xa2\xa3\xa3"
+
+	t.Run("Bridge", func(t *testing.T) {
+		k, segA, segB, g := rig(t, 1)
+		g.Delay = 2 * sim.Millisecond
+		if err := g.ForwardSRT(subjTemp, AtoB); err != nil {
+			t.Fatal(err)
+		}
+		got := collect(segB)
+		burst(k, segA)
+		k.Run(sim.Second)
+		if string(*got) != want {
+			t.Fatalf("forwarded % x, want % x", *got, want)
+		}
+	})
+
+	t.Run("RemoteBridge", func(t *testing.T) {
+		k, segA, segB, _ := rig(t, 1) // the same-kernel bridge stays idle
+		ab, ba := &queueRemote{k: k}, &queueRemote{k: k}
+		ab.peer, ba.peer = ba, ab
+		out, err := NewRemote(segA.Node(2).MW, ab, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := NewRemote(segB.Node(2).MW, ba, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Forward(core.SRT, subjTemp, core.ChannelAttrs{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Announce(core.SRT, subjTemp, core.ChannelAttrs{}); err != nil {
+			t.Fatal(err)
+		}
+		got := collect(segB)
+		burst(k, segA)
+		k.Run(sim.Second)
+		if string(*got) != want {
+			t.Fatalf("federated % x, want % x", *got, want)
+		}
+	})
+}
+
+// queueRemote is a Remote that holds every sent event for 2 ms of
+// virtual time before its peer receives it.
+type queueRemote struct {
+	k    *sim.Kernel
+	peer *queueRemote
+	recv func(RemoteEvent)
+	q    []RemoteEvent
+}
+
+func (r *queueRemote) SetReceiver(fn func(RemoteEvent)) { r.recv = fn }
+
+func (r *queueRemote) Send(re RemoteEvent) error {
+	r.q = append(r.q, re)
+	r.k.After(2*sim.Millisecond, func() {
+		re := r.q[0]
+		r.q = r.q[1:]
+		r.peer.recv(re)
+	})
+	return nil
+}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -212,7 +213,9 @@ func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs
 
 // ship sends one locally delivered event to the peer, minting fresh
 // federation metadata for locally originated events and preserving the
-// transit metadata for events that arrived through a sibling bridge.
+// transit metadata for events that arrived through a sibling bridge. The
+// delivered payload is the channel mailbox's, and a transport may queue
+// the event, so the RemoteEvent carries its own copy.
 func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.Event, di core.DeliveryInfo) {
 	now := b.M.K.Now()
 	re := RemoteEvent{
@@ -247,6 +250,7 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 			return
 		}
 	}
+	re.Payload = bytes.Clone(re.Payload)
 	if err := b.R.Send(re); err != nil {
 		b.dropped++
 		b.observer().Emit(re.TraceID, obs.StageRelayDrop, class.String(),

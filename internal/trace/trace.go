@@ -15,7 +15,10 @@ import (
 
 // Ring is a bounded in-memory recorder of bus trace events.
 type Ring struct {
-	buf   []can.TraceEvent
+	buf []can.TraceEvent
+	// data holds each kept event's payload bytes: a trace event's frame
+	// is the bus's, valid only during the hook, so the ring copies it.
+	data  [][can.MaxPayload]byte
 	next  int
 	full  bool
 	total uint64
@@ -28,16 +31,19 @@ func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{buf: make([]can.TraceEvent, n)}
+	return &Ring{buf: make([]can.TraceEvent, n), data: make([][can.MaxPayload]byte, n)}
 }
 
-// Record stores one event (dropping the oldest when full). Every offer
-// counts toward Total; only events passing the filter enter the buffer.
+// Record stores one event (dropping the oldest when full), with a copy of
+// its payload. Every offer counts toward Total; only events passing the
+// filter enter the buffer.
 func (r *Ring) Record(e can.TraceEvent) {
 	r.total++
 	if r.Filter != nil && !r.Filter(e) {
 		return
 	}
+	d := &r.data[r.next]
+	e.Frame.Data = d[:copy(d[:], e.Frame.Data)]
 	r.buf[r.next] = e
 	r.next++
 	if r.next == len(r.buf) {
@@ -62,16 +68,20 @@ func (r *Ring) Hook(prev func(can.TraceEvent)) func(can.TraceEvent) {
 // been evicted by newer ones.
 func (r *Ring) Total() uint64 { return r.total }
 
-// Entries returns the recorded events in arrival order.
+// Entries returns the recorded events in arrival order. They are the
+// caller's: their payloads do not change as the ring records on.
 func (r *Ring) Entries() []can.TraceEvent {
-	if !r.full {
-		out := make([]can.TraceEvent, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
 	out := make([]can.TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	if !r.full {
+		out = append(out, r.buf[:r.next]...)
+	} else {
+		out = append(out, r.buf[r.next:]...)
+		out = append(out, r.buf[:r.next]...)
+	}
+	data := make([][can.MaxPayload]byte, len(out))
+	for i := range out {
+		out[i].Frame.Data = data[i][:copy(data[i][:], out[i].Frame.Data)]
+	}
 	return out
 }
 

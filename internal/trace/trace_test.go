@@ -202,3 +202,40 @@ func TestRingOnLiveBus(t *testing.T) {
 		t.Fatalf("unexpected sequence: %v %v %v", es[0].Kind, es[1].Kind, es[2].Kind)
 	}
 }
+
+// The bus reuses a transmission's request record, and with it the bytes
+// its trace events' frames point at, once the transmission has ended. The
+// ring keeps its own copy: entries recorded earlier, and entries handed
+// out earlier, still show the bytes that were on the wire.
+func TestRingKeepsPayloadsAcrossRecordReuse(t *testing.T) {
+	k := sim.NewKernel(1)
+	bus := can.NewBus(k, can.DefaultBitRate)
+	bus.Attach(0)
+	bus.Attach(1)
+	r := NewRing(64)
+	var want []string
+	bus.Trace = r.Hook(func(e can.TraceEvent) { want = append(want, Format(e)) })
+	var early []can.TraceEvent
+	for i := 0; i < 6; i++ {
+		d := []byte{byte(i), byte(i), byte(i)}
+		bus.Controller(0).Submit(can.Frame{ID: can.MakeID(5, 0, 7), Data: d}, can.SubmitOpts{})
+		k.RunUntilIdle()
+		if i == 0 {
+			early = r.Entries()
+		}
+	}
+	es := r.Entries()
+	if len(es) != len(want) {
+		t.Fatalf("%d entries, %d traced", len(es), len(want))
+	}
+	for i, e := range es {
+		if got := Format(e); got != want[i] {
+			t.Fatalf("entry %d = %q, traced as %q", i, got, want[i])
+		}
+	}
+	for i, e := range early {
+		if got := Format(e); got != want[i] {
+			t.Fatalf("early entry %d = %q, traced as %q", i, got, want[i])
+		}
+	}
+}
