@@ -57,14 +57,14 @@ func TestFleetTableTopCause(t *testing.T) {
 		LateOver: map[string]sim.Duration{"SRT": 100_000}})
 	sys.Obs.AttachCausal(a)
 	for _, r := range []obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 10_000, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxErr, At: 50_000, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxStart, At: 80_000, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageTxOK, At: 180_000, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageRx, At: 180_000, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 190_000, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 190_000, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	} {
 		a.Add(r)
 	}

@@ -72,7 +72,7 @@ func run(path string, bounds map[string]sim.Duration, chains int, csv bool, topN
 		schema = "pre-versioning"
 	}
 	fmt.Printf("%s: %d records (%s), %d chains\n", path, len(info.Records), schema, a.Snapshot().Chains)
-	if sum := a.BreachSummary("", topN); sum != "" {
+	if sum := a.BreachSummary(0, topN); sum != "" {
 		fmt.Println("  " + sum)
 	} else {
 		fmt.Println("  no late or dropped chains")

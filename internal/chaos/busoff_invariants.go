@@ -34,13 +34,13 @@ func (c CheckContext) attackGrace() sim.Duration {
 func hrtPublishers(recs []obs.Record) map[uint64]map[int]bool {
 	publishers := make(map[uint64]map[int]bool)
 	for _, r := range recs {
-		if r.Stage == obs.StagePublished && r.Class == "HRT" {
+		if r.Stage == obs.StagePublished && r.Class == obs.ClassHRT {
 			m, ok := publishers[r.Subject]
 			if !ok {
 				m = make(map[int]bool)
 				publishers[r.Subject] = m
 			}
-			m[r.Node] = true
+			m[int(r.Node)] = true
 		}
 	}
 	return publishers
@@ -79,7 +79,7 @@ func CheckBusOffRecovery(ctx CheckContext) []Violation {
 			end = r.At
 		}
 		if r.Stage == obs.StageBusOffRecovered {
-			recovered[r.Node] = append(recovered[r.Node], r.At)
+			recovered[int(r.Node)] = append(recovered[int(r.Node)], r.At)
 		}
 	}
 	var out []Violation
@@ -91,7 +91,7 @@ func CheckBusOffRecovery(ctx CheckContext) []Violation {
 			continue // still inside its recovery window at trace end
 		}
 		ok := false
-		for _, at := range recovered[r.Node] {
+		for _, at := range recovered[int(r.Node)] {
 			if at > r.At && at <= r.At+sim.Time(ctx.BusOffWindow) {
 				ok = true
 				break
@@ -124,12 +124,12 @@ func CheckVictimBusOff(ctx CheckContext) []Violation {
 		}
 		hit, isolated := false, false
 		for _, r := range ctx.Records {
-			if r.Stage == obs.StageBusOff && r.Node == a.Victim &&
+			if r.Stage == obs.StageBusOff && int(r.Node) == a.Victim &&
 				r.At >= a.Start && r.At <= a.End {
 				hit = true
 				break
 			}
-			if r.Stage == obs.StageGuardIsolated && r.Node == a.Attacker &&
+			if r.Stage == obs.StageGuardIsolated && int(r.Node) == a.Attacker &&
 				r.At >= a.Start && r.At <= a.End {
 				isolated = true
 			}
@@ -201,7 +201,7 @@ func CheckAttackerIsolated(ctx CheckContext) []Violation {
 	for _, a := range ctx.Attacks {
 		hit := false
 		for _, r := range ctx.Records {
-			if r.Stage == obs.StageGuardIsolated && r.Node == a.Attacker &&
+			if r.Stage == obs.StageGuardIsolated && int(r.Node) == a.Attacker &&
 				r.At >= a.Start && r.At <= a.End+sim.Time(grace) {
 				hit = true
 				break

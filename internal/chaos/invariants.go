@@ -82,13 +82,13 @@ func outages(recs []obs.Record) map[int][]outage {
 	for _, r := range recs {
 		switch r.Stage {
 		case obs.StageNodeDown:
-			m[r.Node] = append(m[r.Node], outage{down: r.At, restart: -1, up: -1})
+			m[int(r.Node)] = append(m[int(r.Node)], outage{down: r.At, restart: -1, up: -1})
 		case obs.StageNodeRestart:
-			if w := last(m[r.Node]); w != nil && !w.restarted {
+			if w := last(m[int(r.Node)]); w != nil && !w.restarted {
 				w.restart, w.restarted = r.At, true
 			}
 		case obs.StageNodeUp:
-			if w := last(m[r.Node]); w != nil && !w.recovered {
+			if w := last(m[int(r.Node)]); w != nil && !w.recovered {
 				w.up, w.recovered = r.At, true
 			}
 		}
@@ -196,8 +196,8 @@ func CheckHRTTermination(ctx CheckContext) []Violation {
 		if r.ID == 0 {
 			continue
 		}
-		if r.Stage == obs.StagePublished && r.Class == "HRT" {
-			traces[r.ID] = &trace{pubAt: r.At, node: r.Node, subject: r.Subject}
+		if r.Stage == obs.StagePublished && r.Class == obs.ClassHRT {
+			traces[r.ID] = &trace{pubAt: r.At, node: int(r.Node), subject: r.Subject}
 			order = append(order, r.ID)
 			continue
 		}
@@ -275,7 +275,7 @@ func CheckHRTOnTime(ctx CheckContext) []Violation {
 	}
 	var out []Violation
 	for _, r := range ctx.Records {
-		if r.Stage == obs.StageDelivered && r.Class == "HRT" && r.Detail == "late" {
+		if r.Stage == obs.StageDelivered && r.Class == obs.ClassHRT && r.Detail == obs.DetailLate {
 			if ctx.attackExcused(publishers, r.Subject, r.At) {
 				continue
 			}
@@ -300,7 +300,7 @@ func CheckNoPhantoms(ctx CheckContext) []Violation {
 	for _, r := range ctx.Records {
 		switch r.Stage {
 		case obs.StageArbWon, obs.StageTxStart, obs.StageTxOK, obs.StageRx:
-			node := r.Node
+			node := int(r.Node)
 			if r.Stage == obs.StageRx {
 				continue // receiver-side; sender silence is checked via tx stages
 			}
@@ -389,9 +389,9 @@ func CheckHoldoverClosed(ctx CheckContext) []Violation {
 		}
 		switch r.Stage {
 		case obs.StageHoldoverEnter:
-			openAt[r.Node] = r.At
+			openAt[int(r.Node)] = r.At
 		case obs.StageHoldoverExit, obs.StageNodeDown:
-			delete(openAt, r.Node)
+			delete(openAt, int(r.Node))
 		}
 	}
 	var out []Violation
@@ -454,8 +454,8 @@ func CheckRecoveryBound(ctx CheckContext) []Violation {
 	// did they first transmit HRT after recovery?
 	hrtTxAt := make(map[int][]sim.Time)
 	for _, r := range ctx.Records {
-		if r.Stage == obs.StageTxOK && r.Band == "hrt" {
-			hrtTxAt[r.Node] = append(hrtTxAt[r.Node], r.At)
+		if r.Stage == obs.StageTxOK && r.Band == obs.BandHRT {
+			hrtTxAt[int(r.Node)] = append(hrtTxAt[int(r.Node)], r.At)
 		}
 	}
 	bound := sim.Duration(ctx.recoveryRounds()) * ctx.Round

@@ -165,6 +165,8 @@ func (cfg LoopConfig) CalendarRequests() []calendar.Request {
 type Loop struct {
 	cfg LoopConfig
 	o   *obs.Observer
+	// name is the loop's name as the detail of its stage records.
+	name obs.Detail
 
 	k     *sim.Kernel
 	epoch sim.Time
@@ -208,6 +210,7 @@ func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
 	l := &Loop{
 		cfg:   cfg,
 		o:     o,
+		name:  obs.Text(cfg.Name),
 		model: model,
 		x:     [2]float64{cfg.Initial, 0},
 		band:  0.02 * maxf(absf(cfg.Setpoint-cfg.Initial), 1),
@@ -344,7 +347,7 @@ func (l *Loop) substep(now sim.Time, dt sim.Duration) {
 	}
 	if now-l.heldSampleAt > sim.Time(l.cfg.StaleAfter) {
 		l.qoc.Stale++
-		l.o.Emit(0, obs.StageCtrlStale, l.qoc.Class, l.cfg.Actuator, 0, now, l.cfg.Name)
+		l.o.Emit(0, obs.StageCtrlStale, l.cfg.Class.Obs(), l.cfg.Actuator, 0, now, l.name)
 	}
 }
 
@@ -361,7 +364,7 @@ func (l *Loop) sample(now sim.Time) {
 	putFix24(p[4:], l.x[1])
 	if l.pubSensor(p) == nil {
 		l.qoc.Samples++
-		l.o.Emit(0, obs.StageCtrlSample, l.qoc.Class, l.cfg.Sensor, 0, now, l.cfg.Name)
+		l.o.Emit(0, obs.StageCtrlSample, l.cfg.Class.Obs(), l.cfg.Sensor, 0, now, l.name)
 	}
 }
 
@@ -379,7 +382,7 @@ func (l *Loop) onSample(ev core.Event, _ core.DeliveryInfo) {
 	putFix24(p[1:], u)
 	if l.pubCommand(p) == nil {
 		l.qoc.Commands++
-		l.o.Emit(0, obs.StageCtrlCommand, l.qoc.Class, l.cfg.ControllerNode, 0, l.k.Now(), l.cfg.Name)
+		l.o.Emit(0, obs.StageCtrlCommand, l.cfg.Class.Obs(), l.cfg.ControllerNode, 0, l.k.Now(), l.name)
 	}
 }
 
@@ -400,7 +403,7 @@ func (l *Loop) onCommand(ev core.Event, _ core.DeliveryInfo) {
 		l.o.ControlLatency(l.cfg.Name, us)
 		l.heldSampleAt = at
 	}
-	l.o.Emit(0, obs.StageCtrlApply, l.qoc.Class, l.cfg.Actuator, 0, now, l.cfg.Name)
+	l.o.Emit(0, obs.StageCtrlApply, l.cfg.Class.Obs(), l.cfg.Actuator, 0, now, l.name)
 	if l.pubAck != nil {
 		p := make([]byte, ackPayload)
 		p[0] = seq

@@ -16,6 +16,7 @@ import (
 
 	"canec/internal/binding"
 	"canec/internal/can"
+	"canec/internal/obs"
 	"canec/internal/sim"
 )
 
@@ -47,6 +48,17 @@ func (c Class) String() string {
 	}
 	return "?"
 }
+
+// Obs is the class as the observability layer names it (0 for an
+// invalid class).
+func (c Class) Obs() obs.Class {
+	if c < 0 || int(c) >= len(obsClass) {
+		return 0
+	}
+	return obsClass[c]
+}
+
+var obsClass = [...]obs.Class{HRT: obs.ClassHRT, SRT: obs.ClassSRT, NRT: obs.ClassNRT}
 
 // EventAttrs are the per-event attributes of §2: quality attributes
 // (deadline, expiration) plus context. Times are absolute values of the

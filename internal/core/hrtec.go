@@ -134,23 +134,23 @@ func (c *HRTEC) publish(ev Event) error {
 			Kind: ExcQueueOverflow, Subject: ch.subject, Event: ownEvent(ev),
 			At: mw.K.Now(), note: "HRT publish queue full",
 		})
-		mw.Obs.Emit(0, obs.StageDropped, HRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), "queue_overflow")
+		mw.Obs.Emit(0, obs.StageDropped, HRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), obs.DetailQueueOverflow)
 		return fmt.Errorf("core: HRT queue overflow on subject %d", ch.subject)
 	}
 	ev.Attrs.Timestamp = mw.LocalTime()
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(HRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(HRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	} else {
-		mw.Obs.Adopt(ev.traceID, HRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, HRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
 	ch.hrtQueue = append(ch.hrtQueue, hrtQueued{ev: ev})
 	q := &ch.hrtQueue[len(ch.hrtQueue)-1]
 	q.ev.Payload, q.n = nil, uint8(copy(q.data[:], ev.Payload))
 	ch.hrtSeq = (ch.hrtSeq + 1) & 0x0f
 	mw.counters.PublishedHRT++
-	mw.Obs.Emit(ev.traceID, obs.StageEnqueued, HRT.String(), mw.node.Index,
-		uint64(ch.subject), mw.K.Now(), "slot queue")
+	mw.Obs.Emit(ev.traceID, obs.StageEnqueued, HRT.Obs(), mw.node.Index,
+		uint64(ch.subject), mw.K.Now(), obs.DetailSlotQueue)
 	return nil
 }
 
@@ -274,8 +274,8 @@ func (tx *hrtTx) sent(ok bool, _ sim.Time) {
 			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(tx.ev),
 			At: mw.K.Now(), note: "HRT transmission abandoned",
 		})
-		mw.Obs.Emit(tx.ev.traceID, obs.StageDropped, HRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
+		mw.Obs.Emit(tx.ev.traceID, obs.StageDropped, HRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), obs.DetailTxAbandoned)
 	} else if left > 0 {
 		// The sender observed a consistently successful transmission:
 		// under the consistent-fault assumption all operational nodes
@@ -489,11 +489,11 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 		di.PublishedAt = at
 	}
 	ev := ch.store(Event{Subject: ch.subject, Payload: st.data[:st.n], traceID: st.traceID}, di)
-	detail := ""
+	var detail obs.Detail
 	if late {
-		detail = "late"
+		detail = obs.DetailLate
 	}
-	mw.Obs.Delivered(st.traceID, HRT.String(), mw.node.Index,
+	mw.Obs.Delivered(st.traceID, HRT.Obs(), mw.node.Index,
 		uint64(ch.subject), mw.K.Now(), detail)
 	ch.deliverNotify(ev, di)
 }
@@ -580,8 +580,8 @@ func (mc *hrtMissCheck) fire() {
 		pub: pub, round: mc.round,
 	})
 	if mw.Obs.Enabled() {
-		mw.Obs.Emit(0, obs.StageMissed, HRT.String(), mw.node.Index,
+		mw.Obs.Emit(0, obs.StageMissed, HRT.Obs(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(),
-			fmt.Sprintf("publisher %d round %d", pub, mc.round))
+			obs.MissedRound(int(pub), mc.round))
 	}
 }

@@ -132,8 +132,6 @@ type Middleware struct {
 	stopped  bool
 	watchdog *Watchdog
 	srtSeq   uint64
-	// promoDetail caches promotion record details by (from, to) priority.
-	promoDetail map[uint16]string
 }
 
 // NewMiddleware wires a middleware onto a node. The caller retains

@@ -110,9 +110,9 @@ func (c *NRTEC) publish(ev Event) error {
 		return err
 	}
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(NRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(NRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	} else {
-		mw.Obs.Adopt(ev.traceID, NRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, NRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
 	// Chains are sent strictly one frame at a time — each fragment is
 	// submitted when its predecessor completes — so a bulk transfer never
@@ -128,8 +128,8 @@ func (c *NRTEC) publish(ev Event) error {
 	}
 	mw.counters.PublishedNRT++
 	if mw.Obs.Enabled() {
-		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, NRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), fmt.Sprintf("%d fragment(s)", frag.FrameCount(len(ev.Payload))))
+		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, NRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), obs.Fragments(frag.FrameCount(len(ev.Payload))))
 	}
 	return nil
 }
@@ -166,8 +166,8 @@ func (ch *channelState) sendNext() {
 				Kind: ExcLoadShed, Subject: ch.subject,
 				At: mw.K.Now(), note: "error-passive: NRT shed to protect RT bands",
 			})
-			mw.Obs.Emit(m.tag, obs.StageShed, NRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), "error_passive")
+			mw.Obs.Emit(m.tag, obs.StageShed, NRT.Obs(), mw.node.Index,
+				uint64(ch.subject), mw.K.Now(), obs.DetailErrorPassive)
 		}
 		return
 	}
@@ -195,8 +195,8 @@ func (ch *channelState) nrtSent(ok bool, _ sim.Time) {
 			Kind: ExcTxFailure, Subject: ch.subject,
 			At: mw.K.Now(), note: "NRT fragment abandoned",
 		})
-		mw.Obs.Emit(tag, obs.StageDropped, NRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), "tx_abandoned")
+		mw.Obs.Emit(tag, obs.StageDropped, NRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), obs.DetailTxAbandoned)
 	case ch.nrtQueue[0].chain.Done():
 		ch.popNRT()
 	}
@@ -296,8 +296,8 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 		di.PublishedAt = pubAt
 	}
 	ch.store(ev, di)
-	mw.Obs.Delivered(ev.traceID, NRT.String(), mw.node.Index,
-		uint64(ch.subject), at, "")
+	mw.Obs.Delivered(ev.traceID, NRT.Obs(), mw.node.Index,
+		uint64(ch.subject), at, 0)
 	ch.deliverNotify(ev, di)
 }
 

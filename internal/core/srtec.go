@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"canec/internal/binding"
 	"canec/internal/can"
@@ -196,16 +195,16 @@ func (c *SRTEC) publish(ev Event) error {
 				Kind: ExcLoadShed, Subject: ch.subject, Event: ownEvent(ev),
 				At: mw.K.Now(), note: "send queue full, no sheddable entry",
 			})
-			mw.Obs.Emit(0, obs.StageShed, SRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), "rejected at publish")
+			mw.Obs.Emit(0, obs.StageShed, SRT.Obs(), mw.node.Index,
+				uint64(ch.subject), mw.K.Now(), obs.DetailRejectedAtPublish)
 			return fmt.Errorf("core: SRT send queue full on node %d", mw.node.Index)
 		}
 	}
 	mw.srtSeq++
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(SRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(SRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	} else {
-		mw.Obs.Adopt(ev.traceID, SRT.String(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, SRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
 	}
 	prio := mw.bands.SRT.PrioFor(now, ev.Attrs.Deadline)
 	e := ch.newSRTEntry()
@@ -222,8 +221,8 @@ func (c *SRTEC) publish(ev Event) error {
 	ch.srtActive = append(ch.srtActive, e)
 	mw.counters.PublishedSRT++
 	if mw.Obs.Enabled() {
-		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), prioDetail[prio])
+		mw.Obs.Emit(ev.traceID, obs.StageEnqueued, SRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), obs.PrioDetail(int(prio)))
 	}
 	e.armPromotion()
 	if e.expiration != 0 {
@@ -245,8 +244,8 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(e.ev),
 			At: at, note: "SRT transmission abandoned",
 		})
-		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.String(), mw.node.Index,
-			uint64(ch.subject), at, "tx_abandoned")
+		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.Obs(), mw.node.Index,
+			uint64(ch.subject), at, obs.DetailTxAbandoned)
 	} else if late := mw.node.Clock.Read(at) - e.deadline; late > 0 {
 		// Transmitted, but after the transmission deadline: transient
 		// overload or a non-preemptable lower-priority frame got in
@@ -257,29 +256,6 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 		})
 	}
 	e.release()
-}
-
-// prioDetail is the enqueued record's Detail for each priority.
-var prioDetail = func() (d [256]string) {
-	for p := range d {
-		d[p] = "prio " + strconv.Itoa(p)
-	}
-	return d
-}()
-
-// promotionDetail is the promoted record's Detail ("prio 9->7"), rendered
-// once per (from, to) pair. Kernel context, like every caller.
-func (mw *Middleware) promotionDetail(from, to can.Prio) string {
-	key := uint16(from)<<8 | uint16(to)
-	d, ok := mw.promoDetail[key]
-	if !ok {
-		if mw.promoDetail == nil {
-			mw.promoDetail = make(map[uint16]string)
-		}
-		d = prioDetail[from] + "->" + strconv.Itoa(int(to))
-		mw.promoDetail[key] = d
-	}
-	return d
 }
 
 // armPromotion schedules the next identifier rewrite for a queued entry:
@@ -307,8 +283,8 @@ func (e *srtEntry) promote() {
 	if p < e.prio && mw.node.Ctrl.Update(e.handle, can.MakeID(p, mw.node.Ctrl.Node(), ch.etag)) {
 		mw.counters.PromotionsApplied++
 		if mw.Obs.Enabled() {
-			mw.Obs.Emit(e.ev.traceID, obs.StagePromoted, SRT.String(), mw.node.Index,
-				uint64(ch.subject), mw.K.Now(), mw.promotionDetail(e.prio, p))
+			mw.Obs.Emit(e.ev.traceID, obs.StagePromoted, SRT.Obs(), mw.node.Index,
+				uint64(ch.subject), mw.K.Now(), obs.Promotion(int(e.prio), int(p)))
 		}
 	}
 	e.prio = p
@@ -331,8 +307,8 @@ func (e *srtEntry) expire() {
 			Kind: ExcValidityExpired, Subject: ch.subject, Event: ownEvent(e.ev),
 			At: mw.K.Now(), note: "validity expired in send queue",
 		})
-		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.String(), mw.node.Index,
-			uint64(ch.subject), mw.K.Now(), "")
+		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.Obs(), mw.node.Index,
+			uint64(ch.subject), mw.K.Now(), 0)
 		e.release()
 	}
 	// Abort failing means the frame is on the wire right now; it will
@@ -399,9 +375,9 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 			At: mw.K.Now(), value: worst,
 		})
 		if mw.Obs.Enabled() {
-			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.String(), mw.node.Index,
+			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.Obs(), mw.node.Index,
 				uint64(victim.ch.subject), mw.K.Now(),
-				fmt.Sprintf("residual value %.2f", worst))
+				obs.Text(fmt.Sprintf("residual value %.2f", worst)))
 		}
 		victim.release()
 		return true
@@ -456,8 +432,8 @@ func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 		di.PublishedAt = pubAt
 	}
 	ev = ch.store(ev, di)
-	mw.Obs.Delivered(ev.traceID, SRT.String(), mw.node.Index,
-		uint64(ch.subject), at, "")
+	mw.Obs.Delivered(ev.traceID, SRT.Obs(), mw.node.Index,
+		uint64(ch.subject), at, 0)
 	ch.deliverNotify(ev, di)
 }
 

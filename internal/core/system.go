@@ -205,14 +205,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			sys.Syncer.SetBackups(cfg.SyncBackups)
 		}
 		sys.Syncer.OnTakeover = func(m int, at sim.Time) {
-			sys.Obs.Emit(0, obs.StageMasterTakeover, "", m, 0, at, "time master")
+			sys.Obs.Emit(0, obs.StageMasterTakeover, 0, m, 0, at, obs.DetailTimeMaster)
 		}
 		sys.Syncer.OnHoldover = func(n int, enter bool, at sim.Time) {
 			stage := obs.StageHoldoverExit
 			if enter {
 				stage = obs.StageHoldoverEnter
 			}
-			sys.Obs.Emit(0, stage, "", n, 0, at, "")
+			sys.Obs.Emit(0, stage, 0, n, 0, at, 0)
 		}
 	}
 

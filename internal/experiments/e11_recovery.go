@@ -260,7 +260,7 @@ func e11Canec(seed uint64, down, restart sim.Duration) e11Run {
 			// Account the bulk transfer at frame granularity (8 data bytes
 			// per fragment): chain-completion timestamps are too coarse to
 			// resolve a short outage window.
-			if r.Node == 6 {
+			if int(r.Node) == 6 {
 				run.deliv = append(run.deliv, e11Delivery{at: r.At, n: 8})
 			}
 		}

@@ -171,13 +171,13 @@ func e12Run(seed uint64, failoverRounds int) e12Result {
 				res.takeoverAt = rec.At
 			}
 		case obs.StageHoldoverEnter:
-			enter[rec.Node] = rec.At
+			enter[int(rec.Node)] = rec.At
 		case obs.StageHoldoverExit:
-			if from, ok := enter[rec.Node]; ok {
+			if from, ok := enter[int(rec.Node)]; ok {
 				if d := sim.Duration(rec.At - from); d > res.holdover {
 					res.holdover = d
 				}
-				delete(enter, rec.Node)
+				delete(enter, int(rec.Node))
 			}
 		}
 	}

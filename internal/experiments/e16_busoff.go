@@ -242,7 +242,7 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 	for _, r := range sys.Obs.Records() {
 		switch r.Stage {
 		case obs.StageBusOff:
-			if r.Node != e16Victim {
+			if int(r.Node) != e16Victim {
 				break
 			}
 			res.busoffs++
@@ -251,14 +251,14 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 			}
 			downAt = r.At
 		case obs.StageBusOffRecovered:
-			if r.Node != e16Victim || downAt < 0 {
+			if int(r.Node) != e16Victim || downAt < 0 {
 				break
 			}
 			res.downWins = append(res.downWins, [2]sim.Time{downAt, r.At})
 			res.downTotal += sim.Duration(r.At - downAt)
 			downAt = -1
 		case obs.StageGuardIsolated:
-			if r.Node == e16Attacker && res.isolatedAt < 0 {
+			if int(r.Node) == e16Attacker && res.isolatedAt < 0 {
 				res.isolatedAt = r.At - e16AttackAt
 			}
 		case obs.StageMissed:

@@ -15,13 +15,13 @@ import (
 func TestAdminWhyEndpoint(t *testing.T) {
 	a := causal.Analyze([]obs.Record{
 		{ID: 9, Stage: obs.StageTxStart, At: 0, Node: 5, Subject: 0x42, Attempt: 1},
-		{ID: 1, Stage: obs.StagePublished, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 9, Stage: obs.StageTxOK, At: 200_000, Node: 5, Subject: 0x42},
 		{ID: 1, Stage: obs.StageTxStart, At: 200_000, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 300_000, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageRx, At: 300_000, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 300_000, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 300_000, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, causal.Config{LateOver: map[string]sim.Duration{"SRT": 100_000}})
 
 	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1, Observe: &obs.Config{}})

@@ -11,14 +11,14 @@ import (
 // does.
 func nilObserverFastPath() {
 	var o *Observer
-	id := o.Begin("SRT", 0, 0x42, 100)
-	o.Emit(id, StageEnqueued, "SRT", 0, 0x42, 110, "")
-	o.Adopt(id, "SRT", 0, 0x42, 120)
-	o.Emit(id, StageRelayTx, "SRT", 0, 0x42, 130, "")
+	id := o.Begin(ClassSRT, 0, 0x42, 100)
+	o.Emit(id, StageEnqueued, ClassSRT, 0, 0x42, 110, 0)
+	o.Adopt(id, ClassSRT, 0, 0x42, 120)
+	o.Emit(id, StageRelayTx, ClassSRT, 0, 0x42, 130, 0)
 	o.SlotOutcome(true)
 	o.Copies("sent", 1)
 	o.ExceptionRaised("DeadlineMissed")
-	o.Delivered(id, "SRT", 1, 0x42, 200, "")
+	o.Delivered(id, ClassSRT, 1, 0x42, 200, 0)
 	o.PublishKernelTime(id)
 }
 
@@ -43,9 +43,9 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		}
 	})
 	seq := func(o *Observer, at sim.Time) {
-		id := o.Begin("SRT", 0, 0x42, at)
-		o.Emit(id, StageEnqueued, "SRT", 0, 0x42, at+10, "")
-		o.Delivered(id, "SRT", 1, 0x42, at+200_000, "")
+		id := o.Begin(ClassSRT, 0, 0x42, at)
+		o.Emit(id, StageEnqueued, ClassSRT, 0, 0x42, at+10, 0)
+		o.Delivered(id, ClassSRT, 1, 0x42, at+200_000, 0)
 	}
 	b.Run("metrics", func(b *testing.B) {
 		o := New(Config{Metrics: true}, func() sim.Time { return 0 }, BandMap{})

@@ -10,9 +10,9 @@ import (
 // seq is the hot publish→deliver emission sequence, as in
 // BenchmarkObserverOverhead.
 func seq(o *obs.Observer, at sim.Time) {
-	id := o.Begin("SRT", 0, 0x42, at)
-	o.Emit(id, obs.StageEnqueued, "SRT", 0, 0x42, at+10, "")
-	o.Delivered(id, "SRT", 1, 0x42, at+200_000, "")
+	id := o.Begin(obs.ClassSRT, 0, 0x42, at)
+	o.Emit(id, obs.StageEnqueued, obs.ClassSRT, 0, 0x42, at+10, 0)
+	o.Delivered(id, obs.ClassSRT, 1, 0x42, at+200_000, 0)
 }
 
 // TestCausalDetachedZeroAllocs is the companion of
@@ -51,8 +51,8 @@ func TestCausalDetachedZeroAllocs(t *testing.T) {
 func onTimeChain(a *Analyzer, id uint64, at sim.Time) {
 	for _, r := range [...]obs.Record{
 		{ID: id + 1, Stage: obs.StageTxStart, At: 0, Node: 5, Subject: 0x42, Attempt: 1},
-		{ID: id, Stage: obs.StagePublished, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: id, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: "SRT", Subject: 0x300, Detail: "prio 9"},
+		{ID: id, Stage: obs.StagePublished, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: id, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300, Detail: obs.Text("prio 9")},
 		{ID: id + 1, Stage: obs.StageTxOK, At: 100, Node: 5, Subject: 0x42},
 		{ID: id, Stage: obs.StageArbWon, At: 100, Node: 0, Subject: 0x300},
 		{ID: id, Stage: obs.StageTxStart, At: 110, Node: 0, Subject: 0x300, Attempt: 1},
@@ -60,7 +60,7 @@ func onTimeChain(a *Analyzer, id uint64, at sim.Time) {
 		{ID: id, Stage: obs.StageTxStart, At: 160, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: id, Stage: obs.StageTxOK, At: 260, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: id, Stage: obs.StageRx, At: 260, Node: 1, Subject: 0x300},
-		{ID: id, Stage: obs.StageDelivered, At: 270, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: id, Stage: obs.StageDelivered, At: 270, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	} {
 		r.At += at
 		a.Add(r)

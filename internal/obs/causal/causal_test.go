@@ -29,12 +29,12 @@ func one(t *testing.T, a *Analyzer) Chain {
 
 func TestCleanChainBaselineOnly(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 110, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageRx, At: 110, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 120, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 120, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -59,13 +59,13 @@ func TestInterferenceCarving(t *testing.T) {
 	a := Analyze([]obs.Record{
 		// Foreign frame 9 occupies the wire over [0, 100).
 		{ID: 9, Stage: obs.StageTxStart, At: 0, Node: 5, Subject: 0x42, Attempt: 1},
-		{ID: 1, Stage: obs.StagePublished, At: 20, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 20, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 20, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 20, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 9, Stage: obs.StageTxOK, At: 100, Node: 5, Subject: 0x42},
 		{ID: 1, Stage: obs.StageTxStart, At: 100, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 200, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageRx, At: 200, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 200, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 200, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{LateOver: map[string]sim.Duration{"SRT": 150}})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -91,14 +91,14 @@ func TestInterferenceCarving(t *testing.T) {
 
 func TestErrorRetransmitAttribution(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxErr, At: 50, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxStart, At: 80, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageTxOK, At: 180, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageRx, At: 180, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 180, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 180, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{LateOver: map[string]sim.Duration{"SRT": 150}})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -117,13 +117,13 @@ func TestErrorRetransmitAttribution(t *testing.T) {
 func TestBusoffRecoveryWindow(t *testing.T) {
 	a := Analyze([]obs.Record{
 		{Stage: obs.StageBusOff, At: 100, Node: 0},
-		{ID: 1, Stage: obs.StagePublished, At: 150, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 150, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 150, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 150, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{Stage: obs.StageBusOffRecovered, At: 500, Node: 0},
 		{ID: 1, Stage: obs.StageTxStart, At: 510, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 610, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageRx, At: 610, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 620, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 620, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{LateOver: map[string]sim.Duration{"SRT": 200}})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -143,9 +143,9 @@ func TestBusoffStillOpenAtDrop(t *testing.T) {
 	// must be charged even though no recovery record exists yet.
 	a := Analyze([]obs.Record{
 		{Stage: obs.StageBusOff, At: 100, Node: 0},
-		{ID: 1, Stage: obs.StagePublished, At: 150, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 150, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageDropped, At: 400, Node: 0, Class: "SRT", Subject: 0x300, Detail: "tx_abandoned"},
+		{ID: 1, Stage: obs.StagePublished, At: 150, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 150, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageDropped, At: 400, Node: 0, Class: obs.ClassSRT, Subject: 0x300, Detail: obs.Text("tx_abandoned")},
 	}, Config{})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -163,12 +163,12 @@ func TestBusoffStillOpenAtDrop(t *testing.T) {
 func TestHoldoverWideningOnHRTHold(t *testing.T) {
 	a := Analyze([]obs.Record{
 		{Stage: obs.StageHoldoverEnter, At: 0, Node: 2},
-		{ID: 1, Stage: obs.StagePublished, At: 100, Node: 0, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageEnqueued, At: 100, Node: 0, Class: "HRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StagePublished, At: 100, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageEnqueued, At: 100, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
 		{ID: 1, Stage: obs.StageTxStart, At: 110, Node: 0, Subject: 0x700, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 210, Node: 0, Subject: 0x700},
 		{ID: 1, Stage: obs.StageRx, At: 210, Node: 1, Subject: 0x700},
-		{ID: 1, Stage: obs.StageDelivered, At: 900, Node: 1, Class: "HRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: 900, Node: 1, Class: obs.ClassHRT, Subject: 0x700},
 		{Stage: obs.StageHoldoverExit, At: 1000, Node: 2},
 	}, Config{LateOver: map[string]sim.Duration{"HRT": 700}})
 	assertExact(t, a)
@@ -187,12 +187,12 @@ func TestHoldoverWideningOnHRTHold(t *testing.T) {
 
 func TestDejitterHoldIsBaselineWithoutHoldover(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "HRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
 		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x700, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 110, Node: 0, Subject: 0x700},
 		{ID: 1, Stage: obs.StageRx, At: 110, Node: 1, Subject: 0x700},
-		{ID: 1, Stage: obs.StageDelivered, At: 800, Node: 1, Class: "HRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: 800, Node: 1, Class: obs.ClassHRT, Subject: 0x700},
 	}, Config{})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -206,13 +206,13 @@ func TestDejitterHoldIsBaselineWithoutHoldover(t *testing.T) {
 
 func TestRelaySegments(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 0, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 100, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageRx, At: 100, Node: 3, Subject: 0x300},
-		{ID: 1, Stage: obs.StageRelayTx, At: 150, Node: 3, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageRelayDrop, At: 250, Node: 3, Class: "SRT", Subject: 0x300, Detail: "backpressure"},
+		{ID: 1, Stage: obs.StageRelayTx, At: 150, Node: 3, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageRelayDrop, At: 250, Node: 3, Class: obs.ClassSRT, Subject: 0x300, Detail: obs.Text("backpressure")},
 	}, Config{})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -229,10 +229,10 @@ func TestRelaySegments(t *testing.T) {
 
 func TestAdmissionBackoffOverride(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{Stage: obs.StageAdmitShed, At: 50, Node: 0, Class: "SRT", Subject: 0x300, Detail: "error-rate miss 0.2 target 0.05"},
-		{ID: 1, Stage: obs.StageDropped, At: 100, Node: 0, Class: "SRT", Subject: 0x300, Detail: "tx_abandoned"},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{Stage: obs.StageAdmitShed, At: 50, Node: 0, Class: obs.ClassSRT, Subject: 0x300, Detail: obs.Text("error-rate miss 0.2 target 0.05")},
+		{ID: 1, Stage: obs.StageDropped, At: 100, Node: 0, Class: obs.ClassSRT, Subject: 0x300, Detail: obs.Text("tx_abandoned")},
 	}, Config{})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -246,13 +246,13 @@ func TestAdmissionBackoffOverride(t *testing.T) {
 
 func TestGuardianMuteAttribution(t *testing.T) {
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageGuardMuted, At: 10, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 200, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 300, Node: 0, Subject: 0x300},
 		{ID: 1, Stage: obs.StageRx, At: 300, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 300, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 300, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{LateOver: map[string]sim.Duration{"SRT": 200}})
 	assertExact(t, a)
 	ch := one(t, a)
@@ -266,11 +266,11 @@ func TestGuardianMuteAttribution(t *testing.T) {
 
 func TestSecondDeliveryIgnored(t *testing.T) {
 	recs := []obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageDelivered, At: 100, Node: 1, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageDelivered, At: 120, Node: 2, Class: "HRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageDropped, At: 130, Node: 3, Class: "HRT", Subject: 0x700, Detail: "duplicate"},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: 100, Node: 1, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: 120, Node: 2, Class: obs.ClassHRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageDropped, At: 130, Node: 3, Class: obs.ClassHRT, Subject: 0x700, Detail: obs.Text("duplicate")},
 	}
 	a := Analyze(recs, Config{})
 	assertExact(t, a)
@@ -286,15 +286,15 @@ func TestSecondDeliveryIgnored(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	recs := []obs.Record{
 		{ID: 9, Stage: obs.StageTxStart, At: 0, Node: 5, Subject: 0x42, Attempt: 1},
-		{ID: 1, Stage: obs.StagePublished, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 10, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 9, Stage: obs.StageTxOK, At: 100, Node: 5, Subject: 0x42},
 		{ID: 1, Stage: obs.StageTxStart, At: 110, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxErr, At: 150, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxStart, At: 160, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageTxOK, At: 260, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageRx, At: 260, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 270, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 270, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}
 	cfg := Config{LateOver: map[string]sim.Duration{"SRT": 100}}
 	a, b := Analyze(recs, cfg), Analyze(recs, cfg)
@@ -305,10 +305,10 @@ func TestDeterministicReplay(t *testing.T) {
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("snapshots differ across identical replays")
 	}
-	if a.BreachSummary("", 3) != b.BreachSummary("", 3) {
+	if a.BreachSummary(0, 3) != b.BreachSummary(0, 3) {
 		t.Fatal("breach summaries differ across identical replays")
 	}
-	if a.BreachSummary("SRT", 3) == "" {
+	if a.BreachSummary(obs.ClassSRT, 3) == "" {
 		t.Fatal("late chain produced no breach summary")
 	}
 }
@@ -316,7 +316,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestEvictionBound(t *testing.T) {
 	a := New(Config{MaxOpen: 4})
 	for i := uint64(1); i <= 10; i++ {
-		a.Add(obs.Record{ID: i, Stage: obs.StagePublished, At: sim.Time(i), Node: 0, Class: "SRT", Subject: 0x300})
+		a.Add(obs.Record{ID: i, Stage: obs.StagePublished, At: sim.Time(i), Node: 0, Class: obs.ClassSRT, Subject: 0x300})
 	}
 	if len(a.open) != 4 {
 		t.Fatalf("open = %d, want 4", len(a.open))
@@ -325,7 +325,7 @@ func TestEvictionBound(t *testing.T) {
 		t.Fatalf("evicted = %d, want 6", a.evicted)
 	}
 	// A terminal record for an evicted chain is ignored, not resurrected.
-	a.Add(obs.Record{ID: 1, Stage: obs.StageDelivered, At: 100, Node: 1, Class: "SRT", Subject: 0x300})
+	a.Add(obs.Record{ID: 1, Stage: obs.StageDelivered, At: 100, Node: 1, Class: obs.ClassSRT, Subject: 0x300})
 	if s := a.Snapshot(); s.Chains != 0 || s.Evicted != 6 {
 		t.Fatalf("snapshot = %+v, want 0 chains / 6 evicted", s)
 	}
@@ -362,8 +362,8 @@ func (w *pruneWatch) add(t *testing.T, r obs.Record) {
 func TestPinnedChainBoundsSpans(t *testing.T) {
 	w := &pruneWatch{a: New(Config{})}
 	for _, r := range []obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x500},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x500},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x500},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x500},
 		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x500, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: 110, Node: 0, Subject: 0x500, Attempt: 1},
 	} {
@@ -373,12 +373,12 @@ func TestPinnedChainBoundsSpans(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id, at := uint64(i+2), sim.Time(1000+i*200)
 		for _, r := range []obs.Record{
-			{ID: id, Stage: obs.StagePublished, At: at, Node: 1, Class: "SRT", Subject: 0x300},
-			{ID: id, Stage: obs.StageEnqueued, At: at, Node: 1, Class: "SRT", Subject: 0x300},
+			{ID: id, Stage: obs.StagePublished, At: at, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
+			{ID: id, Stage: obs.StageEnqueued, At: at, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 			{ID: id, Stage: obs.StageTxStart, At: at + 10, Node: 1, Subject: 0x300, Attempt: 1},
 			{ID: id, Stage: obs.StageTxOK, At: at + 110, Node: 1, Subject: 0x300, Attempt: 1},
 			{ID: id, Stage: obs.StageRx, At: at + 110, Node: 2, Subject: 0x300},
-			{ID: id, Stage: obs.StageDelivered, At: at + 120, Node: 2, Class: "SRT", Subject: 0x300},
+			{ID: id, Stage: obs.StageDelivered, At: at + 120, Node: 2, Class: obs.ClassSRT, Subject: 0x300},
 		} {
 			w.add(t, r)
 		}
@@ -405,10 +405,10 @@ func TestPinnedChainBoundsSpans(t *testing.T) {
 func TestProgressingChainKeepsSpans(t *testing.T) {
 	w := &pruneWatch{a: New(Config{KeepAll: true})}
 	for _, r := range []obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "NRT", Subject: 0x700},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "NRT", Subject: 0x700},
-		{ID: 2, Stage: obs.StagePublished, At: 50, Node: 1, Class: "SRT", Subject: 0x500},
-		{ID: 2, Stage: obs.StageEnqueued, At: 50, Node: 1, Class: "SRT", Subject: 0x500},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassNRT, Subject: 0x700},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassNRT, Subject: 0x700},
+		{ID: 2, Stage: obs.StagePublished, At: 50, Node: 1, Class: obs.ClassSRT, Subject: 0x500},
+		{ID: 2, Stage: obs.StageEnqueued, At: 50, Node: 1, Class: obs.ClassSRT, Subject: 0x500},
 	} {
 		w.add(t, r)
 	}
@@ -426,7 +426,7 @@ func TestProgressingChainKeepsSpans(t *testing.T) {
 		{ID: 1, Stage: obs.StageTxStart, At: end, Node: 0, Subject: 0x700, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxOK, At: end + 100, Node: 0, Subject: 0x700, Attempt: 1},
 		{ID: 1, Stage: obs.StageRx, At: end + 100, Node: 3, Subject: 0x700},
-		{ID: 1, Stage: obs.StageDelivered, At: end + 110, Node: 3, Class: "NRT", Subject: 0x700},
+		{ID: 1, Stage: obs.StageDelivered, At: end + 110, Node: 3, Class: obs.ClassNRT, Subject: 0x700},
 	} {
 		w.add(t, r)
 	}
@@ -455,14 +455,14 @@ func TestProgressingChainKeepsSpans(t *testing.T) {
 func TestMetricsFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := Analyze([]obs.Record{
-		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StagePublished, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: obs.StageEnqueued, At: 0, Node: 0, Class: obs.ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: obs.StageTxStart, At: 10, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxErr, At: 50, Node: 0, Subject: 0x300, Attempt: 1},
 		{ID: 1, Stage: obs.StageTxStart, At: 400, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageTxOK, At: 500, Node: 0, Subject: 0x300, Attempt: 2},
 		{ID: 1, Stage: obs.StageRx, At: 500, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: obs.StageDelivered, At: 510, Node: 1, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: obs.StageDelivered, At: 510, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}, Config{Registry: reg, LateOver: map[string]sim.Duration{"SRT": 100}})
 	assertExact(t, a)
 	var b []byte

@@ -52,19 +52,27 @@ func compareViews(tb testing.TB, mode string, got *Analyzer, want *refAnalyzer) 
 	if !bytes.Equal(gj, wj) {
 		tb.Fatalf("%s snapshot differs:\n got %s\nwant %s", mode, gj, wj)
 	}
-	classes := []string{""}
+	// Class 0 is every class, and a class no chain has matches none.
+	classes := []obs.Class{0, obs.ClassNRT + 1}
 	for _, cp := range ws.Classes {
-		classes = append(classes, cp.Class)
+		var c obs.Class
+		if err := c.UnmarshalText([]byte(cp.Class)); err != nil {
+			tb.Fatal(err)
+		}
+		classes = append(classes, c)
 	}
-	classes = append(classes, "no-such-class")
 	for _, class := range classes {
+		name := class.String()
+		if class > obs.ClassNRT {
+			name = "no-such-class"
+		}
 		for _, n := range []int{0, 1, 3} {
-			if g, w := got.BreachSummary(class, n), want.BreachSummary(class, n); g != w {
-				tb.Fatalf("%s BreachSummary(%q, %d) = %q, want %q", mode, class, n, g, w)
+			if g, w := got.BreachSummary(class, n), want.BreachSummary(name, n); g != w {
+				tb.Fatalf("%s BreachSummary(%q, %d) = %q, want %q", mode, name, n, g, w)
 			}
 		}
-		if g, w := got.TopCause(class), want.TopCause(class); g != w {
-			tb.Fatalf("%s TopCause(%q) = %q, want %q", mode, class, g, w)
+		if g, w := got.TopCause(class), want.TopCause(name); g != w {
+			tb.Fatalf("%s TopCause(%q) = %q, want %q", mode, name, g, w)
 		}
 	}
 }
@@ -114,11 +122,11 @@ type streamGen struct {
 
 type genChain struct {
 	id      uint64
-	class   string
+	class   obs.Class
 	subject uint64
-	node    int
+	node    int32
 	stage   obs.Stage
-	attempt int
+	attempt uint16
 	pinned  bool
 }
 
@@ -140,10 +148,10 @@ var genNext = map[obs.Stage][]obs.Stage{
 }
 
 var (
-	genClasses  = []string{"HRT", "SRT", "SRT", "NRT", ""}
+	genClasses  = []obs.Class{obs.ClassHRT, obs.ClassSRT, obs.ClassSRT, obs.ClassNRT, 0}
 	genSubjects = []uint64{0x101, 0x102, 0x300, 0x301, 0x700, 0}
-	genBands    = []string{"hrt", "srt", "nrt", ""}
-	genDetails  = []string{"", "", "tx_abandoned", "backpressure", "duplicate"}
+	genBands    = []obs.Band{obs.BandHRT, obs.BandSRT, obs.BandNRT, 0}
+	genDetails  = []obs.Detail{0, 0, obs.DetailTxAbandoned, obs.Text("backpressure"), obs.Text("duplicate")}
 )
 
 func (g *streamGen) emit(r obs.Record) {
@@ -172,36 +180,36 @@ func (g *streamGen) step() {
 		if g.oneOf(2) {
 			st = obs.StageBusOffRecovered
 		}
-		g.emit(obs.Record{Stage: st, Node: g.pick(4), Prio: -1, Detail: "tec=256 rec=0"})
+		g.emit(obs.Record{Stage: st, Node: int32(g.pick(4)), Prio: -1, Detail: obs.Text("tec=256 rec=0")})
 	case a < 88:
 		st := obs.StageHoldoverEnter
 		if g.oneOf(2) {
 			st = obs.StageHoldoverExit
 		}
-		g.emit(obs.Record{Stage: st, Node: g.pick(6), Prio: -1})
+		g.emit(obs.Record{Stage: st, Node: int32(g.pick(6)), Prio: -1})
 	case a < 90:
-		g.emit(obs.Record{Stage: obs.StageAdmitShed, Node: g.pick(4), Class: "SRT",
-			Subject: genSubjects[g.pick(len(genSubjects))], Prio: -1, Detail: "miss 0.2"})
+		g.emit(obs.Record{Stage: obs.StageAdmitShed, Node: int32(g.pick(4)), Class: obs.ClassSRT,
+			Subject: genSubjects[g.pick(len(genSubjects))], Prio: -1, Detail: obs.Text("miss 0.2")})
 	case a < 94:
 		// Stray records: a finished chain's late receivers, an unknown ID.
 		if len(g.finished) > 0 {
 			id := g.finished[g.pick(len(g.finished))]
 			st := []obs.Stage{obs.StageRx, obs.StageDelivered, obs.StageDropped}[g.pick(3)]
-			g.emit(obs.Record{ID: id, Stage: st, Node: g.pick(6), Class: "SRT", Prio: -1})
+			g.emit(obs.Record{ID: id, Stage: st, Node: int32(g.pick(6)), Class: obs.ClassSRT, Prio: -1})
 		} else {
 			g.emit(obs.Record{ID: g.nextID + 1000, Stage: obs.StageEnqueued, Node: 1, Prio: -1})
 		}
 	default:
 		if len(g.live) > 0 {
 			c := g.live[g.pick(len(g.live))]
-			g.emit(obs.Record{ID: c.id, Stage: obs.Stage("ctrl_sample"), Node: c.node, Prio: -1})
+			g.emit(obs.Record{ID: c.id, Stage: obs.StageCtrlSample, Node: c.node, Prio: -1})
 		}
 	}
 }
 
 func (g *streamGen) publish() {
 	c := &genChain{class: genClasses[g.pick(len(genClasses))],
-		subject: genSubjects[g.pick(len(genSubjects))], node: g.pick(6),
+		subject: genSubjects[g.pick(len(genSubjects))], node: int32(g.pick(6)),
 		stage: obs.StagePublished, pinned: g.oneOf(12)}
 	if g.reuseIDs && len(g.finished) > 0 && g.oneOf(10) {
 		c.id = g.finished[g.pick(len(g.finished))]
@@ -209,9 +217,9 @@ func (g *streamGen) publish() {
 		g.nextID++
 		c.id = g.nextID
 	}
-	detail := ""
+	var detail obs.Detail
 	if g.oneOf(8) {
-		detail = "relayed"
+		detail = obs.DetailRelayed
 	}
 	g.live = append(g.live, c)
 	g.emit(obs.Record{ID: c.id, Stage: obs.StagePublished, Node: c.node, Class: c.class,
@@ -241,7 +249,7 @@ func (g *streamGen) advance(c *genChain) {
 			g.wireBusy = false
 		}
 	case obs.StageRx:
-		r.Node = g.pick(6)
+		r.Node = int32(g.pick(6))
 	default:
 		r.Class = c.class
 		r.Detail = genDetails[g.pick(len(genDetails))]
@@ -365,7 +373,7 @@ func FuzzCausalOracle(f *testing.F) {
 
 // TopCause returns the dominant incident cause for one class ("" = all
 // classes merged), CauseNone without incidents. Kernel context.
-func (a *Analyzer) TopCause(class string) Cause {
+func (a *Analyzer) TopCause(class obs.Class) Cause {
 	m := a.merged(class)
 	return causeNames[m.top()]
 }

@@ -159,7 +159,7 @@ func (a *refAnalyzer) Add(r obs.Record) {
 	switch r.Stage {
 	case obs.StageTxStart:
 		a.openSpan = refSpan{from: r.At, to: -1, id: r.ID,
-			subject: r.Subject, etag: r.Etag, band: r.Band}
+			subject: r.Subject, etag: r.Etag, band: r.Band.String()}
 		a.spanOpen = true
 	case obs.StageTxOK, obs.StageTxErr:
 		if a.spanOpen {
@@ -170,18 +170,18 @@ func (a *refAnalyzer) Add(r obs.Record) {
 			a.spanOpen = false
 		}
 	case obs.StageBusOff:
-		a.busoffAt[r.Node] = r.At
+		a.busoffAt[int(r.Node)] = r.At
 	case obs.StageBusOffRecovered:
-		if from, ok := a.busoffAt[r.Node]; ok {
-			a.busoff = append(a.busoff, refNodeWin{r.Node, from, r.At})
-			delete(a.busoffAt, r.Node)
+		if from, ok := a.busoffAt[int(r.Node)]; ok {
+			a.busoff = append(a.busoff, refNodeWin{int(r.Node), from, r.At})
+			delete(a.busoffAt, int(r.Node))
 		}
 	case obs.StageHoldoverEnter:
-		a.holdAt[r.Node] = r.At
+		a.holdAt[int(r.Node)] = r.At
 	case obs.StageHoldoverExit:
-		if from, ok := a.holdAt[r.Node]; ok {
-			a.holdover = append(a.holdover, refNodeWin{r.Node, from, r.At})
-			delete(a.holdAt, r.Node)
+		if from, ok := a.holdAt[int(r.Node)]; ok {
+			a.holdover = append(a.holdover, refNodeWin{int(r.Node), from, r.At})
+			delete(a.holdAt, int(r.Node))
 		}
 	case obs.StageAdmitShed:
 		a.admShed[r.Subject] = r.At
@@ -339,14 +339,14 @@ func (a *refAnalyzer) attribute(c *refChainState) Chain {
 	recs := c.recs
 	first, last := recs[0], recs[len(recs)-1]
 	ch := Chain{
-		ID: first.ID, Class: first.Class, Subject: first.Subject,
-		Node: first.Node, Published: first.At, End: last.At,
-		Outcome: string(last.Stage), Latency: sim.Duration(last.At - first.At),
+		ID: first.ID, Class: first.Class.String(), Subject: first.Subject,
+		Node: int(first.Node), Published: first.At, End: last.At,
+		Outcome: last.Stage.String(), Latency: sim.Duration(last.At - first.At),
 	}
-	if last.Stage == obs.StageDelivered && last.Detail != "" {
-		ch.Outcome = string(last.Stage)
+	if last.Stage == obs.StageDelivered && last.Detail.String() != "" {
+		ch.Outcome = last.Stage.String()
 	}
-	if d := last.Detail; d != "" && last.Stage != obs.StageDelivered {
+	if d := last.Detail.String(); d != "" && last.Stage != obs.StageDelivered {
 		ch.Outcome += "(" + d + ")"
 	}
 	// An admission withdrawal inside the chain's life reclassifies the
@@ -459,8 +459,8 @@ func (a *refAnalyzer) attributeGap(ch *Chain, prev, next obs.Record, acc *refSeg
 }
 
 func refAttemptOf(r obs.Record) int {
-	if r.Attempt > 0 {
-		return r.Attempt
+	if int(r.Attempt) > 0 {
+		return int(r.Attempt)
 	}
 	return 1
 }
@@ -474,7 +474,7 @@ func (a *refAnalyzer) waitGap(ch *Chain, prev, next obs.Record, acc *refSegAcc) 
 		base = CauseSlotWait
 	}
 	rem := []refIV{{prev.At, next.At}}
-	rem = a.carveNodeWins(rem, a.busoff, prev.Node, CauseBusoffRecovery, acc)
+	rem = a.carveNodeWins(rem, a.busoff, int(prev.Node), CauseBusoffRecovery, acc)
 	// Foreign wire occupancy: every closed span of another frame that
 	// overlaps the wait, plus the still-open one.
 	rem = a.carveSpans(rem, ch.ID, prev.At, next.At, acc)
@@ -567,7 +567,7 @@ func (a *refAnalyzer) aggregate(ch Chain) {
 		a.classes = append(a.classes, ch.Class)
 	}
 	agg.chains++
-	dropped := ch.Outcome != string(obs.StageDelivered)
+	dropped := ch.Outcome != obs.StageDelivered.String()
 	if dropped {
 		agg.dropped++
 	}

@@ -11,7 +11,7 @@ import (
 
 // classAgg aggregates finished chains of one class, indexed by cause.
 type classAgg struct {
-	class                 string
+	class                 obs.Class
 	chains, late, dropped uint64
 	debit                 [numCauses]sim.Duration
 	touched               uint32            // causes ever debited: the ones a profile lists
@@ -36,7 +36,7 @@ const (
 var outcomeNames = [numOutcomes]string{"delivered", "dropped", "late"}
 
 // classAgg returns the aggregate of one class, creating it on first use.
-func (a *Analyzer) classAgg(class string) *classAgg {
+func (a *Analyzer) classAgg(class obs.Class) *classAgg {
 	for _, agg := range a.aggs {
 		if agg.class == class {
 			return agg
@@ -76,21 +76,21 @@ func (a *Analyzer) aggregate(agg *classAgg, t *causeTotals, delivered, late bool
 		outcome = outcomeLate
 	}
 	if agg.mChains[outcome] == nil {
-		agg.mChains[outcome] = a.mChains.With(agg.class, outcomeNames[outcome])
+		agg.mChains[outcome] = a.mChains.With(agg.class.String(), outcomeNames[outcome])
 	}
 	agg.mChains[outcome].Inc()
 	// One debit sample per cause, in the order the chain first touched it.
 	for _, c := range t.order[:t.n] {
 		if agg.mDebit[c] == nil {
-			agg.mDebit[c] = a.mDebit.With(agg.class, string(causeNames[c]))
-			agg.mDebitHist[c] = a.mDebitHist.With(agg.class, string(causeNames[c]))
+			agg.mDebit[c] = a.mDebit.With(agg.class.String(), string(causeNames[c]))
+			agg.mDebitHist[c] = a.mDebitHist.With(agg.class.String(), string(causeNames[c]))
 		}
 		agg.mDebit[c].Add(float64(t.debit[c]))
 		agg.mDebitHist[c].Observe(float64(t.debit[c]) / 1e3)
 	}
 	if incident {
 		if agg.mLate[top] == nil {
-			agg.mLate[top] = a.mLate.With(agg.class, string(causeNames[top]))
+			agg.mLate[top] = a.mLate.With(agg.class.String(), string(causeNames[top]))
 		}
 		agg.mLate[top].Inc()
 	}
@@ -205,7 +205,7 @@ func FormatDur(d sim.Duration) string {
 }
 
 func (agg *classAgg) profile() ClassProfile {
-	p := ClassProfile{Class: agg.class, Chains: agg.chains, Late: agg.late,
+	p := ClassProfile{Class: agg.class.String(), Chains: agg.chains, Late: agg.late,
 		Dropped: agg.dropped, Top: causeNames[agg.top()]}
 	for c := cause(0); c < causeNone; c++ {
 		if agg.touched&(1<<c) == 0 {
@@ -249,11 +249,11 @@ func (agg *classAgg) top() cause {
 	return best
 }
 
-// merged sums the aggregates of one class ("" = every class).
-func (a *Analyzer) merged(class string) classAgg {
+// merged sums the aggregates of one class (0 = every class).
+func (a *Analyzer) merged(class obs.Class) classAgg {
 	var m classAgg
 	for _, agg := range a.aggs {
-		if class != "" && agg.class != class {
+		if class != 0 && agg.class != class {
 			continue
 		}
 		for c := range m.debit {
@@ -264,11 +264,11 @@ func (a *Analyzer) merged(class string) classAgg {
 	return m
 }
 
-// BreachSummary renders the top-n incident causes for one class ("" =
+// BreachSummary renders the top-n incident causes for one class (0 =
 // every class) — attached by the SLO engine to breach post-mortems.
 // Empty when no late or dropped chain was attributed yet. Implements
 // obs.CausalSink; kernel context.
-func (a *Analyzer) BreachSummary(class string, n int) string {
+func (a *Analyzer) BreachSummary(class obs.Class, n int) string {
 	m := a.merged(class)
 	type ranked struct {
 		cause Cause

@@ -16,19 +16,19 @@ func TestControlObserverMetricsAndRecords(t *testing.T) {
 
 	dev := 0.25
 	o.RegisterControlLoop("cart", func() float64 { return dev })
-	o.Emit(0, StageCtrlSample, "SRT", 1, 0, 10, "cart")
-	o.Emit(0, StageCtrlCommand, "SRT", 2, 0, 20, "cart")
-	o.Emit(0, StageCtrlApply, "SRT", 1, 0, 30, "cart")
-	o.Emit(0, StageCtrlApply, "SRT", 1, 0, 40, "cart")
-	o.Emit(0, StageCtrlStale, "SRT", 1, 0, 50, "cart")
+	o.Emit(0, StageCtrlSample, ClassSRT, 1, 0, 10, Text("cart"))
+	o.Emit(0, StageCtrlCommand, ClassSRT, 2, 0, 20, Text("cart"))
+	o.Emit(0, StageCtrlApply, ClassSRT, 1, 0, 30, Text("cart"))
+	o.Emit(0, StageCtrlApply, ClassSRT, 1, 0, 40, Text("cart"))
+	o.Emit(0, StageCtrlStale, ClassSRT, 1, 0, 50, Text("cart"))
 	o.ControlCost("cart", 0.5)
 	o.ControlCost("cart", 0.25)
 	o.ControlLatency("cart", 1500)
 
 	stages := map[Stage]int{}
 	for _, r := range o.Records() {
-		if r.Detail == "cart" {
-			if r.Class != "SRT" || r.Prio != -1 {
+		if r.Detail.String() == "cart" {
+			if r.Class != ClassSRT || r.Prio != -1 {
 				t.Fatalf("control record shape = %+v", r)
 			}
 			stages[r.Stage]++
@@ -59,7 +59,7 @@ func TestControlObserverMetricsAndRecords(t *testing.T) {
 
 	// The whole hook surface must be inert on a nil observer.
 	var nilObs *Observer
-	nilObs.Emit(0, StageCtrlSample, "SRT", 0, 0, 0, "x")
+	nilObs.Emit(0, StageCtrlSample, ClassSRT, 0, 0, 0, Text("x"))
 	nilObs.ControlCost("x", 1)
 	nilObs.ControlLatency("x", 1)
 	nilObs.RegisterControlLoop("x", func() float64 { return 0 })

@@ -15,6 +15,8 @@ import (
 // the exposition, or "" for a record-only stage. Bus stages are
 // record-only here because busEvent counts them from can.TraceEvents.
 var stageSeries = map[Stage]string{
+	StageUnknown:         "",
+	StageSchema:          "",
 	StagePublished:       `canec_events_published_total{class="SRT"} 1`,
 	StageEnqueued:        "",
 	StagePromoted:        `canec_srt_promotions_total 1`,
@@ -60,8 +62,9 @@ var stageSeries = map[Stage]string{
 	StageCtrlStale:       `canec_control_stale_ticks_total{loop="why"} 1`,
 }
 
-// declaredStages lists the Stage constants of tracer.go from its syntax,
-// so the table above cannot fall behind the declaration.
+// declaredStages lists the exported Stage constants of tracer.go from its
+// syntax (a spec without a type continues the Stage block), so the table
+// above cannot fall behind the declaration.
 func declaredStages(t *testing.T) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "tracer.go", nil, 0)
@@ -69,18 +72,25 @@ func declaredStages(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	var names []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok {
-			return true
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
 		}
-		if id, ok := vs.Type.(*ast.Ident); ok && id.Name == "Stage" {
+		stage := false
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if vs.Type != nil {
+				id, ok := vs.Type.(*ast.Ident)
+				stage = ok && id.Name == "Stage"
+			}
 			for _, name := range vs.Names {
-				names = append(names, name.Name)
+				if stage && name.IsExported() {
+					names = append(names, name.Name)
+				}
 			}
 		}
-		return true
-	})
+	}
 	return names
 }
 
@@ -97,11 +107,11 @@ func TestEmitStageTable(t *testing.T) {
 	baseline := expose(t, New(Config{Metrics: true}, now, testBandMap()).Registry())
 	for stage, want := range stageSeries {
 		o := New(Config{Trace: true, Metrics: true}, now, testBandMap())
-		o.Emit(7, stage, "SRT", 1, 0x42, 10, "why")
+		o.Emit(7, stage, ClassSRT, 1, 0x42, 10, Text("why"))
 
 		recs := o.Records()
 		if len(recs) != 1 || recs[0] != (Record{ID: 7, Stage: stage, At: 10, Node: 1,
-			Class: "SRT", Subject: 0x42, Prio: -1, Detail: "why"}) {
+			Class: ClassSRT, Subject: 0x42, Prio: -1, Detail: Text("why")}) {
 			t.Errorf("%s: records = %+v", stage, recs)
 		}
 
@@ -120,7 +130,7 @@ func TestEmitStageTable(t *testing.T) {
 	}
 	// An empty drop detail is counted under the generic reason.
 	o := New(Config{Metrics: true}, now, testBandMap())
-	o.Emit(7, StageDropped, "SRT", 1, 0x42, 10, "")
+	o.Emit(7, StageDropped, ClassSRT, 1, 0x42, 10, 0)
 	if out := expose(t, o.Registry()); !strings.Contains(out, `canec_events_dropped_total{reason="dropped"} 1`) {
 		t.Errorf("empty drop reason not counted as \"dropped\":\n%s", out)
 	}
@@ -136,14 +146,14 @@ func TestPublishTimesStayBounded(t *testing.T) {
 	if testing.Short() {
 		cycles = 3 * pubGeneration
 	}
-	first := o.Begin("SRT", 0, 0x42, 5)
+	first := o.Begin(ClassSRT, 0, 0x42, 5)
 	for i := 1; i < cycles; i++ {
 		at := sim.Time(10 * i)
-		id := o.Begin("SRT", 0, 0x42, at)
+		id := o.Begin(ClassSRT, 0, 0x42, at)
 		if got, ok := o.PublishKernelTime(id); !ok || got != at {
 			t.Fatalf("cycle %d: PublishKernelTime = %v, %v", i, got, ok)
 		}
-		o.Delivered(id, "SRT", 1, 0x42, at+8000, "")
+		o.Delivered(id, ClassSRT, 1, 0x42, at+8000, 0)
 		if n := len(o.pubAt.young) + len(o.pubAt.old); n > 2*pubGeneration {
 			t.Fatalf("cycle %d: %d publish times retained, bound is %d", i, n, 2*pubGeneration)
 		}
@@ -157,7 +167,7 @@ func TestPublishTimesStayBounded(t *testing.T) {
 	if _, ok := o.PublishKernelTime(first); ok {
 		t.Fatal("an event older than two generations is still retained")
 	}
-	o.Delivered(first, "SRT", 1, 0x42, sim.Time(10*cycles), "")
+	o.Delivered(first, ClassSRT, 1, 0x42, sim.Time(10*cycles), 0)
 	if h.N() != uint64(cycles-1) {
 		t.Fatal("a forgotten event produced a latency sample")
 	}
@@ -166,8 +176,8 @@ func TestPublishTimesStayBounded(t *testing.T) {
 	}
 
 	// An adopted foreign ID lives in the same window.
-	o.Adopt(1<<40, "SRT", 2, 0x42, 99)
-	o.Adopt(1<<40, "SRT", 2, 0x42, 100) // re-adoption keeps the first time
+	o.Adopt(1<<40, ClassSRT, 2, 0x42, 99)
+	o.Adopt(1<<40, ClassSRT, 2, 0x42, 100) // re-adoption keeps the first time
 	if at, ok := o.PublishKernelTime(1 << 40); !ok || at != 99 {
 		t.Fatalf("adopted publish time = %v, %v", at, ok)
 	}

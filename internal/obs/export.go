@@ -6,26 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteJSONL dumps stage records one JSON object per line, in emission
-// order. The format is stable: field names match Record's json tags.
+// order. The format is stable: see Record.MarshalJSON.
 func WriteJSONL(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for i := range recs {
+		line = append(recs[i].appendJSON(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
-
-// StageSchema marks the self-describing header line of a versioned trace
-// JSONL stream. The header is itself a valid Record (Detail carries the
-// schema tag), so consumers that predate it — or replay tools switching
-// on stages — skip it like any unknown stage.
-const StageSchema Stage = "_schema"
 
 // TraceSchema tags the current trace JSONL schema. Bump the suffix when
 // Record grows fields old readers must not misinterpret; ReadJSONLInfo
@@ -35,9 +30,8 @@ const TraceSchema = "canec-trace/1"
 // WriteVersionedJSONL writes the schema header line followed by the
 // records — the flight-recorder post-mortem format.
 func WriteVersionedJSONL(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(Record{Stage: StageSchema, Node: -1, Prio: -1,
-		Detail: TraceSchema}); err != nil {
+	header := Record{Stage: StageSchema, Node: -1, Prio: -1, Detail: Text(TraceSchema)}
+	if _, err := w.Write(append(header.appendJSON(nil), '\n')); err != nil {
 		return err
 	}
 	return WriteJSONL(w, recs)
@@ -72,10 +66,13 @@ func ReadJSONLInfo(r io.Reader) (JSONLInfo, error) {
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return info, fmt.Errorf("trace jsonl line %d: %w", line, err)
 		}
-		if strings.HasPrefix(string(rec.Stage), "_") {
-			if rec.Stage == StageSchema && info.Schema == "" {
-				info.Schema = rec.Detail
+		switch rec.Stage {
+		case StageSchema:
+			if info.Schema == "" {
+				info.Schema = rec.Detail.String()
 			}
+			continue
+		case stageMeta:
 			continue
 		}
 		info.Records = append(info.Records, rec)
@@ -113,20 +110,6 @@ type chromeTrace struct {
 // that station.
 const busPid = 0
 
-// bands lists the priority bands in bus-thread order: band i is thread
-// i+1, and thread 0 takes records of an unknown band.
-var bands = [...]string{"hrt", "sync", "srt", "nrt", "other"}
-
-// bandTid returns the stable bus-thread ID of a band.
-func bandTid(band string) int {
-	for i, b := range bands {
-		if b == band {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // WriteChromeTrace renders stage records as Chrome trace_event JSON with
 // one track per node and one per priority band. nodes is the station
 // count (for track naming); records from higher node indices still render.
@@ -138,8 +121,9 @@ func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 		events = append(events, ev)
 	}
 	meta(busPid, 0, "process_name", "bus")
-	for i, band := range bands {
-		meta(busPid, i+1, "thread_name", "band "+band)
+	// Band b is bus thread b; thread 0 takes records of no band.
+	for b := BandHRT; b < numBands; b++ {
+		meta(busPid, int(b), "thread_name", "band "+b.String())
 	}
 	for i := 0; i < nodes; i++ {
 		meta(i+1, 0, "process_name", fmt.Sprintf("node %d", i))
@@ -163,32 +147,32 @@ func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 					Name: name, Cat: "wire", Ph: "X",
 					Ts:  float64(open.At) / 1e3,
 					Dur: float64(r.At-open.At) / 1e3,
-					Pid: busPid, Tid: bandTid(open.Band),
+					Pid: busPid, Tid: int(open.Band),
 					Args: map[string]any{
 						"id": open.ID, "prio": open.Prio,
-						"attempt": open.Attempt, "result": string(r.Stage),
+						"attempt": open.Attempt, "result": r.Stage.String(),
 					},
 				})
 				open = nil
 			}
 		}
-		node := r.Node
+		node := int(r.Node)
 		if node < 0 {
 			node = -1
 		}
 		ev := chromeEvent{
-			Name: string(r.Stage), Cat: "lifecycle", Ph: "i",
+			Name: r.Stage.String(), Cat: "lifecycle", Ph: "i",
 			Ts: float64(r.At) / 1e3, Pid: node + 1, Tid: 1, S: "t",
 			Args: map[string]any{"id": r.ID},
 		}
 		if r.Subject != 0 {
 			ev.Args["subject"] = fmt.Sprintf("0x%x", r.Subject)
 		}
-		if r.Class != "" {
-			ev.Args["class"] = r.Class
+		if r.Class != 0 {
+			ev.Args["class"] = r.Class.String()
 		}
-		if r.Detail != "" {
-			ev.Args["detail"] = r.Detail
+		if r.Detail != 0 {
+			ev.Args["detail"] = r.Detail.String()
 		}
 		events = append(events, ev)
 	}

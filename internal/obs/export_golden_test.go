@@ -21,20 +21,20 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 // changes, the schema tag in TraceSchema must be bumped.
 func goldenRecords() []Record {
 	return []Record{
-		{ID: 1, Stage: StagePublished, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
-		{ID: 1, Stage: StageEnqueued, At: 0, Node: 0, Class: "SRT", Subject: 0x300},
+		{ID: 1, Stage: StagePublished, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
+		{ID: 1, Stage: StageEnqueued, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: StageTxStart, At: 10_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: "srt", Attempt: 1},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1},
 		{ID: 1, Stage: StageTxErr, At: 50_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: "srt", Attempt: 1, Detail: "bit corrupt"},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1, Detail: Text("bit corrupt")},
 		{ID: 1, Stage: StageTxStart, At: 80_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: "srt", Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
 		{ID: 1, Stage: StageTxOK, At: 180_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: "srt", Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
 		{ID: 1, Stage: StageRx, At: 180_000, Node: 1, Subject: 0x300},
-		{ID: 1, Stage: StageDelivered, At: 190_000, Node: 1, Class: "SRT", Subject: 0x300},
-		{Stage: StageSLOBreach, At: 200_000, Node: -1, Class: "SRT",
-			Detail: "p99 over budget; why: top causes: error_retransmit×1(70us)"},
+		{ID: 1, Stage: StageDelivered, At: 190_000, Node: 1, Class: ClassSRT, Subject: 0x300},
+		{Stage: StageSLOBreach, At: 200_000, Node: -1, Class: ClassSRT,
+			Detail: Text("p99 over budget; why: top causes: error_retransmit×1(70us)")},
 	}
 }
 

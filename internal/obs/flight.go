@@ -54,7 +54,7 @@ func (f *FlightRecorder) Add(r Record) {
 	if f == nil {
 		return
 	}
-	node := r.Node
+	node := int(r.Node)
 	if node < 0 {
 		node = -1
 	}

@@ -14,9 +14,9 @@ import (
 func TestFlightRecorderRetentionAndOrder(t *testing.T) {
 	f := NewFlightRecorder(4, t.TempDir())
 	for i := 0; i < 20; i++ {
-		f.Add(Record{ID: uint64(i + 1), Stage: StagePublished, At: sim.Time(i), Node: i % 2})
+		f.Add(Record{ID: uint64(i + 1), Stage: StagePublished, At: sim.Time(i), Node: int32(i % 2)})
 	}
-	f.Add(Record{Stage: StageSLOBreach, At: 100, Node: -1, Detail: "x"})
+	f.Add(Record{Stage: StageSLOBreach, At: 100, Node: -1, Detail: Text("x")})
 	if got := f.Len(); got != 9 { // 4 per node ring x2 + 1 system record
 		t.Fatalf("Len = %d, want 9", got)
 	}
@@ -30,7 +30,7 @@ func TestFlightRecorderRetentionAndOrder(t *testing.T) {
 			t.Fatalf("snapshot out of order: %v after %v", r.At, lastAt)
 		}
 		lastAt = r.At
-		perNode[r.Node]++
+		perNode[int(r.Node)]++
 	}
 	if perNode[0] != 4 || perNode[1] != 4 || perNode[-1] != 1 {
 		t.Fatalf("per-node retention = %v, want 4/4/1", perNode)
@@ -45,8 +45,8 @@ func TestFlightRecorderRetentionAndOrder(t *testing.T) {
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(8, dir)
-	f.Add(Record{ID: 1, Stage: StagePublished, At: 10, Node: 0, Class: "SRT", Subject: 0x42})
-	f.Add(Record{ID: 1, Stage: StageDelivered, At: 20, Node: 1, Class: "SRT", Subject: 0x42})
+	f.Add(Record{ID: 1, Stage: StagePublished, At: 10, Node: 0, Class: ClassSRT, Subject: 0x42})
+	f.Add(Record{ID: 1, Stage: StageDelivered, At: 20, Node: 1, Class: ClassSRT, Subject: 0x42})
 	paths, err := f.Dump("SLO srt-miss!")
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestObserverFeedsFlightWithoutTracer(t *testing.T) {
 	if o.Tracer() != nil {
 		t.Fatal("tracer should be off")
 	}
-	id := o.Begin("SRT", 0, 0x42, 100)
-	o.Delivered(id, "SRT", 1, 0x42, 200, "")
+	id := o.Begin(ClassSRT, 0, 0x42, 100)
+	o.Delivered(id, ClassSRT, 1, 0x42, 200, 0)
 	recs := o.Flight().Snapshot()
 	if len(recs) != 2 || recs[0].Stage != StagePublished || recs[1].Stage != StageDelivered {
 		t.Fatalf("flight records = %+v, want published+delivered", recs)

@@ -53,24 +53,20 @@ type BandMap struct {
 	NRTMin, NRTMax can.Prio
 }
 
-// Band names the band of a priority: "hrt", "sync", "srt" or "nrt"
-// ("other" outside every band).
-func (m BandMap) Band(p can.Prio) string {
+// Band is the band of a priority (BandOther outside every band).
+func (m BandMap) Band(p can.Prio) Band {
 	switch {
 	case p == m.HRT:
-		return "hrt"
+		return BandHRT
 	case p == m.Sync:
-		return "sync"
+		return BandSync
 	case p >= m.SRTMin && p <= m.SRTMax:
-		return "srt"
+		return BandSRT
 	case p >= m.NRTMin && p <= m.NRTMax:
-		return "nrt"
+		return BandNRT
 	}
-	return "other"
+	return BandOther
 }
-
-// bandNames is the exposition order of band-labelled metrics.
-var bandNames = []string{"hrt", "sync", "srt", "nrt", "other"}
 
 // Observer owns one system's tracer and registry and translates protocol
 // activity into records and metrics. All methods are nil-safe: a nil
@@ -105,6 +101,20 @@ type Observer struct {
 	bandBusy, guardian, frames, busoff *CounterVec
 	retries, arbLosses                 *Counter
 
+	// The counter tables of the hot path, each entry taken from its
+	// family on first use so exposition stays first-use order: counts by
+	// (stage, class) for the stages whose labels follow from those two,
+	// byDetail for the stages labelled by their detail, and the bus's
+	// per-band and per-outcome children. uncounted marks a record-only
+	// (stage, class) entry.
+	counts     [numStages][numClasses]*Counter
+	byDetail   map[detailKey]*Counter
+	uncounted  Counter
+	busyBy     [numBands]*Counter
+	guardianBy [numBands]*Counter
+	frameBy    [3]*Counter // ok, err, abort
+	jitterBy   [numClasses]*Histogram
+
 	slots, copies, exceptions, watchdog, admission, ctrlCost, sloBreach *CounterVec
 
 	latencyHist, jitter, ctrlLat *HistogramVec
@@ -137,11 +147,12 @@ func New(cfg Config, now func() sim.Time, bm BandMap) *Observer {
 	if cfg.Metrics {
 		o.reg = NewRegistry()
 		o.declareFamilies(o.reg)
-		for _, band := range bandNames {
-			busy := o.bandBusy.With(band)
+		for band := BandHRT; band < numBands; band++ {
+			busy := o.bandBusy.With(band.String())
+			o.busyBy[band] = busy
 			o.reg.GaugeFunc("canec_band_utilization",
 				"Fraction of elapsed virtual time the bus carried frames of each band.",
-				Labels{"band": band}, func() float64 {
+				Labels{"band": band.String()}, func() float64 {
 					if now() == 0 {
 						return 0
 					}
@@ -289,9 +300,9 @@ func (o *Observer) TraceBase() uint64 {
 type CausalSink interface {
 	// Add ingests one stage record. Kernel context.
 	Add(Record)
-	// BreachSummary renders the top-n incident causes for a class (""
-	// = all classes), or "" when nothing was attributed yet.
-	BreachSummary(class string, n int) string
+	// BreachSummary renders the top-n incident causes for a class (0 =
+	// all classes), or "" when nothing was attributed yet.
+	BreachSummary(class Class, n int) string
 }
 
 // AttachCausal installs (or, with nil, detaches) the causal analyzer.
@@ -322,44 +333,83 @@ func (o *Observer) emit(r Record) {
 	o.emitRecord(r)
 }
 
-// count is the whole stage→counter table. Stages without a case are
+// count is the whole stage→counter table. Stages without a counter are
 // record-only. Records that belong to a loop or a link rather than an
-// event carry its name or the drop reason in Detail.
+// event carry its name or the drop reason in Detail; those stages are
+// looked up by detail, the others by (stage, class) in one table.
 func (o *Observer) count(r Record) {
+	if r.Stage >= numStages || r.Class >= numClasses {
+		return
+	}
+	switch r.Stage {
+	case StageDropped, StageRelayDrop, StageRelayLate, StageCtrlSample,
+		StageCtrlCommand, StageCtrlApply, StageCtrlStale:
+		k := detailKey{r.Stage, r.Class, r.Detail}
+		c, ok := o.byDetail[k]
+		if !ok {
+			if o.byDetail == nil {
+				o.byDetail = make(map[detailKey]*Counter)
+			}
+			c = o.counter(r)
+			o.byDetail[k] = c
+		}
+		c.Inc()
+		return
+	}
+	c := &o.counts[r.Stage][r.Class]
+	if *c == nil {
+		if *c = o.counter(r); *c == nil {
+			*c = &o.uncounted
+		}
+	}
+	(*c).Inc()
+}
+
+// detailKey is a byDetail entry.
+type detailKey struct {
+	stage  Stage
+	class  Class
+	detail Detail
+}
+
+// counter resolves the counter a record of this stage, class and detail
+// feeds, or nil for a record-only stage.
+func (o *Observer) counter(r Record) *Counter {
 	switch r.Stage {
 	case StagePublished:
-		o.published.With(r.Class).Inc()
+		return o.published.With(r.Class.String())
 	case StageDelivered:
-		o.delivered.With(r.Class).Inc()
+		return o.delivered.With(r.Class.String())
 	case StagePromoted:
-		o.promotions.Inc()
+		return o.promotions
 	case StageExpired:
-		o.dropped.With("expired").Inc()
+		return o.dropped.With("expired")
 	case StageShed:
-		o.dropped.With("shed").Inc()
+		return o.dropped.With("shed")
 	case StageDropped:
-		reason := r.Detail
+		reason := r.Detail.String()
 		if reason == "" {
 			reason = "dropped"
 		}
-		o.dropped.With(reason).Inc()
+		return o.dropped.With(reason)
 	case StageRelayTx:
-		o.relayFwd.With(r.Class).Inc()
+		return o.relayFwd.With(r.Class.String())
 	case StageRelayDrop:
-		o.relayDrop.With(r.Class, r.Detail).Inc()
+		return o.relayDrop.With(r.Class.String(), r.Detail.String())
 	case StageRelayLate:
-		o.relayLate.With(r.Class, r.Detail).Inc()
+		return o.relayLate.With(r.Class.String(), r.Detail.String())
 	case StageRelayUp, StageRelayDown, StageRelayRedial:
-		o.relayLink.With(string(r.Stage)).Inc()
+		return o.relayLink.With(r.Stage.String())
 	case StageNodeDown, StageNodeRestart, StageNodeUp:
-		o.lifecycle.With(string(r.Stage)).Inc()
+		return o.lifecycle.With(r.Stage.String())
 	case StageAgentTakeover, StageMasterTakeover, StageHoldoverEnter, StageHoldoverExit:
-		o.ctrlplane.With(string(r.Stage)).Inc()
+		return o.ctrlplane.With(r.Stage.String())
 	case StageCtrlSample, StageCtrlCommand, StageCtrlApply:
-		o.ctrlStages.With(r.Detail, string(r.Stage)).Inc()
+		return o.ctrlStages.With(r.Detail.String(), r.Stage.String())
 	case StageCtrlStale:
-		o.ctrlStale.With(r.Detail).Inc()
+		return o.ctrlStale.With(r.Detail.String())
 	}
+	return nil
 }
 
 // emitRecord fans one stage record out to the tracer (when tracing is
@@ -386,14 +436,14 @@ func (o *Observer) recording() bool {
 // Begin opens a trace for a freshly published event and returns its
 // monotonically increasing ID. It returns 0 (an untraced event) on a nil
 // observer.
-func (o *Observer) Begin(class string, node int, subject uint64, at sim.Time) uint64 {
+func (o *Observer) Begin(class Class, node int, subject uint64, at sim.Time) uint64 {
 	if o == nil {
 		return 0
 	}
 	o.nextID++
 	id := o.nextID
 	o.pubAt.put(id, at)
-	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: int32(node),
 		Class: class, Subject: subject, Prio: -1})
 	return id
 }
@@ -404,15 +454,15 @@ func (o *Observer) Begin(class string, node int, subject uint64, at sim.Time) ui
 // end-to-end latency histogram), but no new ID is allocated — relayed
 // events keep the ID of their origin segment, which is what stitches
 // the per-segment traces into one continuous chain.
-func (o *Observer) Adopt(id uint64, class string, node int, subject uint64, at sim.Time) {
+func (o *Observer) Adopt(id uint64, class Class, node int, subject uint64, at sim.Time) {
 	if o == nil || id == 0 {
 		return
 	}
 	if _, ok := o.pubAt.get(id); !ok {
 		o.pubAt.put(id, at)
 	}
-	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: node,
-		Class: class, Subject: subject, Prio: -1, Detail: "relayed"})
+	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: int32(node),
+		Class: class, Subject: subject, Prio: -1, Detail: DetailRelayed})
 }
 
 // Emit records one middleware-side stage of an event, a loop, a link or a
@@ -420,23 +470,23 @@ func (o *Observer) Adopt(id uint64, class string, node int, subject uint64, at s
 // not belong to one event — node lifecycle, control-plane failover, relay
 // link transitions, control-loop stages — carry trace ID 0 and subject 0;
 // detail is the drop reason, the peer/link annotation or the loop name.
-func (o *Observer) Emit(id uint64, stage Stage, class string, node int, subject uint64, at sim.Time, detail string) {
+func (o *Observer) Emit(id uint64, stage Stage, class Class, node int, subject uint64, at sim.Time, detail Detail) {
 	if o == nil {
 		return
 	}
-	o.emit(Record{ID: id, Stage: stage, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: stage, At: at, Node: int32(node),
 		Class: class, Subject: subject, Prio: -1, Detail: detail})
 }
 
 // Delivered closes a trace on a successful notification and feeds the
 // per-channel end-to-end latency histogram.
-func (o *Observer) Delivered(id uint64, class string, node int, subject uint64, at sim.Time, detail string) {
+func (o *Observer) Delivered(id uint64, class Class, node int, subject uint64, at sim.Time, detail Detail) {
 	if o == nil {
 		return
 	}
-	o.emit(Record{ID: id, Stage: StageDelivered, At: at, Node: node,
+	o.emit(Record{ID: id, Stage: StageDelivered, At: at, Node: int32(node),
 		Class: class, Subject: subject, Prio: -1, Detail: detail})
-	if o.reg == nil {
+	if o.reg == nil || class >= numClasses {
 		return
 	}
 	pub, ok := o.pubAt.get(id)
@@ -446,7 +496,7 @@ func (o *Observer) Delivered(id uint64, class string, node int, subject uint64, 
 	s, ok := o.latency[subject]
 	if !ok {
 		s = &subjectLatency{prev: -1,
-			h: o.latencyHist.With(fmt.Sprintf("0x%x", subject), class)}
+			h: o.latencyHist.With(fmt.Sprintf("0x%x", subject), class.String())}
 		o.latency[subject] = s
 	}
 	lat := float64(at-pub) / 1e3
@@ -459,7 +509,11 @@ func (o *Observer) Delivered(id uint64, class string, node int, subject uint64, 
 		if d < 0 {
 			d = -d
 		}
-		o.jitter.With(class).Observe(d)
+		j := &o.jitterBy[class]
+		if *j == nil {
+			*j = o.jitter.With(class.String())
+		}
+		(*j).Observe(d)
 	}
 	s.prev = lat
 }
@@ -650,17 +704,21 @@ func (o *Observer) busEvent(e can.TraceEvent) {
 			if e.Attempt > 1 {
 				o.retries.Inc()
 			}
-			o.txStartAt, o.txBusy = e.At, o.bandBusy.With(band)
+			o.txStartAt, o.txBusy = e.At, o.busyBy[band]
 		case can.TraceTxOK:
 			o.closeWire(e.At)
-			o.frames.With("ok").Inc()
+			o.frame(0, "ok").Inc()
 		case can.TraceTxError:
 			o.closeWire(e.At)
-			o.frames.With("err").Inc()
+			o.frame(1, "err").Inc()
 		case can.TraceTxAbort:
-			o.frames.With("abort").Inc()
+			o.frame(2, "abort").Inc()
 		case can.TraceGuardMute:
-			o.guardian.With(band).Inc()
+			g := &o.guardianBy[band]
+			if *g == nil {
+				*g = o.guardian.With(band.String())
+			}
+			(*g).Inc()
 		case can.TraceBusOff:
 			o.busoff.With(fmt.Sprintf("%d", e.Sender)).Inc()
 		}
@@ -673,8 +731,8 @@ func (o *Observer) busEvent(e can.TraceEvent) {
 		// Fault-confinement transitions carry a zero frame (they belong to
 		// the controller, not an event): Node is the controller, Detail
 		// snapshots TEC/REC.
-		o.emitRecord(Record{Stage: busStage[e.Kind], At: e.At, Node: e.Sender, Prio: -1,
-			Detail: fmt.Sprintf("tec=%d rec=%d", e.TEC, e.REC)})
+		o.emitRecord(Record{Stage: busStage[e.Kind], At: e.At, Node: int32(e.Sender), Prio: -1,
+			Detail: errorsDetail(e.TEC, e.REC)})
 		return
 	}
 	node := e.Sender
@@ -686,9 +744,17 @@ func (o *Observer) busEvent(e can.TraceEvent) {
 	if o.SubjectOf != nil {
 		subject, _ = o.SubjectOf(etag)
 	}
-	o.emitRecord(Record{ID: e.Frame.Tag, Stage: busStage[e.Kind], At: e.At, Node: node,
-		Subject: subject, Etag: uint16(etag), Prio: int(prio), Band: band,
-		Attempt: e.Attempt})
+	o.emitRecord(Record{ID: e.Frame.Tag, Stage: busStage[e.Kind], At: e.At, Node: int32(node),
+		Subject: subject, Etag: uint16(etag), Prio: int16(prio), Band: band,
+		Attempt: uint16(min(e.Attempt, 0xffff))})
+}
+
+// frame returns the canec_frames_total child of one outcome.
+func (o *Observer) frame(i int, kind string) *Counter {
+	if o.frameBy[i] == nil {
+		o.frameBy[i] = o.frames.With(kind)
+	}
+	return o.frameBy[i]
 }
 
 // closeWire attributes the finished wire occupancy to its band.

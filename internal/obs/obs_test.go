@@ -21,11 +21,11 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Enabled() {
 		t.Fatal("nil observer reports enabled")
 	}
-	if id := o.Begin("srt", 0, 1, 0); id != 0 {
+	if id := o.Begin(ClassSRT, 0, 1, 0); id != 0 {
 		t.Fatalf("nil Begin returned id %d", id)
 	}
-	o.Emit(1, StageEnqueued, "srt", 0, 1, 0, "")
-	o.Delivered(1, "srt", 1, 1, 10, "")
+	o.Emit(1, StageEnqueued, ClassSRT, 0, 1, 0, 0)
+	o.Delivered(1, ClassSRT, 1, 1, 10, 0)
 	o.SlotOutcome(true)
 	o.Copies("sent", 2)
 	o.ExceptionRaised("txfail")
@@ -42,9 +42,9 @@ func TestNilObserverIsSafe(t *testing.T) {
 
 func TestBandMap(t *testing.T) {
 	bm := testBandMap()
-	cases := map[can.Prio]string{
-		0: "hrt", 1: "sync", 2: "srt", 100: "srt", 250: "srt",
-		251: "nrt", 255: "nrt",
+	cases := map[can.Prio]Band{
+		0: BandHRT, 1: BandSync, 2: BandSRT, 100: BandSRT, 250: BandSRT,
+		251: BandNRT, 255: BandNRT,
 	}
 	for p, want := range cases {
 		if got := bm.Band(p); got != want {
@@ -57,17 +57,17 @@ func TestTracerLifecycle(t *testing.T) {
 	var now sim.Time
 	o := New(Config{Trace: true, Metrics: true}, func() sim.Time { return now }, testBandMap())
 
-	id := o.Begin("srt", 0, 0x42, 100)
+	id := o.Begin(ClassSRT, 0, 0x42, 100)
 	if id == 0 {
 		t.Fatal("Begin returned the untraced ID")
 	}
-	id2 := o.Begin("srt", 1, 0x43, 150)
+	id2 := o.Begin(ClassSRT, 1, 0x43, 150)
 	if id2 <= id {
 		t.Fatalf("trace IDs not monotonically increasing: %d then %d", id, id2)
 	}
-	o.Emit(id, StageEnqueued, "srt", 0, 0x42, 110, "")
-	o.Emit(id, StagePromoted, "srt", 0, 0x42, 200, "prio 10->5")
-	o.Delivered(id, "srt", 2, 0x42, 400, "")
+	o.Emit(id, StageEnqueued, ClassSRT, 0, 0x42, 110, 0)
+	o.Emit(id, StagePromoted, ClassSRT, 0, 0x42, 200, Text("prio 10->5"))
+	o.Delivered(id, ClassSRT, 2, 0x42, 400, 0)
 
 	recs := o.Records()
 	var chain []Record
@@ -100,22 +100,22 @@ func TestTracerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, `canec_e2e_latency_microseconds_count{class="srt",subject="0x42"} 1`) {
+	if !strings.Contains(text, `canec_e2e_latency_microseconds_count{class="SRT",subject="0x42"} 1`) {
 		t.Errorf("latency count sample missing:\n%s", text)
 	}
-	if !strings.Contains(text, `canec_events_published_total{class="srt"} 2`) {
+	if !strings.Contains(text, `canec_events_published_total{class="SRT"} 2`) {
 		t.Errorf("published counter missing:\n%s", text)
 	}
-	if !strings.Contains(text, `canec_events_delivered_total{class="srt"} 1`) {
+	if !strings.Contains(text, `canec_events_delivered_total{class="SRT"} 1`) {
 		t.Errorf("delivered counter missing:\n%s", text)
 	}
 }
 
 func TestTracerCap(t *testing.T) {
 	o := New(Config{Trace: true, TraceCap: 2}, func() sim.Time { return 0 }, testBandMap())
-	o.Begin("nrt", 0, 1, 0)
-	o.Begin("nrt", 0, 2, 1)
-	o.Begin("nrt", 0, 3, 2)
+	o.Begin(ClassNRT, 0, 1, 0)
+	o.Begin(ClassNRT, 0, 2, 1)
+	o.Begin(ClassNRT, 0, 3, 2)
 	if n := len(o.Records()); n != 2 {
 		t.Fatalf("retained %d records, want 2", n)
 	}
@@ -126,10 +126,10 @@ func TestTracerCap(t *testing.T) {
 
 func TestDropReasons(t *testing.T) {
 	o := New(Config{Metrics: true}, func() sim.Time { return 0 }, testBandMap())
-	o.Emit(0, StageExpired, "srt", 0, 1, 0, "")
-	o.Emit(0, StageShed, "srt", 0, 2, 0, "")
-	o.Emit(0, StageDropped, "hrt", 0, 3, 0, "queue_overflow")
-	o.Emit(0, StageDropped, "hrt", 0, 3, 0, "")
+	o.Emit(0, StageExpired, ClassSRT, 0, 1, 0, 0)
+	o.Emit(0, StageShed, ClassSRT, 0, 2, 0, 0)
+	o.Emit(0, StageDropped, ClassHRT, 0, 3, 0, Text("queue_overflow"))
+	o.Emit(0, StageDropped, ClassHRT, 0, 3, 0, 0)
 	var buf bytes.Buffer
 	if err := o.Registry().WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestBusEventTranslation(t *testing.T) {
 		if r.Subject != 0xbeef {
 			t.Errorf("record %d subject = %#x, want 0xbeef", i, r.Subject)
 		}
-		if r.Band != "srt" {
+		if r.Band != BandSRT {
 			t.Errorf("record %d band = %q, want srt", i, r.Band)
 		}
 	}
@@ -254,8 +254,8 @@ func TestPromHistogramExposition(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	recs := []Record{
-		{ID: 1, Stage: StagePublished, At: 100, Node: 0, Class: "hrt", Subject: 5},
-		{ID: 1, Stage: StageDelivered, At: 900, Node: 2, Class: "hrt", Subject: 5},
+		{ID: 1, Stage: StagePublished, At: 100, Node: 0, Class: ClassHRT, Subject: 5},
+		{ID: 1, Stage: StageDelivered, At: 900, Node: 2, Class: ClassHRT, Subject: 5},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, recs); err != nil {
@@ -276,10 +276,10 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	recs := []Record{
-		{ID: 1, Stage: StagePublished, At: 1000, Node: 0, Class: "srt", Subject: 5},
-		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: "srt", Attempt: 1},
-		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: "srt", Attempt: 1},
-		{ID: 1, Stage: StageDelivered, At: 5000, Node: 2, Class: "srt", Subject: 5},
+		{ID: 1, Stage: StagePublished, At: 1000, Node: 0, Class: ClassSRT, Subject: 5},
+		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
+		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
+		{ID: 1, Stage: StageDelivered, At: 5000, Node: 2, Class: ClassSRT, Subject: 5},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, recs, 3); err != nil {
@@ -315,11 +315,11 @@ func TestWriteChromeTrace(t *testing.T) {
 // records are byte-identical, with the band threads named in tid order.
 func TestWriteChromeTraceDeterministic(t *testing.T) {
 	var recs []Record
-	for i, band := range []string{"nrt", "hrt", "other", "srt", "sync"} {
+	for i, band := range []Band{BandNRT, BandHRT, BandOther, BandSRT, BandSync} {
 		at := sim.Time(1000 * (i + 1))
 		recs = append(recs,
-			Record{ID: uint64(i), Stage: StageTxStart, At: at, Node: i % 3, Subject: 5, Band: band},
-			Record{ID: uint64(i), Stage: StageTxOK, At: at + 500, Node: i % 3, Subject: 5, Band: band})
+			Record{ID: uint64(i), Stage: StageTxStart, At: at, Node: int32(i % 3), Subject: 5, Band: band},
+			Record{ID: uint64(i), Stage: StageTxOK, At: at + 500, Node: int32(i % 3), Subject: 5, Band: band})
 	}
 	export := func() []byte {
 		var buf bytes.Buffer

@@ -36,12 +36,12 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 	missing := false
 	var step func()
 	step = func() {
-		id := o.Begin("SRT", 0, 0x42, k.Now())
+		id := o.Begin(ClassSRT, 0, 0x42, k.Now())
 		if missing {
 			o.ExceptionRaised("DeadlineMissed")
-			o.Emit(id, StageExpired, "SRT", 0, 0x42, k.Now(), "validity")
+			o.Emit(id, StageExpired, ClassSRT, 0, 0x42, k.Now(), Text("validity"))
 		} else {
-			o.Delivered(id, "SRT", 1, 0x42, k.Now()+200*sim.Microsecond, "")
+			o.Delivered(id, ClassSRT, 1, 0x42, k.Now()+200*sim.Microsecond, 0)
 		}
 		k.After(5*sim.Millisecond, step)
 	}
@@ -78,7 +78,7 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 	for _, r := range o.Flight().Snapshot() {
 		if r.Stage == StageSLOBreach {
 			sawBreachRec = true
-			if !strings.Contains(r.Detail, "srt-miss-rate") {
+			if !strings.Contains(r.Detail.String(), "srt-miss-rate") {
 				t.Fatalf("breach record detail = %q", r.Detail)
 			}
 		}
@@ -131,12 +131,12 @@ func TestSLOHRTJitterObjective(t *testing.T) {
 	var step func()
 	step = func() {
 		n++
-		id := o.Begin("HRT", 0, 0x10, k.Now())
+		id := o.Begin(ClassHRT, 0, 0x10, k.Now())
 		lat := 100 * sim.Microsecond // perfectly regular
 		if jittery && n%2 == 0 {
 			lat += 400 * sim.Microsecond // alternating: every delta is 400 µs
 		}
-		o.Delivered(id, "HRT", 1, 0x10, k.Now()+sim.Time(lat), "")
+		o.Delivered(id, ClassHRT, 1, 0x10, k.Now()+sim.Time(lat), 0)
 		k.After(2*sim.Millisecond, step)
 	}
 	step()
@@ -182,8 +182,8 @@ func TestSLONRTFloorAndWarmup(t *testing.T) {
 	var step func()
 	step = func() {
 		if !stop {
-			id := o.Begin("NRT", 0, 0x99, k.Now())
-			o.Delivered(id, "NRT", 1, 0x99, k.Now()+sim.Time(sim.Millisecond), "")
+			id := o.Begin(ClassNRT, 0, 0x99, k.Now())
+			o.Delivered(id, ClassNRT, 1, 0x99, k.Now()+sim.Time(sim.Millisecond), 0)
 		}
 		k.After(5*sim.Millisecond, step) // 200/s while flowing
 	}

@@ -275,7 +275,7 @@ func TestE2EThreeSegmentFederation(t *testing.T) {
 	}
 	// Per-hop metadata: C's relay_rx must show the second hop, and B's
 	// relay_tx a budget already debited below the origin grant.
-	if rx := sC[obs.StageRelayRx]; len(rx) > 0 && !strings.Contains(rx[0].Detail, "hop 2") {
+	if rx := sC[obs.StageRelayRx]; len(rx) > 0 && !strings.Contains(rx[0].Detail.String(), "hop 2") {
 		t.Errorf("C relay_rx detail = %q, want hop 2", rx[0].Detail)
 	}
 	if bBC.Forwarded() == 0 {

@@ -35,20 +35,20 @@ func ObserveTrace(p *sim.Paced, o *obs.Observer, node int, next func(Event)) fun
 			now := p.Kernel().Now()
 			switch kind {
 			case "up":
-				o.Emit(0, obs.StageRelayUp, "", node, 0, now, "peer "+e.Peer)
+				o.Emit(0, obs.StageRelayUp, 0, node, 0, now, obs.Text("peer "+e.Peer))
 			case "down":
-				o.Emit(0, obs.StageRelayDown, "", node, 0, now, "peer "+e.Peer+": "+detail)
+				o.Emit(0, obs.StageRelayDown, 0, node, 0, now, obs.Text("peer "+e.Peer+": "+detail))
 			case "redial":
-				o.Emit(0, obs.StageRelayRedial, "", node, 0, now, detail)
+				o.Emit(0, obs.StageRelayRedial, 0, node, 0, now, obs.Text(detail))
 			case "drop":
 				if fr != nil {
-					o.Emit(fr.TraceID, obs.StageRelayDrop, fr.Class.String(),
-						node, uint64(fr.Subject), now, detail)
+					o.Emit(fr.TraceID, obs.StageRelayDrop, fr.Class.Obs(),
+						node, uint64(fr.Subject), now, obs.Text(detail))
 				}
 			case "late":
 				if fr != nil {
-					o.Emit(fr.TraceID, obs.StageRelayLate, fr.Class.String(),
-						node, uint64(fr.Subject), now, detail)
+					o.Emit(fr.TraceID, obs.StageRelayLate, fr.Class.Obs(),
+						node, uint64(fr.Subject), now, obs.Text(detail))
 				}
 			}
 		})

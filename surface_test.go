@@ -44,6 +44,8 @@ var surfaceInterfaces = [][2]string{
 	{"io", "Writer"},
 	{"encoding/json", "Marshaler"},
 	{"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"},
+	{"encoding", "TextUnmarshaler"},
 	{"flag", "Value"},
 	{"sort", "Interface"},
 }
