@@ -1,7 +1,9 @@
 package suite
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"canec/internal/obs/perf"
 )
@@ -46,4 +48,24 @@ func TestEndToEndCasesReportLatency(t *testing.T) {
 	if s.FramesPerOp != 1 {
 		t.Fatalf("frames/op: %v", s.FramesPerOp)
 	}
+}
+
+// TestWaitUntil: the wait returns once its condition holds, and past its
+// deadline it panics with the status instead of spinning.
+func TestWaitUntil(t *testing.T) {
+	polls := 0
+	waitUntil(time.Now().Add(time.Minute), func() bool { polls++; return polls == 3 },
+		func() string { return "unused" })
+	if polls != 3 {
+		t.Fatalf("returned after %d polls, want 3", polls)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "got 1, want 2") {
+			t.Fatalf("panic = %q, want the got/want status", msg)
+		}
+	}()
+	waitUntil(time.Now().Add(time.Millisecond), func() bool { return false },
+		func() string { return "frames: got 1, want 2" })
+	t.Fatal("waitUntil returned past its deadline")
 }
