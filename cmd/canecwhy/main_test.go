@@ -62,7 +62,12 @@ func TestCanecwhyEndToEnd(t *testing.T) {
 		{ID: 1, Stage: obs.StageRx, At: 180_000, Node: 1, Subject: 0x300},
 		{ID: 1, Stage: obs.StageDelivered, At: 190_000, Node: 1, Class: obs.ClassSRT, Subject: 0x300},
 	}
-	if err := obs.WriteVersionedJSONL(f, recs); err != nil {
+	// The flight recorder's post-mortem format: the schema header line,
+	// then the records.
+	if _, err := f.WriteString(`{"stage":"_schema","at":0,"node":-1,"prio":-1,"detail":"canec-trace/1"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSONL(f, recs); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

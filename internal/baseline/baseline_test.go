@@ -61,7 +61,7 @@ func TestWCRTUnschedulable(t *testing.T) {
 	// Two streams each demanding ~80% utilization.
 	a := MsgSpec{Prio: 1, Period: 200 * sim.Microsecond, Payload: 8}
 	b := MsgSpec{Prio: 2, Period: 200 * sim.Microsecond, Payload: 8}
-	if _, err := WCRT([]MsgSpec{a, b}, b, can.DefaultBitRate); err != ErrUnschedulable {
+	if _, err := WCRT([]MsgSpec{a, b}, b, can.DefaultBitRate); err != errUnschedulable {
 		t.Fatalf("err = %v, want unschedulable", err)
 	}
 }

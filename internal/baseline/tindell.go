@@ -34,9 +34,9 @@ func (m MsgSpec) frameTime(bitRate int) sim.Duration {
 	return can.BitTime(can.WorstCaseBits(m.Payload), bitRate)
 }
 
-// ErrUnschedulable is returned when the response-time recurrence diverges
+// errUnschedulable is returned when the response-time recurrence diverges
 // past the analysis horizon (utilization ≥ 1 for the relevant band).
-var ErrUnschedulable = errors.New("baseline: response-time recurrence diverged")
+var errUnschedulable = errors.New("baseline: response-time recurrence diverged")
 
 // WCRT computes the worst-case response time of stream target within the
 // message set (Tindell/Burns analysis for CAN):
@@ -65,7 +65,7 @@ func WCRT(set []MsgSpec, target MsgSpec, bitRate int) (sim.Duration, error) {
 		}
 	}
 	if u >= 1 {
-		return 0, ErrUnschedulable
+		return 0, errUnschedulable
 	}
 
 	// Blocking: the longest frame of any stream that does not have higher
@@ -102,10 +102,10 @@ func WCRT(set []MsgSpec, target MsgSpec, bitRate int) (sim.Duration, error) {
 		}
 		w = next
 		if w > horizon {
-			return 0, ErrUnschedulable
+			return 0, errUnschedulable
 		}
 	}
-	return 0, ErrUnschedulable
+	return 0, errUnschedulable
 }
 
 // DeadlineMonotonic assigns fixed priorities within [lo, hi] by relative

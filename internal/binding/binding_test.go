@@ -12,7 +12,7 @@ func TestSubjectValidate(t *testing.T) {
 	if Subject(0).Validate() == nil {
 		t.Fatal("subject 0 accepted")
 	}
-	if (MaxSubject + 1).Validate() == nil {
+	if (maxSubject + 1).Validate() == nil {
 		t.Fatal("oversized subject accepted")
 	}
 	if Subject(42).Validate() != nil {
@@ -75,10 +75,10 @@ func TestTableBindFixed(t *testing.T) {
 	if err := tb.BindFixed(5, 100); err != nil {
 		t.Fatal("idempotent fixed bind rejected")
 	}
-	if err := tb.BindFixed(5, 101); err != ErrConflict {
+	if err := tb.BindFixed(5, 101); err != errConflict {
 		t.Fatalf("conflicting subject rebind: %v", err)
 	}
-	if err := tb.BindFixed(6, 100); err != ErrConflict {
+	if err := tb.BindFixed(6, 100); err != errConflict {
 		t.Fatalf("conflicting etag rebind: %v", err)
 	}
 	if err := tb.BindFixed(7, ConfigEtag); err == nil {
@@ -103,7 +103,7 @@ func TestTableExhaustion(t *testing.T) {
 	tb := NewTable()
 	for s := Subject(1); ; s++ {
 		if _, err := tb.Bind(s); err != nil {
-			if err != ErrExhausted {
+			if err != errExhausted {
 				t.Fatalf("err = %v", err)
 			}
 			// All non-reserved etags allocated: 16384 − 2.
@@ -132,13 +132,30 @@ func TestTableClone(t *testing.T) {
 
 func TestWire56Roundtrip(t *testing.T) {
 	f := func(v uint64) bool {
-		v &= uint64(MaxSubject)
+		v &= uint64(maxSubject)
 		var buf [7]byte
-		put56(buf[:], v)
-		return get56(buf[:]) == v
+		Put56(buf[:], v)
+		return Get56(buf[:]) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWire56Short: a buffer shorter than 7 bytes (a short HRT payload
+// stamped with a kernel time) takes the low bytes, and reads back as them.
+func TestWire56Short(t *testing.T) {
+	buf := []byte{0xaa, 0xaa, 0xaa}
+	Put56(buf, 0x0102030405)
+	if want := []byte{0x05, 0x04, 0x03}; string(buf) != string(want) {
+		t.Fatalf("Put56 into 3 bytes = % x, want % x", buf, want)
+	}
+	if got := Get56(buf); got != 0x030405 {
+		t.Fatalf("Get56 of 3 bytes = %#x, want 0x030405", got)
+	}
+	Put56(nil, 1)
+	if got := Get56(nil); got != 0 {
+		t.Fatalf("Get56(nil) = %d", got)
 	}
 }
 
@@ -147,7 +164,7 @@ func TestWire56Roundtrip(t *testing.T) {
 func protoRig(n int, seed uint64) (*sim.Kernel, *Agent, []*Client) {
 	k := sim.NewKernel(seed)
 	bus := can.NewBus(k, can.DefaultBitRate)
-	actrl := bus.Attach(AgentTxNode)
+	actrl := bus.Attach(agentTxNode)
 	agent := NewAgent(k, actrl)
 	actrl.OnReceive = func(f can.Frame, at sim.Time) {
 		if f.ID.Etag() == ConfigEtag {
@@ -223,7 +240,7 @@ func TestBindTimeoutWithoutAgent(t *testing.T) {
 	done := false
 	cl.Bind(42, func(_ can.Etag, err error) { gotErr = err; done = true })
 	k.Run(1 * sim.Second)
-	if !done || gotErr != ErrAgentUnreachable {
+	if !done || gotErr != errAgentUnreachable {
 		t.Fatalf("done=%v err=%v", done, gotErr)
 	}
 }

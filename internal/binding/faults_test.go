@@ -13,7 +13,7 @@ func faultyRig(n int, seed uint64, errRate float64) (*sim.Kernel, *can.Bus, *Age
 	k := sim.NewKernel(seed)
 	bus := can.NewBus(k, can.DefaultBitRate)
 	bus.Injector = can.RandomErrors{Rate: errRate}
-	actrl := bus.Attach(AgentTxNode)
+	actrl := bus.Attach(agentTxNode)
 	agent := NewAgent(k, actrl)
 	actrl.OnReceive = func(f can.Frame, at sim.Time) {
 		if f.ID.Etag() == ConfigEtag {

@@ -23,9 +23,9 @@ func FuzzAgentHandleFrame(f *testing.F) {
 		}
 		k := sim.NewKernel(1)
 		bus := can.NewBus(k, can.DefaultBitRate)
-		agent := NewAgent(k, bus.Attach(AgentTxNode))
+		agent := NewAgent(k, bus.Attach(agentTxNode))
 		agent.HandleFrame(can.Frame{
-			ID:   can.MakeID(DefaultPrio, tempNodeLo, ConfigEtag),
+			ID:   can.MakeID(defaultPrio, tempNodeLo, ConfigEtag),
 			Data: data,
 		}, 0)
 		k.Run(10 * sim.Millisecond) // drain any reply the parser queued
@@ -59,7 +59,7 @@ func FuzzClientHandleFrame(f *testing.F) {
 			}
 		})
 		cl.HandleFrame(can.Frame{
-			ID:   can.MakeID(DefaultPrio, AgentTxNode, ConfigEtag),
+			ID:   can.MakeID(defaultPrio, agentTxNode, ConfigEtag),
 			Data: data,
 		}, 0)
 	})
@@ -72,9 +72,9 @@ func FuzzPut56RoundTrip(f *testing.F) {
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, v uint64) {
 		var buf [7]byte
-		put56(buf[:], v)
-		if got, want := get56(buf[:]), v&((1<<56)-1); got != want {
-			t.Fatalf("get56(put56(%#x)) = %#x, want %#x", v, got, want)
+		Put56(buf[:], v)
+		if got, want := Get56(buf[:]), v&((1<<56)-1); got != want {
+			t.Fatalf("Get56(Put56(%#x)) = %#x, want %#x", v, got, want)
 		}
 	})
 }

@@ -32,23 +32,28 @@ const (
 	opCkptNode = 0x9 // [op|seq][txnode 1B]    (key was a uid)
 )
 
-// DefaultPrio is the fixed priority of configuration traffic: the least
+// defaultPrio is the fixed priority of configuration traffic: the least
 // urgent non real-time level, as configuration and maintenance are exactly
 // what NRT channels are for (§2.2.3).
-const DefaultPrio can.Prio = can.MaxPrio
+const defaultPrio can.Prio = can.MaxPrio
 
-// AgentTxNode is the pre-assigned node number of the configuration agent.
-const AgentTxNode can.TxNode = 0
+// agentTxNode is the pre-assigned node number of the configuration agent.
+const agentTxNode can.TxNode = 0
 
-func put56(dst []byte, v uint64) {
-	for i := 0; i < 7; i++ {
+// Put56 writes the low 56 bits of v into dst as 7 little-endian bytes,
+// or into as many as dst holds. Subjects and UIDs travel this way in
+// configuration frames, and experiment and scenario payloads carry a
+// kernel timestamp this way.
+func Put56(dst []byte, v uint64) {
+	for i := 0; i < 7 && i < len(dst); i++ {
 		dst[i] = byte(v >> (8 * i))
 	}
 }
 
-func get56(src []byte) uint64 {
+// Get56 reads what Put56 wrote: up to 7 little-endian bytes of src.
+func Get56(src []byte) uint64 {
 	var v uint64
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 7 && i < len(src); i++ {
 		v |= uint64(src[i]) << (8 * i)
 	}
 	return v
@@ -75,12 +80,12 @@ type Agent struct {
 }
 
 // NewAgent creates the configuration agent on the given controller (which
-// must have TxNode AgentTxNode).
+// must have TxNode agentTxNode).
 func NewAgent(k *sim.Kernel, ctrl *can.Controller) *Agent {
 	return &Agent{
-		K: k, Ctrl: ctrl, Table: NewTable(), Prio: DefaultPrio,
+		K: k, Ctrl: ctrl, Table: NewTable(), Prio: defaultPrio,
 		nodesByUID: make(map[uint64]can.TxNode),
-		nextNode:   AgentTxNode + 1,
+		nextNode:   agentTxNode + 1,
 	}
 }
 
@@ -93,12 +98,12 @@ func (a *Agent) HandleFrame(f can.Frame, _ sim.Time) {
 	op, rid := f.Data[0]>>4, f.Data[0]&0x0f
 	switch op {
 	case opBindReq:
-		subject := Subject(get56(f.Data[1:]))
+		subject := Subject(Get56(f.Data[1:]))
 		etag, err := a.Table.Bind(subject)
 		out := make([]byte, 8)
 		if err != nil {
 			out[0] = opBindErr<<4 | rid
-			put56(out[1:], uint64(subject))
+			Put56(out[1:], uint64(subject))
 		} else {
 			out[0] = opBindAck<<4 | rid
 			out[1] = byte(etag)
@@ -110,7 +115,7 @@ func (a *Agent) HandleFrame(f can.Frame, _ sim.Time) {
 		a.reply(out)
 
 	case opJoinReq:
-		uid := get56(f.Data[1:])
+		uid := Get56(f.Data[1:])
 		node, ok := a.nodesByUID[uid]
 		if !ok {
 			if a.nextNode >= tempNodeLo {
@@ -159,15 +164,15 @@ type HeartbeatConfig struct {
 	MissLimit int
 }
 
-// DefaultHeartbeatConfig beats every 25 ms and tolerates three misses, so
+// defaultHeartbeatConfig beats every 25 ms and tolerates three misses, so
 // an agent crash is detected within ~100 ms — one clock-sync period.
-func DefaultHeartbeatConfig() HeartbeatConfig {
+func defaultHeartbeatConfig() HeartbeatConfig {
 	return HeartbeatConfig{Period: 25 * sim.Millisecond, MissLimit: 3}
 }
 
 // WithDefaults fills zero fields.
 func (c HeartbeatConfig) WithDefaults() HeartbeatConfig {
-	d := DefaultHeartbeatConfig()
+	d := defaultHeartbeatConfig()
 	if c.Period <= 0 {
 		c.Period = d.Period
 	}
@@ -242,13 +247,13 @@ func (a *Agent) checkpoint() {
 	val := make([]byte, 8)
 	if idx < len(binds) {
 		b := binds[idx]
-		put56(key[1:], uint64(b.Subject))
+		Put56(key[1:], uint64(b.Subject))
 		val[0] = opCkptBind<<4 | a.hbSeq
 		val[1] = byte(b.Etag)
 		val[2] = byte(b.Etag >> 8)
 	} else {
 		uid := uids[idx-len(binds)]
-		put56(key[1:], uid)
+		Put56(key[1:], uid)
 		val[0] = opCkptNode<<4 | a.hbSeq
 		val[1] = byte(a.nodesByUID[uid])
 	}
@@ -275,28 +280,28 @@ const (
 	tempNodeHi can.TxNode = can.MaxTxNode
 )
 
-// ErrAgentUnreachable is the terminal error of a request that exhausted
+// errAgentUnreachable is the terminal error of a request that exhausted
 // its retry policy without ever hearing from an agent: the control plane
 // is down (or unreachable from this node). Callers that want to recover
 // should wait for agent liveness (Client.OnAgentAlive) and retry.
-var ErrAgentUnreachable = errors.New("binding: configuration agent unreachable")
+var errAgentUnreachable = errors.New("binding: configuration agent unreachable")
 
-// ErrRejected is reported when the agent answered with a bind error
+// errRejected is reported when the agent answered with a bind error
 // (etag space exhausted or invalid subject).
-var ErrRejected = errors.New("binding: request rejected by agent")
+var errRejected = errors.New("binding: request rejected by agent")
 
-// ErrNotAttached is reported immediately when Bind or Join is called while
+// errNotAttached is reported immediately when Bind or Join is called while
 // the client's controller is detached from the bus: the request could
 // never be transmitted, so failing it synchronously beats leaking a
 // pending entry that can only time out.
-var ErrNotAttached = errors.New("binding: controller not attached to the bus")
+var errNotAttached = errors.New("binding: controller not attached to the bus")
 
 // RetryPolicy is the unified retry schedule shared by bind, join and the
 // lifecycle re-join: capped exponential backoff with deterministic jitter
 // drawn from the simulation seed. Attempt n (0-based) waits
 // Base·2ⁿ (capped at Cap) plus a uniform jitter of up to JitterFrac of
 // that wait before retrying; after Attempts sends the request fails with
-// ErrAgentUnreachable.
+// errAgentUnreachable.
 type RetryPolicy struct {
 	Base       sim.Duration
 	Cap        sim.Duration
@@ -382,7 +387,7 @@ type joinCall struct {
 // NewClient creates a configuration client on the given controller.
 func NewClient(k *sim.Kernel, ctrl *can.Controller) *Client {
 	return &Client{
-		K: k, Ctrl: ctrl, Prio: DefaultPrio,
+		K: k, Ctrl: ctrl, Prio: defaultPrio,
 		Retry:   DefaultRetryPolicy(),
 		pending: make(map[uint8]*bindCall),
 	}
@@ -395,7 +400,7 @@ func (c *Client) Bind(subject Subject, cb func(can.Etag, error)) {
 		return
 	}
 	if c.Ctrl.Muted() {
-		cb(0, ErrNotAttached)
+		cb(0, errNotAttached)
 		return
 	}
 	rid := c.nextRid & 0x0f
@@ -412,7 +417,7 @@ func (c *Client) Bind(subject Subject, cb func(can.Etag, error)) {
 func (c *Client) sendBind(rid uint8, call *bindCall) {
 	payload := make([]byte, 8)
 	payload[0] = opBindReq<<4 | rid
-	put56(payload[1:], uint64(call.subject))
+	Put56(payload[1:], uint64(call.subject))
 	c.Ctrl.Submit(can.Frame{
 		ID:   can.MakeID(c.Prio, c.Ctrl.Node(), ConfigEtag),
 		Data: payload,
@@ -425,7 +430,7 @@ func (c *Client) sendBind(rid uint8, call *bindCall) {
 		}
 		if call.attempt >= c.Retry.attempts() {
 			delete(c.pending, rid)
-			call.cb(0, ErrAgentUnreachable)
+			call.cb(0, errAgentUnreachable)
 			return
 		}
 		c.sendBind(rid, call)
@@ -438,12 +443,12 @@ func (c *Client) sendBind(rid uint8, call *bindCall) {
 // frame for both (see can.Bus), is observed through single-shot failure,
 // and triggers re-randomization — the classic collision-resolution loop.
 func (c *Client) Join(uid uint64, cb func(can.TxNode, error)) {
-	if uid == 0 || uid > uint64(MaxSubject) {
+	if uid == 0 || uid > uint64(maxSubject) {
 		cb(0, fmt.Errorf("binding: uid %#x out of range", uid))
 		return
 	}
 	if c.Ctrl.Muted() {
-		cb(0, ErrNotAttached)
+		cb(0, errNotAttached)
 		return
 	}
 	if c.joining != nil {
@@ -464,7 +469,7 @@ func (c *Client) sendJoin(call *joinCall) {
 		call.defers++
 		if call.defers > 4*c.Retry.attempts() {
 			c.joining = nil
-			call.cb(0, ErrAgentUnreachable)
+			call.cb(0, errAgentUnreachable)
 			return
 		}
 		call.timer = c.K.After(c.Retry.Backoff(call.attempt, c.K.RNG()), func() {
@@ -478,7 +483,7 @@ func (c *Client) sendJoin(call *joinCall) {
 	c.Ctrl.SetNode(temp)
 	payload := make([]byte, 8)
 	payload[0] = opJoinReq << 4
-	put56(payload[1:], call.uid)
+	Put56(payload[1:], call.uid)
 	wait := c.Retry.Backoff(call.attempt, c.K.RNG())
 	call.attempt++
 	c.Ctrl.Submit(can.Frame{
@@ -496,7 +501,7 @@ func (c *Client) sendJoin(call *joinCall) {
 			c.K.Cancel(call.timer)
 			if call.attempt >= c.Retry.attempts() {
 				c.joining = nil
-				call.cb(0, ErrAgentUnreachable)
+				call.cb(0, errAgentUnreachable)
 				return
 			}
 			c.K.After(c.K.RNG().ExpDuration(2*sim.Millisecond), func() {
@@ -512,7 +517,7 @@ func (c *Client) sendJoin(call *joinCall) {
 		}
 		if call.attempt >= c.Retry.attempts() {
 			c.joining = nil
-			call.cb(0, ErrAgentUnreachable)
+			call.cb(0, errAgentUnreachable)
 			return
 		}
 		c.sendJoin(call)
@@ -553,12 +558,12 @@ func (c *Client) HandleFrame(f can.Frame, _ sim.Time) {
 
 	case opBindErr:
 		call, ok := c.pending[rid]
-		if !ok || uint64(call.subject) != get56(f.Data[1:]) {
+		if !ok || uint64(call.subject) != Get56(f.Data[1:]) {
 			return
 		}
 		delete(c.pending, rid)
 		c.K.Cancel(call.timer)
-		call.cb(0, ErrRejected)
+		call.cb(0, errRejected)
 
 	case opJoinAck:
 		call := c.joining

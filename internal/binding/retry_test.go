@@ -9,7 +9,7 @@ import (
 )
 
 // TestBindDetachedRejectsImmediately: Bind on a detached controller fails
-// synchronously with ErrNotAttached and leaves no pending entry behind.
+// synchronously with errNotAttached and leaves no pending entry behind.
 func TestBindDetachedRejectsImmediately(t *testing.T) {
 	k, _, clients := protoRig(1, 1)
 	cl := clients[0]
@@ -17,7 +17,7 @@ func TestBindDetachedRejectsImmediately(t *testing.T) {
 	var gotErr error
 	done := false
 	cl.Bind(500, func(_ can.Etag, err error) { gotErr = err; done = true })
-	if !done || !errors.Is(gotErr, ErrNotAttached) {
+	if !done || !errors.Is(gotErr, errNotAttached) {
 		t.Fatalf("done=%v err=%v, want immediate ErrNotAttached", done, gotErr)
 	}
 	if len(cl.pending) != 0 {
@@ -45,7 +45,7 @@ func TestJoinDetachedRejectsImmediately(t *testing.T) {
 	cl.Ctrl.Detach()
 	var gotErr error
 	cl.Join(0xBEEF, func(_ can.TxNode, err error) { gotErr = err })
-	if !errors.Is(gotErr, ErrNotAttached) {
+	if !errors.Is(gotErr, errNotAttached) {
 		t.Fatalf("err=%v, want ErrNotAttached", gotErr)
 	}
 	if cl.joining != nil {
@@ -54,7 +54,7 @@ func TestJoinDetachedRejectsImmediately(t *testing.T) {
 }
 
 // TestJoinUnreachableIsTerminal: with no agent on the bus, Join exhausts
-// the retry schedule and fails exactly once with ErrAgentUnreachable.
+// the retry schedule and fails exactly once with errAgentUnreachable.
 func TestJoinUnreachableIsTerminal(t *testing.T) {
 	k := sim.NewKernel(3)
 	bus := can.NewBus(k, can.DefaultBitRate)
@@ -67,7 +67,7 @@ func TestJoinUnreachableIsTerminal(t *testing.T) {
 	if fails != 1 {
 		t.Fatalf("join callback fired %d times, want exactly 1", fails)
 	}
-	if !errors.Is(gotErr, ErrAgentUnreachable) {
+	if !errors.Is(gotErr, errAgentUnreachable) {
 		t.Fatalf("err = %v, want ErrAgentUnreachable", gotErr)
 	}
 }

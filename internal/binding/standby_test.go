@@ -21,7 +21,7 @@ func newStandbyRig(n int, seed uint64, hb HeartbeatConfig) *standbyRig {
 	k := sim.NewKernel(seed)
 	bus := can.NewBus(k, can.DefaultBitRate)
 
-	actrl := bus.Attach(AgentTxNode)
+	actrl := bus.Attach(agentTxNode)
 	agent := NewAgent(k, actrl)
 	actrl.OnReceive = func(f can.Frame, at sim.Time) {
 		if f.ID.Etag() == ConfigEtag {
@@ -29,7 +29,7 @@ func newStandbyRig(n int, seed uint64, hb HeartbeatConfig) *standbyRig {
 		}
 	}
 
-	sctrl := bus.Attach(AgentTxNode + 1)
+	sctrl := bus.Attach(agentTxNode + 1)
 	replica := NewAgent(k, sctrl)
 	sa := NewStandbyAgent(k, replica, hb)
 	sctrl.OnReceive = func(f can.Frame, at sim.Time) {

@@ -24,12 +24,12 @@ import (
 // values.
 type Subject uint64
 
-// MaxSubject is the largest subject the wire protocol can carry.
-const MaxSubject = Subject(1)<<56 - 1
+// maxSubject is the largest subject the wire protocol can carry.
+const maxSubject = Subject(1)<<56 - 1
 
 // Validate reports whether the subject fits the wire encoding.
 func (s Subject) Validate() error {
-	if s > MaxSubject {
+	if s > maxSubject {
 		return fmt.Errorf("binding: subject %#x exceeds 56 bits", uint64(s))
 	}
 	if s == 0 {
@@ -46,12 +46,12 @@ const (
 	SyncEtag can.Etag = can.MaxEtag
 )
 
-// ErrExhausted is returned when no free etag remains.
-var ErrExhausted = errors.New("binding: etag space exhausted")
+// errExhausted is returned when no free etag remains.
+var errExhausted = errors.New("binding: etag space exhausted")
 
-// ErrConflict is returned when a fixed binding clashes with an existing
+// errConflict is returned when a fixed binding clashes with an existing
 // one.
-var ErrConflict = errors.New("binding: conflicting binding")
+var errConflict = errors.New("binding: conflicting binding")
 
 // Table is a bidirectional subject↔etag map with allocation. It is pure
 // data — the Agent wraps it with the wire protocol — so off-line tools,
@@ -93,7 +93,7 @@ func (t *Table) Bind(s Subject) (can.Etag, error) {
 		t.rev[e] = s
 		return e, nil
 	}
-	return 0, ErrExhausted
+	return 0, errExhausted
 }
 
 // BindFixed installs a pre-computed binding (off-line HRT configuration).
@@ -105,10 +105,10 @@ func (t *Table) BindFixed(s Subject, e can.Etag) error {
 		return fmt.Errorf("binding: etag %d is reserved", e)
 	}
 	if cur, ok := t.fwd[s]; ok && cur != e {
-		return ErrConflict
+		return errConflict
 	}
 	if cur, ok := t.rev[e]; ok && cur != s {
-		return ErrConflict
+		return errConflict
 	}
 	t.fwd[s] = e
 	t.rev[e] = s

@@ -24,7 +24,7 @@ func EncodeBits(f Frame) []byte {
 func DecodeBits(bits []byte) (Frame, error) {
 	for i, b := range bits {
 		if b > 1 {
-			return Frame{}, fmt.Errorf("%w: non-binary symbol at %d", ErrWire, i)
+			return Frame{}, fmt.Errorf("%w: non-binary symbol at %d", errWire, i)
 		}
 	}
 	c := new(Codec)
@@ -48,7 +48,7 @@ func PackBits(dst, bits []byte) []byte {
 // dst (one bit per byte). It fails when packed holds fewer than n bits.
 func UnpackBits(dst, packed []byte, n int) ([]byte, error) {
 	if n < 0 || len(packed)*8 < n {
-		return nil, fmt.Errorf("%w: %d packed bytes hold fewer than %d bits", ErrWire, len(packed), n)
+		return nil, fmt.Errorf("%w: %d packed bytes hold fewer than %d bits", errWire, len(packed), n)
 	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, packed[i/8]>>(7-i%8)&1)
@@ -122,8 +122,8 @@ func codecCorpus(n int, fn func(Frame)) {
 	rng := sim.NewRNG(15)
 	ids := []func() ID{
 		func() ID { return 0 },
-		func() ID { return 1<<IDBits - 1 },
-		func() ID { return ID(rng.Uint64()) & (1<<IDBits - 1) },
+		func() ID { return 1<<idBits - 1 },
+		func() ID { return ID(rng.Uint64()) & (1<<idBits - 1) },
 	}
 	patterns := [][2]byte{{0x00, 0x00}, {0xff, 0xff}, {0x55, 0x55}, {0xaa, 0xaa},
 		{0x55, 0xaa}, {0xaa, 0x55}, {0x0f, 0x0f}, {0xf0, 0xf0}, {0x0f, 0xf0}, {0xf0, 0x0f}}
@@ -161,8 +161,8 @@ func TestCodecMatchesReference(t *testing.T) {
 		unstuffed = appendUnstuffedBits(unstuffed[:0], f)
 		stuffed = appendStuffed(stuffed[:0], unstuffed)
 		want = PackBits(want[:0], stuffed)
-		if s, ref := StuffBits(f), refCountStuff(unstuffed); s != ref {
-			t.Fatalf("%v % x: StuffBits = %d, reference %d", f, f.Data, s, ref)
+		if s, ref := stuffBits(f), refCountStuff(unstuffed); s != ref {
+			t.Fatalf("%v % x: stuffBits = %d, reference %d", f, f.Data, s, ref)
 		}
 		if w, ref := WireBits(f), len(stuffed)+frameTailBits; w != ref {
 			t.Fatalf("%v % x: WireBits = %d, reference %d", f, f.Data, w, ref)

@@ -14,10 +14,10 @@ package can
 // dimension their fault hypotheses to avoid. Enabling it reproduces the
 // fault-confinement behaviour for experiments that want it.
 const (
-	// ErrorPassiveTEC is the error-passive threshold.
-	ErrorPassiveTEC = 128
-	// BusOffTEC is the bus-off threshold.
-	BusOffTEC = 256
+	// errorPassiveTEC is the error-passive threshold.
+	errorPassiveTEC = 128
+	// busOffTEC is the bus-off threshold.
+	busOffTEC = 256
 	// BusOffRecoveryBits is the recovery observation time: 128 sequences
 	// of 11 recessive bits.
 	BusOffRecoveryBits = 128 * 11
@@ -27,8 +27,8 @@ const (
 type ErrorState int
 
 const (
-	// ErrorActive controllers participate fully.
-	ErrorActive ErrorState = iota
+	// errorActive controllers participate fully.
+	errorActive ErrorState = iota
 	// ErrorPassive controllers participate but signal errors passively
 	// (tracked for observability; the timing model is unchanged).
 	ErrorPassive
@@ -39,7 +39,7 @@ const (
 // String implements fmt.Stringer.
 func (s ErrorState) String() string {
 	switch s {
-	case ErrorActive:
+	case errorActive:
 		return "error-active"
 	case ErrorPassive:
 		return "error-passive"
@@ -60,10 +60,10 @@ func (c *Controller) State() ErrorState {
 	switch {
 	case c.busOff:
 		return BusOff
-	case c.tec >= ErrorPassiveTEC || c.rec >= ErrorPassiveTEC:
+	case c.tec >= errorPassiveTEC || c.rec >= errorPassiveTEC:
 		return ErrorPassive
 	default:
-		return ErrorActive
+		return errorActive
 	}
 }
 
@@ -82,7 +82,7 @@ func (c *Controller) onTxSuccess() {
 // TEC crosses the threshold. Returns true if the controller went bus-off.
 func (c *Controller) onTxError() bool {
 	c.tec += 8
-	if c.tec >= BusOffTEC && !c.busOff {
+	if c.tec >= busOffTEC && !c.busOff {
 		c.enterBusOff()
 		return true
 	}

@@ -74,11 +74,11 @@ const (
 	MaxStuffedBytes = (MaxStuffedBits + 7) / 8
 )
 
-// StuffBits returns the exact number of stuff bits the CAN bit-stuffing
+// stuffBits returns the exact number of stuff bits the CAN bit-stuffing
 // rule inserts for this frame: after five consecutive bits of equal value
 // in the stuffed region, a complementary bit is inserted (and itself
 // participates in subsequent runs).
-func StuffBits(f Frame) int {
+func stuffBits(f Frame) int {
 	var buf rawBuf
 	return countStuff(packExt(&buf, f))
 }
@@ -87,7 +87,7 @@ func StuffBits(f Frame) int {
 // including stuff bits, CRC/ACK/EOF overhead and the 3-bit inter-frame
 // space.
 func WireBits(f Frame) int {
-	return extStuffedOverheadBits + 8*len(f.Data) + StuffBits(f) + frameTailBits
+	return extStuffedOverheadBits + 8*len(f.Data) + stuffBits(f) + frameTailBits
 }
 
 // WorstCaseBits returns the classical worst-case extended-frame length in

@@ -65,7 +65,7 @@ func TestCRC15KnownVector(t *testing.T) {
 
 func TestWireBitsWithinBounds(t *testing.T) {
 	f := func(idRaw uint32, data []byte) bool {
-		id := ID(idRaw % (1 << IDBits))
+		id := ID(idRaw % (1 << idBits))
 		if len(data) > MaxPayload {
 			data = data[:MaxPayload]
 		}
@@ -101,13 +101,13 @@ func TestStuffBitsExtremes(t *testing.T) {
 	// stuffing must be substantial; alternating payload bits minimise it.
 	heavy := Frame{ID: 0, Data: []byte{0, 0, 0, 0, 0, 0, 0, 0}}
 	light := Frame{ID: MakeID(0xAA>>0, 0x2A, 0x1555), Data: []byte{0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA}}
-	if StuffBits(heavy) <= StuffBits(light) {
+	if stuffBits(heavy) <= stuffBits(light) {
 		t.Fatalf("stuffing not monotone with run content: heavy=%d light=%d",
-			StuffBits(heavy), StuffBits(light))
+			stuffBits(heavy), stuffBits(light))
 	}
-	if StuffBits(heavy) > WorstCaseBits(8)-MinFrameBits(8) {
+	if stuffBits(heavy) > WorstCaseBits(8)-MinFrameBits(8) {
 		t.Fatalf("stuff bits %d exceed worst-case budget %d",
-			StuffBits(heavy), WorstCaseBits(8)-MinFrameBits(8))
+			stuffBits(heavy), WorstCaseBits(8)-MinFrameBits(8))
 	}
 }
 
@@ -115,7 +115,7 @@ func TestStuffedStreamHasNoLongRuns(t *testing.T) {
 	// Property: applying the stuffing rule to the unstuffed bit stream
 	// never leaves six identical bits in a row.
 	f := func(idRaw uint32, data []byte) bool {
-		id := ID(idRaw % (1 << IDBits))
+		id := ID(idRaw % (1 << idBits))
 		if len(data) > MaxPayload {
 			data = data[:MaxPayload]
 		}
@@ -149,8 +149,8 @@ func TestStuffedStreamHasNoLongRuns(t *testing.T) {
 				prev, run = b, 1
 			}
 		}
-		// And that the count matches StuffBits.
-		return len(out)-len(bits) == StuffBits(Frame{ID: id, Data: data})
+		// And that the count matches stuffBits.
+		return len(out)-len(bits) == stuffBits(Frame{ID: id, Data: data})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestBitTime(t *testing.T) {
 }
 
 func TestFrameValidate(t *testing.T) {
-	if err := (Frame{ID: 1 << IDBits}).Validate(); err == nil {
+	if err := (Frame{ID: 1 << idBits}).Validate(); err == nil {
 		t.Fatal("oversized ID accepted")
 	}
 	if err := (Frame{ID: 1, Data: make([]byte, 9)}).Validate(); err == nil {

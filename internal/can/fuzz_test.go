@@ -11,7 +11,7 @@ import (
 // the wire length are the bit-serial reference's; (2) decoding an
 // arbitrary bit stream never panics — it either returns a frame that
 // re-encodes to the same stuffed stream, and that the reference decodes
-// to the same frame, or a wrapped ErrWire.
+// to the same frame, or a wrapped errWire.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint32(0), []byte{}, []byte{})
 	f.Add(uint32(0x1FFFFFFF), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 0, 1})
@@ -20,7 +20,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint32, payload []byte, stream []byte) {
 		// Property 1: encode→decode round-trips bit-exactly for any
 		// valid frame.
-		fr := Frame{ID: ID(id & (1<<IDBits - 1)), Data: payload}
+		fr := Frame{ID: ID(id & (1<<idBits - 1)), Data: payload}
 		if len(fr.Data) > MaxPayload {
 			fr.Data = fr.Data[:MaxPayload]
 		}

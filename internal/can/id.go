@@ -32,14 +32,14 @@ import "fmt"
 // makes identifiers system-wide unique (a CAN requirement), and a 14-bit
 // etag naming the event channel.
 const (
-	PrioBits   = 8
-	TxNodeBits = 7
-	EtagBits   = 14
-	IDBits     = PrioBits + TxNodeBits + EtagBits // 29, CAN 2.0B extended
+	prioBits   = 8
+	txNodeBits = 7
+	etagBits   = 14
+	idBits     = prioBits + txNodeBits + etagBits // 29, CAN 2.0B extended
 
-	MaxPrio   = 1<<PrioBits - 1   // 255; numerically higher = lower priority
-	MaxTxNode = 1<<TxNodeBits - 1 // 127
-	MaxEtag   = 1<<EtagBits - 1   // 16383
+	MaxPrio   = 1<<prioBits - 1   // 255; numerically higher = lower priority
+	MaxTxNode = 1<<txNodeBits - 1 // 127
+	MaxEtag   = 1<<etagBits - 1   // 16383
 )
 
 // ID is a 29-bit CAN 2.0B extended identifier. Lower numeric value wins
@@ -61,22 +61,22 @@ type Etag uint16
 // next so that ties between equal priorities resolve deterministically by
 // node; the etag occupies the low bits.
 func MakeID(p Prio, n TxNode, e Etag) ID {
-	return ID(uint32(p)<<(TxNodeBits+EtagBits) |
-		uint32(n&MaxTxNode)<<EtagBits |
+	return ID(uint32(p)<<(txNodeBits+etagBits) |
+		uint32(n&MaxTxNode)<<etagBits |
 		uint32(e&MaxEtag))
 }
 
 // Prio extracts the priority field.
-func (id ID) Prio() Prio { return Prio(id >> (TxNodeBits + EtagBits)) }
+func (id ID) Prio() Prio { return Prio(id >> (txNodeBits + etagBits)) }
 
 // TxNode extracts the transmitting node field.
-func (id ID) TxNode() TxNode { return TxNode((id >> EtagBits) & MaxTxNode) }
+func (id ID) TxNode() TxNode { return TxNode((id >> etagBits) & MaxTxNode) }
 
 // Etag extracts the event tag field.
 func (id ID) Etag() Etag { return Etag(id & MaxEtag) }
 
 // Valid reports whether id fits in 29 bits.
-func (id ID) Valid() bool { return id < 1<<IDBits }
+func (id ID) Valid() bool { return id < 1<<idBits }
 
 // String renders the identifier as its three fields.
 func (id ID) String() string {

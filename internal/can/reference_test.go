@@ -109,12 +109,12 @@ func destuff(bits []byte) ([]byte, error) {
 	skip := false
 	for i, b := range bits {
 		if b > 1 {
-			return nil, fmt.Errorf("%w: non-binary symbol at %d", ErrWire, i)
+			return nil, fmt.Errorf("%w: non-binary symbol at %d", errWire, i)
 		}
 		if skip {
 			// This bit is a stuff bit: it must complement the previous run.
 			if b == prev {
-				return nil, fmt.Errorf("%w: stuff violation at bit %d", ErrWire, i)
+				return nil, fmt.Errorf("%w: stuff violation at bit %d", errWire, i)
 			}
 			prev, run = b, 1
 			skip = false
@@ -143,7 +143,7 @@ func refDecodeBits(bits []byte) (Frame, error) {
 	}
 	// Minimum frame: SOF..DLC (39 bits) + CRC (15).
 	if len(raw) < extStuffedOverheadBits {
-		return Frame{}, fmt.Errorf("%w: truncated frame (%d bits)", ErrWire, len(raw))
+		return Frame{}, fmt.Errorf("%w: truncated frame (%d bits)", errWire, len(raw))
 	}
 	pos := 0
 	take := func(n int) uint32 {
@@ -155,27 +155,27 @@ func refDecodeBits(bits []byte) (Frame, error) {
 		return v
 	}
 	if take(1) != 0 {
-		return Frame{}, fmt.Errorf("%w: SOF not dominant", ErrWire)
+		return Frame{}, fmt.Errorf("%w: SOF not dominant", errWire)
 	}
 	idA := take(11)
 	if take(1) != 1 {
-		return Frame{}, fmt.Errorf("%w: SRR not recessive", ErrWire)
+		return Frame{}, fmt.Errorf("%w: SRR not recessive", errWire)
 	}
 	if take(1) != 1 {
-		return Frame{}, fmt.Errorf("%w: IDE not recessive (standard frames unsupported)", ErrWire)
+		return Frame{}, fmt.Errorf("%w: IDE not recessive (standard frames unsupported)", errWire)
 	}
 	idB := take(18)
 	if take(1) != 0 {
-		return Frame{}, fmt.Errorf("%w: RTR set (remote frames unsupported)", ErrWire)
+		return Frame{}, fmt.Errorf("%w: RTR set (remote frames unsupported)", errWire)
 	}
 	take(2) // r1, r0
 	dlc := int(take(4))
 	if dlc > MaxPayload {
-		return Frame{}, fmt.Errorf("%w: DLC %d", ErrWire, dlc)
+		return Frame{}, fmt.Errorf("%w: DLC %d", errWire, dlc)
 	}
 	if len(raw) != extStuffedOverheadBits+8*dlc {
 		return Frame{}, fmt.Errorf("%w: length %d bits does not match DLC %d",
-			ErrWire, len(raw), dlc)
+			errWire, len(raw), dlc)
 	}
 	data := make([]byte, 0, dlc)
 	for i := 0; i < dlc; i++ {
@@ -183,7 +183,7 @@ func refDecodeBits(bits []byte) (Frame, error) {
 	}
 	gotCRC := uint16(take(15))
 	if wantCRC := crc15(raw[:len(raw)-15]); gotCRC != wantCRC {
-		return Frame{}, fmt.Errorf("%w: CRC mismatch %#x != %#x", ErrWire, gotCRC, wantCRC)
+		return Frame{}, fmt.Errorf("%w: CRC mismatch %#x != %#x", errWire, gotCRC, wantCRC)
 	}
 	return Frame{ID: ID(idA<<18 | idB), Data: data}, nil
 }

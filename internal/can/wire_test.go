@@ -28,7 +28,7 @@ func TestWireRoundtrip(t *testing.T) {
 
 func TestWireRoundtripProperty(t *testing.T) {
 	f := func(idRaw uint32, data []byte) bool {
-		fr := Frame{ID: ID(idRaw % (1 << IDBits))}
+		fr := Frame{ID: ID(idRaw % (1 << idBits))}
 		if len(data) > MaxPayload {
 			data = data[:MaxPayload]
 		}
@@ -51,7 +51,7 @@ func TestWireRoundtripProperty(t *testing.T) {
 
 func TestWireNoSixRuns(t *testing.T) {
 	f := func(idRaw uint32, data []byte) bool {
-		fr := Frame{ID: ID(idRaw % (1 << IDBits))}
+		fr := Frame{ID: ID(idRaw % (1 << idBits))}
 		if len(data) > MaxPayload {
 			data = data[:MaxPayload]
 		}
@@ -103,23 +103,23 @@ func TestWireBitErrorDetected(t *testing.T) {
 
 func TestWireDecodeErrors(t *testing.T) {
 	short := []byte{0, 1, 0}
-	if _, err := DecodeBits(short); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBits(short); !errors.Is(err, errWire) {
 		t.Fatalf("short stream: %v", err)
 	}
 	// Non-binary symbol.
-	if _, err := DecodeBits([]byte{0, 2, 1}); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBits([]byte{0, 2, 1}); !errors.Is(err, errWire) {
 		t.Fatalf("bad symbol: %v", err)
 	}
 	// Six-run (error frame pattern) must be rejected by destuffing.
 	sixRun := make([]byte, 80)
-	if _, err := DecodeBits(sixRun); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBits(sixRun); !errors.Is(err, errWire) {
 		t.Fatalf("six-run: %v", err)
 	}
 	// SOF recessive.
 	fr := Frame{ID: MakeID(1, 1, 1), Data: []byte{1}}
 	bits := EncodeBits(fr)
 	bits[0] = 1
-	if _, err := DecodeBits(bits); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBits(bits); !errors.Is(err, errWire) {
 		t.Fatalf("bad SOF: %v", err)
 	}
 }

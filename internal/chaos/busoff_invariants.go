@@ -62,13 +62,13 @@ func (c CheckContext) attackExcused(publishers map[uint64]map[int]bool, subject 
 	return false
 }
 
-// CheckBusOffRecovery asserts that every controller entering bus-off
+// checkBusOffRecovery asserts that every controller entering bus-off
 // recovers within the declared bound: a bus_off record must be answered by
 // a bus_off_recovered record for the same node within BusOffWindow (the
 // 128×11-recessive-bit observation plus the supervisor's worst-case
 // backoff). Bus-offs too close to the end of the trace are excused as
 // still observing recessive bits.
-func CheckBusOffRecovery(ctx CheckContext) []Violation {
+func checkBusOffRecovery(ctx CheckContext) []Violation {
 	if ctx.BusOffWindow <= 0 {
 		return nil
 	}
@@ -107,13 +107,13 @@ func CheckBusOffRecovery(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckVictimBusOff asserts the attack worked: under a decisive corruption
+// checkVictimBusOff asserts the attack worked: under a decisive corruption
 // rate (≥ 0.5) the scripted victim must actually reach bus-off inside the
 // attack window — a campaign whose attack silently fizzles would otherwise
 // "prove" HRT survival against nothing. An attack the guardian cut short
 // (the attacker was isolated before the victim's counters ramped) is a
 // defensive success, not a fizzle, and is excused.
-func CheckVictimBusOff(ctx CheckContext) []Violation {
+func checkVictimBusOff(ctx CheckContext) []Violation {
 	if ctx.BusOffWindow <= 0 {
 		return nil
 	}
@@ -144,12 +144,12 @@ func CheckVictimBusOff(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckHRTSurvival asserts the defense's core promise: during a bus-off
+// checkHRTSurvival asserts the defense's core promise: during a bus-off
 // attack, healthy nodes' HRT slots never miss. Every slot_missed record
 // inside an attack window (plus grace) is attributed to its subject's
 // publishers; misses on subjects published by the victim (its slots *are*
 // under attack) or by a station inside a crash outage are excused.
-func CheckHRTSurvival(ctx CheckContext) []Violation {
+func checkHRTSurvival(ctx CheckContext) []Violation {
 	if len(ctx.Attacks) == 0 {
 		return nil
 	}
@@ -189,10 +189,10 @@ func CheckHRTSurvival(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckAttackerIsolated asserts that an armed guardian ends every scripted
+// checkAttackerIsolated asserts that an armed guardian ends every scripted
 // attack by isolating the attacking station: a guard_isolated record for
 // the attacker must appear inside the attack window plus grace.
-func CheckAttackerIsolated(ctx CheckContext) []Violation {
+func checkAttackerIsolated(ctx CheckContext) []Violation {
 	if !ctx.GuardianArmed {
 		return nil
 	}

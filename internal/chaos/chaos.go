@@ -62,7 +62,7 @@ type Script struct {
 	// station before the run (required by the agent_crash kind).
 	AgentStandby *int `json:"agent_standby,omitempty"`
 	// AgentHeartbeatMS / AgentMissLimit parameterise the agent heartbeat;
-	// zero selects binding.DefaultHeartbeatConfig.
+	// zero selects binding's default heartbeat (25 ms, three misses).
 	AgentHeartbeatMS float64 `json:"agent_heartbeat_ms,omitempty"`
 	AgentMissLimit   int     `json:"agent_miss_limit,omitempty"`
 	// SyncBackups ranks backup time masters, installed on the system's
@@ -652,7 +652,7 @@ func (c *Campaign) Finish(recoveryRounds int) Report {
 		Crashes:        c.LC.CrashCount,
 		Restarts:       c.LC.RestartCount,
 		AgentTakeovers: c.LC.AgentTakeovers,
-		Violations:     CheckAll(ctx),
+		Violations:     checkAll(ctx),
 	}
 	if c.Sys.Syncer != nil {
 		rep.MasterTakeovers = c.Sys.Syncer.Takeovers

@@ -118,31 +118,31 @@ func silentIn(ws map[int][]outage, node int, t sim.Time) bool {
 	return false
 }
 
-// CheckAll runs every invariant checker and returns the union of
+// checkAll runs every invariant checker and returns the union of
 // violations, ordered by time.
-func CheckAll(ctx CheckContext) []Violation {
+func checkAll(ctx CheckContext) []Violation {
 	var out []Violation
-	out = append(out, CheckMonotonicTraces(ctx)...)
-	out = append(out, CheckHRTTermination(ctx)...)
-	out = append(out, CheckHRTOnTime(ctx)...)
-	out = append(out, CheckNoPhantoms(ctx)...)
-	out = append(out, CheckRecoveryBound(ctx)...)
-	out = append(out, CheckAgentFailover(ctx)...)
-	out = append(out, CheckMasterFailover(ctx)...)
-	out = append(out, CheckHoldoverClosed(ctx)...)
-	out = append(out, CheckRestartCompletes(ctx)...)
-	out = append(out, CheckBusOffRecovery(ctx)...)
-	out = append(out, CheckVictimBusOff(ctx)...)
-	out = append(out, CheckHRTSurvival(ctx)...)
-	out = append(out, CheckAttackerIsolated(ctx)...)
+	out = append(out, checkMonotonicTraces(ctx)...)
+	out = append(out, checkHRTTermination(ctx)...)
+	out = append(out, checkHRTOnTime(ctx)...)
+	out = append(out, checkNoPhantoms(ctx)...)
+	out = append(out, checkRecoveryBound(ctx)...)
+	out = append(out, checkAgentFailover(ctx)...)
+	out = append(out, checkMasterFailover(ctx)...)
+	out = append(out, checkHoldoverClosed(ctx)...)
+	out = append(out, checkRestartCompletes(ctx)...)
+	out = append(out, checkBusOffRecovery(ctx)...)
+	out = append(out, checkVictimBusOff(ctx)...)
+	out = append(out, checkHRTSurvival(ctx)...)
+	out = append(out, checkAttackerIsolated(ctx)...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
-// CheckMonotonicTraces asserts that every trace chain carries
+// checkMonotonicTraces asserts that every trace chain carries
 // non-decreasing timestamps: an event cannot reach a later lifecycle stage
 // at an earlier time.
-func CheckMonotonicTraces(ctx CheckContext) []Violation {
+func checkMonotonicTraces(ctx CheckContext) []Violation {
 	var out []Violation
 	lastAt := make(map[uint64]sim.Time)
 	lastStage := make(map[uint64]obs.Stage)
@@ -171,7 +171,7 @@ func terminal(s obs.Stage) bool {
 	return false
 }
 
-// CheckHRTTermination asserts that every published HRT event reaches a
+// checkHRTTermination asserts that every published HRT event reaches a
 // terminal stage: delivered at its deadline or closed by a clean local
 // exception (dropped / tx_abort, including the node_crash drop emitted for
 // events that die in a crashing node's queues). Events published within
@@ -179,7 +179,7 @@ func terminal(s obs.Stage) bool {
 // the run, and an unterminated trace is excused when its publisher crashed
 // within two rounds of the publish (the in-flight frame was truncated by
 // the crash).
-func CheckHRTTermination(ctx CheckContext) []Violation {
+func checkHRTTermination(ctx CheckContext) []Violation {
 	type trace struct {
 		pubAt   sim.Time
 		node    int
@@ -261,14 +261,14 @@ func crashedWithin(ws map[int][]outage, node int, from, to sim.Time) bool {
 	return false
 }
 
-// CheckHRTOnTime asserts that no HRT delivery was flagged late: the
+// checkHRTOnTime asserts that no HRT delivery was flagged late: the
 // middleware marks a delivery "late" when it happens past the slot
 // deadline by more than twice the clock precision, which breaks the
 // paper's delivery-at-deadline guarantee. Late deliveries on subjects
 // published by a scripted bus-off attack's victim inside the attack
 // window are excused — retransmission storms delaying the victim's own
 // traffic are the attack working, not a de-jittering bug.
-func CheckHRTOnTime(ctx CheckContext) []Violation {
+func checkHRTOnTime(ctx CheckContext) []Violation {
 	var publishers map[uint64]map[int]bool
 	if len(ctx.Attacks) > 0 {
 		publishers = hrtPublishers(ctx.Records)
@@ -288,12 +288,12 @@ func CheckHRTOnTime(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckNoPhantoms asserts crash silence: a station contributes no
+// checkNoPhantoms asserts crash silence: a station contributes no
 // arbitration wins, transmission starts or successful transmissions
 // strictly inside any of its [down, restart) windows (error frames are the
 // legitimate artifact of a truncated in-flight frame), and no event is
 // delivered off a transmission that happened while its sender was down.
-func CheckNoPhantoms(ctx CheckContext) []Violation {
+func checkNoPhantoms(ctx CheckContext) []Violation {
 	ws := outages(ctx.Records)
 	var out []Violation
 	phantomTxOK := make(map[uint64]bool)
@@ -336,9 +336,9 @@ func takeoverWithin(recs []obs.Record, stage obs.Stage, after sim.Time, window s
 	return false
 }
 
-// CheckAgentFailover asserts that each scripted crash of the acting binding
+// checkAgentFailover asserts that each scripted crash of the acting binding
 // agent is answered by a standby takeover within the heartbeat window.
-func CheckAgentFailover(ctx CheckContext) []Violation {
+func checkAgentFailover(ctx CheckContext) []Violation {
 	if ctx.AgentWindow <= 0 {
 		return nil
 	}
@@ -354,9 +354,9 @@ func CheckAgentFailover(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckMasterFailover asserts that each scripted crash of the acting time
+// checkMasterFailover asserts that each scripted crash of the acting time
 // master is answered by a backup takeover within the failover window.
-func CheckMasterFailover(ctx CheckContext) []Violation {
+func checkMasterFailover(ctx CheckContext) []Violation {
 	if ctx.MasterWindow <= 0 {
 		return nil
 	}
@@ -372,12 +372,12 @@ func CheckMasterFailover(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckHoldoverClosed asserts, on runs where master failover is exercised
+// checkHoldoverClosed asserts, on runs where master failover is exercised
 // (MasterWindow set), that follower holdover is transient: every
 // holdover_enter is followed by a holdover_exit, unless the node crashed
 // after entering or entered too close to the end of the trace for a
 // takeover plus sync round to have happened.
-func CheckHoldoverClosed(ctx CheckContext) []Violation {
+func checkHoldoverClosed(ctx CheckContext) []Violation {
 	if ctx.MasterWindow <= 0 {
 		return nil
 	}
@@ -408,10 +408,10 @@ func CheckHoldoverClosed(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckRestartCompletes asserts that every restart reaches node_up: a
+// checkRestartCompletes asserts that every restart reaches node_up: a
 // station that began recovery at least RestartWindow before the end of the
 // trace (and did not crash again mid-recovery) must have a node_up record.
-func CheckRestartCompletes(ctx CheckContext) []Violation {
+func checkRestartCompletes(ctx CheckContext) []Violation {
 	if ctx.RestartWindow <= 0 {
 		return nil
 	}
@@ -443,10 +443,10 @@ func CheckRestartCompletes(ctx CheckContext) []Violation {
 	return out
 }
 
-// CheckRecoveryBound asserts that a recovered station that owned HRT slots
+// checkRecoveryBound asserts that a recovered station that owned HRT slots
 // before its crash resumes occupying them within RecoveryRounds rounds of
 // node_up.
-func CheckRecoveryBound(ctx CheckContext) []Violation {
+func checkRecoveryBound(ctx CheckContext) []Violation {
 	if ctx.Round <= 0 {
 		return nil
 	}

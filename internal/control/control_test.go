@@ -11,7 +11,7 @@ import (
 
 func TestDoubleIntegratorExactZOH(t *testing.T) {
 	dt := 10 * sim.Millisecond
-	m := DoubleIntegrator(dt)
+	m := doubleIntegrator(dt)
 	x := [2]float64{1, 2}
 	u := 3.0
 	m.step(&x, u)
@@ -24,7 +24,7 @@ func TestDoubleIntegratorExactZOH(t *testing.T) {
 }
 
 func TestThermalConvergesToGain(t *testing.T) {
-	m := FirstOrderThermal(5*sim.Millisecond, 200*sim.Millisecond, 1)
+	m := firstOrderThermal(5*sim.Millisecond, 200*sim.Millisecond, 1)
 	x := [2]float64{0, 0}
 	for i := 0; i < 2000; i++ { // 10 s >> τ
 		m.step(&x, 2.5)
@@ -80,25 +80,25 @@ func TestPIDSettles(t *testing.T) {
 	if math.Abs(x[0]) > 0.02 || math.Abs(x[1]) > 0.5 {
 		t.Fatalf("pid/double_integrator final state = %v", x)
 	}
-	x = localLoop(t, PlantThermal, ControllerPID, 1, 0)
+	x = localLoop(t, plantThermal, ControllerPID, 1, 0)
 	if math.Abs(x[0]-1) > 0.02 {
 		t.Fatalf("pid/thermal final state = %v", x)
 	}
 }
 
 func TestMPCSettles(t *testing.T) {
-	x := localLoop(t, PlantDoubleIntegrator, ControllerMPC, 0, 1)
+	x := localLoop(t, PlantDoubleIntegrator, controllerMPC, 0, 1)
 	if math.Abs(x[0]) > 0.02 || math.Abs(x[1]) > 0.5 {
 		t.Fatalf("mpc/double_integrator final state = %v", x)
 	}
-	x = localLoop(t, PlantThermal, ControllerMPC, 1, 0)
+	x = localLoop(t, plantThermal, controllerMPC, 1, 0)
 	if math.Abs(x[0]-1) > 0.05 {
 		t.Fatalf("mpc/thermal final state = %v", x)
 	}
 }
 
 func TestMPCQuietAtSetpoint(t *testing.T) {
-	pm := DoubleIntegrator(5 * sim.Millisecond)
+	pm := doubleIntegrator(5 * sim.Millisecond)
 	c, err := newMPC(pm, 8, [2]float64{costQPos, costQVel}, costRU, 200)
 	if err != nil {
 		t.Fatal(err)

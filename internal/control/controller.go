@@ -9,7 +9,7 @@ import (
 // JSON spec.
 const (
 	ControllerPID = "pid"
-	ControllerMPC = "mpc"
+	controllerMPC = "mpc"
 )
 
 // controller computes a control input from the latest delivered state

@@ -55,8 +55,8 @@ type LoopConfig struct {
 	// Name labels the loop in reports, metrics and trace records.
 	Name string
 	// Plant selects the physical model (PlantDoubleIntegrator or
-	// PlantThermal); Controller the control law (ControllerPID or
-	// ControllerMPC).
+	// plantThermal); Controller the control law (ControllerPID or
+	// controllerMPC).
 	Plant      string
 	Controller string
 	// Class is the channel class the sensor and command legs ride;
@@ -124,12 +124,12 @@ func (cfg *LoopConfig) Validate() error {
 		return fmt.Errorf("control: loop %q: subjects must be distinct", cfg.Name)
 	}
 	switch cfg.Plant {
-	case PlantDoubleIntegrator, PlantThermal:
+	case PlantDoubleIntegrator, plantThermal:
 	default:
 		return fmt.Errorf("control: loop %q: unknown plant %q", cfg.Name, cfg.Plant)
 	}
 	switch cfg.Controller {
-	case ControllerPID, ControllerMPC:
+	case ControllerPID, controllerMPC:
 	default:
 		return fmt.Errorf("control: loop %q: unknown controller %q", cfg.Name, cfg.Controller)
 	}
@@ -234,7 +234,7 @@ func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
 		} else {
 			l.ctl = &pid{kp: 8, ki: 30, dt: secs(cfg.Period), umax: cfg.UMax}
 		}
-	case ControllerMPC:
+	case controllerMPC:
 		// The MPC predicts over the sampling period, not the substep.
 		pm, err := plantModel(cfg.Plant, cfg.Period)
 		if err != nil {

@@ -39,10 +39,10 @@ func (m *Model) step(x *[2]float64, u float64) {
 	x[0], x[1] = x0, x1
 }
 
-// DoubleIntegrator returns the exact ZOH discretisation of the
+// doubleIntegrator returns the exact ZOH discretisation of the
 // double-integrator cart ẍ = u (position, velocity) for step dt:
 // position += v·dt + u·dt²/2, velocity += u·dt.
-func DoubleIntegrator(dt sim.Duration) Model {
+func doubleIntegrator(dt sim.Duration) Model {
 	h := secs(dt)
 	return Model{
 		A: [2][2]float64{{1, h}, {0, 1}},
@@ -51,10 +51,10 @@ func DoubleIntegrator(dt sim.Duration) Model {
 	}
 }
 
-// FirstOrderThermal returns the exact ZOH discretisation of the
+// firstOrderThermal returns the exact ZOH discretisation of the
 // first-order thermal plant τ·x' = −x + gain·u for step dt:
 // x⁺ = a·x + (1−a)·gain·u with a = exp(−dt/τ).
-func FirstOrderThermal(dt, tau sim.Duration, gain float64) Model {
+func firstOrderThermal(dt, tau sim.Duration, gain float64) Model {
 	a := math.Exp(-secs(dt) / secs(tau))
 	return Model{
 		A: [2][2]float64{{a, 0}, {0, 0}},
@@ -66,7 +66,7 @@ func FirstOrderThermal(dt, tau sim.Duration, gain float64) Model {
 // Plant kinds accepted by LoopConfig.Plant and the scenario JSON spec.
 const (
 	PlantDoubleIntegrator = "double_integrator"
-	PlantThermal          = "thermal"
+	plantThermal          = "thermal"
 )
 
 // plantModel builds the integration model for a named plant kind at
@@ -75,9 +75,9 @@ const (
 func plantModel(kind string, dt sim.Duration) (Model, error) {
 	switch kind {
 	case PlantDoubleIntegrator:
-		return DoubleIntegrator(dt), nil
-	case PlantThermal:
-		return FirstOrderThermal(dt, 200*sim.Millisecond, 1), nil
+		return doubleIntegrator(dt), nil
+	case plantThermal:
+		return firstOrderThermal(dt, 200*sim.Millisecond, 1), nil
 	default:
 		return Model{}, fmt.Errorf("control: unknown plant %q", kind)
 	}

@@ -380,17 +380,17 @@ func TestHRTAnnounceErrors(t *testing.T) {
 	sys := idealSystem(t, 3, cal)
 	// Node 2 has no slot for subjTemp.
 	c2, _ := sys.Node(2).MW.HRTEC(subjTemp)
-	if err := c2.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, ErrNoSlot) {
+	if err := c2.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, errNoSlot) {
 		t.Fatalf("announce without slot: %v", err)
 	}
 	// Unknown subject.
 	cx, _ := sys.Node(0).MW.HRTEC(subjOther)
-	if err := cx.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, ErrNoSlot) {
+	if err := cx.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, errNoSlot) {
 		t.Fatalf("announce unknown subject: %v", err)
 	}
 	// Payload too big for header.
 	c0, _ := sys.Node(0).MW.HRTEC(subjTemp)
-	if err := c0.Announce(ChannelAttrs{Payload: 8}, nil); !errors.Is(err, ErrPayload) {
+	if err := c0.Announce(ChannelAttrs{Payload: 8}, nil); !errors.Is(err, errPayload) {
 		t.Fatalf("8-byte HRT payload: %v", err)
 	}
 	// Publish before announce.
@@ -636,7 +636,7 @@ func TestNRTFragmentLossRaisesFragError(t *testing.T) {
 func TestNRTPrioBandEnforced(t *testing.T) {
 	sys := idealSystem(t, 1, nil)
 	ch, _ := sys.Node(0).MW.NRTEC(subjBulk)
-	if err := ch.Announce(ChannelAttrs{Prio: 100}, nil); !errors.Is(err, ErrPrioOutOfBand) {
+	if err := ch.Announce(ChannelAttrs{Prio: 100}, nil); !errors.Is(err, errPrioOutOfBand) {
 		t.Fatalf("SRT-band priority accepted for NRT: %v", err)
 	}
 	if err := ch.Announce(ChannelAttrs{Prio: 0}, nil); err != nil {

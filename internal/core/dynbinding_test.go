@@ -19,7 +19,7 @@ func TestDynamicBindingIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0 hosts the configuration agent. Its middleware routes config
-	// frames to the agent; note node 0's TxNode is binding.AgentTxNode (0).
+	// frames to the agent; note node 0's TxNode is the agent's pre-assigned TxNode 0.
 	agent := binding.NewAgent(sys.K, sys.Node(0).Ctrl)
 	sys.Node(0).MW.ConfigRx = agent.HandleFrame
 

@@ -76,10 +76,10 @@ func TestStopHaltsEverything(t *testing.T) {
 		t.Fatalf("deliveries after Stop: %d", got)
 	}
 	// Publishing after stop errors.
-	if err := pub.Publish(Event{Subject: subjTemp, Payload: []byte{1}}); !errors.Is(err, ErrStopped) {
+	if err := pub.Publish(Event{Subject: subjTemp, Payload: []byte{1}}); !errors.Is(err, errStopped) {
 		t.Fatalf("publish after stop: %v", err)
 	}
-	if _, err := sys.Node(0).MW.SRTEC(0xF0); !errors.Is(err, ErrStopped) {
+	if _, err := sys.Node(0).MW.SRTEC(0xF0); !errors.Is(err, errStopped) {
 		t.Fatalf("new channel after stop: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestSRTPayloadCap(t *testing.T) {
 	if err := pub.Announce(ChannelAttrs{Payload: 4}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Publish(Event{Subject: subjDiag, Payload: make([]byte, 5)}); !errors.Is(err, ErrPayload) {
+	if err := pub.Publish(Event{Subject: subjDiag, Payload: make([]byte, 5)}); !errors.Is(err, errPayload) {
 		t.Fatalf("oversized payload: %v", err)
 	}
 	if err := pub.Publish(Event{Subject: subjDiag, Payload: make([]byte, 4)}); err != nil {
@@ -118,7 +118,7 @@ func TestSRTPayloadCap(t *testing.T) {
 	}
 	// Announce with invalid sizes.
 	bad, _ := sys.Node(0).MW.SRTEC(0xE0)
-	if err := bad.Announce(ChannelAttrs{Payload: 9}, nil); !errors.Is(err, ErrPayload) {
+	if err := bad.Announce(ChannelAttrs{Payload: 9}, nil); !errors.Is(err, errPayload) {
 		t.Fatalf("payload 9 accepted: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestNRTUnfragmentedCapAndSingleFramePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without fragmentation the cap is one frame of transport payload.
-	if err := pub.Publish(Event{Subject: subjBulk, Payload: make([]byte, 9)}); !errors.Is(err, ErrPayload) {
+	if err := pub.Publish(Event{Subject: subjBulk, Payload: make([]byte, 9)}); !errors.Is(err, errPayload) {
 		t.Fatalf("9-byte unfragmented payload: %v", err)
 	}
 	var got []byte
@@ -276,10 +276,10 @@ func TestSharedBindingsGiveConsistentEtags(t *testing.T) {
 func TestCalendarlessHRTRejected(t *testing.T) {
 	sys := idealSystem(t, 2, nil)
 	ch, _ := sys.Node(0).MW.HRTEC(subjTemp)
-	if err := ch.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, ErrNoSlot) {
+	if err := ch.Announce(ChannelAttrs{Payload: 7}, nil); !errors.Is(err, errNoSlot) {
 		t.Fatalf("announce without calendar: %v", err)
 	}
-	if err := ch.Subscribe(ChannelAttrs{Payload: 7}, SubscribeAttrs{}, nil, nil); !errors.Is(err, ErrNoSlot) {
+	if err := ch.Subscribe(ChannelAttrs{Payload: 7}, SubscribeAttrs{}, nil, nil); !errors.Is(err, errNoSlot) {
 		t.Fatalf("subscribe without calendar: %v", err)
 	}
 }

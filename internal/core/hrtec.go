@@ -42,22 +42,22 @@ func (c *HRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	ch := c.ch
 	mw := ch.mw
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if mw.Cal == nil {
-		return ErrNoSlot
+		return errNoSlot
 	}
 	if attrs.Payload < 0 || attrs.Payload > can.MaxPayload-hrtHeaderLen {
-		return fmt.Errorf("%w: HRT payload %d (max %d)", ErrPayload, attrs.Payload, can.MaxPayload-hrtHeaderLen)
+		return fmt.Errorf("%w: HRT payload %d (max %d)", errPayload, attrs.Payload, can.MaxPayload-hrtHeaderLen)
 	}
 	me := mw.node.Ctrl.Node()
 	slots := ownedSlots(mw.Cal, ch.subject, me)
 	if len(slots) == 0 {
-		return ErrNoSlot
+		return errNoSlot
 	}
 	for _, s := range slots {
 		if attrs.Payload+hrtHeaderLen > s.Payload {
-			return fmt.Errorf("%w: slot dimensioned for %d bytes", ErrPayload, s.Payload-hrtHeaderLen)
+			return fmt.Errorf("%w: slot dimensioned for %d bytes", errPayload, s.Payload-hrtHeaderLen)
 		}
 	}
 	ch.attrs = attrs
@@ -124,10 +124,10 @@ func (c *HRTEC) publish(ev Event) error {
 		return ErrNotAnnounced
 	}
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if len(ev.Payload) > ch.attrs.Payload {
-		return fmt.Errorf("%w: %d > %d", ErrPayload, len(ev.Payload), ch.attrs.Payload)
+		return fmt.Errorf("%w: %d > %d", errPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	if len(ch.hrtQueue) >= ch.hrtQueueCap {
 		ch.raisePub(Exception{
@@ -341,14 +341,14 @@ func (c *HRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify Notific
 	ch := c.ch
 	mw := ch.mw
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if mw.Cal == nil {
-		return ErrNoSlot
+		return errNoSlot
 	}
 	slots := mw.Cal.SlotsForSubject(uint64(ch.subject))
 	if len(slots) == 0 {
-		return ErrNoSlot
+		return errNoSlot
 	}
 	if !ch.announced {
 		ch.attrs = attrs

@@ -45,9 +45,9 @@ type Lifecycle struct {
 	OnRestart func(node int, mw *Middleware)
 
 	// OnRestartError, if set, is invoked when a restarting node exhausts
-	// its bounded re-join attempts (binding.ErrAgentUnreachable). Recovery
-	// is not abandoned: the node keeps listening and re-joins in the
-	// background once the agent is heard again.
+	// its bounded re-join attempts (binding's agent-unreachable error).
+	// Recovery is not abandoned: the node keeps listening and re-joins in
+	// the background once the agent is heard again.
 	OnRestartError func(node int, err error)
 
 	// CrashCount / RestartCount tally completed transitions;
@@ -124,7 +124,7 @@ func (lc *Lifecycle) Standby() *binding.StandbyAgent { return lc.standby }
 // acting agent starts heartbeating and checkpointing its state; the standby
 // replicates passively and takes the agent role over when the heartbeats
 // stop for longer than cfg.Period·cfg.MissLimit. The zero cfg selects
-// DefaultHeartbeatConfig.
+// binding's default heartbeat (25 ms, three misses).
 func (lc *Lifecycle) EnableStandby(station int, cfg binding.HeartbeatConfig) error {
 	if station < 0 || station >= len(lc.sys.Nodes) {
 		return fmt.Errorf("core: standby station %d of %d", station, len(lc.sys.Nodes))
@@ -249,7 +249,7 @@ func (lc *Lifecycle) Restart(i int) error {
 	sys.Obs.Emit(0, obs.StageNodeRestart, 0, i, 0, now, 0)
 
 	// Power-on: the controller re-attaches, a fresh middleware replaces
-	// the crashed one (NewMiddleware re-installs the receive path and the
+	// the crashed one (newMiddleware re-installs the receive path and the
 	// two system filters), and the cold-booted clock reads an arbitrary
 	// value until synchronization pulls it back. A power cycle clears
 	// bus-off — the error counters live in the controller's volatile state.

@@ -134,28 +134,6 @@ type Middleware struct {
 	srtSeq   uint64
 }
 
-// NewMiddleware wires a middleware onto a node. The caller retains
-// ownership of calendar/bindings configuration before Start.
-func NewMiddleware(k *sim.Kernel, node *Node, bands Bands) *Middleware {
-	mw := &Middleware{
-		K:                  k,
-		node:               node,
-		bands:              bands,
-		Bindings:           binding.NewTable(),
-		SuppressRedundancy: true,
-		channels:           make(map[can.Etag]*channelState),
-	}
-	node.MW = mw
-	node.Ctrl.OnReceive = mw.dispatch
-	// The controller filter starts selective with the two system channels
-	// admitted; each Subscribe adds its channel's etag. Subject filtering
-	// thus happens in the communication controller, not the node CPU —
-	// the dynamic-binding optimisation of §2.1.
-	node.Ctrl.AddFilter(binding.SyncEtag)
-	node.Ctrl.AddFilter(binding.ConfigEtag)
-	return mw
-}
-
 // Node returns the owning node.
 func (mw *Middleware) Node() *Node { return mw.node }
 
@@ -341,20 +319,20 @@ func (ch *channelState) deliverNotify(ev Event, di DeliveryInfo) {
 var (
 	// ErrNotAnnounced is returned by Publish before Announce.
 	ErrNotAnnounced = errors.New("core: channel not announced")
-	// ErrPayload is returned for payloads beyond the channel's capacity.
-	ErrPayload = errors.New("core: payload exceeds channel capacity")
+	// errPayload is returned for payloads beyond the channel's capacity.
+	errPayload = errors.New("core: payload exceeds channel capacity")
 	// ErrClassMismatch is returned when a subject is reused with a
 	// different channel class: every subject has at most one channel.
 	ErrClassMismatch = errors.New("core: subject already bound to a different channel class")
-	// ErrNoSlot is returned when an HRT announce finds no reserved slot
+	// errNoSlot is returned when an HRT announce finds no reserved slot
 	// for (subject, node) in the calendar.
-	ErrNoSlot = errors.New("core: no calendar slot reserved for this publisher")
-	// ErrPrioOutOfBand is returned when an NRT announce requests a
+	errNoSlot = errors.New("core: no calendar slot reserved for this publisher")
+	// errPrioOutOfBand is returned when an NRT announce requests a
 	// priority outside the NRT band: the middleware "rigorously has to
 	// enforce" the band relation (§3.3).
-	ErrPrioOutOfBand = errors.New("core: NRT priority outside the configured band")
-	// ErrStopped is returned after Stop.
-	ErrStopped = errors.New("core: middleware stopped")
+	errPrioOutOfBand = errors.New("core: NRT priority outside the configured band")
+	// errStopped is returned after Stop.
+	errStopped = errors.New("core: middleware stopped")
 )
 
 // channel returns or creates the state for a subject, checking class
@@ -362,7 +340,7 @@ var (
 // §2).
 func (mw *Middleware) channel(subject binding.Subject, class Class) (*channelState, error) {
 	if mw.stopped {
-		return nil, ErrStopped
+		return nil, errStopped
 	}
 	etag, err := mw.Bindings.Bind(subject)
 	if err != nil {

@@ -37,18 +37,18 @@ func (c *NRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	ch := c.ch
 	mw := ch.mw
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if attrs.Prio == 0 {
 		attrs.Prio = mw.bands.NRTMax
 	}
 	if attrs.Prio < mw.bands.NRTMin || attrs.Prio > mw.bands.NRTMax {
-		return fmt.Errorf("%w: %d not in [%d,%d]", ErrPrioOutOfBand,
+		return fmt.Errorf("%w: %d not in [%d,%d]", errPrioOutOfBand,
 			attrs.Prio, mw.bands.NRTMin, mw.bands.NRTMax)
 	}
 	if !attrs.Fragmentation && (attrs.Payload < 0 || attrs.Payload > can.MaxPayload) {
 		return fmt.Errorf("%w: NRT payload %d (max %d without fragmentation)",
-			ErrPayload, attrs.Payload, can.MaxPayload)
+			errPayload, attrs.Payload, can.MaxPayload)
 	}
 	if !attrs.Fragmentation && attrs.Payload == 0 {
 		attrs.Payload = can.MaxPayload
@@ -95,12 +95,12 @@ func (c *NRTEC) publish(ev Event) error {
 		return ErrNotAnnounced
 	}
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	ev.Attrs.Timestamp = mw.LocalTime()
 	if !ch.attrs.Fragmentation && len(ev.Payload) > ch.attrs.Payload {
 		return fmt.Errorf("%w: %d > %d (announce with Fragmentation for bulk)",
-			ErrPayload, len(ev.Payload), ch.attrs.Payload)
+			errPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	// Unfragmented NRT payloads still travel as single-frame transport
 	// messages so the receiver can tell them from fragment chains. The
@@ -238,7 +238,7 @@ func (c *NRTEC) QueuedChains() int { return len(c.ch.nrtQueue) }
 func (c *NRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) error {
 	ch := c.ch
 	if ch.mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if !ch.announced {
 		ch.attrs = attrs

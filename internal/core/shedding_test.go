@@ -152,7 +152,7 @@ func TestSheddingErrorIsTyped(t *testing.T) {
 	if err := ch.Publish(Event{Subject: subjDiag, Payload: []byte{1}}); err != nil {
 		t.Fatalf("publish with shedding disabled: %v", err)
 	}
-	if errors.Is(ErrPayload, ErrStopped) {
+	if errors.Is(errPayload, errStopped) {
 		t.Fatal("sentinel confusion")
 	}
 }

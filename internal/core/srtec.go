@@ -115,10 +115,10 @@ func (e *srtEntry) valueAt(now sim.Time) float64 {
 func (c *SRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	ch := c.ch
 	if ch.mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if attrs.Payload < 0 || attrs.Payload > can.MaxPayload {
-		return fmt.Errorf("%w: SRT payload %d (max %d)", ErrPayload, attrs.Payload, can.MaxPayload)
+		return fmt.Errorf("%w: SRT payload %d (max %d)", errPayload, attrs.Payload, can.MaxPayload)
 	}
 	if attrs.Payload == 0 {
 		attrs.Payload = can.MaxPayload
@@ -176,10 +176,10 @@ func (c *SRTEC) publish(ev Event) error {
 		return ErrNotAnnounced
 	}
 	if mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if len(ev.Payload) > ch.attrs.Payload {
-		return fmt.Errorf("%w: %d > %d", ErrPayload, len(ev.Payload), ch.attrs.Payload)
+		return fmt.Errorf("%w: %d > %d", errPayload, len(ev.Payload), ch.attrs.Payload)
 	}
 	now := mw.LocalTime()
 	ev.Attrs.Timestamp = now
@@ -390,7 +390,7 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 func (c *SRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) error {
 	ch := c.ch
 	if ch.mw.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if !ch.announced {
 		ch.attrs = attrs

@@ -30,7 +30,7 @@ type SystemConfig struct {
 	// Calendar is the validated HRT schedule (nil if no HRT channels).
 	Calendar *calendar.Calendar
 	// Epoch is the synchronized local time of calendar round 0. It should
-	// leave room for clock synchronization to converge; DefaultEpoch is
+	// leave room for clock synchronization to converge; defaultEpoch is
 	// used when zero and synchronization is enabled.
 	Epoch sim.Time
 	// Sync configures clock synchronization; a zero Period disables it
@@ -72,9 +72,9 @@ type SystemConfig struct {
 	Observe *obs.Config
 }
 
-// DefaultEpoch leaves three synchronization periods for convergence
+// defaultEpoch leaves three synchronization periods for convergence
 // before calendar round 0.
-func DefaultEpoch(sync clock.SyncConfig) sim.Time {
+func defaultEpoch(sync clock.SyncConfig) sim.Time {
 	return 3 * sync.Period
 }
 
@@ -124,7 +124,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			cfg.Sync.MaxDriftPPM = cfg.MaxDriftPPM
 		}
 		if cfg.Epoch == 0 {
-			cfg.Epoch = DefaultEpoch(cfg.Sync)
+			cfg.Epoch = defaultEpoch(cfg.Sync)
 		}
 		if cfg.Master < 0 || cfg.Master >= cfg.Nodes {
 			return nil, fmt.Errorf("core: sync master station %d of %d", cfg.Master, cfg.Nodes)
@@ -268,12 +268,26 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // settings every incarnation of it shares: NewSystem builds the first one,
 // Lifecycle.Restart the one after each crash.
 func (s *System) newMiddleware(node *Node) *Middleware {
-	mw := NewMiddleware(s.K, node, s.Cfg.Bands)
-	mw.Cal = s.Cfg.Calendar
-	mw.Epoch = s.Cfg.Epoch
-	mw.SuppressRedundancy = !s.Cfg.NoSuppressRedundancy
-	mw.Obs = s.Obs
-	mw.Admission = s.Admission
+	mw := &Middleware{
+		K:                  s.K,
+		node:               node,
+		bands:              s.Cfg.Bands,
+		Bindings:           binding.NewTable(),
+		Cal:                s.Cfg.Calendar,
+		Epoch:              s.Cfg.Epoch,
+		SuppressRedundancy: !s.Cfg.NoSuppressRedundancy,
+		Obs:                s.Obs,
+		Admission:          s.Admission,
+		channels:           make(map[can.Etag]*channelState),
+	}
+	node.MW = mw
+	node.Ctrl.OnReceive = mw.dispatch
+	// The controller filter starts selective with the two system channels
+	// admitted; each Subscribe adds its channel's etag. Subject filtering
+	// thus happens in the communication controller, not the node CPU —
+	// the dynamic-binding optimisation of §2.1.
+	node.Ctrl.AddFilter(binding.SyncEtag)
+	node.Ctrl.AddFilter(binding.ConfigEtag)
 	if s.Syncer != nil {
 		mw.Syncer = s.Syncer
 		mw.Health = s.Syncer

@@ -11,7 +11,7 @@ import (
 	"canec/internal/value"
 )
 
-// A3ValueShedding evaluates the overload-management extension the paper
+// a3ValueShedding evaluates the overload-management extension the paper
 // points to via Jensen's value functions (ref [11], §2.2.2): during a
 // sustained overload burst, compare
 //
@@ -23,7 +23,7 @@ import (
 // The metric is accrued value: Σ over delivered events of their value
 // function evaluated at delivery lateness. Value-aware shedding spends
 // the scarce bandwidth on events that still matter.
-func A3ValueShedding(seed uint64) Result {
+func a3ValueShedding(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "overload burst (≈2× capacity for 200 ms): accrued value by policy",
 		Headers: []string{"policy", "published", "delivered", "shed", "expired", "accruedValue", "value/published%"},
@@ -45,85 +45,64 @@ func A3ValueShedding(seed uint64) Result {
 }
 
 func a3Run(seed uint64, policy string) []string {
-	sys, err := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	type class struct {
+	sys := must(core.NewSystem(core.SystemConfig{Nodes: 2, Seed: seed}))
+	classes := []struct {
 		subj binding.Subject
 		fn   core.ValueFunc
-	}
-	classes := []class{
+	}{
 		{0x31, value.Step{}},
 		{0x32, value.Linear{Grace: 10 * sim.Millisecond}},
 		{0x33, value.Plateau{After: 0.5, Grace: 100 * sim.Millisecond}},
 	}
-	published, shed, expired, delivered := 0, 0, 0, 0
+	shed, expired, delivered := 0, 0, 0
 	var accrued float64
 
 	if policy == "value" {
 		sys.Node(0).MW.MaxQueuedSRT = 16
 	}
-	pubs := make([]*core.SRTEC, len(classes))
+	pubs := make([]core.Channel, len(classes))
 	for i, c := range classes {
-		i, c := i, c
-		ch, err := sys.Node(0).MW.SRTEC(c.subj)
-		if err != nil {
-			panic(err)
-		}
 		attrs := core.ChannelAttrs{}
 		if policy == "value" {
 			attrs.Value = c.fn
 		}
-		if err := ch.Announce(attrs, func(e core.Exception) {
+		pubs[i] = pair(sys, core.SRT, c.subj, 0, attrs, func(e core.Exception) {
 			switch e.Kind {
 			case core.ExcLoadShed:
 				shed++
 			case core.ExcValidityExpired:
 				expired++
 			}
-		}); err != nil {
-			panic(err)
-		}
-		pubs[i] = ch
-		sub, err := sys.Node(1).MW.SRTEC(c.subj)
-		if err != nil {
-			panic(err)
-		}
-		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-			func(ev core.Event, di core.DeliveryInfo) {
-				delivered++
-				deadline := sim.Time(binary.LittleEndian.Uint64(ev.Payload))
-				accrued += c.fn.At(di.DeliveredAt - deadline)
-			}, nil)
+		}, 1, core.ChannelAttrs{}, func(ev core.Event, di core.DeliveryInfo) {
+			delivered++
+			deadline := sim.Time(binary.LittleEndian.Uint64(ev.Payload))
+			accrued += c.fn.At(di.DeliveredAt - deadline)
+		}, nil)
 	}
 
 	// Burst: each class publishes every 200 µs for 200 ms — three streams
-	// of ~125 µs frames ≈ 1.9× the bus. Deadlines 5 ms out.
+	// of ~125 µs frames ≈ 1.9× the bus. Deadlines 5 ms out; the payload
+	// carries the deadline.
 	const burst = 200 * sim.Millisecond
-	var loop func(i int)
-	loop = func(i int) {
-		if sys.K.Now() > burst {
-			return
-		}
-		now := sys.Node(0).MW.LocalTime()
-		p := make([]byte, 8)
-		binary.LittleEndian.PutUint64(p, uint64(now+5*sim.Millisecond))
-		attrs := core.EventAttrs{Deadline: now + 5*sim.Millisecond}
-		if policy == "expire" {
-			attrs.Expiration = now + 10*sim.Millisecond
-		}
-		if err := pubs[i].Publish(core.Event{Subject: classes[i].subj, Payload: p, Attrs: attrs}); err == nil {
-			published++
-		}
-		sys.K.After(200*sim.Microsecond, func() { loop(i) })
+	var expiration sim.Duration
+	if policy == "expire" {
+		expiration = 10 * sim.Millisecond
 	}
-	for i := range classes {
-		i := i
-		sys.K.At(sim.Time(i)*66*sim.Microsecond, func() { loop(i) })
+	feeds := make([]*srtFeed, len(classes))
+	for i, c := range classes {
+		feeds[i] = srtLoop(sys, 0, pubs[i], c.subj, sim.Time(i)*66*sim.Microsecond, burst+1,
+			200*sim.Microsecond, false, 5*sim.Millisecond, expiration, func(now sim.Time) []byte {
+				p := make([]byte, 8)
+				binary.LittleEndian.PutUint64(p, uint64(now+5*sim.Millisecond))
+				return p
+			})
 	}
 	sys.Run(2 * sim.Second) // let queues drain after the burst
 
+	published := 0
+	for _, f := range feeds {
+		published += f.accepted
+	}
 	frac := 0.0
 	if published > 0 {
 		frac = accrued / float64(published)

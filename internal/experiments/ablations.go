@@ -11,13 +11,13 @@ import (
 	"canec/internal/workload"
 )
 
-// A1PromotionAblation removes the dynamic priority increase of §3.4 —
+// a1PromotionAblation removes the dynamic priority increase of §3.4 —
 // messages keep the priority computed at enqueue time — and measures what
 // the promotion machinery actually buys. Without promotion, a message
 // enqueued far from its deadline stays at a lenient priority even as the
 // deadline closes in, so later-enqueued urgent traffic permanently
 // overtakes it: deadline misses and inversions grow.
-func A1PromotionAblation(seed uint64) Result {
+func a1PromotionAblation(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "dynamic promotion ON vs OFF (miss ratio across offered load)",
 		Headers: []string{"load", "jobs", "promoted miss%", "static miss%", "promoted inv%", "static inv%"},
@@ -61,10 +61,10 @@ func A1PromotionAblation(seed uint64) Result {
 	}
 }
 
-// A2DejitterAblation disables the delivery-at-deadline machinery — events
+// a2DejitterAblation disables the delivery-at-deadline machinery — events
 // are notified on frame arrival — quantifying what the paper's §3.2
 // middleware-layer jitter handling buys at each background load.
-func A2DejitterAblation(seed uint64) Result {
+func a2DejitterAblation(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "delivery de-jittering ON vs OFF (application-level period jitter, µs)",
 		Headers: []string{"bgLoad", "jitter ON µs", "jitter OFF µs", "latency ON µs", "latency OFF µs"},
@@ -94,56 +94,25 @@ func A2DejitterAblation(seed uint64) Result {
 
 func a2Run(seed uint64, bgLoad float64, deliverOnArrival bool) (sim.Duration, float64) {
 	cfg := calendar.DefaultConfig()
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 3, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	for _, n := range sys.Nodes {
 		n.MW.DeliverOnArrival = deliverOnArrival
 	}
-	pub, _ := sys.Node(0).MW.HRTEC(e1Subject)
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
 	var times []sim.Time
 	lat := stats.NewSeries("lat")
-	sub, _ := sys.Node(1).MW.HRTEC(e1Subject)
-	sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	pub := pair(sys, core.HRT, e1Subject, 0, hrtAttrs(), nil, 1, hrtAttrs(),
 		func(_ core.Event, di core.DeliveryInfo) {
 			times = append(times, di.DeliveredAt)
 			rel := (di.DeliveredAt - sys.Cfg.Epoch) % cal.Round
 			lat.ObserveDuration(rel)
 		}, nil)
 	const rounds = 200
-	for r := int64(0); r < rounds; r++ {
-		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
-			pub.Publish(core.Event{Subject: e1Subject, Payload: []byte{1}})
-		})
-	}
-	if bgLoad > 0 {
-		srt, _ := sys.Node(2).MW.SRTEC(0x98)
-		srt.Announce(core.ChannelAttrs{}, nil)
-		frame := actualFrameTime(8)
-		gap := sim.Duration(float64(frame)/bgLoad) - frame
-		var bgLoop func()
-		bgLoop = func() {
-			if sys.K.Now() >= sys.Cfg.Epoch+rounds*cal.Round {
-				return
-			}
-			now := sys.Node(2).MW.LocalTime()
-			srt.Publish(core.Event{Subject: 0x98, Payload: make([]byte, 8),
-				Attrs: core.EventAttrs{Deadline: now + 5*sim.Millisecond}})
-			sys.K.After(frame+gap, bgLoop)
-		}
-		sys.K.At(0, bgLoop)
-	}
+	onGrid(sys, pub, e1Subject, rounds, -100*sim.Microsecond, func(int64) []byte { return []byte{1} })
+	background(sys, 0x98, actualFrameTime(8), bgLoad, sys.Cfg.Epoch+rounds*cal.Round)
 	sys.Run(sys.Cfg.Epoch + rounds*cal.Round - 1)
 	return stats.PeriodJitter(times, cal.Round), lat.Mean()
 }

@@ -10,13 +10,13 @@ import (
 	"canec/internal/workload"
 )
 
-// E10WCRTAnalysis validates the fixed-priority machinery against theory:
+// e10WCRTAnalysis validates the fixed-priority machinery against theory:
 // for an SAE-benchmark-style periodic message set under deadline-monotonic
 // priorities (the off-line feasibility approach of Tindell & Burns the
 // paper cites in §4), the classical worst-case response-time analysis
 // must upper-bound — and reasonably track — the simulated worst observed
 // response times.
-func E10WCRTAnalysis(seed uint64) Result {
+func e10WCRTAnalysis(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "Tindell/Burns WCRT bound vs simulated worst response time (DM priorities, 2 s run)",
 		Headers: []string{"stream", "period ms", "payload", "prio", "bound µs", "simWorst µs", "bound/sim", "deadlineOK"},

@@ -13,7 +13,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E12MasterFailover measures what losing the time master costs. A scripted
+// e12MasterFailover measures what losing the time master costs. A scripted
 // crash kills the acting master mid-run; the ranked backup takes the role
 // over after FailoverRounds missed rounds, and every follower rides out the
 // gap in holdover, its uncertainty growing at 2·d_max. The experiment
@@ -24,7 +24,7 @@ import (
 // contain it. The core middleware widens its HRT lateness check by exactly
 // that bound (the "hrt widened" column counts such checks), so a correctly
 // holding-over system delivers zero late events across the failover.
-func E12MasterFailover(seed uint64) Result {
+func e12MasterFailover(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "time-master failover: takeover latency and HRT jitter in holdover",
 		Headers: []string{"failover rounds", "takeover ms", "holdover ms",
@@ -79,37 +79,28 @@ type e12Result struct {
 // crash/restart cycle with the given missed-round tolerance.
 func e12Run(seed uint64, failoverRounds int) e12Result {
 	cfg := calendar.DefaultConfig()
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond,
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
 		calendar.Slot{Subject: 0x730, Publisher: 4, Payload: 8, Periodic: true},
-		calendar.Slot{Subject: 0x731, Publisher: 5, Payload: 8, Periodic: true})
-	if err != nil {
-		panic(err)
-	}
+		calendar.Slot{Subject: 0x731, Publisher: 5, Payload: 8, Periodic: true}))
 	sync := clock.DefaultSyncConfig()
 	sync.Period = 40 * sim.Millisecond
-	sys, err := core.NewSystem(core.SystemConfig{
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 8, Seed: seed, Calendar: cal,
 		Sync:             sync,
 		Master:           1,
 		MaxDriftPPM:      100,
 		MaxInitialOffset: 200 * sim.Microsecond,
 		Observe:          obs.Default(),
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	lc := core.NewLifecycle(sys)
-	camp, err := chaos.NewCampaign(sys, lc, chaos.Script{
+	camp := must(chaos.NewCampaign(sys, lc, chaos.Script{
 		SyncBackups:    []int{2, 3},
 		FailoverRounds: failoverRounds,
 		Events: []chaos.Event{
 			{Kind: "master_crash", AtMS: float64(e12CrashAt) / float64(sim.Millisecond)},
 			{Kind: "master_restart", AtMS: float64(e12CrashAt+600*sim.Millisecond) / float64(sim.Millisecond)},
 		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	camp.Install()
 
 	type delivery struct {
@@ -119,44 +110,24 @@ func e12Run(seed uint64, failoverRounds int) e12Result {
 	}
 	var deliveries []delivery
 	res := e12Result{}
-	pubs := make([]*core.HRTEC, len(cal.Slots))
+	pubs := make([]core.Channel, len(cal.Slots))
 	for si, s := range cal.Slots {
-		si, s := si, s
-		subj := binding.Subject(s.Subject)
-		pub, err := sys.Node(int(s.Publisher)).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-			panic(err)
-		}
-		pubs[si] = pub
-		sub, err := sys.Node(6).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
 		seen := int64(0)
-		if err := sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+		pubs[si] = pair(sys, core.HRT, binding.Subject(s.Subject), int(s.Publisher), hrtAttrs(), nil, 6, hrtAttrs(),
 			func(ev core.Event, di core.DeliveryInfo) {
 				deliveries = append(deliveries, delivery{slot: si, r: seen, at: di.DeliveredAt})
 				seen++
 				if di.Late {
 					res.late++
 				}
-			}, nil); err != nil {
-			panic(err)
-		}
+			}, nil)
 	}
 	// Publishers 4 and 5 never crash: drive them on the kernel grid with a
 	// margin that covers the master clock's worst-case drift over the run.
 	rounds := int64((e12Horizon - sys.Cfg.Epoch) / sim.Duration(cal.Round))
-	for r := int64(0); r < rounds; r++ {
-		r := r
-		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-sim.Time(sim.Millisecond), func() {
-			for si, s := range cal.Slots {
-				_ = pubs[si].Publish(core.Event{Subject: binding.Subject(s.Subject), Payload: []byte{byte(r)}})
-			}
-		})
+	for si, s := range cal.Slots {
+		onGrid(sys, pubs[si], binding.Subject(s.Subject), rounds, -sim.Millisecond,
+			func(r int64) []byte { return []byte{byte(r)} })
 	}
 	sys.Run(e12Horizon)
 	res.violations = len(camp.Finish(0).Violations)

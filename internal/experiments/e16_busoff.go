@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"canec/internal/binding"
-	"canec/internal/calendar"
 	"canec/internal/chaos"
 	"canec/internal/clock"
 	"canec/internal/core"
@@ -13,7 +11,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E16BusOffAttack sweeps the corruption rate of a scripted bus-off
+// e16BusOffAttack sweeps the corruption rate of a scripted bus-off
 // adversary (a station firing bit errors into the victim's calendar
 // slots) against the fault-confinement machine, undefended and defended.
 // Undefended rows show the raw weapon: how fast the TEC ramp drives the
@@ -25,7 +23,7 @@ import (
 // within a few victim-slot occurrences, the victim's supervisor brings
 // it back under capped-exponential backoff, and healthy nodes' HRT
 // slots never miss either way.
-func E16BusOffAttack(seed uint64) Result {
+func e16BusOffAttack(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "bus-off adversary sweep: attack rate vs confinement, recovery and guardian isolation",
 		Headers: []string{"rate", "guardian", "busoff ms", "busoffs", "isolate ms",
@@ -37,7 +35,7 @@ func E16BusOffAttack(seed uint64) Result {
 			run := e16Exec(seed, rate, guarded)
 			reclaimed := 0
 			for _, w := range run.downWins {
-				reclaimed += e16BytesIn(run.deliv, w[0], w[1]) - e16BytesIn(base.deliv, w[0], w[1])
+				reclaimed += bytesIn(run.deliv, w[0], w[1]) - bytesIn(base.deliv, w[0], w[1])
 			}
 			guardian := "off"
 			if guarded {
@@ -81,11 +79,6 @@ const (
 	e16Chunk    = 128
 )
 
-type e16Delivery struct {
-	at sim.Time
-	n  int
-}
-
 type e16Result struct {
 	busoffAt, isolatedAt sim.Time // relative to attack start; -1 = never
 	busoffs              int
@@ -93,7 +86,7 @@ type e16Result struct {
 	downTotal            sim.Duration
 	healthyMisses        int
 	violations           int
-	deliv                []e16Delivery
+	deliv                []sim.Time // the bulk sender's frames on the wire
 }
 
 func e16MS(rel sim.Time) string {
@@ -103,51 +96,18 @@ func e16MS(rel sim.Time) string {
 	return fmt.Sprintf("%.1f", float64(rel)/float64(sim.Millisecond))
 }
 
-// e16BytesIn sums best-effort wire bytes in [from, to).
-func e16BytesIn(deliv []e16Delivery, from, to sim.Time) int {
-	total := 0
-	for _, d := range deliv {
-		if d.at >= from && d.at < to {
-			total += d.n
-		}
-	}
-	return total
-}
-
-// e16Calendar reserves two victim slots (node 1, so a successful attack
-// frees a sizable reservation) and three healthy ones (nodes 2-4), all on
-// one 10 ms rate.
-func e16Calendar() (*calendar.Calendar, error) {
-	cfg := calendar.DefaultConfig()
-	reqs := []calendar.Request{
-		{Subject: 0x730, Publisher: 1, Payload: 8, Period: 10 * sim.Millisecond, Periodic: true},
-		{Subject: 0x734, Publisher: 1, Payload: 8, Period: 10 * sim.Millisecond, Periodic: true},
-		{Subject: 0x731, Publisher: 2, Payload: 8, Period: 10 * sim.Millisecond, Periodic: true},
-		{Subject: 0x732, Publisher: 3, Payload: 8, Period: 10 * sim.Millisecond, Periodic: true},
-		{Subject: 0x733, Publisher: 4, Payload: 8, Period: 10 * sim.Millisecond, Periodic: true},
-	}
-	return calendar.Plan(cfg, reqs)
-}
-
 // e16Exec runs one attack campaign (rate 0 = attack-free baseline) with
 // the confinement machine on and the lifecycle supervisor owning bus-off
 // recovery, and reduces the trace to the sweep's measurements.
 func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
-	cal, err := e16Calendar()
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Nodes: 9, Seed: seed, Calendar: cal,
+	sys := must(core.NewSystem(core.SystemConfig{
+		Nodes: 9, Seed: seed, Calendar: fiveSlots(0x730, 1),
 		Sync:             clock.DefaultSyncConfig(),
 		MaxDriftPPM:      100,
 		MaxInitialOffset: 200 * sim.Microsecond,
 		ConfineFaults:    true,
 		Observe:          obs.Default(),
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	script := chaos.Script{}
 	if rate > 0 {
 		script.Events = []chaos.Event{{
@@ -162,47 +122,12 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 		script.GuardianSlotLimit = e16SlotLimit
 	}
 	lc := core.NewLifecycle(sys)
-	camp, err := chaos.NewCampaign(sys, lc, script)
-	if err != nil {
-		panic(err)
-	}
+	camp := must(chaos.NewCampaign(sys, lc, script))
 	lc.EnableBusOffRecovery(core.DefaultBusOffPolicy())
 	end := sys.Cfg.Epoch + e16Horizon
 
 	// HRT publishers, one per slot; node 5 subscribes to all of them.
-	for _, s := range cal.Slots {
-		s := s
-		subj := binding.Subject(s.Subject)
-		node := int(s.Publisher)
-		ch, err := sys.Node(node).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-			panic(err)
-		}
-		var loop func(r int64)
-		loop = func(r int64) {
-			local := sys.Cfg.Epoch + sim.Time(r)*cal.Round + s.Ready - 300*sim.Microsecond
-			at := sys.Clocks[node].WhenLocal(sys.K.Now(), local)
-			if at >= end {
-				return
-			}
-			sys.K.At(at, func() {
-				ch.Publish(core.Event{Subject: subj, Payload: []byte{byte(r)}})
-				loop(s.NextActive(r + 1))
-			})
-		}
-		loop(s.NextActive(0))
-		sub, err := sys.Node(5).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
-			func(core.Event, core.DeliveryInfo) {}, nil); err != nil {
-			panic(err)
-		}
-	}
+	outagePubs(sys, end, nil)
 	camp.Install()
 
 	// Saturating background bulk, node 6 -> node 7, resolving reclaimed
@@ -211,34 +136,15 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 	// every receiver's REC, so node 6 dips error-passive and sheds its NRT
 	// queue — an unbounded "fill to depth 4" loop would spin forever
 	// against a queue the shed keeps empty.
-	bulk, err := sys.Node(6).MW.NRTEC(0x7fe)
-	if err != nil {
-		panic(err)
-	}
-	if err := bulk.Announce(core.ChannelAttrs{Prio: 254, Fragmentation: true}, nil); err != nil {
-		panic(err)
-	}
-	sub, _ := sys.Node(7).MW.NRTEC(0x7fe)
-	sub.Subscribe(core.ChannelAttrs{Fragmentation: true}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) {}, nil)
-	var feed func()
-	feed = func() {
-		if sys.K.Now() >= end {
-			return
-		}
-		for i := 0; i < 4 && bulk.QueuedChains() < 4; i++ {
-			bulk.Publish(core.Event{Subject: 0x7fe, Payload: make([]byte, e16Chunk)})
-		}
-		sys.K.After(sim.Millisecond, feed)
-	}
-	sys.K.At(0, feed)
+	bulk := pair(sys, core.NRT, 0x7fe, 6, nrtAttrs(254), nil, 7, nrtAttrs(0), nil, nil)
+	nrtFeed(sys, bulk, 0x7fe, e16Chunk, 4, 4, 0, end)
 
 	sys.Run(end)
 
 	res := e16Result{busoffAt: -1, isolatedAt: -1}
 	victimSubjects := map[uint64]bool{0x730: true, 0x734: true}
 	var downAt sim.Time = -1
-	grace := 2 * sim.Duration(cal.Round)
+	grace := 2 * sim.Duration(sys.Cfg.Calendar.Round)
 	for _, r := range sys.Obs.Records() {
 		switch r.Stage {
 		case obs.StageBusOff:
@@ -275,11 +181,7 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 		res.downTotal += sim.Duration(end - downAt)
 	}
 	res.violations = len(camp.Finish(0).Violations)
-	for _, r := range sys.Obs.Records() {
-		if r.Stage == obs.StageTxOK && r.Node == 6 {
-			res.deliv = append(res.deliv, e16Delivery{at: r.At, n: 8})
-		}
-	}
+	res.deliv = txTimes(sys.Obs.Records(), 6)
 	return res
 }
 
@@ -288,4 +190,4 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 // bus-off before the attacker is isolated (the attacker accrues ~2
 // slot-targeted violations per round), low enough that isolation lands
 // well inside the attack window.
-var e16SlotLimit = 20
+const e16SlotLimit = 20

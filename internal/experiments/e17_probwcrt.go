@@ -14,7 +14,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E17ProbValidation cross-validates the convolution-based probabilistic
+// e17ProbValidation cross-validates the convolution-based probabilistic
 // WCRT analyzer (internal/prob) against seeded chaos campaigns: the same
 // prob.ErrorModel parameterises both the campaign's fault injector and
 // the analyzer, so a row compares a *prediction* with a *measurement* of
@@ -32,7 +32,7 @@ import (
 //     histogram's own Growth() rank-error bound.
 //   - the omission row additionally validates DeliveryLossProb against
 //     the published-vs-delivered deficit.
-func E17ProbValidation(seed uint64) Result {
+func e17ProbValidation(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "probabilistic WCRT validation: predicted vs chaos-measured, per campaign",
 		Headers: []string{"kind", "rate", "samples", "pred miss", "meas miss",
@@ -141,17 +141,14 @@ func sigmaBin(p float64, n uint64) float64 {
 // model, with the probabilistic admission controller active (generous
 // target — E17 validates the prediction, it does not gate).
 func e17Exec(seed uint64, kind string, model prob.ErrorModel) e17Run {
-	sys, err := core.NewSystem(core.SystemConfig{
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: e17Nodes, Seed: seed,
 		Observe: &obs.Config{Trace: true, Metrics: true},
 		Admission: &prob.AdmissionConfig{
 			Targets:  prob.ClassTargets{SRT: 0.5},
 			Analyzer: prob.Analyzer{Model: model},
 		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	horizonMS := float64(e17Horizon) / float64(sim.Millisecond)
 	ev := chaos.Event{Kind: kind, AtMS: 0, UntilMS: horizonMS}
 	switch kind {
@@ -165,29 +162,13 @@ func e17Exec(seed uint64, kind string, model prob.ErrorModel) e17Run {
 		panic("e17: unknown campaign kind " + kind)
 	}
 	lc := core.NewLifecycle(sys)
-	camp, err := chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{ev}})
-	if err != nil {
-		panic(err)
-	}
+	camp := must(chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{ev}}))
 	camp.Install()
 
-	pub, err := sys.Node(e17Pub).MW.SRTEC(e17Subject)
-	if err != nil {
-		panic(err)
-	}
 	attrs := core.ChannelAttrs{Payload: 8, Period: e17Period, RelDeadline: e17Deadline}
-	if err := pub.Announce(attrs, nil); err != nil {
-		panic(err)
-	}
-	sub, err := sys.Node(e17Sub).MW.SRTEC(e17Subject)
-	if err != nil {
-		panic(err)
-	}
 	run := e17Run{}
-	if err := sub.Subscribe(attrs, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) { run.delivered++ }, nil); err != nil {
-		panic(err)
-	}
+	pub := pair(sys, core.SRT, e17Subject, e17Pub, attrs, nil, e17Sub, attrs,
+		func(core.Event, core.DeliveryInfo) { run.delivered++ }, nil)
 
 	rng := sim.NewRNG(seed ^ 0x517)
 	end := sim.Time(e17Horizon)
@@ -262,13 +243,10 @@ func e17Exec(seed uint64, kind string, model prob.ErrorModel) e17Run {
 			return int(actualFrameTime(p) / can.BitTime(1, can.DefaultBitRate))
 		},
 	}
-	res, err := a.Response([]prob.Msg{{
+	res := must(a.Response([]prob.Msg{{
 		Name: "srt", Prio: 2, Period: e17Period,
 		Deadline: e17Deadline, Payload: 8,
-	}}, 0)
-	if err != nil {
-		panic(err)
-	}
+	}}, 0))
 	run.predP99 = 0
 	if q, okq := res.Dist.Quantile(0.99); okq {
 		run.predP99 = float64(q) / 1e3

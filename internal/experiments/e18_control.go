@@ -16,7 +16,7 @@ import (
 	"canec/internal/workload"
 )
 
-// E18ControlQoC closes the loop on the paper's central claim: that the
+// e18ControlQoC closes the loop on the paper's central claim: that the
 // event channel classes exist to serve applications with different
 // timing needs. A PID-controlled double integrator rides its sensor and
 // command frames over each class while background SRT load sweeps from
@@ -29,7 +29,7 @@ import (
 // out mid-run (Bosch §8 confinement on, guardian off), and relay rows
 // add a store-and-forward hop between controller and plant (§2.2.1
 // inter-bus channels).
-func E18ControlQoC(seed uint64) Result {
+func e18ControlQoC(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "closed-loop quality of control vs channel class, bus load, faults and relay hops",
 		Headers: []string{"class", "load", "campaign", "cost/s", "degrade",
@@ -129,26 +129,12 @@ func e18Background(sys *core.System, load float64, seed uint64, end sim.Time) {
 	streams := workload.MixedSet(e18Nodes-3, load, actualFrameTime, rng)
 	horizon := end - sys.Cfg.Epoch
 	jobs := workload.GenJobs(rng, streams, sim.Time(horizon))
-	chans := make([]*core.SRTEC, len(streams))
+	chans := make([]core.Channel, len(streams))
 	for i, s := range streams {
-		subj := binding.Subject(0x400 + i)
 		// Skip the loop's own stations so a crashed/attacked controller
 		// doesn't silently remove background load with it.
-		node := 3 + s.Node%(e18Nodes-3)
-		ch, err := sys.Node(node).MW.SRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := ch.Announce(core.ChannelAttrs{}, nil); err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-		sub, err := sys.Node(e18Nodes - 1).MW.SRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-			func(core.Event, core.DeliveryInfo) {}, nil)
+		chans[i] = pair(sys, core.SRT, binding.Subject(0x400+i), 3+s.Node%(e18Nodes-3), core.ChannelAttrs{}, nil,
+			e18Nodes-1, core.ChannelAttrs{}, nil, nil)
 	}
 	for _, j := range jobs {
 		j := j
@@ -174,42 +160,29 @@ func e18Run(seed uint64, class core.Class, load float64, attack bool) control.Qo
 	cfg := e18LoopConfig(class)
 	var cal *calendar.Calendar
 	if reqs := cfg.CalendarRequests(); len(reqs) > 0 {
-		var err error
-		cal, err = calendar.Plan(calendar.DefaultConfig(), reqs)
-		if err != nil {
-			panic(err)
-		}
+		cal = must(calendar.Plan(calendar.DefaultConfig(), reqs))
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: e18Nodes, Seed: seed, Calendar: cal,
 		Sync:             clock.DefaultSyncConfig(),
 		MaxDriftPPM:      100,
 		MaxInitialOffset: 200 * sim.Microsecond,
 		ConfineFaults:    true,
 		Observe:          obs.Default(),
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	end := sys.Cfg.Epoch + e18Horizon
 
 	var camp *chaos.Campaign
 	if attack {
 		lc := core.NewLifecycle(sys)
-		camp, err = chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{{
+		camp = must(chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{{
 			Kind: "busoff_attack", AtMS: 300, UntilMS: 700,
 			Node: e18Attacker, Victim: e18Ctrl, Rate: 1,
-		}}})
-		if err != nil {
-			panic(err)
-		}
+		}}}))
 		lc.EnableBusOffRecovery(core.DefaultBusOffPolicy())
 	}
 
-	l, err := control.NewLoop(cfg, nil)
-	if err != nil {
-		panic(err)
-	}
+	l := must(control.NewLoop(cfg, nil))
 	if err := l.Install(sys.K, sys.Cfg.Epoch, end, func(n int) *core.Middleware {
 		return sys.Node(n).MW
 	}, nil); err != nil {
@@ -232,19 +205,10 @@ func e18Run(seed uint64, class core.Class, load float64, attack bool) control.Qo
 // both legs ride SRT.
 func e18Relay(seed uint64, load float64) control.QoC {
 	k := sim.NewKernel(seed)
-	segA, err := core.NewSystem(core.SystemConfig{Nodes: e18Nodes, Seed: seed, Kernel: k,
-		ConfineFaults: true})
-	if err != nil {
-		panic(err)
-	}
-	segB, err := core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k})
-	if err != nil {
-		panic(err)
-	}
-	g, err := gateway.New(segA.Node(0).MW, segB.Node(2).MW, 200*sim.Microsecond)
-	if err != nil {
-		panic(err)
-	}
+	segA := must(core.NewSystem(core.SystemConfig{Nodes: e18Nodes, Seed: seed, Kernel: k,
+		ConfineFaults: true}))
+	segB := must(core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k}))
+	g := must(gateway.New(segA.Node(0).MW, segB.Node(2).MW, 200*sim.Microsecond))
 	if err := g.ForwardSRT(e18SensSubj, gateway.AtoB); err != nil {
 		panic(err)
 	}
@@ -254,10 +218,7 @@ func e18Relay(seed uint64, load float64) control.QoC {
 
 	cfg := e18LoopConfig(core.SRT)
 	cfg.ControllerNode = e18Nodes // segB station 0, via the index mapping below
-	l, err := control.NewLoop(cfg, nil)
-	if err != nil {
-		panic(err)
-	}
+	l := must(control.NewLoop(cfg, nil))
 	end := segA.Cfg.Epoch + e18Horizon
 	if err := l.Install(k, segA.Cfg.Epoch, end, func(n int) *core.Middleware {
 		if n >= e18Nodes {

@@ -103,8 +103,8 @@ func TestE18Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	a := E18ControlQoC(3)
-	b := E18ControlQoC(3)
+	a := e18ControlQoC(3)
+	b := e18ControlQoC(3)
 	if !reflect.DeepEqual(a.Table.Rows, b.Table.Rows) {
 		t.Fatal("same-seed E18 tables differ")
 	}

@@ -56,7 +56,7 @@ func TestE19Deterministic(t *testing.T) {
 			t.Fatalf("%s diverged:\n%+v\nvs\n%+v", c.name, a, b)
 		}
 	}
-	r1, r2 := E19WhyLate(5), E19WhyLate(5)
+	r1, r2 := e19WhyLate(5), e19WhyLate(5)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("E19 result diverged:\n%+v\nvs\n%+v", r1, r2)
 	}

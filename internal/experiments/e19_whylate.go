@@ -10,7 +10,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E19WhyLate validates the causal lateness engine end to end: four
+// e19WhyLate validates the causal lateness engine end to end: four
 // seeded chaos campaigns each inject one fault with a known root cause
 // (targeted bit errors, a babbling idiot, a bus-off adversary, a time
 // master crash), and the engine's per-chain attribution must name the
@@ -18,7 +18,7 @@ import (
 // misattribution of the control group (chains outside the fault window,
 // or on channels the fault cannot reach) and the residual-zero invariant
 // holding for every chain. Everything is deterministic per seed.
-func E19WhyLate(seed uint64) Result {
+func e19WhyLate(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "injected fault vs attributed root cause (causal lateness engine)",
 		Headers: []string{"campaign", "expected cause", "chains", "faulted",

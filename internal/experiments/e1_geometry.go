@@ -16,12 +16,12 @@ const (
 	e1Rounds                  = 300
 )
 
-// E1SlotGeometry reproduces Fig. 3: under increasing lower-priority
+// e1SlotGeometry reproduces Fig. 3: under increasing lower-priority
 // background load, the HRT transmission start wanders inside
 // [latest-ready, LST], the network-level arrival jitters accordingly, yet
 // the middleware delivers every event exactly at the delivery deadline so
 // the application-visible jitter collapses to (near) zero.
-func E1SlotGeometry(seed uint64) Result {
+func e1SlotGeometry(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "HRT slot geometry: tx start stays in [ready, LST]; delivery de-jittered",
 		Headers: []string{"bgLoad", "txStartMin µs", "txStartMax µs", "ΔT_wait µs",
@@ -45,17 +45,11 @@ func E1SlotGeometry(seed uint64) Result {
 
 func e1Run(seed uint64, bgLoad float64) []string {
 	cfg := calendar.DefaultConfig()
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 3, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	slot := cal.Slots[0]
 
 	// Track HRT transmission starts relative to each round's ready time.
@@ -67,21 +61,10 @@ func e1Run(seed uint64, bgLoad float64) []string {
 		}
 	}
 
-	pub, err := sys.Node(0).MW.HRTEC(e1Subject)
-	if err != nil {
-		panic(err)
-	}
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
 	arrive := stats.NewSeries("arrive")
 	deliver := stats.NewSeries("deliver")
 	late, missed := 0, 0
-	sub, err := sys.Node(1).MW.HRTEC(e1Subject)
-	if err != nil {
-		panic(err)
-	}
-	err = sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	pub := pair(sys, core.HRT, e1Subject, 0, hrtAttrs(), nil, 1, hrtAttrs(),
 		func(_ core.Event, di core.DeliveryInfo) {
 			arrive.ObserveDuration((di.ArrivedAt - sys.Cfg.Epoch) % cal.Round)
 			deliver.ObserveDuration((di.DeliveredAt - sys.Cfg.Epoch) % cal.Round)
@@ -94,39 +77,12 @@ func e1Run(seed uint64, bgLoad float64) []string {
 				missed++
 			}
 		})
-	if err != nil {
-		panic(err)
-	}
-	for r := int64(0); r < e1Rounds; r++ {
-		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
-			pub.Publish(core.Event{Subject: e1Subject, Payload: []byte{1}})
-		})
-	}
+	onGrid(sys, pub, e1Subject, e1Rounds, -100*sim.Microsecond, func(int64) []byte { return []byte{1} })
 
 	// Background: node 2 keeps the bus busy with SRT traffic at the given
 	// offered load (frame time ≈ 135 µs for 8-byte payloads).
-	if bgLoad > 0 {
-		srt, err := sys.Node(2).MW.SRTEC(0x99)
-		if err != nil {
-			panic(err)
-		}
-		if err := srt.Announce(core.ChannelAttrs{}, nil); err != nil {
-			panic(err)
-		}
-		frame := can.BitTime(can.WorstCaseBits(8), can.DefaultBitRate)
-		gap := sim.Duration(float64(frame)/bgLoad) - frame
-		var bgLoop func()
-		bgLoop = func() {
-			if sys.K.Now() >= sys.Cfg.Epoch+e1Rounds*cal.Round {
-				return
-			}
-			now := sys.Node(2).MW.LocalTime()
-			srt.Publish(core.Event{Subject: 0x99, Payload: make([]byte, 8),
-				Attrs: core.EventAttrs{Deadline: now + 5*sim.Millisecond}})
-			sys.K.After(frame+gap, bgLoop)
-		}
-		sys.K.At(0, bgLoop)
-	}
+	frame := can.BitTime(can.WorstCaseBits(8), can.DefaultBitRate)
+	background(sys, 0x99, frame, bgLoad, sys.Cfg.Epoch+e1Rounds*cal.Round)
 
 	sys.Run(sys.Cfg.Epoch + e1Rounds*cal.Round - 1)
 
@@ -141,4 +97,15 @@ func e1Run(seed uint64, bgLoad float64) []string {
 		fmt.Sprint(late),
 		fmt.Sprint(missed),
 	}
+}
+
+// background has node 2 offer SRT frames of the given wire time on subj
+// at load (0: none) from time 0 until end, each with a 5 ms deadline.
+func background(sys *core.System, subj binding.Subject, frame sim.Duration, load float64, end sim.Time) {
+	if load <= 0 {
+		return
+	}
+	ch := announce(sys.Node(2).MW, core.SRT, subj, core.ChannelAttrs{}, nil)
+	gap := sim.Duration(float64(frame)/load) - frame
+	srtLoop(sys, 2, ch, subj, 0, end, frame+gap, false, 5*sim.Millisecond, 0, zeros8)
 }

@@ -10,13 +10,13 @@ import (
 	"canec/internal/stats"
 )
 
-// E2FaultTolerance checks the HRT latency bound against its fault
+// e2FaultTolerance checks the HRT latency bound against its fault
 // assumption: a channel dimensioned for omission degree k masks exactly
 // up to k consistent faults per transmission — every event still delivered
 // precisely at the deadline — while j > k adversarial faults push the
 // delivery past the deadline and are detected (late deliveries, missed
 // slots) rather than silent.
-func E2FaultTolerance(seed uint64) Result {
+func e2FaultTolerance(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "HRT guarantee vs fault assumption (adversarial j faults/frame, slot dimensioned for k)",
 		Headers: []string{"k", "j", "delivered", "atDeadline", "maxLateness µs", "slotMissed", "slotSpan µs"},
@@ -44,28 +44,17 @@ func e2Run(seed uint64, k, j int) []string {
 	const rounds = 100
 	cfg := calendar.DefaultConfig()
 	cfg.OmissionDegree = k
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 2, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	sys.Bus.Injector = can.AdversarialK{K: j, Prio: 0}
 
-	pub, _ := sys.Node(0).MW.HRTEC(e1Subject)
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
 	slotDeadline := cal.Slots[0].Deadline(cfg)
 	delivered, atDeadline, missed := 0, 0, 0
 	var maxLate sim.Duration
-	sub, _ := sys.Node(1).MW.HRTEC(e1Subject)
-	err = sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	pub := pair(sys, core.HRT, e1Subject, 0, hrtAttrs(), nil, 1, hrtAttrs(),
 		func(ev core.Event, di core.DeliveryInfo) {
 			delivered++
 			// Perfect clocks in this rig: the expected delivery instant of
@@ -83,17 +72,11 @@ func e2Run(seed uint64, k, j int) []string {
 				missed++
 			}
 		})
-	if err != nil {
-		panic(err)
-	}
-	for r := int64(0); r < rounds; r++ {
-		r := r
-		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
-			// 7-byte zero payload: maximises stuff bits, approaching the
-			// worst-case frame the slot was dimensioned for.
-			pub.Publish(core.Event{Subject: e1Subject, Payload: []byte{byte(r), 0, 0, 0, 0, 0, 0}})
-		})
-	}
+	// 7-byte zero payload: maximises stuff bits, approaching the
+	// worst-case frame the slot was dimensioned for.
+	onGrid(sys, pub, e1Subject, rounds, -100*sim.Microsecond, func(r int64) []byte {
+		return []byte{byte(r), 0, 0, 0, 0, 0, 0}
+	})
 	sys.Run(sys.Cfg.Epoch + rounds*cal.Round - 1)
 
 	return []string{

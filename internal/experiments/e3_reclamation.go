@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"canec/internal/baseline"
 	"canec/internal/binding"
 	"canec/internal/calendar"
 	"canec/internal/can"
@@ -12,7 +11,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E3Reclamation measures the paper's headline efficiency claim (§3.2,
+// e3Reclamation measures the paper's headline efficiency claim (§3.2,
 // §5): bandwidth reserved for hard real-time traffic but not used — slots
 // of sporadic channels that do not fire, and redundant fault-tolerance
 // copies that are suppressed after a consistently successful transmission
@@ -20,7 +19,7 @@ import (
 // arbitration. A TTCAN-style network with the same reservations cannot
 // reclaim exclusive windows, so its best-effort throughput collapses as
 // the reservation share grows.
-func E3Reclamation(seed uint64) Result {
+func e3Reclamation(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "best-effort bulk throughput under HRT reservations (8 sporadic HRT channels, k=1)",
 		Headers: []string{"duty", "reserved%", "canec KiB/s", "canec+alwaysK KiB/s", "ttcan KiB/s", "advantage"},
@@ -59,11 +58,16 @@ func E3Reclamation(seed uint64) Result {
 	}
 }
 
-const e3Horizon = 2 * sim.Second
+const (
+	e3Horizon = 2 * sim.Second
+	// e3Rounds are the rounds whose publish instant, 100 µs before the
+	// round at a 1 ms epoch, falls before e3Horizon.
+	e3Rounds = 200
+)
 
 // e3Slots builds 8 sporadic single-publisher HRT reservations in a 10 ms
 // round.
-func e3Slots() (*calendar.Calendar, error) {
+func e3Slots() *calendar.Calendar {
 	cfg := calendar.DefaultConfig()
 	cfg.OmissionDegree = 1
 	var slots []calendar.Slot
@@ -72,151 +76,46 @@ func e3Slots() (*calendar.Calendar, error) {
 			Subject: uint64(0x700 + i), Publisher: can.TxNode(i), Payload: 8, Periodic: false,
 		})
 	}
-	return calendar.PackSequential(cfg, 10*sim.Millisecond, slots...)
+	return must(calendar.PackSequential(cfg, 10*sim.Millisecond, slots...))
 }
 
 // e3RunCanec measures bulk NRT throughput in the paper's system.
 func e3RunCanec(seed uint64, duty float64, suppress bool) (float64, string) {
-	cal, err := e3Slots()
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Nodes: 10, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
+	sys := must(core.NewSystem(core.SystemConfig{
+		Nodes: 10, Seed: seed, Calendar: e3Slots(), Epoch: sim.Millisecond,
 		NoSuppressRedundancy: !suppress,
 		Observe:              metricsConfig(),
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	// Sporadic HRT publishers: publish with probability duty per round.
 	for i := 0; i < 8; i++ {
-		i := i
 		subj := binding.Subject(0x700 + i)
-		ch, err := sys.Node(i).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: 7}, nil); err != nil {
-			panic(err)
-		}
-		var loop func(r int64)
-		loop = func(r int64) {
-			at := sys.Cfg.Epoch + sim.Time(r)*cal.Round - 100*sim.Microsecond
-			if at >= e3Horizon {
-				return
+		ch := announce(sys.Node(i).MW, core.HRT, subj, core.ChannelAttrs{Payload: 7}, nil)
+		onGrid(sys, ch, subj, e3Rounds, -100*sim.Microsecond, func(r int64) []byte {
+			if sys.K.RNG().Bool(duty) {
+				return []byte{byte(r)}
 			}
-			sys.K.At(at, func() {
-				if sys.K.RNG().Bool(duty) {
-					ch.Publish(core.Event{Subject: subj, Payload: []byte{byte(r)}})
-				}
-				loop(r + 1)
-			})
-		}
-		loop(0)
+			return nil
+		})
 	}
 	// Bulk NRT with infinite backlog from node 8 to node 9.
-	bulk, err := sys.Node(8).MW.NRTEC(0x7ff)
-	if err != nil {
-		panic(err)
-	}
-	if err := bulk.Announce(core.ChannelAttrs{Prio: 254, Fragmentation: true}, nil); err != nil {
-		panic(err)
-	}
 	bytesDone := 0
-	sub, _ := sys.Node(9).MW.NRTEC(0x7ff)
-	sub.Subscribe(core.ChannelAttrs{Fragmentation: true}, core.SubscribeAttrs{},
+	bulk := pair(sys, core.NRT, 0x7ff, 8, nrtAttrs(254), nil, 9, nrtAttrs(0),
 		func(ev core.Event, _ core.DeliveryInfo) { bytesDone += len(ev.Payload) }, nil)
-	var feed func()
-	feed = func() {
-		if sys.K.Now() >= e3Horizon {
-			return
-		}
-		for bulk.QueuedChains() < 2 {
-			bulk.Publish(core.Event{Subject: 0x7ff, Payload: make([]byte, 1024)})
-		}
-		sys.K.After(sim.Millisecond, feed)
-	}
-	sys.K.At(0, feed)
+	nrtFeed(sys, bulk, 0x7ff, 1024, 2, 0, 0, e3Horizon)
 	sys.Run(e3Horizon)
 	return float64(bytesDone) / 1024 / (float64(e3Horizon) / float64(sim.Second)), promText(sys.Obs)
 }
 
 // e3RunTTCAN measures bulk throughput under the TTCAN baseline with the
-// same reservations: one exclusive window per HRT channel per cycle (the
+// same reservations (one exclusive window per HRT channel per cycle: the
 // window must cover the same worst-case span, including the retry budget,
 // since TTCAN has no in-slot retransmission the span buys extra windows —
-// we grant it the same total reservation), plus one arbitration window in
-// the remaining cycle time.
+// we grant it the same total reservation) and the same duty cycle.
 func e3RunTTCAN(seed uint64, duty float64) (throughput float64, reservedShare float64) {
-	cal, err := e3Slots()
-	if err != nil {
-		panic(err)
-	}
-	cfg := cal.Cfg
-	k := sim.NewKernel(seed)
-	bus := can.NewBus(k, can.DefaultBitRate)
-	for i := 0; i < 10; i++ {
-		bus.Attach(can.TxNode(i))
-	}
-	net := baseline.NewTTCAN(k, bus, cal.Round)
-	for _, s := range cal.Slots {
-		net.AddExclusive(s.Ready, s.End(cfg)-s.Ready, int(s.Publisher))
-	}
-	last := cal.Slots[len(cal.Slots)-1]
-	arbStart := last.End(cfg) + cfg.GapMin
-	if arbStart < cal.Round {
-		net.AddArbitration(arbStart, cal.Round-arbStart)
-	}
-	if err := net.Start(); err != nil {
-		panic(err)
-	}
-	reservedShare = cal.Utilization()
-
-	// Sporadic exclusive traffic with the same duty cycle.
-	for wi, s := range cal.Slots {
-		wi, s := wi, s
-		var loop func(r int64)
-		loop = func(r int64) {
-			at := sim.Time(r)*cal.Round + s.Ready - 100*sim.Microsecond
-			if at < 0 {
-				at = 0
-			}
-			if at >= e3Horizon {
-				return
-			}
-			k.At(at, func() {
-				if k.RNG().Bool(duty) {
-					net.SetExclusive(wi, can.Frame{
-						ID:   can.MakeID(0, s.Publisher, can.Etag(s.Subject&0x3fff)),
-						Data: make([]byte, 8),
-					})
-				}
-				loop(r + 1)
-			})
-		}
-		loop(0)
-	}
-	// Bulk traffic through the arbitration windows: frames of 8 bytes.
+	cal := e3Slots()
 	bytesDone := 0
-	var feed func()
-	feed = func() {
-		if k.Now() >= e3Horizon {
-			return
-		}
-		for i := 0; i < 20; i++ {
-			net.SubmitAsync(8, can.Frame{
-				ID:   can.MakeID(254, 8, 0x7ff),
-				Data: make([]byte, 8),
-			}, func(ok bool, _ sim.Time) {
-				if ok {
-					bytesDone += 8
-				}
-			})
-		}
-		k.After(sim.Millisecond, feed)
-	}
-	k.At(0, feed)
-	k.Run(e3Horizon)
-	return float64(bytesDone) / 1024 / (float64(e3Horizon) / float64(sim.Second)), reservedShare
+	ttcan(seed, cal, 10, 8, e3Horizon,
+		func(k *sim.Kernel, _ calendar.Slot) bool { return k.RNG().Bool(duty) },
+		func(sim.Time) { bytesDone += 8 })
+	return float64(bytesDone) / 1024 / (float64(e3Horizon) / float64(sim.Second)), cal.Utilization()
 }

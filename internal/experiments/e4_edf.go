@@ -10,7 +10,7 @@ import (
 	"canec/internal/workload"
 )
 
-// E4EDFvsDM sweeps the offered soft real-time load and compares the
+// e4EDFvsDM sweeps the offered soft real-time load and compares the
 // deadline-miss ratio of the paper's EDF-via-priority-slots scheme
 // against deadline-monotonic fixed priorities (the discipline of the
 // standard CAN protocols the paper criticises in §4) and against a
@@ -41,7 +41,7 @@ func worstStreamMiss(o baseline.Outcome, nStreams int) float64 {
 	return worst
 }
 
-func E4EDFvsDM(seed uint64) Result {
+func e4EDFvsDM(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "deadline-miss ratio vs offered load (mixed periodic/sporadic set, deadline = period)",
 		Headers: []string{"load", "streams", "jobs", "EDF miss%", "DM miss%", "oracle miss%",

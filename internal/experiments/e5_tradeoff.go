@@ -12,7 +12,7 @@ import (
 	"canec/internal/workload"
 )
 
-// E5PrioritySlotTradeoff sweeps the priority-slot length Δt_p and
+// e5PrioritySlotTradeoff sweeps the priority-slot length Δt_p and
 // measures the two failure modes §3.4 discusses:
 //
 //   - Δt_p too large → many distinct deadlines share a priority slot and
@@ -25,7 +25,7 @@ import (
 // The paper argues 250 slots of ≈ one CAN frame each suffice for 32–64
 // node systems; the sweep shows the miss/inversion minimum indeed sits
 // near that operating point.
-func E5PrioritySlotTradeoff(seed uint64) Result {
+func e5PrioritySlotTradeoff(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "Δt_p sweep at fixed load 0.85 (deadlines spread 2..100 ms)",
 		Headers: []string{"Δt_p µs", "horizon ms", "miss%", "inversions%", "beyondHorizon%", "promos/job"},

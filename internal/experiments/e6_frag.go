@@ -10,12 +10,12 @@ import (
 	"canec/internal/stats"
 )
 
-// E6Fragmentation transfers bulk images of increasing size through a
+// e6Fragmentation transfers bulk images of increasing size through a
 // fragmenting NRT channel while a hard real-time control loop and soft
 // real-time diagnostics run. The paper's claim (§2.2.3, §3.3): NRT bulk
 // traffic uses only the bandwidth the real-time classes leave over —
 // it must not add HRT jitter nor SRT misses.
-func E6Fragmentation(seed uint64) Result {
+func e6Fragmentation(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "NRT bulk transfer during HRT control loop (10 ms round) + SRT diagnostics",
 		Headers: []string{"image KiB", "frames", "transfer ms", "goodput KiB/s", "hrtAppJitter µs", "hrtLate", "srtMiss%"},
@@ -38,74 +38,40 @@ func E6Fragmentation(seed uint64) Result {
 func e6Run(seed uint64, kib int) []string {
 	const rounds = 400
 	cfg := calendar.DefaultConfig()
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true})
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 4, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	end := sys.Cfg.Epoch + rounds*cal.Round - 1
 
 	// HRT control loop.
-	pub, _ := sys.Node(0).MW.HRTEC(e1Subject)
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
 	var hrtTimes []sim.Time
 	hrtLate := 0
-	sub, _ := sys.Node(1).MW.HRTEC(e1Subject)
-	sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	pub := pair(sys, core.HRT, e1Subject, 0, hrtAttrs(), nil, 1, hrtAttrs(),
 		func(_ core.Event, di core.DeliveryInfo) {
 			hrtTimes = append(hrtTimes, di.DeliveredAt)
 			if di.Late {
 				hrtLate++
 			}
 		}, nil)
-	for r := int64(0); r < rounds; r++ {
-		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
-			pub.Publish(core.Event{Subject: e1Subject, Payload: []byte{1}})
-		})
-	}
+	onGrid(sys, pub, e1Subject, rounds, -100*sim.Microsecond, func(int64) []byte { return []byte{1} })
 
 	// SRT diagnostics: Poisson, 5 ms deadlines.
-	diag, _ := sys.Node(2).MW.SRTEC(0x91)
-	srtSent, srtMissed := 0, 0
-	diag.Announce(core.ChannelAttrs{}, func(e core.Exception) {
+	srtMissed := 0
+	diag := pair(sys, core.SRT, 0x91, 2, core.ChannelAttrs{}, func(e core.Exception) {
 		if e.Kind == core.ExcDeadlineMissed {
 			srtMissed++
 		}
-	})
-	dsub, _ := sys.Node(3).MW.SRTEC(0x91)
-	dsub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{}, func(core.Event, core.DeliveryInfo) {}, nil)
-	var dloop func()
-	dloop = func() {
-		if sys.K.Now() >= end {
-			return
-		}
-		now := sys.Node(2).MW.LocalTime()
-		diag.Publish(core.Event{Subject: 0x91, Payload: make([]byte, 8),
-			Attrs: core.EventAttrs{Deadline: now + 5*sim.Millisecond}})
-		srtSent++
-		sys.K.After(sys.K.RNG().ExpDuration(2*sim.Millisecond), dloop)
-	}
-	sys.K.At(sys.Cfg.Epoch, dloop)
+	}, 3, core.ChannelAttrs{}, nil, nil)
+	srt := srtLoop(sys, 2, diag, 0x91, sys.Cfg.Epoch, end, 2*sim.Millisecond, true, 5*sim.Millisecond, 0, zeros8)
 
 	// Bulk transfer.
 	var transferDur sim.Duration
 	frames := 0
 	if kib > 0 {
-		bulk, _ := sys.Node(2).MW.NRTEC(0x92)
-		if err := bulk.Announce(core.ChannelAttrs{Prio: 253, Fragmentation: true}, nil); err != nil {
-			panic(err)
-		}
-		bsub, _ := sys.Node(3).MW.NRTEC(0x92)
 		start := sys.Cfg.Epoch
-		bsub.Subscribe(core.ChannelAttrs{Fragmentation: true}, core.SubscribeAttrs{},
+		bulk := pair(sys, core.NRT, 0x92, 2, nrtAttrs(253), nil, 3, nrtAttrs(0),
 			func(ev core.Event, di core.DeliveryInfo) {
 				transferDur = di.DeliveredAt - start
 			}, nil)
@@ -126,8 +92,8 @@ func e6Run(seed uint64, kib int) []string {
 		transferMS = float64(transferDur) / float64(sim.Millisecond)
 	}
 	missPct := 0.0
-	if srtSent > 0 {
-		missPct = float64(srtMissed) / float64(srtSent)
+	if srt.sent > 0 {
+		missPct = float64(srtMissed) / float64(srt.sent)
 	}
 	return []string{
 		fmt.Sprint(kib),

@@ -11,13 +11,13 @@ import (
 	"canec/internal/workload"
 )
 
-// E7PromotionOverhead quantifies the cost the paper attributes to dynamic
+// e7PromotionOverhead quantifies the cost the paper attributes to dynamic
 // EDF scheduling (§3.4, evaluated in ref [16]): every queued soft
 // real-time message must have its identifier rewritten each time its
 // laxity crosses a priority-slot boundary. The experiment sweeps Δt_p at
 // two load points and reports the measured identifier rewrites per job
 // next to the analytical expectation from the queueing-time distribution.
-func E7PromotionOverhead(seed uint64) Result {
+func e7PromotionOverhead(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "identifier rewrites (promotions) per job vs Δt_p",
 		Headers: []string{"load", "Δt_p µs", "promos/job", "max/job possible", "miss%"},

@@ -11,7 +11,7 @@ import (
 	"canec/internal/stats"
 )
 
-// E8ClockSync probes the relationship between synchronization quality and
+// e8ClockSync probes the relationship between synchronization quality and
 // the inter-slot gap ΔG_min (§3.2): the reservation scheme is safe only
 // while the real achieved precision π stays below the gap. The sweep
 // lengthens the sync period (degrading π) while the calendar keeps
@@ -19,7 +19,7 @@ import (
 // adjacent tightly-packed slots from different publishers start
 // overlapping in real time and late deliveries appear — exactly the
 // failure the admission test exists to exclude.
-func E8ClockSync(seed uint64) Result {
+func e8ClockSync(seed uint64) Result {
 	tbl := stats.Table{
 		Title:   "sync period vs achieved precision and HRT health (two adjacent slots, ΔG_min = 40 µs)",
 		Headers: []string{"syncPeriod ms", "bound π µs", "measured π µs", "π<ΔG", "late", "slotMissed"},
@@ -49,53 +49,25 @@ func e8Run(seed uint64, period sim.Duration) []string {
 
 	calCfg := calendar.DefaultConfig()
 	calCfg.Precision = 25 * sim.Microsecond // optimistic declaration
-	cal, err := calendar.PackSequential(calCfg, 10*sim.Millisecond,
+	cal := must(calendar.PackSequential(calCfg, 10*sim.Millisecond,
 		calendar.Slot{Subject: 0x31, Publisher: 0, Payload: 8, Periodic: true},
 		calendar.Slot{Subject: 0x32, Publisher: 1, Payload: 8, Periodic: true},
-	)
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 4, Seed: seed, Calendar: cal,
 		Sync: syncCfg, MaxDriftPPM: maxDrift,
 		MaxInitialOffset: 200 * sim.Microsecond,
 		Epoch:            3 * period,
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	const rounds = 150
 	end := sys.Cfg.Epoch + rounds*cal.Round - 1
 
 	// Publishers on nodes 0 and 1, subscribers on nodes 2 and 3.
 	late, missed := 0, 0
-	for i, subj := range []binding.Subject{0x31, 0x32} {
-		i, subj := i, subj
-		ch, err := sys.Node(i).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-			panic(err)
-		}
-		var loop func(r int64)
-		loop = func(r int64) {
-			if r >= rounds {
-				return
-			}
-			local := sys.Cfg.Epoch + sim.Time(r)*cal.Round - 300*sim.Microsecond
-			sys.K.At(sys.Clocks[i].WhenLocal(sys.K.Now(), local), func() {
-				ch.Publish(core.Event{Subject: subj, Payload: []byte{byte(r)}})
-				loop(r + 1)
-			})
-		}
-		loop(0)
-		sub, err := sys.Node(2 + i).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	for i, s := range cal.Slots {
+		onLocal(&localPub{sys: sys, slot: s, at: -300 * sim.Microsecond,
+			rounds: rounds, end: end, payload: func(r int64) []byte { return []byte{byte(r)} }})
+		subscribe(sys.Node(2+i).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
 			func(_ core.Event, di core.DeliveryInfo) {
 				if di.Late {
 					late++

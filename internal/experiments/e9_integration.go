@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"canec/internal/binding"
@@ -13,12 +12,12 @@ import (
 	"canec/internal/stats"
 )
 
-// E9Integration runs the full system — all three channel classes, clock
+// e9Integration runs the full system — all three channel classes, clock
 // synchronization, drifting clocks — at three network sizes and reports
 // the per-class service quality table (§2.2, §5): HRT latency is constant
 // with ≈0 application jitter, SRT latency is load-dependent with a small
 // miss tail, NRT bulk goodput absorbs the remainder.
-func E9Integration(seed uint64) Result {
+func e9Integration(seed uint64) Result {
 	tbl := stats.Table{
 		Title: "per-class service quality, full mixed system (1 s of traffic)",
 		Headers: []string{"nodes", "class", "events", "latency µs (mean)", "p99 µs",
@@ -56,57 +55,35 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 			Subject: uint64(0x800 + i), Publisher: can.TxNode(i), Payload: 8, Periodic: true,
 		})
 	}
-	cal, err := calendar.PackSequential(cfg, 10*sim.Millisecond, slots...)
-	if err != nil {
-		panic(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond, slots...))
+	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: nodes, Seed: seed, Calendar: cal,
 		Sync:             clock.DefaultSyncConfig(),
 		MaxDriftPPM:      100,
 		MaxInitialOffset: 100 * sim.Microsecond,
 		Observe:          metricsConfig(),
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	const rounds = 100
 	end := sys.Cfg.Epoch + rounds*cal.Round - 1
+	// stamp is a size-byte payload carrying the kernel time of its publish.
+	stamp := func(size int) []byte {
+		p := make([]byte, size)
+		binding.Put56(p, uint64(sys.K.Now()))
+		return p
+	}
+	latency := func(s *stats.Series, ev core.Event, di core.DeliveryInfo) {
+		s.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
+	}
 
 	hrtLat := stats.NewSeries("hrtLat")
 	var hrtTimes []sim.Time
 	hrtMiss := 0
-	for i := 0; i < nHRT; i++ {
-		i := i
-		subj := binding.Subject(0x800 + i)
-		ch, err := sys.Node(i).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		if err := ch.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-			panic(err)
-		}
-		var loop func(r int64)
-		loop = func(r int64) {
-			if r >= rounds {
-				return
-			}
-			local := sys.Cfg.Epoch + sim.Time(r)*cal.Round - 200*sim.Microsecond
-			sys.K.At(sys.Clocks[i].WhenLocal(sys.K.Now(), local), func() {
-				p := make([]byte, 7)
-				putTS56(p, sys.K.Now())
-				ch.Publish(core.Event{Subject: subj, Payload: p})
-				loop(r + 1)
-			})
-		}
-		loop(0)
-		sub, err := sys.Node((i + 1) % nodes).MW.HRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	for i, s := range cal.Slots {
+		onLocal(&localPub{sys: sys, slot: s, at: -200 * sim.Microsecond,
+			rounds: rounds, end: end, payload: func(int64) []byte { return stamp(7) }})
+		subscribe(sys.Node((i+1)%nodes).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
 			func(ev core.Event, di core.DeliveryInfo) {
-				hrtLat.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
+				latency(hrtLat, ev, di)
 				if i == 0 {
 					hrtTimes = append(hrtTimes, di.DeliveredAt)
 				}
@@ -119,74 +96,27 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 	}
 
 	srtLat := stats.NewSeries("srtLat")
-	srtMiss, srtDrop, srtSent := 0, 0, 0
+	srtMiss, srtDrop := 0, 0
 	for i := 0; i < nodes; i++ {
-		i := i
 		subj := binding.Subject(0x900 + i)
-		ch, err := sys.Node(i).MW.SRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		ch.Announce(core.ChannelAttrs{}, func(e core.Exception) {
+		ch := pair(sys, core.SRT, subj, i, core.ChannelAttrs{}, func(e core.Exception) {
 			switch e.Kind {
 			case core.ExcDeadlineMissed:
 				srtMiss++
 			case core.ExcValidityExpired:
 				srtDrop++
 			}
-		})
-		sub, err := sys.Node((i + 3) % nodes).MW.SRTEC(subj)
-		if err != nil {
-			panic(err)
-		}
-		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-			func(ev core.Event, di core.DeliveryInfo) {
-				srtLat.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
-			}, nil)
-		var loop func()
-		loop = func() {
-			if sys.K.Now() >= end {
-				return
-			}
-			now := sys.Node(i).MW.LocalTime()
-			p := make([]byte, 8)
-			putTS56(p, sys.K.Now())
-			ch.Publish(core.Event{Subject: subj, Payload: p,
-				Attrs: core.EventAttrs{
-					Deadline:   now + 10*sim.Millisecond,
-					Expiration: now + 30*sim.Millisecond,
-				}})
-			srtSent++
-			sys.K.After(sys.K.RNG().ExpDuration(sim.Duration(nodes)*2*sim.Millisecond), loop)
-		}
-		sys.K.At(sys.Cfg.Epoch, loop)
+		}, (i+3)%nodes, core.ChannelAttrs{}, func(ev core.Event, di core.DeliveryInfo) {
+			latency(srtLat, ev, di)
+		}, nil)
+		srtLoop(sys, i, ch, subj, sys.Cfg.Epoch, end, sim.Duration(nodes)*2*sim.Millisecond, true,
+			10*sim.Millisecond, 30*sim.Millisecond, func(sim.Time) []byte { return stamp(8) })
 	}
 
 	nrtBytes := 0
-	bulk, err := sys.Node(nodes - 1).MW.NRTEC(0xA00)
-	if err != nil {
-		panic(err)
-	}
-	if err := bulk.Announce(core.ChannelAttrs{Prio: 254, Fragmentation: true}, nil); err != nil {
-		panic(err)
-	}
-	bsub, err := sys.Node(0).MW.NRTEC(0xA00)
-	if err != nil {
-		panic(err)
-	}
-	bsub.Subscribe(core.ChannelAttrs{Fragmentation: true}, core.SubscribeAttrs{},
+	bulk := pair(sys, core.NRT, 0xA00, nodes-1, nrtAttrs(254), nil, 0, nrtAttrs(0),
 		func(ev core.Event, _ core.DeliveryInfo) { nrtBytes += len(ev.Payload) }, nil)
-	var feed func()
-	feed = func() {
-		if sys.K.Now() >= end {
-			return
-		}
-		if bulk.QueuedChains() < 2 {
-			bulk.Publish(core.Event{Subject: 0xA00, Payload: make([]byte, 1024)})
-		}
-		sys.K.After(sim.Millisecond, feed)
-	}
-	sys.K.At(sys.Cfg.Epoch, feed)
+	nrtFeed(sys, bulk, 0xA00, 1024, 2, 1, sys.Cfg.Epoch, end)
 
 	sys.Run(end)
 
@@ -203,18 +133,4 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 		{fmt.Sprint(nodes), "NRT", fmt.Sprint(nrtBytes / 1024),
 			fmt.Sprintf("(%.0f KiB/s)", float64(nrtBytes)/1024/secs), "-", "-", "0", util},
 	}, promText(sys.Obs)
-}
-
-// putTS56/getTS56 embed a 56-bit kernel timestamp in event payloads so
-// subscribers can compute true end-to-end latency.
-func putTS56(dst []byte, t sim.Time) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(t))
-	copy(dst, buf[:7])
-}
-
-func getTS56(src []byte) sim.Time {
-	var buf [8]byte
-	copy(buf[:7], src)
-	return sim.Time(binary.LittleEndian.Uint64(buf[:]))
 }

@@ -86,25 +86,25 @@ type Experiment struct {
 // All returns the experiment registry in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "slot-geometry", "Fig. 3 slot geometry and delivery de-jittering", E1SlotGeometry},
-		{"E2", "fault-tolerance", "HRT latency bound under omission faults (§3.2)", E2FaultTolerance},
-		{"E3", "reclamation", "bandwidth reclamation vs TTCAN-style TDMA (§3.2, §5)", E3Reclamation},
-		{"E4", "edf-vs-dm", "EDF via priority slots vs fixed priority vs oracle (§3.3-3.4)", E4EDFvsDM},
-		{"E5", "prio-slot-tradeoff", "priority-slot length Δt_p trade-off (§3.4)", E5PrioritySlotTradeoff},
-		{"E6", "fragmentation", "NRT bulk transfer non-interference (§2.2.3)", E6Fragmentation},
-		{"E7", "promotion-overhead", "dynamic priority promotion overhead (§3.4)", E7PromotionOverhead},
-		{"E8", "clock-sync", "sync precision vs ΔG_min gap (§3.2)", E8ClockSync},
-		{"E9", "integration", "full mixed-class integration (§2.2, §5)", E9Integration},
-		{"E10", "wcrt-analysis", "Tindell WCRT analysis vs simulation (§4)", E10WCRTAnalysis},
-		{"E11", "crash-recovery", "crash recovery latency and outage reclamation (§3.2, §5)", E11Recovery},
-		{"E12", "master-failover", "time-master failover: takeover latency and holdover jitter (§3.2)", E12MasterFailover},
-		{"E16", "busoff-attack", "bus-off adversary sweep: attack rate vs confinement and isolation (Bosch §8)", E16BusOffAttack},
-		{"E17", "prob-validation", "probabilistic WCRT predictions vs seeded chaos campaigns (§4 extension)", E17ProbValidation},
-		{"E18", "control-qoc", "closed-loop quality of control vs load, class and faults (§2.2 application view)", E18ControlQoC},
-		{"E19", "why-late", "causal lateness attribution: injected faults vs root-cause verdicts (observability extension)", E19WhyLate},
-		{"A1", "promotion-ablation", "ablation: dynamic priority promotion on/off (§3.4)", A1PromotionAblation},
-		{"A2", "dejitter-ablation", "ablation: delivery-at-deadline on/off (§3.2)", A2DejitterAblation},
-		{"A3", "value-shedding", "extension: value-based load shedding (ref [11])", A3ValueShedding},
+		{"E1", "slot-geometry", "Fig. 3 slot geometry and delivery de-jittering", e1SlotGeometry},
+		{"E2", "fault-tolerance", "HRT latency bound under omission faults (§3.2)", e2FaultTolerance},
+		{"E3", "reclamation", "bandwidth reclamation vs TTCAN-style TDMA (§3.2, §5)", e3Reclamation},
+		{"E4", "edf-vs-dm", "EDF via priority slots vs fixed priority vs oracle (§3.3-3.4)", e4EDFvsDM},
+		{"E5", "prio-slot-tradeoff", "priority-slot length Δt_p trade-off (§3.4)", e5PrioritySlotTradeoff},
+		{"E6", "fragmentation", "NRT bulk transfer non-interference (§2.2.3)", e6Fragmentation},
+		{"E7", "promotion-overhead", "dynamic priority promotion overhead (§3.4)", e7PromotionOverhead},
+		{"E8", "clock-sync", "sync precision vs ΔG_min gap (§3.2)", e8ClockSync},
+		{"E9", "integration", "full mixed-class integration (§2.2, §5)", e9Integration},
+		{"E10", "wcrt-analysis", "Tindell WCRT analysis vs simulation (§4)", e10WCRTAnalysis},
+		{"E11", "crash-recovery", "crash recovery latency and outage reclamation (§3.2, §5)", e11Recovery},
+		{"E12", "master-failover", "time-master failover: takeover latency and holdover jitter (§3.2)", e12MasterFailover},
+		{"E16", "busoff-attack", "bus-off adversary sweep: attack rate vs confinement and isolation (Bosch §8)", e16BusOffAttack},
+		{"E17", "prob-validation", "probabilistic WCRT predictions vs seeded chaos campaigns (§4 extension)", e17ProbValidation},
+		{"E18", "control-qoc", "closed-loop quality of control vs load, class and faults (§2.2 application view)", e18ControlQoC},
+		{"E19", "why-late", "causal lateness attribution: injected faults vs root-cause verdicts (observability extension)", e19WhyLate},
+		{"A1", "promotion-ablation", "ablation: dynamic priority promotion on/off (§3.4)", a1PromotionAblation},
+		{"A2", "dejitter-ablation", "ablation: delivery-at-deadline on/off (§3.2)", a2DejitterAblation},
+		{"A3", "value-shedding", "extension: value-based load shedding (ref [11])", a3ValueShedding},
 	}
 }
 

@@ -47,7 +47,7 @@ func cell(t *testing.T, row []string, i int) float64 {
 }
 
 func TestE1GeometryInvariants(t *testing.T) {
-	res := E1SlotGeometry(1)
+	res := e1SlotGeometry(1)
 	if len(res.Table.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Table.Rows))
 	}
@@ -68,7 +68,7 @@ func TestE1GeometryInvariants(t *testing.T) {
 }
 
 func TestE2GuaranteeBoundary(t *testing.T) {
-	res := E2FaultTolerance(1)
+	res := e2FaultTolerance(1)
 	for _, row := range res.Table.Rows {
 		k, _ := strconv.Atoi(row[0])
 		j, _ := strconv.Atoi(row[1])
@@ -101,7 +101,7 @@ func TestE3ReclamationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := E3Reclamation(1)
+	res := e3Reclamation(1)
 	var ttcanFirst float64
 	for i, row := range res.Table.Rows {
 		canecTP := cell(t, row, 2)
@@ -118,7 +118,7 @@ func TestE3ReclamationShape(t *testing.T) {
 }
 
 func TestE8PrecisionBoundHolds(t *testing.T) {
-	res := E8ClockSync(1)
+	res := e8ClockSync(1)
 	sawHealthy, sawBroken := false, false
 	for _, row := range res.Table.Rows {
 		bound := cell(t, row, 1)
@@ -142,7 +142,7 @@ func TestE8PrecisionBoundHolds(t *testing.T) {
 }
 
 func TestE10AnalysisBoundsSimulation(t *testing.T) {
-	res := E10WCRTAnalysis(1)
+	res := e10WCRTAnalysis(1)
 	for _, row := range res.Table.Rows {
 		bound := cell(t, row, 4)
 		sim := cell(t, row, 5)
@@ -159,7 +159,7 @@ func TestE6NonInterference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := E6Fragmentation(1)
+	res := e6Fragmentation(1)
 	for _, row := range res.Table.Rows {
 		if jit := cell(t, row, 4); jit != 0 {
 			t.Fatalf("bulk transfer added HRT jitter: %v", row)
@@ -171,7 +171,7 @@ func TestE6NonInterference(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := E10WCRTAnalysis(1)
+	res := e10WCRTAnalysis(1)
 	s := res.String()
 	if !strings.Contains(s, "E10") || !strings.Contains(s, "bound") {
 		t.Fatalf("rendering broken: %q", s[:80])

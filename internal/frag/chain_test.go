@@ -13,10 +13,10 @@ import (
 // the reference its fragments must match byte for byte.
 func fragmentOracle(msg []byte) ([][]byte, error) {
 	if len(msg) == 0 {
-		return nil, ErrEmpty
+		return nil, errEmpty
 	}
-	if len(msg) > MaxMessage {
-		return nil, ErrTooLarge
+	if len(msg) > maxMessage {
+		return nil, errTooLarge
 	}
 	if len(msg) <= 7 {
 		out := make([]byte, 1+len(msg))
@@ -119,7 +119,7 @@ func TestChainMatchesOracle(t *testing.T) {
 }
 
 func TestChainErrorsMatchOracle(t *testing.T) {
-	for _, msg := range [][]byte{nil, {}, make([]byte, MaxMessage+1)} {
+	for _, msg := range [][]byte{nil, {}, make([]byte, maxMessage+1)} {
 		_, want := fragmentOracle(msg)
 		if _, err := NewChain(msg); err != want {
 			t.Fatalf("NewChain(%d bytes) err = %v, want %v", len(msg), err, want)
@@ -128,8 +128,8 @@ func TestChainErrorsMatchOracle(t *testing.T) {
 			t.Fatalf("Fragment(%d bytes) err = %v, want %v", len(msg), err, want)
 		}
 	}
-	if _, err := NewChain(make([]byte, MaxMessage)); err != nil {
-		t.Fatalf("NewChain(MaxMessage) err = %v", err)
+	if _, err := NewChain(make([]byte, maxMessage)); err != nil {
+		t.Fatalf("NewChain(maxMessage) err = %v", err)
 	}
 }
 

@@ -25,18 +25,18 @@ const (
 
 const (
 	maxShortLen = 0xfff // largest payload representable in a 12-bit first frame
-	// MaxMessage is the largest payload Fragment accepts. The 32-bit
+	// maxMessage is the largest payload Fragment accepts. The 32-bit
 	// escape form could carry more; 16 MiB is far beyond any plausible
 	// field-bus bulk transfer and bounds reassembly memory.
-	MaxMessage = 16 << 20
+	maxMessage = 16 << 20
 )
 
-// ErrTooLarge is returned for messages beyond MaxMessage.
-var ErrTooLarge = errors.New("frag: message exceeds maximum size")
+// errTooLarge is returned for messages beyond maxMessage.
+var errTooLarge = errors.New("frag: message exceeds maximum size")
 
-// ErrEmpty is returned for empty messages; the event channel model always
+// errEmpty is returned for empty messages; the event channel model always
 // carries at least a content byte, so this is a caller bug.
-var ErrEmpty = errors.New("frag: empty message")
+var errEmpty = errors.New("frag: empty message")
 
 // Chain is a cursor over the fragments of one message: each Next writes
 // the following fragment into a caller-owned 8-byte buffer, so a sender
@@ -59,10 +59,10 @@ type Chain struct {
 // copy.
 func NewChain(msg []byte) (Chain, error) {
 	if len(msg) == 0 {
-		return Chain{}, ErrEmpty
+		return Chain{}, errEmpty
 	}
-	if len(msg) > MaxMessage {
-		return Chain{}, ErrTooLarge
+	if len(msg) > maxMessage {
+		return Chain{}, errTooLarge
 	}
 	return Chain{msg: msg}, nil
 }
@@ -198,7 +198,7 @@ func (r *Reassembler) Push(data []byte, at sim.Time) ([]byte, error) {
 				return nil, &Error{"truncated extended first frame"}
 			}
 			want = int(binary.BigEndian.Uint32(data[2:6]))
-			if want <= maxShortLen || want > MaxMessage {
+			if want <= maxShortLen || want > maxMessage {
 				return nil, &Error{fmt.Sprintf("implausible extended length %d", want)}
 			}
 			r.start(want, data[6:])

@@ -84,10 +84,10 @@ func TestRoundtripProperty(t *testing.T) {
 }
 
 func TestFragmentErrors(t *testing.T) {
-	if _, err := Fragment(nil); err != ErrEmpty {
+	if _, err := Fragment(nil); err != errEmpty {
 		t.Fatalf("Fragment(nil) err = %v", err)
 	}
-	if _, err := Fragment(make([]byte, MaxMessage+1)); err != ErrTooLarge {
+	if _, err := Fragment(make([]byte, maxMessage+1)); err != errTooLarge {
 		t.Fatalf("oversized err = %v", err)
 	}
 }

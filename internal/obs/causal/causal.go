@@ -45,23 +45,6 @@ import (
 type Cause string
 
 const (
-	// CausePublish is publish-side middleware processing
-	// (published→enqueued).
-	CausePublish Cause = "publish"
-	// CauseSlotWait is an HRT event waiting for its reserved calendar
-	// slot — scheduled, not anomalous.
-	CauseSlotWait Cause = "slot_wait"
-	// CauseWireTx is the frame's own successful wire occupancy.
-	CauseWireTx Cause = "wire_tx"
-	// CauseDelivery is receive-side processing (tx_ok→rx→delivered).
-	CauseDelivery Cause = "delivery"
-	// CauseDejitterHold is the HRT delivery-at-deadline hold (§3.2): the
-	// subscriber-side wait that trades latency for zero jitter.
-	CauseDejitterHold Cause = "dejitter_hold"
-
-	// CauseQueueWait is time spent behind the publisher's own queue with
-	// the wire idle or unobserved — self-induced backlog.
-	CauseQueueWait Cause = "queue_wait"
 	// CauseArbInterference is waiting while the wire carried another
 	// frame — lost or deferred arbitration. The label names the
 	// interfering subject (or band for untraced frames).
@@ -77,17 +60,6 @@ const (
 	// CauseHoldoverWidening is HRT hold time spent under clock holdover,
 	// when the slack is widened to the holdover uncertainty bound.
 	CauseHoldoverWidening Cause = "holdover_widening"
-	// CauseGuardianMute is time lost after the bus guardian muted an
-	// attempt before it reached the wire.
-	CauseGuardianMute Cause = "guardian_mute"
-	// CauseRelayQueue is time between the last local stage and the relay
-	// link accepting the event for forwarding.
-	CauseRelayQueue Cause = "relay_queue"
-	// CauseRelayLink is relay link transit (relay_tx→relay_rx).
-	CauseRelayLink Cause = "relay_link"
-	// CauseAdmissionBackoff is the tail of a chain withdrawn by the
-	// probabilistic admission controller (admit_shed on its channel).
-	CauseAdmissionBackoff Cause = "admission_backoff"
 
 	// CauseNone is the top cause of a chain with zero abnormal debit.
 	CauseNone Cause = "none"
@@ -98,19 +70,36 @@ const (
 type cause uint8
 
 const (
+	// causePublish is publish-side middleware processing
+	// (published→enqueued).
 	causePublish cause = iota
+	// causeSlotWait is an HRT event waiting for its reserved calendar
+	// slot — scheduled, not anomalous.
 	causeSlotWait
+	// causeWireTx is the frame's own successful wire occupancy.
 	causeWireTx
+	// causeDelivery is receive-side processing (tx_ok→rx→delivered).
 	causeDelivery
+	// causeDejitterHold is the HRT delivery-at-deadline hold (§3.2): the
+	// subscriber-side wait that trades latency for zero jitter.
 	causeDejitterHold
+	// causeQueueWait is time spent behind the publisher's own queue with
+	// the wire idle or unobserved — self-induced backlog.
 	causeQueueWait
 	causeArbInterference
 	causeErrorRetransmit
 	causeBusoffRecovery
 	causeHoldoverWidening
+	// causeGuardianMute is time lost after the bus guardian muted an
+	// attempt before it reached the wire.
 	causeGuardianMute
+	// causeRelayQueue is time between the last local stage and the relay
+	// link accepting the event for forwarding.
 	causeRelayQueue
+	// causeRelayLink is relay link transit (relay_tx→relay_rx).
 	causeRelayLink
+	// causeAdmissionBackoff is the tail of a chain withdrawn by the
+	// probabilistic admission controller (admit_shed on its channel).
 	causeAdmissionBackoff
 	causeNone
 	// numCauses sizes the per-cause arrays (causeNone included).
@@ -119,10 +108,10 @@ const (
 
 // causeNames is the Cause of every cause index.
 var causeNames = [numCauses]Cause{
-	CausePublish, CauseSlotWait, CauseWireTx, CauseDelivery, CauseDejitterHold,
-	CauseQueueWait, CauseArbInterference, CauseErrorRetransmit,
-	CauseBusoffRecovery, CauseHoldoverWidening, CauseGuardianMute,
-	CauseRelayQueue, CauseRelayLink, CauseAdmissionBackoff,
+	"publish", "slot_wait", "wire_tx", "delivery", "dejitter_hold",
+	"queue_wait", CauseArbInterference, CauseErrorRetransmit,
+	CauseBusoffRecovery, CauseHoldoverWidening, "guardian_mute",
+	"relay_queue", "relay_link", "admission_backoff",
 	CauseNone,
 }
 

@@ -9,6 +9,21 @@ import (
 	"canec/internal/sim"
 )
 
+// The causes the engine names only through Causes(); the oracle spells
+// them out.
+const (
+	CausePublish          Cause = "publish"
+	CauseSlotWait         Cause = "slot_wait"
+	CauseWireTx           Cause = "wire_tx"
+	CauseDelivery         Cause = "delivery"
+	CauseDejitterHold     Cause = "dejitter_hold"
+	CauseQueueWait        Cause = "queue_wait"
+	CauseGuardianMute     Cause = "guardian_mute"
+	CauseRelayQueue       Cause = "relay_queue"
+	CauseRelayLink        Cause = "relay_link"
+	CauseAdmissionBackoff Cause = "admission_backoff"
+)
+
 // Abnormal reports whether the cause counts toward a chain's "why"
 // (baseline causes are inherent to any delivery and never make a top
 // cause).

@@ -15,8 +15,9 @@ import (
 // the exposition, or "" for a record-only stage. Bus stages are
 // record-only here because busEvent counts them from can.TraceEvents.
 var stageSeries = map[Stage]string{
-	StageUnknown:         "",
-	StageSchema:          "",
+	stageUnknown:         "",
+	stageSchema:          "",
+	stageMeta:            "",
 	StagePublished:       `canec_events_published_total{class="SRT"} 1`,
 	StageEnqueued:        "",
 	StagePromoted:        `canec_srt_promotions_total 1`,
@@ -34,8 +35,8 @@ var stageSeries = map[Stage]string{
 	StageMissed:          "",
 	StageGuardMuted:      "",
 	StageGuardIsolated:   "",
-	StageErrorPassive:    "",
-	StageErrorActive:     "",
+	stageErrorPassive:    "",
+	stageErrorActive:     "",
 	StageBusOff:          "",
 	StageBusOffRecovered: "",
 	StageNodeDown:        `canec_node_lifecycle_total{event="node_down"} 1`,
@@ -55,16 +56,16 @@ var stageSeries = map[Stage]string{
 	StageAdmitted:        "",
 	StageAdmitRejected:   "",
 	StageAdmitShed:       "",
-	StageSLOBreach:       "",
+	stageSLOBreach:       "",
 	StageCtrlSample:      `canec_control_loop_stages_total{loop="why",stage="ctrl_sample"} 1`,
 	StageCtrlCommand:     `canec_control_loop_stages_total{loop="why",stage="ctrl_command"} 1`,
 	StageCtrlApply:       `canec_control_loop_stages_total{loop="why",stage="ctrl_apply"} 1`,
 	StageCtrlStale:       `canec_control_stale_ticks_total{loop="why"} 1`,
 }
 
-// declaredStages lists the exported Stage constants of tracer.go from its
-// syntax (a spec without a type continues the Stage block), so the table
-// above cannot fall behind the declaration.
+// declaredStages lists the Stage constants of tracer.go, all but the
+// numStages count, from its syntax (a spec without a type continues the
+// Stage block), so the table above cannot fall behind the declaration.
 func declaredStages(t *testing.T) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "tracer.go", nil, 0)
@@ -85,7 +86,7 @@ func declaredStages(t *testing.T) []string {
 				stage = ok && id.Name == "Stage"
 			}
 			for _, name := range vs.Names {
-				if stage && name.IsExported() {
+				if stage && name.Name != "numStages" {
 					names = append(names, name.Name)
 				}
 			}

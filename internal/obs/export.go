@@ -22,15 +22,15 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// TraceSchema tags the current trace JSONL schema. Bump the suffix when
+// traceSchema tags the current trace JSONL schema. Bump the suffix when
 // Record grows fields old readers must not misinterpret; ReadJSONLInfo
 // ignores unknown fields, so additive growth keeps old dumps readable.
-const TraceSchema = "canec-trace/1"
+const traceSchema = "canec-trace/1"
 
-// WriteVersionedJSONL writes the schema header line followed by the
+// writeVersionedJSONL writes the schema header line followed by the
 // records — the flight-recorder post-mortem format.
-func WriteVersionedJSONL(w io.Writer, recs []Record) error {
-	header := Record{Stage: StageSchema, Node: -1, Prio: -1, Detail: Text(TraceSchema)}
+func writeVersionedJSONL(w io.Writer, recs []Record) error {
+	header := Record{Stage: stageSchema, Node: -1, Prio: -1, Detail: Text(traceSchema)}
 	if _, err := w.Write(append(header.appendJSON(nil), '\n')); err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func ReadJSONLInfo(r io.Reader) (JSONLInfo, error) {
 			return info, fmt.Errorf("trace jsonl line %d: %w", line, err)
 		}
 		switch rec.Stage {
-		case StageSchema:
+		case stageSchema:
 			if info.Schema == "" {
 				info.Schema = rec.Detail.String()
 			}

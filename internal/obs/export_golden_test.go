@@ -18,22 +18,22 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 // goldenRecords is a representative chain exercising every Record field:
 // the byte-exact wire form of the canec-trace/1 schema. canecsim's
 // -export writes and canecwhy ingests exactly these bytes; if this golden
-// changes, the schema tag in TraceSchema must be bumped.
+// changes, the schema tag in traceSchema must be bumped.
 func goldenRecords() []Record {
 	return []Record{
 		{ID: 1, Stage: StagePublished, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: StageEnqueued, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: StageTxStart, At: 10_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1},
+			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 1},
 		{ID: 1, Stage: StageTxErr, At: 50_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1, Detail: Text("bit corrupt")},
+			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 1, Detail: Text("bit corrupt")},
 		{ID: 1, Stage: StageTxStart, At: 80_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 2},
 		{ID: 1, Stage: StageTxOK, At: 180_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 2},
 		{ID: 1, Stage: StageRx, At: 180_000, Node: 1, Subject: 0x300},
 		{ID: 1, Stage: StageDelivered, At: 190_000, Node: 1, Class: ClassSRT, Subject: 0x300},
-		{Stage: StageSLOBreach, At: 200_000, Node: -1, Class: ClassSRT,
+		{Stage: stageSLOBreach, At: 200_000, Node: -1, Class: ClassSRT,
 			Detail: Text("p99 over budget; why: top causes: error_retransmit×1(70us)")},
 	}
 }
@@ -46,7 +46,7 @@ func goldenRecords() []Record {
 func TestTraceJSONLGolden(t *testing.T) {
 	path := filepath.Join("testdata", "trace-v1.golden.jsonl")
 	var buf bytes.Buffer
-	if err := WriteVersionedJSONL(&buf, goldenRecords()); err != nil {
+	if err := writeVersionedJSONL(&buf, goldenRecords()); err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
@@ -70,8 +70,8 @@ func TestTraceJSONLGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Schema != TraceSchema {
-		t.Fatalf("schema = %q, want %q", info.Schema, TraceSchema)
+	if info.Schema != traceSchema {
+		t.Fatalf("schema = %q, want %q", info.Schema, traceSchema)
 	}
 	if !reflect.DeepEqual(info.Records, goldenRecords()) {
 		t.Fatalf("golden did not round-trip: %+v", info.Records)
@@ -103,7 +103,7 @@ func TestPostmortemSchemaCompat(t *testing.T) {
 	if info.Records[0].Stage != StagePublished || info.Records[0].At != 10 {
 		t.Fatalf("record 0 = %+v", info.Records[0])
 	}
-	if info.Records[2].Stage != StageSLOBreach || info.Records[2].Node != -1 {
+	if info.Records[2].Stage != stageSLOBreach || info.Records[2].Node != -1 {
 		t.Fatalf("record 2 = %+v", info.Records[2])
 	}
 

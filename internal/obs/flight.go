@@ -31,10 +31,10 @@ type FlightRecorder struct {
 	dumps    []string
 }
 
-// NewFlightRecorder builds a recorder retaining perNode records per
+// newFlightRecorder builds a recorder retaining perNode records per
 // station. dir is the post-mortem output directory ("" = working
 // directory).
-func NewFlightRecorder(perNode int, dir string) *FlightRecorder {
+func newFlightRecorder(perNode int, dir string) *FlightRecorder {
 	if perNode < 1 {
 		perNode = 1
 	}
@@ -158,7 +158,7 @@ func (f *FlightRecorder) Dump(reason string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = WriteVersionedJSONL(jf, recs)
+	err = writeVersionedJSONL(jf, recs)
 	if cerr := jf.Close(); err == nil {
 		err = cerr
 	}

@@ -12,11 +12,11 @@ import (
 )
 
 func TestFlightRecorderRetentionAndOrder(t *testing.T) {
-	f := NewFlightRecorder(4, t.TempDir())
+	f := newFlightRecorder(4, t.TempDir())
 	for i := 0; i < 20; i++ {
 		f.Add(Record{ID: uint64(i + 1), Stage: StagePublished, At: sim.Time(i), Node: int32(i % 2)})
 	}
-	f.Add(Record{Stage: StageSLOBreach, At: 100, Node: -1, Detail: Text("x")})
+	f.Add(Record{Stage: stageSLOBreach, At: 100, Node: -1, Detail: Text("x")})
 	if got := f.Len(); got != 9 { // 4 per node ring x2 + 1 system record
 		t.Fatalf("Len = %d, want 9", got)
 	}
@@ -44,7 +44,7 @@ func TestFlightRecorderRetentionAndOrder(t *testing.T) {
 
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(8, dir)
+	f := newFlightRecorder(8, dir)
 	f.Add(Record{ID: 1, Stage: StagePublished, At: 10, Node: 0, Class: ClassSRT, Subject: 0x42})
 	f.Add(Record{ID: 1, Stage: StageDelivered, At: 20, Node: 1, Class: ClassSRT, Subject: 0x42})
 	paths, err := f.Dump("SLO srt-miss!")

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzTraceJSONL asserts the trace stream's transport properties on
-// arbitrary inputs: (1) any record survives WriteVersionedJSONL→ReadJSONL
+// arbitrary inputs: (1) any record survives writeVersionedJSONL→ReadJSONL
 // exactly (the schema header is stripped, the payload is not), whatever
 // its detail text; (2) feeding arbitrary bytes to the reader never panics
 // — it either yields records or a line-numbered error; and (3) whatever
@@ -18,7 +18,7 @@ import (
 // same records and writes the same bytes again.
 func FuzzTraceJSONL(f *testing.F) {
 	f.Add(uint64(1), uint8(StageDelivered), int64(100), int32(0), uint8(ClassSRT), uint64(0x42), "ok", []byte(nil))
-	f.Add(uint64(0), uint8(StageSchema), int64(0), int32(-1), uint8(0), uint64(0), TraceSchema, []byte("{}\n"))
+	f.Add(uint64(0), uint8(stageSchema), int64(0), int32(-1), uint8(0), uint64(0), traceSchema, []byte("{}\n"))
 	f.Add(uint64(9), uint8(StageTxErr), int64(-5), int32(3), uint8(ClassHRT), uint64(1<<56), "prio 9->7",
 		[]byte(`{"stage":"rx","at":1}`+"\n\nnot json\n"+`{"stage":"no_such","at":2,"detail":"hop 1 budget 0.009500s"}`))
 	f.Fuzz(func(t *testing.T, id uint64, stage uint8, at int64, node int32,
@@ -36,18 +36,18 @@ func FuzzTraceJSONL(f *testing.F) {
 			t.Fatalf("detail %q renders as %q", detail, got)
 		}
 		var buf bytes.Buffer
-		if err := WriteVersionedJSONL(&buf, []Record{rec}); err != nil {
+		if err := writeVersionedJSONL(&buf, []Record{rec}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		info, err := ReadJSONLInfo(&buf)
 		if err != nil {
 			t.Fatalf("read of own writing: %v", err)
 		}
-		if info.Schema != TraceSchema {
-			t.Fatalf("schema = %q, want %q", info.Schema, TraceSchema)
+		if info.Schema != traceSchema {
+			t.Fatalf("schema = %q, want %q", info.Schema, traceSchema)
 		}
 		want := []Record{rec}
-		if rec.Stage == StageSchema || rec.Stage == stageMeta {
+		if rec.Stage == stageSchema || rec.Stage == stageMeta {
 			want = nil // meta stages are stripped by design
 		}
 		if !reflect.DeepEqual(info.Records, want) {

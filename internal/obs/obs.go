@@ -53,19 +53,19 @@ type BandMap struct {
 	NRTMin, NRTMax can.Prio
 }
 
-// Band is the band of a priority (BandOther outside every band).
+// Band is the band of a priority (bandOther outside every band).
 func (m BandMap) Band(p can.Prio) Band {
 	switch {
 	case p == m.HRT:
 		return BandHRT
 	case p == m.Sync:
-		return BandSync
+		return bandSync
 	case p >= m.SRTMin && p <= m.SRTMax:
-		return BandSRT
+		return bandSRT
 	case p >= m.NRTMin && p <= m.NRTMax:
-		return BandNRT
+		return bandNRT
 	}
-	return BandOther
+	return bandOther
 }
 
 // Observer owns one system's tracer and registry and translates protocol
@@ -142,7 +142,7 @@ func New(cfg Config, now func() sim.Time, bm BandMap) *Observer {
 		o.tracer = newTracer(cfg.TraceCap)
 	}
 	if cfg.FlightRecords > 0 {
-		o.flight = NewFlightRecorder(cfg.FlightRecords, cfg.FlightDir)
+		o.flight = newFlightRecorder(cfg.FlightRecords, cfg.FlightDir)
 	}
 	if cfg.Metrics {
 		o.reg = NewRegistry()
@@ -462,7 +462,7 @@ func (o *Observer) Adopt(id uint64, class Class, node int, subject uint64, at si
 		o.pubAt.put(id, at)
 	}
 	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: int32(node),
-		Class: class, Subject: subject, Prio: -1, Detail: DetailRelayed})
+		Class: class, Subject: subject, Prio: -1, Detail: detailRelayed})
 }
 
 // Emit records one middleware-side stage of an event, a loop, a link or a
@@ -681,8 +681,8 @@ var busStage = [...]Stage{
 	can.TraceArbLoss:       StageArbLost,
 	can.TraceGuardMute:     StageGuardMuted,
 	can.TraceGuardIsolate:  StageGuardIsolated,
-	can.TraceErrorPassive:  StageErrorPassive,
-	can.TraceErrorActive:   StageErrorActive,
+	can.TraceErrorPassive:  stageErrorPassive,
+	can.TraceErrorActive:   stageErrorActive,
 	can.TraceBusOff:        StageBusOff,
 	can.TraceBusOffRecover: StageBusOffRecovered,
 }

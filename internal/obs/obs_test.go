@@ -43,8 +43,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 func TestBandMap(t *testing.T) {
 	bm := testBandMap()
 	cases := map[can.Prio]Band{
-		0: BandHRT, 1: BandSync, 2: BandSRT, 100: BandSRT, 250: BandSRT,
-		251: BandNRT, 255: BandNRT,
+		0: BandHRT, 1: bandSync, 2: bandSRT, 100: bandSRT, 250: bandSRT,
+		251: bandNRT, 255: bandNRT,
 	}
 	for p, want := range cases {
 		if got := bm.Band(p); got != want {
@@ -181,7 +181,7 @@ func TestBusEventTranslation(t *testing.T) {
 		if r.Subject != 0xbeef {
 			t.Errorf("record %d subject = %#x, want 0xbeef", i, r.Subject)
 		}
-		if r.Band != BandSRT {
+		if r.Band != bandSRT {
 			t.Errorf("record %d band = %q, want srt", i, r.Band)
 		}
 	}
@@ -277,8 +277,8 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	recs := []Record{
 		{ID: 1, Stage: StagePublished, At: 1000, Node: 0, Class: ClassSRT, Subject: 5},
-		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
-		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
+		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: bandSRT, Attempt: 1},
+		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: bandSRT, Attempt: 1},
 		{ID: 1, Stage: StageDelivered, At: 5000, Node: 2, Class: ClassSRT, Subject: 5},
 	}
 	var buf bytes.Buffer
@@ -315,7 +315,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // records are byte-identical, with the band threads named in tid order.
 func TestWriteChromeTraceDeterministic(t *testing.T) {
 	var recs []Record
-	for i, band := range []Band{BandNRT, BandHRT, BandOther, BandSRT, BandSync} {
+	for i, band := range []Band{bandNRT, BandHRT, bandOther, bandSRT, bandSync} {
 		at := sim.Time(1000 * (i + 1))
 		recs = append(recs,
 			Record{ID: uint64(i), Stage: StageTxStart, At: at, Node: int32(i % 3), Subject: 5, Band: band},

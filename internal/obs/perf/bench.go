@@ -12,10 +12,10 @@ import (
 	"canec/internal/stats"
 )
 
-// SchemaVersion identifies the BENCH_*.json layout this package writes.
+// schemaVersion identifies the BENCH_*.json layout this package writes.
 // Readers accept any file whose schema is >= 1 and tolerate unknown
 // fields, so newer writers stay readable by older gates.
-const SchemaVersion = 1
+const schemaVersion = 1
 
 // Sample is what one benchmark case reports back for a run of n
 // iterations, beyond the wall time and allocations the runner measures
@@ -160,7 +160,7 @@ func Record(label string, results []Result) File {
 	sorted := append([]Result(nil), results...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	return File{
-		Schema:     SchemaVersion,
+		Schema:     schemaVersion,
 		Label:      label,
 		RecordedAt: time.Now().UTC().Format(time.RFC3339),
 		Env:        currentEnv(),
@@ -168,14 +168,14 @@ func Record(label string, results []Result) File {
 	}
 }
 
-// FileName returns the canonical on-disk name for a label.
-func FileName(label string) string { return "BENCH_" + label + ".json" }
+// fileName returns the canonical on-disk name for a label.
+func fileName(label string) string { return "BENCH_" + label + ".json" }
 
 // WriteFile writes f to dir/BENCH_<label>.json, creating dir if needed.
 // It returns the path written.
 func WriteFile(dir string, f File) (string, error) {
 	if f.Schema == 0 {
-		f.Schema = SchemaVersion
+		f.Schema = schemaVersion
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -184,7 +184,7 @@ func WriteFile(dir string, f File) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, FileName(f.Label))
+	path := filepath.Join(dir, fileName(f.Label))
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", err
 	}

@@ -74,7 +74,7 @@ func TestFileGoldenRoundTrip(t *testing.T) {
 			Extra: map[string]float64{"table_rows": 12}},
 		{Name: "A", Iters: 5, NsPerOp: 42},
 	})
-	if f.Schema != SchemaVersion || f.Env.GoVersion == "" || f.Env.GOMAXPROCS == 0 {
+	if f.Schema != schemaVersion || f.Env.GoVersion == "" || f.Env.GOMAXPROCS == 0 {
 		t.Fatalf("record metadata: %+v", f)
 	}
 	// Record sorts by name so trajectory files diff cleanly.
@@ -264,7 +264,7 @@ func TestCompareNewOnlyBenchmark(t *testing.T) {
 
 func TestThresholdDefaults(t *testing.T) {
 	th := Thresholds{}.withDefaults()
-	if th != DefaultThresholds() {
+	if th != defaultThresholds() {
 		t.Fatalf("defaults not applied: %+v", th)
 	}
 	custom := Thresholds{NsPerOpFrac: 0.1}.withDefaults()

@@ -27,15 +27,15 @@ type Thresholds struct {
 	FramesFrac float64
 }
 
-// DefaultThresholds returns the standard gate settings.
-func DefaultThresholds() Thresholds {
+// defaultThresholds returns the standard gate settings.
+func defaultThresholds() Thresholds {
 	return Thresholds{NsPerOpFrac: 0.35, AllocsPerOpAbs: 0.5, AllocsPerOpFrac: 0.001, FramesFrac: 0.30}
 }
 
 // withDefaults fills zero fields so a partially-set Thresholds behaves
 // sanely.
 func (t Thresholds) withDefaults() Thresholds {
-	d := DefaultThresholds()
+	d := defaultThresholds()
 	if t.NsPerOpFrac <= 0 {
 		t.NsPerOpFrac = d.NsPerOpFrac
 	}

@@ -139,10 +139,10 @@ type Band uint8
 // The bands, in exposition and Chrome-thread order.
 const (
 	BandHRT Band = iota + 1
-	BandSync
-	BandSRT
-	BandNRT
-	BandOther
+	bandSync
+	bandSRT
+	bandNRT
+	bandOther
 	numBands
 )
 
@@ -165,11 +165,11 @@ func (s Stage) String() string { return stageNames.name(s) }
 func (s Stage) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // UnmarshalText reads a stage name. A name this build does not know reads
-// as StageUnknown, or as the meta stage when it begins with "_", so dumps
+// as stageUnknown, or as the meta stage when it begins with "_", so dumps
 // of newer builds still load.
 func (s *Stage) UnmarshalText(text []byte) (err error) {
 	if *s, err = stageNames.parse(text, "stage"); err != nil {
-		*s = StageUnknown
+		*s = stageUnknown
 		if len(text) > 0 && text[0] == '_' {
 			*s = stageMeta
 		}
@@ -208,7 +208,7 @@ var detailFormats = [...]string{detailPrio: "prio %d", detailPromotion: "prio %d
 // The fixed details: drop and shed reasons and the other constant
 // annotations of the middleware and the gateways.
 const (
-	DetailRelayed Detail = Detail(detailFixed) | Detail(iota+1)<<8
+	detailRelayed Detail = Detail(detailFixed) | Detail(iota+1)<<8
 	DetailSlotQueue
 	DetailLate
 	DetailQueueOverflow

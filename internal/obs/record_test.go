@@ -39,8 +39,8 @@ func TestDetailsMatchSprintf(t *testing.T) {
 	for i, want := range fixedDetails {
 		check(Detail(detailFixed)|Detail(i+1)<<8, want)
 	}
-	if DetailBindingAgent.String() != "binding agent" || DetailRelayed.String() != "relayed" {
-		t.Fatalf("fixed details out of order: %q, %q", DetailBindingAgent, DetailRelayed)
+	if DetailBindingAgent.String() != "binding agent" || detailRelayed.String() != "relayed" {
+		t.Fatalf("fixed details out of order: %q, %q", DetailBindingAgent, detailRelayed)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestDetailOutOfRangeFallsBackToText(t *testing.T) {
 }
 
 // TestReadJSONLTolerance: meta lines are skipped, an unknown stage name
-// reads as StageUnknown and untyped detail text round-trips through the
+// reads as stageUnknown and untyped detail text round-trips through the
 // text table.
 func TestReadJSONLTolerance(t *testing.T) {
 	in := `{"stage":"_schema","at":0,"node":-1,"prio":-1,"detail":"canec-trace/1"}
@@ -84,10 +84,10 @@ func TestReadJSONLTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Schema != TraceSchema || len(info.Records) != 2 {
+	if info.Schema != traceSchema || len(info.Records) != 2 {
 		t.Fatalf("schema %q, %d records", info.Schema, len(info.Records))
 	}
-	if r := info.Records[0]; r.Stage != StageUnknown || r.Detail.String() != "from the future" {
+	if r := info.Records[0]; r.Stage != stageUnknown || r.Detail.String() != "from the future" {
 		t.Fatalf("unknown stage read as %+v", r)
 	}
 	if r := info.Records[1]; r.Class != ClassSRT || r.Detail != PrioDetail(4) {
@@ -123,7 +123,7 @@ func TestCounterTableKeepsFirstUseOrder(t *testing.T) {
 // TestStageNames pins the JSONL name of every stage constant.
 func TestStageNames(t *testing.T) {
 	want := map[Stage]string{
-		StageUnknown:         "unknown",
+		stageUnknown:         "unknown",
 		StagePublished:       "published",
 		StageEnqueued:        "enqueued",
 		StagePromoted:        "promoted",
@@ -141,8 +141,8 @@ func TestStageNames(t *testing.T) {
 		StageMissed:          "slot_missed",
 		StageGuardMuted:      "guard_muted",
 		StageGuardIsolated:   "guard_isolated",
-		StageErrorPassive:    "error_passive",
-		StageErrorActive:     "error_active",
+		stageErrorPassive:    "error_passive",
+		stageErrorActive:     "error_active",
 		StageBusOff:          "bus_off",
 		StageBusOffRecovered: "bus_off_recovered",
 		StageNodeDown:        "node_down",
@@ -162,12 +162,12 @@ func TestStageNames(t *testing.T) {
 		StageAdmitted:        "admitted",
 		StageAdmitRejected:   "admit_rejected",
 		StageAdmitShed:       "admit_shed",
-		StageSLOBreach:       "slo_breach",
+		stageSLOBreach:       "slo_breach",
 		StageCtrlSample:      "ctrl_sample",
 		StageCtrlCommand:     "ctrl_command",
 		StageCtrlApply:       "ctrl_apply",
 		StageCtrlStale:       "ctrl_stale",
-		StageSchema:          "_schema",
+		stageSchema:          "_schema",
 		stageMeta:            "_meta",
 	}
 	if len(want) != int(numStages) {

@@ -76,7 +76,7 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 	// Breach evidence: counter, trace record, post-mortem dump.
 	var sawBreachRec bool
 	for _, r := range o.Flight().Snapshot() {
-		if r.Stage == StageSLOBreach {
+		if r.Stage == stageSLOBreach {
 			sawBreachRec = true
 			if !strings.Contains(r.Detail.String(), "srt-miss-rate") {
 				t.Fatalf("breach record detail = %q", r.Detail)

@@ -14,9 +14,9 @@ package obs
 type Stage uint8
 
 const (
-	// StageUnknown is a stage name this build does not know, read back
+	// stageUnknown is a stage name this build does not know, read back
 	// from a dump of a newer build. Every consumer ignores it.
-	StageUnknown Stage = iota
+	stageUnknown Stage = iota
 	// StagePublished opens a trace: the application called Publish.
 	StagePublished
 	// StageEnqueued marks the event entering a send queue (the HRT slot
@@ -68,11 +68,11 @@ const (
 	// event); Detail snapshots the TEC/REC after the transition. Chaos
 	// checkers pair bus_off with bus_off_recovered to bound recovery times.
 
-	// StageErrorPassive marks a controller crossing into error-passive
+	// stageErrorPassive marks a controller crossing into error-passive
 	// (TEC or REC reached 128).
-	StageErrorPassive
-	// StageErrorActive marks a controller returning to error-active.
-	StageErrorActive
+	stageErrorPassive
+	// stageErrorActive marks a controller returning to error-active.
+	stageErrorActive
 	// StageBusOff marks a controller entering bus-off and detaching
 	// (TEC reached 256).
 	StageBusOff
@@ -162,12 +162,12 @@ const (
 	// its deadline tolerates.
 	StageAdmitShed
 
-	// StageSLOBreach marks a service-level objective entering breach:
+	// stageSLOBreach marks a service-level objective entering breach:
 	// both burn-rate windows exceeded the configured threshold. It
 	// carries trace ID 0 and Node -1 (the objective belongs to the
 	// segment, not a station); Detail names the objective and the burn
 	// factors, and Class the guarded channel class when class-bound.
-	StageSLOBreach
+	stageSLOBreach
 
 	// Control-loop stages record the closed-loop plant/controller
 	// workload (internal/control). They carry trace ID 0 (the stage
@@ -189,11 +189,11 @@ const (
 	// frames.
 	StageCtrlStale
 
-	// StageSchema marks the self-describing header line of a versioned
+	// stageSchema marks the self-describing header line of a versioned
 	// trace JSONL stream. The header is itself a valid Record (Detail
 	// carries the schema tag), so consumers skip it like any stage they
 	// do not follow.
-	StageSchema
+	stageSchema
 	// stageMeta is any other meta line ("_"-prefixed stage) of a dump;
 	// ReadJSONLInfo drops it.
 	stageMeta

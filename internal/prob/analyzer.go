@@ -27,10 +27,10 @@ type Msg struct {
 	Payload int
 }
 
-// ErrUnschedulable is returned when the zero-error busy-period
+// errUnschedulable is returned when the zero-error busy-period
 // recurrence diverges: the deterministic part of the load already
 // saturates the bus, so no error model makes the channel admissible.
-var ErrUnschedulable = errors.New("prob: response-time recurrence diverged")
+var errUnschedulable = errors.New("prob: response-time recurrence diverged")
 
 // Analyzer computes per-channel response-time distributions by
 // convolution: the zero-error Tindell busy window fixes which
@@ -177,7 +177,7 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 			}
 		}
 		if u >= 1 {
-			return Result{}, ErrUnschedulable
+			return Result{}, errUnschedulable
 		}
 	}
 
@@ -201,7 +201,7 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 	w := block
 	for iter := 0; ; iter++ {
 		if iter >= 1_000_000 {
-			return Result{}, ErrUnschedulable
+			return Result{}, errUnschedulable
 		}
 		next := block
 		for i, h := range set {
@@ -221,7 +221,7 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 		}
 		w = next
 		if w > horizon {
-			return Result{}, ErrUnschedulable
+			return Result{}, errUnschedulable
 		}
 	}
 	r0 := m.Jitter + w + cm

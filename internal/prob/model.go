@@ -63,13 +63,13 @@ func (m ErrorModel) RetransmitProb() float64 { return m.ErrorRate }
 // with VictimProb.
 func (m ErrorModel) DeliveryLossProb() float64 { return m.OmissionRate * m.VictimProb }
 
-// FromInjector recovers the ErrorModel an injector samples, when it has
+// fromInjector recovers the ErrorModel an injector samples, when it has
 // one: RandomErrors, TargetedBitErrors (its victim's link), validated
 // RandomOmissions, NoFaults/nil, and Chains of at most one omission
 // injector combined with any number of error injectors. ok is false for
 // injectors without a stationary per-attempt law (bursts, adversaries,
 // arbitrary functions) — those cannot be admitted against.
-func FromInjector(in can.Injector) (m ErrorModel, ok bool) {
+func fromInjector(in can.Injector) (m ErrorModel, ok bool) {
 	switch v := in.(type) {
 	case nil, can.NoFaults:
 		return ErrorModel{}, true
@@ -86,7 +86,7 @@ func FromInjector(in can.Injector) (m ErrorModel, ok bool) {
 		var out ErrorModel
 		haveOmission := false
 		for _, el := range v {
-			em, elOK := FromInjector(el)
+			em, elOK := fromInjector(el)
 			if !elOK {
 				return ErrorModel{}, false
 			}

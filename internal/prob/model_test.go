@@ -32,7 +32,7 @@ func (m ErrorModel) Injector() can.Injector {
 	return ch
 }
 
-// TestInjectorRoundTrip: Injector() and FromInjector are inverses, so
+// TestInjectorRoundTrip: Injector() and fromInjector are inverses, so
 // the chaos harness and the analyzer provably share one distribution.
 func TestInjectorRoundTrip(t *testing.T) {
 	cases := []ErrorModel{
@@ -42,9 +42,9 @@ func TestInjectorRoundTrip(t *testing.T) {
 		{ErrorRate: 0.15, OmissionRate: 0.05, VictimProb: 1, Receivers: 9},
 	}
 	for _, m := range cases {
-		got, ok := FromInjector(m.Injector())
+		got, ok := fromInjector(m.Injector())
 		if !ok {
-			t.Fatalf("model %+v: FromInjector failed", m)
+			t.Fatalf("model %+v: fromInjector failed", m)
 		}
 		if math.Abs(got.ErrorRate-m.ErrorRate) > 1e-12 ||
 			got.OmissionRate != m.OmissionRate || got.VictimProb != m.VictimProb {
@@ -56,19 +56,19 @@ func TestInjectorRoundTrip(t *testing.T) {
 // TestFromInjectorRecognizers covers the single-injector cases and the
 // rejections (non-stationary injectors cannot back an admission model).
 func TestFromInjectorRecognizers(t *testing.T) {
-	if m, ok := FromInjector(can.RandomErrors{Rate: 0.3}); !ok || m.ErrorRate != 0.3 {
+	if m, ok := fromInjector(can.RandomErrors{Rate: 0.3}); !ok || m.ErrorRate != 0.3 {
 		t.Errorf("RandomErrors: %+v ok=%v", m, ok)
 	}
-	if m, ok := FromInjector(can.TargetedBitErrors{Victim: 2, Rate: 0.4, Prio: -1}); !ok || m.ErrorRate != 0.4 {
+	if m, ok := fromInjector(can.TargetedBitErrors{Victim: 2, Rate: 0.4, Prio: -1}); !ok || m.ErrorRate != 0.4 {
 		t.Errorf("TargetedBitErrors: %+v ok=%v", m, ok)
 	}
-	if _, ok := FromInjector(can.TargetedBitErrors{Victim: 2, Rate: 0.4, Prio: 3}); ok {
+	if _, ok := fromInjector(can.TargetedBitErrors{Victim: 2, Rate: 0.4, Prio: 3}); ok {
 		t.Error("prio-filtered targeted injector must not map to a stationary model")
 	}
-	if _, ok := FromInjector(can.BurstErrors{Start: 0, End: sim.Time(sim.Millisecond)}); ok {
+	if _, ok := fromInjector(can.BurstErrors{Start: 0, End: sim.Time(sim.Millisecond)}); ok {
 		t.Error("burst injector must not map to a stationary model")
 	}
-	if _, ok := FromInjector(can.AdversarialK{K: 2, Prio: -1}); ok {
+	if _, ok := fromInjector(can.AdversarialK{K: 2, Prio: -1}); ok {
 		t.Error("adversarial injector must not map to a stationary model")
 	}
 	// Errors behind an omission draw are conditioned; refuse to fold.
@@ -76,7 +76,7 @@ func TestFromInjectorRecognizers(t *testing.T) {
 		can.NewRandomOmissions(0.1, 1, 4),
 		can.RandomErrors{Rate: 0.2},
 	}
-	if _, ok := FromInjector(bad); ok {
+	if _, ok := fromInjector(bad); ok {
 		t.Error("omission-before-error chain must not fold")
 	}
 }

@@ -275,7 +275,7 @@ func (pc *conn) readLoop() {
 		switch msg[0] {
 		case msgHello:
 			ver, seg, err := decodeHello(msg[1:])
-			if err != nil || ver != ProtoVersion {
+			if err != nil || ver != protoVersion {
 				pc.close(fmt.Sprintf("hello: version %d, err %v", ver, err))
 				return
 			}

@@ -21,8 +21,8 @@ import (
 	"canec/internal/sim"
 )
 
-// ProtoVersion is the relay wire protocol version carried in Hello.
-const ProtoVersion = 1
+// protoVersion is the relay wire protocol version carried in Hello.
+const protoVersion = 1
 
 // maxMsgLen bounds a single length-prefixed message; longer prefixes are
 // treated as stream corruption and close the link.
@@ -104,7 +104,7 @@ func readU16(b []byte) (uint16, []byte, error) {
 
 // encodeHello builds a Hello body.
 func encodeHello(segment string) ([]byte, error) {
-	b := []byte{msgHello, ProtoVersion}
+	b := []byte{msgHello, protoVersion}
 	return appendString(b, segment)
 }
 

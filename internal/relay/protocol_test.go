@@ -23,7 +23,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("type byte = %d", b[0])
 	}
 	ver, seg, err := decodeHello(b[1:])
-	if err != nil || ver != ProtoVersion || seg != "plant-floor" {
+	if err != nil || ver != protoVersion || seg != "plant-floor" {
 		t.Fatalf("decode: ver=%d seg=%q err=%v", ver, seg, err)
 	}
 }
@@ -150,7 +150,7 @@ func TestReadWriteMsgFraming(t *testing.T) {
 // The bytes on the TCP wire are pinned: testdata/encodeframe.golden was
 // written by the bit-per-byte codec (EncodeBits → PackBits) that preceded
 // the packed one, one hex line per goldenEvents entry. A change to it is
-// a protocol change and needs a new ProtoVersion.
+// a protocol change and needs a new protoVersion.
 func TestEncodeFrameGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/encodeframe.golden")
 	if err != nil {

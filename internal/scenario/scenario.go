@@ -754,7 +754,7 @@ func (s *Scenario) Build() (*Instance, error) {
 			subscribe: core.ChannelAttrs{Payload: h.Payload, Periodic: true},
 			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if h.Payload >= 7 {
-					rep.HRTLatency.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
+					rep.HRTLatency.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
 				}
 				if i == 0 {
 					in.firstHRT = append(in.firstHRT, di.DeliveredAt)
@@ -790,7 +790,7 @@ func (s *Scenario) Build() (*Instance, error) {
 					return
 				}
 				p := make([]byte, h.Payload)
-				putTS56(p, sys.K.Now())
+				binding.Put56(p, uint64(sys.K.Now()))
 				st.ch.Publish(core.Event{Subject: st.subject, Payload: p})
 				loop(slot.NextActive(r+1), g)
 			})
@@ -816,7 +816,7 @@ func (s *Scenario) Build() (*Instance, error) {
 			class: core.SRT, subject: binding.Subject(r.Subject), pub: r.Publisher, sub: r.Subscriber,
 			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if len(ev.Payload) >= 7 {
-					rep.SRTLatency.ObserveDuration(di.DeliveredAt - getTS56(ev.Payload))
+					rep.SRTLatency.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
 				}
 			},
 		}
@@ -855,7 +855,7 @@ func (s *Scenario) Build() (*Instance, error) {
 				now := mw(st.pub).LocalTime()
 				p := make([]byte, r.Payload)
 				if r.Payload >= 7 {
-					putTS56(p, sys.K.Now())
+					binding.Put56(p, uint64(sys.K.Now()))
 				}
 				attrs := core.EventAttrs{Deadline: now + sim.Duration(r.DeadlineUs)*sim.Microsecond}
 				if r.ExpirationUs > 0 {
@@ -973,19 +973,4 @@ func (in *Instance) Finish() *Report {
 		rep.HRTJitter = stats.PeriodJitter(in.firstHRT, in.hrtPeriod)
 	}
 	return rep
-}
-
-func putTS56(dst []byte, t sim.Time) {
-	v := uint64(t)
-	for i := 0; i < 7 && i < len(dst); i++ {
-		dst[i] = byte(v >> (8 * i))
-	}
-}
-
-func getTS56(src []byte) sim.Time {
-	var v uint64
-	for i := 0; i < 7 && i < len(src); i++ {
-		v |= uint64(src[i]) << (8 * i)
-	}
-	return sim.Time(v)
 }

@@ -106,10 +106,10 @@ func kindLabel(k can.TraceKind) string {
 	return "?"
 }
 
-// Format renders one event as a single line:
+// format renders one event as a single line:
 //
 //	0.012345678  08123456  [3] 11 22 33  TX-OK    n5  (prio=8 node=9 etag=1110) try=1
-func Format(e can.TraceEvent) string {
+func format(e can.TraceEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d.%09d  %08X  [%d]",
 		int64(e.At)/1e9, int64(e.At)%1e9, uint32(e.Frame.ID), len(e.Frame.Data))
@@ -128,10 +128,10 @@ func Format(e can.TraceEvent) string {
 	return b.String()
 }
 
-// Dump writes all recorded events, one Format line each.
+// Dump writes all recorded events, one format line each.
 func (r *Ring) Dump(w io.Writer) error {
 	for _, e := range r.Entries() {
-		if _, err := fmt.Fprintln(w, Format(e)); err != nil {
+		if _, err := fmt.Fprintln(w, format(e)); err != nil {
 			return err
 		}
 	}

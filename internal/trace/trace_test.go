@@ -107,7 +107,7 @@ func TestRingZeroCapacity(t *testing.T) {
 }
 
 func TestFormat(t *testing.T) {
-	line := Format(ev(1500*sim.Microsecond, can.TraceRx, 8))
+	line := format(ev(1500*sim.Microsecond, can.TraceRx, 8))
 	for _, want := range []string{"0.001500000", "[3] 11 22 33", "RX", "n5->n7", "prio=8", "node=9", "etag=1110"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("Format missing %q: %q", want, line)
@@ -116,10 +116,10 @@ func TestFormat(t *testing.T) {
 	// Retries annotated.
 	e := ev(0, can.TraceTxError, 8)
 	e.Attempt = 3
-	if !strings.Contains(Format(e), "try=3") {
+	if !strings.Contains(format(e), "try=3") {
 		t.Fatal("attempt annotation missing")
 	}
-	if !strings.Contains(Format(e), "TX-ERR") {
+	if !strings.Contains(format(e), "TX-ERR") {
 		t.Fatal("kind label missing")
 	}
 }
@@ -129,39 +129,39 @@ func TestFormat(t *testing.T) {
 func TestFormatEdgeCases(t *testing.T) {
 	// Unknown kind renders as "?".
 	e := ev(0, can.TraceKind(99), 8)
-	if !strings.Contains(Format(e), "?") {
-		t.Fatalf("unknown kind not rendered as ?: %q", Format(e))
+	if !strings.Contains(format(e), "?") {
+		t.Fatalf("unknown kind not rendered as ?: %q", format(e))
 	}
 
 	// Zero-length payload: "[0]" with no data bytes before the kind.
 	e = ev(0, can.TraceTxOK, 8)
 	e.Frame.Data = nil
-	if line := Format(e); !strings.Contains(line, "[0]  TX-OK") {
+	if line := format(e); !strings.Contains(line, "[0]  TX-OK") {
 		t.Fatalf("empty payload rendering: %q", line)
 	}
 
 	// Attempt > 1 gains a try= suffix; attempt 1 must not.
 	e = ev(0, can.TraceTxOK, 8)
 	e.Attempt = 2
-	if line := Format(e); !strings.HasSuffix(line, "try=2") {
+	if line := format(e); !strings.HasSuffix(line, "try=2") {
 		t.Fatalf("retry annotation: %q", line)
 	}
 	e.Attempt = 1
-	if line := Format(e); strings.Contains(line, "try=") {
+	if line := format(e); strings.Contains(line, "try=") {
 		t.Fatalf("attempt 1 must not be annotated: %q", line)
 	}
 
 	// Timestamps at and past one second keep nanosecond alignment.
 	e = ev(sim.Time(2*sim.Second+sim.Nanosecond*42), can.TraceTxOK, 8)
-	if line := Format(e); !strings.HasPrefix(line, "2.000000042") {
+	if line := format(e); !strings.HasPrefix(line, "2.000000042") {
 		t.Fatalf("second-scale timestamp: %q", line)
 	}
 
 	// Arbitration kinds have distinct labels.
-	if !strings.Contains(Format(ev(0, can.TraceArbWin, 8)), "ARB-WIN") {
+	if !strings.Contains(format(ev(0, can.TraceArbWin, 8)), "ARB-WIN") {
 		t.Fatal("ARB-WIN label missing")
 	}
-	if !strings.Contains(Format(ev(0, can.TraceArbLoss, 8)), "ARB-LOSS") {
+	if !strings.Contains(format(ev(0, can.TraceArbLoss, 8)), "ARB-LOSS") {
 		t.Fatal("ARB-LOSS label missing")
 	}
 }
@@ -214,7 +214,7 @@ func TestRingKeepsPayloadsAcrossRecordReuse(t *testing.T) {
 	bus.Attach(1)
 	r := NewRing(64)
 	var want []string
-	bus.Trace = r.Hook(func(e can.TraceEvent) { want = append(want, Format(e)) })
+	bus.Trace = r.Hook(func(e can.TraceEvent) { want = append(want, format(e)) })
 	var early []can.TraceEvent
 	for i := 0; i < 6; i++ {
 		d := []byte{byte(i), byte(i), byte(i)}
@@ -229,12 +229,12 @@ func TestRingKeepsPayloadsAcrossRecordReuse(t *testing.T) {
 		t.Fatalf("%d entries, %d traced", len(es), len(want))
 	}
 	for i, e := range es {
-		if got := Format(e); got != want[i] {
+		if got := format(e); got != want[i] {
 			t.Fatalf("entry %d = %q, traced as %q", i, got, want[i])
 		}
 	}
 	for i, e := range early {
-		if got := Format(e); got != want[i] {
+		if got := format(e); got != want[i] {
 			t.Fatalf("early entry %d = %q, traced as %q", i, got, want[i])
 		}
 	}

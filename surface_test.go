@@ -1,10 +1,11 @@
 package canec_test
 
 // The dead-surface gate: every exported identifier under internal/ must
-// have a use in a non-test file somewhere in the module. The scan
-// type-checks the whole module, and the standard library it imports, from
-// source with go/build + go/parser + go/types, so it needs nothing beyond
-// the toolchain.
+// have a use in a non-test file somewhere in the module; an exported
+// function, variable or constant must have one in a non-test file of
+// another package. The scan type-checks the whole module, and the
+// standard library it imports, from source with go/build + go/parser +
+// go/types, so it needs nothing beyond the toolchain.
 
 import (
 	"errors"
@@ -34,6 +35,8 @@ var surfaceAllow = map[string]string{
 	"internal/golden.Check":                 "test helper: the golden-file comparison the output tests of four packages share",
 	"internal/can.Controller.Mute":          "test helper the can and core tests share: silence a station while its queue is kept",
 	"internal/core.Lifecycle.Standby":       "test helper the core and chaos tests share: see that a restarted agent station re-armed as standby",
+	"internal/can.FaultOmission":            "test helper the binding, core and prob tests share: the omission fault their injectors return",
+	"internal/obs.NewRegistry":              "test helper the perf and causal tests share: a bare metrics registry",
 }
 
 // surfaceInterfaces are the standard-library interfaces whose methods are
@@ -64,7 +67,9 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestDeadExportScanner runs the scan over a synthetic module: only the
-// unused export may be reported, and a stale allow-list entry must be.
+// unused export and the function and constant that only their own package
+// uses may be reported (a type only its own package uses stays), and a
+// stale allow-list entry must be.
 func TestDeadExportScanner(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -91,7 +96,13 @@ func New(n int) Sq { return Sq{n} }
 
 func (s Sq) Area() int { return s.n * s.n }
 
-func (s Sq) String() string { return fmt.Sprint(s.n) }
+func (s Sq) String() string { return fmt.Sprint(s.n + Own(Base)) }
+
+type Local struct{}
+
+func Own(n int) int { _ = Local{}; return n }
+
+const Base = 1
 
 type Box[T any] struct{ v T }
 
@@ -119,8 +130,13 @@ func init() { Unused() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unused) != 1 || unused[0].name != "internal/a.Unused" || unused[0].pos != "internal/a/a.go:21" {
-		t.Errorf("unused = %v, want only internal/a.Unused at internal/a/a.go:21", unused)
+	want := []deadExport{
+		{"internal/a/a.go:17", "internal/a.Own"},
+		{"internal/a/a.go:19", "internal/a.Base"},
+		{"internal/a/a.go:27", "internal/a.Unused"},
+	}
+	if fmt.Sprint(unused) != fmt.Sprint(want) {
+		t.Errorf("unused = %v, want %v", unused, want)
 	}
 	if len(stale) != 0 {
 		t.Errorf("stale = %v, want none", stale)
@@ -195,12 +211,19 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 		}
 		ifaces = append(ifaces, scope.Lookup(si[1]).Type().Underlying().(*types.Interface))
 	}
+	// used holds every object a non-test file uses; usedOutside those
+	// a non-test file of another package uses.
 	used := map[types.Object]bool{}
+	usedOutside := map[types.Object]bool{}
 	seenIface := map[*types.Interface]bool{}
 	instances := map[*types.Named][]types.Type{}
 	for _, p := range l.mods {
 		for _, obj := range p.info.Uses {
-			used[origin(obj)] = true
+			o := origin(obj)
+			used[o] = true
+			if o.Pkg() != p.pkg {
+				usedOutside[o] = true
+			}
 		}
 		for _, inst := range p.info.Instances {
 			if n, ok := inst.Type.(*types.Named); ok {
@@ -231,13 +254,20 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 	seen := map[string]bool{}
 	check := func(obj types.Object, key string, exempt bool) {
 		seen[key] = true
-		if _, ok := allow[key]; ok {
-			if used[obj] || exempt {
+		ok := used[obj] || exempt
+		switch obj.(type) {
+		case *types.Func, *types.Var, *types.Const:
+			if obj.Parent() == obj.Pkg().Scope() {
+				ok = usedOutside[obj]
+			}
+		}
+		if _, allowed := allow[key]; allowed {
+			if ok {
 				stale = append(stale, key+" (has a use)")
 			}
 			return
 		}
-		if used[obj] || exempt {
+		if ok {
 			return
 		}
 		pos := l.fset.Position(obj.Pos())
