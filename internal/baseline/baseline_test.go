@@ -23,86 +23,6 @@ func TestDeadlineMonotonic(t *testing.T) {
 	}
 }
 
-func TestWCRTSingleStream(t *testing.T) {
-	m := MsgSpec{Prio: 5, Period: 10 * sim.Millisecond, Payload: 8}
-	r, err := WCRT([]MsgSpec{m}, m, can.DefaultBitRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Alone on the bus: R = C (160 µs).
-	if r != 160*sim.Microsecond {
-		t.Fatalf("WCRT = %v, want 160µs", r)
-	}
-}
-
-func TestWCRTBlockingAndInterference(t *testing.T) {
-	hi := MsgSpec{Prio: 1, Period: 1 * sim.Millisecond, Payload: 8}
-	mid := MsgSpec{Prio: 2, Period: 5 * sim.Millisecond, Payload: 4}
-	lo := MsgSpec{Prio: 3, Period: 10 * sim.Millisecond, Payload: 8}
-	set := []MsgSpec{hi, mid, lo}
-	rHi, err := WCRT(set, hi, can.DefaultBitRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Highest priority still suffers blocking from a lower frame.
-	if rHi <= 160*sim.Microsecond {
-		t.Fatalf("high-prio WCRT %v must include blocking", rHi)
-	}
-	rLo, err := WCRT(set, lo, can.DefaultBitRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rLo <= rHi {
-		t.Fatalf("low-prio WCRT %v not above high-prio %v", rLo, rHi)
-	}
-}
-
-func TestWCRTUnschedulable(t *testing.T) {
-	// Two streams each demanding ~80% utilization.
-	a := MsgSpec{Prio: 1, Period: 200 * sim.Microsecond, Payload: 8}
-	b := MsgSpec{Prio: 2, Period: 200 * sim.Microsecond, Payload: 8}
-	if _, err := WCRT([]MsgSpec{a, b}, b, can.DefaultBitRate); err != errUnschedulable {
-		t.Fatalf("err = %v, want unschedulable", err)
-	}
-}
-
-func TestWCRTBoundsSimulation(t *testing.T) {
-	// The analysis must upper-bound simulated worst response times for a
-	// fixed-priority set.
-	streams := []workload.Stream{
-		{Node: 0, Period: 2 * sim.Millisecond, RelDeadline: 2 * sim.Millisecond, Payload: 8},
-		{Node: 1, Period: 5 * sim.Millisecond, RelDeadline: 5 * sim.Millisecond, Payload: 6},
-		{Node: 2, Period: 10 * sim.Millisecond, RelDeadline: 10 * sim.Millisecond, Payload: 8},
-	}
-	prios, _ := DeadlineMonotonic([]sim.Duration{2 * sim.Millisecond, 5 * sim.Millisecond, 10 * sim.Millisecond}, 2, 250)
-	set := make([]MsgSpec, len(streams))
-	for i, s := range streams {
-		set[i] = MsgSpec{Prio: prios[i], Period: s.Period, Payload: s.Payload}
-	}
-	rng := sim.NewRNG(1)
-	jobs := workload.GenJobs(rng, streams, 2*sim.Second)
-	out := RunDM(streams, jobs, 2, 250, 1, 3*sim.Second)
-	worst := make([]sim.Duration, len(streams))
-	for _, jd := range out.Jobs {
-		if jd.Completed == 0 {
-			t.Fatalf("job dropped in underloaded set: %+v", jd.Job)
-		}
-		rt := jd.Completed - jd.Job.Release
-		if rt > worst[jd.Job.Stream] {
-			worst[jd.Job.Stream] = rt
-		}
-	}
-	for i := range streams {
-		bound, err := WCRT(set, set[i], can.DefaultBitRate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if worst[i] > bound {
-			t.Fatalf("stream %d: simulated worst %v exceeds analysis bound %v", i, worst[i], bound)
-		}
-	}
-}
-
 // lightStreams builds an easy, schedulable stream set.
 func lightStreams() []workload.Stream {
 	return []workload.Stream{

@@ -122,7 +122,7 @@ func RunEDFOpts(streams []workload.Stream, jobs []workload.Job, opts EDFOptions,
 		if err != nil {
 			panic(err)
 		}
-		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+		err = sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
 			func(ev core.Event, di core.DeliveryInfo) {
 				stream, seq := getJobTag(ev.Payload)
 				if jd := done[[2]int{stream, seq}]; jd != nil {
@@ -130,6 +130,9 @@ func RunEDFOpts(streams []workload.Stream, jobs []workload.Job, opts EDFOptions,
 					jd.Missed = di.ArrivedAt > jd.Job.Deadline
 				}
 			}, nil)
+		if err != nil {
+			panic(err)
+		}
 	}
 	for i := range jobs {
 		j := jobs[i]

@@ -6,6 +6,7 @@ import (
 
 	"canec/internal/binding"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 	"canec/internal/value"
@@ -88,20 +89,21 @@ func a3Run(seed uint64, policy string) []string {
 	if policy == "expire" {
 		expiration = 10 * sim.Millisecond
 	}
-	feeds := make([]*srtFeed, len(classes))
+	feeds := make([]*scenario.SRTPub, len(classes))
 	for i, c := range classes {
-		feeds[i] = srtLoop(sys, 0, pubs[i], c.subj, sim.Time(i)*66*sim.Microsecond, burst+1,
-			200*sim.Microsecond, false, 5*sim.Millisecond, expiration, func(now sim.Time) []byte {
+		feeds[i] = (&scenario.SRTPub{Sys: sys, Node: 0, Subject: c.subj, Ch: pubs[i], Gap: 200 * sim.Microsecond,
+			Deadline: 5 * sim.Millisecond, Expiration: expiration, End: burst + 1,
+			Payload: func(now sim.Time) []byte {
 				p := make([]byte, 8)
 				binary.LittleEndian.PutUint64(p, uint64(now+5*sim.Millisecond))
 				return p
-			})
+			}}).Start(sim.Time(i) * 66 * sim.Microsecond)
 	}
 	sys.Run(2 * sim.Second) // let queues drain after the burst
 
 	published := 0
 	for _, f := range feeds {
-		published += f.accepted
+		published += f.Accepted
 	}
 	frac := 0.0
 	if published > 0 {

@@ -94,11 +94,7 @@ func a2DejitterAblation(seed uint64) Result {
 
 func a2Run(seed uint64, bgLoad float64, deliverOnArrival bool) (sim.Duration, float64) {
 	cfg := calendar.DefaultConfig()
-	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 3, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	}))
+	sys, cal := e1System(cfg, 3, seed)
 	for _, n := range sys.Nodes {
 		n.MW.DeliverOnArrival = deliverOnArrival
 	}

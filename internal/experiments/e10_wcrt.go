@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"canec/internal/baseline"
-	"canec/internal/can"
+	"canec/internal/prob"
 	"canec/internal/sim"
 	"canec/internal/stats"
 	"canec/internal/workload"
@@ -38,13 +38,10 @@ func e10WCRTAnalysis(seed uint64) Result {
 	for i, s := range streams {
 		deadlines[i] = s.RelDeadline
 	}
-	prios, err := baseline.DeadlineMonotonic(deadlines, 2, 250)
-	if err != nil {
-		panic(err)
-	}
-	set := make([]baseline.MsgSpec, len(streams))
+	prios := must(baseline.DeadlineMonotonic(deadlines, 2, 250))
+	set := make([]prob.Msg, len(streams))
 	for i, s := range streams {
-		set[i] = baseline.MsgSpec{Prio: prios[i], Period: s.Period, Payload: s.Payload}
+		set[i] = prob.Msg{Prio: prios[i], Period: s.Period, Payload: s.Payload}
 	}
 
 	jobs := workload.GenJobs(sim.NewRNG(seed), streams, 2*sim.Second)
@@ -58,7 +55,7 @@ func e10WCRTAnalysis(seed uint64) Result {
 		}
 	}
 	for i, s := range streams {
-		bound, err := baseline.WCRT(set, set[i], can.DefaultBitRate)
+		bound, err := prob.Analyzer{}.BusyWindow(set, i)
 		boundStr, ratio, ok := "unschedulable", "-", "?"
 		if err == nil {
 			boundStr = stats.Micros(float64(bound))

@@ -106,7 +106,13 @@ func e11Canec(seed uint64, down, restart sim.Duration) e11Run {
 	// re-synced clock.
 	pubs := outagePubs(sys, end, lc)
 	if lc != nil {
-		reanchor(lc, pubs)
+		lc.OnRestart = func(n int, mw *core.Middleware) {
+			for _, p := range pubs {
+				if int(p.Slot.Publisher) == n {
+					wired(p.Restart(mw))
+				}
+			}
+		}
 		camp.Install()
 	}
 

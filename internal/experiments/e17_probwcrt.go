@@ -10,6 +10,7 @@ import (
 	"canec/internal/core"
 	"canec/internal/obs"
 	"canec/internal/prob"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -172,22 +173,16 @@ func e17Exec(seed uint64, kind string, model prob.ErrorModel) e17Run {
 
 	rng := sim.NewRNG(seed ^ 0x517)
 	end := sim.Time(e17Horizon)
-	var loop func()
-	loop = func() {
-		if sys.K.Now() >= end {
-			return
-		}
-		payload := make([]byte, 8)
-		for i := range payload {
-			payload[i] = byte(rng.Uint64())
-		}
-		if err := pub.Publish(core.Event{Subject: e17Subject, Payload: payload}); err == nil {
-			run.published++
-		}
-		sys.K.After(e17Period, loop)
-	}
-	sys.K.At(0, loop)
+	feed := (&scenario.SRTPub{Sys: sys, Node: e17Pub, Subject: e17Subject, Ch: pub, Gap: e17Period, End: end,
+		Payload: func(sim.Time) []byte {
+			payload := make([]byte, 8)
+			for i := range payload {
+				payload[i] = byte(rng.Uint64())
+			}
+			return payload
+		}}).Start(0)
 	sys.Run(end + 10*sim.Millisecond)
+	run.published = uint64(feed.Accepted)
 
 	run.violations = len(camp.Finish(0).Violations)
 	run.predMiss = sys.Admission.PredictedMiss("SRT")

@@ -183,11 +183,9 @@ func e18Run(seed uint64, class core.Class, load float64, attack bool) control.Qo
 	}
 
 	l := must(control.NewLoop(cfg, nil))
-	if err := l.Install(sys.K, sys.Cfg.Epoch, end, func(n int) *core.Middleware {
+	wired(l.Install(sys.K, sys.Cfg.Epoch, end, func(n int) *core.Middleware {
 		return sys.Node(n).MW
-	}, nil); err != nil {
-		panic(err)
-	}
+	}, nil))
 	e18Background(sys, load, seed, end)
 	if camp != nil {
 		camp.Install()
@@ -209,25 +207,19 @@ func e18Relay(seed uint64, load float64) control.QoC {
 		ConfineFaults: true}))
 	segB := must(core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k}))
 	g := must(gateway.New(segA.Node(0).MW, segB.Node(2).MW, 200*sim.Microsecond))
-	if err := g.ForwardSRT(e18SensSubj, gateway.AtoB); err != nil {
-		panic(err)
-	}
-	if err := g.ForwardSRT(e18CmdSubj, gateway.BtoA); err != nil {
-		panic(err)
-	}
+	wired(g.ForwardSRT(e18SensSubj, gateway.AtoB))
+	wired(g.ForwardSRT(e18CmdSubj, gateway.BtoA))
 
 	cfg := e18LoopConfig(core.SRT)
 	cfg.ControllerNode = e18Nodes // segB station 0, via the index mapping below
 	l := must(control.NewLoop(cfg, nil))
 	end := segA.Cfg.Epoch + e18Horizon
-	if err := l.Install(k, segA.Cfg.Epoch, end, func(n int) *core.Middleware {
+	wired(l.Install(k, segA.Cfg.Epoch, end, func(n int) *core.Middleware {
 		if n >= e18Nodes {
 			return segB.Node(n - e18Nodes).MW
 		}
 		return segA.Node(n).MW
-	}, nil); err != nil {
-		panic(err)
-	}
+	}, nil))
 	e18Background(segA, load, seed, end)
 	k.Run(end)
 	return l.Report()

@@ -7,6 +7,7 @@ import (
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -45,11 +46,7 @@ func e1SlotGeometry(seed uint64) Result {
 
 func e1Run(seed uint64, bgLoad float64) []string {
 	cfg := calendar.DefaultConfig()
-	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 3, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	}))
+	sys, cal := e1System(cfg, 3, seed)
 	slot := cal.Slots[0]
 
 	// Track HRT transmission starts relative to each round's ready time.
@@ -105,7 +102,8 @@ func background(sys *core.System, subj binding.Subject, frame sim.Duration, load
 	if load <= 0 {
 		return
 	}
-	ch := announce(sys.Node(2).MW, core.SRT, subj, core.ChannelAttrs{}, nil)
+	ch := must(scenario.Announce(sys.Node(2).MW, core.SRT, subj, core.ChannelAttrs{}, nil))
 	gap := sim.Duration(float64(frame)/load) - frame
-	srtLoop(sys, 2, ch, subj, 0, end, frame+gap, false, 5*sim.Millisecond, 0, zeros8)
+	(&scenario.SRTPub{Sys: sys, Node: 2, Subject: subj, Ch: ch, Gap: frame + gap,
+		Deadline: 5 * sim.Millisecond, End: end, Payload: zeros8}).Start(0)
 }

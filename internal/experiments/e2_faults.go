@@ -44,11 +44,7 @@ func e2Run(seed uint64, k, j int) []string {
 	const rounds = 100
 	cfg := calendar.DefaultConfig()
 	cfg.OmissionDegree = k
-	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 2, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	}))
+	sys, cal := e1System(cfg, 2, seed)
 	sys.Bus.Injector = can.AdversarialK{K: j, Prio: 0}
 
 	slotDeadline := cal.Slots[0].Deadline(cfg)

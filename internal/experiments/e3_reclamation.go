@@ -7,6 +7,7 @@ import (
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -89,7 +90,7 @@ func e3RunCanec(seed uint64, duty float64, suppress bool) (float64, string) {
 	// Sporadic HRT publishers: publish with probability duty per round.
 	for i := 0; i < 8; i++ {
 		subj := binding.Subject(0x700 + i)
-		ch := announce(sys.Node(i).MW, core.HRT, subj, core.ChannelAttrs{Payload: 7}, nil)
+		ch := must(scenario.Announce(sys.Node(i).MW, core.HRT, subj, core.ChannelAttrs{Payload: 7}, nil))
 		onGrid(sys, ch, subj, e3Rounds, -100*sim.Microsecond, func(r int64) []byte {
 			if sys.K.RNG().Bool(duty) {
 				return []byte{byte(r)}

@@ -6,6 +6,7 @@ import (
 	"canec/internal/calendar"
 	"canec/internal/core"
 	"canec/internal/frag"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -38,11 +39,7 @@ func e6Fragmentation(seed uint64) Result {
 func e6Run(seed uint64, kib int) []string {
 	const rounds = 400
 	cfg := calendar.DefaultConfig()
-	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 4, Seed: seed, Calendar: cal, Epoch: sim.Millisecond,
-	}))
+	sys, cal := e1System(cfg, 4, seed)
 	end := sys.Cfg.Epoch + rounds*cal.Round - 1
 
 	// HRT control loop.
@@ -64,7 +61,8 @@ func e6Run(seed uint64, kib int) []string {
 			srtMissed++
 		}
 	}, 3, core.ChannelAttrs{}, nil, nil)
-	srt := srtLoop(sys, 2, diag, 0x91, sys.Cfg.Epoch, end, 2*sim.Millisecond, true, 5*sim.Millisecond, 0, zeros8)
+	srt := (&scenario.SRTPub{Sys: sys, Node: 2, Subject: 0x91, Ch: diag, Gap: 2 * sim.Millisecond, Poisson: true,
+		Deadline: 5 * sim.Millisecond, End: end, Payload: zeros8}).Start(sys.Cfg.Epoch)
 
 	// Bulk transfer.
 	var transferDur sim.Duration
@@ -92,8 +90,8 @@ func e6Run(seed uint64, kib int) []string {
 		transferMS = float64(transferDur) / float64(sim.Millisecond)
 	}
 	missPct := 0.0
-	if srt.sent > 0 {
-		missPct = float64(srtMissed) / float64(srt.sent)
+	if srt.Sent > 0 {
+		missPct = float64(srtMissed) / float64(srt.Sent)
 	}
 	return []string{
 		fmt.Sprint(kib),

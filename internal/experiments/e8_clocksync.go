@@ -7,6 +7,7 @@ import (
 	"canec/internal/calendar"
 	"canec/internal/clock"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -65,9 +66,9 @@ func e8Run(seed uint64, period sim.Duration) []string {
 	// Publishers on nodes 0 and 1, subscribers on nodes 2 and 3.
 	late, missed := 0, 0
 	for i, s := range cal.Slots {
-		onLocal(&localPub{sys: sys, slot: s, at: -300 * sim.Microsecond,
-			rounds: rounds, end: end, payload: func(r int64) []byte { return []byte{byte(r)} }})
-		subscribe(sys.Node(2+i).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
+		wired((&scenario.RoundPub{Sys: sys, Slot: s, Attrs: hrtAttrs(), At: -300 * sim.Microsecond,
+			Rounds: rounds, End: end, Payload: func(r int64) []byte { return []byte{byte(r)} }}).Start())
+		wired(scenario.Subscribe(sys.Node(2+i).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
 			func(_ core.Event, di core.DeliveryInfo) {
 				if di.Late {
 					late++
@@ -77,7 +78,7 @@ func e8Run(seed uint64, period sim.Duration) []string {
 				if e.Kind == core.ExcSlotMissed {
 					missed++
 				}
-			})
+			}))
 	}
 
 	// Live precision sampling.

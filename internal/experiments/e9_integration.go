@@ -8,6 +8,7 @@ import (
 	"canec/internal/can"
 	"canec/internal/clock"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -65,25 +66,16 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 	}))
 	const rounds = 100
 	end := sys.Cfg.Epoch + rounds*cal.Round - 1
-	// stamp is a size-byte payload carrying the kernel time of its publish.
-	stamp := func(size int) []byte {
-		p := make([]byte, size)
-		binding.Put56(p, uint64(sys.K.Now()))
-		return p
-	}
-	latency := func(s *stats.Series, ev core.Event, di core.DeliveryInfo) {
-		s.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
-	}
 
 	hrtLat := stats.NewSeries("hrtLat")
 	var hrtTimes []sim.Time
 	hrtMiss := 0
 	for i, s := range cal.Slots {
-		onLocal(&localPub{sys: sys, slot: s, at: -200 * sim.Microsecond,
-			rounds: rounds, end: end, payload: func(int64) []byte { return stamp(7) }})
-		subscribe(sys.Node((i+1)%nodes).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
+		wired((&scenario.RoundPub{Sys: sys, Slot: s, Attrs: hrtAttrs(), At: -200 * sim.Microsecond,
+			Rounds: rounds, End: end, Payload: func(int64) []byte { return scenario.Stamp(sys.K, 7) }}).Start())
+		wired(scenario.Subscribe(sys.Node((i+1)%nodes).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
 			func(ev core.Event, di core.DeliveryInfo) {
-				latency(hrtLat, ev, di)
+				hrtLat.ObserveDuration(scenario.StampAge(ev, di))
 				if i == 0 {
 					hrtTimes = append(hrtTimes, di.DeliveredAt)
 				}
@@ -92,7 +84,7 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 				if e.Kind == core.ExcSlotMissed {
 					hrtMiss++
 				}
-			})
+			}))
 	}
 
 	srtLat := stats.NewSeries("srtLat")
@@ -107,10 +99,11 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 				srtDrop++
 			}
 		}, (i+3)%nodes, core.ChannelAttrs{}, func(ev core.Event, di core.DeliveryInfo) {
-			latency(srtLat, ev, di)
+			srtLat.ObserveDuration(scenario.StampAge(ev, di))
 		}, nil)
-		srtLoop(sys, i, ch, subj, sys.Cfg.Epoch, end, sim.Duration(nodes)*2*sim.Millisecond, true,
-			10*sim.Millisecond, 30*sim.Millisecond, func(sim.Time) []byte { return stamp(8) })
+		(&scenario.SRTPub{Sys: sys, Node: i, Subject: subj, Ch: ch, Gap: sim.Duration(nodes) * 2 * sim.Millisecond, Poisson: true,
+			Deadline: 10 * sim.Millisecond, Expiration: 30 * sim.Millisecond, End: end,
+			Payload: func(sim.Time) []byte { return scenario.Stamp(sys.K, 8) }}).Start(sys.Cfg.Epoch)
 	}
 
 	nrtBytes := 0

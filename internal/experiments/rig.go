@@ -1,33 +1,35 @@
 package experiments
 
 import (
-	"fmt"
-
 	"canec/internal/baseline"
 	"canec/internal/binding"
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/core"
 	"canec/internal/obs"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 )
 
-// The rig: the one implementation of each traffic shape the experiments
-// share. The kernel runs equal-instant events in the order they were
-// scheduled, so that order is part of every table: each helper does its
-// look-ups, kernel scheduling and RNG draws in the order the experiments
-// did them by hand, and an experiment that needs a step in between calls
-// the halves (announce, subscribe) itself. A publish the middleware
-// refuses is part of what an experiment measures (its exception handlers
-// and counters see it), so the publishers drop Publish's error. See
-// DESIGN.md §4.
+// The rig: the traffic shapes only the experiments use. The ones
+// scenario.Build uses too (announce, subscribe, the HRT round publisher on
+// its station's clock, the SRT loop) are in internal/scenario. Each helper
+// keeps the order of look-ups, kernel scheduling and RNG draws the tables
+// were measured with, and the publishers drop Publish's error as the
+// shared ones do. See DESIGN.md §4.
 
 // must returns v, or panics with err.
 func must[T any](v T, err error) T {
+	wired(err)
+	return v
+}
+
+// wired panics on a wiring error, which names the step, class, subject
+// and node: an experiment whose channel is not wired measures nothing.
+func wired(err error) {
 	if err != nil {
 		panic(err)
 	}
-	return v
 }
 
 // hrtAttrs are the channel attributes of every experiment's HRT
@@ -39,45 +41,15 @@ func nrtAttrs(prio can.Prio) core.ChannelAttrs {
 	return core.ChannelAttrs{Prio: prio, Fragmentation: true}
 }
 
-// wired panics on a wiring error, naming the step, class, subject and
-// node: an experiment whose channel is not wired measures nothing.
-func wired(err error, step string, class core.Class, subj binding.Subject, mw *core.Middleware) {
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s %v subject %#x on node %d: %v",
-			step, class, uint64(subj), mw.Node().Index, err))
-	}
-}
-
-// announce looks up subj's channel of the given class on mw and
-// announces it with attrs and the publisher's exception handler.
-func announce(mw *core.Middleware, class core.Class, subj binding.Subject, attrs core.ChannelAttrs, exc core.ExceptionHandler) core.Channel {
-	ch, err := mw.Channel(class, subj)
-	if err == nil {
-		err = ch.Announce(attrs, exc)
-	}
-	wired(err, "announce", class, subj, mw)
-	return ch
-}
-
-// subscribe looks up subj's channel of the given class on mw and
-// subscribes to it with attrs, notify and exc.
-func subscribe(mw *core.Middleware, class core.Class, subj binding.Subject, attrs core.ChannelAttrs, notify core.NotificationHandler, exc core.ExceptionHandler) {
-	ch, err := mw.Channel(class, subj)
-	if err == nil {
-		err = ch.Subscribe(attrs, core.SubscribeAttrs{}, notify, exc)
-	}
-	wired(err, "subscribe", class, subj, mw)
-}
-
 // pair announces subj on node pub and subscribes node sub to it, and
 // returns the publisher's channel. notify nil subscribes a sink.
 func pair(sys *core.System, class core.Class, subj binding.Subject, pub int, attrs core.ChannelAttrs, exc core.ExceptionHandler,
 	sub int, subAttrs core.ChannelAttrs, notify core.NotificationHandler, subExc core.ExceptionHandler) core.Channel {
-	ch := announce(sys.Node(pub).MW, class, subj, attrs, exc)
+	ch := must(scenario.Announce(sys.Node(pub).MW, class, subj, attrs, exc))
 	if notify == nil {
 		notify = func(core.Event, core.DeliveryInfo) {}
 	}
-	subscribe(sys.Node(sub).MW, class, subj, subAttrs, notify, subExc)
+	wired(scenario.Subscribe(sys.Node(sub).MW, class, subj, subAttrs, notify, subExc))
 	return ch
 }
 
@@ -94,114 +66,6 @@ func onGrid(sys *core.System, ch core.Channel, subj binding.Subject, rounds int6
 			}
 		})
 	}
-}
-
-// localPub is an HRT round publisher timed by the clock of its slot's
-// publisher: each publish schedules the next active round of slot at
-// Epoch + r·Round + at read on that clock through WhenLocal, so the
-// instants follow clock corrections. It stops before round rounds (0: no bound) and at the
-// first instant at or after end.
-type localPub struct {
-	sys     *core.System
-	ch      core.Channel
-	slot    calendar.Slot
-	at      sim.Duration
-	rounds  int64
-	end     sim.Time
-	payload func(r int64) []byte
-	// lc, when set, makes the publisher crash-aware: it is silent while
-	// its node is down, and restart starts a new generation.
-	lc  *core.Lifecycle
-	gen int
-}
-
-// onLocal announces slot's subject on its publisher and starts publishing
-// from its first active round.
-func onLocal(p *localPub) *localPub {
-	subj := binding.Subject(p.slot.Subject)
-	p.ch = announce(p.sys.Node(p.node()).MW, core.HRT, subj, hrtAttrs(), nil)
-	p.loop(p.slot.NextActive(0), 0)
-	return p
-}
-
-func (p *localPub) node() int { return int(p.slot.Publisher) }
-
-func (p *localPub) loop(r int64, g int) {
-	if p.rounds > 0 && r >= p.rounds {
-		return
-	}
-	sys := p.sys
-	local := sys.Cfg.Epoch + sim.Time(r)*sys.Cfg.Calendar.Round + p.at
-	at := sys.Clocks[p.node()].WhenLocal(sys.K.Now(), local)
-	if at >= p.end {
-		return
-	}
-	sys.K.At(at, func() {
-		if (p.lc != nil && p.lc.Down(p.node())) || p.gen != g {
-			return
-		}
-		_ = p.ch.Publish(core.Event{Subject: binding.Subject(p.slot.Subject), Payload: p.payload(r)})
-		p.loop(p.slot.NextActive(r+1), g)
-	})
-}
-
-// restart re-announces on the restarted node's middleware and re-anchors
-// a new generation at the next round of the re-synced clock.
-func (p *localPub) restart(mw *core.Middleware) {
-	p.ch = announce(mw, core.HRT, binding.Subject(p.slot.Subject), hrtAttrs(), nil)
-	p.gen++
-	sys := p.sys
-	rel := sys.Clocks[p.node()].Read(sys.K.Now()) - sys.Cfg.Epoch
-	next := int64(1)
-	if rel > 0 {
-		next = int64(rel/sys.Cfg.Calendar.Round) + 1
-	}
-	p.loop(p.slot.NextActive(next), p.gen)
-}
-
-// reanchor restarts, in order, the publishers of a node that lc restarts.
-func reanchor(lc *core.Lifecycle, pubs []*localPub) {
-	lc.OnRestart = func(n int, mw *core.Middleware) {
-		for _, p := range pubs {
-			if p.node() == n {
-				p.restart(mw)
-			}
-		}
-	}
-}
-
-// srtFeed counts an SRT publish loop's publications.
-type srtFeed struct{ sent, accepted int }
-
-// srtLoop publishes on ch from node, first at start and then gap after
-// each publish (exponentially distributed with mean gap when poisson),
-// until the kernel reaches end. Deadline and expiration (0: none) are
-// offsets from the publisher's local time, which payload also receives.
-func srtLoop(sys *core.System, node int, ch core.Channel, subj binding.Subject, start, end sim.Time,
-	gap sim.Duration, poisson bool, deadline, expiration sim.Duration, payload func(local sim.Time) []byte) *srtFeed {
-	f := &srtFeed{}
-	var loop func()
-	loop = func() {
-		if sys.K.Now() >= end {
-			return
-		}
-		now := sys.Node(node).MW.LocalTime()
-		attrs := core.EventAttrs{Deadline: now + deadline}
-		if expiration > 0 {
-			attrs.Expiration = now + expiration
-		}
-		if ch.Publish(core.Event{Subject: subj, Payload: payload(now), Attrs: attrs}) == nil {
-			f.accepted++
-		}
-		f.sent++
-		d := gap
-		if poisson {
-			d = sys.K.RNG().ExpDuration(gap)
-		}
-		sys.K.After(d, loop)
-	}
-	sys.K.At(start, loop)
-	return f
 }
 
 // zeros8 is an SRT payload of eight zero bytes.
@@ -249,9 +113,7 @@ func ttcan(seed uint64, cal *calendar.Calendar, nodes, bulk int, horizon sim.Tim
 	if arbStart < cal.Round {
 		net.AddArbitration(arbStart, cal.Round-arbStart)
 	}
-	if err := net.Start(); err != nil {
-		panic(err)
-	}
+	wired(net.Start())
 	for wi, s := range cal.Slots {
 		var loop func(r int64)
 		loop = func(r int64) {
@@ -293,6 +155,15 @@ func ttcan(seed uint64, cal *calendar.Calendar, nodes, bulk int, horizon sim.Tim
 	}
 	k.At(0, feed)
 	k.Run(horizon)
+}
+
+// e1System is the one-channel segment of E1, E2, E6 and A2: nodes
+// stations on perfect clocks, round 0 at 1 ms, and one 8-byte slot for
+// e1Subject on node 0 in a 10 ms round packed under cfg.
+func e1System(cfg calendar.Config, nodes int, seed uint64) (*core.System, *calendar.Calendar) {
+	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: uint64(e1Subject), Publisher: 0, Payload: 8, Periodic: true}))
+	return must(core.NewSystem(core.SystemConfig{Nodes: nodes, Seed: seed, Calendar: cal, Epoch: sim.Millisecond})), cal
 }
 
 // fiveSlots reserves five periodic 10 ms HRT channels at omission degree
@@ -340,14 +211,15 @@ func bytesIn(times []sim.Time, from, to sim.Time) int {
 // outagePubs drives every slot of sys's calendar from its publisher's
 // clock, 300 µs before the slot's ready instant, until end, and
 // subscribes node 5 to each; lc, when set, makes them crash-aware.
-func outagePubs(sys *core.System, end sim.Time, lc *core.Lifecycle) []*localPub {
-	var pubs []*localPub
+func outagePubs(sys *core.System, end sim.Time, lc *core.Lifecycle) []*scenario.RoundPub {
+	var pubs []*scenario.RoundPub
 	for _, s := range sys.Cfg.Calendar.Slots {
-		pubs = append(pubs, onLocal(&localPub{sys: sys, slot: s,
-			at: s.Ready - 300*sim.Microsecond, end: end, lc: lc,
-			payload: func(r int64) []byte { return []byte{byte(r)} }}))
-		subscribe(sys.Node(5).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
-			func(core.Event, core.DeliveryInfo) {}, nil)
+		p := &scenario.RoundPub{Sys: sys, Slot: s, Attrs: hrtAttrs(), At: s.Ready - 300*sim.Microsecond, End: end, Lifecycle: lc,
+			Payload: func(r int64) []byte { return []byte{byte(r)} }}
+		wired(p.Start())
+		pubs = append(pubs, p)
+		wired(scenario.Subscribe(sys.Node(5).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
+			func(core.Event, core.DeliveryInfo) {}, nil))
 	}
 	return pubs
 }

@@ -7,6 +7,7 @@ import (
 
 	"canec/internal/calendar"
 	"canec/internal/core"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 )
 
@@ -22,16 +23,16 @@ func TestWiringErrorPanics(t *testing.T) {
 		wire func()
 		want string
 	}{
-		{"no slot", func() { announce(sys.Node(1).MW, core.HRT, 0x55, hrtAttrs(), nil) },
+		{"no slot", func() { must(scenario.Announce(sys.Node(1).MW, core.HRT, 0x55, hrtAttrs(), nil)) },
 			"announce HRT subject 0x55 on node 1"},
-		{"not the slot's publisher", func() { announce(sys.Node(1).MW, core.HRT, e1Subject, hrtAttrs(), nil) },
+		{"not the slot's publisher", func() { must(scenario.Announce(sys.Node(1).MW, core.HRT, e1Subject, hrtAttrs(), nil)) },
 			fmt.Sprintf("announce HRT subject %#x on node 1", uint64(e1Subject))},
 		// Node 1 already holds e1Subject as an HRT channel (case above).
 		{"class mismatch", func() {
 			pair(sys, core.SRT, e1Subject, 0, core.ChannelAttrs{}, nil, 1, core.ChannelAttrs{}, nil, nil)
 		}, fmt.Sprintf("subscribe SRT subject %#x on node 1", uint64(e1Subject))},
 		{"subscribe without slot", func() {
-			subscribe(sys.Node(1).MW, core.HRT, 0x56, hrtAttrs(), nil, nil)
+			wired(scenario.Subscribe(sys.Node(1).MW, core.HRT, 0x56, hrtAttrs(), nil, nil))
 		}, "subscribe HRT subject 0x56 on node 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,10 +108,8 @@ func endToEndHRT(n int) perf.Sample {
 	if err != nil {
 		panic(err)
 	}
-	pub, _ := sys.Node(0).MW.HRTEC(0x31)
-	if err := pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
+	pub := must(sys.Node(0).MW.HRTEC(0x31))
+	check(pub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil))
 	// Publish instants are deterministic (one per round), so the payload
 	// carries the round index and the subscriber reconstructs the
 	// publish time — per-event latency without observer overhead in the
@@ -121,14 +119,14 @@ func endToEndHRT(n int) perf.Sample {
 	}
 	hist := latHist()
 	got := 0
-	sub, _ := sys.Node(1).MW.HRTEC(0x31)
-	sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+	sub := must(sys.Node(1).MW.HRTEC(0x31))
+	check(sub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
 		func(ev core.Event, di core.DeliveryInfo) {
 			got++
 			if at := pubAt(binary.LittleEndian.Uint32(ev.Payload)); di.DeliveredAt > at {
 				hist.Observe(float64(di.DeliveredAt - at))
 			}
-		}, nil)
+		}, nil))
 	for r := 0; r < n; r++ {
 		payload := binary.LittleEndian.AppendUint32(nil, uint32(r))
 		sys.K.At(pubAt(uint32(r)), func() {
@@ -148,22 +146,22 @@ func endToEndSRT(n int) perf.Sample {
 	if err != nil {
 		panic(err)
 	}
-	pub, _ := sys.Node(0).MW.SRTEC(0x41)
-	pub.Announce(core.ChannelAttrs{}, nil)
+	pub := must(sys.Node(0).MW.SRTEC(0x41))
+	check(pub.Announce(core.ChannelAttrs{}, nil))
 	// As in endToEndHRT: the payload carries the publish sequence, whose
 	// publish instant is deterministic, so per-event latency needs no
 	// observer in the measured workload.
 	pubAt := func(r uint32) sim.Time { return sim.Time(r) * 200 * sim.Microsecond }
 	hist := latHist()
 	got := 0
-	sub, _ := sys.Node(1).MW.SRTEC(0x41)
-	sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+	sub := must(sys.Node(1).MW.SRTEC(0x41))
+	check(sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
 		func(ev core.Event, di core.DeliveryInfo) {
 			got++
 			if at := pubAt(binary.LittleEndian.Uint32(ev.Payload)); di.DeliveredAt > at {
 				hist.Observe(float64(di.DeliveredAt - at))
 			}
-		}, nil)
+		}, nil))
 	for r := 0; r < n; r++ {
 		payload := binary.LittleEndian.AppendUint32(nil, uint32(r))
 		sys.K.At(pubAt(uint32(r)), func() {
@@ -308,27 +306,23 @@ func ProfiledMixed(n int) perf.Snapshot {
 	prof.AttachKernel(sys.K)
 	prof.SetBusySource(func() sim.Duration { return sys.Bus.Stats().BusyTime })
 
-	hrtPub, _ := sys.Node(0).MW.HRTEC(0x31)
-	if err := hrtPub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
-		panic(err)
-	}
-	hrtSub, _ := sys.Node(1).MW.HRTEC(0x31)
-	hrtSub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) {}, nil)
+	hrtPub := must(sys.Node(0).MW.HRTEC(0x31))
+	check(hrtPub.Announce(core.ChannelAttrs{Payload: 7, Periodic: true}, nil))
+	hrtSub := must(sys.Node(1).MW.HRTEC(0x31))
+	check(hrtSub.Subscribe(core.ChannelAttrs{Payload: 7, Periodic: true}, core.SubscribeAttrs{},
+		func(core.Event, core.DeliveryInfo) {}, nil))
 
-	srtPub, _ := sys.Node(0).MW.SRTEC(0x41)
-	srtPub.Announce(core.ChannelAttrs{}, nil)
-	srtSub, _ := sys.Node(1).MW.SRTEC(0x41)
-	srtSub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) {}, nil)
+	srtPub := must(sys.Node(0).MW.SRTEC(0x41))
+	check(srtPub.Announce(core.ChannelAttrs{}, nil))
+	srtSub := must(sys.Node(1).MW.SRTEC(0x41))
+	check(srtSub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+		func(core.Event, core.DeliveryInfo) {}, nil))
 
-	nrtPub, _ := sys.Node(0).MW.NRTEC(0x51)
-	if err := nrtPub.Announce(core.ChannelAttrs{}, nil); err != nil {
-		panic(err)
-	}
-	nrtSub, _ := sys.Node(1).MW.NRTEC(0x51)
-	nrtSub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) {}, nil)
+	nrtPub := must(sys.Node(0).MW.NRTEC(0x51))
+	check(nrtPub.Announce(core.ChannelAttrs{}, nil))
+	nrtSub := must(sys.Node(1).MW.NRTEC(0x51))
+	check(nrtSub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+		func(core.Event, core.DeliveryInfo) {}, nil))
 
 	for r := 0; r < n; r++ {
 		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
@@ -356,4 +350,18 @@ func Find(name string) (perf.Case, bool) {
 		}
 	}
 	return perf.Case{}, false
+}
+
+// must returns v, or panics with err: a case whose channel is not wired
+// measures nothing.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// check panics on a wiring error.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

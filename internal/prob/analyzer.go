@@ -141,10 +141,9 @@ func (a Analyzer) extensionAtoms(payload int) []atom {
 }
 
 // Response analyzes the stream set[target] within its message set. The
-// busy window is fixed by the zero-error Tindell recurrence (identical
-// to baseline.WCRT with worst-case frame bits), then every transmission
-// in the window contributes its error-extension distribution by
-// convolution. The result owns a fresh distribution.
+// busy window is fixed by the zero-error recurrence (BusyWindow), then
+// every transmission in the window contributes its error-extension
+// distribution by convolution. The result owns a fresh distribution.
 func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 	res, err := a.response(set, target, new(Dist), make([]int64, len(set)))
 	if err != nil {
@@ -154,17 +153,23 @@ func (a Analyzer) Response(set []Msg, target int) (Result, error) {
 	return res, nil
 }
 
-// response is Response convolving in d's buffers, with counts (one
-// entry per message of set) as the busy window's per-interferer
-// transmission counts. The result's Dist is d, valid until d's next
-// use.
-func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Result, error) {
+// BusyWindow is the zero-error Tindell/Burns response of set[target]
+// with worst-case frame bits, the fixed point every analysis here starts
+// from:
+//
+//	R = J_m + w + C_m
+//	w = B_m + Σ_{h ∈ hp(m)} ⌈(w + J_h + τ_bit) / T_h⌉ · C_h
+//
+// B_m is the longest frame without higher priority than the target (the
+// bus is non-preemptive) and τ_bit the arbitration granularity. It fails
+// when the target and its interference saturate the bus or the
+// recurrence diverges.
+func (a Analyzer) BusyWindow(set []Msg, target int) (sim.Duration, error) {
 	if target < 0 || target >= len(set) {
-		return Result{}, fmt.Errorf("prob: target %d out of set of %d", target, len(set))
+		return 0, fmt.Errorf("prob: target %d out of set of %d", target, len(set))
 	}
 	m := set[target]
-	bitRate := a.bitRate()
-	tau := can.BitTime(1, bitRate)
+	tau := can.BitTime(1, a.bitRate())
 	cm := a.frameTime(m.Payload)
 
 	// Utilization precheck of the busy-period argument (zero-error
@@ -172,17 +177,15 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 	if m.Period > 0 {
 		u := float64(cm) / float64(m.Period)
 		for i, h := range set {
-			if i != target && h.Prio < m.Prio && h.Period > 0 {
+			if interferes(set, target, i) {
 				u += float64(a.frameTime(h.Payload)) / float64(h.Period)
 			}
 		}
 		if u >= 1 {
-			return Result{}, errUnschedulable
+			return 0, errUnschedulable
 		}
 	}
 
-	// Blocking: the longest frame without higher priority than the
-	// target (non-preemptive bus).
 	var block sim.Duration
 	for i, o := range set {
 		if i != target && o.Prio >= m.Prio {
@@ -192,8 +195,7 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 		}
 	}
 
-	// Zero-error fixed point on the queueing delay w, keeping the
-	// per-interferer transmission counts of the final window.
+	// Fixed point on the queueing delay w.
 	horizon := 1000 * m.Period
 	if horizon <= 0 {
 		horizon = sim.Duration(1) << 40
@@ -201,30 +203,58 @@ func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Resu
 	w := block
 	for iter := 0; ; iter++ {
 		if iter >= 1_000_000 {
-			return Result{}, errUnschedulable
+			return 0, errUnschedulable
 		}
 		next := block
 		for i, h := range set {
-			counts[i] = 0
-			if i == target || h.Prio >= m.Prio || h.Period <= 0 {
-				continue
+			if interferes(set, target, i) {
+				next += sim.Duration(hits(w, tau, h)) * a.frameTime(h.Payload)
 			}
-			n := int64((w + h.Jitter + tau + h.Period - 1) / h.Period)
-			if n < 1 {
-				n = 1
-			}
-			counts[i] = n
-			next += sim.Duration(n) * a.frameTime(h.Payload)
 		}
 		if next == w {
-			break
+			return m.Jitter + w + cm, nil
 		}
 		w = next
 		if w > horizon {
-			return Result{}, errUnschedulable
+			return 0, errUnschedulable
 		}
 	}
-	r0 := m.Jitter + w + cm
+}
+
+// interferes reports whether set[i] is higher-priority interference of
+// set[target] in the busy window.
+func interferes(set []Msg, target, i int) bool {
+	return i != target && set[i].Prio < set[target].Prio && set[i].Period > 0
+}
+
+// hits is how many of h's frames a queueing delay of w lets in ahead.
+func hits(w, tau sim.Duration, h Msg) int64 {
+	n := int64((w + h.Jitter + tau + h.Period - 1) / h.Period)
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// response is Response convolving in d's buffers, with counts (one
+// entry per message of set) as the busy window's per-interferer
+// transmission counts. The result's Dist is d, valid until d's next
+// use.
+func (a Analyzer) response(set []Msg, target int, d *Dist, counts []int64) (Result, error) {
+	r0, err := a.BusyWindow(set, target)
+	if err != nil {
+		return Result{}, err
+	}
+	m := set[target]
+	tau := can.BitTime(1, a.bitRate())
+	cm := a.frameTime(m.Payload)
+	w := r0 - m.Jitter - cm
+	for i, h := range set {
+		counts[i] = 0
+		if interferes(set, target, i) {
+			counts[i] = hits(w, tau, h)
+		}
+	}
 
 	// Distribution horizon in ticks.
 	distHorizon := a.Horizon

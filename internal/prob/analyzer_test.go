@@ -136,3 +136,51 @@ func TestDistOverflowConservative(t *testing.T) {
 		t.Errorf("truncated miss prob %v below exact %v: not conservative", res.MissProb, want)
 	}
 }
+
+// busyWindow is BusyWindow of the zero analyzer with its own counts.
+func busyWindow(set []Msg, target int) (sim.Duration, error) {
+	return Analyzer{}.BusyWindow(set, target)
+}
+
+func TestWCRTSingleStream(t *testing.T) {
+	m := Msg{Prio: 5, Period: 10 * sim.Millisecond, Payload: 8}
+	r, err := busyWindow([]Msg{m}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alone on the bus: R = C (160 µs).
+	if r != 160*sim.Microsecond {
+		t.Fatalf("WCRT = %v, want 160µs", r)
+	}
+}
+
+func TestWCRTBlockingAndInterference(t *testing.T) {
+	hi := Msg{Prio: 1, Period: 1 * sim.Millisecond, Payload: 8}
+	mid := Msg{Prio: 2, Period: 5 * sim.Millisecond, Payload: 4}
+	lo := Msg{Prio: 3, Period: 10 * sim.Millisecond, Payload: 8}
+	set := []Msg{hi, mid, lo}
+	rHi, err := busyWindow(set, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Highest priority still suffers blocking from a lower frame.
+	if rHi <= 160*sim.Microsecond {
+		t.Fatalf("high-prio WCRT %v must include blocking", rHi)
+	}
+	rLo, err := busyWindow(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rLo <= rHi {
+		t.Fatalf("low-prio WCRT %v not above high-prio %v", rLo, rHi)
+	}
+}
+
+func TestWCRTUnschedulable(t *testing.T) {
+	// Two streams each demanding ~80% utilization.
+	a := Msg{Prio: 1, Period: 200 * sim.Microsecond, Payload: 8}
+	b := Msg{Prio: 2, Period: 200 * sim.Microsecond, Payload: 8}
+	if _, err := busyWindow([]Msg{a, b}, 1); err != errUnschedulable {
+		t.Fatalf("err = %v, want unschedulable", err)
+	}
+}

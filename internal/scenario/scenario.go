@@ -575,35 +575,29 @@ type stream struct {
 	announce  core.ChannelAttrs
 	subscribe core.ChannelAttrs
 	notify    core.NotificationHandler
-	// ch is the publisher's current handle, one per stream so that several
-	// publishers of one subject each send from their own station; nil
-	// until announced (an admission-rejected stream never is).
+	// ch is an SRT or NRT publisher's current handle, one per stream so
+	// that several publishers of one subject each send from their own
+	// station; nil until announced (an admission-rejected stream never
+	// is). The HRT round publisher keeps its own.
 	ch core.Channel
-	// restart, if set, re-anchors the publish loop after a re-announce.
-	restart func()
+	// restart re-announces on the publisher's fresh middleware: wirePub,
+	// or the HRT round publisher's Restart, which also re-anchors it.
+	restart func(*core.Middleware) error
 }
 
 // wirePub announces the stream on its publisher's middleware and keeps
 // the handle.
 func (st *stream) wirePub(mw *core.Middleware) error {
-	ch, err := mw.Channel(st.class, st.subject)
-	if err != nil {
-		return err
+	ch, err := Announce(mw, st.class, st.subject, st.announce, nil)
+	if err == nil {
+		st.ch = ch
 	}
-	if err := ch.Announce(st.announce, nil); err != nil {
-		return err
-	}
-	st.ch = ch
-	return nil
+	return err
 }
 
 // wireSub subscribes the stream's handler on its subscriber's middleware.
 func (st *stream) wireSub(mw *core.Middleware) error {
-	ch, err := mw.Channel(st.class, st.subject)
-	if err != nil {
-		return err
-	}
-	return ch.Subscribe(st.subscribe, core.SubscribeAttrs{}, st.notify, nil)
+	return Subscribe(mw, st.class, st.subject, st.subscribe, st.notify, nil)
 }
 
 // Build validates the scenario and turns it into a wired Instance: the
@@ -744,17 +738,29 @@ func (s *Scenario) Build() (*Instance, error) {
 	// station is dead with it.
 	down := func(n int) bool { return lc != nil && lc.Down(n) }
 	mw := func(n int) *core.Middleware { return sys.Node(n).MW }
+	// rejected reports a typed admission rejection, an expected outcome of
+	// an over-admission scenario: the stream or loop runs out of the mix
+	// instead of failing the whole scenario.
+	rejected := func(err error, what string) bool {
+		var admErr *core.AdmissionError
+		if !errors.As(err, &admErr) {
+			return false
+		}
+		rep.Rejected = append(rep.Rejected, fmt.Sprintf("%s: %s (predicted miss %.3g, target %.3g)",
+			what, admErr.Reason, admErr.MissProb, admErr.Target))
+		return true
+	}
 
 	var streams []*stream
 	for i, h := range s.HRT {
 		i, h := i, h
+		attrs := core.ChannelAttrs{Payload: h.Payload, Periodic: true}
 		st := &stream{
 			class: core.HRT, subject: binding.Subject(h.Subject), pub: h.Publisher, sub: h.Subscriber,
-			announce:  core.ChannelAttrs{Payload: h.Payload, Periodic: true},
-			subscribe: core.ChannelAttrs{Payload: h.Payload, Periodic: true},
+			subscribe: attrs,
 			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if h.Payload >= 7 {
-					rep.HRTLatency.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
+					rep.HRTLatency.ObserveDuration(StampAge(ev, di))
 				}
 				if i == 0 {
 					in.firstHRT = append(in.firstHRT, di.DeliveredAt)
@@ -762,49 +768,21 @@ func (s *Scenario) Build() (*Instance, error) {
 			},
 		}
 		streams = append(streams, st)
+		// The subject's first slot times the stream; the stream's own
+		// station publishes it.
 		slot := cal.SlotsForSubject(h.Subject)[0]
+		slot.Publisher = can.TxNode(h.Publisher)
 		if i == 0 {
 			in.hrtPeriod = slot.Period(cal.Round)
 		}
-		if err := st.wirePub(mw(st.pub)); err != nil {
+		// The publish task is host software on the publisher's clock, 300 µs
+		// before its slot: it dies with a crash and restart re-anchors it.
+		p := &RoundPub{Sys: sys, Slot: slot, Attrs: attrs, At: slot.Ready - 300*sim.Microsecond, End: end, Lifecycle: lc,
+			Payload: func(int64) []byte { return Stamp(sys.K, h.Payload) }}
+		if err := p.Start(); err != nil {
 			return nil, err
 		}
-		// The publish task is host software: it schedules each round through
-		// the publisher's local clock, so it must die with a crash (the clock
-		// is cold until re-sync — wakeups computed through it would pile up
-		// and flood the recovered slot queue) and be re-anchored by restart
-		// at the first round still ahead of the corrected clock. The
-		// generation counter retires a loop that never observed the outage
-		// (crash and restart both inside one publish period), or a doubled
-		// slot rate would grow the queue without bound.
-		gen := 0
-		var loop func(r int64, g int)
-		loop = func(r int64, g int) {
-			local := sys.Cfg.Epoch + sim.Time(r)*cal.Round + slot.Ready - 300*sim.Microsecond
-			at := sys.Clocks[st.pub].WhenLocal(sys.K.Now(), local)
-			if at >= end {
-				return
-			}
-			sys.K.At(at, func() {
-				if down(st.pub) || gen != g {
-					return
-				}
-				p := make([]byte, h.Payload)
-				binding.Put56(p, uint64(sys.K.Now()))
-				st.ch.Publish(core.Event{Subject: st.subject, Payload: p})
-				loop(slot.NextActive(r+1), g)
-			})
-		}
-		st.restart = func() {
-			gen++
-			rel := sys.Clocks[st.pub].Read(sys.K.Now()) - sys.Cfg.Epoch
-			next := int64(1)
-			if rel > 0 {
-				next = int64(rel/cal.Round) + 1
-			}
-			loop(slot.NextActive(next), gen)
-		}
-		loop(slot.NextActive(0), 0)
+		st.restart = p.Restart
 		if err := st.wireSub(mw(st.sub)); err != nil {
 			return nil, err
 		}
@@ -816,10 +794,11 @@ func (s *Scenario) Build() (*Instance, error) {
 			class: core.SRT, subject: binding.Subject(r.Subject), pub: r.Publisher, sub: r.Subscriber,
 			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if len(ev.Payload) >= 7 {
-					rep.SRTLatency.ObserveDuration(di.DeliveredAt - sim.Time(binding.Get56(ev.Payload)))
+					rep.SRTLatency.ObserveDuration(StampAge(ev, di))
 				}
 			},
 		}
+		st.restart = st.wirePub // a rejected stream is retried, with no loop
 		if s.Admission != nil {
 			// Under admission control the channel must declare its law:
 			// the analyzer admits it against this period and deadline.
@@ -830,46 +809,31 @@ func (s *Scenario) Build() (*Instance, error) {
 			}
 		}
 		streams = append(streams, st)
-		if err := st.wirePub(mw(st.pub)); err != nil {
-			// A typed admission rejection is an expected outcome of an
-			// over-admission scenario: report it and run the stream out of
-			// the mix instead of failing the whole scenario.
-			var admErr *core.AdmissionError
-			if errors.As(err, &admErr) {
-				rep.Rejected = append(rep.Rejected,
-					fmt.Sprintf("srt 0x%x: %s (predicted miss %.3g, target %.3g)",
-						r.Subject, admErr.Reason, admErr.MissProb, admErr.Target))
-				continue
-			}
+		if err := st.wirePub(mw(st.pub)); rejected(err, fmt.Sprintf("srt 0x%x", r.Subject)) {
+			continue
+		} else if err != nil {
 			return nil, err
 		}
 		if err := st.wireSub(mw(st.sub)); err != nil {
 			return nil, err
 		}
-		var loop func()
-		loop = func() {
-			if sys.K.Now() >= end {
-				return
-			}
-			if !down(st.pub) {
-				now := mw(st.pub).LocalTime()
-				p := make([]byte, r.Payload)
-				if r.Payload >= 7 {
-					binding.Put56(p, uint64(sys.K.Now()))
+		f := &SRTPub{Sys: sys, Node: st.pub, Subject: st.subject, Ch: st.ch,
+			Gap: sim.Duration(r.MeanPeriodUs) * sim.Microsecond, Poisson: r.Sporadic,
+			Deadline: sim.Duration(r.DeadlineUs) * sim.Microsecond, Expiration: sim.Duration(r.ExpirationUs) * sim.Microsecond,
+			End: end, Lifecycle: lc,
+			Payload: func(sim.Time) []byte {
+				if r.Payload < 7 {
+					return make([]byte, r.Payload)
 				}
-				attrs := core.EventAttrs{Deadline: now + sim.Duration(r.DeadlineUs)*sim.Microsecond}
-				if r.ExpirationUs > 0 {
-					attrs.Expiration = now + sim.Duration(r.ExpirationUs)*sim.Microsecond
-				}
-				st.ch.Publish(core.Event{Subject: st.subject, Payload: p, Attrs: attrs})
-			}
-			gap := sim.Duration(r.MeanPeriodUs) * sim.Microsecond
-			if r.Sporadic {
-				gap = sys.K.RNG().ExpDuration(gap)
-			}
-			sys.K.After(gap, loop)
+				return Stamp(sys.K, r.Payload)
+			}}
+		f.Start(sys.Cfg.Epoch)
+		// The loop publishes on the handle a restart re-announced.
+		st.restart = func(fresh *core.Middleware) error {
+			err := st.wirePub(fresh)
+			f.Ch = st.ch
+			return err
 		}
-		sys.K.At(sys.Cfg.Epoch, loop)
 	}
 
 	for _, b := range s.NRT {
@@ -880,6 +844,7 @@ func (s *Scenario) Build() (*Instance, error) {
 			subscribe: core.ChannelAttrs{Fragmentation: true},
 			notify:    func(ev core.Event, _ core.DeliveryInfo) { rep.NRTBytes += len(ev.Payload) },
 		}
+		st.restart = st.wirePub
 		streams = append(streams, st)
 		if err := st.wirePub(mw(st.pub)); err != nil {
 			return nil, err
@@ -911,14 +876,9 @@ func (s *Scenario) Build() (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := lp.Install(sys.K, sys.Cfg.Epoch, end, mw, down); err != nil {
-			var admErr *core.AdmissionError
-			if errors.As(err, &admErr) {
-				rep.Rejected = append(rep.Rejected,
-					fmt.Sprintf("control %s: %s (predicted miss %.3g, target %.3g)",
-						lcfg.Name, admErr.Reason, admErr.MissProb, admErr.Target))
-				continue
-			}
+		if err := lp.Install(sys.K, sys.Cfg.Epoch, end, mw, down); rejected(err, "control "+lcfg.Name) {
+			continue
+		} else if err != nil {
 			return nil, err
 		}
 		in.Loops = append(in.Loops, lp)
@@ -927,8 +887,8 @@ func (s *Scenario) Build() (*Instance, error) {
 	if lc != nil {
 		lc.OnRestart = func(n int, fresh *core.Middleware) {
 			for _, st := range streams {
-				if st.pub == n && st.wirePub(fresh) == nil && st.restart != nil {
-					st.restart()
+				if st.pub == n {
+					_ = st.restart(fresh)
 				}
 				if st.sub == n {
 					_ = st.wireSub(fresh)
