@@ -101,10 +101,10 @@ bench-smoke:
 	$(GO) test -run TestBenchGate ./cmd/canecbench
 
 # portable runs the golden and digest tests on a 32-bit target: the
-# experiment tables, scenario reports and CLI pins must come out
-# byte-identical under GOARCH=386 too.
+# experiment tables, scenario reports, CLI pins, gateway tests and the
+# pinned example outputs must come out byte-identical under GOARCH=386 too.
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/experiments ./internal/scenario ./cmd/canecsim ./cmd/canecwhy
+	GOARCH=386 $(GO) test -count=1 ./internal/experiments ./internal/scenario ./cmd/canecsim ./cmd/canecwhy ./internal/gateway ./examples/...
 
 # check is the PR gate: compile everything, check gofmt, vet, run the
 # full suite under the race detector, smoke the fuzz targets and rerun

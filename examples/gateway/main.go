@@ -37,15 +37,22 @@ func main() {
 		panic(err)
 	}
 	// Gateway occupies node 3 on both segments; store-and-forward 100 µs.
-	gw, err := gateway.New(field.Node(3).MW, super.Node(3).MW, 100*sim.Microsecond)
+	// Each subject is announced on the segment it enters before the
+	// gateway subscribes to it on the segment it leaves.
+	gwField, gwSuper, err := gateway.Join(field.Node(3).MW, super.Node(3).MW, "field", "supervision", 100*sim.Microsecond)
 	if err != nil {
 		panic(err)
 	}
-	if err := gw.ForwardSRT(temp, gateway.AtoB); err != nil {
-		panic(err)
-	}
-	if err := gw.ForwardSRT(cmd, gateway.BtoA); err != nil {
-		panic(err)
+	for _, leg := range []struct {
+		from, to *gateway.RemoteBridge
+		subject  binding.Subject
+	}{{gwField, gwSuper, temp}, {gwSuper, gwField, cmd}} {
+		if err := leg.to.Announce(core.SRT, leg.subject, core.ChannelAttrs{}); err != nil {
+			panic(err)
+		}
+		if err := leg.from.Forward(core.SRT, leg.subject, core.ChannelAttrs{}); err != nil {
+			panic(err)
+		}
 	}
 
 	// Field-bus sensor publishes temperature every 5 ms.
@@ -123,7 +130,7 @@ func main() {
 
 	fmt.Printf("field bus: %d temperature events published\n", n)
 	fmt.Printf("gateway:   %d events forwarded across segments, %d dropped\n",
-		gw.Forwarded(), gw.Dropped())
+		gwField.Forwarded()+gwSuper.Forwarded(), gwField.Dropped()+gwSuper.Dropped())
 	fmt.Printf("supervision console: %d temperatures received, %d commands issued\n",
 		tempsSeen, cmdsSent)
 	fmt.Printf("field actuator: %d commands received (via gateway)\n", cmdsGot)

@@ -17,29 +17,27 @@ import (
 	"canec/internal/value"
 )
 
-// Gateway bridging between segments.
-type (
-	// Bridge forwards subjects between two bus segments that share one
-	// simulation kernel (build the second System with the first one's
-	// Kernel in SystemConfig.Kernel).
-	Bridge = gateway.Bridge
-	// Direction selects the forwarding direction of a bridged subject.
-	Direction = gateway.Direction
-)
+// Gateway is one end of a gateway between two bus segments: Forward
+// ships a subject's events to the other end, which republishes the
+// subjects it Announces under its own TxNode.
+type Gateway = gateway.RemoteBridge
 
-// Bridge directions.
+// Channel classes, as Middleware.Channel, Gateway.Forward and
+// Gateway.Announce take them.
 const (
-	AtoB = gateway.AtoB
-	BtoA = gateway.BtoA
-	Both = gateway.Both
+	HRT = core.HRT
+	SRT = core.SRT
+	NRT = core.NRT
 )
 
-// NewBridge creates a gateway between two middleware endpoints. It fails
-// when the endpoints do not share a simulation kernel (segments on
-// different kernels — typically different processes — are federated over
-// an IP transport instead; see internal/relay and cmd/canecd).
-func NewBridge(a, b *Middleware, delay Duration) (*Bridge, error) {
-	return gateway.New(a, b, delay)
+// JoinSegments creates a gateway between two middleware endpoints whose
+// segments share one simulation kernel (build the second System with the
+// first one's Kernel in SystemConfig.Kernel); segA and segB name the
+// segments. It fails when the endpoints do not share a kernel (segments
+// on different kernels — typically different processes — are federated
+// over an IP transport instead; see internal/relay and cmd/canecd).
+func JoinSegments(a, b *Middleware, segA, segB string, delay Duration) (*Gateway, *Gateway, error) {
+	return gateway.Join(a, b, segA, segB, delay)
 }
 
 // Time-value functions (Jensen): the worth of completing a transmission

@@ -17,12 +17,17 @@ func TestFacadeBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := canec.NewBridge(segA.Node(1).MW, segB.Node(1).MW, 100*canec.Microsecond)
+	ga, gb, err := canec.JoinSegments(segA.Node(1).MW, segB.Node(1).MW, "a", "b", 100*canec.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ForwardSRT(0x55, canec.Both); err != nil {
-		t.Fatal(err)
+	for _, g := range [][2]*canec.Gateway{{ga, gb}, {gb, ga}} {
+		if err := g[1].Announce(canec.SRT, 0x55, canec.ChannelAttrs{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g[0].Forward(canec.SRT, 0x55, canec.ChannelAttrs{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pub, _ := segA.Node(0).MW.SRTEC(0x55)
 	pub.Announce(canec.ChannelAttrs{}, nil)
@@ -36,8 +41,8 @@ func TestFacadeBridge(t *testing.T) {
 			Attrs: canec.EventAttrs{Deadline: now + 5*canec.Millisecond}})
 	})
 	k.Run(canec.Second)
-	if got != 1 || g.Forwarded() != 1 {
-		t.Fatalf("got=%d forwarded=%d", got, g.Forwarded())
+	if fwd := ga.Forwarded() + gb.Forwarded(); got != 1 || fwd != 1 {
+		t.Fatalf("got=%d forwarded=%d", got, fwd)
 	}
 }
 

@@ -32,6 +32,19 @@ const (
 	costRU   = 1e-4
 )
 
+// Loop dimensions. substeps is the number of plant integration ticks per
+// sampling period: commands latch at substep resolution, so sub-period
+// delivery latency is visible in the cost. mpcHorizon is the MPC
+// prediction horizon — the input's authority over position grows with
+// the square of the lookahead, so short horizons leave a double
+// integrator underactuated (PID has none). uMax saturates the commanded
+// input.
+const (
+	substeps   = 4
+	mpcHorizon = 16
+	uMax       = 200
+)
+
 func putFix24(dst []byte, v float64) {
 	if v > fixLimit {
 		v = fixLimit
@@ -73,38 +86,9 @@ type LoopConfig struct {
 	// Period is the sensor sampling period (and the HRT slot period when
 	// the loop rides HRT channels).
 	Period sim.Duration
-	// Substeps is the number of plant integration ticks per sampling
-	// period (default 4): commands latch at substep resolution, so
-	// sub-period delivery latency is visible in the cost.
-	Substeps int
 	// Setpoint is the reference for the plant output; Initial the
 	// plant's starting output (rate starts at zero).
 	Setpoint, Initial float64
-	// Horizon is the MPC prediction horizon (default 16 — the input's
-	// authority over position grows with the square of the lookahead, so
-	// short horizons leave a double integrator underactuated; PID
-	// ignores it).
-	Horizon int
-	// StaleAfter is the held-command age beyond which a plant tick
-	// counts as stale (default 2×Period).
-	StaleAfter sim.Duration
-	// UMax saturates the commanded input (default 200).
-	UMax float64
-}
-
-func (cfg *LoopConfig) fillDefaults() {
-	if cfg.Substeps <= 0 {
-		cfg.Substeps = 4
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 16
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 2 * cfg.Period
-	}
-	if cfg.UMax <= 0 {
-		cfg.UMax = 200
-	}
 }
 
 // Validate checks everything except node ranges (the caller knows the
@@ -145,7 +129,6 @@ func (cfg *LoopConfig) Validate() error {
 // need; nil when no leg rides HRT. Callers merge these into the slot
 // calendar before building the system.
 func (cfg LoopConfig) CalendarRequests() []calendar.Request {
-	cfg.fillDefaults()
 	var reqs []calendar.Request
 	if cfg.Class == core.HRT {
 		reqs = append(reqs,
@@ -198,11 +181,10 @@ type Loop struct {
 
 // NewLoop builds a loop from its config. The observer may be nil.
 func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
-	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dtSub := cfg.Period / sim.Duration(cfg.Substeps)
+	dtSub := cfg.Period / substeps
 	model, err := plantModel(cfg.Plant, dtSub)
 	if err != nil {
 		return nil, err
@@ -230,9 +212,9 @@ func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
 		// phase margin, which is exactly what the QoC measure exposes.
 		if cfg.Plant == PlantDoubleIntegrator {
 			wn := 0.25 / secs(cfg.Period)
-			l.ctl = &pid{kp: wn * wn, kd: 1.4 * wn, dt: secs(cfg.Period), umax: cfg.UMax, rate: true}
+			l.ctl = &pid{kp: wn * wn, kd: 1.4 * wn, dt: secs(cfg.Period), umax: uMax, rate: true}
 		} else {
-			l.ctl = &pid{kp: 8, ki: 30, dt: secs(cfg.Period), umax: cfg.UMax}
+			l.ctl = &pid{kp: 8, ki: 30, dt: secs(cfg.Period), umax: uMax}
 		}
 	case controllerMPC:
 		// The MPC predicts over the sampling period, not the substep.
@@ -240,7 +222,7 @@ func NewLoop(cfg LoopConfig, o *obs.Observer) (*Loop, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.ctl, err = newMPC(pm, cfg.Horizon, [2]float64{costQPos, costQVel}, costRU, cfg.UMax)
+		l.ctl, err = newMPC(pm, mpcHorizon, [2]float64{costQPos, costQVel}, costRU, uMax)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +258,7 @@ func (l *Loop) Install(k *sim.Kernel, epoch, end sim.Time, mw func(int) *core.Mi
 	}
 	l.o.RegisterControlLoop(l.cfg.Name, l.Deviation)
 
-	dtSub := l.cfg.Period / sim.Duration(l.cfg.Substeps)
+	dtSub := l.cfg.Period / substeps
 	step := 0
 	var tick func()
 	tick = func() {
@@ -287,7 +269,7 @@ func (l *Loop) Install(k *sim.Kernel, epoch, end sim.Time, mw func(int) *core.Mi
 		if step > 0 {
 			l.substep(now, dtSub)
 		}
-		if step%l.cfg.Substeps == 0 {
+		if step%substeps == 0 {
 			l.sample(now)
 		}
 		step++
@@ -345,7 +327,8 @@ func (l *Loop) substep(now sim.Time, dt sim.Duration) {
 	if dev > l.band {
 		l.lastOut = now
 	}
-	if now-l.heldSampleAt > sim.Time(l.cfg.StaleAfter) {
+	// A command held for more than two sampling periods is stale.
+	if now-l.heldSampleAt > sim.Time(2*l.cfg.Period) {
 		l.qoc.Stale++
 		l.o.Emit(0, obs.StageCtrlStale, l.cfg.Class.Obs(), l.cfg.Actuator, 0, now, l.name)
 	}

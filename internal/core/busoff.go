@@ -13,17 +13,18 @@ import (
 // supervisor adds a capped-exponential re-join backoff on top of the
 // spec-mandated observation time: a station that keeps getting knocked
 // off the bus backs off harder each time, and the ladder resets once it
-// has stayed healthy for StableAfter.
+// has stayed healthy for busOffStableAfter.
 type BusOffPolicy struct {
 	// Retry shapes the re-join backoff added after the recovery
 	// observation: attempt n (counting consecutive bus-offs) waits
 	// Base·2ⁿ capped at Cap, plus jitter. Attempts is ignored — a
 	// detached controller never stops trying to rejoin.
 	Retry binding.RetryPolicy
-	// StableAfter is how long a recovered station must stay on the bus
-	// for its backoff ladder to reset.
-	StableAfter sim.Duration
 }
+
+// busOffStableAfter is how long a recovered station must stay on the
+// bus for its backoff ladder to reset.
+const busOffStableAfter = 250 * sim.Millisecond
 
 // DefaultBusOffPolicy keeps the first re-join prompt (2 ms beyond the
 // recovery rule) while a persistent attacker quickly drives the victim
@@ -36,7 +37,6 @@ func DefaultBusOffPolicy() BusOffPolicy {
 			Cap:        64 * sim.Millisecond,
 			JitterFrac: 0.1,
 		},
-		StableAfter: 250 * sim.Millisecond,
 	}
 }
 
@@ -56,12 +56,8 @@ func (p BusOffPolicy) MaxBackoff() sim.Duration {
 // observation. The zero policy selects DefaultBusOffPolicy. Only
 // meaningful on systems built with ConfineFaults.
 func (lc *Lifecycle) EnableBusOffRecovery(pol BusOffPolicy) {
-	def := DefaultBusOffPolicy()
 	if pol.Retry.Base <= 0 {
-		pol.Retry = def.Retry
-	}
-	if pol.StableAfter <= 0 {
-		pol.StableAfter = def.StableAfter
+		pol.Retry = DefaultBusOffPolicy().Retry
 	}
 	lc.busOffPol = pol
 	lc.busOffArmed = true
@@ -96,7 +92,7 @@ func (lc *Lifecycle) errorState(i int, old, new can.ErrorState, at sim.Time) {
 	switch {
 	case new == can.BusOff:
 		streak := lc.busOffStreak[i]
-		if up, ok := lc.busOffUpAt[i]; ok && sim.Duration(at-up) > lc.busOffPol.StableAfter {
+		if up, ok := lc.busOffUpAt[i]; ok && sim.Duration(at-up) > busOffStableAfter {
 			streak = 0 // stayed healthy long enough: ladder resets
 		}
 		lc.busOffStreak[i] = streak + 1

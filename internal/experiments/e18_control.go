@@ -206,9 +206,12 @@ func e18Relay(seed uint64, load float64) control.QoC {
 	segA := must(core.NewSystem(core.SystemConfig{Nodes: e18Nodes, Seed: seed, Kernel: k,
 		ConfineFaults: true}))
 	segB := must(core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k}))
-	g := must(gateway.New(segA.Node(0).MW, segB.Node(2).MW, 200*sim.Microsecond))
-	wired(g.ForwardSRT(e18SensSubj, gateway.AtoB))
-	wired(g.ForwardSRT(e18CmdSubj, gateway.BtoA))
+	ga, gb, err := gateway.Join(segA.Node(0).MW, segB.Node(2).MW, "A", "B", 200*sim.Microsecond)
+	wired(err)
+	wired(gb.Announce(core.SRT, e18SensSubj, core.ChannelAttrs{}))
+	wired(ga.Forward(core.SRT, e18SensSubj, core.ChannelAttrs{}))
+	wired(ga.Announce(core.SRT, e18CmdSubj, core.ChannelAttrs{}))
+	wired(gb.Forward(core.SRT, e18CmdSubj, core.ChannelAttrs{}))
 
 	cfg := e18LoopConfig(core.SRT)
 	cfg.ControllerNode = e18Nodes // segB station 0, via the index mapping below

@@ -4,151 +4,80 @@
 // wired wide area network" (§2.2.1, elaborated in its ref [12] — the
 // CAN↔Internet architecture), and uses origin attributes so a subscriber
 // can restrict notifications to events generated on its own segment.
+//
+// One gateway implements the forwarding: a RemoteBridge on each segment,
+// joined by a Remote transport. Segments on separate kernels use a
+// network transport (internal/relay); segments that share a kernel are
+// joined by Join over an in-kernel hop.
 package gateway
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 
-	"canec/internal/binding"
-	"canec/internal/can"
 	"canec/internal/core"
 	"canec/internal/sim"
 )
 
-// Bridge owns one middleware instance on each of two segments that
-// share a simulation kernel. For every forwarded subject it subscribes on
-// one side and republishes on the other under its own TxNode, after a
-// configurable relay latency. Because forwarded events carry the
-// gateway's node number, origin filtering on the remote segment is the
-// ordinary publisher filter: subscribers exclude (or select) the
-// gateway's TxNode — exactly the mechanism §2.2.1 describes.
-type Bridge struct {
-	// A and B are the gateway's middleware endpoints on the two segments.
-	A, B *core.Middleware
-	// Delay is the store-and-forward latency added per hop (protocol
-	// conversion, queueing in the gateway CPU).
-	Delay sim.Duration
-	// RelayDeadline is the transmission deadline budget given to the
-	// re-published copy of an SRT event on the remote segment, measured
-	// from the moment the gateway forwards it. Deadlines are not carried
-	// on the CAN wire, so per-segment budgets are assigned at each hop —
-	// the standard decomposition for multi-network channels.
-	RelayDeadline sim.Duration
-
-	// ExcludeA and ExcludeB list additional publisher TxNodes the bridge
-	// ignores on the respective ingress segment, beyond its own endpoint
-	// node (which is always excluded). They make multi-bridge topologies
-	// loop-safe: in a ring of Both-direction bridges, each bridge lists
-	// the other gateways' TxNodes on its segments, so only events that
-	// originate locally on a segment are ever forwarded off it — a copy
-	// arriving through one bridge can never be re-forwarded by another.
-	// Set them before any ForwardSRT call; later changes have no effect on
-	// established forwarding.
-	ExcludeA, ExcludeB []can.TxNode
-
-	forwarded uint64
-	dropped   uint64
-}
-
-// Direction selects which way a subject flows through the bridge.
-type Direction int
-
-const (
-	// AtoB forwards events published on segment A to segment B.
-	AtoB Direction = iota
-	// BtoA forwards events published on segment B to segment A.
-	BtoA
-	// Both forwards in both directions (loop-safe: the gateway never
-	// re-forwards events it injected itself).
-	Both
-)
-
-// New creates a bridge between two middleware endpoints that must live on
-// the same simulation kernel (segments that do not share a kernel are
-// federated over a Remote transport instead; see RemoteBridge).
-func New(a, b *core.Middleware, delay sim.Duration) (*Bridge, error) {
+// Join bridges two segments that share one simulation kernel: a
+// RemoteBridge on each endpoint, connected by an in-kernel hop that hands
+// every event to the other end delay (the store-and-forward latency)
+// after it left. segA and segB name the segments for the loop guard. A
+// subject crosses once the receiving end Announces it and the sending end
+// Forwards it. A forwarded copy carries the receiving end's TxNode, so
+// origin filtering there is the ordinary publisher filter (§2.2.1).
+func Join(a, b *core.Middleware, segA, segB string, delay sim.Duration) (*RemoteBridge, *RemoteBridge, error) {
 	if a == nil || b == nil {
-		return nil, errors.New("gateway: nil endpoint")
+		return nil, nil, errors.New("gateway: nil endpoint")
 	}
 	if a.K != b.K {
-		return nil, errors.New("gateway: endpoints on different kernels (use RemoteBridge to federate separate kernels)")
+		return nil, nil, errors.New("gateway: endpoints on different kernels (federate separate kernels over a relay transport)")
 	}
-	return &Bridge{A: a, B: b, Delay: delay, RelayDeadline: 10 * sim.Millisecond}, nil
+	if segA == segB {
+		return nil, nil, fmt.Errorf("gateway: both ends named %q (the loop guard would drop every event)", segA)
+	}
+	ha := &hop{k: a.K, delay: delay}
+	hb := &hop{k: a.K, delay: delay, peer: ha}
+	ha.peer = hb
+	ha.deliverFn, hb.deliverFn = ha.deliver, hb.deliver
+	ga, err := NewRemote(a, ha, segA)
+	if err != nil {
+		return nil, nil, err
+	}
+	gb, err := NewRemote(b, hb, segB)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ga, gb, nil
 }
 
-// ingressExcludes returns the publishers to ignore when subscribing on
-// `from`: the bridge's own endpoint node there plus the configured
-// per-side exclusion list.
-func (g *Bridge) ingressExcludes(from *core.Middleware) []can.TxNode {
-	extra := g.ExcludeA
-	if from == g.B {
-		extra = g.ExcludeB
-	}
-	ex := make([]can.TxNode, 0, len(extra)+1)
-	ex = append(ex, from.Node().Ctrl.Node())
-	ex = append(ex, extra...)
-	return ex
+// hop is one end of Join's in-kernel Remote: it hands each sent event
+// to the peer end's receiver a fixed virtual delay later. The delay is
+// constant, so a FIFO and one pre-bound callback suffice — no per-event
+// closure.
+type hop struct {
+	k         *sim.Kernel
+	delay     sim.Duration
+	peer      *hop
+	recv      func(RemoteEvent)
+	q         []RemoteEvent
+	head      int
+	deliverFn func()
 }
 
-// Forwarded reports how many events crossed the bridge.
-func (g *Bridge) Forwarded() uint64 { return g.forwarded }
+func (h *hop) SetReceiver(fn func(RemoteEvent)) { h.recv = fn }
 
-// Dropped reports forwarding failures (republish errors).
-func (g *Bridge) Dropped() uint64 { return g.dropped }
-
-// ForwardSRT establishes bidirectional (or one-way) forwarding of a soft
-// real-time subject.
-func (g *Bridge) ForwardSRT(subject binding.Subject, dir Direction) error {
-	if dir == AtoB || dir == Both {
-		if err := g.forwardOne(g.A, g.B, subject); err != nil {
-			return err
-		}
-	}
-	if dir == BtoA || dir == Both {
-		if err := g.forwardOne(g.B, g.A, subject); err != nil {
-			return err
-		}
-	}
+func (h *hop) Send(re RemoteEvent) error {
+	h.q = append(h.q, re)
+	h.k.After(h.delay, h.deliverFn)
 	return nil
 }
 
-// forwardOne announces the subject on `to`, subscribes on `from` and
-// republishes every delivery after the store-and-forward delay, keeping
-// the origin trace. Each copy gets a fresh per-segment deadline budget.
-// The delayed republish keeps its own copy of the payload: the delivered
-// one is the channel mailbox's, overwritten by the next delivery.
-func (g *Bridge) forwardOne(from, to *core.Middleware, subject binding.Subject) error {
-	out, err := to.SRTEC(subject)
-	if err != nil {
-		return err
+func (h *hop) deliver() {
+	re := h.q[h.head]
+	h.q[h.head] = RemoteEvent{}
+	if h.head++; h.head == len(h.q) {
+		h.q, h.head = h.q[:0], 0
 	}
-	if err := out.Announce(core.ChannelAttrs{}, nil); err != nil {
-		return err
-	}
-	in, err := from.SRTEC(subject)
-	if err != nil {
-		return err
-	}
-	return in.Subscribe(core.ChannelAttrs{},
-		core.SubscribeAttrs{
-			// Never re-forward what this bridge injected on `from`, nor
-			// what a sibling bridge relayed in (ring safety).
-			ExcludePublishers: g.ingressExcludes(from),
-		},
-		func(ev core.Event, _ core.DeliveryInfo) {
-			payload := bytes.Clone(ev.Payload)
-			to.K.After(g.Delay, func() {
-				now := to.LocalTime()
-				cp := core.Event{Subject: subject, Payload: payload, Attrs: core.EventAttrs{
-					Deadline:   now + g.RelayDeadline,
-					Expiration: now + 2*g.RelayDeadline,
-				}}
-				if err := out.Publish(core.WithTraceID(cp, ev.TraceID())); err != nil {
-					g.dropped++
-					return
-				}
-				g.forwarded++
-			})
-		}, nil)
+	h.peer.recv(re)
 }

@@ -12,8 +12,9 @@ import (
 
 const subjTemp binding.Subject = 0x77
 
-// rig builds two 3-node segments on one kernel, bridged at node 2 of each.
-func rig(t *testing.T, seed uint64) (*sim.Kernel, *core.System, *core.System, *Bridge) {
+// rig builds two 3-node segments on one kernel, joined at node 2 of
+// each with the given store-and-forward delay.
+func rig(t *testing.T, seed uint64, delay sim.Duration) (*sim.Kernel, *core.System, *core.System, *RemoteBridge, *RemoteBridge) {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	segA, err := core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k})
@@ -24,16 +25,42 @@ func rig(t *testing.T, seed uint64) (*sim.Kernel, *core.System, *core.System, *B
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(segA.Node(2).MW, segB.Node(2).MW, 50*sim.Microsecond)
+	ga, gb, err := Join(segA.Node(2).MW, segB.Node(2).MW, "a", "b", delay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, segA, segB, g
+	return k, segA, segB, ga, gb
+}
+
+// forwardSRT carries an SRT subject from one end of a joined pair to
+// the other: the receiving end announces it before the sending end
+// subscribes to it.
+func forwardSRT(from, to *RemoteBridge, subject binding.Subject) error {
+	if err := to.Announce(core.SRT, subject, core.ChannelAttrs{}); err != nil {
+		return err
+	}
+	return from.Forward(core.SRT, subject, core.ChannelAttrs{})
+}
+
+// forwarded sums the events that left through each end.
+func forwarded(gs ...*RemoteBridge) (n uint64) {
+	for _, g := range gs {
+		n += g.Forwarded()
+	}
+	return n
+}
+
+// dropped sums the events shed at each end.
+func dropped(gs ...*RemoteBridge) (n uint64) {
+	for _, g := range gs {
+		n += g.Dropped()
+	}
+	return n
 }
 
 func TestSRTForwardAcrossSegments(t *testing.T) {
-	k, segA, segB, g := rig(t, 1)
-	if err := g.ForwardSRT(subjTemp, AtoB); err != nil {
+	k, segA, segB, ga, gb := rig(t, 1, 50*sim.Microsecond)
+	if err := forwardSRT(ga, gb, subjTemp); err != nil {
 		t.Fatal(err)
 	}
 	pub, _ := segA.Node(0).MW.SRTEC(subjTemp)
@@ -51,14 +78,17 @@ func TestSRTForwardAcrossSegments(t *testing.T) {
 	if !bytes.Equal(got, []byte{0xAB, 0xCD}) {
 		t.Fatalf("cross-segment payload = %v", got)
 	}
-	if g.Forwarded() != 1 || g.Dropped() != 0 {
-		t.Fatalf("forwarded=%d dropped=%d", g.Forwarded(), g.Dropped())
+	if forwarded(ga, gb) != 1 || dropped(ga, gb) != 0 {
+		t.Fatalf("forwarded=%d dropped=%d", forwarded(ga, gb), dropped(ga, gb))
 	}
 }
 
 func TestBidirectionalNoLoop(t *testing.T) {
-	k, segA, segB, g := rig(t, 2)
-	if err := g.ForwardSRT(subjTemp, Both); err != nil {
+	k, segA, segB, ga, gb := rig(t, 2, 50*sim.Microsecond)
+	if err := forwardSRT(ga, gb, subjTemp); err != nil {
+		t.Fatal(err)
+	}
+	if err := forwardSRT(gb, ga, subjTemp); err != nil {
 		t.Fatal(err)
 	}
 	pub, _ := segA.Node(0).MW.SRTEC(subjTemp)
@@ -85,16 +115,16 @@ func TestBidirectionalNoLoop(t *testing.T) {
 	if gotA != 1 {
 		t.Fatalf("segment A deliveries = %d, want 1 (no loop)", gotA)
 	}
-	if g.Forwarded() != 1 {
-		t.Fatalf("forwarded = %d, want 1 (no ping-pong)", g.Forwarded())
+	if forwarded(ga, gb) != 1 {
+		t.Fatalf("forwarded = %d, want 1 (no ping-pong)", forwarded(ga, gb))
 	}
 }
 
 func TestOriginFiltering(t *testing.T) {
 	// The paper's §2.2.1 example: a subscriber interested only in events
 	// from publishers on its own field bus filters out the gateway.
-	k, segA, segB, g := rig(t, 3)
-	if err := g.ForwardSRT(subjTemp, AtoB); err != nil {
+	k, segA, segB, ga, gb := rig(t, 3, 50*sim.Microsecond)
+	if err := forwardSRT(ga, gb, subjTemp); err != nil {
 		t.Fatal(err)
 	}
 	// Remote publisher on A and a local publisher on B share the subject.
@@ -139,7 +169,7 @@ func TestOriginFiltering(t *testing.T) {
 func TestSegmentIndependence(t *testing.T) {
 	// Traffic on segment A must not consume bandwidth on segment B: the
 	// two buses are independent media sharing only virtual time.
-	k, segA, segB, _ := rig(t, 5)
+	k, segA, segB, _, _ := rig(t, 5, 50*sim.Microsecond)
 	pub, _ := segA.Node(0).MW.SRTEC(0x79)
 	pub.Announce(core.ChannelAttrs{}, nil)
 	var flood func()
@@ -167,32 +197,38 @@ func TestSegmentIndependence(t *testing.T) {
 func TestMismatchedKernelsError(t *testing.T) {
 	segA, _ := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 1})
 	segB, _ := core.NewSystem(core.SystemConfig{Nodes: 2, Seed: 2})
-	if _, err := New(segA.Node(0).MW, segB.Node(0).MW, 0); err == nil {
+	if _, _, err := Join(segA.Node(0).MW, segB.Node(0).MW, "a", "b", 0); err == nil {
 		t.Fatal("bridging across kernels accepted")
 	}
-	if _, err := New(nil, segB.Node(0).MW, 0); err == nil {
+	if _, _, err := Join(nil, segB.Node(0).MW, "a", "b", 0); err == nil {
 		t.Fatal("nil endpoint accepted")
+	}
+	k := sim.NewKernel(3)
+	segC, _ := core.NewSystem(core.SystemConfig{Nodes: 2, Kernel: k})
+	segD, _ := core.NewSystem(core.SystemConfig{Nodes: 2, Kernel: k})
+	if _, _, err := Join(segC.Node(0).MW, segD.Node(0).MW, "c", "c", 0); err == nil {
+		t.Fatal("two ends under one segment name accepted")
 	}
 }
 
 func TestForwardErrorsPropagate(t *testing.T) {
-	_, segA, segB, g := rig(t, 6)
+	_, segA, segB, ga, gb := rig(t, 6, 50*sim.Microsecond)
 	// Stopped middleware rejects forwarding setup.
 	segB.Node(2).MW.Stop()
-	if err := g.ForwardSRT(0x91, AtoB); err == nil {
+	if err := forwardSRT(ga, gb, 0x91); err == nil {
 		t.Fatal("forward into stopped middleware accepted")
 	}
 	segA.Node(2).MW.Stop()
-	if err := g.ForwardSRT(0x93, BtoA); err == nil {
+	if err := forwardSRT(gb, ga, 0x93); err == nil {
 		t.Fatal("forward from stopped middleware accepted")
 	}
 }
 
 // A delivered payload is the channel mailbox's, overwritten by the next
-// delivery. Both gateways keep a delivery past the handler — the bridge
-// across its store-and-forward delay, the remote bridge in a transport
-// that queues — so each keeps its own copy: a burst that arrives inside
-// one delay crosses intact.
+// delivery. The gateway keeps a delivery past the handler — across
+// Join's store-and-forward delay, or in any other transport that queues —
+// so it ships its own copy: a burst that arrives inside one delay
+// crosses intact.
 func TestGatewaysCopyQueuedPayloads(t *testing.T) {
 	burst := func(k *sim.Kernel, seg *core.System) {
 		pub, _ := seg.Node(0).MW.SRTEC(subjTemp)
@@ -215,9 +251,8 @@ func TestGatewaysCopyQueuedPayloads(t *testing.T) {
 	const want = "\xa0\xa0\xa1\xa1\xa2\xa2\xa3\xa3"
 
 	t.Run("Bridge", func(t *testing.T) {
-		k, segA, segB, g := rig(t, 1)
-		g.Delay = 2 * sim.Millisecond
-		if err := g.ForwardSRT(subjTemp, AtoB); err != nil {
+		k, segA, segB, ga, gb := rig(t, 1, 2*sim.Millisecond)
+		if err := forwardSRT(ga, gb, subjTemp); err != nil {
 			t.Fatal(err)
 		}
 		got := collect(segB)
@@ -229,7 +264,7 @@ func TestGatewaysCopyQueuedPayloads(t *testing.T) {
 	})
 
 	t.Run("RemoteBridge", func(t *testing.T) {
-		k, segA, segB, _ := rig(t, 1) // the same-kernel bridge stays idle
+		k, segA, segB, _, _ := rig(t, 1, 50*sim.Microsecond) // the joined pair stays idle
 		ab, ba := &queueRemote{k: k}, &queueRemote{k: k}
 		ab.peer, ba.peer = ba, ab
 		out, err := NewRemote(segA.Node(2).MW, ab, "a")

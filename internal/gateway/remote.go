@@ -60,31 +60,26 @@ type Remote interface {
 }
 
 // RemoteBridge attaches one middleware endpoint to a Remote transport,
-// federating its segment with a peer segment that runs on a different
-// kernel (typically a different process, connected over TCP by
-// internal/relay). For every forwarded subject it subscribes locally and
-// ships matching events to the peer; events arriving from the peer are
-// republished locally under the bridge's own TxNode with the origin
-// trace adopted, so one trace spans every segment the event visits.
+// federating its segment with a peer segment: one on a different kernel
+// (typically a different process, connected over TCP by internal/relay)
+// or, through Join's in-kernel hop, one sharing this kernel. For every
+// forwarded subject it subscribes locally and ships matching events to
+// the peer; events arriving from the peer are republished locally under
+// the bridge's own TxNode with the origin trace adopted, so one trace
+// spans every segment the event visits.
 type RemoteBridge struct {
-	// M is the bridge's middleware endpoint on the local segment.
-	M *core.Middleware
-	// R is the inter-segment transport.
-	R Remote
-	// Segment names the local segment (must be unique across the
-	// federation; used as the loop guard).
-	Segment string
-	// MaxHops bounds relay traversals; events arriving with
-	// Hops >= MaxHops are dropped (defence in depth behind the
-	// OriginSeg guard). Zero selects the default of 8.
-	MaxHops int
-	// Budget is the total relay-deadline budget granted to locally
-	// originated events when they leave the segment. Zero selects the
-	// default of 50ms.
-	Budget sim.Duration
-	// RelayDeadline caps the per-hop transmission deadline assigned to a
-	// republished SRT copy. Zero selects the default of 10ms.
-	RelayDeadline sim.Duration
+	// Exclude lists publishers on the local segment, beyond the bridge's
+	// own endpoint node (always excluded), whose events Forward does not
+	// ship. It makes rings of bridges loop-safe: each bridge lists the
+	// other gateways' TxNodes on its segment, so only events that
+	// originate locally are ever forwarded off it — a copy arriving
+	// through one bridge is never re-forwarded by another. Set it before
+	// Forward; later changes do not touch established forwarding.
+	Exclude []can.TxNode
+
+	m       *core.Middleware // endpoint on the local segment
+	r       Remote           // inter-segment transport
+	segment string           // local segment name, unique in the federation: the loop guard
 
 	// transit remembers, per trace ID, the metadata of events that
 	// arrived from the peer and were republished locally, so a sibling
@@ -115,6 +110,19 @@ type transitEntry struct {
 	arrivedAt sim.Time
 }
 
+// Federation limits. An event arriving with Hops+1 >= maxHops is dropped
+// (defence in depth behind the OriginSeg guard); a locally originated
+// event leaves with the relay-deadline budget; a republished SRT copy
+// gets a transmission deadline of at most relayDeadline, measured from the
+// moment it is republished. Deadlines are not carried on the CAN wire,
+// so per-segment budgets are assigned at each hop — the standard
+// decomposition for multi-network channels.
+const (
+	maxHops       = 8
+	budget        = 50 * sim.Millisecond
+	relayDeadline = 10 * sim.Millisecond
+)
+
 // transitCap bounds the transit table of a bridge; beyond it the oldest
 // entries are evicted (their onward forwarding then restarts metadata,
 // which is safe: the OriginSeg guard still holds via the fresh origin).
@@ -133,13 +141,10 @@ func NewRemote(m *core.Middleware, r Remote, segment string) (*RemoteBridge, err
 		return nil, errors.New("gateway: empty segment name")
 	}
 	b := &RemoteBridge{
-		M: m, R: r, Segment: segment,
-		MaxHops:       8,
-		Budget:        50 * sim.Millisecond,
-		RelayDeadline: 10 * sim.Millisecond,
-		transit:       make(map[uint64]transitEntry),
-		subjects:      make(map[binding.Subject]core.Class),
-		egress:        make(map[binding.Subject]egressChannel),
+		m: m, r: r, segment: segment,
+		transit:  make(map[uint64]transitEntry),
+		subjects: make(map[binding.Subject]core.Class),
+		egress:   make(map[binding.Subject]egressChannel),
 	}
 	r.SetReceiver(b.receive)
 	return b, nil
@@ -179,14 +184,15 @@ func (b *RemoteBridge) Forward(class core.Class, subject binding.Subject, attrs 
 	if _, dup := b.subjects[subject]; dup {
 		return fmt.Errorf("gateway: subject %d already forwarded", subject)
 	}
-	ch, err := b.M.Channel(class, subject)
+	ch, err := b.m.Channel(class, subject)
 	if err != nil {
 		return err
 	}
 	err = ch.Subscribe(attrs,
 		core.SubscribeAttrs{
-			// Never echo back what this bridge itself republished.
-			ExcludePublishers: []can.TxNode{b.M.Node().Ctrl.Node()},
+			// Never echo back what this bridge itself republished, nor
+			// what a sibling gateway relayed in (ring safety).
+			ExcludePublishers: append([]can.TxNode{b.m.Node().Ctrl.Node()}, b.Exclude...),
 		},
 		func(ev core.Event, di core.DeliveryInfo) { b.ship(class, subject, ev, di) }, nil)
 	if err != nil {
@@ -200,7 +206,7 @@ func (b *RemoteBridge) Forward(class core.Class, subject binding.Subject, attrs 
 // channel the bridge republishes incoming remote events on. Call it once
 // per subject expected FROM the peer (the mirror of the peer's Forward).
 func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs core.ChannelAttrs) error {
-	ch, err := b.M.Channel(class, subject)
+	ch, err := b.m.Channel(class, subject)
 	if err != nil {
 		return err
 	}
@@ -217,15 +223,15 @@ func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs
 // delivered payload is the channel mailbox's, and a transport may queue
 // the event, so the RemoteEvent carries its own copy.
 func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.Event, di core.DeliveryInfo) {
-	now := b.M.K.Now()
+	now := b.m.K.Now()
 	re := RemoteEvent{
 		Class:     class,
 		Subject:   subject,
 		Payload:   ev.Payload,
 		Origin:    di.Publisher,
-		OriginSeg: b.Segment,
+		OriginSeg: b.segment,
 		Hops:      0,
-		Budget:    b.Budget,
+		Budget:    budget,
 		TraceID:   ev.TraceID(),
 	}
 	if t, ok := b.lookupTransit(ev.TraceID()); ok {
@@ -242,27 +248,27 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 			// HRT is never silently dropped: forward late, count it.
 			b.late++
 			b.observer().Emit(re.TraceID, obs.StageRelayLate, class.Obs(),
-				b.M.Node().Index, uint64(subject), now, obs.DetailBudgetExhausted)
+				b.m.Node().Index, uint64(subject), now, obs.DetailBudgetExhausted)
 		default:
 			b.dropped++
 			b.observer().Emit(re.TraceID, obs.StageRelayDrop, class.Obs(),
-				b.M.Node().Index, uint64(subject), now, obs.DetailBudgetExhausted)
+				b.m.Node().Index, uint64(subject), now, obs.DetailBudgetExhausted)
 			return
 		}
 	}
 	re.Payload = bytes.Clone(re.Payload)
-	if err := b.R.Send(re); err != nil {
+	if err := b.r.Send(re); err != nil {
 		b.dropped++
 		if o := b.observer(); o.Enabled() {
 			o.Emit(re.TraceID, obs.StageRelayDrop, class.Obs(),
-				b.M.Node().Index, uint64(subject), now, obs.Text("send: "+err.Error()))
+				b.m.Node().Index, uint64(subject), now, obs.Text("send: "+err.Error()))
 		}
 		return
 	}
 	b.forwarded++
 	if o := b.observer(); o.Enabled() {
 		o.Emit(re.TraceID, obs.StageRelayTx, class.Obs(),
-			b.M.Node().Index, uint64(subject), now,
+			b.m.Node().Index, uint64(subject), now,
 			obs.RelayHop(re.Hops, re.Budget))
 	}
 }
@@ -272,38 +278,31 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 // republishes the event locally under the bridge's TxNode with the
 // origin trace adopted.
 func (b *RemoteBridge) receive(re RemoteEvent) {
-	now := b.M.K.Now()
-	maxHops := b.MaxHops
-	if maxHops <= 0 {
-		maxHops = 8
-	}
+	now := b.m.K.Now()
 	switch {
-	case re.OriginSeg == b.Segment:
+	case re.OriginSeg == b.segment:
 		b.dropped++
 		b.observer().Emit(re.TraceID, obs.StageRelayDrop, re.Class.Obs(),
-			b.M.Node().Index, uint64(re.Subject), now, obs.DetailLoop)
+			b.m.Node().Index, uint64(re.Subject), now, obs.DetailLoop)
 		return
 	case re.Hops+1 >= maxHops:
 		b.dropped++
 		b.observer().Emit(re.TraceID, obs.StageRelayDrop, re.Class.Obs(),
-			b.M.Node().Index, uint64(re.Subject), now, obs.DetailHopLimit)
+			b.m.Node().Index, uint64(re.Subject), now, obs.DetailHopLimit)
 		return
 	}
 	re.Hops++
 	if o := b.observer(); o.Enabled() {
 		o.Emit(re.TraceID, obs.StageRelayRx, re.Class.Obs(),
-			b.M.Node().Index, uint64(re.Subject), now,
+			b.m.Node().Index, uint64(re.Subject), now,
 			obs.RelayFrom(re.OriginSeg, re.Hops, re.Budget))
 	}
 	b.rememberTransit(re, now)
 
 	ev := core.Event{Subject: re.Subject, Payload: re.Payload}
 	if re.Class == core.SRT {
-		local := b.M.LocalTime()
-		dl := b.RelayDeadline
-		if dl <= 0 {
-			dl = 10 * sim.Millisecond
-		}
+		local := b.m.LocalTime()
+		dl := relayDeadline
 		if re.Budget > 0 && re.Budget < dl {
 			dl = re.Budget
 		}
@@ -322,7 +321,7 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 		b.dropped++
 		if o := b.observer(); o.Enabled() {
 			o.Emit(re.TraceID, obs.StageRelayDrop, re.Class.Obs(),
-				b.M.Node().Index, uint64(re.Subject), now, obs.Text("republish: "+err.Error()))
+				b.m.Node().Index, uint64(re.Subject), now, obs.Text("republish: "+err.Error()))
 		}
 		return
 	}
@@ -365,4 +364,4 @@ func (b *RemoteBridge) lookupTransit(id uint64) (transitEntry, bool) {
 }
 
 // observer returns the endpoint middleware's observer (nil-safe).
-func (b *RemoteBridge) observer() *obs.Observer { return b.M.Obs }
+func (b *RemoteBridge) observer() *obs.Observer { return b.m.Obs }

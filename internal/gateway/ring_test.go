@@ -10,7 +10,7 @@ import (
 )
 
 // TestRingTopologyNoLoopStorm closes three segments into a ring of
-// Both-direction bridges and proves the exclusion lists make it
+// bridges forwarding in both directions and proves the exclusion lists make it
 // storm-free: one publication yields exactly one delivery per segment
 // and a bounded number of bus frames, instead of copies circulating
 // forever.
@@ -23,8 +23,8 @@ import (
 //	   \       |
 //	    ────  C
 //
-// Each bridge excludes, on each of its segments, the other bridge's
-// endpoint TxNode there — so only locally originated events are ever
+// Each bridge end excludes, on its segment, the other bridge's endpoint
+// TxNode there — so only locally originated events are ever
 // forwarded off a segment.
 func TestRingTopologyNoLoopStorm(t *testing.T) {
 	const subj binding.Subject = 0x7A
@@ -38,27 +38,30 @@ func TestRingTopologyNoLoopStorm(t *testing.T) {
 	}
 	segA, segB, segC := newSeg(), newSeg(), newSeg()
 
-	mustNew := func(a, b *core.Middleware) *Bridge {
-		g, err := New(a, b, 50*sim.Microsecond)
+	join := func(a, b *core.Middleware, segA, segB string) [2]*RemoteBridge {
+		ga, gb, err := Join(a, b, segA, segB, 50*sim.Microsecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g
+		return [2]*RemoteBridge{ga, gb}
 	}
-	g1 := mustNew(segA.Node(2).MW, segB.Node(2).MW) // A↔B
-	g2 := mustNew(segB.Node(3).MW, segC.Node(2).MW) // B↔C
-	g3 := mustNew(segC.Node(3).MW, segA.Node(3).MW) // C↔A
+	g1 := join(segA.Node(2).MW, segB.Node(2).MW, "A", "B") // A↔B
+	g2 := join(segB.Node(3).MW, segC.Node(2).MW, "B", "C") // B↔C
+	g3 := join(segC.Node(3).MW, segA.Node(3).MW, "C", "A") // C↔A
 
 	tx := func(s *core.System, n int) can.TxNode { return s.Node(n).Ctrl.Node() }
-	g1.ExcludeA = []can.TxNode{tx(segA, 3)} // ignore G3's injections on A
-	g1.ExcludeB = []can.TxNode{tx(segB, 3)} // ignore G2's injections on B
-	g2.ExcludeA = []can.TxNode{tx(segB, 2)} // ignore G1's injections on B
-	g2.ExcludeB = []can.TxNode{tx(segC, 3)} // ignore G3's injections on C
-	g3.ExcludeA = []can.TxNode{tx(segC, 2)} // ignore G2's injections on C
-	g3.ExcludeB = []can.TxNode{tx(segA, 2)} // ignore G1's injections on A
+	g1[0].Exclude = []can.TxNode{tx(segA, 3)} // ignore G3's injections on A
+	g1[1].Exclude = []can.TxNode{tx(segB, 3)} // ignore G2's injections on B
+	g2[0].Exclude = []can.TxNode{tx(segB, 2)} // ignore G1's injections on B
+	g2[1].Exclude = []can.TxNode{tx(segC, 3)} // ignore G3's injections on C
+	g3[0].Exclude = []can.TxNode{tx(segC, 2)} // ignore G2's injections on C
+	g3[1].Exclude = []can.TxNode{tx(segA, 2)} // ignore G1's injections on A
 
-	for _, g := range []*Bridge{g1, g2, g3} {
-		if err := g.ForwardSRT(subj, Both); err != nil {
+	for _, g := range [][2]*RemoteBridge{g1, g2, g3} {
+		if err := forwardSRT(g[0], g[1], subj); err != nil {
+			t.Fatal(err)
+		}
+		if err := forwardSRT(g[1], g[0], subj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,11 +101,11 @@ func TestRingTopologyNoLoopStorm(t *testing.T) {
 		}
 	}
 	// A's events reach B via G1 and C via G3; nothing circulates onward.
-	if got := g1.Forwarded() + g2.Forwarded() + g3.Forwarded(); got != 2*pubs {
+	if got := forwarded(g1[0], g1[1], g2[0], g2[1], g3[0], g3[1]); got != 2*pubs {
 		t.Errorf("total ring forwards = %d, want %d", got, 2*pubs)
 	}
 	// Bounded bus activity: each publication is 1 frame on A (original) +
-	// 1 on B + 1 on C (forwarded) + 1 more on A (G3's BtoA copy of ...
+	// 1 on B + 1 on C (forwarded) + 1 more on A (G3's C→A copy of ...
 	// nothing: G3 ignores G2's injections, so A carries only originals
 	// plus nothing forwarded back). Allow generous slack for binding
 	// chatter but rule out a storm (which would be thousands of frames).

@@ -329,7 +329,6 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bA.Budget = 50 * sim.Millisecond
 	if err := bA.Forward(core.SRT, subj, core.ChannelAttrs{}); err != nil {
 		t.Fatal(err)
 	}

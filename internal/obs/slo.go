@@ -13,19 +13,15 @@ type SLOConfig struct {
 	Interval sim.Duration
 	// ShortWindow and LongWindow are the burn-rate windows (defaults
 	// 1 s and 10 s). An objective breaches only when BOTH windows burn
-	// above BurnThreshold — the short window gives fast detection, the
-	// long one suppresses single-spike flapping.
+	// at or above burnThreshold — the short window gives fast detection,
+	// the long one suppresses single-spike flapping.
 	ShortWindow sim.Duration
 	LongWindow  sim.Duration
-	// BurnThreshold is the burn factor (consumed/budget) that arms a
-	// breach (default 1.0).
-	BurnThreshold float64
 
-	// HRTJitterBound breaches when the HRTJitterQuantile (default p99)
-	// of HRT delivery jitter exceeds this bound — the paper's claim is
-	// that it stays within clock-sync precision. 0 disables.
-	HRTJitterBound    sim.Duration
-	HRTJitterQuantile float64
+	// HRTJitterBound breaches when the hrtJitterQuantile of HRT delivery
+	// jitter exceeds this bound — the paper's claim is that it stays
+	// within clock-sync precision. 0 disables.
+	HRTJitterBound sim.Duration
 	// SRTMissBudget is the tolerated SRT miss fraction: deadline misses,
 	// validity expiries and relay sheds over published SRT events.
 	// 0 disables.
@@ -75,6 +71,14 @@ func DefaultSLOConfig() SLOConfig {
 	}
 }
 
+// burnThreshold is the burn factor (consumed/budget) that arms a
+// breach; hrtJitterQuantile the quantile of HRT delivery jitter the
+// jitter objective bounds.
+const (
+	burnThreshold     = 1
+	hrtJitterQuantile = 0.99
+)
+
 func (c *SLOConfig) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 100 * sim.Millisecond
@@ -84,12 +88,6 @@ func (c *SLOConfig) fillDefaults() {
 	}
 	if c.LongWindow <= c.ShortWindow {
 		c.LongWindow = 10 * c.ShortWindow
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 1
-	}
-	if c.HRTJitterQuantile <= 0 || c.HRTJitterQuantile > 1 {
-		c.HRTJitterQuantile = 0.99
 	}
 }
 
@@ -182,7 +180,7 @@ func (o *Observer) StartSLO(k *sim.Kernel, cfg SLOConfig) *SLO {
 	}
 	if cfg.HRTJitterBound > 0 {
 		s.objectives = append(s.objectives, &Objective{
-			Name: fmt.Sprintf("hrt-jitter-p%d", int(cfg.HRTJitterQuantile*100)), Class: "HRT",
+			Name: "hrt-jitter-p99", Class: "HRT",
 			Budget: float64(cfg.HRTJitterBound) / 1e3, Unit: "µs"})
 	}
 	if cfg.NRTFloorPerSec > 0 {
@@ -368,7 +366,7 @@ func (s *SLO) windowValue(ob *Objective, cur, base sloSample, w sim.Duration) (v
 	case "nrt-throughput-floor":
 		rate := (cur.nrtDeliv - base.nrtDeliv) / secs
 		if rate <= 0 {
-			return 0, s.cfg.BurnThreshold * 1e3 // hard floor violation
+			return 0, burnThreshold * 1e3 // hard floor violation
 		}
 		return rate, ob.Budget / rate
 	case "guardian-mutes":
@@ -387,8 +385,8 @@ func (s *SLO) windowValue(ob *Objective, cur, base sloSample, w sim.Duration) (v
 		n := cur.ctrlCost - base.ctrlCost
 		budget := ob.Budget * float64(w) / float64(s.cfg.LongWindow)
 		return n, n / budget
-	default: // hrt-jitter-p*
-		q, ok := jitDeltaQuantile(s.o.JitterHist("HRT"), base.jit, s.cfg.HRTJitterQuantile)
+	default: // hrt-jitter-p99
+		q, ok := jitDeltaQuantile(s.o.JitterHist("HRT"), base.jit, hrtJitterQuantile)
 		if !ok {
 			return 0, 0
 		}
@@ -418,7 +416,7 @@ func (s *SLO) tick() {
 		}
 		ob.Short, ob.ShortBurn = s.windowValue(ob, cur, shortBase, s.cfg.ShortWindow)
 		ob.Long, ob.LongBurn = s.windowValue(ob, cur, longBase, s.cfg.LongWindow)
-		over := ob.ShortBurn >= s.cfg.BurnThreshold && ob.LongBurn >= s.cfg.BurnThreshold
+		over := ob.ShortBurn >= burnThreshold && ob.LongBurn >= burnThreshold
 		switch {
 		case over && !ob.Breached:
 			s.enterBreach(ob, now)

@@ -118,11 +118,10 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 
 func TestSLOHRTJitterObjective(t *testing.T) {
 	cfg := SLOConfig{
-		Interval:          10 * sim.Millisecond,
-		ShortWindow:       100 * sim.Millisecond,
-		LongWindow:        sim.Second,
-		HRTJitterBound:    50 * sim.Microsecond,
-		HRTJitterQuantile: 0.99,
+		Interval:       10 * sim.Millisecond,
+		ShortWindow:    100 * sim.Millisecond,
+		LongWindow:     sim.Second,
+		HRTJitterBound: 50 * sim.Microsecond,
 	}
 	k, o, s := sloHarness(t, cfg, t.TempDir())
 

@@ -284,10 +284,11 @@ func TestE2EThreeSegmentFederation(t *testing.T) {
 }
 
 // TestE2EBudgetExhaustedShedsSRT proves the per-hop deadline budget has
-// teeth: an SRT event granted a budget smaller than one bus traversal
-// is shed at a relay hop (egress-queue expiry or transit debit) and
-// never reaches the far segment. HRT semantics (late, never silently
-// dropped) are covered by queue tests.
+// teeth: an SRT event that enters a relay hop with a budget smaller than
+// one bus traversal (what a transit segment's debit leaves of a starved
+// event) is shed at the hop's egress queue and never reaches the far
+// segment. HRT semantics (late, never silently dropped) are covered by
+// queue tests.
 func TestE2EBudgetExhaustedShedsSRT(t *testing.T) {
 	const subj binding.Subject = 0x52
 	segA := newSegment(t, "segA", 201, 1<<32)
@@ -303,38 +304,17 @@ func TestE2EBudgetExhaustedShedsSRT(t *testing.T) {
 
 	portA := NewPort(segA.paced, up)
 	portB := NewPort(segB.paced, srv)
-	bA, err := gateway.NewRemote(segA.sys.Node(3).MW, portA, "segA")
-	if err != nil {
-		t.Fatal(err)
-	}
 	bB, err := gateway.NewRemote(segB.sys.Node(2).MW, portB, "segB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A budget far below one CAN frame time (125 µs at 1 Mbit/s): the
-	// event cannot survive a hop's residence, let alone the queue wait.
-	// The egress deadline is a wall-clock instant, so the budget must also
-	// be below anything a running writer goroutine can meet: at 1 ns the
-	// deadline has passed by the time the enqueue that wakes the writer
-	// returns (10 µs was met about one run in three).
-	bA.Budget = sim.Nanosecond
 	if err := srv.Subscribe(subj, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := bA.Forward(core.SRT, subj, core.ChannelAttrs{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bB.Announce(core.SRT, subj, core.ChannelAttrs{}); err != nil {
 		t.Fatal(err)
 	}
 
-	pub, err := segA.sys.Node(0).MW.SRTEC(subj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Announce(core.ChannelAttrs{}, nil); err != nil {
-		t.Fatal(err)
-	}
 	var deliveredB atomic.Uint64
 	subB, err := segB.sys.Node(1).MW.SRTEC(subj)
 	if err != nil {
@@ -362,10 +342,14 @@ func TestE2EBudgetExhaustedShedsSRT(t *testing.T) {
 
 	waitFor(t, "link up", func() bool { return up.Connected() && srv.Peers() == 1 })
 	waitFor(t, "budget shed recorded", func() bool {
+		// A budget far below one CAN frame time (125 µs at 1 Mbit/s).
+		// The port turns it into a wall-clock egress deadline, so it must
+		// also be below anything a running writer goroutine can meet: at
+		// 1 ns the deadline has passed by the time the enqueue that wakes
+		// the writer returns (10 µs was met about one run in three).
 		segA.paced.Call(func() {
-			now := segA.sys.Node(0).MW.LocalTime()
-			pub.Publish(core.Event{Subject: subj, Payload: []byte{1},
-				Attrs: core.EventAttrs{Deadline: now + 10*sim.Millisecond}})
+			portA.Send(gateway.RemoteEvent{Class: core.SRT, Subject: subj, Payload: []byte{1},
+				Origin: segA.sys.Node(0).Ctrl.Node(), OriginSeg: "segA", Budget: sim.Nanosecond})
 		})
 		time.Sleep(10 * time.Millisecond)
 		return up.Counters().Dropped() > 0

@@ -84,15 +84,11 @@ type ControlLoop struct {
 	SensorSubject  uint64 `json:"sensorSubject"`
 	CommandSubject uint64 `json:"commandSubject"`
 	AckSubject     uint64 `json:"ackSubject,omitempty"`
-	// PeriodUs is the sampling period; StaleAfterUs the held-command age
-	// a plant tick counts as stale at (default 2× the period).
-	PeriodUs     int64 `json:"periodUs"`
-	StaleAfterUs int64 `json:"staleAfterUs,omitempty"`
+	// PeriodUs is the sampling period.
+	PeriodUs int64 `json:"periodUs"`
 	// Setpoint and Initial parameterise the regulation transient.
 	Setpoint float64 `json:"setpoint"`
 	Initial  float64 `json:"initial"`
-	// Horizon is the MPC prediction horizon (0: default).
-	Horizon int `json:"horizon,omitempty"`
 }
 
 // loopConfig lowers the JSON spec into the control package's config.
@@ -114,8 +110,7 @@ func (c ControlLoop) loopConfig() (control.LoopConfig, error) {
 		SensorSubject: c.SensorSubject, CommandSubject: c.CommandSubject,
 		AckSubject: c.AckSubject,
 		Period:     sim.Duration(c.PeriodUs) * sim.Microsecond,
-		StaleAfter: sim.Duration(c.StaleAfterUs) * sim.Microsecond,
-		Setpoint:   c.Setpoint, Initial: c.Initial, Horizon: c.Horizon,
+		Setpoint:   c.Setpoint, Initial: c.Initial,
 	}
 	return cfg, cfg.Validate()
 }
@@ -144,10 +139,8 @@ type AdmissionSpec struct {
 // the production defaults (obs.DefaultSLOConfig); enabling it forces
 // metrics on.
 type SLOSpec struct {
-	// HRTJitterBoundUs bounds the p99 HRT delivery jitter (0: default
-	// 1000 µs); SRTMissBudget the SRT miss fraction (0: default 0.05).
-	HRTJitterBoundUs int64   `json:"hrtJitterBoundUs,omitempty"`
-	SRTMissBudget    float64 `json:"srtMissBudget,omitempty"`
+	// SRTMissBudget is the SRT miss fraction (0: default 0.05).
+	SRTMissBudget float64 `json:"srtMissBudget,omitempty"`
 	// IntervalMs, ShortWindowMs and LongWindowMs override the burn-rate
 	// engine's tick and windows (0: defaults 100 ms / 1 s / 10 s).
 	IntervalMs    int64 `json:"intervalMs,omitempty"`
@@ -158,9 +151,6 @@ type SLOSpec struct {
 // sloConfig lowers the spec onto the engine's config.
 func (s SLOSpec) sloConfig() *obs.SLOConfig {
 	cfg := obs.DefaultSLOConfig()
-	if s.HRTJitterBoundUs > 0 {
-		cfg.HRTJitterBound = sim.Duration(s.HRTJitterBoundUs) * sim.Microsecond
-	}
 	if s.SRTMissBudget > 0 {
 		cfg.SRTMissBudget = s.SRTMissBudget
 	}
@@ -213,15 +203,11 @@ type Scenario struct {
 	// ConfineFaults enables CAN 2.0 fault confinement on the bus: TEC/REC
 	// error counters, error-passive degradation (which sheds NRT traffic)
 	// and bus-off with the 128×11-recessive-bit recovery rule. Off by
-	// default, matching the paper's error-active assumption.
+	// default, matching the paper's error-active assumption. A bus-off
+	// controller rejoins by itself after the observation time; under a
+	// chaos campaign the lifecycle's supervisor owns recovery instead
+	// (capped exponential re-join backoff, anti-flap).
 	ConfineFaults bool `json:"confineFaults,omitempty"`
-	// BusOffAutoRecover selects who recovers bus-off controllers. Unset
-	// or true with no chaos campaign: the controllers' built-in
-	// auto-recovery (rejoin exactly after the observation time). With a
-	// chaos campaign, the lifecycle's supervisor takes over (capped
-	// exponential re-join backoff, anti-flap). Explicit false disables
-	// recovery entirely — a bus-off station stays detached.
-	BusOffAutoRecover *bool `json:"busOffAutoRecover,omitempty"`
 	// SyncMaster selects the initial time master (default station 0);
 	// SyncBackups ranks the backup masters for failover.
 	SyncMaster  int         `json:"syncMaster,omitempty"`
@@ -405,9 +391,6 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("scenario: chaos event %d is a busoff_attack but confineFaults is off (no error counters to attack)", i)
 			}
 		}
-	}
-	if s.BusOffAutoRecover != nil && !s.ConfineFaults {
-		return fmt.Errorf("scenario: busOffAutoRecover set but confineFaults is off")
 	}
 	if a := s.Admission; a != nil {
 		if a.SRTTarget <= 0 || a.SRTTarget > 1 {
@@ -714,12 +697,6 @@ func (s *Scenario) Build() (*Instance, error) {
 		in.why = causal.New(s.Why.causalConfig(sys.Obs.Registry()))
 		sys.Obs.AttachCausal(in.why)
 	}
-	recoverOff := s.BusOffAutoRecover != nil && !*s.BusOffAutoRecover
-	if s.ConfineFaults && recoverOff {
-		for _, n := range sys.Nodes {
-			n.Ctrl.SetAutoRecover(false)
-		}
-	}
 	var lc *core.Lifecycle
 	if s.Chaos != nil {
 		lc = core.NewLifecycle(sys)
@@ -727,7 +704,7 @@ func (s *Scenario) Build() (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.ConfineFaults && !recoverOff {
+		if s.ConfineFaults {
 			// Under a chaos campaign the lifecycle supervisor owns bus-off
 			// recovery: the spec observation time plus anti-flap backoff,
 			// whose declared bound the invariant checkers assert against.
@@ -755,6 +732,16 @@ func (s *Scenario) Build() (*Instance, error) {
 	for i, h := range s.HRT {
 		i, h := i, h
 		attrs := core.ChannelAttrs{Payload: h.Payload, Periodic: true}
+		// The stream's own slot times it: a subject with several
+		// publishers has one slot per publisher (§3.1).
+		self := can.TxNode(h.Publisher)
+		var slot calendar.Slot
+		for _, sl := range cal.SlotsForSubject(h.Subject) {
+			if sl.Publisher == self {
+				slot = sl
+				break
+			}
+		}
 		st := &stream{
 			class: core.HRT, subject: binding.Subject(h.Subject), pub: h.Publisher, sub: h.Subscriber,
 			subscribe: attrs,
@@ -762,16 +749,12 @@ func (s *Scenario) Build() (*Instance, error) {
 				if h.Payload >= 7 {
 					rep.HRTLatency.ObserveDuration(StampAge(ev, di))
 				}
-				if i == 0 {
+				if i == 0 && di.Publisher == self {
 					in.firstHRT = append(in.firstHRT, di.DeliveredAt)
 				}
 			},
 		}
 		streams = append(streams, st)
-		// The subject's first slot times the stream; the stream's own
-		// station publishes it.
-		slot := cal.SlotsForSubject(h.Subject)[0]
-		slot.Publisher = can.TxNode(h.Publisher)
 		if i == 0 {
 			in.hrtPeriod = slot.Period(cal.Round)
 		}

@@ -278,6 +278,37 @@ func TestTwoPublishersOfOneSubject(t *testing.T) {
 	}
 }
 
+// TestHRTPeriodJitterPerPublisher: two HRT streams share subject 300,
+// published by nodes 0 and 1, and every round is delivered on time. Each
+// stream must be timed from its own publisher's slot (timed from the
+// other's, latency p99 reads 1347 µs), and the report's period jitter is
+// that of the first stream's publisher alone (both publishers' deliveries
+// in one series read as 9457 µs).
+func TestHRTPeriodJitterPerPublisher(t *testing.T) {
+	s := &Scenario{
+		Name: "dup-hrt-subject", Nodes: 4, Seed: 1, DurationMs: 1000,
+		HRT: []HRTStream{
+			{Subject: 300, Publisher: 0, Subscriber: 2, PeriodUs: 10000, Payload: 7},
+			{Subject: 300, Publisher: 1, Subscriber: 3, PeriodUs: 10000, Payload: 7},
+		},
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Counters
+	if c.DeliveredHRT != 400 || c.LateHRTDeliveries != 0 || c.SlotMissed != 0 {
+		t.Fatalf("HRT delivered %d, late %d, missed %d; want 400, 0, 0",
+			c.DeliveredHRT, c.LateHRTDeliveries, c.SlotMissed)
+	}
+	if j := rep.HRTJitter.Micros(); j > 10 {
+		t.Errorf("period jitter %d µs, want at most 10 (one publisher's rounds)", j)
+	}
+	if p99 := rep.HRTLatency.Quantile(0.99) / 1e3; p99 > 1000 {
+		t.Errorf("HRT latency p99 %.0f µs, want below 1000 (each stream on its own slot)", p99)
+	}
+}
+
 // committedScenario loads a testdata scenario, optionally overlaid with a
 // testdata chaos script, with any flight dumps kept out of the source tree.
 func committedScenario(t *testing.T, path, chaosPath string) *Scenario {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"canec/internal/chaos"
+	"canec/internal/core"
 	"canec/internal/obs"
 	"canec/internal/sim"
 )
@@ -57,5 +58,47 @@ func TestSRTStreamAcrossCrashRestart(t *testing.T) {
 	}
 	if before == 0 || after == 0 {
 		t.Fatalf("deliveries on node 2: %d before the crash, %d after the restart, want both > 0", before, after)
+	}
+}
+
+// TestSRTPubSilentWhileDown pins SRTPub's lifecycle gate: the loop does
+// not publish while its station is down, so Sent stays put from the crash
+// to the restart and grows again after it. A crashed station's handle
+// refuses publishes without a trace record, so the loop's own counter is
+// what shows the gate.
+func TestSRTPubSilentWhileDown(t *testing.T) {
+	const subj = 0x200
+	sys, err := core.NewSystem(core.SystemConfig{Nodes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := core.NewLifecycle(sys)
+	ch, err := Announce(sys.Node(1).MW, core.SRT, subj, core.ChannelAttrs{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := sys.Cfg.Epoch
+	end := epoch + 300*sim.Millisecond
+	f := (&SRTPub{Sys: sys, Node: 1, Subject: subj, Ch: ch, Gap: 2 * sim.Millisecond,
+		Deadline: 10 * sim.Millisecond, End: end, Lifecycle: lc,
+		Payload: func(sim.Time) []byte { return make([]byte, 8) }}).Start(epoch)
+	// Crash and restart fall between two publish instants.
+	atCrash, atRestart := -1, -1
+	sys.K.At(epoch+101*sim.Millisecond, func() {
+		if err := lc.Crash(1); err != nil {
+			t.Error(err)
+		}
+		atCrash = f.Sent
+	})
+	sys.K.At(epoch+151*sim.Millisecond, func() {
+		atRestart = f.Sent
+		if err := lc.Restart(1); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.Run(end)
+	if atCrash <= 0 || atRestart != atCrash || f.Sent <= atRestart {
+		t.Fatalf("Sent %d at the crash, %d at the restart, %d at the end; want > 0, unchanged while down, then growing",
+			atCrash, atRestart, f.Sent)
 	}
 }
