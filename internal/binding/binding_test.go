@@ -135,7 +135,7 @@ func TestWire56Roundtrip(t *testing.T) {
 		v &= uint64(maxSubject)
 		var buf [7]byte
 		Put56(buf[:], v)
-		return Get56(buf[:]) == v
+		return get56(buf[:]) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -150,12 +150,12 @@ func TestWire56Short(t *testing.T) {
 	if want := []byte{0x05, 0x04, 0x03}; string(buf) != string(want) {
 		t.Fatalf("Put56 into 3 bytes = % x, want % x", buf, want)
 	}
-	if got := Get56(buf); got != 0x030405 {
-		t.Fatalf("Get56 of 3 bytes = %#x, want 0x030405", got)
+	if got := get56(buf); got != 0x030405 {
+		t.Fatalf("get56 of 3 bytes = %#x, want 0x030405", got)
 	}
 	Put56(nil, 1)
-	if got := Get56(nil); got != 0 {
-		t.Fatalf("Get56(nil) = %d", got)
+	if got := get56(nil); got != 0 {
+		t.Fatalf("get56(nil) = %d", got)
 	}
 }
 

@@ -73,8 +73,8 @@ func FuzzPut56RoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, v uint64) {
 		var buf [7]byte
 		Put56(buf[:], v)
-		if got, want := Get56(buf[:]), v&((1<<56)-1); got != want {
-			t.Fatalf("Get56(Put56(%#x)) = %#x, want %#x", v, got, want)
+		if got, want := get56(buf[:]), v&((1<<56)-1); got != want {
+			t.Fatalf("get56(Put56(%#x)) = %#x, want %#x", v, got, want)
 		}
 	})
 }

@@ -50,8 +50,8 @@ func Put56(dst []byte, v uint64) {
 	}
 }
 
-// Get56 reads what Put56 wrote: up to 7 little-endian bytes of src.
-func Get56(src []byte) uint64 {
+// get56 reads what Put56 wrote: up to 7 little-endian bytes of src.
+func get56(src []byte) uint64 {
 	var v uint64
 	for i := 0; i < 7 && i < len(src); i++ {
 		v |= uint64(src[i]) << (8 * i)
@@ -98,7 +98,7 @@ func (a *Agent) HandleFrame(f can.Frame, _ sim.Time) {
 	op, rid := f.Data[0]>>4, f.Data[0]&0x0f
 	switch op {
 	case opBindReq:
-		subject := Subject(Get56(f.Data[1:]))
+		subject := Subject(get56(f.Data[1:]))
 		etag, err := a.Table.Bind(subject)
 		out := make([]byte, 8)
 		if err != nil {
@@ -115,7 +115,7 @@ func (a *Agent) HandleFrame(f can.Frame, _ sim.Time) {
 		a.reply(out)
 
 	case opJoinReq:
-		uid := Get56(f.Data[1:])
+		uid := get56(f.Data[1:])
 		node, ok := a.nodesByUID[uid]
 		if !ok {
 			if a.nextNode >= tempNodeLo {
@@ -558,7 +558,7 @@ func (c *Client) HandleFrame(f can.Frame, _ sim.Time) {
 
 	case opBindErr:
 		call, ok := c.pending[rid]
-		if !ok || uint64(call.subject) != Get56(f.Data[1:]) {
+		if !ok || uint64(call.subject) != get56(f.Data[1:]) {
 			return
 		}
 		delete(c.pending, rid)

@@ -109,7 +109,7 @@ func (s *StandbyAgent) HandleFrame(f can.Frame, at sim.Time) {
 	}
 	switch op {
 	case opBindReq:
-		s.reqSubject[low] = Subject(Get56(f.Data[1:]))
+		s.reqSubject[low] = Subject(get56(f.Data[1:]))
 
 	case opBindAck:
 		subj, ok := s.reqSubject[low]
@@ -128,12 +128,12 @@ func (s *StandbyAgent) HandleFrame(f can.Frame, at sim.Time) {
 		s.apply(subj, etag)
 
 	case opBindErr:
-		if subj, ok := s.reqSubject[low]; ok && uint64(subj) == Get56(f.Data[1:]) {
+		if subj, ok := s.reqSubject[low]; ok && uint64(subj) == get56(f.Data[1:]) {
 			delete(s.reqSubject, low)
 		}
 
 	case opJoinReq:
-		uid := Get56(f.Data[1:])
+		uid := get56(f.Data[1:])
 		s.joinUID[uid&(1<<48-1)] = uid
 
 	case opJoinAck:
@@ -156,7 +156,7 @@ func (s *StandbyAgent) HandleFrame(f can.Frame, at sim.Time) {
 		}
 
 	case opCkptKey:
-		s.ckptKey[low] = Get56(f.Data[1:])
+		s.ckptKey[low] = get56(f.Data[1:])
 
 	case opCkptBind:
 		key, ok := s.ckptKey[low]

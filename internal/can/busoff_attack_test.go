@@ -46,7 +46,7 @@ func TestRecRule8(t *testing.T) {
 		t.Fatalf("state at REC 128 = %v", c.State())
 	}
 	c.onRxSuccess()
-	if c.State() != errorActive || c.rec != 127 {
+	if c.State() != ErrorActive || c.rec != 127 {
 		t.Fatalf("after rule-8 snap: state %v REC %d", c.State(), c.rec)
 	}
 	c.onRxError()
@@ -71,12 +71,12 @@ func TestTargetedBitErrorsJudge(t *testing.T) {
 		want FaultKind
 	}{
 		{"victim corrupted", TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1}, victim, 0, FaultError},
-		{"bystander untouched", TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1}, victim, 1, faultNone},
+		{"bystander untouched", TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1}, victim, 1, FaultNone},
 		{"priority filter matches", TargetedBitErrors{Victim: 0, Rate: 1, Prio: 5}, victim, 0, FaultError},
-		{"priority filter mismatch", TargetedBitErrors{Victim: 0, Rate: 1, Prio: 6}, victim, 0, faultNone},
-		{"rate zero never fires", TargetedBitErrors{Victim: 0, Rate: 0, Prio: -1}, victim, 0, faultNone},
+		{"priority filter mismatch", TargetedBitErrors{Victim: 0, Rate: 1, Prio: 6}, victim, 0, FaultNone},
+		{"rate zero never fires", TargetedBitErrors{Victim: 0, Rate: 0, Prio: -1}, victim, 0, FaultNone},
 		{"isolated attacker silent",
-			TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1, Active: func() bool { return false }}, victim, 0, faultNone},
+			TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1, Active: func() bool { return false }}, victim, 0, FaultNone},
 		{"live attacker fires",
 			TargetedBitErrors{Victim: 0, Rate: 1, Prio: -1, Active: func() bool { return true }}, victim, 0, FaultError},
 	}

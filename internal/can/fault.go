@@ -10,9 +10,9 @@ import (
 type FaultKind int
 
 const (
-	// faultNone: the frame is received by every operational node and the
+	// FaultNone: the frame is received by every operational node and the
 	// sender observes a successful, globally consistent transmission.
-	faultNone FaultKind = iota
+	FaultNone FaultKind = iota
 
 	// FaultError: the frame is corrupted in a way some node detects; an
 	// error frame is signalled, every node discards the frame, the bus is
@@ -155,7 +155,7 @@ func (a AdversarialK) Judge(f Frame, _ int, attempt int, _ sim.Time, _ *sim.RNG)
 // dominant bits into them, so the victim observes a bit error on every
 // corrupted attempt. Under fault confinement each such error adds 8 to the
 // victim's TEC while the attacker's own counters stay clean — 32
-// consecutive hits walk the victim errorActive → ErrorPassive → BusOff,
+// consecutive hits walk the victim ErrorActive → ErrorPassive → BusOff,
 // exactly the progression the published bus-off attacks exploit. Rate is
 // the per-attempt corruption probability (1.0 corrupts every attempt, the
 // deterministic worst case).
@@ -192,7 +192,7 @@ type Chain []Injector
 // Judge implements Injector.
 func (c Chain) Judge(f Frame, sender int, attempt int, at sim.Time, rng *sim.RNG) Fault {
 	for _, in := range c {
-		if v := in.Judge(f, sender, attempt, at, rng); v.Kind != faultNone {
+		if v := in.Judge(f, sender, attempt, at, rng); v.Kind != FaultNone {
 			return v
 		}
 	}

@@ -27,8 +27,8 @@ const (
 type ErrorState int
 
 const (
-	// errorActive controllers participate fully.
-	errorActive ErrorState = iota
+	// ErrorActive controllers participate fully.
+	ErrorActive ErrorState = iota
 	// ErrorPassive controllers participate but signal errors passively
 	// (tracked for observability; the timing model is unchanged).
 	ErrorPassive
@@ -39,7 +39,7 @@ const (
 // String implements fmt.Stringer.
 func (s ErrorState) String() string {
 	switch s {
-	case errorActive:
+	case ErrorActive:
 		return "error-active"
 	case ErrorPassive:
 		return "error-passive"
@@ -63,7 +63,7 @@ func (c *Controller) State() ErrorState {
 	case c.tec >= errorPassiveTEC || c.rec >= errorPassiveTEC:
 		return ErrorPassive
 	default:
-		return errorActive
+		return ErrorActive
 	}
 }
 

@@ -20,7 +20,7 @@ func TestErrorCountersTrackSpec(t *testing.T) {
 	if got := b.Controller(1).REC(); got != 2 {
 		t.Fatalf("REC = %d, want 2", got)
 	}
-	if b.Controller(0).State() != errorActive {
+	if b.Controller(0).State() != ErrorActive {
 		t.Fatalf("state = %v", b.Controller(0).State())
 	}
 }
@@ -63,7 +63,7 @@ func TestBusOffAndRecovery(t *testing.T) {
 	if failCalls != 1 || okCalls != 0 {
 		t.Fatalf("done calls ok=%d fail=%d, want exactly one failure", okCalls, failCalls)
 	}
-	if b.Controller(0).State() != errorActive {
+	if b.Controller(0).State() != ErrorActive {
 		t.Fatalf("state after auto-recovery = %v", b.Controller(0).State())
 	}
 	// Bus heals; the recovered controller transmits again.
@@ -74,7 +74,7 @@ func TestBusOffAndRecovery(t *testing.T) {
 		b.Controller(0).Submit(Frame{ID: MakeID(5, 0, 2)}, SubmitOpts{})
 	})
 	k.Run(k.Now() + 50*sim.Millisecond)
-	if b.Controller(0).State() != errorActive {
+	if b.Controller(0).State() != ErrorActive {
 		t.Fatalf("post-recovery state = %v", b.Controller(0).State())
 	}
 	if got != 1 {
@@ -98,7 +98,7 @@ func TestBusOffWithoutAutoRecover(t *testing.T) {
 		t.Fatal("controller recovered without permission")
 	}
 	b.Controller(0).Recover()
-	if b.Controller(0).State() != errorActive || b.Controller(0).TEC() != 0 {
+	if b.Controller(0).State() != ErrorActive || b.Controller(0).TEC() != 0 {
 		t.Fatal("manual recovery failed")
 	}
 	// Recover on an active controller is a no-op.
@@ -110,7 +110,7 @@ func TestConfinementOffByDefault(t *testing.T) {
 	b.Injector = RandomErrors{Rate: 1}
 	b.Controller(0).Submit(Frame{ID: MakeID(5, 0, 1)}, SubmitOpts{})
 	k.Run(20 * sim.Millisecond)
-	if b.Controller(0).TEC() != 0 || b.Controller(0).State() != errorActive {
+	if b.Controller(0).TEC() != 0 || b.Controller(0).State() != ErrorActive {
 		t.Fatal("counters moved with confinement disabled")
 	}
 	// The frame keeps retransmitting forever — error-active assumption.
@@ -120,7 +120,7 @@ func TestConfinementOffByDefault(t *testing.T) {
 }
 
 func TestErrorStateString(t *testing.T) {
-	if errorActive.String() != "error-active" || ErrorPassive.String() != "error-passive" ||
+	if ErrorActive.String() != "error-active" || ErrorPassive.String() != "error-passive" ||
 		BusOff.String() != "bus-off" || ErrorState(99).String() != "?" {
 		t.Fatal("state strings")
 	}

@@ -20,13 +20,16 @@ type Frame struct {
 	// tie bus activity back to the middleware event that caused it; zero
 	// means untagged (system frames, untraced traffic).
 	Tag uint64
+	// PublishedAt is the kernel time the middleware event the frame
+	// carries was published (zero for other frames): simulation metadata,
+	// like Tag.
+	PublishedAt sim.Time
 }
 
 // Clone returns a deep copy of f.
 func (f Frame) Clone() Frame {
-	d := make([]byte, len(f.Data))
-	copy(d, f.Data)
-	return Frame{ID: f.ID, Data: d, Tag: f.Tag}
+	f.Data = append(make([]byte, 0, len(f.Data)), f.Data...)
+	return f
 }
 
 func (f Frame) String() string {

@@ -179,10 +179,13 @@ func TestFrameValidate(t *testing.T) {
 }
 
 func TestFrameClone(t *testing.T) {
-	f := Frame{ID: 7, Data: []byte{1, 2, 3}}
+	f := Frame{ID: 7, Data: []byte{1, 2, 3}, Tag: 5, PublishedAt: 42}
 	g := f.Clone()
 	g.Data[0] = 99
 	if f.Data[0] != 1 {
 		t.Fatal("Clone shares payload storage")
+	}
+	if g.ID != f.ID || g.Tag != f.Tag || g.PublishedAt != f.PublishedAt {
+		t.Fatalf("Clone = %+v, want the metadata of %+v", g, f)
 	}
 }

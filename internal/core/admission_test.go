@@ -41,7 +41,7 @@ func TestAdmissionAnnounceGate(t *testing.T) {
 	if !errors.As(err, &admErr) {
 		t.Fatalf("tight channel: %v, want *AdmissionError", err)
 	}
-	if admErr.Reason.String() != "miss-probability" {
+	if admErr.Reason != prob.ReasonMissProb {
 		t.Fatalf("reason %v, want miss-probability", admErr.Reason)
 	}
 	if admErr.RetryAfter <= 0 || admErr.MissProb <= admErr.Target {
@@ -54,7 +54,7 @@ func TestAdmissionAnnounceGate(t *testing.T) {
 
 	undeclared, _ := sys.Node(2).MW.SRTEC(subjBulk)
 	err = undeclared.Announce(ChannelAttrs{}, nil)
-	if !errors.As(err, &admErr) || admErr.Reason.String() != "undeclared-rate" {
+	if !errors.As(err, &admErr) || admErr.Reason != prob.ReasonUndeclared {
 		t.Fatalf("undeclared channel: %v", err)
 	}
 

@@ -83,9 +83,11 @@ type Event struct {
 	Payload []byte
 
 	// traceID correlates the event across the observability layer's
-	// life-cycle stages (0 = untraced). It is simulation metadata, not part
-	// of the paper's event model, and therefore unexported.
-	traceID uint64
+	// life-cycle stages (0 = untraced); publishedAt is the kernel time of
+	// its Publish call. Both are simulation metadata, not part of the
+	// paper's event model, and therefore unexported.
+	traceID     uint64
+	publishedAt sim.Time
 }
 
 // ownEvent returns an exception's own copy of ev, payload included, in
@@ -211,9 +213,9 @@ func (a SubscribeAttrs) accepts(pub can.TxNode, ev Event) bool {
 type DeliveryInfo struct {
 	// Publisher is the transmitting node.
 	Publisher can.TxNode
-	// PublishedAt is the kernel time of the Publish call (oracle
-	// measurement available in simulation; a real system would carry a
-	// timestamp attribute instead).
+	// PublishedAt is the kernel time of the Publish call on this segment
+	// (a relayed event's republish), carried with the event as simulation
+	// metadata; a real system would carry a timestamp attribute instead.
 	PublishedAt sim.Time
 	// ArrivedAt is the kernel time the frame left the bus.
 	ArrivedAt sim.Time

@@ -139,10 +139,11 @@ func (c *HRTEC) publish(ev Event) error {
 		return fmt.Errorf("core: HRT queue overflow on subject %d", ch.subject)
 	}
 	ev.Attrs.Timestamp = mw.LocalTime()
+	ev.publishedAt = mw.K.Now()
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(HRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(HRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	} else {
-		mw.Obs.Adopt(ev.traceID, HRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, HRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	}
 	ch.hrtQueue = append(ch.hrtQueue, hrtQueued{ev: ev})
 	q := &ch.hrtQueue[len(ch.hrtQueue)-1]
@@ -250,9 +251,10 @@ func (tx *hrtTx) send(idx int) {
 	payload[0] = tx.seq<<4 | uint8(idx)&0x0f
 	n := hrtHeaderLen + copy(payload[hrtHeaderLen:], tx.ev.Payload)
 	mw.node.Ctrl.Submit(can.Frame{
-		ID:   can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag),
-		Data: payload[:n],
-		Tag:  tx.ev.traceID,
+		ID:          can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag),
+		Data:        payload[:n],
+		Tag:         tx.ev.traceID,
+		PublishedAt: tx.ev.publishedAt,
 	}, can.SubmitOpts{Done: tx.done})
 }
 
@@ -321,15 +323,16 @@ func (ch *channelState) hrtPub(pub can.TxNode) *hrtPubState {
 }
 
 // hrtArrival stashes a received HRT event until its delivery deadline:
-// its payload bytes, data[:n], and trace ID.
+// its payload bytes, data[:n], trace ID and publish instant.
 type hrtArrival struct {
-	data      [can.MaxPayload]byte
-	n         uint8
-	traceID   uint64
-	seq       uint8
-	arrivedAt sim.Time
-	copies    int
-	round     int64
+	data        [can.MaxPayload]byte
+	n           uint8
+	traceID     uint64
+	publishedAt sim.Time
+	seq         uint8
+	arrivedAt   sim.Time
+	copies      int
+	round       int64
 }
 
 // Subscribe installs the notification and exception handlers and starts
@@ -415,7 +418,7 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	mw := ch.mw
 	local := mw.LocalTime()
 	round, deadline := ch.occurrenceOf(ps.slot, local)
-	ps.stash = hrtArrival{traceID: f.Tag, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stash = hrtArrival{traceID: f.Tag, publishedAt: f.PublishedAt, seq: seq, arrivedAt: at, copies: 1, round: round}
 	ps.stash.n = uint8(copy(ps.stash.data[:], ev.Payload))
 	ps.stashed = true
 	if mw.DeliverOnArrival {
@@ -480,13 +483,11 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 	}
 	di := DeliveryInfo{
 		Publisher:   pub,
+		PublishedAt: st.publishedAt,
 		ArrivedAt:   st.arrivedAt,
 		DeliveredAt: mw.K.Now(),
 		Late:        late,
 		Copies:      st.copies,
-	}
-	if at, ok := mw.Obs.PublishKernelTime(st.traceID); ok {
-		di.PublishedAt = at
 	}
 	ev := ch.store(Event{Subject: ch.subject, Payload: st.data[:st.n], traceID: st.traceID}, di)
 	var detail obs.Detail
@@ -494,7 +495,7 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 		detail = obs.DetailLate
 	}
 	mw.Obs.Delivered(st.traceID, HRT.Obs(), mw.node.Index,
-		uint64(ch.subject), mw.K.Now(), detail)
+		uint64(ch.subject), di.PublishedAt, di.DeliveredAt, detail)
 	ch.deliverNotify(ev, di)
 }
 

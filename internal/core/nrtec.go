@@ -109,10 +109,11 @@ func (c *NRTEC) publish(ev Event) error {
 	if err != nil {
 		return err
 	}
+	ev.publishedAt = mw.K.Now()
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(NRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(NRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	} else {
-		mw.Obs.Adopt(ev.traceID, NRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, NRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	}
 	// Chains are sent strictly one frame at a time — each fragment is
 	// submitted when its predecessor completes — so a bulk transfer never
@@ -122,6 +123,7 @@ func (c *NRTEC) publish(ev Event) error {
 		chain: chain,
 		id:    can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag),
 		tag:   ev.traceID,
+		pubAt: ev.publishedAt,
 	})
 	if !ch.nrtBusy {
 		ch.sendNext()
@@ -136,11 +138,12 @@ func (c *NRTEC) publish(ev Event) error {
 
 // nrtMsg is one queued NRT message: the cursor over its fragments (which
 // holds the message's private copy), its identifier at the channel's
-// fixed priority and its trace ID.
+// fixed priority, its trace ID and its publish instant.
 type nrtMsg struct {
 	chain frag.Chain
 	id    can.ID
 	tag   uint64
+	pubAt sim.Time
 }
 
 // sendNext submits the next fragment of the head message.
@@ -174,7 +177,7 @@ func (ch *channelState) sendNext() {
 	m := &ch.nrtQueue[0]
 	var buf [8]byte // Submit copies the fragment
 	ch.nrtBusy = true
-	ch.nrtTx = mw.node.Ctrl.Submit(can.Frame{ID: m.id, Data: m.chain.Next(&buf), Tag: m.tag},
+	ch.nrtTx = mw.node.Ctrl.Submit(can.Frame{ID: m.id, Data: m.chain.Next(&buf), Tag: m.tag, PublishedAt: m.pubAt},
 		can.SubmitOpts{Done: ch.nrtDone})
 }
 
@@ -291,13 +294,10 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 	}
 	mw := ch.mw
 	mw.counters.DeliveredNRT++
-	di := DeliveryInfo{Publisher: pub, ArrivedAt: at, DeliveredAt: at}
-	if pubAt, ok := mw.Obs.PublishKernelTime(ev.traceID); ok {
-		di.PublishedAt = pubAt
-	}
+	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, ArrivedAt: at, DeliveredAt: at}
 	ch.store(ev, di)
 	mw.Obs.Delivered(ev.traceID, NRT.Obs(), mw.node.Index,
-		uint64(ch.subject), at, 0)
+		uint64(ch.subject), di.PublishedAt, at, 0)
 	ch.deliverNotify(ev, di)
 }
 

@@ -201,10 +201,11 @@ func (c *SRTEC) publish(ev Event) error {
 		}
 	}
 	mw.srtSeq++
+	ev.publishedAt = mw.K.Now()
 	if ev.traceID == 0 {
-		ev.traceID = mw.Obs.Begin(SRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		ev.traceID = mw.Obs.Begin(SRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	} else {
-		mw.Obs.Adopt(ev.traceID, SRT.Obs(), mw.node.Index, uint64(ch.subject), mw.K.Now())
+		mw.Obs.Adopt(ev.traceID, SRT.Obs(), mw.node.Index, uint64(ch.subject), ev.publishedAt)
 	}
 	prio := mw.bands.SRT.PrioFor(now, ev.Attrs.Deadline)
 	e := ch.newSRTEntry()
@@ -212,9 +213,10 @@ func (c *SRTEC) publish(ev Event) error {
 	e.ev.Payload = e.data[:copy(e.data[:], ev.Payload)]
 	e.seq, e.prio = mw.srtSeq, prio
 	frame := can.Frame{
-		ID:   can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
-		Data: e.ev.Payload, // Submit copies it
-		Tag:  ev.traceID,
+		ID:          can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
+		Data:        e.ev.Payload, // Submit copies it
+		Tag:         ev.traceID,
+		PublishedAt: ev.publishedAt,
 	}
 	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.done})
 	e.idx = len(ch.srtActive)
@@ -427,13 +429,10 @@ func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 	}
 	mw := ch.mw
 	mw.counters.DeliveredSRT++
-	di := DeliveryInfo{Publisher: pub, ArrivedAt: at, DeliveredAt: at}
-	if pubAt, ok := mw.Obs.PublishKernelTime(ev.traceID); ok {
-		di.PublishedAt = pubAt
-	}
+	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, ArrivedAt: at, DeliveredAt: at}
 	ev = ch.store(ev, di)
 	mw.Obs.Delivered(ev.traceID, SRT.Obs(), mw.node.Index,
-		uint64(ch.subject), at, 0)
+		uint64(ch.subject), di.PublishedAt, at, 0)
 	ch.deliverNotify(ev, di)
 }
 

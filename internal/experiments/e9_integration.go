@@ -74,8 +74,8 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 		wired((&scenario.RoundPub{Sys: sys, Slot: s, Attrs: hrtAttrs(), At: -200 * sim.Microsecond,
 			Rounds: rounds, End: end, Payload: func(int64) []byte { return scenario.Stamp(sys.K, 7) }}).Start())
 		wired(scenario.Subscribe(sys.Node((i+1)%nodes).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
-			func(ev core.Event, di core.DeliveryInfo) {
-				hrtLat.ObserveDuration(scenario.StampAge(ev, di))
+			func(_ core.Event, di core.DeliveryInfo) {
+				hrtLat.ObserveDuration(di.DeliveredAt - di.PublishedAt)
 				if i == 0 {
 					hrtTimes = append(hrtTimes, di.DeliveredAt)
 				}
@@ -98,8 +98,8 @@ func e9Run(seed uint64, nodes int) ([][]string, string) {
 			case core.ExcValidityExpired:
 				srtDrop++
 			}
-		}, (i+3)%nodes, core.ChannelAttrs{}, func(ev core.Event, di core.DeliveryInfo) {
-			srtLat.ObserveDuration(scenario.StampAge(ev, di))
+		}, (i+3)%nodes, core.ChannelAttrs{}, func(_ core.Event, di core.DeliveryInfo) {
+			srtLat.ObserveDuration(di.DeliveredAt - di.PublishedAt)
 		}, nil)
 		(&scenario.SRTPub{Sys: sys, Node: i, Subject: subj, Ch: ch, Gap: sim.Duration(nodes) * 2 * sim.Millisecond, Poisson: true,
 			Deadline: 10 * sim.Millisecond, Expiration: 30 * sim.Millisecond, End: end,

@@ -532,7 +532,7 @@ func TestAdminSLOBreachOverLinkLoss(t *testing.T) {
 	found := false
 	pacedA.Call(func() {
 		for _, r := range sysA.Obs.Records() {
-			if r.Stage.String() == "slo_breach" && strings.Contains(r.Detail.String(), "srt-miss-rate") {
+			if r.Stage == obs.StageSLOBreach && strings.Contains(r.Detail.String(), "srt-miss-rate") {
 				found = true
 			}
 		}

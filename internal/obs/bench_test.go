@@ -18,8 +18,7 @@ func nilObserverFastPath() {
 	o.SlotOutcome(true)
 	o.Copies("sent", 1)
 	o.ExceptionRaised("DeadlineMissed")
-	o.Delivered(id, ClassSRT, 1, 0x42, 200, 0)
-	o.PublishKernelTime(id)
+	o.Delivered(id, ClassSRT, 1, 0x42, 100, 200, 0)
 }
 
 // TestNilObserverZeroAllocs is the zero-overhead-when-off regression
@@ -45,7 +44,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	seq := func(o *Observer, at sim.Time) {
 		id := o.Begin(ClassSRT, 0, 0x42, at)
 		o.Emit(id, StageEnqueued, ClassSRT, 0, 0x42, at+10, 0)
-		o.Delivered(id, ClassSRT, 1, 0x42, at+200_000, 0)
+		o.Delivered(id, ClassSRT, 1, 0x42, at, at+200_000, 0)
 	}
 	b.Run("metrics", func(b *testing.B) {
 		o := New(Config{Metrics: true}, func() sim.Time { return 0 }, BandMap{})

@@ -12,7 +12,7 @@ import (
 func seq(o *obs.Observer, at sim.Time) {
 	id := o.Begin(obs.ClassSRT, 0, 0x42, at)
 	o.Emit(id, obs.StageEnqueued, obs.ClassSRT, 0, 0x42, at+10, 0)
-	o.Delivered(id, obs.ClassSRT, 1, 0x42, at+200_000, 0)
+	o.Delivered(id, obs.ClassSRT, 1, 0x42, at, at+200_000, 0)
 }
 
 // TestCausalDetachedZeroAllocs is the companion of

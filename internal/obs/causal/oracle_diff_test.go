@@ -150,7 +150,7 @@ var genNext = map[obs.Stage][]obs.Stage{
 var (
 	genClasses  = []obs.Class{obs.ClassHRT, obs.ClassSRT, obs.ClassSRT, obs.ClassNRT, 0}
 	genSubjects = []uint64{0x101, 0x102, 0x300, 0x301, 0x700, 0}
-	genBands    = []obs.Band{obs.BandHRT, bandNamed("srt"), bandNamed("nrt"), 0}
+	genBands    = []obs.Band{obs.BandHRT, obs.BandSRT, obs.BandNRT, 0}
 	genDetails  = []obs.Detail{0, 0, obs.DetailTxAbandoned, obs.Text("backpressure"), obs.Text("duplicate")}
 )
 
@@ -376,13 +376,4 @@ func FuzzCausalOracle(f *testing.F) {
 func (a *Analyzer) TopCause(class obs.Class) Cause {
 	m := a.merged(class)
 	return causeNames[m.top()]
-}
-
-// bandNamed reads a band by its exposition name.
-func bandNamed(name string) obs.Band {
-	var b obs.Band
-	if err := b.UnmarshalText([]byte(name)); err != nil {
-		panic(err)
-	}
-	return b
 }

@@ -30,7 +30,7 @@ const traceSchema = "canec-trace/1"
 // writeVersionedJSONL writes the schema header line followed by the
 // records — the flight-recorder post-mortem format.
 func writeVersionedJSONL(w io.Writer, recs []Record) error {
-	header := Record{Stage: stageSchema, Node: -1, Prio: -1, Detail: Text(traceSchema)}
+	header := Record{Stage: StageSchema, Node: -1, Prio: -1, Detail: Text(traceSchema)}
 	if _, err := w.Write(append(header.appendJSON(nil), '\n')); err != nil {
 		return err
 	}
@@ -67,12 +67,12 @@ func ReadJSONLInfo(r io.Reader) (JSONLInfo, error) {
 			return info, fmt.Errorf("trace jsonl line %d: %w", line, err)
 		}
 		switch rec.Stage {
-		case stageSchema:
+		case StageSchema:
 			if info.Schema == "" {
 				info.Schema = rec.Detail.String()
 			}
 			continue
-		case stageMeta:
+		case StageMeta:
 			continue
 		}
 		info.Records = append(info.Records, rec)

@@ -24,16 +24,16 @@ func goldenRecords() []Record {
 		{ID: 1, Stage: StagePublished, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: StageEnqueued, At: 0, Node: 0, Class: ClassSRT, Subject: 0x300},
 		{ID: 1, Stage: StageTxStart, At: 10_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 1},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1},
 		{ID: 1, Stage: StageTxErr, At: 50_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 1, Detail: Text("bit corrupt")},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 1, Detail: Text("bit corrupt")},
 		{ID: 1, Stage: StageTxStart, At: 80_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
 		{ID: 1, Stage: StageTxOK, At: 180_000, Node: 0, Subject: 0x300,
-			Etag: 0x1234, Prio: 2, Band: bandSRT, Attempt: 2},
+			Etag: 0x1234, Prio: 2, Band: BandSRT, Attempt: 2},
 		{ID: 1, Stage: StageRx, At: 180_000, Node: 1, Subject: 0x300},
 		{ID: 1, Stage: StageDelivered, At: 190_000, Node: 1, Class: ClassSRT, Subject: 0x300},
-		{Stage: stageSLOBreach, At: 200_000, Node: -1, Class: ClassSRT,
+		{Stage: StageSLOBreach, At: 200_000, Node: -1, Class: ClassSRT,
 			Detail: Text("p99 over budget; why: top causes: error_retransmit×1(70us)")},
 	}
 }
@@ -103,7 +103,7 @@ func TestPostmortemSchemaCompat(t *testing.T) {
 	if info.Records[0].Stage != StagePublished || info.Records[0].At != 10 {
 		t.Fatalf("record 0 = %+v", info.Records[0])
 	}
-	if info.Records[2].Stage != stageSLOBreach || info.Records[2].Node != -1 {
+	if info.Records[2].Stage != StageSLOBreach || info.Records[2].Node != -1 {
 		t.Fatalf("record 2 = %+v", info.Records[2])
 	}
 

@@ -16,7 +16,7 @@ func TestFlightRecorderRetentionAndOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.Add(Record{ID: uint64(i + 1), Stage: StagePublished, At: sim.Time(i), Node: int32(i % 2)})
 	}
-	f.Add(Record{Stage: stageSLOBreach, At: 100, Node: -1, Detail: Text("x")})
+	f.Add(Record{Stage: StageSLOBreach, At: 100, Node: -1, Detail: Text("x")})
 	if got := f.Len(); got != 9 { // 4 per node ring x2 + 1 system record
 		t.Fatalf("Len = %d, want 9", got)
 	}
@@ -105,7 +105,7 @@ func TestObserverFeedsFlightWithoutTracer(t *testing.T) {
 		t.Fatal("tracer should be off")
 	}
 	id := o.Begin(ClassSRT, 0, 0x42, 100)
-	o.Delivered(id, ClassSRT, 1, 0x42, 200, 0)
+	o.Delivered(id, ClassSRT, 1, 0x42, 100, 200, 0)
 	recs := o.Flight().Snapshot()
 	if len(recs) != 2 || recs[0].Stage != StagePublished || recs[1].Stage != StageDelivered {
 		t.Fatalf("flight records = %+v, want published+delivered", recs)

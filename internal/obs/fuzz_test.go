@@ -18,7 +18,7 @@ import (
 // same records and writes the same bytes again.
 func FuzzTraceJSONL(f *testing.F) {
 	f.Add(uint64(1), uint8(StageDelivered), int64(100), int32(0), uint8(ClassSRT), uint64(0x42), "ok", []byte(nil))
-	f.Add(uint64(0), uint8(stageSchema), int64(0), int32(-1), uint8(0), uint64(0), traceSchema, []byte("{}\n"))
+	f.Add(uint64(0), uint8(StageSchema), int64(0), int32(-1), uint8(0), uint64(0), traceSchema, []byte("{}\n"))
 	f.Add(uint64(9), uint8(StageTxErr), int64(-5), int32(3), uint8(ClassHRT), uint64(1<<56), "prio 9->7",
 		[]byte(`{"stage":"rx","at":1}`+"\n\nnot json\n"+`{"stage":"no_such","at":2,"detail":"hop 1 budget 0.009500s"}`))
 	f.Fuzz(func(t *testing.T, id uint64, stage uint8, at int64, node int32,
@@ -47,7 +47,7 @@ func FuzzTraceJSONL(f *testing.F) {
 			t.Fatalf("schema = %q, want %q", info.Schema, traceSchema)
 		}
 		want := []Record{rec}
-		if rec.Stage == stageSchema || rec.Stage == stageMeta {
+		if rec.Stage == StageSchema || rec.Stage == StageMeta {
 			want = nil // meta stages are stripped by design
 		}
 		if !reflect.DeepEqual(info.Records, want) {

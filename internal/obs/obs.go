@@ -53,19 +53,19 @@ type BandMap struct {
 	NRTMin, NRTMax can.Prio
 }
 
-// Band is the band of a priority (bandOther outside every band).
+// Band is the band of a priority (BandOther outside every band).
 func (m BandMap) Band(p can.Prio) Band {
 	switch {
 	case p == m.HRT:
 		return BandHRT
 	case p == m.Sync:
-		return bandSync
+		return BandSync
 	case p >= m.SRTMin && p <= m.SRTMax:
-		return bandSRT
+		return BandSRT
 	case p >= m.NRTMin && p <= m.NRTMax:
-		return bandNRT
+		return BandNRT
 	}
-	return bandOther
+	return BandOther
 }
 
 // Observer owns one system's tracer and registry and translates protocol
@@ -80,10 +80,7 @@ type Observer struct {
 	flight *FlightRecorder
 	causal CausalSink
 
-	// nextID and pubAt live on the observer (not the tracer) because the
-	// e2e latency metric needs publish times even when tracing is off.
 	nextID uint64
-	pubAt  pubTimes
 
 	// SubjectOf, if set, resolves wire etags back to subjects so
 	// bus-level stage records carry the channel subject (the system wires
@@ -442,27 +439,21 @@ func (o *Observer) Begin(class Class, node int, subject uint64, at sim.Time) uin
 	}
 	o.nextID++
 	id := o.nextID
-	o.pubAt.put(id, at)
 	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: int32(node),
 		Class: class, Subject: subject, Prio: -1})
 	return id
 }
 
 // Adopt continues a trace opened on another segment's observer: the
-// publish counter is maintained and the foreign trace ID is registered
-// with the local publish time (feeding the per-segment slice of the
-// end-to-end latency histogram), but no new ID is allocated — relayed
+// publish counter is maintained, but no new ID is allocated — relayed
 // events keep the ID of their origin segment, which is what stitches
 // the per-segment traces into one continuous chain.
 func (o *Observer) Adopt(id uint64, class Class, node int, subject uint64, at sim.Time) {
 	if o == nil || id == 0 {
 		return
 	}
-	if _, ok := o.pubAt.get(id); !ok {
-		o.pubAt.put(id, at)
-	}
 	o.emit(Record{ID: id, Stage: StagePublished, At: at, Node: int32(node),
-		Class: class, Subject: subject, Prio: -1, Detail: detailRelayed})
+		Class: class, Subject: subject, Prio: -1, Detail: DetailRelayed})
 }
 
 // Emit records one middleware-side stage of an event, a loop, a link or a
@@ -479,18 +470,15 @@ func (o *Observer) Emit(id uint64, stage Stage, class Class, node int, subject u
 }
 
 // Delivered closes a trace on a successful notification and feeds the
-// per-channel end-to-end latency histogram.
-func (o *Observer) Delivered(id uint64, class Class, node int, subject uint64, at sim.Time, detail Detail) {
+// per-channel end-to-end latency histogram with at − pub, pub being the
+// event's publish instant on this segment.
+func (o *Observer) Delivered(id uint64, class Class, node int, subject uint64, pub, at sim.Time, detail Detail) {
 	if o == nil {
 		return
 	}
 	o.emit(Record{ID: id, Stage: StageDelivered, At: at, Node: int32(node),
 		Class: class, Subject: subject, Prio: -1, Detail: detail})
 	if o.reg == nil || class >= numClasses {
-		return
-	}
-	pub, ok := o.pubAt.get(id)
-	if !ok || at < pub {
 		return
 	}
 	s, ok := o.latency[subject]
@@ -530,15 +518,6 @@ func (o *Observer) JitterHist(class string) HistSource {
 		return nil
 	}
 	return h.Snapshot()
-}
-
-// PublishKernelTime exposes the trace-open time so the middleware can
-// fill DeliveryInfo.PublishedAt. ok is false for untraced events.
-func (o *Observer) PublishKernelTime(id uint64) (sim.Time, bool) {
-	if o == nil || id == 0 {
-		return 0, false
-	}
-	return o.pubAt.get(id)
 }
 
 // SlotOutcome counts a calendar slot occurrence: fired (an event rode it)
@@ -681,8 +660,8 @@ var busStage = [...]Stage{
 	can.TraceArbLoss:       StageArbLost,
 	can.TraceGuardMute:     StageGuardMuted,
 	can.TraceGuardIsolate:  StageGuardIsolated,
-	can.TraceErrorPassive:  stageErrorPassive,
-	can.TraceErrorActive:   stageErrorActive,
+	can.TraceErrorPassive:  StageErrorPassive,
+	can.TraceErrorActive:   StageErrorActive,
 	can.TraceBusOff:        StageBusOff,
 	can.TraceBusOffRecover: StageBusOffRecovered,
 }

@@ -25,7 +25,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 		t.Fatalf("nil Begin returned id %d", id)
 	}
 	o.Emit(1, StageEnqueued, ClassSRT, 0, 1, 0, 0)
-	o.Delivered(1, ClassSRT, 1, 1, 10, 0)
+	o.Delivered(1, ClassSRT, 1, 1, 0, 10, 0)
 	o.SlotOutcome(true)
 	o.Copies("sent", 2)
 	o.ExceptionRaised("txfail")
@@ -35,16 +35,13 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.Tracer() != nil || o.Registry() != nil || o.Records() != nil {
 		t.Fatal("nil observer leaked non-nil components")
 	}
-	if _, ok := o.PublishKernelTime(1); ok {
-		t.Fatal("nil observer knows publish times")
-	}
 }
 
 func TestBandMap(t *testing.T) {
 	bm := testBandMap()
 	cases := map[can.Prio]Band{
-		0: BandHRT, 1: bandSync, 2: bandSRT, 100: bandSRT, 250: bandSRT,
-		251: bandNRT, 255: bandNRT,
+		0: BandHRT, 1: BandSync, 2: BandSRT, 100: BandSRT, 250: BandSRT,
+		251: BandNRT, 255: BandNRT,
 	}
 	for p, want := range cases {
 		if got := bm.Band(p); got != want {
@@ -67,7 +64,7 @@ func TestTracerLifecycle(t *testing.T) {
 	}
 	o.Emit(id, StageEnqueued, ClassSRT, 0, 0x42, 110, 0)
 	o.Emit(id, StagePromoted, ClassSRT, 0, 0x42, 200, Text("prio 10->5"))
-	o.Delivered(id, ClassSRT, 2, 0x42, 400, 0)
+	o.Delivered(id, ClassSRT, 2, 0x42, 100, 400, 0)
 
 	recs := o.Records()
 	var chain []Record
@@ -90,10 +87,6 @@ func TestTracerLifecycle(t *testing.T) {
 		}
 		prev = r.At
 	}
-	if at, ok := o.PublishKernelTime(id); !ok || at != 100 {
-		t.Fatalf("PublishKernelTime = %d,%v want 100,true", at, ok)
-	}
-
 	// The latency histogram saw exactly one 300 ns = 0.3 µs sample.
 	var buf bytes.Buffer
 	if err := o.Registry().WriteText(&buf); err != nil {
@@ -181,7 +174,7 @@ func TestBusEventTranslation(t *testing.T) {
 		if r.Subject != 0xbeef {
 			t.Errorf("record %d subject = %#x, want 0xbeef", i, r.Subject)
 		}
-		if r.Band != bandSRT {
+		if r.Band != BandSRT {
 			t.Errorf("record %d band = %q, want srt", i, r.Band)
 		}
 	}
@@ -277,8 +270,8 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	recs := []Record{
 		{ID: 1, Stage: StagePublished, At: 1000, Node: 0, Class: ClassSRT, Subject: 5},
-		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: bandSRT, Attempt: 1},
-		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: bandSRT, Attempt: 1},
+		{ID: 1, Stage: StageTxStart, At: 2000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
+		{ID: 1, Stage: StageTxOK, At: 4000, Node: 0, Subject: 5, Prio: 10, Band: BandSRT, Attempt: 1},
 		{ID: 1, Stage: StageDelivered, At: 5000, Node: 2, Class: ClassSRT, Subject: 5},
 	}
 	var buf bytes.Buffer
@@ -315,7 +308,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // records are byte-identical, with the band threads named in tid order.
 func TestWriteChromeTraceDeterministic(t *testing.T) {
 	var recs []Record
-	for i, band := range []Band{bandNRT, BandHRT, bandOther, bandSRT, bandSync} {
+	for i, band := range []Band{BandNRT, BandHRT, BandOther, BandSRT, BandSync} {
 		at := sim.Time(1000 * (i + 1))
 		recs = append(recs,
 			Record{ID: uint64(i), Stage: StageTxStart, At: at, Node: int32(i % 3), Subject: 5, Band: band},

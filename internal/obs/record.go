@@ -116,8 +116,9 @@ const (
 	ClassHRT Class = iota + 1
 	ClassSRT
 	ClassNRT
-	numClasses
 )
+
+const numClasses = ClassNRT + 1
 
 var classNames = names[Class]{"", "HRT", "SRT", "NRT"}
 
@@ -139,12 +140,13 @@ type Band uint8
 // The bands, in exposition and Chrome-thread order.
 const (
 	BandHRT Band = iota + 1
-	bandSync
-	bandSRT
-	bandNRT
-	bandOther
-	numBands
+	BandSync
+	BandSRT
+	BandNRT
+	BandOther
 )
+
+const numBands = BandOther + 1
 
 var bandNames = names[Band]{"", "hrt", "sync", "srt", "nrt", "other"}
 
@@ -165,13 +167,13 @@ func (s Stage) String() string { return stageNames.name(s) }
 func (s Stage) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // UnmarshalText reads a stage name. A name this build does not know reads
-// as stageUnknown, or as the meta stage when it begins with "_", so dumps
+// as StageUnknown, or as the meta stage when it begins with "_", so dumps
 // of newer builds still load.
 func (s *Stage) UnmarshalText(text []byte) (err error) {
 	if *s, err = stageNames.parse(text, "stage"); err != nil {
-		*s = stageUnknown
+		*s = StageUnknown
 		if len(text) > 0 && text[0] == '_' {
-			*s = stageMeta
+			*s = StageMeta
 		}
 	}
 	return nil
@@ -208,7 +210,7 @@ var detailFormats = [...]string{detailPrio: "prio %d", detailPromotion: "prio %d
 // The fixed details: drop and shed reasons and the other constant
 // annotations of the middleware and the gateways.
 const (
-	detailRelayed Detail = Detail(detailFixed) | Detail(iota+1)<<8
+	DetailRelayed Detail = Detail(detailFixed) | Detail(iota+1)<<8
 	DetailSlotQueue
 	DetailLate
 	DetailQueueOverflow

@@ -39,8 +39,8 @@ func TestDetailsMatchSprintf(t *testing.T) {
 	for i, want := range fixedDetails {
 		check(Detail(detailFixed)|Detail(i+1)<<8, want)
 	}
-	if DetailBindingAgent.String() != "binding agent" || detailRelayed.String() != "relayed" {
-		t.Fatalf("fixed details out of order: %q, %q", DetailBindingAgent, detailRelayed)
+	if DetailBindingAgent.String() != "binding agent" || DetailRelayed.String() != "relayed" {
+		t.Fatalf("fixed details out of order: %q, %q", DetailBindingAgent, DetailRelayed)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestDetailOutOfRangeFallsBackToText(t *testing.T) {
 }
 
 // TestReadJSONLTolerance: meta lines are skipped, an unknown stage name
-// reads as stageUnknown and untyped detail text round-trips through the
+// reads as StageUnknown and untyped detail text round-trips through the
 // text table.
 func TestReadJSONLTolerance(t *testing.T) {
 	in := `{"stage":"_schema","at":0,"node":-1,"prio":-1,"detail":"canec-trace/1"}
@@ -87,7 +87,7 @@ func TestReadJSONLTolerance(t *testing.T) {
 	if info.Schema != traceSchema || len(info.Records) != 2 {
 		t.Fatalf("schema %q, %d records", info.Schema, len(info.Records))
 	}
-	if r := info.Records[0]; r.Stage != stageUnknown || r.Detail.String() != "from the future" {
+	if r := info.Records[0]; r.Stage != StageUnknown || r.Detail.String() != "from the future" {
 		t.Fatalf("unknown stage read as %+v", r)
 	}
 	if r := info.Records[1]; r.Class != ClassSRT || r.Detail != PrioDetail(4) {
@@ -123,7 +123,7 @@ func TestCounterTableKeepsFirstUseOrder(t *testing.T) {
 // TestStageNames pins the JSONL name of every stage constant.
 func TestStageNames(t *testing.T) {
 	want := map[Stage]string{
-		stageUnknown:         "unknown",
+		StageUnknown:         "unknown",
 		StagePublished:       "published",
 		StageEnqueued:        "enqueued",
 		StagePromoted:        "promoted",
@@ -141,8 +141,8 @@ func TestStageNames(t *testing.T) {
 		StageMissed:          "slot_missed",
 		StageGuardMuted:      "guard_muted",
 		StageGuardIsolated:   "guard_isolated",
-		stageErrorPassive:    "error_passive",
-		stageErrorActive:     "error_active",
+		StageErrorPassive:    "error_passive",
+		StageErrorActive:     "error_active",
 		StageBusOff:          "bus_off",
 		StageBusOffRecovered: "bus_off_recovered",
 		StageNodeDown:        "node_down",
@@ -162,13 +162,13 @@ func TestStageNames(t *testing.T) {
 		StageAdmitted:        "admitted",
 		StageAdmitRejected:   "admit_rejected",
 		StageAdmitShed:       "admit_shed",
-		stageSLOBreach:       "slo_breach",
+		StageSLOBreach:       "slo_breach",
 		StageCtrlSample:      "ctrl_sample",
 		StageCtrlCommand:     "ctrl_command",
 		StageCtrlApply:       "ctrl_apply",
 		StageCtrlStale:       "ctrl_stale",
-		stageSchema:          "_schema",
-		stageMeta:            "_meta",
+		StageSchema:          "_schema",
+		StageMeta:            "_meta",
 	}
 	if len(want) != int(numStages) {
 		t.Fatalf("%d stages pinned, %d declared", len(want), numStages)

@@ -444,7 +444,7 @@ func (s *SLO) enterBreach(ob *Objective, now sim.Time) {
 			detail += "; why: " + why
 		}
 	}
-	o.emitRecord(Record{Stage: stageSLOBreach, At: now, Node: -1, Class: class,
+	o.emitRecord(Record{Stage: StageSLOBreach, At: now, Node: -1, Class: class,
 		Prio: -1, Detail: Text(detail)})
 	if o.flight != nil {
 		if paths, err := o.flight.Dump("slo-" + ob.Name); err == nil {

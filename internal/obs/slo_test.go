@@ -41,7 +41,7 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 			o.ExceptionRaised("DeadlineMissed")
 			o.Emit(id, StageExpired, ClassSRT, 0, 0x42, k.Now(), Text("validity"))
 		} else {
-			o.Delivered(id, ClassSRT, 1, 0x42, k.Now()+200*sim.Microsecond, 0)
+			o.Delivered(id, ClassSRT, 1, 0x42, k.Now(), k.Now()+200*sim.Microsecond, 0)
 		}
 		k.After(5*sim.Millisecond, step)
 	}
@@ -76,7 +76,7 @@ func TestSLOSRTMissBreachAndRecovery(t *testing.T) {
 	// Breach evidence: counter, trace record, post-mortem dump.
 	var sawBreachRec bool
 	for _, r := range o.Flight().Snapshot() {
-		if r.Stage == stageSLOBreach {
+		if r.Stage == StageSLOBreach {
 			sawBreachRec = true
 			if !strings.Contains(r.Detail.String(), "srt-miss-rate") {
 				t.Fatalf("breach record detail = %q", r.Detail)
@@ -135,7 +135,7 @@ func TestSLOHRTJitterObjective(t *testing.T) {
 		if jittery && n%2 == 0 {
 			lat += 400 * sim.Microsecond // alternating: every delta is 400 µs
 		}
-		o.Delivered(id, ClassHRT, 1, 0x10, k.Now()+sim.Time(lat), 0)
+		o.Delivered(id, ClassHRT, 1, 0x10, k.Now(), k.Now()+sim.Time(lat), 0)
 		k.After(2*sim.Millisecond, step)
 	}
 	step()
@@ -182,7 +182,7 @@ func TestSLONRTFloorAndWarmup(t *testing.T) {
 	step = func() {
 		if !stop {
 			id := o.Begin(ClassNRT, 0, 0x99, k.Now())
-			o.Delivered(id, ClassNRT, 1, 0x99, k.Now()+sim.Time(sim.Millisecond), 0)
+			o.Delivered(id, ClassNRT, 1, 0x99, k.Now(), k.Now()+sim.Time(sim.Millisecond), 0)
 		}
 		k.After(5*sim.Millisecond, step) // 200/s while flowing
 	}

@@ -14,9 +14,9 @@ package obs
 type Stage uint8
 
 const (
-	// stageUnknown is a stage name this build does not know, read back
+	// StageUnknown is a stage name this build does not know, read back
 	// from a dump of a newer build. Every consumer ignores it.
-	stageUnknown Stage = iota
+	StageUnknown Stage = iota
 	// StagePublished opens a trace: the application called Publish.
 	StagePublished
 	// StageEnqueued marks the event entering a send queue (the HRT slot
@@ -68,11 +68,11 @@ const (
 	// event); Detail snapshots the TEC/REC after the transition. Chaos
 	// checkers pair bus_off with bus_off_recovered to bound recovery times.
 
-	// stageErrorPassive marks a controller crossing into error-passive
+	// StageErrorPassive marks a controller crossing into error-passive
 	// (TEC or REC reached 128).
-	stageErrorPassive
-	// stageErrorActive marks a controller returning to error-active.
-	stageErrorActive
+	StageErrorPassive
+	// StageErrorActive marks a controller returning to error-active.
+	StageErrorActive
 	// StageBusOff marks a controller entering bus-off and detaching
 	// (TEC reached 256).
 	StageBusOff
@@ -162,12 +162,12 @@ const (
 	// its deadline tolerates.
 	StageAdmitShed
 
-	// stageSLOBreach marks a service-level objective entering breach:
+	// StageSLOBreach marks a service-level objective entering breach:
 	// both burn-rate windows exceeded the configured threshold. It
 	// carries trace ID 0 and Node -1 (the objective belongs to the
 	// segment, not a station); Detail names the objective and the burn
 	// factors, and Class the guarded channel class when class-bound.
-	stageSLOBreach
+	StageSLOBreach
 
 	// Control-loop stages record the closed-loop plant/controller
 	// workload (internal/control). They carry trace ID 0 (the stage
@@ -189,16 +189,17 @@ const (
 	// frames.
 	StageCtrlStale
 
-	// stageSchema marks the self-describing header line of a versioned
+	// StageSchema marks the self-describing header line of a versioned
 	// trace JSONL stream. The header is itself a valid Record (Detail
 	// carries the schema tag), so consumers skip it like any stage they
 	// do not follow.
-	stageSchema
-	// stageMeta is any other meta line ("_"-prefixed stage) of a dump;
+	StageSchema
+	// StageMeta is any other meta line ("_"-prefixed stage) of a dump;
 	// ReadJSONLInfo drops it.
-	stageMeta
-	numStages
+	StageMeta
 )
+
+const numStages = StageMeta + 1
 
 // stageNames is the JSONL name of every stage, in declaration order
 // (TestStageNames pins each one).

@@ -14,22 +14,22 @@ type Reason int
 const (
 	// ReasonNone: admitted.
 	ReasonNone Reason = iota
-	// reasonMissProb: the channel's predicted deadline-miss probability
+	// ReasonMissProb: the channel's predicted deadline-miss probability
 	// (or the degradation it would inflict on already-admitted
 	// channels) exceeds the class target.
-	reasonMissProb
-	// reasonUnschedulable: the deterministic part of the load already
+	ReasonMissProb
+	// ReasonUnschedulable: the deterministic part of the load already
 	// saturates the bus; no error model admits the channel.
-	reasonUnschedulable
+	ReasonUnschedulable
 	// ReasonBackoff: a re-admission attempt arrived before the
 	// channel's capped-exponential backoff expired.
 	ReasonBackoff
-	// reasonErrorState: the channel was shed when error-state events
+	// ReasonErrorState: the channel was shed when error-state events
 	// raised the measured error rate past what its admission assumed.
-	reasonErrorState
-	// reasonUndeclared: the channel declared no period or deadline, so
+	ReasonErrorState
+	// ReasonUndeclared: the channel declared no period or deadline, so
 	// its miss probability cannot be analyzed.
-	reasonUndeclared
+	ReasonUndeclared
 )
 
 // String implements fmt.Stringer (metric label values).
@@ -37,15 +37,15 @@ func (r Reason) String() string {
 	switch r {
 	case ReasonNone:
 		return "none"
-	case reasonMissProb:
+	case ReasonMissProb:
 		return "miss-probability"
-	case reasonUnschedulable:
+	case ReasonUnschedulable:
 		return "unschedulable"
 	case ReasonBackoff:
 		return "backoff"
-	case reasonErrorState:
+	case ReasonErrorState:
 		return "error-state"
-	case reasonUndeclared:
+	case ReasonUndeclared:
 		return "undeclared-rate"
 	}
 	return "?"
@@ -350,16 +350,16 @@ func (c *Controller) Request(req ChannelReq) Decision {
 	}
 
 	if req.Period <= 0 || req.Deadline <= 0 {
-		return c.reject(key, reasonUndeclared, 0, target)
+		return c.reject(key, ReasonUndeclared, 0, target)
 	}
 
 	a := c.effectiveModel()
 	miss, err := c.missProb(a, req, c.entries)
 	if err != nil {
-		return c.reject(key, reasonUnschedulable, 1, target)
+		return c.reject(key, ReasonUnschedulable, 1, target)
 	}
 	if miss > target {
-		return c.reject(key, reasonMissProb, miss, target)
+		return c.reject(key, ReasonMissProb, miss, target)
 	}
 
 	// The newcomer must not push any already-admitted controlled
@@ -373,7 +373,7 @@ func (c *Controller) Request(req ChannelReq) Decision {
 		if et := c.cfg.Targets.target(e.req.Class); analyzable(et, e.req) {
 			var err error
 			if m, err = c.missProb(a, e.req, withCand); err != nil || m > et {
-				return c.reject(key, reasonMissProb, miss, target)
+				return c.reject(key, ReasonMissProb, miss, target)
 			}
 		}
 		c.pending = append(c.pending, m)
@@ -467,7 +467,7 @@ func (c *Controller) SetMeasuredRate(rate float64) []Shed {
 		t := c.cfg.Targets.target(victim.req.Class)
 		shed = append(shed, Shed{
 			Channel: victim.req, MissProb: victim.missProb,
-			Target: t, Reason: reasonErrorState,
+			Target: t, Reason: ReasonErrorState,
 		})
 		c.shedTotal++
 		key := chanKey{victim.req.Node, victim.req.Subject}

@@ -114,7 +114,7 @@ func runDiffSequence(t *testing.T, seed uint64, cov *diffCoverage) {
 				checkStoredPredictions(t, seed, op, c)
 			case !got.Admitted:
 				cov.rejected++
-				if got.Reason == reasonMissProb && got.MissProb <= got.Target {
+				if got.Reason == ReasonMissProb && got.MissProb <= got.Target {
 					cov.loopRejected++
 				}
 			}

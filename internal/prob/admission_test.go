@@ -51,8 +51,8 @@ func TestRejectTightDeadline(t *testing.T) {
 	if d.Admitted {
 		t.Fatal("tight deadline admitted")
 	}
-	if d.Reason != reasonMissProb {
-		t.Fatalf("reason %v, want %v", d.Reason, reasonMissProb)
+	if d.Reason != ReasonMissProb {
+		t.Fatalf("reason %v, want %v", d.Reason, ReasonMissProb)
 	}
 	if d.RetryAfter <= 0 {
 		t.Fatal("rejection carries no backoff hint")
@@ -63,7 +63,7 @@ func TestRejectTightDeadline(t *testing.T) {
 // cannot be analyzed and are rejected with the typed reason.
 func TestRejectUndeclared(t *testing.T) {
 	c, _ := testController(0.05, 0.1)
-	if d := c.Request(srtReq(0, 1, 0, 0)); d.Admitted || d.Reason != reasonUndeclared {
+	if d := c.Request(srtReq(0, 1, 0, 0)); d.Admitted || d.Reason != ReasonUndeclared {
 		t.Fatalf("undeclared channel: %+v", d)
 	}
 }
@@ -76,7 +76,7 @@ func TestBackoffCappedExponential(t *testing.T) {
 	req := srtReq(0, 1, 5*sim.Millisecond, 100*sim.Microsecond)
 
 	d1 := c.Request(req)
-	if d1.Reason != reasonMissProb {
+	if d1.Reason != ReasonMissProb {
 		t.Fatalf("first rejection reason %v", d1.Reason)
 	}
 	// Inside the window: backoff reason, no analysis.
@@ -90,7 +90,7 @@ func TestBackoffCappedExponential(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		*now += sim.Time(2 * sim.Second)
 		d := c.Request(req)
-		if d.Reason != reasonMissProb {
+		if d.Reason != ReasonMissProb {
 			t.Fatalf("iter %d: reason %v", i, d.Reason)
 		}
 		if d.RetryAfter > last {
@@ -126,7 +126,7 @@ func TestNewcomerCannotDegradeAdmitted(t *testing.T) {
 		d := c.Request(srtReq(int(s%4), s, 2*sim.Millisecond, 1500*sim.Microsecond))
 		if !d.Admitted {
 			rejected = true
-			if d.Reason != reasonMissProb && d.Reason != reasonUnschedulable {
+			if d.Reason != ReasonMissProb && d.Reason != ReasonUnschedulable {
 				t.Fatalf("subject %d: reason %v", s, d.Reason)
 			}
 			break
@@ -167,8 +167,8 @@ func TestErrorStateShedsMarginalLIFO(t *testing.T) {
 		t.Fatal("raised rate shed nothing")
 	}
 	for _, s := range shed {
-		if s.Reason != reasonErrorState {
-			t.Errorf("shed reason %v, want %v", s.Reason, reasonErrorState)
+		if s.Reason != ReasonErrorState {
+			t.Errorf("shed reason %v, want %v", s.Reason, ReasonErrorState)
 		}
 		if s.Channel.Subject == 1 {
 			t.Error("the earliest, robust channel was shed")
@@ -254,7 +254,7 @@ func TestSnapshotShape(t *testing.T) {
 	if !s.Enabled || s.AdmittedTotal != 1 || s.RejectedTotal != 1 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if s.Rejected[reasonMissProb.String()] != 1 {
+	if s.Rejected[ReasonMissProb.String()] != 1 {
 		t.Fatalf("rejected-by-reason %+v", s.Rejected)
 	}
 	if s.PredictedMissSRT <= 0 {

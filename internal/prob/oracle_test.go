@@ -185,16 +185,16 @@ func (c *refController) Request(req ChannelReq) Decision {
 	}
 
 	if req.Period <= 0 || req.Deadline <= 0 {
-		return c.reject(key, reasonUndeclared, 0, target)
+		return c.reject(key, ReasonUndeclared, 0, target)
 	}
 
 	a := c.effectiveModel()
 	miss, err := c.refMissProb(a, req, c.entries)
 	if err != nil {
-		return c.reject(key, reasonUnschedulable, 1, target)
+		return c.reject(key, ReasonUnschedulable, 1, target)
 	}
 	if miss > target {
-		return c.reject(key, reasonMissProb, miss, target)
+		return c.reject(key, ReasonMissProb, miss, target)
 	}
 
 	// The newcomer must not push any already-admitted controlled
@@ -209,7 +209,7 @@ func (c *refController) Request(req ChannelReq) Decision {
 		}
 		m, err := c.refMissProb(a, e.req, withCand)
 		if err != nil || m > et {
-			return c.reject(key, reasonMissProb, miss, target)
+			return c.reject(key, ReasonMissProb, miss, target)
 		}
 	}
 
@@ -291,7 +291,7 @@ func (c *refController) SetMeasuredRate(rate float64) []Shed {
 		t := c.cfg.Targets.target(victim.req.Class)
 		shed = append(shed, Shed{
 			Channel: victim.req, MissProb: victim.missProb,
-			Target: t, Reason: reasonErrorState,
+			Target: t, Reason: ReasonErrorState,
 		})
 		c.shedTotal++
 		key := chanKey{victim.req.Node, victim.req.Subject}

@@ -312,6 +312,17 @@ func (s *Scenario) Validate() error {
 		}
 		return nil
 	}
+	// A subscriber tells the streams of one channel apart by publisher
+	// (Build's inbox), so no stream may repeat.
+	seen := make(map[[4]uint64]bool)
+	dup := func(class core.Class, subject uint64, pub, sub int, what string, i int) error {
+		k := [4]uint64{uint64(class), subject, uint64(pub), uint64(sub)}
+		if seen[k] {
+			return fmt.Errorf("scenario: %s[%d] repeats the stream of subject 0x%x from node %d to node %d", what, i, subject, pub, sub)
+		}
+		seen[k] = true
+		return nil
+	}
 	for i, h := range s.HRT {
 		if err := node(h.Publisher, "hrt.publisher", i); err != nil {
 			return err
@@ -321,6 +332,9 @@ func (s *Scenario) Validate() error {
 		}
 		if h.PeriodUs <= 0 || h.Payload < 1 || h.Payload > 7 {
 			return fmt.Errorf("scenario: hrt[%d] invalid period/payload", i)
+		}
+		if err := dup(core.HRT, h.Subject, h.Publisher, h.Subscriber, "hrt", i); err != nil {
+			return err
 		}
 	}
 	for i, r := range s.SRT {
@@ -333,6 +347,9 @@ func (s *Scenario) Validate() error {
 		if r.MeanPeriodUs <= 0 || r.DeadlineUs <= 0 || r.Payload < 1 || r.Payload > 8 {
 			return fmt.Errorf("scenario: srt[%d] invalid parameters", i)
 		}
+		if err := dup(core.SRT, r.Subject, r.Publisher, r.Subscriber, "srt", i); err != nil {
+			return err
+		}
 	}
 	for i, b := range s.NRT {
 		if err := node(b.Publisher, "nrt.publisher", i); err != nil {
@@ -343,6 +360,9 @@ func (s *Scenario) Validate() error {
 		}
 		if b.Bytes <= 0 {
 			return fmt.Errorf("scenario: nrt[%d] invalid size", i)
+		}
+		if err := dup(core.NRT, b.Subject, b.Publisher, b.Subscriber, "nrt", i); err != nil {
+			return err
 		}
 	}
 	names := make(map[string]bool, len(s.Control))
@@ -558,6 +578,9 @@ type stream struct {
 	announce  core.ChannelAttrs
 	subscribe core.ChannelAttrs
 	notify    core.NotificationHandler
+	// inbox lists the streams of the stream's class and subject that end
+	// at its subscriber, itself included (see wireSub).
+	inbox *[]*stream
 	// ch is an SRT or NRT publisher's current handle, one per stream so
 	// that several publishers of one subject each send from their own
 	// station; nil until announced (an admission-rejected stream never
@@ -578,9 +601,19 @@ func (st *stream) wirePub(mw *core.Middleware) error {
 	return err
 }
 
-// wireSub subscribes the stream's handler on its subscriber's middleware.
+// wireSub subscribes on the stream's subscriber station. core keeps one
+// notification handler per channel and station, so every stream of the
+// inbox subscribes the same dispatch: it hands a delivery to the stream
+// whose publisher sent it.
 func (st *stream) wireSub(mw *core.Middleware) error {
-	return Subscribe(mw, st.class, st.subject, st.subscribe, st.notify, nil)
+	return Subscribe(mw, st.class, st.subject, st.subscribe, func(ev core.Event, di core.DeliveryInfo) {
+		for _, o := range *st.inbox {
+			if can.TxNode(o.pub) == di.Publisher {
+				o.notify(ev, di)
+				return
+			}
+		}
+	}, nil)
 }
 
 // Build validates the scenario and turns it into a wired Instance: the
@@ -729,6 +762,19 @@ func (s *Scenario) Build() (*Instance, error) {
 	}
 
 	var streams []*stream
+	// add lists a stream and joins the inbox of the streams of its
+	// channel that end at the same station.
+	add := func(st *stream) {
+		st.inbox = new([]*stream)
+		for _, o := range streams {
+			if o.class == st.class && o.subject == st.subject && o.sub == st.sub {
+				st.inbox = o.inbox
+				break
+			}
+		}
+		*st.inbox = append(*st.inbox, st)
+		streams = append(streams, st)
+	}
 	for i, h := range s.HRT {
 		i, h := i, h
 		attrs := core.ChannelAttrs{Payload: h.Payload, Periodic: true}
@@ -745,16 +791,16 @@ func (s *Scenario) Build() (*Instance, error) {
 		st := &stream{
 			class: core.HRT, subject: binding.Subject(h.Subject), pub: h.Publisher, sub: h.Subscriber,
 			subscribe: attrs,
-			notify: func(ev core.Event, di core.DeliveryInfo) {
+			notify: func(_ core.Event, di core.DeliveryInfo) {
 				if h.Payload >= 7 {
-					rep.HRTLatency.ObserveDuration(StampAge(ev, di))
+					rep.HRTLatency.ObserveDuration(di.DeliveredAt - di.PublishedAt)
 				}
-				if i == 0 && di.Publisher == self {
+				if i == 0 {
 					in.firstHRT = append(in.firstHRT, di.DeliveredAt)
 				}
 			},
 		}
-		streams = append(streams, st)
+		add(st)
 		if i == 0 {
 			in.hrtPeriod = slot.Period(cal.Round)
 		}
@@ -777,7 +823,7 @@ func (s *Scenario) Build() (*Instance, error) {
 			class: core.SRT, subject: binding.Subject(r.Subject), pub: r.Publisher, sub: r.Subscriber,
 			notify: func(ev core.Event, di core.DeliveryInfo) {
 				if len(ev.Payload) >= 7 {
-					rep.SRTLatency.ObserveDuration(StampAge(ev, di))
+					rep.SRTLatency.ObserveDuration(di.DeliveredAt - di.PublishedAt)
 				}
 			},
 		}
@@ -791,7 +837,7 @@ func (s *Scenario) Build() (*Instance, error) {
 				RelDeadline: sim.Duration(r.DeadlineUs) * sim.Microsecond,
 			}
 		}
-		streams = append(streams, st)
+		add(st)
 		if err := st.wirePub(mw(st.pub)); rejected(err, fmt.Sprintf("srt 0x%x", r.Subject)) {
 			continue
 		} else if err != nil {
@@ -828,7 +874,7 @@ func (s *Scenario) Build() (*Instance, error) {
 			notify:    func(ev core.Event, _ core.DeliveryInfo) { rep.NRTBytes += len(ev.Payload) },
 		}
 		st.restart = st.wirePub
-		streams = append(streams, st)
+		add(st)
 		if err := st.wirePub(mw(st.pub)); err != nil {
 			return nil, err
 		}

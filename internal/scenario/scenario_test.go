@@ -95,6 +95,8 @@ func TestValidateErrors(t *testing.T) {
 		`{"nodes": 4, "durationMs": 10, "hrt": [{"subject":1,"publisher":0,"subscriber":1,"periodUs":1000,"payload":8}]}`, // payload > 7
 		`{"nodes": 4, "durationMs": 10, "srt": [{"subject":1,"publisher":0,"subscriber":1,"meanPeriodUs":0,"deadlineUs":1,"payload":1}]}`,
 		`{"nodes": 4, "durationMs": 10, "nrt": [{"subject":1,"publisher":0,"subscriber":1,"bytes":0}]}`,
+		`{"nodes": 4, "durationMs": 10, "srt": [{"subject":1,"publisher":0,"subscriber":1,"meanPeriodUs":10,"deadlineUs":1,"payload":1},` +
+			`{"subject":1,"publisher":0,"subscriber":1,"meanPeriodUs":20,"deadlineUs":2,"payload":2}]}`, // one stream twice
 		`{"nodes": 4, "durationMs": 10, "bogus": 1}`, // unknown field
 	}
 	for i, c := range cases {
@@ -283,29 +285,45 @@ func TestTwoPublishersOfOneSubject(t *testing.T) {
 // stream must be timed from its own publisher's slot (timed from the
 // other's, latency p99 reads 1347 µs), and the report's period jitter is
 // that of the first stream's publisher alone (both publishers' deliveries
-// in one series read as 9457 µs).
+// in one series read as 9457 µs). When both streams end at node 2, the
+// station's one subscription must hand each delivery to the stream whose
+// publisher sent it: subscribing once per stream left only the second
+// stream's handler, and the first stream's jitter series empty.
 func TestHRTPeriodJitterPerPublisher(t *testing.T) {
-	s := &Scenario{
-		Name: "dup-hrt-subject", Nodes: 4, Seed: 1, DurationMs: 1000,
-		HRT: []HRTStream{
-			{Subject: 300, Publisher: 0, Subscriber: 2, PeriodUs: 10000, Payload: 7},
-			{Subject: 300, Publisher: 1, Subscriber: 3, PeriodUs: 10000, Payload: 7},
-		},
-	}
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rep.Counters
-	if c.DeliveredHRT != 400 || c.LateHRTDeliveries != 0 || c.SlotMissed != 0 {
-		t.Fatalf("HRT delivered %d, late %d, missed %d; want 400, 0, 0",
-			c.DeliveredHRT, c.LateHRTDeliveries, c.SlotMissed)
-	}
-	if j := rep.HRTJitter.Micros(); j > 10 {
-		t.Errorf("period jitter %d µs, want at most 10 (one publisher's rounds)", j)
-	}
-	if p99 := rep.HRTLatency.Quantile(0.99) / 1e3; p99 > 1000 {
-		t.Errorf("HRT latency p99 %.0f µs, want below 1000 (each stream on its own slot)", p99)
+	for _, c := range []struct {
+		subs      [2]int
+		delivered uint64
+	}{{[2]int{2, 3}, 400}, {[2]int{2, 2}, 200}} {
+		s := &Scenario{
+			Name: "dup-hrt-subject", Nodes: 4, Seed: 1, DurationMs: 1000,
+			HRT: []HRTStream{
+				{Subject: 300, Publisher: 0, Subscriber: c.subs[0], PeriodUs: 10000, Payload: 7},
+				{Subject: 300, Publisher: 1, Subscriber: c.subs[1], PeriodUs: 10000, Payload: 7},
+			},
+		}
+		in, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Sys.Run(in.End)
+		rep := in.Finish()
+		k := rep.Counters
+		if k.DeliveredHRT != c.delivered || k.LateHRTDeliveries != 0 || k.SlotMissed != 0 {
+			t.Fatalf("subscribers %v: HRT delivered %d, late %d, missed %d; want %d, 0, 0",
+				c.subs, k.DeliveredHRT, k.LateHRTDeliveries, k.SlotMissed, c.delivered)
+		}
+		if n := len(in.firstHRT); n != 100 {
+			t.Errorf("subscribers %v: stream 0's period-jitter series holds %d deliveries, want its 100 rounds", c.subs, n)
+		}
+		if j := rep.HRTJitter.Micros(); j > 10 {
+			t.Errorf("subscribers %v: period jitter %d µs, want at most 10 (one publisher's rounds)", c.subs, j)
+		}
+		if n := rep.HRTLatency.N(); n != 200 {
+			t.Errorf("subscribers %v: HRT latency samples %d, want 200 (each stream's own 100 rounds)", c.subs, n)
+		}
+		if p99 := rep.HRTLatency.Quantile(0.99) / 1e3; p99 > 1000 {
+			t.Errorf("subscribers %v: HRT latency p99 %.0f µs, want below 1000 (each stream on its own slot)", c.subs, p99)
+		}
 	}
 }
 

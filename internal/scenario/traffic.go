@@ -45,16 +45,12 @@ func wiring(err error, step string, class core.Class, subj binding.Subject, mw *
 }
 
 // Stamp is an n-byte payload carrying the kernel time of its publish in
-// up to seven bytes; StampAge reads it back at delivery.
+// up to seven bytes. Nothing reads it back; its bytes set the frame's bit
+// stuffing, and so the wire times.
 func Stamp(k *sim.Kernel, n int) []byte {
 	p := make([]byte, n)
 	binding.Put56(p, uint64(k.Now()))
 	return p
-}
-
-// StampAge is a stamped event's publish→delivery latency.
-func StampAge(ev core.Event, di core.DeliveryInfo) sim.Duration {
-	return di.DeliveredAt - sim.Time(binding.Get56(ev.Payload))
 }
 
 // RoundPub is an HRT round publisher on the clock of its slot's publisher:

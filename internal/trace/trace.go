@@ -22,8 +22,6 @@ type Ring struct {
 	next  int
 	full  bool
 	total uint64
-	// Filter, if non-nil, selects which events are recorded.
-	Filter func(can.TraceEvent) bool
 }
 
 // NewRing returns a recorder keeping the most recent n events.
@@ -35,13 +33,9 @@ func NewRing(n int) *Ring {
 }
 
 // Record stores one event (dropping the oldest when full), with a copy of
-// its payload. Every offer counts toward Total; only events passing the
-// filter enter the buffer.
+// its payload, and counts it toward Total.
 func (r *Ring) Record(e can.TraceEvent) {
 	r.total++
-	if r.Filter != nil && !r.Filter(e) {
-		return
-	}
 	d := &r.data[r.next]
 	e.Frame.Data = d[:copy(d[:], e.Frame.Data)]
 	r.buf[r.next] = e
@@ -63,9 +57,8 @@ func (r *Ring) Hook(prev func(can.TraceEvent)) func(can.TraceEvent) {
 	}
 }
 
-// Total reports how many events were offered to the ring, whether or not
-// they were kept: it counts filtered-out events and events that have since
-// been evicted by newer ones.
+// Total reports how many events the ring recorded, counting those that
+// have since been evicted by newer ones.
 func (r *Ring) Total() uint64 { return r.total }
 
 // Entries returns the recorded events in arrival order. They are the

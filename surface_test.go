@@ -3,7 +3,10 @@ package canec_test
 // The dead-surface gate: every exported identifier under internal/ must
 // have a use in a non-test file somewhere in the module; an exported
 // function, variable or constant must have one in a non-test file of
-// another package. The scan type-checks the whole module, and the
+// another package. An enum — a parenthesised block of constants of one
+// type declared in their package — is one unit: its values are exported
+// all or none, and a use of one of them outside the package keeps them
+// all. The scan type-checks the whole module, and the
 // standard library it imports, from source with go/build + go/parser +
 // go/types, so it needs nothing beyond the toolchain.
 
@@ -35,7 +38,6 @@ var surfaceAllow = map[string]string{
 	"internal/golden.Check":                 "test helper: the golden-file comparison the output tests of four packages share",
 	"internal/can.Controller.Mute":          "test helper the can and core tests share: silence a station while its queue is kept",
 	"internal/core.Lifecycle.Standby":       "test helper the core and chaos tests share: see that a restarted agent station re-armed as standby",
-	"internal/can.FaultOmission":            "test helper the binding, core and prob tests share: the omission fault their injectors return",
 	"internal/obs.NewRegistry":              "test helper the perf and causal tests share: a bare metrics registry",
 }
 
@@ -59,7 +61,7 @@ func TestNoDeadExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range unused {
-		t.Errorf("%s: %s has no use outside tests: delete it, move it into the test that uses it, or allow-list it with a reason", u.pos, u.name)
+		t.Errorf("%s: %s %s", u.pos, u.name, u.why)
 	}
 	for _, s := range stale {
 		t.Errorf("stale allow-list entry: %s", s)
@@ -67,9 +69,10 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestDeadExportScanner runs the scan over a synthetic module: only the
-// unused export and the function and constant that only their own package
-// uses may be reported (a type only its own package uses stays), and a
-// stale allow-list entry must be.
+// unused export, the function and constant that only their own package
+// uses and the unexported value of an exported enum may be reported (a
+// type only its own package uses stays, and so does an enum value whose
+// sibling has a use), and a stale allow-list entry must be.
 func TestDeadExportScanner(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -82,6 +85,7 @@ func main() {
 	var s a.Shape = a.New(2)
 	_ = s.Area()
 	_ = a.Box[int]{}.Get()
+	_, _ = a.Red, a.ModeA
 }
 `,
 		"internal/a/a.go": `package a
@@ -111,6 +115,20 @@ func (b Box[T]) Get() T { return b.v }
 func Kept() {}
 
 func Unused() {}
+
+type Color int
+
+const (
+	Red Color = iota
+	Green
+)
+
+type Mode int
+
+const (
+	ModeA Mode = iota
+	modeB
+)
 `,
 		"internal/a/a_test.go": `package a
 
@@ -131,9 +149,10 @@ func init() { Unused() }
 		t.Fatal(err)
 	}
 	want := []deadExport{
-		{"internal/a/a.go:17", "internal/a.Own"},
-		{"internal/a/a.go:19", "internal/a.Base"},
-		{"internal/a/a.go:27", "internal/a.Unused"},
+		{"internal/a/a.go:17", "internal/a.Own", noUse},
+		{"internal/a/a.go:19", "internal/a.Base", noUse},
+		{"internal/a/a.go:27", "internal/a.Unused", noUse},
+		{"internal/a/a.go:40", "internal/a.modeB", halfEnum},
 	}
 	if fmt.Sprint(unused) != fmt.Sprint(want) {
 		t.Errorf("unused = %v, want %v", unused, want)
@@ -153,12 +172,18 @@ func init() { Unused() }
 	}
 }
 
-type deadExport struct{ pos, name string }
+// deadExport is one finding of the scan: where, what and why.
+type deadExport struct{ pos, name, why string }
+
+const (
+	noUse    = "has no use outside tests: delete it, move it into the test that uses it, or allow-list it with a reason"
+	halfEnum = "is an unexported value of an exported enum: export all of its values or none"
+)
 
 // scanDeadExports type-checks the module rooted at root and returns the
 // exports under internal/ that no non-test file uses and that neither
-// implement an interface nor appear in allow, plus the allow entries that
-// are stale.
+// implement an interface nor appear in allow, and the unexported values
+// of exported enums, plus the allow entries that are stale.
 func scanDeadExports(root string, allow map[string]string) (unused []deadExport, stale []string, err error) {
 	root, err = filepath.Abs(root)
 	if err != nil {
@@ -251,6 +276,39 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 		return false
 	}
 
+	report := func(obj types.Object, key, why string) {
+		pos := l.fset.Position(obj.Pos())
+		file, _ := filepath.Rel(root, pos.Filename)
+		unused = append(unused, deadExport{fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line), key, why})
+	}
+	// enum maps each value of an exported enum to all of its values.
+	enum := map[types.Object][]types.Object{}
+	for _, p := range l.mods {
+		rel := strings.TrimPrefix(p.pkg.Path(), l.module+"/")
+		if !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if vals := enumValues(d, p); len(vals) > 1 {
+					exported := 0
+					for _, v := range vals {
+						if v.Exported() {
+							exported++
+						}
+					}
+					for _, v := range vals {
+						if exported == len(vals) {
+							enum[v] = vals
+						} else if exported > 0 && !v.Exported() {
+							report(v, rel+"."+v.Name(), halfEnum)
+						}
+					}
+				}
+			}
+		}
+	}
+
 	seen := map[string]bool{}
 	check := func(obj types.Object, key string, exempt bool) {
 		seen[key] = true
@@ -259,6 +317,9 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 		case *types.Func, *types.Var, *types.Const:
 			if obj.Parent() == obj.Pkg().Scope() {
 				ok = usedOutside[obj]
+				for _, v := range enum[obj] {
+					ok = ok || usedOutside[v]
+				}
 			}
 		}
 		if _, allowed := allow[key]; allowed {
@@ -267,12 +328,9 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 			}
 			return
 		}
-		if ok {
-			return
+		if !ok {
+			report(obj, key, noUse)
 		}
-		pos := l.fset.Position(obj.Pos())
-		file, _ := filepath.Rel(root, pos.Filename)
-		unused = append(unused, deadExport{fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line), key})
 	}
 	for _, p := range l.mods {
 		rel := strings.TrimPrefix(p.pkg.Path(), l.module+"/")
@@ -311,6 +369,33 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 	return unused, stale, nil
 }
 
+// enumValues returns the constants of d when d is an enum: a
+// parenthesised const block whose constants all have one named type of
+// their own package.
+func enumValues(d ast.Decl, p surfacePkg) []types.Object {
+	g, ok := d.(*ast.GenDecl)
+	if !ok || g.Tok != token.CONST || !g.Lparen.IsValid() {
+		return nil
+	}
+	var vals []types.Object
+	var typ *types.Named
+	for _, s := range g.Specs {
+		for _, id := range s.(*ast.ValueSpec).Names {
+			obj := p.info.Defs[id]
+			if obj == nil || obj.Name() == "_" {
+				continue
+			}
+			n, _ := obj.Type().(*types.Named)
+			if n == nil || n.Obj().Pkg() != p.pkg || typ != nil && n != typ {
+				return nil
+			}
+			typ = n
+			vals = append(vals, obj)
+		}
+	}
+	return vals
+}
+
 // origin maps a use of an instantiated generic function, method or field
 // back to its declaration.
 func origin(obj types.Object) types.Object {
@@ -344,8 +429,9 @@ type surfaceLoader struct {
 }
 
 type surfacePkg struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 func (l *surfaceLoader) Import(path string) (*types.Package, error) {
@@ -389,6 +475,7 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 	if inModule {
 		info = &types.Info{
 			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
 			Uses:      map[*ast.Ident]types.Object{},
 			Instances: map[*ast.Ident]types.Instance{},
 		}
@@ -399,7 +486,7 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 	}
 	l.pkgs[bp.ImportPath] = pkg
 	if inModule {
-		l.mods = append(l.mods, surfacePkg{pkg, info})
+		l.mods = append(l.mods, surfacePkg{pkg, info, files})
 	}
 	return pkg, nil
 }
