@@ -182,6 +182,9 @@ func TestHRTPublisherCrashRaisesSlotMissed(t *testing.T) {
 		func(Event, DeliveryInfo) {}, func(e Exception) {
 			if e.Kind == ExcSlotMissed {
 				misses++
+				if _, ok := e.event(); ok {
+					t.Error("SlotMissed reports an event")
+				}
 			}
 		})
 	// Publisher publishes for 3 rounds then "crashes" (mutes).

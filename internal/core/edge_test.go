@@ -201,7 +201,7 @@ func TestExceptionCarriesContext(t *testing.T) {
 	if exc.Kind != ExcValidityExpired {
 		t.Fatalf("exception = %+v", exc)
 	}
-	if exc.Subject != subjDiag || exc.Event == nil || exc.Event.Payload[0] != 0xEE {
+	if ev, ok := exc.event(); exc.Subject != subjDiag || !ok || ev.Payload[0] != 0xEE {
 		t.Fatalf("exception lost context: %+v", exc)
 	}
 	if exc.At == 0 || exc.Detail() == "" {

@@ -90,19 +90,6 @@ type Event struct {
 	publishedAt sim.Time
 }
 
-// ownEvent returns an exception's own copy of ev, payload included, in
-// one allocation: the handler may keep it whatever later happens to the
-// publisher's buffer or to the middleware record the event came from.
-// Exceptions carry HRT and SRT events, whose payloads fit one frame.
-func ownEvent(ev Event) *Event {
-	o := &struct {
-		ev  Event
-		buf [can.MaxPayload]byte
-	}{ev: ev}
-	o.ev.Payload = o.buf[:copy(o.buf[:], ev.Payload)]
-	return &o.ev
-}
-
 // TraceID returns the event's observability trace identifier (0 when
 // untraced). Gateways read it to carry the trace across segments.
 func (e Event) TraceID() uint64 { return e.traceID }
@@ -302,13 +289,14 @@ func (k ExceptionKind) String() string {
 }
 
 // Exception is the local notification delivered to an application's
-// exception handler.
+// exception handler. It is a plain value that holds the affected event,
+// payload included, in its own fields: raising one allocates nothing, and
+// a handler that keeps the Exception keeps its event's bytes, whatever
+// later happens to the publisher's buffer or to the middleware record the
+// event came from.
 type Exception struct {
 	Kind    ExceptionKind
 	Subject binding.Subject
-	// Event is the affected event, when identifiable (nil for SlotMissed).
-	// It is the exception's own copy: the handler may keep it.
-	Event *Event
 	// At is the kernel time the condition was detected.
 	At sim.Time
 
@@ -319,6 +307,34 @@ type Exception struct {
 	value float64      // LoadShed: residual value when shed
 	pub   can.TxNode   // SlotMissed: the slot's publisher
 	round int64        // SlotMissed: the empty round
+
+	// The affected event, when identifiable (none for SlotMissed,
+	// FragError and AdmissionShed): ev without its slice, its payload in
+	// buf[:n]. Exceptions carry HRT and SRT events, whose payloads fit one
+	// frame.
+	ev       Event
+	buf      [can.MaxPayload]byte
+	n        uint8
+	hasEvent bool
+}
+
+// withEvent returns e carrying ev by value, its payload copied into e's
+// own bytes.
+func (e Exception) withEvent(ev Event) Exception {
+	e.n = uint8(copy(e.buf[:], ev.Payload))
+	ev.Payload = nil
+	e.ev, e.hasEvent = ev, true
+	return e
+}
+
+// event returns the affected event, its payload in e's own bytes, and
+// whether there is one.
+func (e *Exception) event() (Event, bool) {
+	ev := e.ev
+	if e.hasEvent {
+		ev.Payload = e.buf[:e.n]
+	}
+	return ev, e.hasEvent
 }
 
 // Detail returns a short human-readable explanation.
@@ -339,7 +355,7 @@ func (e Exception) Detail() string {
 
 // ExceptionHandler is application code invoked on exceptional conditions.
 // It executes in simulation-kernel context and must not block. The
-// Exception's Event is the exception's own copy, never the middleware's
+// Exception is a value that owns its event inline, never the middleware's
 // storage, so the handler may retain it past its return.
 type ExceptionHandler func(Exception)
 

@@ -142,10 +142,11 @@ func TestHRTOverlappingTransmissionsFail(t *testing.T) {
 	guard := &muteAll{}
 	sys.Bus.Guardian = guard
 	pub, _ := sys.Node(0).MW.HRTEC(subjTemp)
-	var failed []*Event
+	var failed []Event
 	err := pub.Announce(ChannelAttrs{Payload: 7, Periodic: true}, func(e Exception) {
 		if e.Kind == ExcTxFailure {
-			failed = append(failed, e.Event)
+			ev, _ := e.event()
+			failed = append(failed, ev)
 		}
 	})
 	if err != nil {
@@ -173,7 +174,7 @@ func TestHRTOverlappingTransmissionsFail(t *testing.T) {
 	guard.on = true
 	ctrl.Mute(false)
 	sys.Run(sys.K.Now() + 100*sim.Microsecond)
-	if len(failed) != 2 || failed[0] == failed[1] {
+	if len(failed) != 2 || &failed[0].Payload[0] == &failed[1].Payload[0] {
 		t.Fatalf("TxFailure events %v, want two distinct", failed)
 	}
 	if failed[0].Payload[0] != 0xa0 || failed[1].Payload[0] != 0xb1 {

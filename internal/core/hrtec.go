@@ -131,12 +131,12 @@ func (c *HRTEC) publish(ev Event) error {
 	}
 	if len(ch.hrtQueue) >= ch.hrtQueueCap {
 		ch.raisePub(Exception{
-			Kind: ExcQueueOverflow, Subject: ch.subject, Event: ownEvent(ev),
+			Kind: ExcQueueOverflow, Subject: ch.subject,
 			At: mw.K.Now(), note: "HRT publish queue full",
-		})
+		}.withEvent(ev))
 		mw.Obs.Emit(0, obs.StageDropped, HRT.Obs(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), obs.DetailQueueOverflow)
-		return fmt.Errorf("core: HRT queue overflow on subject %d", ch.subject)
+		return errHRTQueueFull
 	}
 	ev.Attrs.Timestamp = mw.LocalTime()
 	ev.publishedAt = mw.K.Now()
@@ -273,9 +273,9 @@ func (tx *hrtTx) sent(ok bool, _ sim.Time) {
 	if !ok {
 		// The exception's own copy: the record is reused.
 		ch.raisePub(Exception{
-			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(tx.ev),
+			Kind: ExcTxFailure, Subject: ch.subject,
 			At: mw.K.Now(), note: "HRT transmission abandoned",
-		})
+		}.withEvent(tx.ev))
 		mw.Obs.Emit(tx.ev.traceID, obs.StageDropped, HRT.Obs(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), obs.DetailTxAbandoned)
 	} else if left > 0 {

@@ -166,11 +166,11 @@ func TestHRTPublishCopiesPayload(t *testing.T) {
 	if len(excs) != 2 || excs[0].Kind != ExcQueueOverflow || excs[1].Kind != ExcTxFailure {
 		t.Fatalf("exceptions %v, want QueueOverflow then TxFailure", excs)
 	}
-	if p := excs[0].Event.Payload; string(p) != "\x04\x05\x06" {
-		t.Fatalf("QueueOverflow payload % x, want 04 05 06", p)
+	if ev, _ := excs[0].event(); string(ev.Payload) != "\x04\x05\x06" {
+		t.Fatalf("QueueOverflow payload % x, want 04 05 06", ev.Payload)
 	}
-	if p := excs[1].Event.Payload; string(p) != "\x07\x08\x09" {
-		t.Fatalf("TxFailure payload % x, want 07 08 09", p)
+	if ev, _ := excs[1].event(); string(ev.Payload) != "\x07\x08\x09" {
+		t.Fatalf("TxFailure payload % x, want 07 08 09", ev.Payload)
 	}
 }
 
@@ -209,8 +209,11 @@ func TestSRTPublishCopiesPayload(t *testing.T) {
 	if len(got) != 1 || string(got[0]) != "\x01\x02\x03" {
 		t.Fatalf("delivered % x, want 01 02 03", got)
 	}
-	if len(excs) != 1 || excs[0].Kind != ExcDeadlineMissed || string(excs[0].Event.Payload) != "\x01\x02\x03" {
-		t.Fatalf("exceptions %v, want one DeadlineMissed carrying 01 02 03", excs)
+	if len(excs) != 1 || excs[0].Kind != ExcDeadlineMissed {
+		t.Fatalf("exceptions %v, want one DeadlineMissed", excs)
+	}
+	if ev, _ := excs[0].event(); string(ev.Payload) != "\x01\x02\x03" {
+		t.Fatalf("DeadlineMissed payload % x, want 01 02 03", ev.Payload)
 	}
 }
 

@@ -321,6 +321,11 @@ var (
 	ErrNotAnnounced = errors.New("core: channel not announced")
 	// errPayload is returned for payloads beyond the channel's capacity.
 	errPayload = errors.New("core: payload exceeds channel capacity")
+	// errHRTQueueFull and errSRTQueueFull refuse a publish whose event
+	// found no room in the channel's HRT queue or the node's SRT send
+	// queue. They are fixed values, so a refusal allocates nothing.
+	errHRTQueueFull = errors.New("core: HRT publish queue full")
+	errSRTQueueFull = errors.New("core: SRT send queue full, no sheddable entry")
 	// ErrClassMismatch is returned when a subject is reused with a
 	// different channel class: every subject has at most one channel.
 	ErrClassMismatch = errors.New("core: subject already bound to a different channel class")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"canec/internal/can"
@@ -161,8 +162,9 @@ func TestNRTCancelPublicationWithFragmentOnWire(t *testing.T) {
 	}
 }
 
-// An exception's Event is its own copy: a handler that keeps it sees the
-// event it was raised for after the entry it came from has been reused.
+// An exception holds its event by value: a handler that keeps the
+// Exception sees the event it was raised for after the entry it came from
+// has been reused.
 func TestSRTExceptionEventsOutliveRecycling(t *testing.T) {
 	cases := []struct {
 		kind    ExceptionKind
@@ -214,12 +216,12 @@ func TestSRTExceptionEventsOutliveRecycling(t *testing.T) {
 		t.Run(c.kind.String(), func(t *testing.T) {
 			sys := idealSystem(t, 2, nil)
 			pub, _ := sys.Node(0).MW.SRTEC(subjDiag)
-			var kept []*Event
+			var kept []Exception
 			err := pub.Announce(ChannelAttrs{}, func(e Exception) {
 				if e.Kind != c.kind {
 					t.Errorf("unexpected %v exception", e.Kind)
 				}
-				kept = append(kept, e.Event)
+				kept = append(kept, e)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -232,7 +234,7 @@ func TestSRTExceptionEventsOutliveRecycling(t *testing.T) {
 			// came from.
 			for i := byte(0); i < 4; i++ {
 				now := sys.Node(0).MW.LocalTime()
-				pub.Publish(Event{Subject: subjDiag, Payload: []byte{0xb0 + i},
+				pub.Publish(Event{Subject: subjDiag, Payload: []byte{0xa1 + i},
 					Attrs: EventAttrs{Deadline: now + 10*sim.Millisecond}})
 			}
 			sys.Run(sys.K.Now() + 10*sim.Millisecond)
@@ -244,13 +246,13 @@ func TestSRTExceptionEventsOutliveRecycling(t *testing.T) {
 			if len(kept) != 1 {
 				t.Fatalf("%d exceptions after the follow-up publishes, want 1", len(kept))
 			}
-			ev := kept[0]
-			if ev == nil || ev.Subject != subjDiag || len(ev.Payload) != 1 || ev.Payload[0] != 0xa0 || ev.Attrs.Deadline == 0 {
+			ev, ok := kept[0].event()
+			if !ok || ev.Subject != subjDiag || len(ev.Payload) != 1 || ev.Payload[0] != 0xa0 || ev.Attrs.Deadline == 0 {
 				t.Fatalf("kept %v event changed after its entry was reused: %+v", c.kind, ev)
 			}
 			for _, e := range free {
-				if ev == &e.ev {
-					t.Fatal("the exception's Event is the entry's storage")
+				if &ev.Payload[0] == &e.data[0] {
+					t.Fatal("the exception's payload is the entry's storage")
 				}
 			}
 		})
@@ -353,6 +355,109 @@ func TestSRTPublishAllocsPinned(t *testing.T) {
 	}
 	if free := freeSRT(pub.ch); len(free) != 1 || free[0] != rec[0] {
 		t.Fatal("publishes made new entries instead of reusing the free one")
+	}
+}
+
+// Raising an exception allocates nothing: the Exception holds its event
+// by value, and a refused publish returns a fixed error. Each steady-state
+// round raises the named exceptions at a publisher whose handler is
+// installed.
+func TestSRTExceptionAllocsPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		want  map[ExceptionKind]int // exceptions per round
+		setup func(t *testing.T, sys *System, exc ExceptionHandler) (round func())
+	}{
+		{"DeadlineMissed+ValidityExpired", map[ExceptionKind]int{ExcDeadlineMissed: 1, ExcValidityExpired: 1},
+			func(t *testing.T, sys *System, exc ExceptionHandler) func() {
+				pub, _ := sys.Node(0).MW.SRTEC(subjDiag)
+				if err := pub.Announce(ChannelAttrs{}, exc); err != nil {
+					t.Fatal(err)
+				}
+				ctrl := sys.Node(0).Ctrl
+				late, stale := []byte{0xa0}, []byte{0xa1}
+				return func() {
+					ctrl.Mute(true)
+					now := sys.Node(0).MW.LocalTime()
+					if err := pub.Publish(Event{Subject: subjDiag, Payload: late,
+						Attrs: EventAttrs{Deadline: now + 100*sim.Microsecond}}); err != nil {
+						t.Fatal(err)
+					}
+					if err := pub.Publish(Event{Subject: subjDiag, Payload: stale,
+						Attrs: EventAttrs{Deadline: now + 50*sim.Millisecond, Expiration: now + 500*sim.Microsecond}}); err != nil {
+						t.Fatal(err)
+					}
+					sys.Run(sys.K.Now() + sim.Millisecond) // stale expires
+					ctrl.Mute(false)
+					sys.Run(sys.K.Now() + sim.Millisecond) // late is sent late
+				}
+			}},
+		{"LoadShed refused", map[ExceptionKind]int{ExcLoadShed: 1},
+			func(t *testing.T, sys *System, exc ExceptionHandler) func() {
+				mw := sys.Node(0).MW
+				pub, _ := mw.SRTEC(subjDiag)
+				if err := pub.Announce(ChannelAttrs{}, exc); err != nil {
+					t.Fatal(err)
+				}
+				mw.MaxQueuedSRT = 1
+				payload := []byte{0xa0}
+				return func() {
+					now := mw.LocalTime()
+					ev := Event{Subject: subjDiag, Payload: payload, Attrs: EventAttrs{Deadline: now + 5*sim.Millisecond}}
+					if err := pub.Publish(ev); err != nil {
+						t.Fatal(err)
+					}
+					sys.K.Step() // arbitration: the frame goes on the wire
+					if err := pub.Publish(ev); !errors.Is(err, errSRTQueueFull) {
+						t.Fatalf("publish beside an on-wire frame: %v", err)
+					}
+					sys.Run(sys.K.Now() + sim.Millisecond)
+				}
+			}},
+		{"QueueOverflow", map[ExceptionKind]int{ExcQueueOverflow: 1},
+			func(t *testing.T, sys *System, exc ExceptionHandler) func() {
+				pub, _ := sys.Node(0).MW.HRTEC(subjTemp)
+				if err := pub.Announce(ChannelAttrs{Payload: 7, Periodic: true, QueueCap: 1}, exc); err != nil {
+					t.Fatal(err)
+				}
+				payload := []byte{1, 2, 3}
+				r := int64(0)
+				return func() {
+					sys.Run(roundStart(sys, r) - 100*sim.Microsecond)
+					if err := pub.Publish(Event{Subject: subjTemp, Payload: payload}); err != nil {
+						t.Fatal(err)
+					}
+					if err := pub.Publish(Event{Subject: subjTemp, Payload: payload}); !errors.Is(err, errHRTQueueFull) {
+						t.Fatalf("publish into a full queue: %v", err)
+					}
+					r++
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys := idealSystem(t, 2, testCalendar(t, 1))
+			got := map[ExceptionKind]int{}
+			for k := range c.want {
+				got[k] = 0 // no map growth inside the measured rounds
+			}
+			round := c.setup(t, sys, func(e Exception) { got[e.Kind]++ })
+			for i := 0; i < 5; i++ {
+				round()
+			}
+			const runs = 100
+			if per := testing.AllocsPerRun(runs, round); per != 0 {
+				t.Fatalf("%.2f allocs per round, want 0", per)
+			}
+			for k, n := range c.want {
+				if want := n * (5 + runs + 1); got[k] != want {
+					t.Fatalf("%d %v exceptions, want %d (all: %v)", got[k], k, want, got)
+				}
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("exceptions %v, want only %v", got, c.want)
+			}
+		})
 	}
 }
 

@@ -141,18 +141,51 @@ func TestSheddingDisabledByDefault(t *testing.T) {
 	}
 }
 
+// A publish refused because the send queue is full and nothing in it
+// can be shed returns errSRTQueueFull, and its LoadShed exception carries
+// the refused event. A queued event in a muted controller is sheddable,
+// so a publish beside it succeeds.
 func TestSheddingErrorIsTyped(t *testing.T) {
-	// When rejection happens, the returned error mentions the queue; we
-	// don't export a sentinel for it, but it must be non-nil and distinct
-	// from the payload error.
-	sys := idealSystem(t, 1, nil)
-	sys.Node(0).MW.MaxQueuedSRT = 0 // disabled: no error expected
-	ch, _ := sys.Node(0).MW.SRTEC(subjDiag)
-	ch.Announce(ChannelAttrs{}, nil)
+	sys := idealSystem(t, 2, nil)
+	mw := sys.Node(0).MW
+	ch, _ := mw.SRTEC(subjDiag)
+	var excs []Exception
+	ch.Announce(ChannelAttrs{}, func(e Exception) { excs = append(excs, e) })
 	if err := ch.Publish(Event{Subject: subjDiag, Payload: []byte{1}}); err != nil {
 		t.Fatalf("publish with shedding disabled: %v", err)
 	}
-	if errors.Is(errPayload, errStopped) {
+	sys.Run(sys.K.Now() + sim.Millisecond)
+
+	mw.MaxQueuedSRT = 1
+	if err := ch.Publish(Event{Subject: subjDiag, Payload: []byte{2}}); err != nil {
+		t.Fatal(err)
+	}
+	sys.K.Step() // arbitration: the frame goes on the wire
+	err := ch.Publish(Event{Subject: subjDiag, Payload: []byte{3}})
+	if !errors.Is(err, errSRTQueueFull) || errors.Is(err, errPayload) {
+		t.Fatalf("publish beside the on-wire frame: %v, want errSRTQueueFull", err)
+	}
+	if len(excs) != 1 || excs[0].Kind != ExcLoadShed || excs[0].Detail() != "send queue full, no sheddable entry" {
+		t.Fatalf("exceptions %v, want one LoadShed for the refusal", excs)
+	}
+	if ev, ok := excs[0].event(); !ok || string(ev.Payload) != "\x03" {
+		t.Fatalf("refusal event % x (ok %v), want 03", ev.Payload, ok)
+	}
+	sys.Run(sys.K.Now() + sim.Millisecond)
+
+	sys.Node(0).Ctrl.Mute(true)
+	for _, b := range []byte{4, 5} {
+		if err := ch.Publish(Event{Subject: subjDiag, Payload: []byte{b}}); err != nil {
+			t.Fatalf("publish %d beside a muted queued event: %v", b, err)
+		}
+	}
+	if len(excs) != 2 || excs[1].Kind != ExcLoadShed {
+		t.Fatalf("exceptions %v, want the queued event shed", excs)
+	}
+	if ev, _ := excs[1].event(); string(ev.Payload) != "\x04" {
+		t.Fatalf("shed event % x, want 04", ev.Payload)
+	}
+	if errors.Is(errPayload, errStopped) || errors.Is(errSRTQueueFull, errHRTQueueFull) {
 		t.Fatal("sentinel confusion")
 	}
 }

@@ -192,12 +192,12 @@ func (c *SRTEC) publish(ev Event) error {
 			// Nothing sheddable (everything in flight): reject the new
 			// event as the implicit lowest-priority citizen.
 			ch.raisePub(Exception{
-				Kind: ExcLoadShed, Subject: ch.subject, Event: ownEvent(ev),
+				Kind: ExcLoadShed, Subject: ch.subject,
 				At: mw.K.Now(), note: "send queue full, no sheddable entry",
-			})
+			}.withEvent(ev))
 			mw.Obs.Emit(0, obs.StageShed, SRT.Obs(), mw.node.Index,
 				uint64(ch.subject), mw.K.Now(), obs.DetailRejectedAtPublish)
-			return fmt.Errorf("core: SRT send queue full on node %d", mw.node.Index)
+			return errSRTQueueFull
 		}
 	}
 	mw.srtSeq++
@@ -243,9 +243,9 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 	if !ok {
 		// The exception's own copy: the entry is reused.
 		ch.raisePub(Exception{
-			Kind: ExcTxFailure, Subject: ch.subject, Event: ownEvent(e.ev),
+			Kind: ExcTxFailure, Subject: ch.subject,
 			At: at, note: "SRT transmission abandoned",
-		})
+		}.withEvent(e.ev))
 		mw.Obs.Emit(e.ev.traceID, obs.StageDropped, SRT.Obs(), mw.node.Index,
 			uint64(ch.subject), at, obs.DetailTxAbandoned)
 	} else if late := mw.node.Clock.Read(at) - e.deadline; late > 0 {
@@ -253,9 +253,9 @@ func (e *srtEntry) sent(ok bool, at sim.Time) {
 		// overload or a non-preemptable lower-priority frame got in
 		// the way. The application is notified for awareness (§2.2.2).
 		ch.raisePub(Exception{
-			Kind: ExcDeadlineMissed, Subject: ch.subject, Event: ownEvent(e.ev),
+			Kind: ExcDeadlineMissed, Subject: ch.subject,
 			At: at, late: late,
-		})
+		}.withEvent(e.ev))
 	}
 	e.release()
 }
@@ -306,9 +306,9 @@ func (e *srtEntry) expire() {
 		e.finish()
 		// The exception's own copy: the entry is reused.
 		ch.raisePub(Exception{
-			Kind: ExcValidityExpired, Subject: ch.subject, Event: ownEvent(e.ev),
+			Kind: ExcValidityExpired, Subject: ch.subject,
 			At: mw.K.Now(), note: "validity expired in send queue",
-		})
+		}.withEvent(e.ev))
 		mw.Obs.Emit(e.ev.traceID, obs.StageExpired, SRT.Obs(), mw.node.Index,
 			uint64(ch.subject), mw.K.Now(), 0)
 		e.release()
@@ -335,7 +335,9 @@ func (mw *Middleware) srtQueuedTotal() int {
 // (map iteration order never decides). It reports whether an entry was
 // shed.
 func (mw *Middleware) shedLowestValue(now sim.Time) bool {
-	var onWire []*srtEntry
+	// Entries whose Abort failed: the one frame on the wire, or stale
+	// handles after a detach. The backing array stays on the stack.
+	onWire := make([]*srtEntry, 0, 4)
 	for {
 		var victim *srtEntry
 		worst := 0.0
@@ -373,9 +375,9 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 		victim.finish()
 		// The exception's own copy: the entry is reused.
 		victim.ch.raisePub(Exception{
-			Kind: ExcLoadShed, Subject: victim.ch.subject, Event: ownEvent(victim.ev),
+			Kind: ExcLoadShed, Subject: victim.ch.subject,
 			At: mw.K.Now(), value: worst,
-		})
+		}.withEvent(victim.ev))
 		if mw.Obs.Enabled() {
 			mw.Obs.Emit(victim.ev.traceID, obs.StageShed, SRT.Obs(), mw.node.Index,
 				uint64(victim.ch.subject), mw.K.Now(),
