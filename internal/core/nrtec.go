@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"canec/internal/binding"
@@ -105,7 +104,14 @@ func (c *NRTEC) publish(ev Event) error {
 	// Unfragmented NRT payloads still travel as single-frame transport
 	// messages so the receiver can tell them from fragment chains. The
 	// chain runs over a private copy: the caller may reuse its buffer.
-	chain, err := frag.NewChain(bytes.Clone(ev.Payload))
+	// The copy goes into the spare buffer a finished message left in the
+	// queue's next slot, when that one is large enough.
+	var buf []byte
+	if q := ch.nrtQueue; len(q) < cap(q) {
+		buf = q[:len(q)+1][len(q)].buf
+	}
+	buf = append(buf[:0], ev.Payload...)
+	chain, err := frag.NewChain(buf)
 	if err != nil {
 		return err
 	}
@@ -121,6 +127,7 @@ func (c *NRTEC) publish(ev Event) error {
 	// every arbitration point.
 	ch.nrtQueue = append(ch.nrtQueue, nrtMsg{
 		chain: chain,
+		buf:   buf,
 		id:    can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag),
 		tag:   ev.traceID,
 		pubAt: ev.publishedAt,
@@ -136,11 +143,16 @@ func (c *NRTEC) publish(ev Event) error {
 	return nil
 }
 
-// nrtMsg is one queued NRT message: the cursor over its fragments (which
-// holds the message's private copy), its identifier at the channel's
-// fixed priority, its trace ID and its publish instant.
+// nrtMsg is one queued NRT message: the cursor over its fragments, the
+// message's private copy the cursor reads, its identifier at the
+// channel's fixed priority, its trace ID and its publish instant. The
+// queue's tail slots, past its length, hold spare copy buffers: popNRT
+// leaves the finished message's buffer in the slot it vacates, and the
+// next publish copies into it. The controller copies every fragment it
+// is given, so no frame refers to a buffer once its message is popped.
 type nrtMsg struct {
 	chain frag.Chain
+	buf   []byte
 	id    can.ID
 	tag   uint64
 	pubAt sim.Time
@@ -208,10 +220,12 @@ func (ch *channelState) nrtSent(ok bool, _ sim.Time) {
 	}
 }
 
-// popNRT removes the head message from the send queue.
+// popNRT removes the head message from the send queue and keeps its
+// copy buffer as the spare in the vacated tail slot.
 func (ch *channelState) popNRT() {
+	spare := ch.nrtQueue[0].buf
 	n := copy(ch.nrtQueue, ch.nrtQueue[1:])
-	ch.nrtQueue[n] = nrtMsg{}
+	ch.nrtQueue[n] = nrtMsg{buf: spare}
 	ch.nrtQueue = ch.nrtQueue[:n]
 }
 

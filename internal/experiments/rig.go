@@ -136,20 +136,21 @@ func ttcan(seed uint64, cal *calendar.Calendar, nodes, bulk int, horizon sim.Tim
 		}
 		loop(s.NextActive(0))
 	}
+	// SubmitAsync clones the frame, so every submit shares one frame and
+	// one completion.
+	frame := can.Frame{ID: can.MakeID(254, can.TxNode(bulk), 0x7ff), Data: make([]byte, 8)}
+	sent := func(ok bool, at sim.Time) {
+		if ok {
+			done(at)
+		}
+	}
 	var feed func()
 	feed = func() {
 		if k.Now() >= horizon {
 			return
 		}
 		for i := 0; i < 20; i++ {
-			net.SubmitAsync(bulk, can.Frame{
-				ID:   can.MakeID(254, can.TxNode(bulk), 0x7ff),
-				Data: make([]byte, 8),
-			}, func(ok bool, at sim.Time) {
-				if ok {
-					done(at)
-				}
-			})
+			net.SubmitAsync(bulk, frame, sent)
 		}
 		k.After(sim.Millisecond, feed)
 	}

@@ -22,7 +22,9 @@ type RemoteEvent struct {
 	Class core.Class
 	// Subject is the 56-bit channel subject (identical on all segments).
 	Subject binding.Subject
-	// Payload is the event content.
+	// Payload is the event content. A RemoteBridge ships its own private
+	// copy, clipped to its length and capacity so that an append
+	// reallocates: a transport may keep it but must not write into it.
 	Payload []byte
 	// Origin is the TxNode of the original publisher on the origin
 	// segment. Remote peers use it for origin filtering (§2.2.1's
@@ -53,6 +55,9 @@ type RemoteEvent struct {
 type Remote interface {
 	// Send enqueues an event toward the peer. A non-nil error means the
 	// event was refused outright (link down and class not queueable).
+	// The payload is the bridge's private, read-only, capacity-clipped
+	// copy: the transport may keep it as long as it likes but must not
+	// write into it.
 	Send(RemoteEvent) error
 	// SetReceiver installs the callback for events arriving from the
 	// peer. The transport must invoke it in kernel context.
@@ -81,13 +86,19 @@ type RemoteBridge struct {
 	r       Remote           // inter-segment transport
 	segment string           // local segment name, unique in the federation: the loop guard
 
-	// transit remembers, per trace ID, the metadata of events that
-	// arrived from the peer and were republished locally, so a sibling
-	// bridge on a transit segment can forward them onward with the
-	// origin preserved and the budget debited. Entries are dropped once
-	// consumed or when the table exceeds transitCap (oldest first).
+	// transit remembers, per trace ID, the metadata of events a sibling
+	// bridge received from its peer and republished on this segment, so
+	// this bridge forwards them onward with the origin preserved and the
+	// budget debited. Entries are dropped once consumed or, oldest first,
+	// when transitCap newer ones arrived. transitOrder holds the IDs in
+	// arrival order: appended to until it holds transitCap, then a ring
+	// whose oldest ID is at transitHead.
 	transit      map[uint64]transitEntry
 	transitOrder []uint64
+	transitHead  int
+
+	// slab is the unused rest of the block ship copies payloads into.
+	slab []byte
 
 	forwarded uint64
 	received  uint64
@@ -105,8 +116,15 @@ type egressChannel struct {
 	ch    core.Channel
 }
 
+// transitEntry is the federation metadata of one event in transit: the
+// RemoteEvent fields onward forwarding preserves, and when it arrived.
+// It holds no payload, which would keep a slab reachable for as long as
+// the entry goes unconsumed.
 type transitEntry struct {
-	ev        RemoteEvent
+	origin    can.TxNode
+	originSeg string
+	hops      int
+	budget    sim.Duration
 	arrivedAt sim.Time
 }
 
@@ -127,6 +145,15 @@ const (
 // entries are evicted (their onward forwarding then restarts metadata,
 // which is safe: the OriginSeg guard still holds via the fresh origin).
 const transitCap = 4096
+
+// Payload copies: ship copies a payload into the bridge's slab, taken
+// from the heap slabSize bytes at a time, so a steady stream of small
+// events costs no heap object each. A payload above slabMax gets its own
+// allocation.
+const (
+	slabSize = 4 << 10
+	slabMax  = 512
+)
 
 // NewRemote creates a RemoteBridge and installs its receiver on the
 // transport.
@@ -221,7 +248,7 @@ func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs
 // federation metadata for locally originated events and preserving the
 // transit metadata for events that arrived through a sibling bridge. The
 // delivered payload is the channel mailbox's, and a transport may queue
-// the event, so the RemoteEvent carries its own copy.
+// the event, so the RemoteEvent carries its own copy (see own).
 func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.Event, di core.DeliveryInfo) {
 	now := b.m.K.Now()
 	re := RemoteEvent{
@@ -237,10 +264,10 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 	if t, ok := b.lookupTransit(ev.TraceID()); ok {
 		// Transit traffic: keep the origin, debit the residence time on
 		// this segment from the remaining budget.
-		re.Origin = t.ev.Origin
-		re.OriginSeg = t.ev.OriginSeg
-		re.Hops = t.ev.Hops
-		re.Budget = t.ev.Budget - sim.Duration(now-t.arrivedAt)
+		re.Origin = t.origin
+		re.OriginSeg = t.originSeg
+		re.Hops = t.hops
+		re.Budget = t.budget - sim.Duration(now-t.arrivedAt)
 	}
 	if re.Budget <= 0 {
 		switch class {
@@ -256,7 +283,7 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 			return
 		}
 	}
-	re.Payload = bytes.Clone(re.Payload)
+	re.Payload = b.own(re.Payload)
 	if err := b.r.Send(re); err != nil {
 		b.dropped++
 		if o := b.observer(); o.Enabled() {
@@ -328,27 +355,56 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 	b.received++
 }
 
-// rememberTransit records incoming federation metadata for this bridge
-// and its siblings, so onward forwarding preserves origin and budget.
+// own returns the bridge's private copy of p. A payload of at most
+// slabMax bytes is copied into the slab and handed out as a view clipped
+// to its length and capacity, so no holder's append can reach a
+// neighbour's bytes; the slab is replaced when too little of it is left.
+// A queued copy keeps its whole slab reachable, at most slabSize bytes.
+func (b *RemoteBridge) own(p []byte) []byte {
+	n := len(p)
+	if n == 0 || n > slabMax {
+		return bytes.Clone(p)
+	}
+	if len(b.slab) < n {
+		b.slab = make([]byte, slabSize)
+	}
+	c := b.slab[:n:n]
+	copy(c, p)
+	b.slab = b.slab[n:]
+	return c
+}
+
+// rememberTransit records incoming federation metadata for the bridge's
+// siblings, so their onward forwarding preserves origin and budget. The
+// bridge itself keeps no entry, since it would never read one: it
+// republishes every received event under its own TxNode, its Forward
+// subscriptions exclude that TxNode, so its ship never sees the event
+// and its lookupTransit never asks for the trace ID.
 func (b *RemoteBridge) rememberTransit(re RemoteEvent, at sim.Time) {
 	if re.TraceID == 0 {
 		return
 	}
-	put := func(rb *RemoteBridge) {
-		if _, exists := rb.transit[re.TraceID]; !exists {
-			rb.transitOrder = append(rb.transitOrder, re.TraceID)
-		}
-		rb.transit[re.TraceID] = transitEntry{ev: re, arrivedAt: at}
-		for len(rb.transitOrder) > transitCap {
-			evict := rb.transitOrder[0]
-			rb.transitOrder = rb.transitOrder[1:]
-			delete(rb.transit, evict)
-		}
-	}
-	put(b)
+	t := transitEntry{origin: re.Origin, originSeg: re.OriginSeg, hops: re.Hops,
+		budget: re.Budget, arrivedAt: at}
 	for _, s := range b.siblingsFwd {
-		put(s)
+		s.putTransit(re.TraceID, t)
 	}
+}
+
+// putTransit records a transit entry. A new trace ID past transitCap
+// overwrites the oldest in the ring and evicts its entry, if that was
+// not consumed yet, so the table never holds more than transitCap.
+func (b *RemoteBridge) putTransit(id uint64, t transitEntry) {
+	if _, exists := b.transit[id]; !exists {
+		if len(b.transitOrder) < transitCap {
+			b.transitOrder = append(b.transitOrder, id)
+		} else {
+			delete(b.transit, b.transitOrder[b.transitHead])
+			b.transitOrder[b.transitHead] = id
+			b.transitHead = (b.transitHead + 1) % transitCap
+		}
+	}
+	b.transit[id] = t
 }
 
 // lookupTransit consumes the transit entry for a trace ID, if present.
