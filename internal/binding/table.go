@@ -57,8 +57,12 @@ var errConflict = errors.New("binding: conflicting binding")
 // data — the Agent wraps it with the wire protocol — so off-line tools,
 // tests and the static HRT configuration can use it directly.
 type Table struct {
-	fwd  map[Subject]can.Etag
-	rev  map[can.Etag]Subject
+	fwd map[Subject]can.Etag
+	// rev is the reverse index, indexed by etag and grown to the highest
+	// bound one; subject 0 (never valid) marks an unbound etag. A dense
+	// slice keeps SubjectOf, which the observer calls per bus record, to
+	// a bounds check and a load.
+	rev  []Subject
 	next can.Etag
 }
 
@@ -67,7 +71,6 @@ type Table struct {
 func NewTable() *Table {
 	return &Table{
 		fwd:  make(map[Subject]can.Etag),
-		rev:  make(map[can.Etag]Subject),
 		next: ConfigEtag + 1,
 	}
 }
@@ -86,11 +89,10 @@ func (t *Table) Bind(s Subject) (can.Etag, error) {
 	for t.next < SyncEtag {
 		e := t.next
 		t.next++
-		if _, taken := t.rev[e]; taken {
+		if _, taken := t.SubjectOf(e); taken {
 			continue
 		}
-		t.fwd[s] = e
-		t.rev[e] = s
+		t.set(s, e)
 		return e, nil
 	}
 	return 0, errExhausted
@@ -107,12 +109,20 @@ func (t *Table) BindFixed(s Subject, e can.Etag) error {
 	if cur, ok := t.fwd[s]; ok && cur != e {
 		return errConflict
 	}
-	if cur, ok := t.rev[e]; ok && cur != s {
+	if cur, ok := t.SubjectOf(e); ok && cur != s {
 		return errConflict
 	}
-	t.fwd[s] = e
-	t.rev[e] = s
+	t.set(s, e)
 	return nil
+}
+
+// set records one binding in both directions.
+func (t *Table) set(s Subject, e can.Etag) {
+	t.fwd[s] = e
+	if int(e) >= len(t.rev) {
+		t.rev = append(t.rev, make([]Subject, int(e)+1-len(t.rev))...)
+	}
+	t.rev[e] = s
 }
 
 // unbind removes one entry. Only the standby agent's wire-authoritative
@@ -120,7 +130,7 @@ func (t *Table) BindFixed(s Subject, e can.Etag) error {
 // lifetime of a configuration.
 func (t *Table) unbind(s Subject, e can.Etag) {
 	delete(t.fwd, s)
-	delete(t.rev, e)
+	t.rev[e] = 0
 }
 
 // Lookup returns the etag bound to a subject.
@@ -131,8 +141,10 @@ func (t *Table) Lookup(s Subject) (can.Etag, bool) {
 
 // SubjectOf returns the subject bound to an etag.
 func (t *Table) SubjectOf(e can.Etag) (Subject, bool) {
-	s, ok := t.rev[e]
-	return s, ok
+	if int(e) >= len(t.rev) || t.rev[e] == 0 {
+		return 0, false
+	}
+	return t.rev[e], true
 }
 
 // Len returns the number of bindings.
@@ -177,8 +189,8 @@ func (t *Table) Clone() *Table {
 	c := NewTable()
 	for s, e := range t.fwd {
 		c.fwd[s] = e
-		c.rev[e] = s
 	}
+	c.rev = append([]Subject(nil), t.rev...)
 	c.next = t.next
 	return c
 }

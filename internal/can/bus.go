@@ -252,11 +252,23 @@ func (b *Bus) arbitrate() {
 			}
 		}
 	}
-	if prof != nil {
-		prof.StageNs(sim.ProbeArbitration, sim.ProbeClassNone, sim.ProbeNow()-pt0)
-	}
 	if win == nil {
+		if prof != nil {
+			prof.StageNs(sim.ProbeArbitration, sim.ProbeClassNone, sim.ProbeNow()-pt0)
+		}
 		return
+	}
+	// The winner's wire length is pure in its frame, so it is computed
+	// here: one clock read ends the arbitration window and starts the
+	// codec window.
+	if prof != nil {
+		pt1 := sim.ProbeNow()
+		prof.StageNs(sim.ProbeArbitration, sim.ProbeClassNone, pt1-pt0)
+		pt0 = pt1
+	}
+	bits := WireBits(win.frame)
+	if prof != nil {
+		prof.StageNs(sim.ProbeCodec, sim.ProbeClassNone, sim.ProbeNow()-pt0)
 	}
 	b.stats.ArbRounds++
 	b.busy = true
@@ -286,13 +298,6 @@ func (b *Bus) arbitrate() {
 			}
 		}
 		b.Trace(TraceEvent{Kind: TraceTxStart, At: b.K.Now(), Frame: win.frame, Sender: winIdx, Attempt: win.attempt})
-	}
-	if prof != nil {
-		pt0 = sim.ProbeNow()
-	}
-	bits := WireBits(win.frame)
-	if prof != nil {
-		prof.StageNs(sim.ProbeCodec, sim.ProbeClassNone, sim.ProbeNow()-pt0)
 	}
 	b.curDur = b.BitDuration(bits)
 	b.K.After(b.curDur, b.completeFn)

@@ -485,3 +485,44 @@ func TestFrameSharedAcrossReceivers(t *testing.T) {
 		t.Fatalf("copied bytes %v, want %v", []byte(kept), want)
 	}
 }
+
+// stageCounter counts probe ops per stage.
+type stageCounter [sim.NumProbeStages]int
+
+func (c *stageCounter) StageNs(s sim.ProbeStage, _ sim.ProbeClass, _ int64) { c[s]++ }
+
+// TestArbitrationRoundProbeOps pins what one arbitration round reports to
+// the kernel's probe: a round with a winner is one arbitration op and
+// one codec op (the winner's wire length), and an idle round is one
+// arbitration op and no codec op.
+func TestArbitrationRoundProbeOps(t *testing.T) {
+	k, b := rig(2, 1)
+	var c stageCounter
+	k.SetProbe(&c)
+
+	b.Controller(0).Submit(Frame{ID: MakeID(10, 0, 5), Data: []byte{1, 2}}, SubmitOpts{})
+	c = stageCounter{}
+	k.Step() // the arbitration round the submit kicked
+	if !b.busy {
+		t.Fatal("no frame won arbitration")
+	}
+	if c[sim.ProbeArbitration] != 1 || c[sim.ProbeCodec] != 1 {
+		t.Fatalf("winning round: %d arbitration ops, %d codec ops; want 1 and 1",
+			c[sim.ProbeArbitration], c[sim.ProbeCodec])
+	}
+	k.RunUntilIdle()
+
+	h := b.Controller(1).Submit(Frame{ID: MakeID(20, 1, 5)}, SubmitOpts{})
+	if !b.Controller(1).Abort(h) {
+		t.Fatal("abort before arbitration failed")
+	}
+	c = stageCounter{}
+	k.Step() // the kicked round finds nothing pending
+	if b.busy {
+		t.Fatal("an aborted frame won arbitration")
+	}
+	if c[sim.ProbeArbitration] != 1 || c[sim.ProbeCodec] != 0 {
+		t.Fatalf("idle round: %d arbitration ops, %d codec ops; want 1 and 0",
+			c[sim.ProbeArbitration], c[sim.ProbeCodec])
+	}
+}

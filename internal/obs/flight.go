@@ -21,14 +21,24 @@ type FlightRecorder struct {
 	perNode int
 	dir     string
 
-	rings map[int][]Record // node -> ring buffer (len <= perNode)
-	next  map[int]int      // node -> next write index once the ring is full
-	seq   uint64           // total records ever added (global order stamp)
-	order map[int][]uint64 // node -> per-slot order stamps, parallel to rings
+	rings []flightRing // indexed by node+1: system records (node -1) at 0
+	seq   uint64       // total records ever added (global order stamp)
 
-	nodesMax int
-	dumpSeq  int
-	dumps    []string
+	dumpSeq int
+	dumps   []string
+}
+
+// flightRing is one station's ring. Its slots are allocated once, at
+// perNode capacity, on the station's first record.
+type flightRing struct {
+	slots []flightSlot // len <= perNode
+	next  int          // slot the next record overwrites once full
+}
+
+// flightSlot is one retained record and its global order stamp.
+type flightSlot struct {
+	r   Record
+	seq uint64
 }
 
 // newFlightRecorder builds a recorder retaining perNode records per
@@ -38,40 +48,36 @@ func newFlightRecorder(perNode int, dir string) *FlightRecorder {
 	if perNode < 1 {
 		perNode = 1
 	}
-	return &FlightRecorder{
-		perNode: perNode,
-		dir:     dir,
-		rings:   make(map[int][]Record),
-		next:    make(map[int]int),
-		order:   make(map[int][]uint64),
-	}
+	return &FlightRecorder{perNode: perNode, dir: dir}
 }
 
 // Add retains one record, evicting the node's oldest when its ring is
 // full. Records with Node < 0 (system records: SLO breaches, unknown
-// stations) share one ring under key -1.
+// stations) share one ring under node -1.
 func (f *FlightRecorder) Add(r Record) {
 	if f == nil {
 		return
 	}
-	node := int(r.Node)
-	if node < 0 {
-		node = -1
+	i := 0
+	if r.Node >= 0 {
+		i = int(r.Node) + 1
 	}
-	if node+1 > f.nodesMax {
-		f.nodesMax = node + 1
+	if i >= len(f.rings) {
+		f.rings = append(f.rings, make([]flightRing, i+1-len(f.rings))...)
 	}
+	ring := &f.rings[i]
 	f.seq++
-	ring := f.rings[node]
-	if len(ring) < f.perNode {
-		f.rings[node] = append(ring, r)
-		f.order[node] = append(f.order[node], f.seq)
+	if len(ring.slots) < f.perNode {
+		if ring.slots == nil {
+			ring.slots = make([]flightSlot, 0, f.perNode)
+		}
+		ring.slots = append(ring.slots, flightSlot{r, f.seq})
 		return
 	}
-	i := f.next[node]
-	ring[i] = r
-	f.order[node][i] = f.seq
-	f.next[node] = (i + 1) % f.perNode
+	ring.slots[ring.next] = flightSlot{r, f.seq}
+	if ring.next++; ring.next == f.perNode {
+		ring.next = 0
+	}
 }
 
 // Len returns the number of currently retained records across all rings.
@@ -81,7 +87,7 @@ func (f *FlightRecorder) Len() int {
 	}
 	n := 0
 	for _, ring := range f.rings {
-		n += len(ring)
+		n += len(ring.slots)
 	}
 	return n
 }
@@ -100,15 +106,9 @@ func (f *FlightRecorder) Snapshot() []Record {
 	if f == nil {
 		return nil
 	}
-	type stamped struct {
-		r   Record
-		seq uint64
-	}
-	all := make([]stamped, 0, f.Len())
-	for node, ring := range f.rings {
-		for i, r := range ring {
-			all = append(all, stamped{r, f.order[node][i]})
-		}
+	all := make([]flightSlot, 0, f.Len())
+	for _, ring := range f.rings {
+		all = append(all, ring.slots...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	out := make([]Record, len(all))
@@ -169,7 +169,7 @@ func (f *FlightRecorder) Dump(reason string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = WriteChromeTrace(tf, recs, f.nodesMax)
+	err = WriteChromeTrace(tf, recs, max(len(f.rings)-1, 0))
 	if cerr := tf.Close(); err == nil {
 		err = cerr
 	}

@@ -88,7 +88,9 @@ func (p *Profiler) SetBusySource(fn func() sim.Duration) {
 	p.busy = fn
 }
 
-// StageSnap is the aggregate for one (stage, class) bucket.
+// StageSnap is the aggregate for one (stage, class) bucket. For the heap
+// stage, Ops counts pushes, cancels and pops but WallNs covers pops only
+// (see sim.ProbeHeap).
 type StageSnap struct {
 	Stage  string `json:"stage"`
 	Class  string `json:"class"`

@@ -100,8 +100,8 @@ type Kernel struct {
 	heapHigh    int
 	idleVirtual Duration
 
-	// probe, when non-nil, receives wall-clock timings of the kernel's
-	// event-heap operations (SetProbe). Off: one nil check per operation.
+	// probe, when non-nil, counts the kernel's event-heap operations and
+	// times its pops (SetProbe). Off: one nil check per operation.
 	probe Probe
 }
 
@@ -141,28 +141,23 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 		k.slots = append(k.slots, slot{})
 	}
 	k.slots[si].fn = fn
-	t0 := k.probeStart()
 	k.queue = append(k.queue, entry{at: t, seq: k.nextSeq, slot: si})
 	k.up(len(k.queue) - 1)
-	k.probeHeap(t0)
+	k.countHeapOp()
 	if len(k.queue) > k.heapHigh {
 		k.heapHigh = len(k.queue)
 	}
 	return Timer{slot: si, gen: k.nextSeq}
 }
 
-// probeStart and probeHeap bracket one event-heap operation for the stage
-// probe; with no probe attached they cost a nil check each.
-func (k *Kernel) probeStart() int64 {
-	if k.probe == nil {
-		return 0
-	}
-	return ProbeNow()
-}
-
-func (k *Kernel) probeHeap(t0 int64) {
+// countHeapOp reports one untimed push or cancel to the stage probe. A
+// push or cancel costs about as much as the two clock reads that would
+// time it, and nearly all of them run inside an enqueue, dispatch or
+// delivery window that already covers their time; only Step's pop is
+// timed (see ProbeHeap).
+func (k *Kernel) countHeapOp() {
 	if k.probe != nil {
-		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
+		k.probe.StageNs(ProbeHeap, ProbeClassNone, 0)
 	}
 }
 
@@ -181,9 +176,8 @@ func (k *Kernel) Cancel(t Timer) bool {
 	if pos < 0 || k.queue[pos].seq != t.gen {
 		return false
 	}
-	t0 := k.probeStart()
 	k.remove(int(pos))
-	k.probeHeap(t0)
+	k.countHeapOp()
 	return true
 }
 
@@ -284,9 +278,14 @@ func (k *Kernel) Step() bool {
 		return false
 	}
 	at := k.queue[0].at
-	t0 := k.probeStart()
+	var t0 int64
+	if k.probe != nil {
+		t0 = ProbeNow()
+	}
 	fn := k.remove(0)
-	k.probeHeap(t0)
+	if k.probe != nil {
+		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
+	}
 	if at > k.now {
 		k.idleVirtual += at - k.now
 	}

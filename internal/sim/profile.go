@@ -13,8 +13,12 @@ const (
 	// ProbeEnqueue is the publisher-side Publish call: admission checks,
 	// priority mapping, frame construction, controller submission.
 	ProbeEnqueue ProbeStage = iota
-	// ProbeHeap is the kernel's event-heap work: scheduling pushes,
-	// cancellation removals and step pops.
+	// ProbeHeap is the kernel's event-heap work. Its op count covers
+	// scheduling pushes, cancellation removals and step pops; its time
+	// covers step pops only. A push or cancel reports wallNs 0: timing
+	// one costs two clock reads, about as much as the op itself, and
+	// nearly all of them run inside an enqueue, dispatch or delivery
+	// window, which already holds their time.
 	ProbeHeap
 	// ProbeArbitration is one bus arbitration round: the controller scan
 	// and winner resolution.

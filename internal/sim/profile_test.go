@@ -131,3 +131,74 @@ func TestNilProbeZeroAllocs(t *testing.T) {
 		t.Fatalf("schedule+step with nil probe: %.2f allocs, want 0", per)
 	}
 }
+
+// probeCall is one StageNs call as a recordingProbe saw it.
+type probeCall struct {
+	s      ProbeStage
+	wallNs int64
+}
+
+// recordingProbe keeps every StageNs call in order.
+type recordingProbe struct{ calls []probeCall }
+
+func (p *recordingProbe) StageNs(s ProbeStage, _ ProbeClass, wallNs int64) {
+	p.calls = append(p.calls, probeCall{s, wallNs})
+}
+
+// take returns the calls recorded since the last take.
+func (p *recordingProbe) take() []probeCall {
+	c := p.calls
+	p.calls = nil
+	return c
+}
+
+// TestKernelProbeTimesOnlyPops pins the heap stage's contract: a push or
+// a cancel counts one untimed op (wallNs 0, no clock read), and a step
+// counts one op per pop plus whatever its event reports from inside.
+func TestKernelProbeTimesOnlyPops(t *testing.T) {
+	k := NewKernel(1)
+	p := &recordingProbe{}
+	k.SetProbe(p)
+
+	tm := k.At(100, func() {})
+	if got := p.take(); len(got) != 1 || got[0] != (probeCall{ProbeHeap, 0}) {
+		t.Fatalf("At reported %+v, want one untimed heap op", got)
+	}
+	k.At(200, func() {
+		k.After(50, func() {}) // a push nested in a step
+	})
+	p.take()
+	if !k.Cancel(tm) {
+		t.Fatal("cancel of a pending event failed")
+	}
+	if got := p.take(); len(got) != 1 || got[0] != (probeCall{ProbeHeap, 0}) {
+		t.Fatalf("Cancel reported %+v, want one untimed heap op", got)
+	}
+	if k.Cancel(tm) {
+		t.Fatal("second cancel of the same timer succeeded")
+	}
+	if got := p.take(); len(got) != 0 {
+		t.Fatalf("a failed Cancel reported %+v, want nothing", got)
+	}
+
+	// The step pops the event at 200 (timed) and its callback pushes one
+	// (untimed); the next step pops that one.
+	k.Step()
+	got := p.take()
+	if len(got) != 2 || got[0].s != ProbeHeap || got[1] != (probeCall{ProbeHeap, 0}) {
+		t.Fatalf("step with a nested push reported %+v, want a pop then an untimed push", got)
+	}
+	if got[0].wallNs < 0 {
+		t.Fatalf("pop reported %d ns", got[0].wallNs)
+	}
+	k.Step()
+	if got := p.take(); len(got) != 1 || got[0].s != ProbeHeap {
+		t.Fatalf("step reported %+v, want one pop", got)
+	}
+	if k.Step() {
+		t.Fatal("step on an empty queue ran an event")
+	}
+	if got := p.take(); len(got) != 0 {
+		t.Fatalf("empty step reported %+v, want nothing", got)
+	}
+}
