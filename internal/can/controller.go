@@ -196,7 +196,8 @@ func (c *Controller) Submit(f Frame, opts SubmitOpts) TxHandle {
 		panic(fmt.Sprintf("can: node %d submitting frame with TxNode %d", c.txnode, f.ID.TxNode()))
 	}
 	r := c.bus.newReq()
-	r.frame = Frame{ID: f.ID, Data: r.data[:copy(r.data[:], f.Data)], Tag: f.Tag, PublishedAt: f.PublishedAt}
+	r.frame = Frame{ID: f.ID, Data: r.data[:copy(r.data[:], f.Data)], Tag: f.Tag,
+		PublishedAt: f.PublishedAt, Origin: f.Origin}
 	r.singleShot, r.done = opts.SingleShot, opts.Done
 	c.pending = append(c.pending, r)
 	c.bus.kick()

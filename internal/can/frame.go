@@ -24,6 +24,23 @@ type Frame struct {
 	// carries was published (zero for other frames): simulation metadata,
 	// like Tag.
 	PublishedAt sim.Time
+	// Origin is the federation header of an event a gateway republished
+	// (zero for other frames): simulation metadata, like Tag.
+	Origin Origin
+}
+
+// Origin is the federation header a gateway attaches to an event it
+// republishes from a peer segment: where the event was first published,
+// how many relay hops it has crossed and when its relay-deadline budget
+// runs out. In one process it rides the frame as uncharged metadata; the
+// relay protocol carries the same fields between processes. It holds no
+// pointer, so a frame carrying it still copies without an allocation.
+// The zero value (Segment 0) marks an event published on its own segment.
+type Origin struct {
+	End     sim.Time // the kernel time the relay-deadline budget runs out
+	Segment uint8    // the origin segment, numbered from 1 by the republishing gateway
+	Node    TxNode   // the original publisher on the origin segment
+	Hops    uint8    // relay traversals so far
 }
 
 // Clone returns a deep copy of f.

@@ -179,13 +179,14 @@ func TestFrameValidate(t *testing.T) {
 }
 
 func TestFrameClone(t *testing.T) {
-	f := Frame{ID: 7, Data: []byte{1, 2, 3}, Tag: 5, PublishedAt: 42}
+	f := Frame{ID: 7, Data: []byte{1, 2, 3}, Tag: 5, PublishedAt: 42,
+		Origin: Origin{End: 99, Segment: 2, Node: 3, Hops: 1}}
 	g := f.Clone()
 	g.Data[0] = 99
 	if f.Data[0] != 1 {
 		t.Fatal("Clone shares payload storage")
 	}
-	if g.ID != f.ID || g.Tag != f.Tag || g.PublishedAt != f.PublishedAt {
+	if g.ID != f.ID || g.Tag != f.Tag || g.PublishedAt != f.PublishedAt || g.Origin != f.Origin {
 		t.Fatalf("Clone = %+v, want the metadata of %+v", g, f)
 	}
 }

@@ -84,10 +84,12 @@ type Event struct {
 
 	// traceID correlates the event across the observability layer's
 	// life-cycle stages (0 = untraced); publishedAt is the kernel time of
-	// its Publish call. Both are simulation metadata, not part of the
+	// its Publish call; origin is the federation header of an event a
+	// gateway republished. All are simulation metadata, not part of the
 	// paper's event model, and therefore unexported.
 	traceID     uint64
 	publishedAt sim.Time
+	origin      can.Origin
 }
 
 // TraceID returns the event's observability trace identifier (0 when
@@ -101,6 +103,22 @@ func (e Event) TraceID() uint64 { return e.traceID }
 // run their own observer.
 func WithTraceID(ev Event, id uint64) Event {
 	ev.traceID = id
+	return ev
+}
+
+// frame returns a frame with the given identifier and payload that
+// carries ev's simulation metadata: trace ID, publish instant and
+// federation header.
+func (ev *Event) frame(id can.ID, data []byte) can.Frame {
+	return can.Frame{ID: id, Data: data, Tag: ev.traceID, PublishedAt: ev.publishedAt, Origin: ev.origin}
+}
+
+// WithOrigin returns a copy of ev carrying a federation header. Its
+// frames carry the header, and every delivery hands it back in
+// DeliveryInfo.Origin, so a gateway forwarding the event onward keeps
+// its origin, hop count and budget.
+func WithOrigin(ev Event, o can.Origin) Event {
+	ev.origin = o
 	return ev
 }
 
@@ -204,6 +222,9 @@ type DeliveryInfo struct {
 	// (a relayed event's republish), carried with the event as simulation
 	// metadata; a real system would carry a timestamp attribute instead.
 	PublishedAt sim.Time
+	// Origin is the federation header the event was published with
+	// (WithOrigin; zero for an event published on this segment).
+	Origin can.Origin
 	// ArrivedAt is the kernel time the frame left the bus.
 	ArrivedAt sim.Time
 	// DeliveredAt is the kernel time the notification handler ran. For

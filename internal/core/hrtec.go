@@ -250,12 +250,8 @@ func (tx *hrtTx) send(idx int) {
 	var payload [can.MaxPayload]byte
 	payload[0] = tx.seq<<4 | uint8(idx)&0x0f
 	n := hrtHeaderLen + copy(payload[hrtHeaderLen:], tx.ev.Payload)
-	mw.node.Ctrl.Submit(can.Frame{
-		ID:          can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag),
-		Data:        payload[:n],
-		Tag:         tx.ev.traceID,
-		PublishedAt: tx.ev.publishedAt,
-	}, can.SubmitOpts{Done: tx.done})
+	mw.node.Ctrl.Submit(tx.ev.frame(can.MakeID(mw.bands.HRTPrio, mw.node.Ctrl.Node(), ch.etag), payload[:n]),
+		can.SubmitOpts{Done: tx.done})
 }
 
 // sent is the controller's completion callback for the copy in flight:
@@ -323,12 +319,14 @@ func (ch *channelState) hrtPub(pub can.TxNode) *hrtPubState {
 }
 
 // hrtArrival stashes a received HRT event until its delivery deadline:
-// its payload bytes, data[:n], trace ID and publish instant.
+// its payload bytes, data[:n], trace ID, publish instant and federation
+// header.
 type hrtArrival struct {
 	data        [can.MaxPayload]byte
 	n           uint8
 	traceID     uint64
 	publishedAt sim.Time
+	origin      can.Origin
 	seq         uint8
 	arrivedAt   sim.Time
 	copies      int
@@ -386,7 +384,7 @@ func (c *HRTEC) CancelSubscription() {
 // hrtReceive stashes an arriving HRT frame for de-jittered delivery, or
 // delivers immediately (flagged) when the deadline has already passed on
 // this node's clock.
-func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
+func (ch *channelState) hrtReceive(f *can.Frame, at sim.Time) {
 	if len(f.Data) < hrtHeaderLen {
 		return
 	}
@@ -418,7 +416,8 @@ func (ch *channelState) hrtReceive(f can.Frame, at sim.Time) {
 	mw := ch.mw
 	local := mw.LocalTime()
 	round, deadline := ch.occurrenceOf(ps.slot, local)
-	ps.stash = hrtArrival{traceID: f.Tag, publishedAt: f.PublishedAt, seq: seq, arrivedAt: at, copies: 1, round: round}
+	ps.stash = hrtArrival{traceID: f.Tag, publishedAt: f.PublishedAt, origin: f.Origin,
+		seq: seq, arrivedAt: at, copies: 1, round: round}
 	ps.stash.n = uint8(copy(ps.stash.data[:], ev.Payload))
 	ps.stashed = true
 	if mw.DeliverOnArrival {
@@ -484,6 +483,7 @@ func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
 	di := DeliveryInfo{
 		Publisher:   pub,
 		PublishedAt: st.publishedAt,
+		Origin:      st.origin,
 		ArrivedAt:   st.arrivedAt,
 		DeliveredAt: mw.K.Now(),
 		Late:        late,

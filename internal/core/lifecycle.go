@@ -215,9 +215,10 @@ func (lc *Lifecycle) Crash(i int) error {
 	now := lc.sys.K.Now()
 	rec := &crashRecord{channels: node.MW.Channels(), at: now, wasAgent: wasAgent}
 
-	// Close the traces of events that die in the crashed node's queues:
-	// the host memory holding them is gone.
-	for _, ch := range node.MW.channels {
+	// Close the traces of events that die in the crashed node's queues,
+	// in etag order: the host memory holding them is gone.
+	for _, c := range rec.channels {
+		ch := node.MW.channels[c.Etag]
 		for _, q := range ch.hrtQueue {
 			node.MW.Obs.Emit(q.ev.traceID, obs.StageDropped, HRT.Obs(), i,
 				uint64(ch.subject), now, obs.DetailNodeCrash)

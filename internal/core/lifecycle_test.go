@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"canec/internal/binding"
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/clock"
@@ -314,6 +316,69 @@ func TestWatchdogOnChangeOrderInterleavedPublishers(t *testing.T) {
 		}
 		if i > 0 && changes[i].at < changes[i-1].at {
 			t.Fatalf("transition %d at %v before predecessor at %v", i, changes[i].at, changes[i-1].at)
+		}
+	}
+}
+
+// TestCrashDropsInEtagOrder: a crash closes the traces of the events
+// queued on the station's HRT channels in etag order, whatever order the
+// middleware holds its channels in, so identical runs emit identical
+// records.
+func TestCrashDropsInEtagOrder(t *testing.T) {
+	subjects := []binding.Subject{0x5004, 0x5001, 0x5003, 0x5002}
+	var slots []calendar.Slot
+	for _, s := range subjects {
+		slots = append(slots, calendar.Slot{Subject: uint64(s), Publisher: 1, Payload: 8, Periodic: true})
+	}
+	cal, err := calendar.PackSequential(calendar.DefaultConfig(), 10*sim.Millisecond, slots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		sys, err := NewSystem(SystemConfig{Nodes: 3, Seed: 1, Calendar: cal,
+			Epoch: sim.Millisecond, Observe: obs.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw := sys.Node(1).MW
+		var pubs []*HRTEC
+		for _, s := range subjects {
+			c, err := mw.HRTEC(s)
+			if err == nil {
+				err = c.Announce(ChannelAttrs{Payload: 7, Periodic: true}, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			pubs = append(pubs, c)
+		}
+		lc := NewLifecycle(sys)
+		sys.K.At(sys.Cfg.Epoch+2*cal.Round+sim.Millisecond, func() {
+			for _, c := range pubs {
+				for i := 0; i < 2; i++ {
+					if err := c.Publish(Event{Subject: c.ch.subject, Payload: []byte{byte(i)}}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			if err := lc.Crash(1); err != nil {
+				t.Error(err)
+			}
+		})
+		sys.Run(sys.Cfg.Epoch + 3*cal.Round)
+
+		var got []binding.Subject
+		for _, rec := range sys.Obs.Records() {
+			if rec.Stage == obs.StageDropped && rec.Detail == obs.DetailNodeCrash {
+				got = append(got, binding.Subject(rec.Subject))
+			}
+		}
+		var want []binding.Subject
+		for _, c := range mw.Channels() {
+			want = append(want, c.Subject, c.Subject)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: crash drops for subjects %#x, want etag order %#x", run, got, want)
 		}
 	}
 }

@@ -169,11 +169,11 @@ func probeClass(c Class) sim.ProbeClass {
 func (mw *Middleware) dispatch(f can.Frame, at sim.Time) {
 	prof := mw.K.Probe()
 	if prof == nil {
-		mw.dispatchFrame(f, at)
+		mw.dispatchFrame(&f, at)
 		return
 	}
 	pt0 := sim.ProbeNow()
-	mw.dispatchFrame(f, at)
+	mw.dispatchFrame(&f, at)
 	class := sim.ProbeClassNone
 	if ch, ok := mw.channels[f.ID.Etag()]; ok {
 		class = probeClass(ch.class)
@@ -182,18 +182,19 @@ func (mw *Middleware) dispatch(f can.Frame, at sim.Time) {
 }
 
 // dispatchFrame routes received frames: sync and configuration channels
-// first, then per-etag channel state.
-func (mw *Middleware) dispatchFrame(f can.Frame, at sim.Time) {
+// first, then per-etag channel state. The frame is dispatch's: passing
+// it down by reference spares each receiving node's copies.
+func (mw *Middleware) dispatchFrame(f *can.Frame, at sim.Time) {
 	etag := f.ID.Etag()
 	switch etag {
 	case binding.SyncEtag:
 		if mw.Syncer != nil {
-			mw.Syncer.HandleFrame(mw.node.Index, f, at)
+			mw.Syncer.HandleFrame(mw.node.Index, *f, at)
 		}
 		return
 	case binding.ConfigEtag:
 		if mw.ConfigRx != nil {
-			mw.ConfigRx(f, at)
+			mw.ConfigRx(*f, at)
 		}
 		return
 	}

@@ -125,13 +125,8 @@ func (c *NRTEC) publish(ev Event) error {
 	// submitted when its predecessor completes — so a bulk transfer never
 	// floods the controller and interleaves fairly with other traffic at
 	// every arbitration point.
-	ch.nrtQueue = append(ch.nrtQueue, nrtMsg{
-		chain: chain,
-		buf:   buf,
-		id:    can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag),
-		tag:   ev.traceID,
-		pubAt: ev.publishedAt,
-	})
+	ch.nrtQueue = append(ch.nrtQueue, nrtMsg{chain: chain, buf: buf,
+		frame: ev.frame(can.MakeID(ch.attrs.Prio, mw.node.Ctrl.Node(), ch.etag), nil)})
 	if !ch.nrtBusy {
 		ch.sendNext()
 	}
@@ -144,18 +139,17 @@ func (c *NRTEC) publish(ev Event) error {
 }
 
 // nrtMsg is one queued NRT message: the cursor over its fragments, the
-// message's private copy the cursor reads, its identifier at the
-// channel's fixed priority, its trace ID and its publish instant. The
-// queue's tail slots, past its length, hold spare copy buffers: popNRT
-// leaves the finished message's buffer in the slot it vacates, and the
-// next publish copies into it. The controller copies every fragment it
-// is given, so no frame refers to a buffer once its message is popped.
+// message's private copy the cursor reads, and the frame every fragment
+// goes out as but for its data: the identifier at the channel's fixed
+// priority and the event's metadata. The queue's tail slots, past its
+// length, hold spare copy buffers: popNRT leaves the finished message's
+// buffer in the slot it vacates, and the next publish copies into it.
+// The controller copies every fragment it is given, so no frame refers
+// to a buffer once its message is popped.
 type nrtMsg struct {
 	chain frag.Chain
 	buf   []byte
-	id    can.ID
-	tag   uint64
-	pubAt sim.Time
+	frame can.Frame
 }
 
 // sendNext submits the next fragment of the head message.
@@ -181,16 +175,17 @@ func (ch *channelState) sendNext() {
 				Kind: ExcLoadShed, Subject: ch.subject,
 				At: mw.K.Now(), note: "error-passive: NRT shed to protect RT bands",
 			})
-			mw.Obs.Emit(m.tag, obs.StageShed, NRT.Obs(), mw.node.Index,
+			mw.Obs.Emit(m.frame.Tag, obs.StageShed, NRT.Obs(), mw.node.Index,
 				uint64(ch.subject), mw.K.Now(), obs.DetailErrorPassive)
 		}
 		return
 	}
 	m := &ch.nrtQueue[0]
 	var buf [8]byte // Submit copies the fragment
+	f := m.frame
+	f.Data = m.chain.Next(&buf)
 	ch.nrtBusy = true
-	ch.nrtTx = mw.node.Ctrl.Submit(can.Frame{ID: m.id, Data: m.chain.Next(&buf), Tag: m.tag, PublishedAt: m.pubAt},
-		can.SubmitOpts{Done: ch.nrtDone})
+	ch.nrtTx = mw.node.Ctrl.Submit(f, can.SubmitOpts{Done: ch.nrtDone})
 }
 
 // nrtSent is the controller's completion callback for the fragment it
@@ -204,7 +199,7 @@ func (ch *channelState) nrtSent(ok bool, _ sim.Time) {
 		ch.nrtOrphan = false // its message was dropped while on the wire
 	case !ok:
 		// Drop the rest of the chain: the receiver cannot complete it.
-		tag := ch.nrtQueue[0].tag
+		tag := ch.nrtQueue[0].frame.Tag
 		ch.popNRT()
 		ch.raisePub(Exception{
 			Kind: ExcTxFailure, Subject: ch.subject,
@@ -281,7 +276,7 @@ func (c *NRTEC) CancelSubscription() {
 
 // nrtReceive feeds an arriving fragment into the per-publisher
 // reassembler and notifies on completion.
-func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
+func (ch *channelState) nrtReceive(f *can.Frame, at sim.Time) {
 	pub := f.ID.TxNode()
 	rs, ok := ch.reasm[pub]
 	if !ok {
@@ -308,7 +303,7 @@ func (ch *channelState) nrtReceive(f can.Frame, at sim.Time) {
 	}
 	mw := ch.mw
 	mw.counters.DeliveredNRT++
-	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, ArrivedAt: at, DeliveredAt: at}
+	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, Origin: f.Origin, ArrivedAt: at, DeliveredAt: at}
 	ch.store(ev, di)
 	mw.Obs.Delivered(ev.traceID, NRT.Obs(), mw.node.Index,
 		uint64(ch.subject), di.PublishedAt, at, 0)

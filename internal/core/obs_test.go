@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"canec/internal/binding"
+	"canec/internal/can"
 	"canec/internal/obs"
 	"canec/internal/sim"
 )
@@ -228,9 +229,13 @@ type delivery struct {
 	di      DeliveryInfo
 }
 
+// relayedFrom is the federation header mixedDeliveries publishes with.
+var relayedFrom = can.Origin{End: 40 * sim.Millisecond, Segment: 2, Node: 9, Hops: 3}
+
 // mixedDeliveries runs five events of each class among three stations,
 // each class published by one station and subscribed by the other two,
-// and logs every notification in order.
+// all with the federation header relayedFrom, and logs every
+// notification in order.
 func mixedDeliveries(t *testing.T, observe *obs.Config) []delivery {
 	t.Helper()
 	cal := testCalendar(t, 1)
@@ -273,7 +278,7 @@ func mixedDeliveries(t *testing.T, observe *obs.Config) []delivery {
 				t.Fatal(err)
 			}
 		}
-		ev := Event{Subject: c.subject, Payload: c.payload}
+		ev := WithOrigin(Event{Subject: c.subject, Payload: c.payload}, relayedFrom)
 		for r := 0; r < 5; r++ {
 			sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round+c.at, func() {
 				if err := pub.Publish(ev); err != nil {
@@ -302,6 +307,18 @@ func TestPublishedAtWithoutObserver(t *testing.T) {
 		if d.di.PublishedAt <= 0 || d.di.PublishedAt > d.di.DeliveredAt {
 			t.Errorf("delivery %d (node %d, subject %#x): PublishedAt %v, DeliveredAt %v",
 				i, d.node, uint64(d.subject), d.di.PublishedAt, d.di.DeliveredAt)
+		}
+	}
+}
+
+// TestOriginRidesEveryClass: the federation header an event is published
+// with reaches every subscriber of every class, through the HRT stash and
+// the NRT fragment chain alike.
+func TestOriginRidesEveryClass(t *testing.T) {
+	for i, d := range mixedDeliveries(t, nil) {
+		if d.di.Origin != relayedFrom {
+			t.Errorf("delivery %d (node %d, subject %#x): Origin %+v, want %+v",
+				i, d.node, uint64(d.subject), d.di.Origin, relayedFrom)
 		}
 	}
 }

@@ -212,13 +212,9 @@ func (c *SRTEC) publish(ev Event) error {
 	e.ev, e.deadline, e.expiration = ev, ev.Attrs.Deadline, ev.Attrs.Expiration
 	e.ev.Payload = e.data[:copy(e.data[:], ev.Payload)]
 	e.seq, e.prio = mw.srtSeq, prio
-	frame := can.Frame{
-		ID:          can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag),
-		Data:        e.ev.Payload, // Submit copies it
-		Tag:         ev.traceID,
-		PublishedAt: ev.publishedAt,
-	}
-	e.handle = mw.node.Ctrl.Submit(frame, can.SubmitOpts{Done: e.done})
+	// Submit copies the payload.
+	e.handle = mw.node.Ctrl.Submit(e.ev.frame(can.MakeID(prio, mw.node.Ctrl.Node(), ch.etag), e.ev.Payload),
+		can.SubmitOpts{Done: e.done})
 	e.idx = len(ch.srtActive)
 	ch.srtActive = append(ch.srtActive, e)
 	mw.counters.PublishedSRT++
@@ -419,7 +415,7 @@ func (c *SRTEC) CancelSubscription() {
 
 // srtReceive delivers an arriving SRT event. The filters read the shared
 // frame; the mailbox copies its bytes for the handler.
-func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
+func (ch *channelState) srtReceive(f *can.Frame, at sim.Time) {
 	pub := f.ID.TxNode()
 	ev := Event{
 		Subject: ch.subject,
@@ -431,7 +427,7 @@ func (ch *channelState) srtReceive(f can.Frame, at sim.Time) {
 	}
 	mw := ch.mw
 	mw.counters.DeliveredSRT++
-	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, ArrivedAt: at, DeliveredAt: at}
+	di := DeliveryInfo{Publisher: pub, PublishedAt: f.PublishedAt, Origin: f.Origin, ArrivedAt: at, DeliveredAt: at}
 	ev = ch.store(ev, di)
 	mw.Obs.Delivered(ev.traceID, SRT.Obs(), mw.node.Index,
 		uint64(ch.subject), di.PublishedAt, at, 0)

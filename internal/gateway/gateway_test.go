@@ -7,6 +7,7 @@ import (
 	"canec/internal/binding"
 	"canec/internal/can"
 	"canec/internal/core"
+	"canec/internal/obs"
 	"canec/internal/sim"
 )
 
@@ -30,6 +31,17 @@ func rig(t *testing.T, seed uint64, delay sim.Duration) (*sim.Kernel, *core.Syst
 		t.Fatal(err)
 	}
 	return k, segA, segB, ga, gb
+}
+
+// segment builds one segment of the given size on k, observed when
+// observe is non-nil.
+func segment(t *testing.T, k *sim.Kernel, nodes int, observe *obs.Config) *core.System {
+	t.Helper()
+	s, err := core.NewSystem(core.SystemConfig{Nodes: nodes, Kernel: k, Observe: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // forwardSRT carries an SRT subject from one end of a joined pair to

@@ -16,7 +16,9 @@ import (
 // segment onto an inter-segment transport. It carries everything the CAN
 // wire cannot — the origin publisher and segment, the hop count and the
 // remaining relay-deadline budget — so that multi-hop forwarding keeps
-// end-to-end semantics without any global coordinator.
+// end-to-end semantics without any global coordinator. On a transit
+// segment the same fields ride the republished event as its federation
+// header (can.Origin), the budget as the instant it runs out.
 type RemoteEvent struct {
 	// Class is the event channel class (core.HRT/SRT/NRT).
 	Class core.Class
@@ -71,7 +73,10 @@ type Remote interface {
 // forwarded subject it subscribes locally and ships matching events to
 // the peer; events arriving from the peer are republished locally under
 // the bridge's own TxNode with the origin trace adopted, so one trace
-// spans every segment the event visits.
+// spans every segment the event visits, and with a federation header, so
+// a linked sibling forwards the event onward with its origin, hop count
+// and remaining budget. The bridge keeps no per-event state: whether
+// traced or not, it forwards the same events the same way.
 type RemoteBridge struct {
 	// Exclude lists publishers on the local segment, beyond the bridge's
 	// own endpoint node (always excluded), whose events Forward does not
@@ -85,17 +90,7 @@ type RemoteBridge struct {
 	m       *core.Middleware // endpoint on the local segment
 	r       Remote           // inter-segment transport
 	segment string           // local segment name, unique in the federation: the loop guard
-
-	// transit remembers, per trace ID, the metadata of events a sibling
-	// bridge received from its peer and republished on this segment, so
-	// this bridge forwards them onward with the origin preserved and the
-	// budget debited. Entries are dropped once consumed or, oldest first,
-	// when transitCap newer ones arrived. transitOrder holds the IDs in
-	// arrival order: appended to until it holds transitCap, then a ring
-	// whose oldest ID is at transitHead.
-	transit      map[uint64]transitEntry
-	transitOrder []uint64
-	transitHead  int
+	node    can.TxNode       // the TxNode the bridge republishes under
 
 	// slab is the unused rest of the block ship copies payloads into.
 	slab []byte
@@ -107,25 +102,18 @@ type RemoteBridge struct {
 	subjects  map[binding.Subject]core.Class
 	// egress holds the channel handle Announce opened per subject, so
 	// receive republishes without a binding look-up per relayed frame.
-	egress      map[binding.Subject]egressChannel
+	egress map[binding.Subject]egressChannel
+	// siblingsFwd are the bridges LinkSiblings linked to this one: ship
+	// keeps the federation header only of what they republished.
 	siblingsFwd []*RemoteBridge
+	// origins names the origin segments of the events this bridge
+	// republished; a header's Segment s is origins[s-1].
+	origins []string
 }
 
 type egressChannel struct {
 	class core.Class
 	ch    core.Channel
-}
-
-// transitEntry is the federation metadata of one event in transit: the
-// RemoteEvent fields onward forwarding preserves, and when it arrived.
-// It holds no payload, which would keep a slab reachable for as long as
-// the entry goes unconsumed.
-type transitEntry struct {
-	origin    can.TxNode
-	originSeg string
-	hops      int
-	budget    sim.Duration
-	arrivedAt sim.Time
 }
 
 // Federation limits. An event arriving with Hops+1 >= maxHops is dropped
@@ -141,10 +129,8 @@ const (
 	relayDeadline = 10 * sim.Millisecond
 )
 
-// transitCap bounds the transit table of a bridge; beyond it the oldest
-// entries are evicted (their onward forwarding then restarts metadata,
-// which is safe: the OriginSeg guard still holds via the fresh origin).
-const transitCap = 4096
+// maxOrigins bounds the origin segments a bridge numbers in its headers.
+const maxOrigins = 255
 
 // Payload copies: ship copies a payload into the bridge's slab, taken
 // from the heap slabSize bytes at a time, so a steady stream of small
@@ -168,8 +154,7 @@ func NewRemote(m *core.Middleware, r Remote, segment string) (*RemoteBridge, err
 		return nil, errors.New("gateway: empty segment name")
 	}
 	b := &RemoteBridge{
-		m: m, r: r, segment: segment,
-		transit:  make(map[uint64]transitEntry),
+		m: m, r: r, segment: segment, node: m.Node().Ctrl.Node(),
 		subjects: make(map[binding.Subject]core.Class),
 		egress:   make(map[binding.Subject]egressChannel),
 	}
@@ -191,11 +176,12 @@ func (b *RemoteBridge) Dropped() uint64 { return b.dropped }
 // Late reports HRT events forwarded after their budget was exhausted.
 func (b *RemoteBridge) Late() uint64 { return b.late }
 
-// LinkSiblings connects transit bridges on one segment: an event this
-// bridge receives from its peer and republishes locally will, when a
-// sibling's subscription picks it up, be forwarded onward with origin,
-// hops and budget preserved. Call it on every bridge of a multi-homed
-// segment, passing the others.
+// LinkSiblings connects transit bridges on one segment: an event one of
+// them receives from its peer and republishes locally will, when
+// another's subscription picks it up, be forwarded onward with origin,
+// hops and budget preserved. Any other bridge ships the republished
+// event as published on this segment. Call it on every bridge of a
+// multi-homed segment, passing the others.
 func (b *RemoteBridge) LinkSiblings(sibs ...*RemoteBridge) {
 	b.siblingsFwd = append(b.siblingsFwd, sibs...)
 	for _, s := range sibs {
@@ -219,7 +205,7 @@ func (b *RemoteBridge) Forward(class core.Class, subject binding.Subject, attrs 
 		core.SubscribeAttrs{
 			// Never echo back what this bridge itself republished, nor
 			// what a sibling gateway relayed in (ring safety).
-			ExcludePublishers: append([]can.TxNode{b.m.Node().Ctrl.Node()}, b.Exclude...),
+			ExcludePublishers: append([]can.TxNode{b.node}, b.Exclude...),
 		},
 		func(ev core.Event, di core.DeliveryInfo) { b.ship(class, subject, ev, di) }, nil)
 	if err != nil {
@@ -245,8 +231,8 @@ func (b *RemoteBridge) Announce(class core.Class, subject binding.Subject, attrs
 }
 
 // ship sends one locally delivered event to the peer, minting fresh
-// federation metadata for locally originated events and preserving the
-// transit metadata for events that arrived through a sibling bridge. The
+// federation metadata for locally originated events and keeping the
+// federation header of events a sibling bridge republished. The
 // delivered payload is the channel mailbox's, and a transport may queue
 // the event, so the RemoteEvent carries its own copy (see own).
 func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.Event, di core.DeliveryInfo) {
@@ -257,17 +243,19 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 		Payload:   ev.Payload,
 		Origin:    di.Publisher,
 		OriginSeg: b.segment,
-		Hops:      0,
 		Budget:    budget,
 		TraceID:   ev.TraceID(),
 	}
-	if t, ok := b.lookupTransit(ev.TraceID()); ok {
-		// Transit traffic: keep the origin, debit the residence time on
-		// this segment from the remaining budget.
-		re.Origin = t.origin
-		re.OriginSeg = t.originSeg
-		re.Hops = t.hops
-		re.Budget = t.budget - sim.Duration(now-t.arrivedAt)
+	if o := di.Origin; o.Segment != 0 {
+		for _, s := range b.siblingsFwd {
+			if s.node == di.Publisher {
+				// Transit traffic: keep the origin; what is left of the
+				// budget is what the residence on this segment did not use.
+				re.Origin, re.OriginSeg, re.Hops = o.Node, s.origins[o.Segment-1], int(o.Hops)
+				re.Budget = o.End - now
+				break
+			}
+		}
 	}
 	if re.Budget <= 0 {
 		switch class {
@@ -301,9 +289,10 @@ func (b *RemoteBridge) ship(class core.Class, subject binding.Subject, ev core.E
 }
 
 // receive handles one event arriving from the peer (kernel context). It
-// applies the loop and hop guards, records transit metadata and
-// republishes the event locally under the bridge's TxNode with the
-// origin trace adopted.
+// applies the loop and hop guards and republishes the event locally
+// under the bridge's TxNode, with the origin trace adopted and the
+// federation header attached: origin, hops and the instant the budget
+// runs out.
 func (b *RemoteBridge) receive(re RemoteEvent) {
 	now := b.m.K.Now()
 	switch {
@@ -324,9 +313,8 @@ func (b *RemoteBridge) receive(re RemoteEvent) {
 			b.m.Node().Index, uint64(re.Subject), now,
 			obs.RelayFrom(re.OriginSeg, re.Hops, re.Budget))
 	}
-	b.rememberTransit(re, now)
-
-	ev := core.Event{Subject: re.Subject, Payload: re.Payload}
+	ev := core.WithOrigin(core.Event{Subject: re.Subject, Payload: re.Payload},
+		can.Origin{End: now + re.Budget, Segment: b.number(re.OriginSeg), Node: re.Origin, Hops: uint8(re.Hops)})
 	if re.Class == core.SRT {
 		local := b.m.LocalTime()
 		dl := relayDeadline
@@ -374,49 +362,21 @@ func (b *RemoteBridge) own(p []byte) []byte {
 	return c
 }
 
-// rememberTransit records incoming federation metadata for the bridge's
-// siblings, so their onward forwarding preserves origin and budget. The
-// bridge itself keeps no entry, since it would never read one: it
-// republishes every received event under its own TxNode, its Forward
-// subscriptions exclude that TxNode, so its ship never sees the event
-// and its lookupTransit never asks for the trace ID.
-func (b *RemoteBridge) rememberTransit(re RemoteEvent, at sim.Time) {
-	if re.TraceID == 0 {
-		return
-	}
-	t := transitEntry{origin: re.Origin, originSeg: re.OriginSeg, hops: re.Hops,
-		budget: re.Budget, arrivedAt: at}
-	for _, s := range b.siblingsFwd {
-		s.putTransit(re.TraceID, t)
-	}
-}
-
-// putTransit records a transit entry. A new trace ID past transitCap
-// overwrites the oldest in the ring and evicts its entry, if that was
-// not consumed yet, so the table never holds more than transitCap.
-func (b *RemoteBridge) putTransit(id uint64, t transitEntry) {
-	if _, exists := b.transit[id]; !exists {
-		if len(b.transitOrder) < transitCap {
-			b.transitOrder = append(b.transitOrder, id)
-		} else {
-			delete(b.transit, b.transitOrder[b.transitHead])
-			b.transitOrder[b.transitHead] = id
-			b.transitHead = (b.transitHead + 1) % transitCap
+// number returns the header number of origin segment seg, adding it to
+// origins when new. Past maxOrigins segments it returns 0, no header: the
+// event then travels onward as published on this segment, which the
+// loop guard still covers.
+func (b *RemoteBridge) number(seg string) uint8 {
+	for i, s := range b.origins {
+		if s == seg {
+			return uint8(i + 1)
 		}
 	}
-	b.transit[id] = t
-}
-
-// lookupTransit consumes the transit entry for a trace ID, if present.
-func (b *RemoteBridge) lookupTransit(id uint64) (transitEntry, bool) {
-	if id == 0 {
-		return transitEntry{}, false
+	if len(b.origins) == maxOrigins {
+		return 0
 	}
-	t, ok := b.transit[id]
-	if ok {
-		delete(b.transit, id)
-	}
-	return t, ok
+	b.origins = append(b.origins, seg)
+	return uint8(len(b.origins))
 }
 
 // observer returns the endpoint middleware's observer (nil-safe).

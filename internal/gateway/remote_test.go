@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"testing"
 
 	"canec/internal/core"
@@ -10,40 +11,43 @@ import (
 
 // A steady-state SRT event crossing a joined pair allocates nothing: the
 // shipping bridge copies the payload into its slab, the hop's FIFO and
-// timer are reused, and the republish is an ordinary SRT publish.
+// timer are reused, and the republish is an ordinary SRT publish. Across
+// a transit segment it allocates nothing either: the federation header
+// rides the republished event by value.
 func TestJoinHopAllocsPinned(t *testing.T) {
-	k, segA, segB, ga, gb := rig(t, 1, 200*sim.Microsecond)
-	if err := forwardSRT(ga, gb, subjTemp); err != nil {
-		t.Fatal(err)
-	}
-	pub, _ := segA.Node(0).MW.SRTEC(subjTemp)
-	if err := pub.Announce(core.ChannelAttrs{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	sub, _ := segB.Node(1).MW.SRTEC(subjTemp)
-	sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) { got++ }, nil)
-	payload := []byte{1, 2, 3, 4}
-	send := func() {
-		payload[0]++
-		err := pub.Publish(core.Event{Subject: subjTemp, Payload: payload,
-			Attrs: core.EventAttrs{Deadline: segA.Node(0).MW.LocalTime() + 5*sim.Millisecond}})
-		if err != nil {
+	for _, n := range []int{2, 3} {
+		k := sim.NewKernel(1)
+		segs, hops := chain(t, k, n, func(int) *obs.Config { return nil })
+		pub, _ := segs[0].Node(0).MW.SRTEC(subjTemp)
+		if err := pub.Announce(core.ChannelAttrs{}, nil); err != nil {
 			t.Fatal(err)
 		}
-		k.Run(k.Now() + 2*sim.Millisecond)
-	}
-	for i := 0; i < 5; i++ {
-		send()
-	}
-	const runs = 200
-	if per := testing.AllocsPerRun(runs, send); per != 0 {
-		t.Fatalf("%.2f allocs per forwarded event, want 0", per)
-	}
-	if want := 5 + runs + 1; got != want || ga.Forwarded() != uint64(want) || gb.Received() != uint64(want) {
-		t.Fatalf("delivered %d, forwarded %d, received %d, want %d each",
-			got, ga.Forwarded(), gb.Received(), want)
+		got := 0
+		sub, _ := segs[n-1].Node(1).MW.SRTEC(subjTemp)
+		sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+			func(core.Event, core.DeliveryInfo) { got++ }, nil)
+		payload := []byte{1, 2, 3, 4}
+		send := func() {
+			payload[0]++
+			err := pub.Publish(core.Event{Subject: subjTemp, Payload: payload,
+				Attrs: core.EventAttrs{Deadline: segs[0].Node(0).MW.LocalTime() + 5*sim.Millisecond}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Run(k.Now() + 2*sim.Millisecond)
+		}
+		for i := 0; i < 5; i++ {
+			send()
+		}
+		const runs = 200
+		if per := testing.AllocsPerRun(runs, send); per != 0 {
+			t.Fatalf("%d segments: %.2f allocs per forwarded event, want 0", n, per)
+		}
+		last := hops[n-2]
+		if want := 5 + runs + 1; got != want || last[0].Forwarded() != uint64(want) || last[1].Received() != uint64(want) {
+			t.Fatalf("%d segments: delivered %d, forwarded %d, received %d on the last hop, want %d each",
+				n, got, last[0].Forwarded(), last[1].Received(), want)
+		}
 	}
 }
 
@@ -66,111 +70,127 @@ func TestShipCopiesAreClipped(t *testing.T) {
 	}
 }
 
-// The transit table is a FIFO of at most transitCap entries: past the
-// cap each insert evicts the oldest and allocates nothing, and only the
-// siblings of the receiving bridge keep an entry.
-func TestTransitTableRing(t *testing.T) {
-	_, _, segB, _, gb := rig(t, 1, 50*sim.Microsecond)
-	sib, err := NewRemote(segB.Node(1).MW, &queueRemote{}, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb.LinkSiblings(sib)
-	var next uint64
-	most := 0
-	insert := func() {
-		next++
-		gb.rememberTransit(RemoteEvent{TraceID: next, OriginSeg: "a", Budget: budget}, 0)
-		most = max(most, len(sib.transit))
-	}
-	for next < transitCap {
-		insert()
-	}
-	ring := &sib.transitOrder[0]
-	insert()
-	if _, ok := sib.transit[1]; ok {
-		t.Fatal("the oldest entry survived the insert past the cap")
-	}
-	if _, ok := sib.transit[2]; !ok {
-		t.Fatal("an entry other than the oldest was evicted")
-	}
-	if per := testing.AllocsPerRun(transitCap, insert); per != 0 {
-		t.Fatalf("%.2f allocs per insert past the cap, want 0", per)
-	}
-	if &sib.transitOrder[0] != ring {
-		t.Fatal("the insertion order was reallocated past the cap")
-	}
-	if most != transitCap {
-		t.Fatalf("table held up to %d entries, want %d", most, transitCap)
-	}
-	oldest := next - transitCap + 1
-	if _, ok := sib.transit[oldest-1]; ok {
-		t.Fatalf("entry %d survived %d newer ones", oldest-1, transitCap)
-	}
-	for id := oldest; id <= next; id++ {
-		if _, ok := sib.transit[id]; !ok {
-			t.Fatalf("entry %d of the last %d evicted", id, transitCap)
-		}
-	}
-	if n := len(gb.transit); n != 0 {
-		t.Fatalf("the receiving bridge kept %d entries of its own, want 0", n)
-	}
-}
-
-// On a chain A → B → C the transit entries sit only where they are read:
-// the sibling forwarding off B consumes each one, and neither the bridge
-// that received the event on B nor the sibling-less end on C keeps any.
-func TestTransitEntriesOnlyOnSiblings(t *testing.T) {
-	k := sim.NewKernel(3)
-	seg := func(o *obs.Config) *core.System {
-		s, err := core.NewSystem(core.SystemConfig{Nodes: 3, Kernel: k, Observe: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	segA, segB, segC := seg(&obs.Config{}), seg(nil), seg(nil) // A's events carry trace IDs
+// transitRig builds A → B with a Join between the node-2 endpoints and
+// two more bridges on B, each shipping subjTemp to a sink: sib on B's
+// node 3, linked to the Join's B end, and unlinked on B's node 1, which
+// neither links nor excludes it. Stations 0 publish on A and subscribe
+// on B; station 1 subscribes on A.
+func transitRig(t *testing.T, observe *obs.Config) (k *sim.Kernel, segA, segB *core.System, ga, gb, sib, unlinked *RemoteBridge) {
+	t.Helper()
+	k = sim.NewKernel(3)
+	segA, segB = segment(t, k, 4, observe), segment(t, k, 4, observe)
 	ga, gb, err := Join(segA.Node(2).MW, segB.Node(2).MW, "a", "b", 50*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb2, gc, err := Join(segB.Node(1).MW, segC.Node(2).MW, "b", "c", 50*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb.LinkSiblings(gb2)
 	if err := forwardSRT(ga, gb, subjTemp); err != nil {
 		t.Fatal(err)
 	}
-	if err := forwardSRT(gb2, gc, subjTemp); err != nil {
-		t.Fatal(err)
-	}
-	pub, _ := segA.Node(0).MW.SRTEC(subjTemp)
-	if err := pub.Announce(core.ChannelAttrs{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	sub, _ := segC.Node(1).MW.SRTEC(subjTemp)
-	sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
-		func(core.Event, core.DeliveryInfo) { got++ }, nil)
-	const n = 20
-	for i := 0; i < n; i++ {
-		k.At(sim.Time(i+1)*sim.Millisecond, func() {
-			pub.Publish(core.Event{Subject: subjTemp, Payload: []byte{byte(i)},
-				Attrs: core.EventAttrs{Deadline: segA.Node(0).MW.LocalTime() + 5*sim.Millisecond}})
-		})
-	}
-	k.Run(100 * sim.Millisecond)
-	if got != n || gb2.Forwarded() != n {
-		t.Fatalf("delivered %d on C, forwarded %d off B, want %d", got, gb2.Forwarded(), n)
-	}
-	for name, b := range map[string]*RemoteBridge{"gb": gb, "gb2": gb2, "gc": gc} {
-		if len(b.transit) != 0 {
-			t.Errorf("%s keeps %d transit entries, want 0", name, len(b.transit))
+	sib, unlinked = sinkBridge(t, segB.Node(3).MW), sinkBridge(t, segB.Node(1).MW)
+	gb.LinkSiblings(sib)
+	return k, segA, segB, ga, gb, sib, unlinked
+}
+
+// On A → B → C the event a linked sibling ships off B keeps A's origin
+// and segment, has crossed one hop, and has what the arrival budget left
+// after its exact residence on B; a bridge on B that is not linked ships
+// the same event as published on B. Observed or not, nothing differs.
+func TestSiblingKeepsOriginAndDebitsResidence(t *testing.T) {
+	for _, observe := range []*obs.Config{nil, {}} {
+		k, segA, segB, ga, gb, sib, unlinked := transitRig(t, observe)
+		pub, _ := segA.Node(0).MW.SRTEC(subjTemp)
+		if err := pub.Announce(core.ChannelAttrs{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		// A bridge ships an event at the instant its frame reaches the
+		// other stations of its bus.
+		var leftA, leftB []sim.Time
+		record := func(sys *core.System, node int, at *[]sim.Time) {
+			sub, _ := sys.Node(node).MW.SRTEC(subjTemp)
+			sub.Subscribe(core.ChannelAttrs{}, core.SubscribeAttrs{},
+				func(_ core.Event, di core.DeliveryInfo) { *at = append(*at, di.DeliveredAt) }, nil)
+		}
+		record(segA, 1, &leftA)
+		record(segB, 0, &leftB)
+		const n = 3
+		for i := 0; i < n; i++ {
+			k.At(sim.Time(i+1)*sim.Millisecond, func() {
+				pub.Publish(core.Event{Subject: subjTemp, Payload: []byte{byte(i)},
+					Attrs: core.EventAttrs{Deadline: segA.Node(0).MW.LocalTime() + 5*sim.Millisecond}})
+			})
+		}
+		k.Run(50 * sim.Millisecond)
+
+		toC, other := sib.r.(*sinkRemote), unlinked.r.(*sinkRemote)
+		if len(leftA) != n || len(leftB) != n || len(toC.got) != n || len(other.got) != n {
+			t.Fatalf("observe %v: %d/%d deliveries on A/B, %d/%d shipped off B, want %d each",
+				observe != nil, len(leftA), len(leftB), len(toC.got), len(other.got), n)
+		}
+		origin := segA.Node(0).Ctrl.Node()
+		for i := 0; i < n; i++ {
+			arrived := leftA[i] + 50*sim.Microsecond
+			residence := leftB[i] - arrived
+			if residence <= 0 || toC.at[i] != leftB[i] {
+				t.Fatalf("event %d: arrived on B at %v, delivered there at %v, shipped at %v",
+					i, arrived, leftB[i], toC.at[i])
+			}
+			if re := toC.got[i]; re.Origin != origin || re.OriginSeg != "a" || re.Hops != 1 || re.Budget != budget-residence {
+				t.Errorf("observe %v, event %d: sibling shipped origin %d/%q, hops %d, budget %v; want %d/\"a\", 1, %v",
+					observe != nil, i, re.Origin, re.OriginSeg, re.Hops, re.Budget, origin, budget-residence)
+			}
+			if re := other.got[i]; re.Origin != gb.node || re.OriginSeg != "b" || re.Hops != 0 || re.Budget != budget {
+				t.Errorf("observe %v, event %d: unlinked bridge shipped origin %d/%q, hops %d, budget %v; want %d/\"b\", 0, %v",
+					observe != nil, i, re.Origin, re.OriginSeg, re.Hops, re.Budget, gb.node, budget)
+			}
+		}
+		if ga.Forwarded() != n || gb.Received() != n || sib.Forwarded() != n || unlinked.Forwarded() != n {
+			t.Fatalf("forwarded %d/%d/%d, received %d, want %d each",
+				ga.Forwarded(), sib.Forwarded(), unlinked.Forwarded(), gb.Received(), n)
 		}
 	}
-	if len(gb2.transitOrder) != n || len(gb.transitOrder) != 0 || len(gc.transitOrder) != 0 {
-		t.Fatalf("recorded %d/%d/%d trace IDs on gb2/gb/gc, want %d/0/0",
-			len(gb2.transitOrder), len(gb.transitOrder), len(gc.transitOrder), n)
+}
+
+// sinkBridge is a bridge on m that forwards subjTemp to a sinkRemote.
+func sinkBridge(t *testing.T, m *core.Middleware) *RemoteBridge {
+	t.Helper()
+	b, err := NewRemote(m, &sinkRemote{k: m.K}, "b")
+	if err == nil {
+		err = b.Forward(core.SRT, subjTemp, core.ChannelAttrs{})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sinkRemote is a Remote that keeps every sent event and the instant it
+// was sent; nothing ever arrives from it.
+type sinkRemote struct {
+	k   *sim.Kernel
+	got []RemoteEvent
+	at  []sim.Time
+}
+
+func (r *sinkRemote) SetReceiver(func(RemoteEvent)) {}
+
+func (r *sinkRemote) Send(re RemoteEvent) error {
+	r.got = append(r.got, re)
+	r.at = append(r.at, r.k.Now())
+	return nil
+}
+
+// A bridge numbers at most maxOrigins origin segments in its headers, so
+// a peer naming ever new ones cannot grow it without bound; an event
+// from one more travels on without a header.
+func TestOriginNumbersBounded(t *testing.T) {
+	_, _, _, _, gb := rig(t, 1, 50*sim.Microsecond)
+	for i := 1; i <= maxOrigins; i++ {
+		seg := fmt.Sprint("s", i)
+		if n := gb.number(seg); int(n) != i || gb.number(seg) != n {
+			t.Fatalf("segment %q numbered %d, then %d; want %d", seg, n, gb.number(seg), i)
+		}
+	}
+	if n := gb.number("one more"); n != 0 || len(gb.origins) != maxOrigins {
+		t.Fatalf("segment past the bound numbered %d, table holds %d; want 0, %d", n, len(gb.origins), maxOrigins)
 	}
 }
