@@ -101,7 +101,7 @@ func (mw *Middleware) admissionRelease(ch *channelState) {
 // typed reason — never a silent degradation.
 func (mw *Middleware) applyAdmissionShed(s prob.Shed) {
 	for _, ch := range mw.channels {
-		if uint64(ch.subject) != s.Channel.Subject || !ch.announced {
+		if ch == nil || uint64(ch.subject) != s.Channel.Subject || !ch.announced {
 			continue
 		}
 		switch ch.class {

@@ -240,4 +240,28 @@ func TestHRTRoundAllocsPinned(t *testing.T) {
 	if want := subs * int(r-1); delivered != want {
 		t.Fatalf("delivered %d, want %d", delivered, want)
 	}
+
+	// Past a publisher's first frame, receive → deliver allocates
+	// nothing either: for the slot's publisher, whose state Subscribe
+	// made, and for one without a slot (only deduplicated), whose state
+	// its first frame made.
+	mw := sys.Node(1).MW
+	mw.DeliverOnArrival = true
+	etag := mustEtag(t, sys, subjTemp)
+	seq, data := uint8(0), make([]byte, 2)
+	recv := func() {
+		seq = (seq + 1) & 0x0f
+		data[0], data[1] = seq<<4, seq
+		for _, from := range []can.TxNode{0, can.MaxTxNode} {
+			mw.dispatch(can.Frame{ID: can.MakeID(0, from, etag), Data: data}, sys.K.Now())
+		}
+	}
+	recv()
+	delivered = 0
+	if per := testing.AllocsPerRun(runs, recv); per != 0 {
+		t.Fatalf("HRT receive → deliver: %.2f allocs, want 0", per)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("delivered %d on arrival, want %d", delivered, runs+1)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/clock"
+	"canec/internal/frag"
 	"canec/internal/obs"
 	"canec/internal/sim"
 )
@@ -70,9 +71,9 @@ func (c *HRTEC) Announce(attrs ChannelAttrs, exc ExceptionHandler) error {
 	}
 	ch.announced = true
 	for _, s := range slots {
-		r := &hrtPubSlot{ch: ch, slot: s}
+		r := &hrtPubSlot{ch: ch, geom: mw.geomOf(s)}
 		r.timer.Init(mw.K, mw.node.Clock, r.fire)
-		r.arm(s.NextActive(mw.startRound(s.Ready)))
+		r.arm(r.geom.nextActive(mw.startRound(s.Ready)))
 	}
 	return nil
 }
@@ -173,7 +174,7 @@ type hrtQueued struct {
 // efficiency argument.
 type hrtPubSlot struct {
 	ch    *channelState
-	slot  calendar.Slot
+	geom  slotGeom
 	round int64 // the occurrence the timer is armed for
 	timer clock.LocalTimer
 }
@@ -181,7 +182,7 @@ type hrtPubSlot struct {
 func (r *hrtPubSlot) arm(round int64) {
 	mw := r.ch.mw
 	r.round = round
-	r.timer.Arm(mw.Epoch + sim.Time(round)*mw.Cal.Round + r.slot.Ready)
+	r.timer.Arm(mw.Epoch + sim.Time(round)*mw.Cal.Round + r.geom.ready)
 }
 
 func (r *hrtPubSlot) fire() {
@@ -190,7 +191,7 @@ func (r *hrtPubSlot) fire() {
 		return
 	}
 	ch.fireSlot()
-	r.arm(r.slot.NextActive(r.round + 1))
+	r.arm(r.geom.nextActive(r.round + 1))
 }
 
 // fireSlot transmits the head of the publish queue in the current slot,
@@ -287,35 +288,44 @@ func (tx *hrtTx) sent(ok bool, _ sim.Time) {
 	ch.hrtTxFree = append(ch.hrtTxFree, tx)
 }
 
-// hrtPubState is the subscriber side's view of one publisher of an HRT
-// channel: copy deduplication, the arrival stash, the last delivered round
-// (for missing-message detection) and the publisher's calendar slot,
-// resolved once.
-type hrtPubState struct {
+// pubState is a subscribed channel's view of one publisher, made on
+// first use (see channelState.pub). On an HRT channel it holds copy
+// deduplication, the arrival stash, the last delivered round (for
+// missing-message detection) and the geometry of the publisher's
+// calendar slot; on an NRT channel, the reassembler.
+type pubState struct {
 	seen      bool
 	lastSeq   uint8
-	stash     hrtArrival
 	stashed   bool
-	delivered int64
-	slot      calendar.Slot
 	hasSlot   bool
+	stash     hrtArrival
+	delivered int64
+	geom      slotGeom
+	reasm     frag.Reassembler
 }
 
-// hrtPub returns the channel's state for a publisher, creating it on
-// first use.
-func (ch *channelState) hrtPub(pub can.TxNode) *hrtPubState {
-	ps := ch.hrtPubs[pub]
-	if ps == nil {
-		ps = &hrtPubState{}
-		if own := ownedSlots(ch.mw.Cal, ch.subject, pub); len(own) > 0 {
-			ps.slot, ps.hasSlot = own[0], true
-		}
-		if ch.hrtPubs == nil {
-			ch.hrtPubs = make(map[can.TxNode]*hrtPubState)
-		}
-		ch.hrtPubs[pub] = ps
+// slotGeom is one slot's timing on the local clock, computed once when
+// a channel resolves the slot: the calendar is static (§3.1–3.2), so
+// the latest-ready and delivery-deadline offsets within the round never
+// change, nor do the rounds the slot is active in, r ≡ phase (mod
+// every) with every ≥ 1.
+type slotGeom struct {
+	ready, deadline sim.Duration
+	every, phase    int64
+}
+
+// geomOf resolves a slot of the node's calendar.
+func (mw *Middleware) geomOf(s calendar.Slot) slotGeom {
+	return slotGeom{ready: s.Ready, deadline: s.Deadline(mw.Cal.Cfg),
+		every: int64(max(s.Every, 1)), phase: int64(s.Phase)}
+}
+
+// nextActive returns the smallest active round ≥ from.
+func (g *slotGeom) nextActive(from int64) int64 {
+	if g.every == 1 {
+		return from
 	}
-	return ps
+	return from + ((g.phase-from)%g.every+g.every)%g.every
 }
 
 // hrtArrival stashes a received HRT event until its delivery deadline:
@@ -363,11 +373,12 @@ func (c *HRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify Notific
 	ch.subscribed = true
 	mw.node.Ctrl.AddFilter(ch.etag)
 	for _, s := range slots {
-		r := &hrtSubSlot{ch: ch, slot: s, pub: ch.hrtPub(s.Publisher)}
+		r := &hrtSubSlot{ch: ch, publisher: s.Publisher, periodic: s.Periodic,
+			pub: ch.pub(s.Publisher), geom: mw.geomOf(s)}
 		r.timer.Init(mw.K, mw.node.Clock, r.fire)
 		r.miss.r = r
 		r.miss.timer.Init(mw.K, mw.node.Clock, r.miss.fire)
-		r.arm(s.NextActive(mw.startRound(s.Deadline(mw.Cal.Cfg))))
+		r.arm(r.geom.nextActive(mw.startRound(r.geom.deadline)))
 	}
 	return nil
 }
@@ -399,7 +410,7 @@ func (ch *channelState) hrtReceive(f *can.Frame, at sim.Time) {
 	if !ch.subAttrs.accepts(pub, ev) {
 		return
 	}
-	ps := ch.hrtPub(pub)
+	ps := ch.pub(pub)
 	if ps.seen && ps.lastSeq == seq {
 		// Redundant copy of an already-seen event.
 		ch.mw.counters.DuplicatesDropped++
@@ -415,10 +426,12 @@ func (ch *channelState) hrtReceive(f *can.Frame, at sim.Time) {
 	}
 	mw := ch.mw
 	local := mw.LocalTime()
-	round, deadline := ch.occurrenceOf(ps.slot, local)
-	ps.stash = hrtArrival{traceID: f.Tag, publishedAt: f.PublishedAt, origin: f.Origin,
-		seq: seq, arrivedAt: at, copies: 1, round: round}
-	ps.stash.n = uint8(copy(ps.stash.data[:], ev.Payload))
+	round, deadline := ch.occurrenceOf(&ps.geom, local)
+	// Field by field: the stash is overwritten in place, not copied in.
+	st := &ps.stash
+	st.n = uint8(copy(st.data[:], ev.Payload))
+	st.traceID, st.publishedAt, st.origin = f.Tag, f.PublishedAt, f.Origin
+	st.seq, st.arrivedAt, st.copies, st.round = seq, at, 1, round
 	ps.stashed = true
 	if mw.DeliverOnArrival {
 		// De-jitter ablation: hand the event over immediately, exposing
@@ -440,35 +453,24 @@ func (ch *channelState) hrtReceive(f *can.Frame, at sim.Time) {
 // whose transmission window contains or most recently preceded it,
 // returning the round index and that occurrence's delivery deadline in
 // local time.
-func (ch *channelState) occurrenceOf(slot calendar.Slot, local sim.Time) (int64, sim.Time) {
+func (ch *channelState) occurrenceOf(g *slotGeom, local sim.Time) (int64, sim.Time) {
 	mw := ch.mw
-	rel := local - mw.Epoch - slot.Ready
-	round := int64(rel / mw.Cal.Round)
-	if rel < 0 {
-		round = 0
+	var round int64
+	if rel := local - mw.Epoch - g.ready; rel > 0 {
+		round = int64(rel / mw.Cal.Round)
 	}
-	// Snap down to the most recent round this slot is active in.
-	if !slot.ActiveIn(round) {
-		prev := slot.NextActive(round) // ≥ round, so step one period back
-		round = prev - int64(maxInt(slot.Every, 1))
-		if round < slot.NextActive(0) {
-			round = slot.NextActive(0)
-		}
+	if g.every > 1 {
+		// Snap down to the most recent round this slot is active in, but
+		// not before its first.
+		round -= ((round-g.phase)%g.every + g.every) % g.every
+		round = max(round, g.phase)
 	}
-	deadline := mw.Epoch + sim.Time(round)*mw.Cal.Round + slot.Deadline(mw.Cal.Cfg)
-	return round, deadline
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return round, mw.Epoch + sim.Time(round)*mw.Cal.Round + g.deadline
 }
 
 // hrtDeliver notifies the application of the publisher's stashed arrival
 // and records delivery bookkeeping.
-func (ch *channelState) hrtDeliver(pub can.TxNode, ps *hrtPubState, late bool) {
+func (ch *channelState) hrtDeliver(pub can.TxNode, ps *pubState, late bool) {
 	mw := ch.mw
 	st := &ps.stash
 	ps.stashed = false
@@ -511,12 +513,14 @@ func (c *HRTEC) GetEvent() (ev Event, di DeliveryInfo, ok bool) { return c.ch.ge
 // verify — one precision bound later — that something was delivered,
 // raising SlotMissed otherwise.
 type hrtSubSlot struct {
-	ch    *channelState
-	slot  calendar.Slot
-	pub   *hrtPubState
-	round int64 // the occurrence the timer is armed for
-	timer clock.LocalTimer
-	miss  hrtMissCheck
+	ch        *channelState
+	publisher can.TxNode
+	periodic  bool
+	pub       *pubState
+	geom      slotGeom
+	round     int64 // the occurrence the timer is armed for
+	timer     clock.LocalTimer
+	miss      hrtMissCheck
 }
 
 // hrtMissCheck is the pending verification of one slot occurrence.
@@ -529,7 +533,7 @@ type hrtMissCheck struct {
 // deadline is the delivery deadline (local clock) of the armed occurrence.
 func (r *hrtSubSlot) deadline() sim.Time {
 	mw := r.ch.mw
-	return mw.Epoch + sim.Time(r.round)*mw.Cal.Round + r.slot.Deadline(mw.Cal.Cfg)
+	return mw.Epoch + sim.Time(r.round)*mw.Cal.Round + r.geom.deadline
 }
 
 func (r *hrtSubSlot) arm(round int64) {
@@ -544,8 +548,8 @@ func (r *hrtSubSlot) fire() {
 		return
 	}
 	if r.pub.stashed {
-		ch.hrtDeliver(r.slot.Publisher, r.pub, false)
-	} else if r.slot.Periodic {
+		ch.hrtDeliver(r.publisher, r.pub, false)
+	} else if r.periodic {
 		// Allow the clock precision before declaring a miss: the
 		// publisher's clock may run up to π behind ours — more during
 		// holdover, when the slack is widened to the uncertainty bound.
@@ -559,7 +563,7 @@ func (r *hrtSubSlot) fire() {
 		mc.round = r.round
 		mc.timer.Arm(r.deadline() + mw.hrtSlack())
 	}
-	r.arm(r.slot.NextActive(r.round + 1))
+	r.arm(r.geom.nextActive(r.round + 1))
 }
 
 func (mc *hrtMissCheck) fire() {
@@ -572,7 +576,7 @@ func (mc *hrtMissCheck) fire() {
 	if r.pub.delivered >= mc.round && r.pub.seen {
 		return // arrived within the grace window
 	}
-	pub := r.slot.Publisher
+	pub := r.publisher
 	if mw.watchdog != nil {
 		mw.watchdog.noteMiss(pub)
 	}

@@ -3,14 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"canec/internal/binding"
 	"canec/internal/calendar"
 	"canec/internal/can"
 	"canec/internal/clock"
 	"canec/internal/edf"
-	"canec/internal/frag"
 	"canec/internal/obs"
 	"canec/internal/prob"
 	"canec/internal/sim"
@@ -127,7 +126,10 @@ type Middleware struct {
 	// is simply de-announced.
 	Admission *prob.Controller
 
-	channels map[can.Etag]*channelState
+	// channels is indexed by etag and grown to the highest one the node
+	// opened; nil marks an etag it has no channel on. Receiving a frame
+	// is a bounds check and a load, and every walk runs in etag order.
+	channels []*channelState
 	counters Counters
 	stopped  bool
 	watchdog *Watchdog
@@ -175,7 +177,7 @@ func (mw *Middleware) dispatch(f can.Frame, at sim.Time) {
 	pt0 := sim.ProbeNow()
 	mw.dispatchFrame(&f, at)
 	class := sim.ProbeClassNone
-	if ch, ok := mw.channels[f.ID.Etag()]; ok {
+	if ch := mw.channelAt(f.ID.Etag()); ch != nil {
 		class = probeClass(ch.class)
 	}
 	prof.StageNs(sim.ProbeDispatch, class, sim.ProbeNow()-pt0)
@@ -198,8 +200,8 @@ func (mw *Middleware) dispatchFrame(f *can.Frame, at sim.Time) {
 		}
 		return
 	}
-	ch, ok := mw.channels[etag]
-	if !ok || !ch.subscribed {
+	ch := mw.channelAt(etag)
+	if ch == nil || !ch.subscribed {
 		return
 	}
 	switch ch.class {
@@ -212,6 +214,14 @@ func (mw *Middleware) dispatchFrame(f *can.Frame, at sim.Time) {
 	}
 }
 
+// channelAt returns the node's channel on an etag, nil if it has none.
+func (mw *Middleware) channelAt(etag can.Etag) *channelState {
+	if int(etag) < len(mw.channels) {
+		return mw.channels[etag]
+	}
+	return nil
+}
+
 // channelState is the middleware-internal representation of one event
 // channel on one node (§2: "an event channel is dynamically created
 // whenever a publisher makes an announcement ... or a subscriber
@@ -220,12 +230,15 @@ type channelState struct {
 	mw      *Middleware
 	subject binding.Subject
 	etag    can.Etag
-	// The flags share the etag's word, which keeps the struct in the
-	// 448-byte allocation class: every node builds one per channel it
-	// uses, so set-up time follows its size.
-	announced  bool // publisher side set up
-	subscribed bool // subscriber side set up
-	hasEvent   bool // the mailbox holds a delivery
+	// The flags and the HRT sequence number share the etag's word, which
+	// keeps the struct in the 448-byte allocation class: every node
+	// builds one per channel it uses, so set-up time follows its size.
+	announced  bool  // publisher side set up
+	subscribed bool  // subscriber side set up
+	hasEvent   bool  // the mailbox holds a delivery
+	hrtSeq     uint8 // HRT publisher: the last published event's sequence number
+	nrtBusy    bool  // NRT publisher: the controller holds a fragment
+	nrtOrphan  bool  // the held fragment's message was dropped from the queue
 	class      Class
 	attrs      ChannelAttrs
 
@@ -236,15 +249,14 @@ type channelState struct {
 	notify   NotificationHandler
 	subExc   ExceptionHandler
 
-	// HRT publisher: pending events waiting for slots, per-slot sequence,
-	// and the free list of slot transmission records (see hrtTx).
+	// HRT publisher: pending events waiting for slots and the free list
+	// of slot transmission records (see hrtTx).
 	hrtQueue    []hrtQueued
 	hrtQueueCap int
-	hrtSeq      uint8
 	hrtTxFree   []*hrtTx
-	// HRT subscriber: per-publisher dedup, arrival stash, last delivered
-	// round and calendar slot (made on first use, see hrtPub).
-	hrtPubs map[can.TxNode]*hrtPubState
+	// Subscriber: the state per publisher (see pubState), indexed by
+	// TxNode and grown to the highest one seen.
+	pubs []*pubState
 
 	// SRT publisher: the queued entries (promotion, expiration), each
 	// knowing its index, and the free list of entry records, linked
@@ -255,13 +267,9 @@ type channelState struct {
 	// NRT publisher: send queue of messages, the fragment the controller
 	// holds while nrtBusy, and its Done (nrtSent, bound at the first
 	// Announce).
-	nrtQueue  []nrtMsg
-	nrtBusy   bool
-	nrtOrphan bool // the held fragment's message was dropped from the queue
-	nrtTx     can.TxHandle
-	nrtDone   func(ok bool, at sim.Time)
-	// NRT subscriber: per-publisher reassembly (made on first reception).
-	reasm map[can.TxNode]*frag.Reassembler
+	nrtQueue []nrtMsg
+	nrtTx    can.TxHandle
+	nrtDone  func(ok bool, at sim.Time)
 
 	// Mailbox: the most recently delivered event (§2.2.1: the middleware
 	// stores the event in a predefined memory area; the notification
@@ -278,6 +286,35 @@ type channelState struct {
 	// missed counts this channel's timing failures (deadline misses,
 	// validity expiries, missed HRT slots) for the introspection plane.
 	missed uint64
+}
+
+// pub returns the channel's state for a publisher, making it on first
+// use.
+func (ch *channelState) pub(p can.TxNode) *pubState {
+	if int(p) < len(ch.pubs) && ch.pubs[p] != nil {
+		return ch.pubs[p]
+	}
+	return ch.newPub(p)
+}
+
+// newPub makes a publisher's state: on an HRT channel it resolves the
+// publisher's first slot for the subject, on an NRT channel it arms the
+// reassembler's stall timeout.
+func (ch *channelState) newPub(p can.TxNode) *pubState {
+	if int(p) >= len(ch.pubs) {
+		ch.pubs = append(ch.pubs, make([]*pubState, int(p)+1-len(ch.pubs))...)
+	}
+	ps := &pubState{}
+	switch ch.class {
+	case HRT:
+		if own := ownedSlots(ch.mw.Cal, ch.subject, p); len(own) > 0 {
+			ps.geom, ps.hasSlot = ch.mw.geomOf(own[0]), true
+		}
+	case NRT:
+		ps.reasm.Timeout = 5 * sim.Second
+	}
+	ch.pubs[p] = ps
+	return ps
 }
 
 // getEvent returns the mailbox contents.
@@ -352,13 +389,13 @@ func (mw *Middleware) channel(subject binding.Subject, class Class) (*channelSta
 	if err != nil {
 		return nil, err
 	}
-	if ch, ok := mw.channels[etag]; ok {
+	if ch := mw.channelAt(etag); ch != nil {
 		if ch.class != class {
 			return nil, ErrClassMismatch
 		}
 		return ch, nil
 	}
-	// The per-class maps are made by the code that first fills them: a
+	// The per-class tables are made by the code that first fills them: a
 	// channel pays only for the class it is and the side it plays.
 	ch := &channelState{
 		mw:          mw,
@@ -366,6 +403,11 @@ func (mw *Middleware) channel(subject binding.Subject, class Class) (*channelSta
 		etag:        etag,
 		class:       class,
 		hrtQueueCap: 8,
+	}
+	if n := int(etag) + 1; n > len(mw.channels) {
+		// The first growth makes room for etags below 64, which holds
+		// every channel of most nodes in one allocation.
+		mw.channels = slices.Grow(mw.channels, max(n, 64)-len(mw.channels))[:n]
 	}
 	mw.channels[etag] = ch
 	return ch, nil
@@ -432,7 +474,7 @@ func (mw *Middleware) hrtSlack() sim.Duration {
 func (mw *Middleware) hrtQueuedTotal() int {
 	n := 0
 	for _, ch := range mw.channels {
-		if ch.class == HRT {
+		if ch != nil && ch.class == HRT {
 			n += len(ch.hrtQueue)
 		}
 	}
@@ -444,7 +486,7 @@ func (mw *Middleware) hrtQueuedTotal() int {
 func (mw *Middleware) nrtQueuedTotal() int {
 	n := 0
 	for _, ch := range mw.channels {
-		if ch.class == NRT {
+		if ch != nil && ch.class == NRT {
 			n += len(ch.nrtQueue)
 		}
 	}
@@ -485,8 +527,11 @@ func (ch *channelState) queued() int {
 // Channels lists the channels this node's middleware currently holds,
 // in etag order.
 func (mw *Middleware) Channels() []ChannelInfo {
-	out := make([]ChannelInfo, 0, len(mw.channels))
+	var out []ChannelInfo
 	for _, ch := range mw.channels {
+		if ch == nil {
+			continue
+		}
 		out = append(out, ChannelInfo{
 			Subject:    ch.subject,
 			Etag:       ch.etag,
@@ -498,6 +543,5 @@ func (mw *Middleware) Channels() []ChannelInfo {
 			Missed:     ch.missed,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Etag < out[j].Etag })
 	return out
 }

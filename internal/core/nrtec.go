@@ -270,7 +270,7 @@ func (c *NRTEC) CancelSubscription() {
 	ch := c.ch
 	ch.subscribed = false
 	ch.notify = nil
-	ch.reasm = nil
+	ch.pubs = nil
 	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
 }
 
@@ -278,15 +278,7 @@ func (c *NRTEC) CancelSubscription() {
 // reassembler and notifies on completion.
 func (ch *channelState) nrtReceive(f *can.Frame, at sim.Time) {
 	pub := f.ID.TxNode()
-	rs, ok := ch.reasm[pub]
-	if !ok {
-		rs = &frag.Reassembler{Timeout: 5 * sim.Second}
-		if ch.reasm == nil {
-			ch.reasm = make(map[can.TxNode]*frag.Reassembler)
-		}
-		ch.reasm[pub] = rs
-	}
-	msg, err := rs.Push(f.Data, at)
+	msg, err := ch.pub(pub).reasm.Push(f.Data, at)
 	if err != nil {
 		ch.raiseSub(Exception{
 			Kind: ExcFragError, Subject: ch.subject, At: at,

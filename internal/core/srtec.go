@@ -317,7 +317,7 @@ func (e *srtEntry) expire() {
 func (mw *Middleware) srtQueuedTotal() int {
 	n := 0
 	for _, ch := range mw.channels {
-		if ch.class == SRT {
+		if ch != nil && ch.class == SRT {
 			n += len(ch.srtActive)
 		}
 	}
@@ -347,7 +347,7 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 			return e.seq < victim.seq
 		}
 		for _, ch := range mw.channels {
-			if ch.class != SRT {
+			if ch == nil || ch.class != SRT {
 				continue
 			}
 			for _, e := range ch.srtActive {

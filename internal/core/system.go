@@ -278,7 +278,6 @@ func (s *System) newMiddleware(node *Node) *Middleware {
 		SuppressRedundancy: !s.Cfg.NoSuppressRedundancy,
 		Obs:                s.Obs,
 		Admission:          s.Admission,
-		channels:           make(map[can.Etag]*channelState),
 	}
 	node.MW = mw
 	node.Ctrl.OnReceive = mw.dispatch

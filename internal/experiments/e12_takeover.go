@@ -74,14 +74,19 @@ type e12Result struct {
 	violations  int
 }
 
+// e12Calendar reserves E12's two 10 ms channels, published by nodes 4
+// and 5.
+func e12Calendar() *calendar.Calendar {
+	return must(calendar.PackSequential(calendar.DefaultConfig(), 10*sim.Millisecond,
+		calendar.Slot{Subject: 0x730, Publisher: 4, Payload: 8, Periodic: true},
+		calendar.Slot{Subject: 0x731, Publisher: 5, Payload: 8, Periodic: true}))
+}
+
 // e12Run drives an 8-station system (agent on 0, master on 1, backups 2
 // and 3, HRT publishers 4 and 5, subscriber 6) through one master
 // crash/restart cycle with the given missed-round tolerance.
 func e12Run(seed uint64, failoverRounds int) e12Result {
-	cfg := calendar.DefaultConfig()
-	cal := must(calendar.PackSequential(cfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: 0x730, Publisher: 4, Payload: 8, Periodic: true},
-		calendar.Slot{Subject: 0x731, Publisher: 5, Payload: 8, Periodic: true}))
+	cal := e12Calendar()
 	sync := clock.DefaultSyncConfig()
 	sync.Period = 40 * sim.Millisecond
 	sys := must(core.NewSystem(core.SystemConfig{

@@ -43,17 +43,22 @@ func e8ClockSync(seed uint64) Result {
 	}
 }
 
+// e8Calendar reserves E8's two 10 ms channels, published by nodes 0 and
+// 1, under an optimistic precision declaration.
+func e8Calendar() *calendar.Calendar {
+	cfg := calendar.DefaultConfig()
+	cfg.Precision = 25 * sim.Microsecond // optimistic declaration
+	return must(calendar.PackSequential(cfg, 10*sim.Millisecond,
+		calendar.Slot{Subject: 0x31, Publisher: 0, Payload: 8, Periodic: true},
+		calendar.Slot{Subject: 0x32, Publisher: 1, Payload: 8, Periodic: true}))
+}
+
 func e8Run(seed uint64, period sim.Duration) []string {
 	const maxDrift = 100.0
 	syncCfg := clock.DefaultSyncConfig()
 	syncCfg.Period = period
 
-	calCfg := calendar.DefaultConfig()
-	calCfg.Precision = 25 * sim.Microsecond // optimistic declaration
-	cal := must(calendar.PackSequential(calCfg, 10*sim.Millisecond,
-		calendar.Slot{Subject: 0x31, Publisher: 0, Payload: 8, Periodic: true},
-		calendar.Slot{Subject: 0x32, Publisher: 1, Payload: 8, Periodic: true},
-	))
+	cal := e8Calendar()
 	sys := must(core.NewSystem(core.SystemConfig{
 		Nodes: 4, Seed: seed, Calendar: cal,
 		Sync: syncCfg, MaxDriftPPM: maxDrift,
