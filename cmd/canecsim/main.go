@@ -41,7 +41,6 @@ import (
 	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
-	"canec/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -118,10 +117,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	sys := in.Sys
-	var ring *trace.Ring
+	var ring *traceRing
 	if *traceN > 0 {
-		ring = trace.NewRing(*traceN)
-		sys.Bus.Trace = ring.Hook(sys.Bus.Trace)
+		ring = newTraceRing(*traceN)
+		sys.Bus.Trace = ring.hook(sys.Bus.Trace)
 	}
 
 	if *pace > 0 {
@@ -164,8 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\n%s", h.Render())
 	}
 	if ring != nil {
-		fmt.Fprintf(stdout, "\n-- last %d of %d bus events --\n", len(ring.Entries()), ring.Total())
-		if err := ring.Dump(stdout); err != nil {
+		fmt.Fprintf(stdout, "\n-- last %d of %d bus events --\n", len(ring.entries()), ring.total())
+		if err := ring.dump(stdout); err != nil {
 			return fail(err)
 		}
 	}

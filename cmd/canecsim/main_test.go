@@ -260,10 +260,10 @@ func TestFromFlagsValidates(t *testing.T) {
 	}
 }
 
-// TestFlagMode: the default mix delivers its 2 × 200 HRT events on time
-// and prints the pinned output, the same seed reproduces it byte for byte,
-// and a one-station segment is refused instead of run with publisher =
-// subscriber.
+// TestFlagMode: the default mix delivers its 2 × 200 HRT events on time,
+// its output is pinned at seeds 1-3 and so is the control-loop mix under
+// bus faults, and a one-station segment is refused instead of run with
+// publisher = subscriber.
 func TestFlagMode(t *testing.T) {
 	out := report(t)
 	golden.Check(t, testdata+"golden/canecsim/flags-default.txt", out)
@@ -275,11 +275,12 @@ func TestFlagMode(t *testing.T) {
 			t.Errorf("default flags: no %q in\n%s", want, out)
 		}
 	}
-	if again := report(t); again != out {
-		t.Errorf("same seed, different output:\n%s\nvs\n%s", out, again)
+	for _, seed := range []string{"2", "3"} {
+		golden.Check(t, testdata+"golden/canecsim/flags-seed"+seed+".txt", report(t, "-seed", seed))
 	}
-	if other := report(t, "-seed", "2"); other == out {
-		t.Errorf("seed 2 reproduced seed 1's output")
+	for _, seed := range []string{"1", "2", "3"} {
+		golden.Check(t, testdata+"golden/canecsim/flags-control-seed"+seed+".txt",
+			report(t, "-seed", seed, "-control", "3", "-faults", "0.01", "-dur", "1s"))
 	}
 	code, stdout, stderr := canecsim("-nodes", "1")
 	if code == 0 || stdout != "" || !strings.Contains(stderr, "nodes 1 out of range") {

@@ -13,7 +13,6 @@ import (
 	"canec/internal/obs"
 	"canec/internal/scenario"
 	"canec/internal/sim"
-	"canec/internal/trace"
 	"canec/internal/value"
 )
 
@@ -61,18 +60,6 @@ type (
 func ExpirationFor(f ValueFunc, deadline Time, threshold float64, horizon Duration) Time {
 	return value.ExpirationFor(f, deadline, threshold, horizon)
 }
-
-// Bus tracing.
-type (
-	// TraceRing records the most recent bus events for candump-style
-	// inspection; install with sys.Bus.Trace = ring.Hook(sys.Bus.Trace).
-	// It copies each kept event's payload, which the bus reuses once the
-	// transmission has ended.
-	TraceRing = trace.Ring
-)
-
-// NewTraceRing returns a recorder of the n most recent bus events.
-func NewTraceRing(n int) *TraceRing { return trace.NewRing(n) }
 
 // Observability: end-to-end event life-cycle tracing and a metrics
 // registry, enabled per system via SystemConfig.Observe (nil keeps the

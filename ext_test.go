@@ -46,28 +46,6 @@ func TestFacadeBridge(t *testing.T) {
 	}
 }
 
-func TestFacadeTraceRing(t *testing.T) {
-	sys, _ := canec.NewSystem(canec.SystemConfig{Nodes: 2, Seed: 1})
-	ring := canec.NewTraceRing(32)
-	sys.Bus.Trace = ring.Hook(sys.Bus.Trace)
-	pub, _ := sys.Node(0).MW.SRTEC(0x66)
-	pub.Announce(canec.ChannelAttrs{}, nil)
-	sys.K.At(canec.Millisecond, func() {
-		pub.Publish(canec.Event{Subject: 0x66, Payload: []byte{1}})
-	})
-	sys.Run(10 * canec.Millisecond)
-	if len(ring.Entries()) == 0 {
-		t.Fatal("trace ring empty")
-	}
-	var sb strings.Builder
-	if err := ring.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "TX-OK") {
-		t.Fatalf("dump = %q", sb.String())
-	}
-}
-
 func TestFacadeValueFunctions(t *testing.T) {
 	fns := []canec.ValueFunc{
 		canec.StepValue{},

@@ -37,7 +37,7 @@ const (
 // transmission's shared frame, under the same contract as
 // Controller.OnReceive: Frame.Data is read-only and valid during the
 // hook only, since the bus reuses the request record that holds it, so a
-// hook that keeps the bytes copies them (trace.Ring does).
+// hook that keeps the bytes copies them (canecsim's -trace ring does).
 type TraceEvent struct {
 	Kind    TraceKind
 	At      sim.Time

@@ -703,6 +703,182 @@ func TestCancelSubscriptionStopsNotifications(t *testing.T) {
 	}
 }
 
+// hrtSubscriberRun publishes on node 0 in rounds 0-4 of 10 and counts
+// node 1's deliveries and SlotMissed. act cancels or subscribes again:
+// at the given instant after the epoch, or in the first notification
+// when at is 0. A nil act with a non-zero at still steps the kernel then.
+// It returns the counts and the kernel steps of the run.
+func hrtSubscriberRun(t *testing.T, at sim.Time, act func(sub *HRTEC, subscribe func())) (delivered, missed int, steps uint64) {
+	t.Helper()
+	cal := testCalendar(t, 1)
+	sys := idealSystem(t, 2, cal)
+	pub, _ := sys.Node(0).MW.HRTEC(subjTemp)
+	if err := pub.Announce(ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, _ := sys.Node(1).MW.HRTEC(subjTemp)
+	inHandler := at == 0 && act != nil
+	var subscribe func()
+	subscribe = func() {
+		err := sub.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{},
+			func(Event, DeliveryInfo) {
+				delivered++
+				if inHandler {
+					inHandler = false
+					act(sub, subscribe)
+				}
+			},
+			func(e Exception) {
+				if e.Kind == ExcSlotMissed {
+					missed++
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	subscribe()
+	for r := int64(0); r < 5; r++ {
+		sys.K.At(sys.Cfg.Epoch+sim.Time(r)*cal.Round-100*sim.Microsecond, func() {
+			pub.Publish(Event{Subject: subjTemp, Payload: []byte{1}})
+		})
+	}
+	if at != 0 {
+		sys.K.At(sys.Cfg.Epoch+at, func() {
+			if act != nil {
+				act(sub, subscribe)
+			}
+		})
+	}
+	sys.Run(sys.Cfg.Epoch + 10*cal.Round - 1)
+	return delivered, missed, sys.K.Steps()
+}
+
+func cancelAndSubscribe(sub *HRTEC, subscribe func()) {
+	sub.CancelSubscription()
+	subscribe()
+}
+
+// TestHRTResubscribeArmsOneSlotRecord: an HRT subscriber that cancels and
+// subscribes again mid-run checks each slot occurrence once, as one that
+// never cancelled does. Cancelling stops the slot's delivery and miss
+// timers; subscribing again re-arms them from the current round, so no
+// second record per slot raises a second SlotMissed or wakes the kernel.
+func TestHRTResubscribeArmsOneSlotRecord(t *testing.T) {
+	// Both runs step the kernel in round 2; only one cancels.
+	at := 2*testCalendar(t, 1).Round + 500*sim.Microsecond
+	wantDelivered, wantMissed, wantSteps := hrtSubscriberRun(t, at, nil)
+	if wantDelivered != 5 || wantMissed != 5 {
+		t.Fatalf("uncancelled subscriber: %d deliveries, %d SlotMissed; want 5, 5", wantDelivered, wantMissed)
+	}
+	delivered, missed, steps := hrtSubscriberRun(t, at, cancelAndSubscribe)
+	if delivered != wantDelivered || missed != wantMissed {
+		t.Errorf("after cancel and re-subscribe: %d deliveries, %d SlotMissed; want %d, %d",
+			delivered, missed, wantDelivered, wantMissed)
+	}
+	if steps > wantSteps {
+		t.Errorf("after cancel and re-subscribe the run took %d kernel steps, the uncancelled one %d", steps, wantSteps)
+	}
+}
+
+// TestHRTCancelFromHandler: a notification handler may cancel its own
+// subscription, or cancel and subscribe again, while the slot timer that
+// delivered the event is still running. The timer must not re-arm itself
+// over either. Cancelled, the subscriber raises no SlotMissed afterwards
+// and steps the kernel no more than one cancelled from outside the
+// handler; subscribed again, it checks each later occurrence once, as one
+// that never cancelled does.
+func TestHRTCancelFromHandler(t *testing.T) {
+	cal := testCalendar(t, 1)
+	cancel := func(sub *HRTEC, _ func()) { sub.CancelSubscription() }
+	// From outside: just after round 0's delivery.
+	delivered, missed, wantSteps := hrtSubscriberRun(t, cal.Slots[0].Deadline(cal.Cfg)+sim.Microsecond, cancel)
+	if delivered != 1 || missed != 0 {
+		t.Fatalf("cancelled from outside the handler: %d deliveries, %d SlotMissed; want 1, 0", delivered, missed)
+	}
+	delivered, missed, steps := hrtSubscriberRun(t, 0, cancel)
+	if delivered != 1 || missed != 0 {
+		t.Errorf("cancelled in the handler: %d deliveries, %d SlotMissed; want 1, 0", delivered, missed)
+	}
+	if steps > wantSteps {
+		t.Errorf("cancelled in the handler the run took %d kernel steps, cancelled from outside %d", steps, wantSteps)
+	}
+
+	wantDelivered, wantMissed, wantSteps := hrtSubscriberRun(t, 0, nil)
+	delivered, missed, steps = hrtSubscriberRun(t, 0, cancelAndSubscribe)
+	if delivered != wantDelivered || missed != wantMissed {
+		t.Errorf("cancelled and subscribed again in the handler: %d deliveries, %d SlotMissed; want %d, %d",
+			delivered, missed, wantDelivered, wantMissed)
+	}
+	if steps > wantSteps {
+		t.Errorf("cancelled and subscribed again in the handler the run took %d kernel steps, the uncancelled one %d", steps, wantSteps)
+	}
+}
+
+// TestHRTResubscribeForgetsPastRounds: a subscription made again after a
+// cancel starts from the current round. An event stashed before the
+// cancel for a deadline that has since passed is dropped, not delivered
+// at the next deadline, and the sequence number last seen before the
+// cancel does not make a new event that reuses it a duplicate.
+func TestHRTResubscribeForgetsPastRounds(t *testing.T) {
+	cal := testCalendar(t, 1)
+	round, deadline := cal.Round, cal.Slots[0].Deadline(cal.Cfg)
+	for _, tc := range []struct {
+		name                string
+		cancel, resubscribe sim.Time // after the epoch
+		rounds              int64
+		delivered           []byte // rounds delivered, each at its own deadline
+		missed              int    // rounds published while unsubscribed, checked after
+	}{
+		// Round 2's event has arrived and waits for its deadline.
+		{"stash past its deadline", 2*round + deadline - sim.Microsecond, 5*round + 500*sim.Microsecond, 10,
+			[]byte{0, 1, 6, 7, 8, 9}, 1},
+		// 4-bit sequence numbers: round 16's event reuses round 0's.
+		{"sequence number reused", round / 2, 15*round + round/2, 20,
+			[]byte{0, 16, 17, 18, 19}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := idealSystem(t, 2, testCalendar(t, 1))
+			pub, _ := sys.Node(0).MW.HRTEC(subjTemp)
+			if err := pub.Announce(ChannelAttrs{Payload: 7, Periodic: true}, nil); err != nil {
+				t.Fatal(err)
+			}
+			sub, _ := sys.Node(1).MW.HRTEC(subjTemp)
+			delivered := map[byte]sim.Time{}
+			missed := 0
+			subscribe := func() {
+				err := sub.Subscribe(ChannelAttrs{Payload: 7, Periodic: true}, SubscribeAttrs{},
+					func(ev Event, di DeliveryInfo) { delivered[ev.Payload[0]] = di.DeliveredAt },
+					func(e Exception) {
+						if e.Kind == ExcSlotMissed {
+							missed++
+						}
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			subscribe()
+			for r := int64(0); r < tc.rounds; r++ {
+				sys.K.At(sys.Cfg.Epoch+sim.Time(r)*round-100*sim.Microsecond, func() {
+					pub.Publish(Event{Subject: subjTemp, Payload: []byte{byte(r)}})
+				})
+			}
+			sys.K.At(sys.Cfg.Epoch+tc.cancel, sub.CancelSubscription)
+			sys.K.At(sys.Cfg.Epoch+tc.resubscribe, subscribe)
+			sys.Run(sys.Cfg.Epoch + sim.Time(tc.rounds)*round - 1)
+			for _, r := range tc.delivered {
+				if want := sys.Cfg.Epoch + sim.Time(r)*round + deadline; delivered[r] != want {
+					t.Errorf("round %d delivered at %v, want %v", r, delivered[r], want)
+				}
+			}
+			if len(delivered) != len(tc.delivered) || missed != tc.missed {
+				t.Errorf("delivered rounds %v and %d SlotMissed, want rounds %v and %d", delivered, missed, tc.delivered, tc.missed)
+			}
+		})
+	}
+}
+
 func TestCancelPublicationAbortsQueued(t *testing.T) {
 	sys := idealSystem(t, 2, nil)
 	pub, _ := sys.Node(0).MW.SRTEC(subjDiag)

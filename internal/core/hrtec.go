@@ -348,12 +348,13 @@ type hrtArrival struct {
 // publisher's announcement (type checking); the subscribe attributes
 // provide filtering. The subscriber-side middleware knows the calendar,
 // so it detects missing messages in periodic slots and raises SlotMissed.
+// Subscribing again after CancelSubscription enters the calendar at the
+// current round, as the first time: a stash whose deadline is ahead is
+// kept, a delivered occurrence is not checked again, and otherwise the
+// publisher's stash and last sequence number are forgotten.
 func (c *HRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) error {
 	ch := c.ch
 	mw := ch.mw
-	if mw.stopped {
-		return errStopped
-	}
 	if mw.Cal == nil {
 		return errNoSlot
 	}
@@ -361,35 +362,44 @@ func (c *HRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify Notific
 	if len(slots) == 0 {
 		return errNoSlot
 	}
-	if !ch.announced {
-		ch.attrs = attrs
+	if first, err := ch.subscribe(attrs, sub, notify, exc); !first {
+		return err
 	}
-	ch.subAttrs = sub
-	ch.notify = notify
-	ch.subExc = exc
-	if ch.subscribed {
-		return nil
+	if ch.hrtSubs == nil {
+		next := &ch.hrtSubs
+		for _, s := range slots {
+			r := &hrtSubSlot{ch: ch, publisher: s.Publisher, periodic: s.Periodic,
+				pub: ch.pub(s.Publisher), geom: mw.geomOf(s)}
+			r.timer.Init(mw.K, mw.node.Clock, r.fire)
+			r.miss.r = r
+			r.miss.timer.Init(mw.K, mw.node.Clock, r.miss.fire)
+			*next, next = r, &r.next
+		}
 	}
-	ch.subscribed = true
-	mw.node.Ctrl.AddFilter(ch.etag)
-	for _, s := range slots {
-		r := &hrtSubSlot{ch: ch, publisher: s.Publisher, periodic: s.Periodic,
-			pub: ch.pub(s.Publisher), geom: mw.geomOf(s)}
-		r.timer.Init(mw.K, mw.node.Clock, r.fire)
-		r.miss.r = r
-		r.miss.timer.Init(mw.K, mw.node.Clock, r.miss.fire)
-		r.arm(r.geom.nextActive(mw.startRound(r.geom.deadline)))
+	for r := ch.hrtSubs; r != nil; r = r.next {
+		round := r.geom.nextActive(mw.startRound(r.geom.deadline))
+		if r.pub.seen && r.pub.delivered >= round { // subscribed again in its handler
+			round = r.geom.nextActive(r.pub.delivered + 1)
+		}
+		if !r.pub.stashed || r.pub.stash.round < round {
+			r.pub.stashed, r.pub.seen = false, false
+		}
+		r.arm(round)
 	}
 	return nil
 }
 
 // CancelSubscription removes the subscription. It is a strictly local
-// operation releasing local resources (§2.2.1).
+// operation releasing local resources (§2.2.1): the slots' delivery and
+// miss timers stop.
 func (c *HRTEC) CancelSubscription() {
-	ch := c.ch
-	ch.subscribed = false
-	ch.notify = nil
-	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
+	c.ch.unsubscribe()
+	for r := c.ch.hrtSubs; r != nil; r = r.next {
+		r.timer.Stop()
+		for mc := &r.miss; mc != nil; mc = mc.next {
+			mc.timer.Stop()
+		}
+	}
 }
 
 // hrtReceive stashes an arriving HRT frame for de-jittered delivery, or
@@ -521,13 +531,16 @@ type hrtSubSlot struct {
 	round     int64 // the occurrence the timer is armed for
 	timer     clock.LocalTimer
 	miss      hrtMissCheck
+	next      *hrtSubSlot // the channel's next slot record
 }
 
-// hrtMissCheck is the pending verification of one slot occurrence.
+// hrtMissCheck is the pending verification of one slot occurrence. A
+// slot's checks are a list headed by hrtSubSlot.miss, reused when idle.
 type hrtMissCheck struct {
 	r     *hrtSubSlot
 	round int64
 	timer clock.LocalTimer
+	next  *hrtMissCheck
 }
 
 // deadline is the delivery deadline (local clock) of the armed occurrence.
@@ -544,7 +557,7 @@ func (r *hrtSubSlot) arm(round int64) {
 func (r *hrtSubSlot) fire() {
 	ch := r.ch
 	mw := ch.mw
-	if mw.stopped || !ch.subscribed {
+	if mw.stopped {
 		return
 	}
 	if r.pub.stashed {
@@ -556,21 +569,27 @@ func (r *hrtSubSlot) fire() {
 		// Once it widens past a round, the previous occurrence's check is
 		// still pending here and this one gets a check of its own.
 		mc := &r.miss
-		if mc.timer.Armed() {
-			mc = &hrtMissCheck{r: r}
-			mc.timer.Init(mw.K, mw.node.Clock, mc.fire)
+		for mc.timer.Armed() {
+			if mc.next == nil {
+				mc.next = &hrtMissCheck{r: r}
+				mc.next.timer.Init(mw.K, mw.node.Clock, mc.next.fire)
+			}
+			mc = mc.next
 		}
 		mc.round = r.round
 		mc.timer.Arm(r.deadline() + mw.hrtSlack())
 	}
-	r.arm(r.geom.nextActive(r.round + 1))
+	// Unless the handler cancelled, or subscribed again and so re-armed.
+	if ch.subscribed && !r.timer.Armed() {
+		r.arm(r.geom.nextActive(r.round + 1))
+	}
 }
 
 func (mc *hrtMissCheck) fire() {
 	r := mc.r
 	ch := r.ch
 	mw := ch.mw
-	if mw.stopped || !ch.subscribed {
+	if mw.stopped {
 		return
 	}
 	if r.pub.delivered >= mc.round && r.pub.seen {

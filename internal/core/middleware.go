@@ -255,8 +255,9 @@ type channelState struct {
 	hrtQueueCap int
 	hrtTxFree   []*hrtTx
 	// Subscriber: the state per publisher (see pubState), indexed by
-	// TxNode and grown to the highest one seen.
-	pubs []*pubState
+	// TxNode and grown to the highest one seen; on HRT, the slot records.
+	pubs    []*pubState
+	hrtSubs *hrtSubSlot
 
 	// SRT publisher: the queued entries (promotion, expiration), each
 	// knowing its index, and the free list of entry records, linked
@@ -411,6 +412,32 @@ func (mw *Middleware) channel(subject binding.Subject, class Class) (*channelSta
 	}
 	mw.channels[etag] = ch
 	return ch, nil
+}
+
+// subscribe installs the subscriber's handlers and filter, the part of
+// Subscribe every class shares, and reports whether the channel was not
+// subscribed before. A second Subscribe replaces the handlers.
+func (ch *channelState) subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) (first bool, err error) {
+	if ch.mw.stopped {
+		return false, errStopped
+	}
+	if !ch.announced {
+		ch.attrs = attrs
+	}
+	ch.subAttrs, ch.notify, ch.subExc = sub, notify, exc
+	if ch.subscribed {
+		return false, nil
+	}
+	ch.subscribed = true
+	ch.mw.node.Ctrl.AddFilter(ch.etag)
+	return true, nil
+}
+
+// unsubscribe is the part of CancelSubscription every class shares.
+func (ch *channelState) unsubscribe() {
+	ch.subscribed = false
+	ch.notify = nil
+	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
 }
 
 // raisePub invokes the publisher-side exception handler if installed.

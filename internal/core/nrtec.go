@@ -248,30 +248,14 @@ func (c *NRTEC) QueuedChains() int { return len(c.ch.nrtQueue) }
 // failures (sequence gaps after silent losses, stalled transfers) raise
 // FragError.
 func (c *NRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) error {
-	ch := c.ch
-	if ch.mw.stopped {
-		return errStopped
-	}
-	if !ch.announced {
-		ch.attrs = attrs
-	}
-	ch.subAttrs = sub
-	ch.notify = notify
-	ch.subExc = exc
-	if !ch.subscribed {
-		ch.subscribed = true
-		ch.mw.node.Ctrl.AddFilter(ch.etag)
-	}
-	return nil
+	_, err := c.ch.subscribe(attrs, sub, notify, exc)
+	return err
 }
 
 // CancelSubscription removes the subscription (strictly local).
 func (c *NRTEC) CancelSubscription() {
-	ch := c.ch
-	ch.subscribed = false
-	ch.notify = nil
-	ch.pubs = nil
-	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
+	c.ch.unsubscribe()
+	c.ch.pubs = nil
 }
 
 // nrtReceive feeds an arriving fragment into the per-publisher

@@ -388,30 +388,12 @@ func (mw *Middleware) shedLowestValue(now sim.Time) bool {
 // are delivered immediately on arrival (no de-jittering: deadlines are a
 // transmission property).
 func (c *SRTEC) Subscribe(attrs ChannelAttrs, sub SubscribeAttrs, notify NotificationHandler, exc ExceptionHandler) error {
-	ch := c.ch
-	if ch.mw.stopped {
-		return errStopped
-	}
-	if !ch.announced {
-		ch.attrs = attrs
-	}
-	ch.subAttrs = sub
-	ch.notify = notify
-	ch.subExc = exc
-	if !ch.subscribed {
-		ch.subscribed = true
-		ch.mw.node.Ctrl.AddFilter(ch.etag)
-	}
-	return nil
+	_, err := c.ch.subscribe(attrs, sub, notify, exc)
+	return err
 }
 
 // CancelSubscription removes the subscription (strictly local).
-func (c *SRTEC) CancelSubscription() {
-	ch := c.ch
-	ch.subscribed = false
-	ch.notify = nil
-	ch.mw.node.Ctrl.RemoveFilter(ch.etag)
-}
+func (c *SRTEC) CancelSubscription() { c.ch.unsubscribe() }
 
 // srtReceive delivers an arriving SRT event. The filters read the shared
 // frame; the mailbox copies its bytes for the handler.

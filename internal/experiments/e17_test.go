@@ -8,7 +8,7 @@ import "testing"
 // with the measured P99 within the histogram's growth factor, and the
 // chaos invariants must hold.
 func TestE17PredictionsBoundMeasurement(t *testing.T) {
-	res := e17ProbValidation(1)
+	res := resultAt(t, "E17", 1)
 	if len(res.Table.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Table.Rows))
 	}

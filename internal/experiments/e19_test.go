@@ -48,16 +48,13 @@ func TestE19Attribution(t *testing.T) {
 }
 
 // TestE19Deterministic replays every campaign: identical seeds must
-// yield byte-identical attribution outcomes and result tables.
+// yield identical attribution outcomes, including the exact family debit
+// the table prints rounded. The tables are pinned by the goldens.
 func TestE19Deterministic(t *testing.T) {
 	for _, c := range e19Campaigns() {
 		a, b := e19Exec(3, c), e19Exec(3, c)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s diverged:\n%+v\nvs\n%+v", c.name, a, b)
 		}
-	}
-	r1, r2 := e19WhyLate(5), e19WhyLate(5)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("E19 result diverged:\n%+v\nvs\n%+v", r1, r2)
 	}
 }

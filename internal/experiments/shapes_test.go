@@ -14,7 +14,7 @@ func TestE4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := e4EDFvsDM(1)
+	res := resultAt(t, "E4", 1)
 	sawOverload := false
 	for _, row := range res.Table.Rows {
 		load, _ := strconv.ParseFloat(row[0], 64)
@@ -51,7 +51,7 @@ func TestE5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := e5PrioritySlotTradeoff(1)
+	res := resultAt(t, "E5", 1)
 	rows := res.Table.Rows
 	// beyondHorizon% strictly decreases with Δt_p; promotions decrease;
 	// inversions at the largest Δt_p exceed those at the paper's default.
@@ -74,7 +74,7 @@ func TestE7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := e7PromotionOverhead(1)
+	res := resultAt(t, "E7", 1)
 	rows := res.Table.Rows
 	// Within each load block (4 rows), promos/job decreases with Δt_p;
 	// and the higher load block dominates the lower at equal Δt_p.
@@ -96,7 +96,7 @@ func TestE9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := e9Integration(1)
+	res := resultAt(t, "E9", 1)
 	for _, row := range res.Table.Rows {
 		if row[1] != "HRT" {
 			continue
@@ -116,7 +116,7 @@ func TestA1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := a1PromotionAblation(1)
+	res := resultAt(t, "A1", 1)
 	last := res.Table.Rows[len(res.Table.Rows)-1] // highest load
 	onMiss, offMiss := cell(t, last, 2), cell(t, last, 3)
 	onInv, offInv := cell(t, last, 4), cell(t, last, 5)
@@ -132,7 +132,7 @@ func TestA2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := a2DejitterAblation(1)
+	res := resultAt(t, "A2", 1)
 	for i, row := range res.Table.Rows {
 		onJ, offJ := cell(t, row, 1), cell(t, row, 2)
 		if onJ != 0 {
@@ -148,7 +148,7 @@ func TestA3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	res := a3ValueShedding(1)
+	res := resultAt(t, "A3", 1)
 	vals := map[string]float64{}
 	for _, row := range res.Table.Rows {
 		vals[row[0]] = cell(t, row, 5)
