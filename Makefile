@@ -104,9 +104,10 @@ bench-smoke:
 # experiment tables, scenario reports, CLI pins, gateway tests and the
 # pinned example outputs must come out byte-identical under GOARCH=386
 # too, and the bus, middleware and observer tests (the frame's metadata,
-# each delivery's publish instant, the record layout) must pass there.
+# each delivery's publish instant, the record layout) and the chaos
+# tests (the order of invariant violations) must pass there.
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/experiments ./internal/scenario ./cmd/canecsim ./cmd/canecwhy ./internal/gateway ./internal/core ./internal/obs ./internal/can ./examples/...
+	GOARCH=386 $(GO) test -count=1 ./internal/experiments ./internal/scenario ./cmd/canecsim ./cmd/canecwhy ./internal/gateway ./internal/core ./internal/obs ./internal/can ./internal/chaos ./examples/...
 
 # check is the PR gate: compile everything, check gofmt, vet, run the
 # full suite under the race detector, smoke the fuzz targets and rerun

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 
 	"canec/internal/obs"
 	"canec/internal/sim"
@@ -214,6 +213,5 @@ func checkAttackerIsolated(ctx CheckContext) []Violation {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }

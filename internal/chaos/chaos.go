@@ -146,8 +146,8 @@ func (s Script) Validate(nodes int) error {
 	if masterDowns < 0 {
 		return fmt.Errorf("chaos: master restarted more often than crashed")
 	}
-	for n, d := range downs {
-		if d < 0 {
+	for _, n := range stations(downs) {
+		if downs[n] < 0 {
 			return fmt.Errorf("chaos: station %d restarted more often than crashed", n)
 		}
 	}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"canec/internal/binding"
@@ -305,5 +306,60 @@ func TestScriptValidate(t *testing.T) {
 	}
 	if err := fullScript().Validate(4); err != nil {
 		t.Errorf("full script rejected: %v", err)
+	}
+}
+
+// TestViolationsInStationOrder: violations at one instant come out by
+// check, then by station, whatever order the checkers' maps iterate in,
+// so identical traces give identical reports; Validate names the
+// lowest-numbered station a script restarts more often than it crashes.
+func TestViolationsInStationOrder(t *testing.T) {
+	at := func(ms int) sim.Time { return sim.Time(ms) * sim.Millisecond }
+	var recs []obs.Record
+	for _, n := range []int32{3, 1, 2} {
+		// Stations 1-3 owned HRT slots, recover at 30 ms and never
+		// transmit HRT again.
+		recs = append(recs,
+			obs.Record{At: at(1), Node: n, Stage: obs.StageTxOK, Band: obs.BandHRT},
+			obs.Record{At: at(10), Node: n, Stage: obs.StageNodeDown},
+			obs.Record{At: at(20), Node: n, Stage: obs.StageNodeRestart},
+			obs.Record{At: at(30), Node: n, Stage: obs.StageNodeUp})
+	}
+	for _, n := range []int32{6, 4, 5} {
+		// Stations 4-6 begin recovery at 30 ms and never come up.
+		recs = append(recs,
+			obs.Record{At: at(10), Node: n, Stage: obs.StageNodeDown},
+			obs.Record{At: at(30), Node: n, Stage: obs.StageNodeRestart})
+	}
+	for _, n := range []int32{9, 7, 8} {
+		// Stations 7-9 enter holdover at 30 ms and never leave it.
+		recs = append(recs, obs.Record{At: at(30), Node: n, Stage: obs.StageHoldoverEnter})
+	}
+	recs = append(recs, obs.Record{At: at(1000), Node: 0, Stage: obs.StageTxOK})
+	ctx := CheckContext{Records: recs, Round: sim.Millisecond,
+		MasterWindow: 100 * sim.Millisecond, RestartWindow: 100 * sim.Millisecond}
+	want := []string{
+		"recovery-bound 1", "recovery-bound 2", "recovery-bound 3",
+		"holdover-closed 7", "holdover-closed 8", "holdover-closed 9",
+		"restart-completes 4", "restart-completes 5", "restart-completes 6",
+	}
+	script := Script{Events: []Event{
+		{Kind: "restart", AtMS: 1, Node: 3}, {Kind: "restart", AtMS: 1, Node: 1}, {Kind: "restart", AtMS: 1, Node: 2},
+	}}
+	for run := 0; run < 20; run++ {
+		var got []string
+		for _, v := range checkAll(ctx) {
+			if v.At != at(30) {
+				t.Fatalf("unexpected violation %v", v)
+			}
+			got = append(got, v.Check+" "+strings.Fields(v.Detail)[1])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: violations in order\n%v\nwant\n%v", run, got, want)
+		}
+		err := script.Validate(4)
+		if err == nil || !strings.Contains(err.Error(), "station 1 ") {
+			t.Fatalf("run %d: Validate = %v, want it to name station 1", run, err)
+		}
 	}
 }

@@ -96,6 +96,17 @@ func outages(recs []obs.Record) map[int][]outage {
 	return m
 }
 
+// stations returns m's station keys in ascending order, so that checks
+// over stations emit in one order.
+func stations[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for n := range m {
+		keys = append(keys, n)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
 func last(ws []outage) *outage {
 	if len(ws) == 0 {
 		return nil
@@ -119,7 +130,8 @@ func silentIn(ws map[int][]outage, node int, t sim.Time) bool {
 }
 
 // checkAll runs every invariant checker and returns the union of
-// violations, ordered by time.
+// violations in one order: by time, then by check in the order run below,
+// then by station for the checks over stations, in trace order otherwise.
 func checkAll(ctx CheckContext) []Violation {
 	var out []Violation
 	out = append(out, checkMonotonicTraces(ctx)...)
@@ -395,7 +407,8 @@ func checkHoldoverClosed(ctx CheckContext) []Violation {
 		}
 	}
 	var out []Violation
-	for node, at := range openAt {
+	for _, node := range stations(openAt) {
+		at := openAt[node]
 		if at > end-2*ctx.MasterWindow {
 			continue // entered too late in the run to demand re-convergence
 		}
@@ -404,7 +417,6 @@ func checkHoldoverClosed(ctx CheckContext) []Violation {
 			Detail: fmt.Sprintf("node %d entered holdover at %v and never re-converged on a master", node, at),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
@@ -422,12 +434,13 @@ func checkRestartCompletes(ctx CheckContext) []Violation {
 		}
 	}
 	var out []Violation
-	for node, ws := range outages(ctx.Records) {
-		for i, w := range ws {
+	ws := outages(ctx.Records)
+	for _, node := range stations(ws) {
+		for i, w := range ws[node] {
 			if !w.restarted || w.recovered {
 				continue
 			}
-			if i+1 < len(ws) {
+			if i+1 < len(ws[node]) {
 				continue // crashed again mid-recovery
 			}
 			if w.restart > end-ctx.RestartWindow {
@@ -439,7 +452,6 @@ func checkRestartCompletes(ctx CheckContext) []Violation {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
@@ -459,9 +471,10 @@ func checkRecoveryBound(ctx CheckContext) []Violation {
 		}
 	}
 	bound := sim.Duration(ctx.recoveryRounds()) * ctx.Round
+	ws := outages(ctx.Records)
 	var out []Violation
-	for node, ws := range outages(ctx.Records) {
-		for _, w := range ws {
+	for _, node := range stations(ws) {
+		for _, w := range ws[node] {
 			if !w.recovered {
 				continue
 			}

@@ -5,9 +5,9 @@ import (
 
 	"canec/internal/calendar"
 	"canec/internal/chaos"
-	"canec/internal/clock"
 	"canec/internal/core"
 	"canec/internal/obs"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -28,12 +28,12 @@ func e11Recovery(seed uint64) Result {
 			"canec reclaimed B", "ttcan reclaimed B", "violations"},
 	}
 	base := e11Canec(seed, -1, -1)
-	ttBase := e11TTCAN(seed, -1, -1)
+	ttBase := e11TTCAN(seed, base.cal, -1, -1)
 	for _, outMS := range []float64{50, 100, 200} {
 		down := e11CrashAt
 		restart := down + sim.Duration(outMS*float64(sim.Millisecond))
 		crash := e11Canec(seed, down, restart)
-		tt := e11TTCAN(seed, down, restart)
+		tt := e11TTCAN(seed, base.cal, down, restart)
 		// Reclamation: extra best-effort bytes on the wire inside the
 		// service gap, against the same window of the identical run without
 		// a crash.
@@ -76,53 +76,38 @@ type e11Run struct {
 	downAt, restartAt, upAt sim.Time
 	missed                  int
 	violations              int
-	deliv                   []sim.Time // the bulk sender's frames on the wire
+	deliv                   []sim.Time         // the bulk sender's frames on the wire
+	cal                     *calendar.Calendar // the TTCAN comparator's reservations
 }
 
-// e11Canec runs the paper's system with saturating background NRT bulk
-// and, when down >= 0, a scripted crash/restart of node 1.
-func e11Canec(seed uint64, down, restart sim.Duration) e11Run {
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 8, Seed: seed, Calendar: fiveSlots(0x720, 2),
-		Sync:             clock.DefaultSyncConfig(),
-		MaxDriftPPM:      100,
-		MaxInitialOffset: 200 * sim.Microsecond,
-		Observe:          obs.Default(),
-	}))
-	var lc *core.Lifecycle
-	var camp *chaos.Campaign
+// e11Scenario is the paper's system on eight stations with the five
+// outage streams at omission degree 2 and, when down >= 0, a scripted
+// crash/restart of node 1.
+func e11Scenario(seed uint64, down, restart sim.Duration) *scenario.Scenario {
+	sc := &scenario.Scenario{Name: "E11", Nodes: 8, Seed: seed, DurationMs: int64(e11Horizon / sim.Millisecond),
+		MaxDriftPPM: 100, OmissionDegree: 2, HRT: fiveStreams(0x720), Observe: obs.Default()}
 	if down >= 0 {
-		lc = core.NewLifecycle(sys)
-		camp = must(chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{
+		sc.Chaos = &chaos.Script{Events: []chaos.Event{
 			{Kind: "crash", AtMS: float64(down) / float64(sim.Millisecond), Node: 1},
 			{Kind: "restart", AtMS: float64(restart) / float64(sim.Millisecond), Node: 1},
-		}}))
+		}}
 	}
-	end := sys.Cfg.Epoch + e11Horizon
+	return sc
+}
 
-	// HRT publishers, one per slot, re-anchored after a restart: the
-	// publish task schedules through the node's local clock, so it dies
-	// with a crash and the restart starts a fresh generation from the
-	// re-synced clock.
-	pubs := outagePubs(sys, end, lc)
-	if lc != nil {
-		lc.OnRestart = func(n int, mw *core.Middleware) {
-			for _, p := range pubs {
-				if int(p.Slot.Publisher) == n {
-					wired(p.Restart(mw))
-				}
-			}
-		}
-		camp.Install()
-	}
+// e11Canec runs e11Scenario with saturating background NRT bulk.
+func e11Canec(seed uint64, down, restart sim.Duration) e11Run {
+	in := must(e11Scenario(seed, down, restart).Build())
+	sys, end := in.Sys, in.Sys.Cfg.Epoch+e11Horizon
 
 	// Saturating background bulk, node 6 -> node 7, in small chains so the
 	// outage window resolves reclaimed bytes.
-	run := e11Run{downAt: -1, restartAt: -1, upAt: -1}
+	run := e11Run{downAt: -1, restartAt: -1, upAt: -1, cal: sys.Cfg.Calendar}
 	bulk := pair(sys, core.NRT, 0x7ff, 6, nrtAttrs(254), nil, 7, nrtAttrs(0), nil, nil)
 	nrtFeed(sys, bulk, 0x7ff, e11Chunk, 4, 0, 0, end)
 
 	sys.Run(end)
+	rep := in.Finish()
 	recs := sys.Obs.Records()
 	for _, r := range recs {
 		switch r.Stage {
@@ -137,18 +122,18 @@ func e11Canec(seed uint64, down, restart sim.Duration) e11Run {
 		}
 	}
 	run.deliv = txTimes(recs, 6)
-	if camp != nil {
-		run.violations = len(camp.Finish(0).Violations)
+	if rep.Chaos != nil {
+		run.violations = len(rep.Chaos.Violations)
 	}
 	return run
 }
 
-// e11TTCAN runs the TTCAN-style baseline with the same reservations: the
+// e11TTCAN runs the TTCAN-style baseline with cal's reservations: the
 // crash stops node 1's exclusive frames, but the windows stay reserved —
 // the arbitration window, where the bulk traffic lives, does not grow.
-func e11TTCAN(seed uint64, down, restart sim.Duration) e11Run {
+func e11TTCAN(seed uint64, cal *calendar.Calendar, down, restart sim.Duration) e11Run {
 	var run e11Run
-	ttcan(seed, fiveSlots(0x720, 2), 8, 6, e11Horizon,
+	ttcan(seed, cal, 8, 6, e11Horizon,
 		func(k *sim.Kernel, s calendar.Slot) bool {
 			crashed := down >= 0 && k.Now() >= down && k.Now() < restart
 			return !(crashed && s.Publisher == 1)

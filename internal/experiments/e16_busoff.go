@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"canec/internal/chaos"
-	"canec/internal/clock"
 	"canec/internal/core"
 	"canec/internal/obs"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 )
@@ -96,19 +96,13 @@ func e16MS(rel sim.Time) string {
 	return fmt.Sprintf("%.1f", float64(rel)/float64(sim.Millisecond))
 }
 
-// e16Exec runs one attack campaign (rate 0 = attack-free baseline) with
-// the confinement machine on and the lifecycle supervisor owning bus-off
-// recovery, and reduces the trace to the sweep's measurements.
-func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: 9, Seed: seed, Calendar: fiveSlots(0x730, 1),
-		Sync:             clock.DefaultSyncConfig(),
-		MaxDriftPPM:      100,
-		MaxInitialOffset: 200 * sim.Microsecond,
-		ConfineFaults:    true,
-		Observe:          obs.Default(),
-	}))
-	script := chaos.Script{}
+// e16Scenario is the confined segment of nine stations with the five
+// outage streams at omission degree 1 under one attack campaign (rate 0
+// = attack-free baseline); the lifecycle supervisor owns bus-off
+// recovery.
+func e16Scenario(seed uint64, rate float64, guarded bool) *scenario.Scenario {
+	// The guardian's slot limit counts only when the guardian is on.
+	script := chaos.Script{Guardian: guarded, GuardianSlotLimit: e16SlotLimit}
 	if rate > 0 {
 		script.Events = []chaos.Event{{
 			Kind:    "busoff_attack",
@@ -117,18 +111,16 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 			Node:    e16Attacker, Victim: e16Victim, Rate: rate,
 		}}
 	}
-	if guarded {
-		script.Guardian = true
-		script.GuardianSlotLimit = e16SlotLimit
-	}
-	lc := core.NewLifecycle(sys)
-	camp := must(chaos.NewCampaign(sys, lc, script))
-	lc.EnableBusOffRecovery(core.DefaultBusOffPolicy())
-	end := sys.Cfg.Epoch + e16Horizon
+	return &scenario.Scenario{Name: "E16", Nodes: 9, Seed: seed, DurationMs: int64(e16Horizon / sim.Millisecond),
+		MaxDriftPPM: 100, OmissionDegree: 1, ConfineFaults: true, HRT: fiveStreams(0x730),
+		Chaos: &script, Observe: obs.Default()}
+}
 
-	// HRT publishers, one per slot; node 5 subscribes to all of them.
-	outagePubs(sys, end, nil)
-	camp.Install()
+// e16Exec runs e16Scenario with saturating background NRT bulk and
+// reduces the trace to the sweep's measurements.
+func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
+	in := must(e16Scenario(seed, rate, guarded).Build())
+	sys, end := in.Sys, in.Sys.Cfg.Epoch+e16Horizon
 
 	// Saturating background bulk, node 6 -> node 7, resolving reclaimed
 	// bytes at frame granularity inside the victim's outage windows. The
@@ -140,6 +132,7 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 	nrtFeed(sys, bulk, 0x7fe, e16Chunk, 4, 4, 0, end)
 
 	sys.Run(end)
+	rep := in.Finish()
 
 	res := e16Result{busoffAt: -1, isolatedAt: -1}
 	victimSubjects := map[uint64]bool{0x730: true, 0x734: true}
@@ -180,7 +173,7 @@ func e16Exec(seed uint64, rate float64, guarded bool) e16Result {
 		res.downWins = append(res.downWins, [2]sim.Time{downAt, end})
 		res.downTotal += sim.Duration(end - downAt)
 	}
-	res.violations = len(camp.Finish(0).Violations)
+	res.violations = len(rep.Chaos.Violations)
 	res.deliv = txTimes(sys.Obs.Records(), 6)
 	return res
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"canec/internal/binding"
-	"canec/internal/calendar"
 	"canec/internal/chaos"
-	"canec/internal/clock"
 	"canec/internal/control"
 	"canec/internal/core"
 	"canec/internal/gateway"
 	"canec/internal/obs"
+	"canec/internal/scenario"
 	"canec/internal/sim"
 	"canec/internal/stats"
 	"canec/internal/workload"
@@ -108,15 +107,6 @@ func e18Row(q control.QoC, load float64, campaign string, base float64) []string
 	}
 }
 
-func e18LoopConfig(class core.Class) control.LoopConfig {
-	return control.LoopConfig{
-		Name: "cart", Plant: control.PlantDoubleIntegrator, Controller: control.ControllerPID,
-		Class: class, Sensor: e18Sensor, ControllerNode: e18Ctrl, Actuator: e18Sensor,
-		SensorSubject: e18SensSubj, CommandSubject: e18CmdSubj,
-		Period: e18Period, Setpoint: 0, Initial: 1,
-	}
-}
-
 // e18Background installs the MixedSet SRT load on sys: each stream's
 // pre-generated job trace publishes on its own channel with the stream's
 // deadline and expiration; one station subscribes to all of them so the
@@ -137,7 +127,6 @@ func e18Background(sys *core.System, load float64, seed uint64, end sim.Time) {
 			e18Nodes-1, core.ChannelAttrs{}, nil, nil)
 	}
 	for _, j := range jobs {
-		j := j
 		s := streams[j.Stream]
 		ch := chans[j.Stream]
 		sys.K.At(sys.Cfg.Epoch+j.Release, func() {
@@ -153,48 +142,35 @@ func e18Background(sys *core.System, load float64, seed uint64, end sim.Time) {
 	}
 }
 
-// e18Run executes one single-segment row: the loop on the given class,
-// MixedSet background at the given load, optionally a bus-off attack on
-// the controller station.
-func e18Run(seed uint64, class core.Class, load float64, attack bool) control.QoC {
-	cfg := e18LoopConfig(class)
-	var cal *calendar.Calendar
-	if reqs := cfg.CalendarRequests(); len(reqs) > 0 {
-		cal = must(calendar.Plan(calendar.DefaultConfig(), reqs))
-	}
-	sys := must(core.NewSystem(core.SystemConfig{
-		Nodes: e18Nodes, Seed: seed, Calendar: cal,
-		Sync:             clock.DefaultSyncConfig(),
-		MaxDriftPPM:      100,
-		MaxInitialOffset: 200 * sim.Microsecond,
-		ConfineFaults:    true,
-		Observe:          obs.Default(),
-	}))
-	end := sys.Cfg.Epoch + e18Horizon
-
-	var camp *chaos.Campaign
+// e18Scenario is one single-segment row's confined segment: the cart (a
+// PID-controlled double integrator regulating from 1 to 0) on the given
+// class, optionally under a bus-off attack on the controller station.
+func e18Scenario(seed uint64, class core.Class, attack bool) *scenario.Scenario {
+	sc := &scenario.Scenario{Name: "E18", Nodes: e18Nodes, Seed: seed, DurationMs: int64(e18Horizon / sim.Millisecond),
+		MaxDriftPPM: 100, ConfineFaults: true, Observe: obs.Default(),
+		Control: []scenario.ControlLoop{{
+			Name: "cart", Plant: control.PlantDoubleIntegrator, Controller: control.ControllerPID,
+			Class: class.String(), Sensor: e18Sensor, ControllerNode: e18Ctrl, Actuator: e18Sensor,
+			SensorSubject: e18SensSubj, CommandSubject: e18CmdSubj,
+			PeriodUs: int64(e18Period / sim.Microsecond), Initial: 1,
+		}}}
 	if attack {
-		lc := core.NewLifecycle(sys)
-		camp = must(chaos.NewCampaign(sys, lc, chaos.Script{Events: []chaos.Event{{
+		sc.Chaos = &chaos.Script{Events: []chaos.Event{{
 			Kind: "busoff_attack", AtMS: 300, UntilMS: 700,
 			Node: e18Attacker, Victim: e18Ctrl, Rate: 1,
-		}}}))
-		lc.EnableBusOffRecovery(core.DefaultBusOffPolicy())
+		}}}
 	}
+	return sc
+}
 
-	l := must(control.NewLoop(cfg, nil))
-	wired(l.Install(sys.K, sys.Cfg.Epoch, end, func(n int) *core.Middleware {
-		return sys.Node(n).MW
-	}, nil))
-	e18Background(sys, load, seed, end)
-	if camp != nil {
-		camp.Install()
-	}
-	sys.Run(end)
-	if camp != nil {
-		camp.Finish(0)
-	}
-	return l.Report()
+// e18Run executes one single-segment row: e18Scenario with MixedSet
+// background at the given load.
+func e18Run(seed uint64, class core.Class, load float64, attack bool) control.QoC {
+	in := must(e18Scenario(seed, class, attack).Build())
+	end := in.Sys.Cfg.Epoch + e18Horizon
+	e18Background(in.Sys, load, seed, end)
+	in.Sys.Run(end)
+	return in.Finish().Control[0]
 }
 
 // e18Relay executes the relay-hop row: sensor and actuator live on
@@ -213,9 +189,14 @@ func e18Relay(seed uint64, load float64) control.QoC {
 	wired(ga.Announce(core.SRT, e18CmdSubj, core.ChannelAttrs{}))
 	wired(gb.Forward(core.SRT, e18CmdSubj, core.ChannelAttrs{}))
 
-	cfg := e18LoopConfig(core.SRT)
-	cfg.ControllerNode = e18Nodes // segB station 0, via the index mapping below
-	l := must(control.NewLoop(cfg, nil))
+	// The cart with its controller on segB station 0, via the index
+	// mapping below.
+	l := must(control.NewLoop(control.LoopConfig{
+		Name: "cart", Plant: control.PlantDoubleIntegrator, Controller: control.ControllerPID,
+		Class: core.SRT, Sensor: e18Sensor, ControllerNode: e18Nodes, Actuator: e18Sensor,
+		SensorSubject: e18SensSubj, CommandSubject: e18CmdSubj,
+		Period: e18Period, Initial: 1,
+	}, nil))
 	end := segA.Cfg.Epoch + e18Horizon
 	wired(l.Install(k, segA.Cfg.Epoch, end, func(n int) *core.Middleware {
 		if n >= e18Nodes {

@@ -1,10 +1,46 @@
 package experiments
 
 import (
+	"strconv"
+	"strings"
 	"testing"
-
-	"canec/internal/core"
 )
+
+// e18Seeds are the seeds the E18 shape tests read: every seed whose table
+// the goldens pin, so the shape holds wherever the table is checked. The
+// tests are parallel, so in a full run they start after
+// TestAllExperimentsProduceTables and read the tables it already made.
+var e18Seeds = []uint64{1, 2, 3, 5}
+
+// e18Rows returns the lookup of E18's rows at seed by "class load
+// campaign", e.g. "SRT 0.45 none" or "SRT 0.45 +1 hop"; it fails the test
+// on a key with no row.
+func e18Rows(t *testing.T, seed uint64) func(key string) []string {
+	t.Helper()
+	rows := map[string][]string{}
+	for _, row := range resultAt(t, "E18", seed).Table.Rows {
+		rows[row[0]+" "+row[1]+" "+row[2]] = row
+	}
+	return func(key string) []string {
+		t.Helper()
+		row, ok := rows[key]
+		if !ok {
+			t.Fatalf("E18 at seed %d has no row %q", seed, key)
+		}
+		return row
+	}
+}
+
+// e18Applied is a row's count of applied commands (the numerator of its
+// applied/commands cell).
+func e18Applied(t *testing.T, row []string) int {
+	t.Helper()
+	n, err := strconv.Atoi(strings.TrimSpace(strings.SplitN(row[8], "/", 2)[0]))
+	if err != nil {
+		t.Fatalf("applied cell %q: %v", row[8], err)
+	}
+	return n
+}
 
 // TestE18ShapeClassHierarchy pins the experiment's reproduction contract:
 // quality-of-control cost is monotone in bus load for every class, and
@@ -15,39 +51,41 @@ func TestE18ShapeClassHierarchy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	loads := []float64{0, 0.85, 1.2}
-	cost := map[core.Class][]float64{}
-	for _, class := range []core.Class{core.HRT, core.SRT, core.NRT} {
-		for i, load := range loads {
-			q := e18Run(1, class, load, false)
-			cost[class] = append(cost[class], q.CostPerSec)
-			// Monotone: more load never improves control.
-			if i > 0 && q.CostPerSec < cost[class][i-1]*0.999 {
-				t.Fatalf("%s: cost fell from %v to %v as load rose to %v",
-					class, cost[class][i-1], q.CostPerSec, load)
-			}
-			if class == core.SRT && !q.Settled {
-				t.Fatalf("SRT loop failed to settle at load %v: %+v", load, q)
+	t.Parallel()
+	loads := []string{"0.00", "0.45", "0.85", "1.20"}
+	for _, seed := range e18Seeds {
+		rows := e18Rows(t, seed)
+		cost := map[string][]float64{}
+		for _, class := range []string{"HRT", "SRT", "NRT"} {
+			for i, load := range loads {
+				row := rows(class + " " + load + " none")
+				cost[class] = append(cost[class], cell(t, row, 3))
+				// Monotone: more load never improves control.
+				if i > 0 && cost[class][i] < cost[class][i-1]*0.999 {
+					t.Errorf("seed %d %s: cost fell from %v to %v as load rose to %s",
+						seed, class, cost[class][i-1], cost[class][i], load)
+				}
+				if class == "SRT" && row[5] == "-" {
+					t.Errorf("seed %d: SRT loop failed to settle at load %s: %v", seed, load, row)
+				}
 			}
 		}
-	}
-	// HRT is load-immune: overload costs what an idle bus costs.
-	if hrt := cost[core.HRT]; hrt[2] > hrt[0]*1.02 {
-		t.Fatalf("HRT cost moved with load: %v", hrt)
-	}
-	// SRT holds through 0.85 but pays past saturation.
-	if srt := cost[core.SRT]; srt[1] > srt[0]*1.1 || srt[2] < srt[0]*1.5 {
-		t.Fatalf("SRT should hold at 0.85 and degrade at 1.2: %v", srt)
-	}
-	// NRT degrades before SRT at every stressed point and is the worst
-	// class once the bus saturates.
-	if cost[core.NRT][1] <= cost[core.SRT][1] {
-		t.Fatalf("NRT should degrade before SRT at 0.85: NRT %v, SRT %v",
-			cost[core.NRT][1], cost[core.SRT][1])
-	}
-	if cost[core.NRT][2] <= cost[core.SRT][2] {
-		t.Fatalf("NRT should be worst past saturation: NRT %v, SRT %v",
-			cost[core.NRT][2], cost[core.SRT][2])
+		// HRT is load-immune: overload costs what an idle bus costs.
+		if hrt := cost["HRT"]; hrt[3] > hrt[0]*1.02 {
+			t.Errorf("seed %d: HRT cost moved with load: %v", seed, hrt)
+		}
+		// SRT holds through 0.85 but pays past saturation.
+		if srt := cost["SRT"]; srt[2] > srt[0]*1.1 || srt[3] < srt[0]*1.5 {
+			t.Errorf("seed %d: SRT should hold at 0.85 and degrade at 1.2: %v", seed, srt)
+		}
+		// NRT degrades before SRT at every stressed point and is the worst
+		// class once the bus saturates.
+		for _, i := range []int{2, 3} {
+			if cost["NRT"][i] <= cost["SRT"][i] {
+				t.Errorf("seed %d: NRT should cost more than SRT at %s: NRT %v, SRT %v",
+					seed, loads[i], cost["NRT"][i], cost["SRT"][i])
+			}
+		}
 	}
 }
 
@@ -58,19 +96,23 @@ func TestE18BusOffAttackTaxesEveryClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	for _, class := range []core.Class{core.HRT, core.SRT} {
-		clean := e18Run(1, class, 0.45, false)
-		hit := e18Run(1, class, 0.45, true)
-		if hit.CostPerSec < clean.CostPerSec*1.2 {
-			t.Fatalf("%s: attack cost %v vs clean %v — outage left no mark",
-				class, hit.CostPerSec, clean.CostPerSec)
-		}
-		if hit.Stale == 0 {
-			t.Fatalf("%s: no stale ticks during the controller outage", class)
-		}
-		if hit.Applied >= clean.Applied {
-			t.Fatalf("%s: attack should cost commands (%d vs %d)",
-				class, hit.Applied, clean.Applied)
+	t.Parallel()
+	for _, seed := range e18Seeds {
+		rows := e18Rows(t, seed)
+		for _, class := range []string{"HRT", "SRT"} {
+			clean := rows(class + " 0.45 none")
+			hit := rows(class + " 0.45 busoff")
+			if cell(t, hit, 3) < cell(t, clean, 3)*1.2 {
+				t.Errorf("seed %d %s: attack cost %s vs clean %s — outage left no mark",
+					seed, class, hit[3], clean[3])
+			}
+			if cell(t, hit, 7) == 0 {
+				t.Errorf("seed %d %s: no stale ticks during the controller outage", seed, class)
+			}
+			if e18Applied(t, hit) >= e18Applied(t, clean) {
+				t.Errorf("seed %d %s: attack should cost commands (%s vs %s)",
+					seed, class, hit[8], clean[8])
+			}
 		}
 	}
 }
@@ -82,16 +124,20 @@ func TestE18RelayHopSettles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	direct := e18Run(1, core.SRT, 0.45, false)
-	relayed := e18Relay(1, 0.45)
-	if !relayed.Settled {
-		t.Fatalf("relayed loop did not settle: %+v", relayed)
-	}
-	if relayed.Applied < 100 {
-		t.Fatalf("relayed loop applied only %d commands", relayed.Applied)
-	}
-	if relayed.Latency.Quantile(0.5) <= direct.Latency.Quantile(0.5) {
-		t.Fatalf("gateway hop invisible in latency: relay p50 %v vs direct %v",
-			relayed.Latency.Quantile(0.5), direct.Latency.Quantile(0.5))
+	t.Parallel()
+	for _, seed := range e18Seeds {
+		rows := e18Rows(t, seed)
+		direct := rows("SRT 0.45 none")
+		relayed := rows("SRT 0.45 +1 hop")
+		if relayed[5] == "-" {
+			t.Errorf("seed %d: relayed loop did not settle: %v", seed, relayed)
+		}
+		if n := e18Applied(t, relayed); n < 100 {
+			t.Errorf("seed %d: relayed loop applied only %d commands", seed, n)
+		}
+		if cell(t, relayed, 9) <= cell(t, direct, 9) {
+			t.Errorf("seed %d: gateway hop invisible in latency: relay p50 %s vs direct %s",
+				seed, relayed[9], direct[9])
+		}
 	}
 }

@@ -19,19 +19,19 @@ func geometryCalendars(t *testing.T) map[string]*calendar.Calendar {
 	cals := map[string]*calendar.Calendar{
 		"E3":  e3Slots(),
 		"E8":  e8Calendar(),
-		"E11": fiveSlots(0x720, 2),
 		"E12": e12Calendar(),
-		"E16": fiveSlots(0x730, 1),
 	}
 	for k := 0; k <= 3; k++ { // E1 at k = 0, E2 across omission degrees
 		cfg := calendar.DefaultConfig()
 		cfg.OmissionDegree = k
 		_, cals[fmt.Sprintf("E1-E2/k%d", k)] = e1System(cfg, 2, 1)
 	}
+	scs := map[string]*scenario.Scenario{
+		"E11": e11Scenario(1, -1, -1),
+		"E16": e16Scenario(1, 0, false),
+	}
 	for _, class := range []core.Class{core.HRT, core.SRT, core.NRT} {
-		if reqs := e18LoopConfig(class).CalendarRequests(); len(reqs) > 0 {
-			cals["E18/"+class.String()] = must(calendar.Plan(calendar.DefaultConfig(), reqs))
-		}
+		scs["E18/"+class.String()] = e18Scenario(1, class, false)
 	}
 	files, err := filepath.Glob("../../testdata/scenario-*.json")
 	if err != nil || len(files) == 0 {
@@ -42,12 +42,15 @@ func geometryCalendars(t *testing.T) map[string]*calendar.Calendar {
 		if err != nil {
 			t.Fatal(err)
 		}
+		scs[filepath.Base(f)] = sc
+	}
+	for name, sc := range scs {
 		in, err := sc.Build()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if cal := in.Sys.Cfg.Calendar; cal != nil {
-			cals[filepath.Base(f)] = cal
+			cals[name] = cal
 		}
 	}
 	return cals

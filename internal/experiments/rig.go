@@ -167,21 +167,20 @@ func e1System(cfg calendar.Config, nodes int, seed uint64) (*core.System, *calen
 	return must(core.NewSystem(core.SystemConfig{Nodes: nodes, Seed: seed, Calendar: cal, Epoch: sim.Millisecond})), cal
 }
 
-// fiveSlots reserves five periodic 10 ms HRT channels at omission degree
-// k: base and base+4 on node 1, so an outage of node 1 frees a sizable
-// reservation, and base+1..base+3 on nodes 2-4.
-func fiveSlots(base uint64, k int) *calendar.Calendar {
-	cfg := calendar.DefaultConfig()
-	cfg.OmissionDegree = k
-	var reqs []calendar.Request
+// fiveStreams are the outage experiments' five periodic 10 ms HRT
+// streams, all subscribed by node 5: base and base+4 on node 1, so an
+// outage of node 1 frees a sizable reservation, and base+1..base+3 on
+// nodes 2-4. Round r publishes the one byte r.
+func fiveStreams(base uint64) []scenario.HRTStream {
+	var out []scenario.HRTStream
 	for _, s := range []struct {
 		off  uint64
-		node can.TxNode
+		node int
 	}{{0, 1}, {4, 1}, {1, 2}, {2, 3}, {3, 4}} {
-		reqs = append(reqs, calendar.Request{Subject: base + s.off, Publisher: s.node, Payload: 8,
-			Period: 10 * sim.Millisecond, Periodic: true})
+		out = append(out, scenario.HRTStream{Subject: base + s.off, Publisher: s.node, Subscriber: 5,
+			PeriodUs: 10_000, Payload: 7, RoundPayload: func(r int64) []byte { return []byte{byte(r)} }})
 	}
-	return must(calendar.Plan(cfg, reqs))
+	return out
 }
 
 // txTimes returns the instants of node's successful transmissions in
@@ -207,20 +206,4 @@ func bytesIn(times []sim.Time, from, to sim.Time) int {
 		}
 	}
 	return n
-}
-
-// outagePubs drives every slot of sys's calendar from its publisher's
-// clock, 300 µs before the slot's ready instant, until end, and
-// subscribes node 5 to each; lc, when set, makes them crash-aware.
-func outagePubs(sys *core.System, end sim.Time, lc *core.Lifecycle) []*scenario.RoundPub {
-	var pubs []*scenario.RoundPub
-	for _, s := range sys.Cfg.Calendar.Slots {
-		p := &scenario.RoundPub{Sys: sys, Slot: s, Attrs: hrtAttrs(), At: s.Ready - 300*sim.Microsecond, End: end, Lifecycle: lc,
-			Payload: func(r int64) []byte { return []byte{byte(r)} }}
-		wired(p.Start())
-		pubs = append(pubs, p)
-		wired(scenario.Subscribe(sys.Node(5).MW, core.HRT, binding.Subject(s.Subject), hrtAttrs(),
-			func(core.Event, core.DeliveryInfo) {}, nil))
-	}
-	return pubs
 }

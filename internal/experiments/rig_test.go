@@ -59,20 +59,26 @@ func TestBytesInHalfOpen(t *testing.T) {
 	}
 }
 
-// TestFiveSlotsLayout: the outage experiments' calendar puts the base
-// subject and base+4 on node 1 and one subject each on nodes 2-4, at the
-// requested omission degree.
+// TestFiveSlotsLayout: the outage experiments' built calendars put the
+// base subject and base+4 on node 1 and one subject each on nodes 2-4,
+// at E11's and E16's omission degrees.
 func TestFiveSlotsLayout(t *testing.T) {
-	cal := fiveSlots(0x720, 2)
-	if cal.Cfg.OmissionDegree != 2 {
-		t.Errorf("omission degree %d, want 2", cal.Cfg.OmissionDegree)
-	}
-	pubs := map[uint64]int{}
-	for _, s := range cal.Slots {
-		pubs[s.Subject] = int(s.Publisher)
-	}
-	want := map[uint64]int{0x720: 1, 0x724: 1, 0x721: 2, 0x722: 3, 0x723: 4}
-	if fmt.Sprint(pubs) != fmt.Sprint(want) {
-		t.Errorf("publishers %v, want %v", pubs, want)
+	for _, tc := range []struct {
+		sc   *scenario.Scenario
+		base uint64
+		k    int
+	}{{e11Scenario(1, -1, -1), 0x720, 2}, {e16Scenario(1, 0, false), 0x730, 1}} {
+		cal := must(tc.sc.Build()).Sys.Cfg.Calendar
+		if cal.Cfg.OmissionDegree != tc.k {
+			t.Errorf("%s: omission degree %d, want %d", tc.sc.Name, cal.Cfg.OmissionDegree, tc.k)
+		}
+		pubs := map[uint64]int{}
+		for _, s := range cal.Slots {
+			pubs[s.Subject-tc.base] = int(s.Publisher)
+		}
+		want := map[uint64]int{0: 1, 4: 1, 1: 2, 2: 3, 3: 4}
+		if fmt.Sprint(pubs) != fmt.Sprint(want) {
+			t.Errorf("%s: publishers by subject offset %v, want %v", tc.sc.Name, pubs, want)
+		}
 	}
 }

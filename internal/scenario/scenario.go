@@ -36,6 +36,9 @@ type HRTStream struct {
 	Subscriber int    `json:"subscriber"`
 	PeriodUs   int64  `json:"periodUs"`
 	Payload    int    `json:"payload"` // application bytes (≤ 7)
+	// RoundPayload, when set from Go, is round r's payload; nil publishes
+	// a Stamp of Payload bytes. The bytes set the frame's bit stuffing.
+	RoundPayload func(r int64) []byte `json:"-"`
 }
 
 // SRTStream describes one soft real-time stream.
@@ -776,7 +779,6 @@ func (s *Scenario) Build() (*Instance, error) {
 		streams = append(streams, st)
 	}
 	for i, h := range s.HRT {
-		i, h := i, h
 		attrs := core.ChannelAttrs{Payload: h.Payload, Periodic: true}
 		// The stream's own slot times it: a subject with several
 		// publishers has one slot per publisher (§3.1).
@@ -807,7 +809,10 @@ func (s *Scenario) Build() (*Instance, error) {
 		// The publish task is host software on the publisher's clock, 300 µs
 		// before its slot: it dies with a crash and restart re-anchors it.
 		p := &RoundPub{Sys: sys, Slot: slot, Attrs: attrs, At: slot.Ready - 300*sim.Microsecond, End: end, Lifecycle: lc,
-			Payload: func(int64) []byte { return Stamp(sys.K, h.Payload) }}
+			Payload: h.RoundPayload}
+		if p.Payload == nil {
+			p.Payload = func(int64) []byte { return Stamp(sys.K, h.Payload) }
+		}
 		if err := p.Start(); err != nil {
 			return nil, err
 		}
@@ -818,7 +823,6 @@ func (s *Scenario) Build() (*Instance, error) {
 	}
 
 	for _, r := range s.SRT {
-		r := r
 		st := &stream{
 			class: core.SRT, subject: binding.Subject(r.Subject), pub: r.Publisher, sub: r.Subscriber,
 			notify: func(ev core.Event, di core.DeliveryInfo) {
@@ -866,7 +870,6 @@ func (s *Scenario) Build() (*Instance, error) {
 	}
 
 	for _, b := range s.NRT {
-		b := b
 		st := &stream{
 			class: core.NRT, subject: binding.Subject(b.Subject), pub: b.Publisher, sub: b.Subscriber,
 			announce:  core.ChannelAttrs{Prio: can.Prio(b.Prio), Fragmentation: true},

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"canec/internal/can"
 	"canec/internal/chaos"
+	"canec/internal/core"
 	"canec/internal/golden"
 	"canec/internal/obs"
 )
@@ -527,4 +529,40 @@ func TestDemoScenarioClaims(t *testing.T) {
 			t.Fatalf("invariants violated: %v", ch.Violations)
 		}
 	})
+}
+
+// TestHRTRoundPayload: a stream with RoundPayload set delivers round r's
+// bytes from it instead of a Stamp, and the field is Go-only: a JSON file
+// that names it is refused.
+func TestHRTRoundPayload(t *testing.T) {
+	pay := func(r int64) []byte { return []byte{0xa5, byte(r), byte(r * 3)} }
+	s := &Scenario{
+		Name: "round-payload", Nodes: 3, Seed: 1, DurationMs: 100,
+		HRT: []HRTStream{{Subject: 300, Publisher: 0, Subscriber: 1, PeriodUs: 10000, Payload: 7, RoundPayload: pay}},
+	}
+	in, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The delivery's buffer is reused, so each payload is kept as a copy.
+	var got [][]byte
+	if err := Subscribe(in.Sys.Node(2).MW, core.HRT, 300, core.ChannelAttrs{Payload: 7, Periodic: true},
+		func(ev core.Event, _ core.DeliveryInfo) { got = append(got, bytes.Clone(ev.Payload)) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	in.Sys.Run(in.End)
+	if c := in.Finish().Counters; c.SlotMissed != 0 || len(got) < 5 {
+		t.Fatalf("%d deliveries, %d slots missed", len(got), c.SlotMissed)
+	}
+	for r, p := range got {
+		if !bytes.Equal(p, pay(int64(r))) {
+			t.Fatalf("round %d delivered % x, want % x", r, p, pay(int64(r)))
+		}
+	}
+
+	const spec = `{"name": "x", "nodes": 2, "durationMs": 10, "hrt": [
+	  {"subject": 1, "publisher": 0, "subscriber": 1, "periodUs": 10000, "payload": 1, "roundPayload": "AQ=="}]}`
+	if _, err := Load(strings.NewReader(spec)); err == nil || !strings.Contains(err.Error(), "roundPayload") {
+		t.Fatalf("Load = %v, want the roundPayload key refused", err)
+	}
 }
