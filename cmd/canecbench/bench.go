@@ -122,13 +122,24 @@ func runProfile(n int) int {
 		}
 		return stages[i].Class < stages[j].Class
 	})
-	fmt.Printf("%-12s %-5s %12s %14s %10s\n", "stage", "class", "ops", "wall_ns", "ns/op")
+	// Stage times are sampled (one kernel step in about 64) and
+	// exclusive, so the rows and unattributed add up to the step wall.
+	share := func(ns int64) float64 {
+		if snap.StepWallNs == 0 {
+			return 0
+		}
+		return float64(ns) / float64(snap.StepWallNs)
+	}
+	fmt.Printf("%-12s %-5s %12s %8s %14s %10s %6s\n", "stage", "class", "ops", "samples", "wall_ns", "ns/op", "share")
 	for _, s := range stages {
 		perOp := 0.0
 		if s.Ops > 0 {
 			perOp = float64(s.WallNs) / float64(s.Ops)
 		}
-		fmt.Printf("%-12s %-5s %12d %14d %10.1f\n", s.Stage, s.Class, s.Ops, s.WallNs, perOp)
+		fmt.Printf("%-12s %-5s %12d %8d %14d %10.1f %6.3f\n", s.Stage, s.Class, s.Ops, s.Samples, s.WallNs, perOp, share(s.WallNs))
 	}
+	fmt.Printf("%-12s %-5s %12s %8d %14d %10s %6.3f\n", "unattributed", "all", "-", snap.TimedSteps, snap.UnattributedNs, "-", share(snap.UnattributedNs))
+	fmt.Printf("%-12s %-5s %12d %8d %14d %10.1f %6.3f\n", "step wall", "", snap.Steps, snap.TimedSteps, snap.StepWallNs,
+		float64(snap.StepWallNs)/float64(max(snap.Steps, 1)), share(snap.StepWallNs))
 	return 0
 }

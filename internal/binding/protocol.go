@@ -265,6 +265,7 @@ func (a *Agent) checkpoint() {
 // the wire; see checkpoint).
 func (a *Agent) sortedUIDs() []uint64 {
 	out := make([]uint64, 0, len(a.nodesByUID))
+	// order-free: collect, then sort below.
 	for uid := range a.nodesByUID {
 		out = append(out, uid)
 	}

@@ -176,6 +176,7 @@ type Binding struct {
 // onto the wire.
 func (t *Table) Snapshot() []Binding {
 	out := make([]Binding, 0, len(t.fwd))
+	// order-free: collect, then sort by etag below.
 	for s, e := range t.fwd {
 		out = append(out, Binding{Subject: s, Etag: e})
 	}
@@ -187,6 +188,7 @@ func (t *Table) Snapshot() []Binding {
 // configuration to every node.
 func (t *Table) Clone() *Table {
 	c := NewTable()
+	// order-free: a map copy.
 	for s, e := range t.fwd {
 		c.fwd[s] = e
 	}

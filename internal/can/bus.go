@@ -222,10 +222,10 @@ func (b *Bus) arbitrate() {
 	if b.busy {
 		return
 	}
-	prof := b.K.Probe()
-	var pt0 int64
-	if prof != nil {
-		pt0 = sim.ProbeNow()
+	probed := b.K.Probe() != nil
+	var w sim.StageWindow
+	if probed {
+		w = b.K.StageStart()
 	}
 	var win *txReq
 	winIdx := -1
@@ -252,23 +252,20 @@ func (b *Bus) arbitrate() {
 			}
 		}
 	}
+	if probed {
+		b.K.StageEnd(w, sim.ProbeArbitration, sim.ProbeClassNone)
+	}
 	if win == nil {
-		if prof != nil {
-			prof.StageNs(sim.ProbeArbitration, sim.ProbeClassNone, sim.ProbeNow()-pt0)
-		}
 		return
 	}
 	// The winner's wire length is pure in its frame, so it is computed
-	// here: one clock read ends the arbitration window and starts the
-	// codec window.
-	if prof != nil {
-		pt1 := sim.ProbeNow()
-		prof.StageNs(sim.ProbeArbitration, sim.ProbeClassNone, pt1-pt0)
-		pt0 = pt1
+	// here, in a codec window of its own.
+	if probed {
+		w = b.K.StageStart()
 	}
 	bits := WireBits(win.frame)
-	if prof != nil {
-		prof.StageNs(sim.ProbeCodec, sim.ProbeClassNone, sim.ProbeNow()-pt0)
+	if probed {
+		b.K.StageEnd(w, sim.ProbeCodec, sim.ProbeClassNone)
 	}
 	b.stats.ArbRounds++
 	b.busy = true

@@ -486,43 +486,76 @@ func TestFrameSharedAcrossReceivers(t *testing.T) {
 	}
 }
 
-// stageCounter counts probe ops per stage.
-type stageCounter [sim.NumProbeStages]int
+// stageCounter counts probe ops and sums wallNs per stage.
+type stageCounter struct {
+	ops [sim.NumProbeStages]int
+	ns  [sim.NumProbeStages]int64
+}
 
-func (c *stageCounter) StageNs(s sim.ProbeStage, _ sim.ProbeClass, _ int64) { c[s]++ }
+func (c *stageCounter) StageNs(s sim.ProbeStage, _ sim.ProbeClass, wallNs int64) {
+	c.ops[s]++
+	c.ns[s] += wallNs
+}
 
 // TestArbitrationRoundProbeOps pins what one arbitration round reports to
 // the kernel's probe: a round with a winner is one arbitration op and
 // one codec op (the winner's wire length), and an idle round is one
-// arbitration op and no codec op.
+// arbitration op and no codec op. On an untimed step both report 0 ns;
+// on a timed step each op is one sample of its stage.
 func TestArbitrationRoundProbeOps(t *testing.T) {
 	k, b := rig(2, 1)
 	var c stageCounter
 	k.SetProbe(&c)
 
-	b.Controller(0).Submit(Frame{ID: MakeID(10, 0, 5), Data: []byte{1, 2}}, SubmitOpts{})
-	c = stageCounter{}
-	k.Step() // the arbitration round the submit kicked
-	if !b.busy {
-		t.Fatal("no frame won arbitration")
+	// round steps the kicked arbitration round and checks its report.
+	var timedWins, timedIdle int
+	round := func(wantWin bool) {
+		t.Helper()
+		c = stageCounter{}
+		before := k.ProbeTotals()
+		k.Step()
+		if b.busy != wantWin {
+			t.Fatalf("bus busy %v after the round, want %v", b.busy, wantWin)
+		}
+		codec := 0
+		if wantWin {
+			codec = 1
+		}
+		if c.ops[sim.ProbeArbitration] != 1 || c.ops[sim.ProbeCodec] != codec {
+			t.Fatalf("round (win %v): %d arbitration ops, %d codec ops; want 1 and %d",
+				wantWin, c.ops[sim.ProbeArbitration], c.ops[sim.ProbeCodec], codec)
+		}
+		after := k.ProbeTotals()
+		arbS := after.Samples[sim.ProbeArbitration][sim.ProbeClassNone] - before.Samples[sim.ProbeArbitration][sim.ProbeClassNone]
+		codecS := after.Samples[sim.ProbeCodec][sim.ProbeClassNone] - before.Samples[sim.ProbeCodec][sim.ProbeClassNone]
+		if after.TimedSteps == before.TimedSteps {
+			if c.ns[sim.ProbeArbitration] != 0 || c.ns[sim.ProbeCodec] != 0 || arbS != 0 || codecS != 0 {
+				t.Fatalf("untimed round reported %d/%d ns, %d/%d samples", c.ns[sim.ProbeArbitration],
+					c.ns[sim.ProbeCodec], arbS, codecS)
+			}
+			return
+		}
+		if arbS != 1 || codecS != uint64(codec) {
+			t.Fatalf("timed round (win %v): %d arbitration and %d codec samples", wantWin, arbS, codecS)
+		}
+		if wantWin {
+			timedWins++
+		} else {
+			timedIdle++
+		}
 	}
-	if c[sim.ProbeArbitration] != 1 || c[sim.ProbeCodec] != 1 {
-		t.Fatalf("winning round: %d arbitration ops, %d codec ops; want 1 and 1",
-			c[sim.ProbeArbitration], c[sim.ProbeCodec])
-	}
-	k.RunUntilIdle()
+	for i := 0; i < 20*64; i++ {
+		b.Controller(0).Submit(Frame{ID: MakeID(10, 0, 5), Data: []byte{1, 2}}, SubmitOpts{})
+		round(true)
+		k.RunUntilIdle()
 
-	h := b.Controller(1).Submit(Frame{ID: MakeID(20, 1, 5)}, SubmitOpts{})
-	if !b.Controller(1).Abort(h) {
-		t.Fatal("abort before arbitration failed")
+		h := b.Controller(1).Submit(Frame{ID: MakeID(20, 1, 5)}, SubmitOpts{})
+		if !b.Controller(1).Abort(h) {
+			t.Fatal("abort before arbitration failed")
+		}
+		round(false) // the kicked round finds nothing pending
 	}
-	c = stageCounter{}
-	k.Step() // the kicked round finds nothing pending
-	if b.busy {
-		t.Fatal("an aborted frame won arbitration")
-	}
-	if c[sim.ProbeArbitration] != 1 || c[sim.ProbeCodec] != 0 {
-		t.Fatalf("idle round: %d arbitration ops, %d codec ops; want 1 and 0",
-			c[sim.ProbeArbitration], c[sim.ProbeCodec])
+	if timedWins == 0 || timedIdle == 0 {
+		t.Fatalf("%d timed winning and %d timed idle rounds, want both", timedWins, timedIdle)
 	}
 }

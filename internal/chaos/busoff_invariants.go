@@ -169,6 +169,7 @@ func checkHRTSurvival(ctx CheckContext) []Violation {
 				continue // the victim's own slots are expected to miss
 			}
 			healthy := false
+			// order-free: whether any publisher is healthy; silentIn is pure.
 			for p := range pubs {
 				if !silentIn(ws, p, r.At) {
 					healthy = true

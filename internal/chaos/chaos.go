@@ -662,10 +662,12 @@ func (c *Campaign) Finish(recoveryRounds int) Report {
 	rep.GuardianIsolated = st.GuardianIsolated
 	rep.BusOffEvents = st.BusOffEvents
 	rep.BusOffRecovered = c.LC.BusOffRecovered
+	// order-free: sums.
 	for _, b := range c.Babblers {
 		rep.BabbleSent += b.Sent
 		rep.BabbleMuted += b.Muted
 	}
+	// order-free: sums.
 	for _, a := range c.Attackers {
 		rep.AttackSent += a.Sent
 		rep.AttackMuted += a.Muted

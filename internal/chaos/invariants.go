@@ -100,6 +100,7 @@ func outages(recs []obs.Record) map[int][]outage {
 // over stations emit in one order.
 func stations[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
+	// order-free: collect, then sort below.
 	for n := range m {
 		keys = append(keys, n)
 	}

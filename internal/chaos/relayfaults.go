@@ -84,6 +84,8 @@ func (p *LinkProxy) SetFaults(f LinkFaults) {
 func (p *LinkProxy) Flap() {
 	p.Flaps.Add(1)
 	p.mu.Lock()
+	// order-free: every connection is closed under the lock; the peers
+	// see the disconnects on wall-clock sockets, outside virtual time.
 	for c := range p.conns {
 		c.Close()
 	}

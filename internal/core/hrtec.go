@@ -108,13 +108,13 @@ func ownedSlots(cal *calendar.Calendar, subj binding.Subject, n can.TxNode) []ca
 // queue keeps its own copy of the payload, so the caller may reuse its
 // buffer at once.
 func (c *HRTEC) Publish(ev Event) error {
-	prof := c.ch.mw.K.Probe()
-	if prof == nil {
+	k := c.ch.mw.K
+	if k.Probe() == nil {
 		return c.publish(ev)
 	}
-	pt0 := sim.ProbeNow()
+	w := k.StageStart()
 	err := c.publish(ev)
-	prof.StageNs(sim.ProbeEnqueue, sim.ProbeClassHRT, sim.ProbeNow()-pt0)
+	k.StageEnd(w, sim.ProbeEnqueue, sim.ProbeClassHRT)
 	return err
 }
 

@@ -169,18 +169,17 @@ func probeClass(c Class) sim.ProbeClass {
 // the profiler's dispatch stage when a probe is attached to the kernel
 // (one nil check otherwise).
 func (mw *Middleware) dispatch(f can.Frame, at sim.Time) {
-	prof := mw.K.Probe()
-	if prof == nil {
+	if mw.K.Probe() == nil {
 		mw.dispatchFrame(&f, at)
 		return
 	}
-	pt0 := sim.ProbeNow()
+	w := mw.K.StageStart()
 	mw.dispatchFrame(&f, at)
 	class := sim.ProbeClassNone
 	if ch := mw.channelAt(f.ID.Etag()); ch != nil {
 		class = probeClass(ch.class)
 	}
-	prof.StageNs(sim.ProbeDispatch, class, sim.ProbeNow()-pt0)
+	mw.K.StageEnd(w, sim.ProbeDispatch, class)
 }
 
 // dispatchFrame routes received frames: sync and configuration channels
@@ -345,14 +344,14 @@ func (ch *channelState) deliverNotify(ev Event, di DeliveryInfo) {
 	if ch.notify == nil {
 		return
 	}
-	prof := ch.mw.K.Probe()
-	if prof == nil {
+	k := ch.mw.K
+	if k.Probe() == nil {
 		ch.notify(ev, di)
 		return
 	}
-	pt0 := sim.ProbeNow()
+	w := k.StageStart()
 	ch.notify(ev, di)
-	prof.StageNs(sim.ProbeDelivery, probeClass(ch.class), sim.ProbeNow()-pt0)
+	k.StageEnd(w, sim.ProbeDelivery, probeClass(ch.class))
 }
 
 var (

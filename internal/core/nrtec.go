@@ -77,13 +77,13 @@ func (c *NRTEC) CancelPublication() {
 // back-to-back at the channel's fixed priority, so bulk transfers consume
 // exactly the bandwidth that HRT/SRT traffic leaves over.
 func (c *NRTEC) Publish(ev Event) error {
-	prof := c.ch.mw.K.Probe()
-	if prof == nil {
+	k := c.ch.mw.K
+	if k.Probe() == nil {
 		return c.publish(ev)
 	}
-	pt0 := sim.ProbeNow()
+	w := k.StageStart()
 	err := c.publish(ev)
-	prof.StageNs(sim.ProbeEnqueue, sim.ProbeClassNRT, sim.ProbeNow()-pt0)
+	k.StageEnd(w, sim.ProbeEnqueue, sim.ProbeClassNRT)
 	return err
 }
 

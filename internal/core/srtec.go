@@ -159,13 +159,13 @@ func (ch *channelState) abortSRT() {
 // Deadline attribute (publisher-local clock) drives its priority; the
 // Expiration attribute bounds how long it may stay queued (§2.2.2).
 func (c *SRTEC) Publish(ev Event) error {
-	prof := c.ch.mw.K.Probe()
-	if prof == nil {
+	k := c.ch.mw.K
+	if k.Probe() == nil {
 		return c.publish(ev)
 	}
-	pt0 := sim.ProbeNow()
+	w := k.StageStart()
 	err := c.publish(ev)
-	prof.StageNs(sim.ProbeEnqueue, sim.ProbeClassSRT, sim.ProbeNow()-pt0)
+	k.StageEnd(w, sim.ProbeEnqueue, sim.ProbeClassSRT)
 	return err
 }
 

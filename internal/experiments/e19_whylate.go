@@ -228,6 +228,7 @@ func e19Exec(seed uint64, c e19Campaign) e19Outcome {
 		}
 	}
 	var bestN int
+	// order-free: the most frequent cause, ties to the lowest.
 	for cause, n := range tops {
 		if n > bestN || (n == bestN && cause < out.topCause) {
 			out.topCause, bestN = cause, n

@@ -76,13 +76,16 @@ func zeros8(sim.Time) []byte { return make([]byte, 8) }
 // at most perTick messages a tick (0: no cap).
 func nrtFeed(sys *core.System, ch core.Channel, subj binding.Subject, size, depth, perTick int, start, end sim.Time) {
 	q := ch.(*core.NRTEC)
+	// Every message is size zero bytes, and Publish copies them, so one
+	// buffer serves the whole feed.
+	payload := make([]byte, size)
 	var feed func()
 	feed = func() {
 		if sys.K.Now() >= end {
 			return
 		}
 		for i := 0; (perTick == 0 || i < perTick) && q.QueuedChains() < depth; i++ {
-			_ = ch.Publish(core.Event{Subject: subj, Payload: make([]byte, size)})
+			_ = ch.Publish(core.Event{Subject: subj, Payload: payload})
 		}
 		sys.K.After(sim.Millisecond, feed)
 	}

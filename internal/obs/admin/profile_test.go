@@ -60,6 +60,15 @@ func TestAdminProfileEndpoint(t *testing.T) {
 	if view.Profile.BusyVirtualNs <= 0 {
 		t.Fatalf("busy virtual: %d", view.Profile.BusyVirtualNs)
 	}
+	// The sampled step wall and its unattributed row reach the view.
+	sum := view.Profile.UnattributedNs
+	for _, st := range view.Profile.Stages {
+		sum += st.WallNs
+	}
+	if view.Profile.TimedSteps == 0 || sum != view.Profile.StepWallNs {
+		t.Fatalf("%d timed steps; stages + unattributed %d, step wall %d",
+			view.Profile.TimedSteps, sum, view.Profile.StepWallNs)
+	}
 	if inKernelCalls == 0 {
 		t.Fatal("snapshot did not go through InKernel")
 	}

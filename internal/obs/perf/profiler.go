@@ -31,7 +31,8 @@ type stageCell struct {
 // codec, dispatch, delivery), split by traffic class where the stage
 // knows it, and keeps kernel health counters: events per second, heap
 // depth high-water, idle-vs-busy virtual time, and allocations per
-// delivered frame.
+// delivered frame. Op counts are exact; stage times are the kernel's
+// sampled, exclusive estimates (see sim.Probe).
 //
 // A Profiler is strictly single-toucher, like everything else that runs
 // in kernel context. Attach it with AttachKernel from outside the run
@@ -47,6 +48,7 @@ type Profiler struct {
 	epochWallNs int64
 	epochSteps  uint64
 	mallocs0    uint64
+	totals0     sim.ProbeTotals
 }
 
 // StageNs records wallNs nanoseconds of wall-clock time spent in stage s
@@ -72,6 +74,7 @@ func (p *Profiler) AttachKernel(k *sim.Kernel) {
 	p.k = k
 	p.epochWallNs = sim.ProbeNow()
 	p.epochSteps = k.Profile().Steps
+	p.totals0 = k.ProbeTotals()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	p.mallocs0 = ms.Mallocs
@@ -88,14 +91,17 @@ func (p *Profiler) SetBusySource(fn func() sim.Duration) {
 	p.busy = fn
 }
 
-// StageSnap is the aggregate for one (stage, class) bucket. For the heap
-// stage, Ops counts pushes, cancels and pops but WallNs covers pops only
-// (see sim.ProbeHeap).
+// StageSnap is the aggregate for one (stage, class) bucket: every op
+// counted, WallNs the sampled estimate of its exclusive wall time and
+// Samples the timed ops behind it. For the heap stage, Ops counts
+// pushes, cancels and pops but WallNs covers pops only (see
+// sim.ProbeHeap).
 type StageSnap struct {
-	Stage  string `json:"stage"`
-	Class  string `json:"class"`
-	Ops    uint64 `json:"ops"`
-	WallNs int64  `json:"wall_ns"`
+	Stage   string `json:"stage"`
+	Class   string `json:"class"`
+	Ops     uint64 `json:"ops"`
+	Samples uint64 `json:"samples"`
+	WallNs  int64  `json:"wall_ns"`
 }
 
 // Snapshot is a point-in-time view of the profiler, cheap enough to take
@@ -103,6 +109,14 @@ type StageSnap struct {
 // AttachKernel.
 type Snapshot struct {
 	Stages []StageSnap `json:"stages"`
+	// StepWallNs estimates the wall time of the kernel's steps (plus
+	// the stage windows timed outside any step) and UnattributedNs the
+	// part of it no stage covers. The stages' WallNs and UnattributedNs
+	// add up to StepWallNs. TimedSteps is the number of samples behind
+	// both.
+	StepWallNs     int64  `json:"step_wall_ns"`
+	UnattributedNs int64  `json:"unattributed_ns"`
+	TimedSteps     uint64 `json:"timed_steps"`
 
 	// Kernel health.
 	Steps         uint64  `json:"steps"`
@@ -129,6 +143,13 @@ func (p *Profiler) Snapshot() Snapshot {
 	if p == nil {
 		return snap
 	}
+	var tot sim.ProbeTotals
+	if p.k != nil {
+		tot = p.k.ProbeTotals()
+		snap.StepWallNs = tot.WallNs - p.totals0.WallNs
+		snap.UnattributedNs = tot.UnattributedNs - p.totals0.UnattributedNs
+		snap.TimedSteps = tot.TimedSteps - p.totals0.TimedSteps
+	}
 	for s := 0; s < int(sim.NumProbeStages); s++ {
 		for c := 0; c < int(sim.NumProbeClasses); c++ {
 			cell := p.cells[s][c]
@@ -136,10 +157,11 @@ func (p *Profiler) Snapshot() Snapshot {
 				continue
 			}
 			snap.Stages = append(snap.Stages, StageSnap{
-				Stage:  sim.ProbeStage(s).String(),
-				Class:  sim.ProbeClass(c).String(),
-				Ops:    cell.ops,
-				WallNs: cell.wallNs,
+				Stage:   sim.ProbeStage(s).String(),
+				Class:   sim.ProbeClass(c).String(),
+				Ops:     cell.ops,
+				Samples: tot.Samples[s][c] - p.totals0.Samples[s][c],
+				WallNs:  cell.wallNs,
 			})
 			if sim.ProbeStage(s) == sim.ProbeDelivery {
 				snap.Delivered += cell.ops

@@ -113,6 +113,52 @@ func TestProfilerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestProfilerStagesAddUpToStepWall holds the snapshot to one
+// denominator: the sampled stage times and the unattributed row sum to
+// the step wall estimate, and the samples behind each are counted.
+func TestProfilerStagesAddUpToStepWall(t *testing.T) {
+	sys, pub, _ := newSRTSystem(t)
+	// Steps timed for an earlier probe stay out of the profiler's window.
+	early := &perf.Profiler{}
+	early.AttachKernel(sys.K)
+	for i := 0; i < 500; i++ {
+		sys.K.At(canec.Time(i)*canec.Microsecond, func() {})
+	}
+	sys.Run(canec.Millisecond)
+	prof := &perf.Profiler{}
+	prof.AttachKernel(sys.K)
+	const n = 2000
+	for r := 1; r <= n; r++ {
+		sys.K.At(canec.Time(r)*200*canec.Microsecond+canec.Millisecond, func() {
+			now := sys.Node(0).MW.LocalTime()
+			pub.Publish(canec.Event{Subject: 0x41, Payload: []byte{1, 2, 3},
+				Attrs: canec.EventAttrs{Deadline: now + 5*canec.Millisecond}})
+		})
+	}
+	sys.Run(canec.Time(n)*200*canec.Microsecond + canec.Second)
+
+	snap := prof.Snapshot()
+	if snap.TimedSteps == 0 || snap.TimedSteps >= snap.Steps {
+		t.Fatalf("%d timed steps of %d", snap.TimedSteps, snap.Steps)
+	}
+	sum := snap.UnattributedNs
+	for _, s := range snap.Stages {
+		if s.Samples > s.Ops {
+			t.Errorf("%s/%s: %d samples of %d ops", s.Stage, s.Class, s.Samples, s.Ops)
+		}
+		if s.Stage == "heap" && s.Samples != snap.TimedSteps {
+			t.Errorf("heap: %d samples, %d timed steps", s.Samples, snap.TimedSteps)
+		}
+		sum += s.WallNs
+	}
+	if snap.StepWallNs <= 0 || sum != snap.StepWallNs {
+		t.Fatalf("stages + unattributed = %d, step wall %d", sum, snap.StepWallNs)
+	}
+	if snap.UnattributedNs < 0 {
+		t.Fatalf("unattributed %d ns", snap.UnattributedNs)
+	}
+}
+
 func TestProfilerNilSafe(t *testing.T) {
 	var p *perf.Profiler
 	p.StageNs(sim.ProbeHeap, sim.ProbeClassNone, 1)
@@ -183,9 +229,10 @@ func chainMallocs(t *testing.T, n int, attach bool) uint64 {
 // TestProfilerAddsNoPerFrameAllocs is the overhead bound for the whole
 // instrumentation layer: running the full publish→deliver chain with the
 // profiler attached must allocate no more per frame than running it with
-// the profiler off. The stage table is flat arrays and ProbeNow is a
-// monotonic clock read, so the two runs should differ only by fixed
-// setup noise, not by anything proportional to traffic.
+// the profiler off. The stage table is flat arrays and the kernel's
+// stage windows live on the callers' stacks, so the two runs should
+// differ only by fixed setup noise, not by anything proportional to
+// traffic.
 func TestProfilerAddsNoPerFrameAllocs(t *testing.T) {
 	const n = 1000
 	off := chainMallocs(t, n, false)
@@ -219,8 +266,8 @@ func TestChainAllocsPerFramePinned(t *testing.T) {
 }
 
 // TestProfilerStageNsZeroAllocs pins the cost of the probe fast path: a
-// StageNs call must not allocate, so a profiled kernel pays only the two
-// clock reads per instrumented site.
+// StageNs call must not allocate, so a profiled kernel pays only a call
+// per op and, on a timed step, the clock reads around each window.
 func TestProfilerStageNsZeroAllocs(t *testing.T) {
 	prof := &perf.Profiler{}
 	per := testing.AllocsPerRun(500, func() {

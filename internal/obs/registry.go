@@ -29,6 +29,7 @@ func labelKey(l Labels) string {
 		return ""
 	}
 	keys := make([]string, 0, len(l))
+	// order-free: collect, then sort below.
 	for k := range l {
 		keys = append(keys, k)
 	}

@@ -526,6 +526,7 @@ func (c *Controller) Snapshot() Snapshot {
 		PredictedMissNRT: c.PredictedMiss("NRT"),
 		Admitted:         []AdmittedChannel{},
 	}
+	// order-free: a map copy.
 	for r, n := range c.rejectedBy {
 		s.Rejected[r.String()] = n
 	}

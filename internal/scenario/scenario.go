@@ -177,6 +177,8 @@ type WhySpec struct {
 	// LateOverUs maps a class (HRT/SRT/NRT) to the publish→deliver
 	// latency, in microseconds, beyond which a delivered chain counts as
 	// late. Classes without a bound only contribute drop incidents.
+	// Class names are case-insensitive; a class named twice keeps the
+	// tighter bound.
 	LateOverUs map[string]int64 `json:"lateOverUs,omitempty"`
 	// KeepRecent bounds the retained worst-chain list (0: default 32).
 	KeepRecent int `json:"keepRecent,omitempty"`
@@ -187,8 +189,12 @@ func (w WhySpec) causalConfig(reg *obs.Registry) causal.Config {
 	cfg := causal.Config{Registry: reg, KeepRecent: w.KeepRecent}
 	if len(w.LateOverUs) > 0 {
 		cfg.LateOver = make(map[string]sim.Duration, len(w.LateOverUs))
+		// order-free: the tightest bound per class.
 		for class, us := range w.LateOverUs {
-			cfg.LateOver[strings.ToUpper(class)] = sim.Duration(us) * sim.Microsecond
+			c, d := strings.ToUpper(class), sim.Duration(us)*sim.Microsecond
+			if old, ok := cfg.LateOver[c]; !ok || d < old {
+				cfg.LateOver[c] = d
+			}
 		}
 	}
 	return cfg
@@ -510,6 +516,7 @@ func (r *Report) String() string {
 		out += fmt.Sprintf("admission: error rate planned %.3g, measured %.3g, effective %.3g\n",
 			a.PlannedRate, a.MeasuredRate, a.EffectiveRate)
 		reasons := make([]string, 0, len(a.Rejected))
+		// order-free: collect, then sort below.
 		for reason := range a.Rejected {
 			reasons = append(reasons, reason)
 		}

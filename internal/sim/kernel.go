@@ -100,9 +100,11 @@ type Kernel struct {
 	heapHigh    int
 	idleVirtual Duration
 
-	// probe, when non-nil, counts the kernel's event-heap operations and
-	// times its pops (SetProbe). Off: one nil check per operation.
+	// probe, when non-nil, counts the kernel's event-heap operations
+	// and times about one step in probePeriod with pt, made by the first
+	// SetProbe (stepProbed). Off: one nil check per operation.
 	probe Probe
+	pt    *probeTiming
 }
 
 // NewKernel returns a kernel with the clock at zero and the given RNG seed.
@@ -153,8 +155,8 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 // countHeapOp reports one untimed push or cancel to the stage probe. A
 // push or cancel costs about as much as the two clock reads that would
 // time it, and nearly all of them run inside an enqueue, dispatch or
-// delivery window that already covers their time; only Step's pop is
-// timed (see ProbeHeap).
+// delivery window that already covers their time; only a timed step's
+// pop is timed (see ProbeHeap).
 func (k *Kernel) countHeapOp() {
 	if k.probe != nil {
 		k.probe.StageNs(ProbeHeap, ProbeClassNone, 0)
@@ -277,22 +279,24 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
+	if k.probe != nil {
+		k.stepProbed()
+		return true
+	}
 	at := k.queue[0].at
-	var t0 int64
-	if k.probe != nil {
-		t0 = ProbeNow()
-	}
 	fn := k.remove(0)
-	if k.probe != nil {
-		k.probe.StageNs(ProbeHeap, ProbeClassNone, ProbeNow()-t0)
-	}
+	k.advance(at)
+	fn()
+	return true
+}
+
+// advance moves the clock to a popped event's instant and counts its step.
+func (k *Kernel) advance(at Time) {
 	if at > k.now {
 		k.idleVirtual += at - k.now
 	}
 	k.now = at
 	k.steps++
-	fn()
-	return true
 }
 
 // Run executes events until the queue is empty or the next event lies

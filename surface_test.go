@@ -464,7 +464,11 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		mode := parser.SkipObjectResolution
+		if inModule {
+			mode |= parser.ParseComments // the map-order gate reads them
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, mode)
 		if err != nil {
 			return nil, err
 		}
