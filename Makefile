@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race check portable golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tidy
+.PHONY: all build fmt vet test race check portable golden chaos-smoke busoff-smoke admission-smoke control-smoke fuzz-smoke relay-smoke obs-smoke why-smoke bench bench-record bench-check bench-smoke tier1-time tidy
 
 all: check
 
@@ -115,6 +115,22 @@ portable:
 # (chaos, bus-off, admission, control, relay, obs, why, bench), so each
 # runs once; their targets stay for single runs.
 check: build fmt vet race fuzz-smoke portable
+
+# tier1-time runs tier-1 uncached and prints its wall time and its 10
+# slowest tests, subtests included (a parent whose subtests run in
+# parallel reports 0 s), to check a change against the tier-1 budget in
+# DESIGN.md. It needs only go, sh and coreutils; check does not run it.
+tier1-time:
+	@log=$$(mktemp); t0=$$(date +%s%N); \
+	$(GO) test -count=1 -json ./... >$$log; st=$$?; t1=$$(date +%s%N); \
+	echo "tier-1: $$(( (t1 - t0) / 1000000 )) ms wall, go test exit $$st"; \
+	echo "slowest tests (s):"; \
+	while IFS= read -r l; do \
+		case $$l in *'"Action":"pass"'*'"Test":"'*|*'"Action":"fail"'*'"Test":"'*) ;; *) continue ;; esac; \
+		pkg=$${l#*'"Package":"'}; test=$${l#*'"Test":"'}; el=$${l##*'"Elapsed":'}; \
+		echo "$${el%'}'} $${pkg%%'"'*} $${test%%'"'*}"; \
+	done <$$log | sort -rn | head -n 10; \
+	rm -f $$log; exit $$st
 
 # golden rewrites every golden file under testdata/golden from the code
 # under test: run it only for an intended output change, and review the

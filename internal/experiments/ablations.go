@@ -22,10 +22,9 @@ func a1PromotionAblation(seed uint64) Result {
 		Title:   "dynamic promotion ON vs OFF (miss ratio across offered load)",
 		Headers: []string{"load", "jobs", "promoted miss%", "static miss%", "promoted inv%", "static inv%"},
 	}
-	ft := actualFrameTime
 	for _, load := range []float64{0.5, 0.7, 0.85, 0.92} {
 		rng := sim.NewRNG(seed + uint64(load*100))
-		streams := workload.MixedSet(12, load, ft, rng)
+		streams := workload.MixedSet(12, load, actualFrameTime, rng)
 		// Widen the deadline spread beyond the EDF horizon so enqueue-time
 		// priorities go stale: this is precisely the situation §3.4's
 		// promotion exists for.
@@ -45,8 +44,8 @@ func a1PromotionAblation(seed uint64) Result {
 			fmt.Sprint(len(jobs)),
 			stats.Pct(on.MissRatio()),
 			stats.Pct(off.MissRatio()),
-			stats.Pct(e5Inversions(on, ft)),
-			stats.Pct(e5Inversions(off, ft)),
+			stats.Pct(e5Inversions(on)),
+			stats.Pct(e5Inversions(off)),
 		})
 	}
 	return Result{

@@ -47,10 +47,9 @@ func e4EDFvsDM(seed uint64) Result {
 		Headers: []string{"load", "streams", "jobs", "EDF miss%", "DM miss%", "oracle miss%",
 			"EDF worstStream%", "DM worstStream%", "promos/job"},
 	}
-	ft := actualFrameTime
 	for _, load := range []float64{0.3, 0.5, 0.7, 0.85, 0.9, 0.95, 1.0, 1.2} {
 		rng := sim.NewRNG(seed + uint64(load*100))
-		streams := workload.MixedSet(12, load, ft, rng)
+		streams := workload.MixedSet(12, load, actualFrameTime, rng)
 		horizon := sim.Time(2 * sim.Second)
 		jobs := workload.GenJobs(rng, streams, horizon)
 		runFor := horizon + 200*sim.Millisecond

@@ -52,9 +52,8 @@ func e5PrioritySlotTradeoff(seed uint64) Result {
 }
 
 func e5Run(seed uint64, slotLen sim.Duration) []string {
-	ft := actualFrameTime
 	rng := sim.NewRNG(seed)
-	streams := workload.MixedSet(12, 0.85, ft, rng)
+	streams := workload.MixedSet(12, 0.85, actualFrameTime, rng)
 	horizon := sim.Time(2 * sim.Second)
 	jobs := workload.GenJobs(rng, streams, horizon)
 
@@ -62,7 +61,7 @@ func e5Run(seed uint64, slotLen sim.Duration) []string {
 	bands.SRT.SlotLen = slotLen
 	out := baseline.RunEDF(streams, jobs, bands, seed, horizon+200*sim.Millisecond)
 
-	inv := e5Inversions(out, ft)
+	inv := e5Inversions(out)
 	promos := float64(out.Promotions) / float64(len(jobs))
 	band := edf.Band{Min: bands.SRT.Min, Max: bands.SRT.Max, SlotLen: slotLen}
 	// Fraction of jobs released with laxity beyond the representable
@@ -89,7 +88,7 @@ func e5Run(seed uint64, slotLen sim.Duration) []string {
 // fraction whose transmission overtook another job that was already
 // released, still pending, and had an earlier deadline — i.e. decisions a
 // clairvoyant EDF scheduler would not have taken.
-func e5Inversions(out baseline.Outcome, ft func(int) sim.Duration) float64 {
+func e5Inversions(out baseline.Outcome) float64 {
 	done := make([]baseline.JobDone, 0, len(out.Jobs))
 	for _, j := range out.Jobs {
 		if j.Completed > 0 {
@@ -105,7 +104,7 @@ func e5Inversions(out baseline.Outcome, ft func(int) sim.Duration) float64 {
 	// already released when this transmission started; count one
 	// inversion if any of them had an earlier deadline.
 	for i, a := range done {
-		txStart := a.Completed - ft(8) // approximation: worst-case frame
+		txStart := a.Completed - actualFrameTime(8) // approximation: worst-case frame
 		for j := i + 1; j < len(done) && j-i <= 200; j++ {
 			// done is completion-ordered; releases are not, so scan a
 			// bounded window of later completions.

@@ -42,9 +42,8 @@ func e7PromotionOverhead(seed uint64) Result {
 }
 
 func e7Run(seed uint64, load float64, slotLen sim.Duration) []string {
-	ft := actualFrameTime
 	rng := sim.NewRNG(seed + 7)
-	streams := workload.MixedSet(12, load, ft, rng)
+	streams := workload.MixedSet(12, load, actualFrameTime, rng)
 	horizon := sim.Time(1 * sim.Second)
 	jobs := workload.GenJobs(rng, streams, horizon)
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"canec/internal/can"
 	"canec/internal/golden"
 )
 
@@ -208,10 +209,10 @@ func TestResultString(t *testing.T) {
 }
 
 func TestActualFrameTimeBetweenBounds(t *testing.T) {
-	for p := 0; p <= 8; p++ {
+	for p := 0; p <= can.MaxPayload; p++ {
 		got := actualFrameTime(p)
-		min := float64(minBitsFor(p))
-		max := float64(worstBitsFor(p))
+		min := float64(can.MinFrameBits(p))
+		max := float64(can.WorstCaseBits(p))
 		if float64(got)/1000 < min || float64(got)/1000 > max {
 			t.Fatalf("payload %d: actual %v outside [%v, %v] µs", p, got, min, max)
 		}
@@ -230,8 +231,8 @@ var goldenSeeds = []uint64{1, 2, 3, 5}
 // The rendered tables are pinned in testdata/golden/experiments: seed 2
 // at <ID>.txt, the other seeds in seed<N>/ and the aggregate of seeds 1-3
 // (canecbench -seeds 3) in seeds1-3/; regenerate with -update. Each
-// experiment is a parallel subtest (about 6 s in all on two CPUs);
-// skipped with -short.
+// experiment is a parallel subtest (about 10 s in all on two CPUs, E4
+// and E18 the longest at about 4 s each); skipped with -short.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

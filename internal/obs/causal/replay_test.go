@@ -23,12 +23,7 @@ const testdata = "../../../testdata/"
 // it declares none, so late chains occur).
 func recordScenario(tb testing.TB, path, overlay string) ([]obs.Record, map[string]sim.Duration) {
 	tb.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer f.Close()
-	s, err := scenario.Load(f)
+	s, err := scenario.LoadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -59,35 +54,27 @@ func recordScenario(tb testing.TB, path, overlay string) ([]obs.Record, map[stri
 }
 
 // TestEngineMatchesOracleCommittedScenarios replays every committed
-// scenario, clean and under the chaos script written for it, through the
-// engine and the oracle.
+// (scenario, overlay) pair through the engine and the oracle. The pairs
+// are read from the names of the export digests that internal/scenario's
+// TestBuildDriveFinishMatchesRun pins (scenario-x[+chaos-y].exports.txt),
+// so a pair added there is checked here too; a name whose scenario or
+// overlay file is missing fails.
 func TestEngineMatchesOracleCommittedScenarios(t *testing.T) {
-	chaosFor := map[string]string{
-		"scenario-admission.json":      "chaos-admission-ramp.json",
-		"scenario-busoff.json":         "chaos-busoff-attack.json",
-		"scenario-control.json":        "chaos-control-attack.json",
-		"scenario-faulttolerance.json": "chaos-crash-babble.json",
-		"scenario-why.json":            "chaos-why.json",
+	digests, err := filepath.Glob(testdata + "golden/scenarios/*.exports.txt")
+	if err != nil || len(digests) == 0 {
+		t.Fatalf("committed export digests: %v, %v", digests, err)
 	}
-	files, err := filepath.Glob(testdata + "scenario-*.json")
-	if err != nil || len(files) < 5 {
-		t.Fatalf("committed scenarios: %v, %v", files, err)
-	}
-	for _, path := range files {
-		overlays := []string{""}
-		if c := chaosFor[filepath.Base(path)]; c != "" {
-			overlays = append(overlays, testdata+c)
+	for _, digest := range digests {
+		scen, chaosName, _ := strings.Cut(strings.TrimSuffix(filepath.Base(digest), ".exports.txt"), "+")
+		path, overlay, name := testdata+scen+".json", "", scen+".json"
+		if chaosName != "" {
+			overlay = testdata + chaosName + ".json"
+			name += "+" + chaosName + ".json"
 		}
-		for _, overlay := range overlays {
-			name := filepath.Base(path)
-			if overlay != "" {
-				name += "+" + filepath.Base(overlay)
-			}
-			t.Run(name, func(t *testing.T) {
-				recs, late := recordScenario(t, path, overlay)
-				causal.CheckOracle(t, recs, causal.Config{LateOver: late})
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			recs, late := recordScenario(t, path, overlay)
+			causal.CheckOracle(t, recs, causal.Config{LateOver: late})
+		})
 	}
 }
 

@@ -87,15 +87,29 @@ func ReadJSONLInfo(r io.Reader) (JSONLInfo, error) {
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
 // as loaded by Perfetto and chrome://tracing.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string     `json:"name"`
+	Cat  string     `json:"cat,omitempty"`
+	Ph   string     `json:"ph"`
+	Ts   float64    `json:"ts"` // microseconds
+	Dur  float64    `json:"dur,omitempty"`
+	Pid  int        `json:"pid"`
+	Tid  int        `json:"tid"`
+	S    string     `json:"s,omitempty"`
+	Args chromeArgs `json:"args"`
+}
+
+// chromeArgs are an event's args, in key order. A zero field is left out,
+// so the keys a wire slice writes even when zero are pointers into the
+// records; a set Detail whose text is empty is still written.
+type chromeArgs struct {
+	Attempt *uint16 `json:"attempt,omitempty"`
+	Class   Class   `json:"class,omitempty"`
+	Detail  Detail  `json:"detail,omitempty"`
+	ID      *uint64 `json:"id,omitempty"`
+	Name    string  `json:"name,omitempty"`
+	Prio    *int16  `json:"prio,omitempty"`
+	Result  Stage   `json:"result,omitempty"`
+	Subject string  `json:"subject,omitempty"`
 }
 
 // chromeTrace is the JSON-object flavour of the format.
@@ -116,9 +130,7 @@ const busPid = 0
 func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 	events := make([]chromeEvent, 0, len(recs)+nodes+8)
 	meta := func(pid, tid int, kind, name string) {
-		ev := chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": name}}
-		events = append(events, ev)
+		events = append(events, chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: chromeArgs{Name: name}})
 	}
 	meta(busPid, 0, "process_name", "bus")
 	// Band b is bus thread b; thread 0 takes records of no band.
@@ -148,35 +160,20 @@ func WriteChromeTrace(w io.Writer, recs []Record, nodes int) error {
 					Ts:  float64(open.At) / 1e3,
 					Dur: float64(r.At-open.At) / 1e3,
 					Pid: busPid, Tid: int(open.Band),
-					Args: map[string]any{
-						"id": open.ID, "prio": open.Prio,
-						"attempt": open.Attempt, "result": r.Stage.String(),
-					},
+					Args: chromeArgs{Attempt: &open.Attempt, ID: &open.ID, Prio: &open.Prio, Result: r.Stage},
 				})
 				open = nil
 			}
 		}
-		node := int(r.Node)
-		if node < 0 {
-			node = -1
-		}
 		ev := chromeEvent{
 			Name: r.Stage.String(), Cat: "lifecycle", Ph: "i",
-			Ts: float64(r.At) / 1e3, Pid: node + 1, Tid: 1, S: "t",
-			Args: map[string]any{"id": r.ID},
+			Ts: float64(r.At) / 1e3, Pid: max(int(r.Node), -1) + 1, Tid: 1, S: "t",
+			Args: chromeArgs{Class: r.Class, Detail: r.Detail, ID: &recs[i].ID},
 		}
 		if r.Subject != 0 {
-			ev.Args["subject"] = fmt.Sprintf("0x%x", r.Subject)
-		}
-		if r.Class != 0 {
-			ev.Args["class"] = r.Class.String()
-		}
-		if r.Detail != 0 {
-			ev.Args["detail"] = r.Detail.String()
+			ev.Args.Subject = fmt.Sprintf("0x%x", r.Subject)
 		}
 		events = append(events, ev)
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
 }

@@ -302,6 +302,39 @@ func TestWriteChromeTrace(t *testing.T) {
 	if instants != len(recs)-1 { // tx_start becomes part of the slice only
 		t.Errorf("got %d instants, want %d", instants, len(recs)-1)
 	}
+
+	// The argument keys, byte for byte: a wire slice always carries
+	// attempt, id, prio and result, zero or not; an instant always carries
+	// id, and subject, class and detail only when set — a set detail
+	// whose text is empty included.
+	recs = []Record{
+		{Stage: StageTxStart, At: 1000, Etag: 7, Band: BandHRT},
+		{Stage: StageTxErr, At: 1500, Etag: 7, Band: BandHRT},
+		// Text("") is the zero detail; a set one with empty text is built by hand.
+		{Stage: StageDropped, At: 2000, Node: -1, Detail: Detail(1 << 8)},
+		{ID: 3, Stage: StageEnqueued, At: 2500, Class: ClassSRT, Subject: 0x12, Detail: PrioDetail(7)},
+	}
+	buf.Reset()
+	if err := WriteChromeTrace(&buf, recs, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"traceEvents":[` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"bus"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":1,"args":{"name":"band hrt"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":2,"args":{"name":"band sync"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":3,"args":{"name":"band srt"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":4,"args":{"name":"band nrt"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":5,"args":{"name":"band other"}},` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"node 0"}},` +
+		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"lifecycle"}},` +
+		`{"name":"etag 7","cat":"wire","ph":"X","ts":1,"dur":0.5,"pid":0,"tid":1,"args":{"attempt":0,"id":0,"prio":0,"result":"tx_err"}},` +
+		`{"name":"tx_err","cat":"lifecycle","ph":"i","ts":1.5,"pid":1,"tid":1,"s":"t","args":{"id":0}},` +
+		`{"name":"dropped","cat":"lifecycle","ph":"i","ts":2,"pid":0,"tid":1,"s":"t","args":{"detail":"","id":0}},` +
+		`{"name":"enqueued","cat":"lifecycle","ph":"i","ts":2.5,"pid":1,"tid":1,"s":"t","args":{"class":"SRT","detail":"prio 7","id":3,"subject":"0x12"}}` +
+		`],"displayTimeUnit":"ms"}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("Chrome trace:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestWriteChromeTraceDeterministic: repeated exports of the same
@@ -336,7 +369,7 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 	var threads []string
 	for _, ev := range tr.TraceEvents {
 		if ev.Pid == busPid && ev.Name == "thread_name" {
-			threads = append(threads, fmt.Sprintf("%d:%v", ev.Tid, ev.Args["name"]))
+			threads = append(threads, fmt.Sprintf("%d:%v", ev.Tid, ev.Args.Name))
 		}
 	}
 	want := []string{"1:band hrt", "2:band sync", "3:band srt", "4:band nrt", "5:band other"}

@@ -333,12 +333,7 @@ func TestHRTPeriodJitterPerPublisher(t *testing.T) {
 // testdata chaos script, with any flight dumps kept out of the source tree.
 func committedScenario(t *testing.T, path, chaosPath string) *Scenario {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s, err := Load(f)
+	s, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +354,8 @@ func committedScenario(t *testing.T, path, chaosPath string) *Scenario {
 }
 
 // chaosFor pairs each committed scenario with the chaos script written for
-// it; TestBuildDriveFinishMatchesRun runs every pair.
+// it; TestBuildDriveFinishMatchesRun runs every pair, and the export
+// digests it pins name the pairs causal's oracle replay runs.
 var chaosFor = map[string]string{
 	"scenario-admission.json":      "chaos-admission-ramp.json",
 	"scenario-busoff.json":         "chaos-busoff-attack.json",

@@ -5,14 +5,13 @@ package canec_test
 // trace, a report or the kernel's event order. Every such loop must
 // either go (walk a slice, or collect and sort the keys) or carry an
 // `// order-free:` comment, on the line above the loop or at its end,
-// that says why its order cannot reach an output. The scan type-checks
-// the non-test files with the dead-surface gate's loader.
+// that says why its order cannot reach an output. The scan reads the
+// non-test files of the one module load it shares with the dead-surface
+// gate.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -33,7 +32,11 @@ var virtualTimePackages = []string{
 const orderFreeTag = "// order-free:"
 
 func TestNoMapOrderInVirtualTime(t *testing.T) {
-	loops, err := scanMapRanges(".", virtualTimePackages)
+	l, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops, err := scanMapRanges(l, virtualTimePackages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,11 @@ func F(m map[string]int, s set, xs []int) (n int) {
 			t.Fatal(err)
 		}
 	}
-	got, err := scanMapRanges(dir, []string{"p"})
+	l, err := loadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scanMapRanges(l, []string{"p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,24 +102,11 @@ func F(m map[string]int, s set, xs []int) (n int) {
 	}
 }
 
-// scanMapRanges type-checks the packages pkgs (paths relative to the
-// module rooted at root) and returns, as root-relative file:line, every
-// range over a map in their non-test files that carries no
-// order-free comment with a reason.
-func scanMapRanges(root string, pkgs []string) ([]string, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	l := &surfaceLoader{
-		root: root, module: modulePath(mod), ctxt: build.Default,
-		fset: token.NewFileSet(), pkgs: map[string]*types.Package{},
-	}
-	l.ctxt.CgoEnabled = false
+// scanMapRanges returns, as root-relative file:line, every range over a
+// map in the non-test files of the packages pkgs (paths relative to the
+// root of the module l loaded) that carries no order-free comment with a
+// reason.
+func scanMapRanges(l *surfaceLoader, pkgs []string) ([]string, error) {
 	want := map[string]bool{}
 	for _, p := range pkgs {
 		want[l.module+"/"+p] = true
@@ -131,7 +125,7 @@ func scanMapRanges(root string, pkgs []string) ([]string, error) {
 			tagged := map[int]bool{}
 			for _, cg := range f.Comments {
 				if why, ok := strings.CutPrefix(cg.List[0].Text, orderFreeTag); ok && strings.TrimSpace(why) != "" {
-					tagged[l.fset.Position(cg.End()).Line] = true
+					tagged[surfaceFset.Position(cg.End()).Line] = true
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -142,11 +136,11 @@ func scanMapRanges(root string, pkgs []string) ([]string, error) {
 				if _, isMap := p.info.Types[rs.X].Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				pos := l.fset.Position(rs.For)
-				if tagged[pos.Line-1] || tagged[l.fset.Position(rs.Body.Lbrace).Line] {
+				pos := surfaceFset.Position(rs.For)
+				if tagged[pos.Line-1] || tagged[surfaceFset.Position(rs.Body.Lbrace).Line] {
 					return true
 				}
-				rel, _ := filepath.Rel(root, pos.Filename)
+				rel, _ := filepath.Rel(l.root, pos.Filename)
 				loops = append(loops, fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line))
 				return true
 			})

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,7 +57,11 @@ var surfaceInterfaces = [][2]string{
 }
 
 func TestNoDeadExports(t *testing.T) {
-	unused, stale, err := scanDeadExports(".", surfaceAllow)
+	l, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, stale, err := scanDeadExports(l, surfaceAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +149,11 @@ func init() { Unused() }
 			t.Fatal(err)
 		}
 	}
-	unused, stale, err := scanDeadExports(dir, map[string]string{"internal/a.Kept": "kept"})
+	l, err := loadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, stale, err := scanDeadExports(l, map[string]string{"internal/a.Kept": "kept"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func init() { Unused() }
 		t.Errorf("stale = %v, want none", stale)
 	}
 
-	_, stale, err = scanDeadExports(dir, map[string]string{
+	_, stale, err = scanDeadExports(l, map[string]string{
 		"internal/a.Kept": "kept", "internal/a.New": "now used", "internal/a.Gone": "deleted",
 	})
 	if err != nil {
@@ -180,50 +189,11 @@ const (
 	halfEnum = "is an unexported value of an exported enum: export all of its values or none"
 )
 
-// scanDeadExports type-checks the module rooted at root and returns the
-// exports under internal/ that no non-test file uses and that neither
-// implement an interface nor appear in allow, and the unexported values
-// of exported enums, plus the allow entries that are stale.
-func scanDeadExports(root string, allow map[string]string) (unused []deadExport, stale []string, err error) {
-	root, err = filepath.Abs(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, nil, err
-	}
-	l := &surfaceLoader{
-		root: root, module: modulePath(mod), ctxt: build.Default,
-		fset: token.NewFileSet(), pkgs: map[string]*types.Package{},
-	}
-	// Without cgo every standard package type-checks from its Go files.
-	l.ctxt.CgoEnabled = false
-
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		rel, _ := filepath.Rel(root, path)
-		imp := l.module
-		if rel != "." {
-			imp += "/" + filepath.ToSlash(rel)
-		}
-		_, err = l.Import(imp)
-		var noGo *build.NoGoError
-		if errors.As(err, &noGo) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
+// scanDeadExports returns the exports under internal/ of the module l
+// loaded that no non-test file uses and that neither implement an
+// interface nor appear in allow, and the unexported values of exported
+// enums, plus the allow entries that are stale.
+func scanDeadExports(l *surfaceLoader, allow map[string]string) (unused []deadExport, stale []string, err error) {
 	var ifaces []*types.Interface
 	for _, si := range surfaceInterfaces {
 		scope := types.Universe
@@ -277,8 +247,8 @@ func scanDeadExports(root string, allow map[string]string) (unused []deadExport,
 	}
 
 	report := func(obj types.Object, key, why string) {
-		pos := l.fset.Position(obj.Pos())
-		file, _ := filepath.Rel(root, pos.Filename)
+		pos := surfaceFset.Position(obj.Pos())
+		file, _ := filepath.Rel(l.root, pos.Filename)
 		unused = append(unused, deadExport{fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line), key, why})
 	}
 	// enum maps each value of an exported enum to all of its values.
@@ -417,14 +387,59 @@ func modulePath(gomod []byte) string {
 	return ""
 }
 
-// surfaceLoader is a types.ImporterFrom over one universe: module
-// packages are checked in full and kept with their uses; standard
-// packages are checked from GOROOT source without function bodies.
+// thisModule is this module, type-checked once for both source gates.
+var thisModule = sync.OnceValues(func() (*surfaceLoader, error) { return loadModule(".") })
+
+// loadModule type-checks every package of the module rooted at root.
+func loadModule(root string) (*surfaceLoader, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	l := &surfaceLoader{root: root, module: modulePath(mod), pkgs: map[string]*types.Package{}}
+	return l, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, path)
+		imp := l.module
+		if rel != "." {
+			imp += "/" + filepath.ToSlash(rel)
+		}
+		_, err = l.Import(imp)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		return err
+	})
+}
+
+// The standard library is one universe for every surfaceLoader of the
+// test binary, so it is type-checked once: its packages, the file set
+// that holds every loader's positions, and the build context (without
+// cgo every standard package type-checks from its Go files). No test
+// that loads runs in parallel, so stdPkgs needs no lock.
+var (
+	stdPkgs     = map[string]*types.Package{}
+	surfaceFset = token.NewFileSet()
+	surfaceCtxt = func() build.Context { c := build.Default; c.CgoEnabled = false; return c }()
+)
+
+// surfaceLoader is a types.ImporterFrom over one module: its packages are
+// checked in full and kept with their uses; standard packages are
+// checked from GOROOT source without function bodies, into stdPkgs.
 type surfaceLoader struct {
 	root, module string
-	ctxt         build.Context
-	fset         *token.FileSet
-	pkgs         map[string]*types.Package
+	pkgs         map[string]*types.Package // the module's
 	mods         []surfacePkg
 }
 
@@ -442,24 +457,28 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if p := l.pkgs[path]; p != nil {
+	inModule := path == l.module || strings.HasPrefix(path, l.module+"/")
+	cache := stdPkgs
+	if inModule {
+		cache = l.pkgs
+	}
+	if p := cache[path]; p != nil {
 		return p, nil
 	}
-	inModule := path == l.module || strings.HasPrefix(path, l.module+"/")
 	var bp *build.Package
 	var err error
 	if inModule {
-		bp, err = l.ctxt.ImportDir(filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module))), 0)
+		bp, err = surfaceCtxt.ImportDir(filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module))), 0)
 		if bp != nil {
 			bp.ImportPath = path
 		}
 	} else {
-		bp, err = l.ctxt.Import(path, dir, 0)
+		bp, err = surfaceCtxt.Import(path, dir, 0)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if p := l.pkgs[bp.ImportPath]; p != nil {
+	if p := cache[bp.ImportPath]; p != nil {
 		return p, nil
 	}
 	var files []*ast.File
@@ -468,7 +487,7 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 		if inModule {
 			mode |= parser.ParseComments // the map-order gate reads them
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, mode)
+		f, err := parser.ParseFile(surfaceFset, filepath.Join(bp.Dir, name), nil, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -484,11 +503,11 @@ func (l *surfaceLoader) ImportFrom(path, dir string, _ types.ImportMode) (*types
 			Instances: map[*ast.Ident]types.Instance{},
 		}
 	}
-	pkg, err := conf.Check(bp.ImportPath, l.fset, files, info)
+	pkg, err := conf.Check(bp.ImportPath, surfaceFset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", bp.ImportPath, err)
 	}
-	l.pkgs[bp.ImportPath] = pkg
+	cache[bp.ImportPath] = pkg
 	if inModule {
 		l.mods = append(l.mods, surfacePkg{pkg, info, files})
 	}
